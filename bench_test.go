@@ -1,6 +1,6 @@
 // Package repro's root benchmarks regenerate every table and figure of the
-// paper's evaluation (DESIGN.md §4) as testing.B benchmarks, plus ablation
-// benches for the design choices DESIGN.md §5 calls out. Run with:
+// paper's evaluation as testing.B benchmarks, plus ablation benches for the
+// pipeline's design choices. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -145,7 +145,7 @@ func benchAblation(b *testing.B, model string) {
 	}
 }
 
-// --- Ablations beyond the paper's tables (DESIGN.md §5) ---
+// --- Ablations beyond the paper's tables ---
 
 // BenchmarkAblationConfidenceThreshold sweeps the pruning threshold around
 // the paper's 0.7 on QALD with the full pipeline.
@@ -361,7 +361,7 @@ func BenchmarkBatchDedup(b *testing.B) {
 }
 
 // BenchmarkAblationPruneStrategy compares the paper's two-step pruning
-// against count-only and no pruning (DESIGN.md §5) on QALD.
+// against count-only and no pruning on QALD.
 func BenchmarkAblationPruneStrategy(b *testing.B) {
 	env := sharedEnv(b)
 	for _, strat := range []core.PruneStrategy{core.PruneTwoStep, core.PruneCountOnly, core.PruneNone} {

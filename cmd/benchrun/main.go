@@ -1,5 +1,5 @@
 // Command benchrun regenerates the paper's tables and figures against the
-// synthetic environment. See DESIGN.md §4 for the experiment index.
+// synthetic environment; -experiment lists the experiment index.
 //
 // Usage:
 //

@@ -12,7 +12,6 @@
 //	       [-data-dir ""] [-fsync interval] [-checkpoint-interval 0]
 //	       [-trace-dir ""] [-prompt-dir ""]
 //	       [-rate 0] [-burst 8] [-max-inflight 0] [-max-queue 32]
-//	       [-hedge-budget 0]
 //
 // Endpoints:
 //
@@ -61,11 +60,9 @@
 // run. -rate/-burst add per-client token-bucket rate limiting (keyed by
 // X-API-Key, else the remote address) and -max-inflight/-max-queue add
 // queue-depth load shedding: refused requests get a fast 429 with a
-// Retry-After header before any pipeline or LLM work. -hedge-budget
-// enables tail-latency retrieval hedging — a vector search exceeding the
-// budget races a duplicate and the first result wins. All of it is
-// observable in /v1/metrics (admission counters, queue depth, hedge
-// launches/wins). See docs/operations.md for overload tuning.
+// Retry-After header before any pipeline or LLM work. All of it is
+// observable in /v1/metrics (admission counters, queue depth). See
+// docs/operations.md for overload tuning.
 //
 // Live ingest: each KG source is a versioned substrate — a sharded,
 // concurrently-searched vector index over a frozen base plus a delta of
@@ -143,7 +140,6 @@ func main() {
 	burst := flag.Int("burst", 8, "per-client token-bucket burst size (only meaningful with -rate > 0)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently served answer/batch requests; arrivals past it queue, then shed with a fast 429 (0 = unbounded)")
 	maxQueue := flag.Int("max-queue", 32, "max requests waiting for an in-flight slot before load shedding begins (only meaningful with -max-inflight > 0)")
-	hedgeBudget := flag.Duration("hedge-budget", 0, "retrieval tail-latency budget: a vector search exceeding it launches a hedged duplicate and the first result wins (0 = no hedging)")
 	ann := flag.Bool("ann", false, "serve vector retrieval through an HNSW graph over each substrate's compacted base (deltas stay exact-scan until the next compaction); off = exact scans only")
 	annEf := flag.Int("ann-ef", 0, "HNSW search beam width; wider = better recall, slower (0 = vecstore default; only meaningful with -ann)")
 	replicaOf := flag.String("replica-of", "", "run as a read replica of this primary base URL (e.g. http://host:8080): bootstrap from its checkpoints, stream and apply its WAL, redirect local ingests to it; requires -data-dir")
@@ -179,13 +175,13 @@ func main() {
 		MaxInFlight: *maxInFlight,
 		MaxQueue:    *maxQueue,
 	}
-	if err := run(*addr, *quick, *seed, *workers, *timeout, cache, sub, *llmConcurrency, *stageTimeout, *traceDir, *promptDir, admission, *hedgeBudget, *replicaOf); err != nil {
+	if err := run(*addr, *quick, *seed, *workers, *timeout, cache, sub, *llmConcurrency, *stageTimeout, *traceDir, *promptDir, admission, *replicaOf); err != nil {
 		fmt.Fprintln(os.Stderr, "pgakvd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, quick bool, seed int64, workers int, timeout time.Duration, cache serve.CacheConfig, sub substrate.Config, llmConcurrency int, stageTimeout time.Duration, traceDir, promptDir string, admission serve.AdmissionConfig, hedgeBudget time.Duration, replicaOf string) error {
+func run(addr string, quick bool, seed int64, workers int, timeout time.Duration, cache serve.CacheConfig, sub substrate.Config, llmConcurrency int, stageTimeout time.Duration, traceDir, promptDir string, admission serve.AdmissionConfig, replicaOf string) error {
 	cfg := bench.DefaultEnvConfig()
 	if quick {
 		cfg = bench.QuickEnvConfig()
@@ -196,7 +192,6 @@ func run(addr string, quick bool, seed int64, workers int, timeout time.Duration
 	cfg.Substrate = sub
 	cfg.LLMConcurrency = llmConcurrency
 	cfg.Core.StageTimeout = stageTimeout
-	cfg.Core.HedgeBudget = hedgeBudget
 	reg := prompts.NewRegistry()
 	if promptDir != "" {
 		if err := reg.LoadDir(promptDir); err != nil {

@@ -311,10 +311,6 @@ type metricsResponse struct {
 	// (zeros when admission is off).
 	Admission        serve.AdmissionStats `json:"admission"`
 	AdmissionEnabled bool                 `json:"admission_enabled"`
-	// Hedge reports tail-latency retrieval hedging (zeros when
-	// -hedge-budget is 0).
-	Hedge        core.HedgeStats `json:"hedge"`
-	HedgeEnabled bool            `json:"hedge_enabled"`
 	// Prompts reports the active prompt-version set serving requests —
 	// the same fingerprint that scopes answer-cache keys, so a reload
 	// that changed it is immediately visible here.
@@ -378,8 +374,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		TracesEnabled:    s.env.Cfg.Trace != nil,
 		Admission:        s.admit.Stats(),
 		AdmissionEnabled: s.admit != nil,
-		Hedge:            s.env.HedgeStats(),
-		HedgeEnabled:     s.env.Cfg.Core.HedgeBudget > 0,
 		Prompts: promptsStatus{
 			Fingerprint: s.env.Prompts.Fingerprint(),
 			Versions:    s.env.Prompts.View().Versions(),

@@ -11,6 +11,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/llm"
 	"repro/internal/loadgen"
+	"repro/internal/racedetect"
 	"repro/internal/serve"
 	"repro/internal/world"
 )
@@ -148,7 +149,7 @@ func TestOverloadShedsFastAndServesTheRest(t *testing.T) {
 		t.Fatalf("shed p50 %.2fms >= accepted p50 %.2fms — refusals are not fast",
 			res.Refused.P50MS, res.Accepted.P50MS)
 	}
-	if !raceEnabled && res.Refused.P99MS >= res.Accepted.P50MS {
+	if !racedetect.Enabled && res.Refused.P99MS >= res.Accepted.P50MS {
 		t.Fatalf("shed p99 %.2fms >= accepted p50 %.2fms — refusals are not fast",
 			res.Refused.P99MS, res.Accepted.P50MS)
 	}

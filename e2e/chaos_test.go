@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/racedetect"
 )
 
 // fact i is a synthetic triple every node must agree on; question(i)
@@ -30,7 +32,7 @@ func TestChaosReplicaKillAndCatchUp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real binaries")
 	}
-	if raceEnabled {
+	if racedetect.Enabled {
 		t.Skip("process-level chaos; race coverage lives in internal/repl")
 	}
 	pgakvd := filepath.Join(binaries(t), "pgakvd")
@@ -210,7 +212,7 @@ func TestReplicaRedirectsIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real binaries")
 	}
-	if raceEnabled {
+	if racedetect.Enabled {
 		t.Skip("process-level chaos; race coverage lives in internal/repl")
 	}
 	pgakvd := filepath.Join(binaries(t), "pgakvd")

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/racedetect"
 )
 
 // lbStatus is the slice of /v1/lb/status these tests read.
@@ -32,7 +34,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real binaries")
 	}
-	if raceEnabled {
+	if racedetect.Enabled {
 		t.Skip("process-level chaos; race coverage lives in internal/repl")
 	}
 	bins := binaries(t)

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it assembles the full
 // environment (world, KG stores in both schemas, vector indexes, simulated
 // models, datasets) and regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md §4 for the experiment index).
+// evaluation section (cmd/benchrun's -experiment flag is the index).
 //
 // Method execution goes through the unified answer registry: every cell is
 // an answer.Batch over the dataset with the harness's worker budget, so
@@ -202,12 +202,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		// KG sources can share it.
 		cfg.Core.Memo = core.NewMemo(enc, 0)
 	}
-	if cfg.Core.HedgeBudget > 0 && cfg.Core.HedgeCounters == nil {
-		// One hedge counter set for the whole environment, mirroring the
-		// Memo: every pipeline across models and sources reports into it,
-		// so /v1/metrics sees process-wide tail-latency hedging.
-		cfg.Core.HedgeCounters = core.NewHedge()
-	}
 	if cfg.Prompts == nil {
 		cfg.Prompts = prompts.NewRegistry()
 	}
@@ -369,10 +363,6 @@ func (e *Env) TraceStats() trace.StoreStats {
 
 // MemoStats reports the environment-wide embedding memo counters.
 func (e *Env) MemoStats() core.MemoStats { return e.Cfg.Core.Memo.Stats() }
-
-// HedgeStats reports the environment-wide hedged-retrieval counters
-// (zeros when Core.HedgeBudget is unset).
-func (e *Env) HedgeStats() core.HedgeStats { return e.Cfg.Core.HedgeCounters.Stats() }
 
 // Cell is one (method, model, dataset, source) evaluation result.
 type Cell struct {

@@ -280,7 +280,7 @@ func Table1(out io.Writer) {
 	}
 }
 
-// Sweeps runs the design-choice ablations of DESIGN.md §5 at the current
+// Sweeps runs the design-choice ablations at the current
 // environment scale: confidence threshold, retrieval depth, pruning
 // strategy and verification context order, all with GPT-3.5 + PG&AKV.
 func Sweeps(ctx context.Context, e *Env, out io.Writer) error {

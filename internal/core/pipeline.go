@@ -39,7 +39,7 @@ import (
 )
 
 // PruneStrategy selects how retrieved subjects are pruned before gold-graph
-// assembly (the ablation axis of DESIGN.md §5).
+// assembly (an ablation axis; see bench.Sweeps).
 type PruneStrategy int
 
 const (
@@ -72,7 +72,7 @@ type Config struct {
 	// TopK is the per-pseudo-triple retrieval depth (paper: 10).
 	TopK int
 	// ConfidenceThreshold drops subjects whose mean cosine falls below it
-	// (paper: 0.7 with Sentence-BERT; see DESIGN.md on encoder scale).
+	// (paper: 0.7 with Sentence-BERT).
 	ConfidenceThreshold float64
 	// MaxSubjectTriples caps each subject's block in the gold graph so the
 	// verification context stays within a token budget.
@@ -101,16 +101,6 @@ type Config struct {
 	// caller's context applies). A stage that exceeds it fails with a
 	// deadline error attributed to that stage in the trace spans.
 	StageTimeout time.Duration
-	// HedgeBudget enables tail-latency hedging on the semantic-query
-	// step: when the primary vecstore search has not returned within the
-	// budget, an identical hedge is launched and the first result wins
-	// (0 = no hedging).
-	HedgeBudget time.Duration
-	// HedgeCounters optionally shares hedging counters across pipelines
-	// (see NewHedge); nil with hedging enabled gives each pipeline its
-	// own. Callers that rebuild pipelines per request (the answer
-	// registry) must share one or /v1/metrics sees only the last run.
-	HedgeCounters *Hedge
 	// Prompts is the versioned prompt registry the pipeline renders from;
 	// nil uses the shared embedded defaults (prompts.Default). Each LLM
 	// call resolves its view per request, so hot reloads and per-request
@@ -169,12 +159,6 @@ func New(client llm.Client, store kg.Reader, index vecstore.Searcher, cfg Config
 	memo := cfg.Memo
 	if memo == nil {
 		memo = NewMemo(index.Encoder(), 0)
-	}
-	if cfg.HedgeBudget > 0 {
-		if cfg.HedgeCounters == nil {
-			cfg.HedgeCounters = NewHedge()
-		}
-		index = HedgedSearcher(index, cfg.HedgeBudget, cfg.HedgeCounters)
 	}
 	return &Pipeline{
 		client: client,
@@ -642,7 +626,3 @@ func (p *Pipeline) Encoder() *embed.Encoder { return p.index.Encoder() }
 
 // MemoStats reports the embedding memo's hit/miss counters.
 func (p *Pipeline) MemoStats() MemoStats { return p.memo.Stats() }
-
-// HedgeStats reports the hedged-retrieval counters (zeros when hedging
-// is off).
-func (p *Pipeline) HedgeStats() HedgeStats { return p.cfg.HedgeCounters.Stats() }

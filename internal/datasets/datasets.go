@@ -1,5 +1,5 @@
 // Package datasets builds the three evaluation sets from a synthetic world,
-// mirroring the paper's benchmark suite (DESIGN.md §2):
+// mirroring the paper's benchmark suite (docs/architecture.md, "Layer map"):
 //
 //   - SimpleQuestions-like: single-hop factoids sampled uniformly over the
 //     world's facts (tail-heavy, Freebase-sourced in the paper);

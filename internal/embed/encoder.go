@@ -1,5 +1,5 @@
 // Package embed provides the deterministic sentence encoder that stands in
-// for Sentence-BERT in the PG&AKV pipeline (see DESIGN.md §2).
+// for Sentence-BERT in the PG&AKV pipeline (see docs/architecture.md, "Layer map").
 //
 // The encoder maps text to a dense, L2-normalised vector using feature
 // hashing over word unigrams, word bigrams and character trigrams. Texts

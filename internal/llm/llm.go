@@ -1,6 +1,6 @@
 // Package llm provides the LLM client interface used by the pipeline and
 // baselines, and SimLM — the deterministic simulated model that stands in
-// for GPT-3.5/GPT-4 (DESIGN.md §2).
+// for GPT-3.5/GPT-4 (docs/architecture.md, "Layer map").
 //
 // SimLM's design principle: perfect language understanding, imperfect
 // memory. It parses prompts exactly (questions come from the invertible

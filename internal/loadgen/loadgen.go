@@ -28,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Config shapes one load-generation run.
@@ -147,23 +149,10 @@ func (s *sampleSet) summary() LatencySummary {
 		sum += v
 	}
 	out.MeanMS = sum / float64(len(sorted))
-	out.P50MS = percentile(sorted, 0.50)
-	out.P95MS = percentile(sorted, 0.95)
-	out.P99MS = percentile(sorted, 0.99)
+	out.P50MS = metrics.Percentile(sorted, 50)
+	out.P95MS = metrics.Percentile(sorted, 95)
+	out.P99MS = metrics.Percentile(sorted, 99)
 	return out
-}
-
-// percentile reads the p-quantile from an ascending slice
-// (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // Run executes the configured load against the server. The context
@@ -297,7 +286,7 @@ func (g *generator) runClosed(ctx context.Context) error {
 				if n > int64(g.cfg.Requests) || ctx.Err() != nil {
 					return
 				}
-				g.issue(ctx, w, rng, zipf)
+				g.send(ctx, w, g.pick(zipf))
 			}
 		}(w)
 	}
@@ -338,7 +327,7 @@ func (g *generator) runOpen(ctx context.Context) error {
 			go func(w int) {
 				defer wg.Done()
 				mu.Lock()
-				q := g.cfg.Questions[int(zipf.Uint64())%len(g.cfg.Questions)]
+				q := g.pick(zipf)
 				mu.Unlock()
 				g.send(ctx, w, q)
 			}(arrival)
@@ -350,9 +339,10 @@ func (g *generator) newZipf(rng *rand.Rand) *rand.Zipf {
 	return rand.NewZipf(rng, g.cfg.ZipfS, 1, uint64(len(g.cfg.Questions)-1))
 }
 
-func (g *generator) issue(ctx context.Context, w int, rng *rand.Rand, zipf *rand.Zipf) {
-	q := g.cfg.Questions[int(zipf.Uint64())%len(g.cfg.Questions)]
-	g.send(ctx, w, q)
+// pick draws the next question: zipf rank r selects Questions[r], so
+// index 0 is the hottest.
+func (g *generator) pick(zipf *rand.Zipf) string {
+	return g.cfg.Questions[int(zipf.Uint64())%len(g.cfg.Questions)]
 }
 
 // send issues one /v1/answer request and accounts for its outcome.

@@ -1,5 +1,5 @@
 // Package propgraph implements the in-memory property graph that stands in
-// for Neo4j in the Pseudo-Graph Generation step (DESIGN.md §2). LLM-emitted
+// for Neo4j in the Pseudo-Graph Generation step. LLM-emitted
 // Cypher CREATE statements are executed against a Graph by internal/cypher,
 // and the resulting nodes/relationships are decoded back into triples.
 //

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -152,6 +154,11 @@ func (a *methodAgg) add(rec, cur trace.Record) {
 }
 
 func (a *methodAgg) report() MethodReport {
+	// Integer virtual latencies through the integer nearest-rank
+	// percentile: two runs over identical inputs can never differ in the
+	// last float bit.
+	sorted := slices.Clone(a.virtualUS)
+	slices.Sort(sorted)
 	r := MethodReport{
 		N:                a.n,
 		Errors:           a.errors,
@@ -163,9 +170,9 @@ func (a *methodAgg) report() MethodReport {
 		PromptTokens:     a.promptTokens,
 		CompletionTokens: a.complTokens,
 		Latency: LatencyMS{
-			P50: round4(float64(percentileUS(a.virtualUS, 50)) / 1000),
-			P95: round4(float64(percentileUS(a.virtualUS, 95)) / 1000),
-			P99: round4(float64(percentileUS(a.virtualUS, 99)) / 1000),
+			P50: round4(float64(metrics.Percentile(sorted, 50)) / 1000),
+			P95: round4(float64(metrics.Percentile(sorted, 95)) / 1000),
+			P99: round4(float64(metrics.Percentile(sorted, 99)) / 1000),
 		},
 	}
 	if len(a.errorsByClass) > 0 {
@@ -186,25 +193,6 @@ func buildArtifact(meta SuiteMeta, agg map[string]*methodAgg) Artifact {
 		art.Cells += a.n
 	}
 	return art
-}
-
-// percentileUS is the nearest-rank percentile over integer virtual
-// latencies — integer in, integer out, no interpolation, so two runs over
-// identical inputs can never differ in the last float bit.
-func percentileUS(us []int64, p int) int64 {
-	if len(us) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), us...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := (p*len(sorted) + 99) / 100 // ceil(p/100 * n)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
 
 // round4 rounds to 4 decimal places, normalizing negative zero.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/embed"
+	"repro/internal/vecstore"
 )
 
 func annConfig(shardSize int) Config {
@@ -55,7 +56,7 @@ func TestANNMatchesExactOnSubstrate(t *testing.T) {
 	snap := m.Current()
 	for _, q := range []string{"Entity 17 related to", "Ingested mix 2 discovered", "Entity 99"} {
 		approx := snap.Index.Search(q, 5)
-		exact := snap.Index.SearchExact(q, 5)
+		exact := snap.Index.(*vecstore.Hybrid).SearchExact(q, 5)
 		if len(approx) == 0 || len(exact) == 0 {
 			t.Fatalf("%q: empty results (%d approx, %d exact)", q, len(approx), len(exact))
 		}

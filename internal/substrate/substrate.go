@@ -102,9 +102,6 @@ type ANNConfig struct {
 	EfConstruction int
 	EfSearch       int
 	Seed           int64
-	// DisableExactFallback turns off the escape hatch that routes a
-	// query to the exact scan when the beam is narrower than its k.
-	DisableExactFallback bool
 }
 
 func (c ANNConfig) hnswConfig() vecstore.HNSWConfig {
@@ -459,9 +456,8 @@ func (m *Manager) republishLocked() *Snapshot {
 		// uncovered tail and the hot delta, merged per query. The same
 		// counters carry across publishes.
 		index = vecstore.ComposeHybrid(m.enc, m.baseANN, shards, vecstore.HybridOptions{
-			EfSearch:             m.cfg.ANN.EfSearch,
-			DisableExactFallback: m.cfg.ANN.DisableExactFallback,
-			Counters:             &m.annCounters,
+			EfSearch: m.cfg.ANN.EfSearch,
+			Counters: &m.annCounters,
 		})
 	} else {
 		index = vecstore.Compose(m.enc, shards...)

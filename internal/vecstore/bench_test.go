@@ -52,6 +52,6 @@ func BenchmarkHNSWSearch(b *testing.B) {
 	qv := enc.Encode("Lake Superior 42 area")
 	b.ResetTimer()
 	for b.Loop() {
-		g.SearchVector(qv, 10)
+		g.SearchVectorEf(qv, 10, g.Config().EfSearch)
 	}
 }

@@ -351,30 +351,18 @@ func (h *HNSW) Search(query string, k int) []Hit {
 	return h.SearchVectorEf(h.enc.Encode(query), k, h.cfg.EfSearch)
 }
 
-// SearchExact is the brute-force correctness reference: an exact scan
-// over the graph's own vectors, bypassing the graph entirely.
-func (h *HNSW) SearchExact(query string, k int) []Hit {
-	return h.exactVec(h.enc.Encode(query), k)
-}
-
-// SearchVector searches with a pre-encoded vector using the configured
-// EfSearch beam.
-func (h *HNSW) SearchVector(qv embed.Vector, k int) []Hit {
-	return h.SearchVectorEf(qv, k, h.cfg.EfSearch)
-}
-
-// SearchPreEncoded is Search with the query's embedding supplied. The
+// searchPreEncoded is Search with the query's embedding supplied. The
 // graph path is purely geometric, so unlike Index the query text takes
 // no part in candidate selection.
-func (h *HNSW) SearchPreEncoded(query string, qv embed.Vector, k int) []Hit {
+func (h *HNSW) searchPreEncoded(_ string, qv embed.Vector, k int) []Hit {
 	return h.SearchVectorEf(qv, k, h.cfg.EfSearch)
 }
 
-// SearchVectorEf is SearchVector with an explicit beam width, the hook
-// the recall harness uses to sweep ef without rebuilding. It returns at
-// most min(ef, k) hits: a beam narrower than k cannot fill k slots, the
-// degradation the substrate's exact-fallback escape hatch (and the CI
-// recall gate's doctored low-ef run) is built around.
+// SearchVectorEf searches with a pre-encoded vector and an explicit beam
+// width, the hook the recall harness uses to sweep ef without
+// rebuilding. It returns at most min(ef, k) hits: a beam narrower than k
+// cannot fill k slots, the degradation Hybrid's exact fallback (and the
+// CI recall gate's doctored low-ef run) is built around.
 func (h *HNSW) SearchVectorEf(qv embed.Vector, k, ef int) []Hit {
 	if k <= 0 || len(h.triples) == 0 || qv.IsZero() {
 		return nil
@@ -402,37 +390,8 @@ func (h *HNSW) SearchVectorEf(qv embed.Vector, k, ef int) []Hit {
 	return out
 }
 
-// exactVec is the linear reference scan over the graph's vectors.
-func (h *HNSW) exactVec(qv embed.Vector, k int) []Hit {
-	if k <= 0 || qv.IsZero() {
-		return nil
-	}
-	hh := make(hitHeap, 0, k+1)
-	for i := range h.vecs {
-		score := embed.NormDot(&qv, &h.vecs[i])
-		if len(hh) < k {
-			heap.Push(&hh, Hit{Triple: h.triples[i], Score: score})
-			continue
-		}
-		if score > hh[0].Score {
-			hh[0] = Hit{Triple: h.triples[i], Score: score}
-			heap.Fix(&hh, 0)
-		}
-	}
-	out := make([]Hit, len(hh))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&hh).(Hit)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return hitBefore(out[i], out[j]) })
-	return out
-}
-
-// BatchSearch runs Search for each query concurrently.
-func (h *HNSW) BatchSearch(queries []string, k int) [][]Hit {
-	return batchSearch(h, h.enc.Encode, queries, k)
-}
-
-// BatchSearchWith is BatchSearch with caller-supplied embeddings.
+// BatchSearchWith runs Search for each query concurrently, with
+// caller-supplied embeddings.
 func (h *HNSW) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
 	return batchSearch(h, encode, queries, k)
 }

@@ -102,22 +102,19 @@ func TestHNSWDeterministicBuild(t *testing.T) {
 }
 
 // TestHNSWSearcherParity: the Searcher surface must behave like Index's —
-// pre-encoded and vector paths agree with Search, batches preserve
-// query order, and the degenerate inputs return nil.
+// the pre-encoded path agrees with Search, batches preserve query order,
+// and the degenerate inputs return nil.
 func TestHNSWSearcherParity(t *testing.T) {
 	enc := embed.NewEncoder()
 	h := BuildHNSW(enc, corpus(300), HNSWConfig{})
 	q := "Lake Superior 3 area"
 	want := hitKeys(h.Search(q, 5))
-	if got := hitKeys(h.SearchPreEncoded(q, enc.Encode(q), 5)); !equalStrings(got, want) {
-		t.Errorf("SearchPreEncoded: %v, want %v", got, want)
+	if got := hitKeys(h.searchPreEncoded(q, enc.Encode(q), 5)); !equalStrings(got, want) {
+		t.Errorf("searchPreEncoded: %v, want %v", got, want)
 	}
-	if got := hitKeys(h.SearchVector(enc.Encode(q), 5)); !equalStrings(got, want) {
-		t.Errorf("SearchVector: %v, want %v", got, want)
-	}
-	batch := h.BatchSearch([]string{q, "Beijing 0 population"}, 5)
+	batch := h.BatchSearchWith(enc.Encode, []string{q, "Beijing 0 population"}, 5)
 	if len(batch) != 2 || !equalStrings(hitKeys(batch[0]), want) {
-		t.Errorf("BatchSearch order or content wrong")
+		t.Errorf("BatchSearchWith order or content wrong")
 	}
 	if h.Search(q, 0) != nil {
 		t.Error("k=0 returned hits")
@@ -291,7 +288,7 @@ func TestHybridMatchesExact(t *testing.T) {
 	}
 	for _, q := range []string{"Lake Superior 3 area", "Toronto 48 country", "Beijing 40 population"} {
 		want := exact.SearchExact(q, 10)
-		got := hy.SearchVector(enc.Encode(q), 10)
+		got := hy.Search(q, 10)
 		if len(got) != len(want) {
 			t.Fatalf("%q: %d hits, want %d", q, len(got), len(want))
 		}
@@ -312,8 +309,8 @@ func TestHybridMatchesExact(t *testing.T) {
 }
 
 // TestHybridExactFallback: a beam narrower than k routes to the exact
-// scan (counted), unless the escape hatch is disabled, in which case
-// the graph answers with however few hits the beam holds.
+// scan (counted), k within the beam is served by the graph, and a
+// hybrid without a graph always answers exactly.
 func TestHybridExactFallback(t *testing.T) {
 	enc := embed.NewEncoder()
 	segs := BuildShards(enc, corpus(200), 64)
@@ -332,19 +329,9 @@ func TestHybridExactFallback(t *testing.T) {
 	if counters.Searches.Load() != 1 {
 		t.Errorf("k<=ef did not use the graph: searches=%d", counters.Searches.Load())
 	}
-	// Hatch disabled: the graph answers anyway, contributing at most ef
-	// hits (the 8-triple uncovered tail still merges in exactly).
-	var c1 ANNCounters
-	noEscape := ComposeHybrid(enc, g, segs, HybridOptions{EfSearch: 3, DisableExactFallback: true, Counters: &c1})
-	if hits := noEscape.Search("Lake Superior 0 area", 10); len(hits) > 3+8 {
-		t.Errorf("hatch-disabled hybrid returned %d hits, want <= 11", len(hits))
-	}
-	if c1.Searches.Load() != 1 || c1.Fallbacks.Load() != 0 {
-		t.Errorf("hatch-disabled counters: searches=%d fallbacks=%d", c1.Searches.Load(), c1.Fallbacks.Load())
-	}
-	// A hybrid without any graph always falls back, hatch or not.
+	// A hybrid without any graph always falls back.
 	var c2 ANNCounters
-	exactOnly := ComposeHybrid(enc, nil, segs, HybridOptions{Counters: &c2, DisableExactFallback: true})
+	exactOnly := ComposeHybrid(enc, nil, segs, HybridOptions{Counters: &c2})
 	if hits := exactOnly.Search("Lake Superior 0 area", 5); len(hits) != 5 {
 		t.Fatalf("graph-less hybrid returned %d hits", len(hits))
 	}

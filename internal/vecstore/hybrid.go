@@ -12,9 +12,8 @@ import (
 type ANNCounters struct {
 	// Searches counts queries answered through the graph.
 	Searches atomic.Int64
-	// Fallbacks counts queries answered by the exact scan instead —
-	// the ExactFallback escape hatch (beam narrower than k, or no
-	// usable graph).
+	// Fallbacks counts queries answered by the exact scan instead (beam
+	// narrower than k, or no usable graph).
 	Fallbacks atomic.Int64
 }
 
@@ -22,11 +21,6 @@ type ANNCounters struct {
 type HybridOptions struct {
 	// EfSearch overrides the graph's configured beam width (0 keeps it).
 	EfSearch int
-	// DisableExactFallback turns the ef<k escape hatch off: narrow-beam
-	// queries go to the graph anyway and may return fewer than k hits.
-	// A missing or empty graph still falls back — exact is the only
-	// path that can answer at all.
-	DisableExactFallback bool
 	// Counters receives routing counts; nil disables counting.
 	Counters *ANNCounters
 }
@@ -91,18 +85,15 @@ func (hy *Hybrid) ef() int {
 }
 
 // useFallback decides routing for one query: exact when there is no
-// usable graph, or when the beam cannot fill k slots and the escape
-// hatch is on.
+// usable graph, or when the beam cannot fill k slots.
 func (hy *Hybrid) useFallback(k int) bool {
-	if hy.ann == nil || hy.ann.Len() == 0 {
-		return true
-	}
-	return hy.ef() < k && !hy.opts.DisableExactFallback
+	return hy.ann == nil || hy.ann.Len() == 0 || hy.ef() < k
 }
 
 // route runs one query through the graph+tail split or the exact
-// fallback, counting which path answered.
-func (hy *Hybrid) route(k int, approx func() []Hit, tail func() []Hit, exact func() []Hit) []Hit {
+// fallback, counting which path answered. exact is the scan applied to
+// the uncovered tail, or to every segment on fallback.
+func (hy *Hybrid) route(qv embed.Vector, k int, exact func(*Sharded) []Hit) []Hit {
 	if k <= 0 {
 		return nil
 	}
@@ -110,15 +101,15 @@ func (hy *Hybrid) route(k int, approx func() []Hit, tail func() []Hit, exact fun
 		if hy.opts.Counters != nil {
 			hy.opts.Counters.Fallbacks.Add(1)
 		}
-		return exact()
+		return exact(hy.full)
 	}
 	if hy.opts.Counters != nil {
 		hy.opts.Counters.Searches.Add(1)
 	}
-	annHits := approx()
+	annHits := hy.ann.SearchVectorEf(qv, k, hy.ef())
 	var tailHits []Hit
 	if hy.tail.Len() > 0 {
-		tailHits = tail()
+		tailHits = exact(hy.tail)
 	}
 	return MergeTopK([][]Hit{annHits, tailHits}, k)
 }
@@ -129,9 +120,11 @@ func (hy *Hybrid) Len() int { return hy.full.Len() }
 // Encoder returns the encoder all segments were built with.
 func (hy *Hybrid) Encoder() *embed.Encoder { return hy.enc }
 
-// Search returns the top-k triples most similar to the query text.
+// Search returns the top-k triples most similar to the query text; the
+// exact paths keep their token-filtered candidate selection.
 func (hy *Hybrid) Search(query string, k int) []Hit {
-	return hy.SearchPreEncoded(query, hy.enc.Encode(query), k)
+	qv := hy.enc.Encode(query)
+	return hy.route(qv, k, func(s *Sharded) []Hit { return s.searchFanOut(query, qv, k) })
 }
 
 // SearchExact is the brute-force reference over every segment,
@@ -140,41 +133,15 @@ func (hy *Hybrid) SearchExact(query string, k int) []Hit {
 	return hy.full.SearchExact(query, k)
 }
 
-// SearchVector searches with a pre-encoded vector.
-func (hy *Hybrid) SearchVector(qv embed.Vector, k int) []Hit {
-	return hy.route(k,
-		func() []Hit { return hy.ann.SearchVectorEf(qv, k, hy.ef()) },
-		func() []Hit { return hy.tail.SearchVector(qv, k) },
-		func() []Hit { return hy.full.SearchVector(qv, k) },
-	)
+// searchPreEncoded is Search with the query's embedding supplied, kept
+// single-threaded for batchSearch, which already parallelises across
+// queries.
+func (hy *Hybrid) searchPreEncoded(query string, qv embed.Vector, k int) []Hit {
+	return hy.route(qv, k, func(s *Sharded) []Hit { return s.searchPreEncoded(query, qv, k) })
 }
 
-// SearchPreEncoded is Search with the query's embedding supplied; the
-// exact paths keep their token-filtered candidate selection.
-func (hy *Hybrid) SearchPreEncoded(query string, qv embed.Vector, k int) []Hit {
-	return hy.route(k,
-		func() []Hit { return hy.ann.SearchVectorEf(qv, k, hy.ef()) },
-		func() []Hit { return hy.tail.SearchPreEncoded(query, qv, k) },
-		func() []Hit { return hy.full.SearchPreEncoded(query, qv, k) },
-	)
-}
-
-// searchPreEncodedSequential keeps per-query work single-threaded for
-// batchSearch, which already parallelises across queries.
-func (hy *Hybrid) searchPreEncodedSequential(query string, qv embed.Vector, k int) []Hit {
-	return hy.route(k,
-		func() []Hit { return hy.ann.SearchVectorEf(qv, k, hy.ef()) },
-		func() []Hit { return hy.tail.searchPreEncodedSequential(query, qv, k) },
-		func() []Hit { return hy.full.searchPreEncodedSequential(query, qv, k) },
-	)
-}
-
-// BatchSearch runs Search for each query concurrently.
-func (hy *Hybrid) BatchSearch(queries []string, k int) [][]Hit {
-	return batchSearch(hy, hy.enc.Encode, queries, k)
-}
-
-// BatchSearchWith is BatchSearch with caller-supplied embeddings.
+// BatchSearchWith runs Search for each query concurrently, with
+// caller-supplied embeddings.
 func (hy *Hybrid) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
 	return batchSearch(hy, encode, queries, k)
 }
@@ -198,7 +165,4 @@ func (hy *Hybrid) Stats() Stats {
 	return st
 }
 
-var (
-	_ Searcher           = (*Hybrid)(nil)
-	_ sequentialSearcher = (*Hybrid)(nil)
-)
+var _ Searcher = (*Hybrid)(nil)

@@ -82,7 +82,7 @@ func (s *Sharded) Encoder() *embed.Encoder { return s.enc }
 // Search returns the top-k triples most similar to the query text, merged
 // across all segments by score.
 func (s *Sharded) Search(query string, k int) []Hit {
-	return s.SearchPreEncoded(query, s.enc.Encode(query), k)
+	return s.searchFanOut(query, s.enc.Encode(query), k)
 }
 
 // SearchExact is the brute-force reference: an exact scan of every segment.
@@ -95,31 +95,27 @@ func (s *Sharded) SearchVector(qv embed.Vector, k int) []Hit {
 	return s.fanOut(k, func(sh *Index) []Hit { return sh.SearchVector(qv, k) })
 }
 
-// SearchPreEncoded is Search with the query's embedding supplied; each
-// segment keeps its token-filtered candidate path.
-func (s *Sharded) SearchPreEncoded(query string, qv embed.Vector, k int) []Hit {
-	return s.fanOut(k, func(sh *Index) []Hit { return sh.SearchPreEncoded(query, qv, k) })
+// searchFanOut is Search with the query's embedding supplied, spread over
+// the worker pool; each segment keeps its token-filtered candidate path.
+func (s *Sharded) searchFanOut(query string, qv embed.Vector, k int) []Hit {
+	return s.fanOut(k, func(sh *Index) []Hit { return sh.searchPreEncoded(query, qv, k) })
 }
 
-// searchPreEncodedSequential is SearchPreEncoded without the worker pool,
-// used by batchSearch where queries are already parallelised.
-func (s *Sharded) searchPreEncodedSequential(query string, qv embed.Vector, k int) []Hit {
+// searchPreEncoded is searchFanOut without the worker pool, used by
+// batchSearch where queries are already parallelised.
+func (s *Sharded) searchPreEncoded(query string, qv embed.Vector, k int) []Hit {
 	if k <= 0 || len(s.shards) == 0 {
 		return nil
 	}
 	per := make([][]Hit, len(s.shards))
 	for i, sh := range s.shards {
-		per[i] = sh.SearchPreEncoded(query, qv, k)
+		per[i] = sh.searchPreEncoded(query, qv, k)
 	}
 	return MergeTopK(per, k)
 }
 
-// BatchSearch runs Search for each query concurrently.
-func (s *Sharded) BatchSearch(queries []string, k int) [][]Hit {
-	return batchSearch(s, s.enc.Encode, queries, k)
-}
-
-// BatchSearchWith is BatchSearch with caller-supplied embeddings.
+// BatchSearchWith runs Search for each query concurrently, with
+// caller-supplied embeddings.
 func (s *Sharded) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
 	return batchSearch(s, encode, queries, k)
 }

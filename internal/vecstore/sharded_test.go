@@ -81,7 +81,7 @@ func TestShardedBatchSearch(t *testing.T) {
 	triples := corpus(200)
 	sharded := BuildSharded(enc, triples, 32)
 	queries := []string{"Lake Superior 0 area", "Beijing 1 population", "no overlap whatsoever zzz"}
-	res := sharded.BatchSearch(queries, 3)
+	res := sharded.BatchSearchWith(enc.Encode, queries, 3)
 	if len(res) != len(queries) {
 		t.Fatalf("batch returned %d lists, want %d", len(res), len(queries))
 	}

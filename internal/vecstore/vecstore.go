@@ -42,15 +42,8 @@ type Searcher interface {
 	Encoder() *embed.Encoder
 	// Search returns the top-k triples most similar to the query text.
 	Search(query string, k int) []Hit
-	// SearchExact is the brute-force correctness reference for Search.
-	SearchExact(query string, k int) []Hit
-	// SearchVector searches with a pre-encoded vector over all triples.
-	SearchVector(qv embed.Vector, k int) []Hit
-	// SearchPreEncoded is Search with the query's embedding supplied.
-	SearchPreEncoded(query string, qv embed.Vector, k int) []Hit
-	// BatchSearch runs Search for each query concurrently.
-	BatchSearch(queries []string, k int) [][]Hit
-	// BatchSearchWith is BatchSearch with caller-supplied embeddings.
+	// BatchSearchWith runs Search for each query concurrently, with the
+	// query embeddings supplied by encode.
 	BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit
 	// Stats describes the index for diagnostics.
 	Stats() Stats
@@ -123,14 +116,7 @@ func (idx *Index) Encoder() *embed.Encoder { return idx.enc }
 // yields no candidates (no token overlap at all) it falls back to the exact
 // scan so the caller always gets k results when the index has them.
 func (idx *Index) Search(query string, k int) []Hit {
-	qv := idx.enc.Encode(query)
-	cands := idx.candidates(query)
-	if len(cands) < k {
-		// Not enough token-overlapping candidates to fill k slots: scan
-		// everything so the caller still gets k results.
-		return idx.searchVec(qv, k, nil)
-	}
-	return idx.searchVec(qv, k, cands)
+	return idx.searchPreEncoded(query, idx.enc.Encode(query), k)
 }
 
 // SearchExact returns the top-k results by brute-force scan over the whole
@@ -144,13 +130,15 @@ func (idx *Index) SearchVector(qv embed.Vector, k int) []Hit {
 	return idx.searchVec(qv, k, nil)
 }
 
-// SearchPreEncoded is Search for callers that already hold the query's
+// searchPreEncoded is Search for callers that already hold the query's
 // embedding (e.g. from a memo): it keeps the token-filtered candidate
 // path — which needs the query text — but skips re-encoding. The vector
 // must have been produced by this index's encoder for the given text.
-func (idx *Index) SearchPreEncoded(query string, qv embed.Vector, k int) []Hit {
+func (idx *Index) searchPreEncoded(query string, qv embed.Vector, k int) []Hit {
 	cands := idx.candidates(query)
 	if len(cands) < k {
+		// Not enough token-overlapping candidates to fill k slots: scan
+		// everything so the caller still gets k results.
 		return idx.searchVec(qv, k, nil)
 	}
 	return idx.searchVec(qv, k, cands)
@@ -242,37 +230,29 @@ func hitBefore(a, b Hit) bool {
 	return a.Triple.Key() < b.Triple.Key()
 }
 
-// BatchSearch runs Search for each query concurrently and returns results
-// in query order.
-func (idx *Index) BatchSearch(queries []string, k int) [][]Hit {
-	return idx.BatchSearchWith(idx.enc.Encode, queries, k)
-}
-
-// BatchSearchWith is BatchSearch with the query embeddings supplied by
-// encode instead of the index's encoder — the hook for callers that
-// memoise embeddings (internal/core's session memo). encode must be safe
-// for concurrent use and consistent with the index's encoder.
+// BatchSearchWith runs Search for each query concurrently and returns
+// results in query order, with the query embeddings supplied by encode
+// instead of the index's encoder — the hook for callers that memoise
+// embeddings (internal/core's session memo). encode must be safe for
+// concurrent use and consistent with the index's encoder.
 func (idx *Index) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
 	return batchSearch(idx, encode, queries, k)
 }
 
-// preEncodedSearcher is the minimal surface batchSearch fans out over.
+// preEncodedSearcher is the surface batchSearch fans out over: one query
+// with its embedding supplied, searched without internal concurrency.
 type preEncodedSearcher interface {
-	SearchPreEncoded(query string, qv embed.Vector, k int) []Hit
+	searchPreEncoded(query string, qv embed.Vector, k int) []Hit
 }
 
 // batchSearch runs per-query searches concurrently, bounded by the
 // machine's parallelism: the searches are CPU-bound scans, so more
 // goroutines than schedulable threads only adds contention, and fewer
-// leaves large boxes idle. A searcher that also offers a sequential scan
-// (Sharded) is searched shard-sequentially per query — the outer pool
-// already saturates the cores, so nesting a per-shard fan-out inside it
-// would multiply the goroutine count without adding throughput.
+// leaves large boxes idle. Each query is searched single-threaded (a
+// Sharded goes shard by shard) — the outer pool already saturates the
+// cores, so nesting a per-shard fan-out inside it would multiply the
+// goroutine count without adding throughput.
 func batchSearch(s preEncodedSearcher, encode func(string) embed.Vector, queries []string, k int) [][]Hit {
-	search := s.SearchPreEncoded
-	if seq, ok := s.(sequentialSearcher); ok {
-		search = seq.searchPreEncodedSequential
-	}
 	out := make([][]Hit, len(queries))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -282,17 +262,11 @@ func batchSearch(s preEncodedSearcher, encode func(string) embed.Vector, queries
 		go func(i int, q string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			out[i] = search(q, encode(q), k)
+			out[i] = s.searchPreEncoded(q, encode(q), k)
 		}(i, q)
 	}
 	wg.Wait()
 	return out
-}
-
-// sequentialSearcher marks searchers with a no-internal-concurrency scan
-// for use inside an already-parallel batch.
-type sequentialSearcher interface {
-	searchPreEncodedSequential(query string, qv embed.Vector, k int) []Hit
 }
 
 // Stats describes an index for diagnostics.

@@ -153,7 +153,7 @@ func TestSearchNoTokenOverlapFallsBack(t *testing.T) {
 func TestBatchSearchOrder(t *testing.T) {
 	idx := buildTestIndex(t)
 	queries := []string{"China population", "Lake Superior area", "Turing Award"}
-	res := idx.BatchSearch(queries, 2)
+	res := idx.BatchSearchWith(idx.Encoder().Encode, queries, 2)
 	if len(res) != 3 {
 		t.Fatalf("batch returned %d result sets", len(res))
 	}
@@ -222,7 +222,7 @@ func TestSearchPreEncodedMatchesSearch(t *testing.T) {
 	} {
 		qv := idx.Encoder().Encode(query)
 		want := idx.Search(query, 3)
-		got := idx.SearchPreEncoded(query, qv, 3)
+		got := idx.searchPreEncoded(query, qv, 3)
 		if len(got) != len(want) {
 			t.Fatalf("%q: %d hits vs %d", query, len(got), len(want))
 		}

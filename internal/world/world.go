@@ -1,5 +1,5 @@
 // Package world generates the deterministic synthetic world that replaces
-// Wikidata/Freebase dumps and the paper's three datasets (DESIGN.md §2).
+// Wikidata/Freebase dumps and the paper's three datasets (docs/architecture.md, "Layer map").
 //
 // The world is a set of typed entities connected by canonical facts. The
 // same world is rendered into two different KG schemas (internal/kg), drives
