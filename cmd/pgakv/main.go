@@ -171,21 +171,7 @@ func writeResultJSON(w io.Writer, question, model, src string, res answer.Result
 		ElapsedMS: res.Elapsed.Milliseconds(),
 	}
 	if tr := res.Trace; tr != nil {
-		if tr.Gp != nil {
-			for _, t := range tr.Gp.Triples {
-				doc.Gp = append(doc.Gp, t.String())
-			}
-		}
-		if tr.Gg != nil {
-			for _, t := range tr.Gg.Triples {
-				doc.Gg = append(doc.Gg, t.String())
-			}
-		}
-		if tr.Gf != nil {
-			for _, t := range tr.Gf.Triples {
-				doc.Gf = append(doc.Gf, t.String())
-			}
-		}
+		doc.Gp, doc.Gg, doc.Gf = tr.Gp.Strings(), tr.Gg.Strings(), tr.Gf.Strings()
 		for _, sc := range tr.Kept {
 			doc.Kept = append(doc.Kept, keptJSON{sc.Subject, sc.Confidence, sc.Triples})
 		}

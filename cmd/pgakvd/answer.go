@@ -1,0 +1,361 @@
+package main
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"strings"
+	"sync"
+	"time"
+
+	"repro/internal/answer"
+	"repro/internal/core/exec"
+	"repro/internal/kg"
+	"repro/internal/llm"
+	"repro/internal/serve"
+)
+
+// The answer routes: POST /v1/answer (JSON, or SSE with "Accept:
+// text/event-stream") and POST /v1/batch. Answers flow through the node's
+// serving stack (metrics, answer cache, singleflight), so repeated and
+// concurrent-identical questions are served without re-running the
+// pipeline. /v1/answer runs on the LLM scheduler's interactive lane,
+// /v1/batch on the batch lane.
+
+// --- wire types ---
+
+// queryItem is the reusable core of an answer request, shared with batch
+// items.
+type queryItem struct {
+	Question string   `json:"question"`
+	Open     bool     `json:"open,omitempty"`
+	Anchors  []string `json:"anchors,omitempty"`
+	// PromptVersions pins specific prompt versions for this query only
+	// (A/B testing), e.g. {"answer-graph": "2"}. Unknown names or
+	// versions fail the request with class "invalid-query".
+	PromptVersions map[string]string `json:"prompt_versions,omitempty"`
+}
+
+// query is the registry request for this item under a resolved method
+// and model.
+func (q queryItem) query(method, model string) answer.Query {
+	return answer.Query{
+		Text:           q.Question,
+		Method:         method,
+		Model:          model,
+		Open:           q.Open,
+		Anchors:        q.Anchors,
+		PromptVersions: q.PromptVersions,
+	}
+}
+
+type answerRequest struct {
+	queryItem
+	Method       string `json:"method,omitempty"` // default "ours"
+	Model        string `json:"model,omitempty"`  // gpt3.5|gpt4
+	KG           string `json:"kg,omitempty"`     // wikidata|freebase
+	IncludeTrace bool   `json:"include_trace,omitempty"`
+	TimeoutMS    int64  `json:"timeout_ms,omitempty"`
+	// TokenBudget caps the total LLM tokens this request may spend; the
+	// scheduler refuses calls past it (HTTP 429, class "budget").
+	TokenBudget int `json:"token_budget,omitempty"`
+}
+
+type answerResponse struct {
+	Answer           string `json:"answer"`
+	Method           string `json:"method"`
+	Model            string `json:"model"`
+	KG               string `json:"kg"`
+	Epoch            uint64 `json:"epoch,omitempty"`
+	LLMCalls         int    `json:"llm_calls"`
+	PromptTokens     int    `json:"prompt_tokens"`
+	CompletionTokens int    `json:"completion_tokens"`
+	ElapsedMS        int64  `json:"elapsed_ms"`
+	// PromptVersions are the exact prompt versions this run rendered
+	// with — the observable half of a "prompt_versions" A/B override.
+	PromptVersions map[string]string `json:"prompt_versions,omitempty"`
+	// Cached marks an SSE answer event served from the answer cache (the
+	// JSON path reports the same through the X-Cache header instead).
+	Cached bool       `json:"cached,omitempty"`
+	Trace  *traceWire `json:"trace,omitempty"`
+}
+
+type traceWire struct {
+	Gp           []string    `json:"gp,omitempty"`
+	Gg           []string    `json:"gg,omitempty"`
+	Gf           []string    `json:"gf,omitempty"`
+	KeptSubjects []string    `json:"kept_subjects,omitempty"`
+	PseudoError  string      `json:"pseudo_error,omitempty"`
+	Stages       []stageWire `json:"stages,omitempty"`
+}
+
+// stageWire is one stage span in an answer trace.
+type stageWire struct {
+	Stage            string  `json:"stage"`
+	LatencyMS        float64 `json:"latency_ms"`
+	LLMCalls         int     `json:"llm_calls"`
+	PromptTokens     int     `json:"prompt_tokens,omitempty"`
+	CompletionTokens int     `json:"completion_tokens,omitempty"`
+	InputSize        int     `json:"input_size"`
+	OutputSize       int     `json:"output_size"`
+	Error            string  `json:"error,omitempty"`
+}
+
+type batchRequest struct {
+	Method      string `json:"method,omitempty"`
+	Model       string `json:"model,omitempty"`
+	KG          string `json:"kg,omitempty"`
+	Concurrency int    `json:"concurrency,omitempty"`
+	// TimeoutMS tightens the batch deadline per-item deadlines are derived
+	// from (never past the operator's cap).
+	TimeoutMS int64       `json:"timeout_ms,omitempty"`
+	Queries   []queryItem `json:"queries"`
+}
+
+type batchItemResponse struct {
+	Index  int             `json:"index"`
+	Result *answerResponse `json:"result,omitempty"`
+	Error  string          `json:"error,omitempty"`
+	Class  string          `json:"class,omitempty"`
+}
+
+type batchResponse struct {
+	Method    string              `json:"method"`
+	Model     string              `json:"model"`
+	KG        string              `json:"kg"`
+	N         int                 `json:"n"`
+	Failed    int                 `json:"failed"`
+	ElapsedMS int64               `json:"elapsed_ms"`
+	Items     []batchItemResponse `json:"items"`
+}
+
+// --- handlers ---
+
+// deadline is -timeout tightened by a request's timeout_ms: a client may
+// shorten the deadline but never loosen it past the operator's cap
+// (0 = unbounded).
+func (s *Server) deadline(timeoutMS int64) time.Duration {
+	requested := time.Duration(timeoutMS) * time.Millisecond
+	if requested > 0 && (s.cfg.Timeout == 0 || requested < s.cfg.Timeout) {
+		return requested
+	}
+	return s.cfg.Timeout
+}
+
+// failure is the error body of a failed run; with a trace requested, the
+// partial spans name the failing stage and its error class.
+func failure(err error, res answer.Result, includeTrace bool) errorResponse {
+	resp := errorResponse{Error: err.Error(), Class: string(answer.Classify(err))}
+	if includeTrace && res.Trace != nil {
+		resp.Stages = stageWires(res.Trace.Stages)
+	}
+	return resp
+}
+
+func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, req answerRequest) {
+	ans, model, src, err := s.resolve(req.Method, req.Model, req.KG)
+	if err != nil {
+		writeError(w, err, answer.Classify(err))
+		return
+	}
+
+	// Interactive lane: a user is waiting on this response, so when the
+	// LLM scheduler saturates this request is admitted ahead of queued
+	// batch/bench work.
+	ctx := llm.WithPriority(r.Context(), llm.PriorityInteractive)
+	if timeout := s.deadline(req.TimeoutMS); timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	q := req.query(ans.Name(), model)
+	if req.TokenBudget > 0 {
+		q.Overrides.TokenBudget = &req.TokenBudget
+	}
+	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+		s.streamAnswer(w, ctx, ans, q, src, req.IncludeTrace)
+		return
+	}
+	ctx, info := serve.Attach(ctx)
+	res, err := ans.Answer(ctx, q)
+	if err != nil {
+		writeJSON(w, statusFor(answer.Classify(err)), failure(err, res, req.IncludeTrace))
+		return
+	}
+	if info.CacheUsed {
+		state := "miss"
+		if info.CacheHit {
+			state = "hit"
+		}
+		w.Header().Set("X-Cache", state)
+	}
+	writeJSON(w, http.StatusOK, toWire(res, src, req.IncludeTrace))
+}
+
+// sseWriter frames server-sent events over a flushed ResponseWriter.
+// Methods may drive stage graphs from worker goroutines (sampling runs),
+// so every event write is serialized under the mutex.
+type sseWriter struct {
+	mu sync.Mutex
+	w  http.ResponseWriter
+	f  http.Flusher
+}
+
+func (s *sseWriter) event(name string, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, data)
+	s.f.Flush()
+}
+
+// streamAnswer serves one answer as SSE: a "stage" event per completed
+// pipeline stage — emitted live through the exec span observer while the
+// run is still in flight — then a terminal "answer" or "error" event.
+// Cache and singleflight hits execute no stages of their own, so they
+// stream a single answer event. A client that disconnects mid-stream
+// cancels ctx and with it the in-flight run; the terminal error event is
+// then written to a dead connection and dropped, but the run's "canceled"
+// class still lands in /v1/metrics through the serving stack.
+func (s *Server) streamAnswer(w http.ResponseWriter, ctx context.Context, ans answer.Answerer, q answer.Query, src kg.Source, includeTrace bool) {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		writeError(w, errors.New("streaming is unsupported by this connection"), answer.ClassInvalidQuery)
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
+	out := &sseWriter{w: w, f: flusher}
+
+	ctx = exec.WithSpanObserver(ctx, func(sp exec.Span) {
+		out.event("stage", stageWires([]exec.Span{sp})[0])
+	})
+	ctx, info := serve.Attach(ctx)
+	res, err := ans.Answer(ctx, q)
+	if err != nil {
+		out.event("error", failure(err, res, includeTrace))
+		return
+	}
+	wire := toWire(res, src, includeTrace)
+	wire.Cached = info.CacheHit
+	out.event("answer", wire)
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, req batchRequest) {
+	if len(req.Queries) == 0 {
+		writeError(w, errors.New("batch has no queries"), answer.ClassInvalidQuery)
+		return
+	}
+	if len(req.Queries) > maxBatch {
+		writeError(w, fmt.Errorf("batch of %d exceeds the limit of %d", len(req.Queries), maxBatch), answer.ClassInvalidQuery)
+		return
+	}
+	ans, model, src, err := s.resolve(req.Method, req.Model, req.KG)
+	if err != nil {
+		writeError(w, err, answer.Classify(err))
+		return
+	}
+	workers := req.Concurrency
+	if workers < 1 {
+		workers = s.cfg.Workers
+	}
+	if workers > maxConcurrency {
+		workers = maxConcurrency
+	}
+
+	// Batch lane: bulk work yields the LLM scheduler to interactive
+	// traffic when the concurrency limit saturates.
+	ctx := llm.WithPriority(r.Context(), llm.PriorityBatch)
+	// Per-item deadlines derive from the batch deadline: every item gets
+	// the deadline as its own clock, started when its worker picks it up —
+	// the same per-request semantics /v1/answer has. A single slow item
+	// times out alone (its entry reports class "deadline") instead of one
+	// shared batch timer expiring and failing every item queued behind it,
+	// and an item is never killed early just because the batch was large.
+	// Total batch wall-clock stays bounded at ceil(N/workers) deadlines.
+	opts := []answer.BatchOption{answer.Concurrency(workers)}
+	if timeout := s.deadline(req.TimeoutMS); timeout > 0 {
+		opts = append(opts, answer.ItemTimeout(timeout))
+	}
+
+	queries := make([]answer.Query, len(req.Queries))
+	for i, q := range req.Queries {
+		queries[i] = q.query(ans.Name(), model)
+	}
+	start := time.Now()
+	items := answer.Batch(ctx, ans, queries, opts...)
+
+	resp := batchResponse{
+		Method:    ans.Name(),
+		Model:     model,
+		KG:        src.String(),
+		N:         len(items),
+		ElapsedMS: time.Since(start).Milliseconds(),
+	}
+	for _, item := range items {
+		wireItem := batchItemResponse{Index: item.Index}
+		if item.Err != nil {
+			resp.Failed++
+			wireItem.Error = item.Err.Error()
+			wireItem.Class = string(item.Class)
+		} else {
+			wire := toWire(item.Result, src, false)
+			wireItem.Result = &wire
+		}
+		resp.Items = append(resp.Items, wireItem)
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// toWire converts a Result to its JSON form.
+func toWire(res answer.Result, src kg.Source, includeTrace bool) answerResponse {
+	out := answerResponse{
+		Answer:           res.Answer,
+		Method:           res.Method,
+		Model:            res.Model,
+		KG:               src.String(),
+		Epoch:            res.Epoch,
+		LLMCalls:         res.LLMCalls,
+		PromptTokens:     res.PromptTokens,
+		CompletionTokens: res.CompletionTokens,
+		ElapsedMS:        res.Elapsed.Milliseconds(),
+		PromptVersions:   res.PromptVersions,
+	}
+	if includeTrace && res.Trace != nil {
+		tw := &traceWire{Gp: res.Trace.Gp.Strings(), Gg: res.Trace.Gg.Strings(), Gf: res.Trace.Gf.Strings()}
+		for _, sc := range res.Trace.Kept {
+			tw.KeptSubjects = append(tw.KeptSubjects, fmt.Sprintf("%s (%.3f)", sc.Subject, sc.Confidence))
+		}
+		if res.Trace.PseudoErr != nil {
+			tw.PseudoError = res.Trace.PseudoErr.Error()
+		}
+		tw.Stages = stageWires(res.Trace.Stages)
+		out.Trace = tw
+	}
+	return out
+}
+
+// stageWires converts exec spans to their wire form.
+func stageWires(spans []exec.Span) []stageWire {
+	out := make([]stageWire, 0, len(spans))
+	for _, sp := range spans {
+		out = append(out, stageWire{
+			Stage:            sp.Stage,
+			LatencyMS:        float64(sp.Latency) / float64(time.Millisecond),
+			LLMCalls:         sp.LLMCalls,
+			PromptTokens:     sp.PromptTokens,
+			CompletionTokens: sp.CompletionTokens,
+			InputSize:        sp.InputSize,
+			OutputSize:       sp.OutputSize,
+			Error:            sp.Err,
+		})
+	}
+	return out
+}

@@ -1,0 +1,74 @@
+package main
+
+import (
+	"strings"
+	"testing"
+	"time"
+)
+
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*Config)
+		wantErr string // substring; empty = valid
+	}{
+		{"defaults", func(*Config) {}, ""},
+		{"durable replica", func(c *Config) { c.Substrate.Durability.Dir = "/d"; c.ReplicaOf = "http://primary:8080" }, ""},
+		{"fsync always", func(c *Config) { c.Fsync = "always" }, ""},
+		{"zeros mean off", func(c *Config) {
+			c.Timeout = 0
+			c.Cache.Size = 0
+			c.LLMConcurrency = 0
+			c.Substrate.CompactThreshold = 0
+		}, ""},
+		{"replica without data dir", func(c *Config) { c.ReplicaOf = "http://primary:8080" }, "-replica-of requires -data-dir"},
+		{"unknown fsync", func(c *Config) { c.Fsync = "sometimes" }, "sometimes"},
+		{"negative workers", func(c *Config) { c.Workers = -4 }, "-workers"},
+		{"negative cache size", func(c *Config) { c.Cache.Size = -1 }, "-cache-size"},
+		{"negative shard size", func(c *Config) { c.Substrate.ShardSize = -1 }, "-shard-size"},
+		{"negative compact threshold", func(c *Config) { c.Substrate.CompactThreshold = -1 }, "-compact-threshold"},
+		{"negative llm concurrency", func(c *Config) { c.LLMConcurrency = -1 }, "-llm-concurrency"},
+		{"negative burst", func(c *Config) { c.Admission.Limiter.Burst = -1 }, "-burst"},
+		{"negative max-inflight", func(c *Config) { c.Admission.MaxInFlight = -1 }, "-max-inflight"},
+		{"negative max-queue", func(c *Config) { c.Admission.MaxQueue = -1 }, "-max-queue"},
+		{"negative ann-ef", func(c *Config) { c.Substrate.ANN.EfSearch = -8 }, "-ann-ef"},
+	}
+	for _, tc := range cases {
+		cfg := testConfig(time.Minute)
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestFlagsLandInConfig: the defaults are the documented ones and a flag
+// reaches the layer config it sizes.
+func TestFlagsLandInConfig(t *testing.T) {
+	def, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Addr != ":8080" || def.Seed != 42 || def.Timeout != 60*time.Second || def.Cache.Size != 4096 ||
+		def.Substrate.CompactThreshold != 2048 || def.LLMConcurrency != 32 || def.Fsync != "interval" ||
+		def.Admission.MaxQueue != 32 || def.MaxBody != 8<<20 {
+		t.Errorf("defaults drifted from docs/operations.md: %+v", def)
+	}
+	got, err := parseFlags([]string{"-quick", "-cache-size", "0", "-data-dir", "/d", "-replica-of", "http://p", "-ann", "-max-inflight", "3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Quick || got.Cache.Size != 0 || got.Substrate.Durability.Dir != "/d" || got.ReplicaOf != "http://p" ||
+		!got.Substrate.ANN.Enabled || got.Admission.MaxInFlight != 3 {
+		t.Errorf("flags did not land: %+v", got)
+	}
+	if nc := got.node(nil, nil); !nc.Substrate.Replica || nc.Substrate.Durability.Dir != "/d" || nc.Cache.Size != 0 {
+		t.Errorf("node config does not follow the flags: %+v", nc.Substrate)
+	}
+}

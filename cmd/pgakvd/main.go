@@ -1,17 +1,14 @@
 // Command pgakvd serves the answer registry over HTTP JSON — the
-// production-facing front door of the reproduction. It assembles the
-// synthetic environment once at startup and then answers questions with
-// any registered method over either KG schema.
+// production-facing front door of the reproduction. It assembles one
+// serving node (internal/node) at startup and then answers questions
+// with any registered method over either KG schema.
 //
 // Usage:
 //
-//	pgakvd [-addr :8080] [-quick] [-seed 42] [-workers 8] [-timeout 30s]
-//	       [-cache-size 4096] [-cache-ttl 5m]
-//	       [-shard-size 4096] [-compact-threshold 0]
-//	       [-llm-concurrency 32] [-stage-timeout 0]
-//	       [-data-dir ""] [-fsync interval] [-checkpoint-interval 0]
-//	       [-trace-dir ""] [-prompt-dir ""]
-//	       [-rate 0] [-burst 8] [-max-inflight 0] [-max-queue 32]
+//	pgakvd [-addr :8080] [-quick] [-data-dir DIR] [-replica-of URL] ...
+//
+// The flag table in docs/operations.md ("Flags reference") lists every
+// flag with its default.
 //
 // Endpoints:
 //
@@ -102,7 +99,6 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -111,107 +107,44 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bench"
+	"repro/internal/node"
 	"repro/internal/prompts"
 	"repro/internal/repl"
-	"repro/internal/serve"
-	"repro/internal/substrate"
 	"repro/internal/trace"
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	quick := flag.Bool("quick", false, "use the small test-scale environment (fast startup)")
-	seed := flag.Int64("seed", 42, "world/model seed")
-	workers := flag.Int("workers", 8, "default batch parallelism")
-	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline (0 = none)")
-	cacheSize := flag.Int("cache-size", 4096, "answer cache capacity (0 disables caching and singleflight)")
-	cacheTTL := flag.Duration("cache-ttl", 5*time.Minute, "answer cache entry lifetime (0 = no expiry)")
-	shardSize := flag.Int("shard-size", 0, "vector-index segment size (0 = vecstore default)")
-	compactThreshold := flag.Int("compact-threshold", 2048, "auto-compact when a delta reaches this many triples (0 = manual only; the default bounds per-ingest publish cost)")
-	llmConcurrency := flag.Int("llm-concurrency", 32, "max in-flight LLM calls across all traffic; interactive /v1/answer requests preempt queued batch work when saturated (0 = unbounded)")
-	stageTimeout := flag.Duration("stage-timeout", 0, "per-stage deadline inside every method run (0 = only the request timeout applies)")
-	dataDir := flag.String("data-dir", "", "persist ingested triples under this directory (WAL + checkpoints, one subdirectory per KG source); empty = memory-only, a restart drops post-boot facts")
-	traceDir := flag.String("trace-dir", "", "record every answered request as a JSONL trace under this directory (serves GET /v1/traces); empty = tracing off")
-	promptDir := flag.String("prompt-dir", "", "overlay .prompt files from this directory on the embedded defaults; SIGHUP or POST /v1/prompts/reload re-reads it (empty = embedded prompts only)")
-	fsync := flag.String("fsync", "interval", "WAL sync policy: always (fsync per ingest), interval (background fsync, default), never (OS decides)")
-	checkpointInterval := flag.Duration("checkpoint-interval", 0, "write a checkpoint on this timer in addition to compactions and /v1/snapshot/checkpoint (0 = no timer)")
-	rate := flag.Float64("rate", 0, "per-client request rate limit on /v1/answer and /v1/batch, in requests/second keyed by X-API-Key or remote address (0 = no rate limiting)")
-	burst := flag.Int("burst", 8, "per-client token-bucket burst size (only meaningful with -rate > 0)")
-	maxInFlight := flag.Int("max-inflight", 0, "max concurrently served answer/batch requests; arrivals past it queue, then shed with a fast 429 (0 = unbounded)")
-	maxQueue := flag.Int("max-queue", 32, "max requests waiting for an in-flight slot before load shedding begins (only meaningful with -max-inflight > 0)")
-	ann := flag.Bool("ann", false, "serve vector retrieval through an HNSW graph over each substrate's compacted base (deltas stay exact-scan until the next compaction); off = exact scans only")
-	annEf := flag.Int("ann-ef", 0, "HNSW search beam width; wider = better recall, slower (0 = vecstore default; only meaningful with -ann)")
-	replicaOf := flag.String("replica-of", "", "run as a read replica of this primary base URL (e.g. http://host:8080): bootstrap from its checkpoints, stream and apply its WAL, redirect local ingests to it; requires -data-dir")
-	flag.Parse()
-
-	if *replicaOf != "" && *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "pgakvd: -replica-of requires -data-dir (replicas persist their own WAL and checkpoints)")
-		os.Exit(1)
+	cfg, err := parseFlags(os.Args[1:])
+	if err == nil {
+		err = run(cfg)
 	}
-
-	fsyncPolicy, err := substrate.ParseSyncPolicy(*fsync)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pgakvd:", err)
-		os.Exit(1)
-	}
-	cache := serve.CacheConfig{Size: *cacheSize, TTL: *cacheTTL}
-	sub := substrate.Config{
-		ShardSize:        *shardSize,
-		CompactThreshold: *compactThreshold,
-		Replica:          *replicaOf != "",
-		Durability: substrate.Durability{
-			Dir:                *dataDir,
-			Fsync:              fsyncPolicy,
-			CheckpointInterval: *checkpointInterval,
-		},
-		ANN: substrate.ANNConfig{
-			Enabled:  *ann,
-			EfSearch: *annEf,
-		},
-	}
-	admission := serve.AdmissionConfig{
-		Limiter:     serve.LimiterConfig{Rate: *rate, Burst: *burst},
-		MaxInFlight: *maxInFlight,
-		MaxQueue:    *maxQueue,
-	}
-	if err := run(*addr, *quick, *seed, *workers, *timeout, cache, sub, *llmConcurrency, *stageTimeout, *traceDir, *promptDir, admission, *replicaOf); err != nil {
 		fmt.Fprintln(os.Stderr, "pgakvd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, quick bool, seed int64, workers int, timeout time.Duration, cache serve.CacheConfig, sub substrate.Config, llmConcurrency int, stageTimeout time.Duration, traceDir, promptDir string, admission serve.AdmissionConfig, replicaOf string) error {
-	cfg := bench.DefaultEnvConfig()
-	if quick {
-		cfg = bench.QuickEnvConfig()
-	}
-	cfg.WorldSeed = seed
-	cfg.Workers = workers
-	cfg.Cache = cache
-	cfg.Substrate = sub
-	cfg.LLMConcurrency = llmConcurrency
-	cfg.Core.StageTimeout = stageTimeout
+func run(cfg Config) error {
 	reg := prompts.NewRegistry()
-	if promptDir != "" {
-		if err := reg.LoadDir(promptDir); err != nil {
+	if cfg.PromptDir != "" {
+		if err := reg.LoadDir(cfg.PromptDir); err != nil {
 			return fmt.Errorf("loading prompts: %w", err)
 		}
 	}
-	cfg.Prompts = reg
 	fmt.Printf("prompts active: %s\n", reg.Fingerprint())
-	if traceDir != "" {
-		store, err := trace.NewFileStore(traceDir)
+	var traces trace.Store
+	if cfg.TraceDir != "" {
+		store, err := trace.NewFileStore(cfg.TraceDir)
 		if err != nil {
 			return fmt.Errorf("opening trace store: %w", err)
 		}
 		defer store.Close()
-		cfg.Trace = store
+		traces = store
 		stats := store.Stats()
 		fmt.Printf("tracing to %s (%d existing record(s), %d dropped on recovery)\n", stats.Path, stats.Records, stats.Dropped)
 	}
 
-	if replicaOf != "" {
+	if cfg.ReplicaOf != "" {
 		// Pre-flight: a source whose local state is behind the primary's
 		// checkpoint horizon can never catch up over the WAL stream (the
 		// primary truncated the log at the checkpoint epoch), so fetch the
@@ -220,76 +153,61 @@ func run(addr string, quick bool, seed int64, workers int, timeout time.Duration
 		bctx, bcancel := context.WithTimeout(context.Background(), 5*time.Minute)
 		defer bcancel()
 		client := &http.Client{Timeout: 5 * time.Minute}
-		for _, src := range []string{"wikidata", "freebase"} {
-			res, err := repl.BootstrapIfBehind(bctx, client, replicaOf, src, filepath.Join(sub.Durability.Dir, src))
+		for _, src := range node.Sources {
+			res, err := repl.BootstrapIfBehind(bctx, client, cfg.ReplicaOf, src.String(), filepath.Join(cfg.Substrate.Durability.Dir, src.String()))
 			if err != nil {
 				return fmt.Errorf("replica bootstrap (%s): %w", src, err)
 			}
 			if res.Fetched {
-				fmt.Printf("replica bootstrap: fetched %s checkpoint at epoch %d from %s\n", src, res.Epoch, replicaOf)
+				fmt.Printf("replica bootstrap: fetched %s checkpoint at epoch %d from %s\n", src, res.Epoch, cfg.ReplicaOf)
 			}
 		}
 	}
 
 	start := time.Now()
-	env, err := bench.NewEnv(cfg)
+	n, err := node.New(cfg.node(reg, traces))
 	if err != nil {
 		return err
 	}
-	defer env.Close()
-	fmt.Printf("environment ready in %v: %s\n", time.Since(start).Round(time.Millisecond), env.World.Stats())
-	if sub.Durability.Enabled() {
-		for src, mgr := range env.Substrates {
-			rec := mgr.Recovery()
+	defer n.Close()
+	fmt.Printf("environment ready in %v: %s\n", time.Since(start).Round(time.Millisecond), n.World.Stats())
+	if cfg.Substrate.Durability.Enabled() {
+		for _, src := range node.Sources {
+			rec := n.Substrates[src].Recovery()
 			checkpoint := "no checkpoint"
 			if rec.CheckpointEpoch > 0 {
 				checkpoint = fmt.Sprintf("recovered checkpoint epoch %d (%d triples)", rec.CheckpointEpoch, rec.CheckpointTriples)
 			}
 			fmt.Printf("substrate %s: durable (fsync=%s), %s, replayed %d wal record(s) (%d triples), dropped %d torn record(s)\n",
-				src, sub.Durability.Fsync, checkpoint, rec.ReplayedRecords, rec.ReplayedTriples, rec.TornRecordsDropped)
+				src, cfg.Fsync, checkpoint, rec.ReplayedRecords, rec.ReplayedTriples, rec.TornRecordsDropped)
 		}
 	}
 
-	server := NewServer(env, timeout)
-	if sub.Durability.Enabled() {
-		// Every durable node serves the replication endpoints: replicas
-		// mirror the primary's record chain in their own WAL, so they can
-		// in turn bootstrap and feed further replicas (chained topologies).
-		mgrs := make(map[string]repl.Manager, len(env.Substrates))
-		for src, mgr := range env.Substrates {
-			mgrs[src.String()] = mgr
-		}
-		server.WithReplSource(repl.NewSource(mgrs, replicaOf != ""))
+	server, err := NewServer(n, cfg)
+	if err != nil {
+		return err
 	}
-	if replicaOf != "" {
+	if len(server.appliers) > 0 {
 		actx, acancel := context.WithCancel(context.Background())
 		defer acancel()
-		var appliers []*repl.Applier
-		for src, mgr := range env.Substrates {
-			a, err := repl.NewApplier(repl.ApplierConfig{Primary: replicaOf, Source: src.String(), Manager: mgr})
-			if err != nil {
-				return err
-			}
-			appliers = append(appliers, a)
+		for _, a := range server.appliers {
 			go a.Run(actx)
 		}
-		server.WithReplication(replicaOf, appliers)
-		fmt.Printf("replicating %d source(s) from %s\n", len(appliers), replicaOf)
+		fmt.Printf("replicating %d source(s) from %s\n", len(server.appliers), cfg.ReplicaOf)
 	}
-	if admission.Limiter.Rate > 0 || admission.MaxInFlight > 0 {
-		server.WithAdmission(serve.NewAdmission(admission))
+	if server.admit != nil {
 		fmt.Printf("admission control on: rate=%.1f/s burst=%d max-inflight=%d max-queue=%d\n",
-			admission.Limiter.Rate, admission.Limiter.Burst, admission.MaxInFlight, admission.MaxQueue)
+			cfg.Admission.Limiter.Rate, cfg.Admission.Limiter.Burst, cfg.Admission.MaxInFlight, cfg.Admission.MaxQueue)
 	}
 	srv := &http.Server{
-		Addr:              addr,
+		Addr:              cfg.Addr,
 		Handler:           server.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Printf("listening on %s\n", addr)
+		fmt.Printf("listening on %s\n", cfg.Addr)
 		errCh <- srv.ListenAndServe()
 	}()
 
@@ -305,10 +223,10 @@ func run(addr string, quick bool, seed int64, workers int, timeout time.Duration
 			// Hot reload: re-read -prompt-dir and swap the prompt set
 			// atomically. A bad file rejects the whole reload — the set that
 			// was serving keeps serving.
-			if err := env.Prompts.Reload(); err != nil {
+			if err := reg.Reload(); err != nil {
 				fmt.Fprintf(os.Stderr, "pgakvd: prompt reload failed, keeping current set: %v\n", err)
 			} else {
-				fmt.Printf("prompts reloaded: %s\n", env.Prompts.Fingerprint())
+				fmt.Printf("prompts reloaded: %s\n", reg.Fingerprint())
 			}
 		case sig := <-stop:
 			fmt.Printf("received %v, draining...\n", sig)

@@ -42,7 +42,7 @@ func cachedEnv(t *testing.T) *bench.Env {
 // faster than the cold run.
 func TestAnswerCacheHitHeaderAndLatency(t *testing.T) {
 	env := cachedEnv(t)
-	h := NewServer(env, 30*time.Second).Handler()
+	h := testServer(t, env, testConfig(30*time.Second)).Handler()
 	person := env.World.Entities[env.World.OfKind(world.KindPerson)[0]]
 	req := answerRequest{
 		queryItem: queryItem{Question: "Where was " + person.Name + " born?"},
@@ -90,7 +90,7 @@ func TestAnswerCacheHitHeaderAndLatency(t *testing.T) {
 // cache stats after traffic.
 func TestMetricsEndpoint(t *testing.T) {
 	env := cachedEnv(t)
-	h := NewServer(env, 30*time.Second).Handler()
+	h := testServer(t, env, testConfig(30*time.Second)).Handler()
 	city := env.World.Entities[env.World.OfKind(world.KindCity)[0]]
 	req := answerRequest{
 		queryItem: queryItem{Question: "What is the population of " + city.Name + "?"},
@@ -148,7 +148,7 @@ func TestMetricsEndpointEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewServer(env, time.Second).Handler()
+	h := testServer(t, env, testConfig(time.Second)).Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
 	if rec.Code != http.StatusOK {

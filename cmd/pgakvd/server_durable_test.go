@@ -40,7 +40,7 @@ func durableEnv(t *testing.T, dir string) *bench.Env {
 func TestRecoveryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	env1 := durableEnv(t, dir)
-	h1 := NewServer(env1, 30*time.Second).Handler()
+	h1 := testServer(t, env1, testConfig(30*time.Second)).Handler()
 
 	ing := postJSON(t, h1, "/v1/ingest", ingestRequest{
 		KG: "wikidata",
@@ -69,7 +69,7 @@ func TestRecoveryEndToEnd(t *testing.T) {
 
 	env2 := durableEnv(t, dir)
 	defer env2.Close()
-	h2 := NewServer(env2, 30*time.Second).Handler()
+	h2 := testServer(t, env2, testConfig(30*time.Second)).Handler()
 	rec = postJSON(t, h2, "/v1/answer", question)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-restart answer: %d: %s", rec.Code, rec.Body.String())
@@ -95,7 +95,7 @@ func TestRecoveryEndToEnd(t *testing.T) {
 	if res := decode[ingestResponse](t, ing); res.Added != 0 || res.Skipped != 1 {
 		t.Fatalf("recovered fact re-ingested as new: %+v", res)
 	}
-	cp := postJSON(t, h2, "/v1/snapshot/checkpoint", checkpointRequest{KG: "wikidata"})
+	cp := postJSON(t, h2, "/v1/snapshot/checkpoint", sourceRequest{KG: "wikidata"})
 	if cp.Code != http.StatusOK {
 		t.Fatalf("checkpoint: %d: %s", cp.Code, cp.Body.String())
 	}
@@ -112,12 +112,33 @@ func TestRecoveryEndToEnd(t *testing.T) {
 // so instead of 500ing.
 func TestCheckpointEndpointRequiresDurability(t *testing.T) {
 	env := ingestEnv(t)
-	h := NewServer(env, 30*time.Second).Handler()
-	rec := postJSON(t, h, "/v1/snapshot/checkpoint", checkpointRequest{KG: "wikidata"})
+	h := testServer(t, env, testConfig(30*time.Second)).Handler()
+	rec := postJSON(t, h, "/v1/snapshot/checkpoint", sourceRequest{KG: "wikidata"})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.String())
 	}
 	if !strings.Contains(rec.Body.String(), "-data-dir") {
 		t.Fatalf("error does not point at -data-dir: %s", rec.Body.String())
+	}
+}
+
+// TestIngestServerFaultIs500: a WAL append that fails is the server's
+// fault, not the client's — 500 "upstream" (retryable), never the 400
+// "invalid-query" a malformed triple gets.
+func TestIngestServerFaultIs500(t *testing.T) {
+	env := durableEnv(t, t.TempDir())
+	h := testServer(t, env, testConfig(30*time.Second)).Handler()
+	if err := env.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := postJSON(t, h, "/v1/ingest", ingestRequest{
+		KG:      "wikidata",
+		Triples: []tripleWire{{Subject: "Zorblax", Relation: "prime directive", Object: "Flumox"}},
+	})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("ingest on a closed WAL: status %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	if resp := decode[errorResponse](t, rec); resp.Class != "upstream" {
+		t.Fatalf("class %q, want upstream", resp.Class)
 	}
 }

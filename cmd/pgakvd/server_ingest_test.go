@@ -45,7 +45,7 @@ func ingestEnv(t *testing.T) *bench.Env {
 // preserves the fact while bumping the epoch again.
 func TestIngestHotSwapEndToEnd(t *testing.T) {
 	env := ingestEnv(t)
-	h := NewServer(env, 30*time.Second).Handler()
+	h := testServer(t, env, testConfig(30*time.Second)).Handler()
 	question := answerRequest{
 		queryItem: queryItem{Question: "What is the prime directive of Zorblax?"},
 		Method:    "rag",
@@ -120,7 +120,7 @@ func TestIngestHotSwapEndToEnd(t *testing.T) {
 
 	// Compact: the delta folds into the base, the epoch bumps, and the
 	// fact survives.
-	rec = postJSON(t, h, "/v1/snapshot/compact", compactRequest{KG: "wikidata"})
+	rec = postJSON(t, h, "/v1/snapshot/compact", sourceRequest{KG: "wikidata"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("compact: %d: %s", rec.Code, rec.Body.String())
 	}
@@ -159,7 +159,7 @@ func TestIngestHotSwapEndToEnd(t *testing.T) {
 
 func TestIngestValidation(t *testing.T) {
 	env := ingestEnv(t)
-	h := NewServer(env, 30*time.Second).Handler()
+	h := testServer(t, env, testConfig(30*time.Second)).Handler()
 
 	rec := postJSON(t, h, "/v1/ingest", ingestRequest{KG: "wikidata"})
 	if rec.Code != http.StatusBadRequest {
@@ -179,7 +179,14 @@ func TestIngestValidation(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("empty-field triple: %d", rec.Code)
 	}
-	rec = postJSON(t, h, "/v1/snapshot/compact", compactRequest{KG: "nope"})
+	rec = postJSON(t, h, "/v1/ingest", ingestRequest{
+		KG:      "wikidata",
+		Triples: []tripleWire{{Subject: "a", Relation: "r", Object: "<o>"}},
+	})
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("reserved-character triple: %d", rec.Code)
+	}
+	rec = postJSON(t, h, "/v1/snapshot/compact", sourceRequest{KG: "nope"})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("compact unknown source: %d", rec.Code)
 	}
@@ -197,7 +204,7 @@ func TestIngestValidation(t *testing.T) {
 			}).Code
 		},
 		func() int {
-			return postJSON(t, h, "/v1/snapshot/compact", compactRequest{KG: "unknown"}).Code
+			return postJSON(t, h, "/v1/snapshot/compact", sourceRequest{KG: "unknown"}).Code
 		},
 	} {
 		if code := probe(); code != http.StatusBadRequest {
@@ -212,7 +219,7 @@ func TestIngestValidation(t *testing.T) {
 // through the API.
 func TestAnswerMidIngestConsistency(t *testing.T) {
 	env := ingestEnv(t)
-	h := NewServer(env, 30*time.Second).Handler()
+	h := testServer(t, env, testConfig(30*time.Second)).Handler()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/llm"
 	"repro/internal/loadgen"
 	"repro/internal/racedetect"
-	"repro/internal/serve"
 	"repro/internal/world"
 )
 
@@ -89,12 +89,11 @@ func overloadQuestions(env *bench.Env, n int) []string {
 // books balance exactly, and shedding is far cheaper than service.
 func TestOverloadShedsFastAndServesTheRest(t *testing.T) {
 	env := overloadEnv(t)
-	admission := serve.NewAdmission(serve.AdmissionConfig{
-		MaxInFlight:    2,
-		MaxQueue:       2,
-		RetryAfterHint: 2 * time.Second,
-	})
-	srv := httptest.NewServer(NewServer(env, 30*time.Second).WithAdmission(admission).Handler())
+	cfg := testConfig(30 * time.Second)
+	cfg.Admission.MaxInFlight = 2
+	cfg.Admission.MaxQueue = 2
+	server := testServer(t, env, cfg)
+	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
 
 	res, err := loadgen.Run(t.Context(), loadgen.Config{
@@ -125,7 +124,7 @@ func TestOverloadShedsFastAndServesTheRest(t *testing.T) {
 
 	// The controller's books must balance with the client's view exactly:
 	// no rate limiter is configured, so every 429 is a shed.
-	st := admission.Stats()
+	st := server.admit.Stats()
 	if st.Shed != res.Rejected {
 		t.Fatalf("controller shed %d, clients saw %d rejections", st.Shed, res.Rejected)
 	}
@@ -163,12 +162,13 @@ func TestOverloadShedsFastAndServesTheRest(t *testing.T) {
 // counter exactly where the one admitted request put it.
 func TestRateLimitedRequestsNeverReachTheLLM(t *testing.T) {
 	env := overloadEnv(t)
-	admission := serve.NewAdmission(serve.AdmissionConfig{
-		// One request per 1000s: the first spends the burst, everything
-		// after is refused.
-		Limiter: serve.LimiterConfig{Rate: 0.001, Burst: 1},
-	})
-	h := NewServer(env, 30*time.Second).WithAdmission(admission).Handler()
+	cfg := testConfig(30 * time.Second)
+	// One request per 1000s: the first spends the burst, everything
+	// after is refused.
+	cfg.Admission.Limiter.Rate = 0.001
+	cfg.Admission.Limiter.Burst = 1
+	server := testServer(t, env, cfg)
+	h := server.Handler()
 
 	llmCalls := func() int64 {
 		var n int64
@@ -204,7 +204,60 @@ func TestRateLimitedRequestsNeverReachTheLLM(t *testing.T) {
 	if got := llmCalls(); got != after {
 		t.Fatalf("rate-limited traffic reached the LLM: calls went %d -> %d", after, got)
 	}
-	if st := admission.Stats(); st.Limited != 20 || st.Admitted != 1 {
+	if st := server.admit.Stats(); st.Limited != 20 || st.Admitted != 1 {
 		t.Fatalf("stats = %+v, want limited=20 admitted=1", st)
+	}
+}
+
+// TestAdmissionWrapsAnswerRoutesOnly pins the route table's middleware
+// order: with the in-flight gate saturated, /v1/answer and /v1/batch are
+// refused with the fast 429 before their body is decoded (a malformed
+// body would otherwise be a 400), while the routes outside admission
+// still answer.
+func TestAdmissionWrapsAnswerRoutesOnly(t *testing.T) {
+	cfg := testConfig(30 * time.Second)
+	cfg.Admission.MaxInFlight = 1
+	cfg.Admission.MaxQueue = 0
+	server := testServer(t, overloadEnv(t), cfg)
+	h := server.Handler()
+	release, err := server.admit.Admit(t.Context(), "slot-holder")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	for _, path := range []string{"/v1/answer", "/v1/batch"} {
+		rec := post(path, "{not json")
+		if rec.Code != http.StatusTooManyRequests {
+			t.Errorf("%s under a saturated gate: status %d, want 429: %s", path, rec.Code, rec.Body.String())
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Errorf("%s: 429 without Retry-After", path)
+		}
+		if got := decode[errorResponse](t, rec); got.Class != "shed" {
+			t.Errorf("%s: class %q, want shed", path, got.Class)
+		}
+	}
+	for _, path := range []string{"/healthz", "/v1/metrics"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("GET %s under a saturated gate: status %d, want 200", path, rec.Code)
+		}
+	}
+	// Ingest is outside admission: it gets as far as its own validation.
+	if rec := post("/v1/ingest", `{"kg": "wikidata", "triples": []}`); rec.Code != http.StatusBadRequest {
+		t.Errorf("/v1/ingest under a saturated gate: status %d, want its own 400: %s", rec.Code, rec.Body.String())
+	}
+
+	release()
+	for _, path := range []string{"/v1/answer", "/v1/batch"} {
+		if rec := post(path, "{not json"); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s with a free slot: status %d, want the decoder's 400", path, rec.Code)
+		}
 	}
 }

@@ -121,7 +121,7 @@ func postSSE(t *testing.T, baseURL string, body answerRequest) *http.Response {
 // pipeline's order, before the final answer event.
 func TestSSEStreamsStagesInPipelineOrder(t *testing.T) {
 	env := sseEnv(t)
-	srv := httptest.NewServer(NewServer(env, 30*time.Second).Handler())
+	srv := httptest.NewServer(testServer(t, env, testConfig(30*time.Second)).Handler())
 	defer srv.Close()
 
 	person := env.World.Entities[env.World.OfKind(world.KindPerson)[1]]
@@ -180,7 +180,7 @@ func TestSSEStreamsStagesInPipelineOrder(t *testing.T) {
 // event, marked cached.
 func TestSSECacheHitStreamsSingleAnswerEvent(t *testing.T) {
 	env := sseEnv(t)
-	srv := httptest.NewServer(NewServer(env, 30*time.Second).Handler())
+	srv := httptest.NewServer(testServer(t, env, testConfig(30*time.Second)).Handler())
 	defer srv.Close()
 
 	person := env.World.Entities[env.World.OfKind(world.KindPerson)[2]]
@@ -220,7 +220,7 @@ func TestSSECacheHitStreamsSingleAnswerEvent(t *testing.T) {
 // error landing in the method's serving metrics.
 func TestSSEDisconnectCancelsPipeline(t *testing.T) {
 	env := sseEnv(t)
-	srv := httptest.NewServer(NewServer(env, 30*time.Second).Handler())
+	srv := httptest.NewServer(testServer(t, env, testConfig(30*time.Second)).Handler())
 	defer srv.Close()
 
 	canceledCount := func() int64 {

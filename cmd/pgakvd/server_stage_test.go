@@ -118,9 +118,9 @@ func TestMetricsExposeStageBreakdown(t *testing.T) {
 // TestOversizedBodyGets413: the body cap must answer 413 with the
 // too-large class, not a generic 400, and before buffering the payload.
 func TestOversizedBodyGets413(t *testing.T) {
-	srv := NewServer(serverEnv(t), time.Second)
-	srv.maxBody = 512
-	h := srv.Handler()
+	cfg := testConfig(time.Second)
+	cfg.MaxBody = 512
+	h := testServer(t, serverEnv(t), cfg).Handler()
 	big := strings.Repeat("x", 2048)
 	for _, path := range []string{"/v1/answer", "/v1/batch", "/v1/ingest", "/v1/snapshot/compact"} {
 		rec := postJSON(t, h, path, map[string]any{"question": big, "kg": big})
@@ -161,7 +161,7 @@ func schedulerEnv(t *testing.T) *bench.Env {
 // TestSchedulerStatsOnMetrics: with -llm-concurrency set, serving traffic
 // flows through the scheduler and /v1/metrics reports admissions.
 func TestSchedulerStatsOnMetrics(t *testing.T) {
-	h := NewServer(schedulerEnv(t), 30*time.Second).Handler()
+	h := testServer(t, schedulerEnv(t), testConfig(30*time.Second)).Handler()
 	if rec := postJSON(t, h, "/v1/answer", map[string]any{
 		"question": "Where was SchedProbe born?",
 		"method":   "cot",
@@ -186,7 +186,7 @@ func TestSchedulerStatsOnMetrics(t *testing.T) {
 // TestTokenBudgetRefusal: a request whose token budget cannot cover its
 // first completion is refused with HTTP 429, class budget.
 func TestTokenBudgetRefusal(t *testing.T) {
-	h := NewServer(schedulerEnv(t), 30*time.Second).Handler()
+	h := testServer(t, schedulerEnv(t), testConfig(30*time.Second)).Handler()
 	rec := postJSON(t, h, "/v1/answer", map[string]any{
 		"question":     "Where was BudgetProbe born?",
 		"method":       "ours",

@@ -36,8 +36,25 @@ func serverEnv(t *testing.T) *bench.Env {
 	return envVal
 }
 
+// testConfig is the default server config with the given request deadline.
+func testConfig(timeout time.Duration) Config {
+	cfg, _ := parseFlags(nil)
+	cfg.Timeout = timeout
+	return cfg
+}
+
+// testServer fronts an environment's node with a server built from cfg.
+func testServer(t *testing.T, env *bench.Env, cfg Config) *Server {
+	t.Helper()
+	srv, err := NewServer(env.Node, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 func testHandler(t *testing.T) http.Handler {
-	return NewServer(serverEnv(t), 30*time.Second).Handler()
+	return testServer(t, serverEnv(t), testConfig(30*time.Second)).Handler()
 }
 
 func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {

@@ -52,7 +52,7 @@ func tracedEnv(t *testing.T) *bench.Env {
 }
 
 func TestTraceRoutesEndToEnd(t *testing.T) {
-	h := NewServer(tracedEnv(t), 30*time.Second).Handler()
+	h := testServer(t, tracedEnv(t), testConfig(30*time.Second)).Handler()
 
 	// Answer one question twice: the second run hits the cache, so the
 	// store ends up with one miss record and one hit record for it.
@@ -131,7 +131,7 @@ func TestTraceRoutesEndToEnd(t *testing.T) {
 }
 
 func TestTraceRoutesLimitValidation(t *testing.T) {
-	h := NewServer(tracedEnv(t), 30*time.Second).Handler()
+	h := testServer(t, tracedEnv(t), testConfig(30*time.Second)).Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces?limit=bogus", nil))
 	if rec.Code != http.StatusBadRequest {

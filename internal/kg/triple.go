@@ -177,6 +177,19 @@ func (g *Graph) Len() int {
 	return len(g.Triples)
 }
 
+// Strings renders every triple in order (nil for a nil or empty graph, so
+// empty stays omitted on a JSON wire).
+func (g *Graph) Strings() []string {
+	if g.Len() == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(g.Triples))
+	for _, t := range g.Triples {
+		out = append(out, t.String())
+	}
+	return out
+}
+
 // Subjects returns the distinct subjects in first-appearance order.
 func (g *Graph) Subjects() []string {
 	seen := make(map[string]bool, len(g.Triples))

@@ -1,4 +1,4 @@
-package bench
+package node
 
 import (
 	"testing"
@@ -6,18 +6,14 @@ import (
 	"repro/internal/kg"
 )
 
-// quickEnv is a tiny shared environment for substrate plumbing tests.
-func quickEnv(t *testing.T) *Env {
+// quickNode is a small node for substrate plumbing tests.
+func quickNode(t *testing.T) *Node {
 	t.Helper()
-	cfg := QuickEnvConfig()
-	cfg.Data.SimpleN = 4
-	cfg.Data.QALDN = 4
-	cfg.Data.NatureN = 2
-	env, err := NewEnv(cfg)
+	n, err := New(ConfigFor(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env
+	return n
 }
 
 // TestUnknownSourceIsErrorNotPanic: a source with no substrate must fail
@@ -25,8 +21,8 @@ func quickEnv(t *testing.T) *Env {
 // into the Substrate interface field would pass the registry's nil check
 // and panic at first Resolve instead.
 func TestUnknownSourceIsErrorNotPanic(t *testing.T) {
-	env := quickEnv(t)
-	if _, err := env.Answerer(MethodOurs, ModelGPT35, kg.SourceUnknown); err == nil {
+	env := quickNode(t)
+	if _, err := env.Answerer("ours", ModelGPT35, kg.SourceUnknown); err == nil {
 		t.Error("Answerer accepted a source with no substrate")
 	}
 	if _, err := env.Pipeline(ModelGPT35, kg.SourceUnknown); err == nil {
@@ -34,11 +30,11 @@ func TestUnknownSourceIsErrorNotPanic(t *testing.T) {
 	}
 }
 
-// TestPipelineCacheFollowsEpoch: Env.Pipeline hands back the cached
+// TestPipelineCacheFollowsEpoch: Node.Pipeline hands back the cached
 // pipeline while the snapshot is unchanged, rebuilds it after a swap, and
 // keeps the map bounded at one entry per (model, source).
 func TestPipelineCacheFollowsEpoch(t *testing.T) {
-	env := quickEnv(t)
+	env := quickNode(t)
 	p1, err := env.Pipeline(ModelGPT35, kg.SourceWikidata)
 	if err != nil {
 		t.Fatal(err)

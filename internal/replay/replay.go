@@ -9,7 +9,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/kg"
 	"repro/internal/metrics"
-	"repro/internal/qa"
+	"repro/internal/node"
 	"repro/internal/trace"
 )
 
@@ -40,34 +40,31 @@ func DefaultMethods() []string {
 	}
 }
 
-// RunOption adjusts the replay environment without touching the suite
-// pin (seed/scale stay the suite's own).
-type RunOption func(*bench.EnvConfig)
+// RunOption adjusts the replay node without touching the suite pin
+// (seed/scale stay the suite's own).
+type RunOption func(*node.Config)
 
 // WithANN routes the replayed suite's vector retrieval through the HNSW
 // layer (ef = search beam, 0 = default). Replay artifacts are
 // deterministic, so diffing an ANN run against an exact-scan baseline
 // proves the approximate path changes nothing the suite can observe.
 func WithANN(ef int) RunOption {
-	return func(cfg *bench.EnvConfig) {
+	return func(cfg *node.Config) {
 		cfg.Substrate.ANN.Enabled = true
 		cfg.Substrate.ANN.EfSearch = ef
 	}
 }
 
-// newEnv assembles the replay environment for a (seed, quick) pin. The
+// pinnedConfig is the environment config for a (seed, quick) pin. The
 // answer cache stays off and no scheduler is configured: every replayed
 // request must re-run its method for real, under no admission queueing.
-func newEnv(seed int64, quick bool, opts ...RunOption) (*bench.Env, error) {
+func pinnedConfig(seed int64, quick bool) bench.EnvConfig {
 	cfg := bench.DefaultEnvConfig()
 	if quick {
 		cfg = bench.QuickEnvConfig()
 	}
 	cfg.WorldSeed = seed
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return bench.NewEnv(cfg)
+	return cfg
 }
 
 // RecordSuite answers every (dataset question, method) cell sequentially
@@ -82,7 +79,7 @@ func RecordSuite(ctx context.Context, opts RecordOptions) (Suite, error) {
 	if len(opts.Methods) == 0 {
 		opts.Methods = DefaultMethods()
 	}
-	env, err := newEnv(opts.Seed, opts.Quick)
+	env, err := bench.NewEnv(pinnedConfig(opts.Seed, opts.Quick))
 	if err != nil {
 		return Suite{}, fmt.Errorf("replay: %w", err)
 	}
@@ -102,9 +99,9 @@ func RecordSuite(ctx context.Context, opts RecordOptions) (Suite, error) {
 		src := bench.DefaultSource(ds.Name)
 		for _, method := range opts.Methods {
 			for _, q := range questions {
-				rec, err := answerOne(ctx, env, method, opts.Model, src, q)
+				rec, err := answerOne(ctx, env.Node, bench.Query(method, opts.Model, q), src, q.Golds, q.Refs)
 				if err != nil {
-					return Suite{}, err
+					return Suite{}, fmt.Errorf("replay: %w", err)
 				}
 				// Zero time: suite records deliberately carry no wall time.
 				rec = rec.Stamp(fmt.Sprintf("r%06d", len(s.Records)+1), time.Time{})
@@ -118,49 +115,33 @@ func RecordSuite(ctx context.Context, opts RecordOptions) (Suite, error) {
 	return s, nil
 }
 
-// answerOne runs one (question, method) cell and builds its trace record
-// with gold material attached. Method errors are recorded, not fatal —
-// a suite can legitimately pin a failing cell.
-func answerOne(ctx context.Context, env *bench.Env, method, model string, src kg.Source, q qa.Question) (trace.Record, error) {
-	ans, err := env.Answerer(method, model, src)
+// answerOne runs one query on the node and builds its trace record with
+// the gold material attached. Method errors are recorded, not fatal — a
+// suite can legitimately pin a failing cell.
+func answerOne(ctx context.Context, n *node.Node, query answer.Query, src kg.Source, golds, refs []string) (trace.Record, error) {
+	ans, err := n.Answerer(query.Method, query.Model, src)
 	if err != nil {
-		return trace.Record{}, fmt.Errorf("replay: %w", err)
+		return trace.Record{}, err
 	}
-	query := buildQuery(method, model, q)
 	res, runErr := ans.Answer(ctx, query)
 	if ctx.Err() != nil {
-		return trace.Record{}, fmt.Errorf("replay: %w", ctx.Err())
+		return trace.Record{}, ctx.Err()
 	}
-	return trace.Build(query, res, runErr, trace.Meta{
-		KG:    src.String(),
-		Golds: q.Golds,
-		Refs:  q.Refs,
-	}), nil
+	return trace.Build(query, res, runErr, trace.Meta{KG: src.String(), Golds: golds, Refs: refs}), nil
 }
 
-// buildQuery maps a dataset question onto the unified request shape (the
-// same mapping bench cells use).
-func buildQuery(method, model string, q qa.Question) answer.Query {
-	anchors := []string{q.Intent.Subject}
-	if q.Intent.Subject2 != "" {
-		anchors = append(anchors, q.Intent.Subject2)
-	}
-	return answer.Query{
-		Text:    q.Text,
-		Method:  method,
-		Model:   model,
-		Open:    q.Open(),
-		Anchors: anchors,
-	}
-}
-
-// Run replays a recorded suite against the current binary: a fresh
-// environment pinned to the suite's seed and scale, every record re-run
+// Run replays a recorded suite against the current binary: a fresh node
+// pinned to the suite's seed and scale (the suite carries its own
+// questions, so no datasets are built), every record re-run
 // sequentially and re-scored against its recorded gold material. The
 // returned artifact is deterministic — see the package comment for the
 // contract.
 func Run(ctx context.Context, s Suite, opts ...RunOption) (Artifact, error) {
-	env, err := newEnv(s.Meta.Seed, s.Meta.Quick, opts...)
+	cfg := pinnedConfig(s.Meta.Seed, s.Meta.Quick).Config
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	env, err := node.New(cfg)
 	if err != nil {
 		return Artifact{}, fmt.Errorf("replay: %w", err)
 	}
@@ -180,10 +161,6 @@ func Run(ctx context.Context, s Suite, opts ...RunOption) (Artifact, error) {
 		if err != nil || src == kg.SourceUnknown {
 			return Artifact{}, fmt.Errorf("replay: record %s: bad kg %q", rec.ID, rec.KG)
 		}
-		ans, err := env.Answerer(rec.Method, rec.Model, src)
-		if err != nil {
-			return Artifact{}, fmt.Errorf("replay: record %s: %w", rec.ID, err)
-		}
 		query := answer.Query{
 			Text:    rec.Question,
 			Method:  rec.Method,
@@ -191,11 +168,10 @@ func Run(ctx context.Context, s Suite, opts ...RunOption) (Artifact, error) {
 			Open:    rec.Open,
 			Anchors: rec.Anchors,
 		}
-		res, runErr := ans.Answer(ctx, query)
-		if ctx.Err() != nil {
-			return Artifact{}, fmt.Errorf("replay: %w", ctx.Err())
+		cur, err := answerOne(ctx, env, query, src, rec.Golds, rec.Refs)
+		if err != nil {
+			return Artifact{}, fmt.Errorf("replay: record %s: %w", rec.ID, err)
 		}
-		cur := trace.Build(query, res, runErr, trace.Meta{KG: rec.KG, Golds: rec.Golds, Refs: rec.Refs})
 
 		a := agg[rec.Method]
 		if a == nil {

@@ -132,6 +132,18 @@ type Snapshot struct {
 // ErrCompacting reports that a compaction is already running.
 var ErrCompacting = errors.New("substrate: compaction already in progress")
 
+// InvalidTripleError is Ingest's refusal of a batch because of what the
+// caller sent (a missing field, a reserved character, an oversized
+// triple). Every other Ingest error is about the manager, not the batch:
+// a WAL append that failed, a closed or replica-mode manager.
+type InvalidTripleError struct{ msg string }
+
+func (e *InvalidTripleError) Error() string { return e.msg }
+
+func invalidTriplef(format string, args ...any) error {
+	return &InvalidTripleError{msg: fmt.Sprintf(format, args...)}
+}
+
 // maxTripleBytes bounds one ingested triple's combined field length —
 // comfortably under the 1 MiB per-line cap kg.ReadNT applies when a
 // checkpoint is loaded back, so no accepted triple can ever make a
@@ -237,14 +249,14 @@ func (m *Manager) Source() kg.Source { return m.cur.Load().Store.Source() }
 type IngestResult struct {
 	// Added is how many triples were new; Skipped counts duplicates of
 	// base or delta facts.
-	Added   int
-	Skipped int
+	Added   int `json:"added"`
+	Skipped int `json:"skipped"`
 	// Epoch is the snapshot epoch after the call (unchanged when nothing
 	// was added).
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// BaseTriples / DeltaTriples describe the post-call snapshot.
-	BaseTriples  int
-	DeltaTriples int
+	BaseTriples  int `json:"base_triples"`
+	DeltaTriples int `json:"delta_triples"`
 }
 
 // Ingest adds triples to the delta store and, if anything was new,
@@ -274,19 +286,19 @@ func (m *Manager) Ingest(triples []kg.Triple) (IngestResult, error) {
 	}
 	for i, t := range triples {
 		if t.Subject == "" || t.Relation == "" || t.Object == "" {
-			return IngestResult{}, fmt.Errorf("substrate: triple %d is missing a field: %v", i, t)
+			return IngestResult{}, invalidTriplef("substrate: triple %d is missing a field: %v", i, t)
 		}
 		if strings.ContainsAny(t.Subject+t.Relation+t.Object, "<>\n\r") {
 			// The persisted NT form delimits fields with angle brackets and
 			// records with newlines; a field containing them would change
 			// meaning across a checkpoint/replay round-trip.
-			return IngestResult{}, fmt.Errorf("substrate: triple %d contains a reserved character (one of '<', '>', newline): %v", i, t)
+			return IngestResult{}, invalidTriplef("substrate: triple %d contains a reserved character (one of '<', '>', newline): %v", i, t)
 		}
 		if len(t.Subject)+len(t.Relation)+len(t.Object) > maxTripleBytes {
 			// kg.ReadNT scans checkpoint lines with a 1 MiB buffer; a
 			// triple past that would be accepted now but make every future
 			// checkpoint containing it unloadable at boot.
-			return IngestResult{}, fmt.Errorf("substrate: triple %d is %d bytes, over the %d-byte limit", i, len(t.Subject)+len(t.Relation)+len(t.Object), maxTripleBytes)
+			return IngestResult{}, invalidTriplef("substrate: triple %d is %d bytes, over the %d-byte limit", i, len(t.Subject)+len(t.Relation)+len(t.Object), maxTripleBytes)
 		}
 	}
 	m.mu.Lock()

@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/answer"
 	"repro/internal/core/exec"
-	"repro/internal/kg"
 )
 
 // KeptSubject is one pruned-and-kept subject with its confidence, the
@@ -165,9 +164,9 @@ func Build(q answer.Query, res answer.Result, err error, m Meta) Record {
 		if tr.PseudoErr != nil {
 			rec.PseudoErr = tr.PseudoErr.Error()
 		}
-		rec.Gp = renderGraph(tr.Gp)
-		rec.Gg = renderGraph(tr.Gg)
-		rec.Gf = renderGraph(tr.Gf)
+		rec.Gp = tr.Gp.Strings()
+		rec.Gg = tr.Gg.Strings()
+		rec.Gf = tr.Gf.Strings()
 		for _, sc := range tr.Kept {
 			rec.Kept = append(rec.Kept, KeptSubject{
 				Subject: sc.Subject, Confidence: sc.Confidence, Triples: sc.Triples,
@@ -175,19 +174,6 @@ func Build(q answer.Query, res answer.Result, err error, m Meta) Record {
 		}
 	}
 	return rec
-}
-
-// renderGraph flattens a graph into owned triple strings (nil for a nil or
-// empty graph, so empty stays omitted on the wire).
-func renderGraph(g *kg.Graph) []string {
-	if g == nil || g.Len() == 0 {
-		return nil
-	}
-	out := make([]string, 0, g.Len())
-	for _, t := range g.Triples {
-		out = append(out, t.String())
-	}
-	return out
 }
 
 // Stamp returns a copy of the record with its identity assigned: the
