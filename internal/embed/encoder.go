@@ -21,8 +21,9 @@ import (
 )
 
 // Dim is the dimensionality of produced vectors. 256 gives enough hash
-// buckets that collisions are rare over KG-scale vocabularies while keeping
-// brute-force cosine scans cheap.
+// buckets that collisions are rare over KG-scale vocabularies; a triple's
+// text sets about a hundred of them, so vectors are sparse. Dim also fits
+// a dimension in a byte, which internal/vecstore's packed rows rely on.
 const Dim = 256
 
 // Vector is a dense embedding. Vectors returned by the Encoder are
@@ -39,15 +40,25 @@ func (v Vector) Dot(u Vector) float64 {
 	return s
 }
 
-// NormDot is the scan-loop scoring kernel: the inner product of two
-// encoder-normalised vectors, i.e. their cosine similarity. It is Dot
-// hoisted out of the hot path — pointer arguments avoid the two 1 KiB
-// array copies a value-receiver call makes per candidate, and the body is
-// unrolled over four independent accumulators so the multiplies pipeline
-// instead of serialising on one dependency chain. Callers own the
-// normalisation contract: Encoder.Encode output (and vectors persisted
-// from it) is always normalised, so no per-call renormalisation happens
-// here.
+// NormDot is the dense scoring kernel: the inner product of two
+// encoder-normalised vectors, i.e. their cosine similarity. It is what
+// internal/vecstore's HNSW graph scores its dense vectors with, and the
+// reference internal/vecstore's packed-row scan is tested against.
+// Pointer arguments avoid the two 1 KiB array copies a value-receiver call
+// makes per candidate, and the body is unrolled over four independent
+// accumulators so the multiplies pipeline instead of serialising on one
+// dependency chain. Callers own the normalisation contract:
+// Encoder.Encode output (and vectors persisted from it) is always
+// normalised, so no per-call renormalisation happens here.
+//
+// The summation order is part of the contract, because hits scored by
+// different kernels are merged by score and must tie exactly. Any
+// equivalent kernel must keep it: accumulator l (l = 0..3) starts at +0.0
+// and adds the float64 products of components l, l+4, l+8, … in ascending
+// order, each product taken between the two float32 values widened to
+// float64; the result is (s0 + s1) + (s2 + s3). A kernel may leave out a
+// term only when one factor is +0.0 or -0.0 and the other finite: such a
+// product is ±0 and adding it cannot change an accumulator.
 func NormDot(a, b *Vector) float64 {
 	var s0, s1, s2, s3 float64
 	for i := 0; i <= Dim-4; i += 4 {

@@ -3,8 +3,10 @@ package substrate
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -229,8 +231,39 @@ func TestRecoverDropsTornTail(t *testing.T) {
 }
 
 // TestRecoverSkipsCorruptCheckpoint: a corrupted newest checkpoint falls
-// back to an older intact one without losing WAL-replayable state.
+// back to an older intact one without losing WAL-replayable state. A
+// well-formed index.bin whose vectors hold a NaN or an Inf is corrupt
+// like any other: no checksum covers the file, and the vector store
+// refuses non-finite components.
 func TestRecoverSkipsCorruptCheckpoint(t *testing.T) {
+	// doctor overwrites one component of the file's last vector (the
+	// graph-free container ends with the last segment's last row).
+	doctor := func(bits uint32) func(*testing.T, string) {
+		return func(t *testing.T, idx string) {
+			b, err := os.ReadFile(idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint32(b[len(b)-4*embed.Dim+4*9:], bits)
+			if err := os.WriteFile(idx, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, corrupt := range map[string]func(*testing.T, string){
+		"garbage": func(t *testing.T, idx string) {
+			if err := os.WriteFile(idx, []byte("garbage"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"NaN component":  doctor(math.Float32bits(float32(math.NaN()))),
+		"+Inf component": doctor(math.Float32bits(float32(math.Inf(1)))),
+	} {
+		t.Run(name, func(t *testing.T) { testRecoverSkipsCorruptCheckpoint(t, corrupt) })
+	}
+}
+
+func testRecoverSkipsCorruptCheckpoint(t *testing.T, corrupt func(t *testing.T, indexPath string)) {
 	dir := t.TempDir()
 	cfg := durableConfig(t, dir)
 	m1 := recoverTestManager(t, 10, cfg)
@@ -248,10 +281,7 @@ func TestRecoverSkipsCorruptCheckpoint(t *testing.T) {
 	// WAL was truncated through info2.Epoch. To keep this recoverable we
 	// corrupt AND restore a full WAL, as a crash between "checkpoint
 	// written" and "WAL truncated" would leave it.
-	idx := filepath.Join(info2.Path, indexName)
-	if err := os.WriteFile(idx, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corrupt(t, filepath.Join(info2.Path, indexName))
 	walPath := filepath.Join(dir, "wikidata", walName)
 	var buf bytes.Buffer
 	buf.Write(walMagic[:])

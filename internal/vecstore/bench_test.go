@@ -55,3 +55,46 @@ func BenchmarkHNSWSearch(b *testing.B) {
 		g.SearchVectorEf(qv, 10, g.Config().EfSearch)
 	}
 }
+
+// BenchmarkFilteredSearch is the served path: the pipeline's per-request
+// call (Sharded.BatchSearchWith, one query per pseudo-triple), each
+// query token-filtered per segment and scanned over the candidates.
+func BenchmarkFilteredSearch(b *testing.B) {
+	enc := embed.NewEncoder()
+	s := BuildSharded(enc, corpus(20000), 0)
+	queries := []string{"Lake Superior 42 area", "Beijing 77 population 1400000", "River Danube length"}
+	b.ResetTimer()
+	for b.Loop() {
+		s.BatchSearchWith(enc.Encode, queries, 10)
+	}
+}
+
+// BenchmarkKernel scores one query against every row of a segment with
+// the dense reference kernel and with the packed kernel the scan uses.
+func BenchmarkKernel(b *testing.B) {
+	enc := embed.NewEncoder()
+	triples := corpus(DefaultShardSize)
+	idx := BuildTriples(enc, triples)
+	dense := make([]embed.Vector, len(triples))
+	for i, t := range triples {
+		dense[i] = enc.Encode(t.Text())
+	}
+	qv := enc.Encode("Lake Superior 42 area")
+	var sink float64
+	b.Run("NormDot", func(b *testing.B) {
+		for b.Loop() {
+			for i := range dense {
+				sink += embed.NormDot(&qv, &dense[i])
+			}
+		}
+	})
+	b.Run("packed", func(b *testing.B) {
+		q := widen(&qv)
+		for b.Loop() {
+			for i := range dense {
+				sink += idx.rows.dot(&q, i)
+			}
+		}
+	})
+	_ = sink
+}

@@ -1,0 +1,460 @@
+package vecstore
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"math"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/embed"
+	"repro/internal/kg"
+	"repro/internal/world"
+)
+
+// checkPackedRow packs row and checks the three contracts of the packed
+// form against its dense source: the lane layout, pack→expand being the
+// identity on bit patterns, and the kernel's score being bit-identical
+// to embed.NormDot for the (finite) query.
+func checkPackedRow(t testing.TB, q, row *embed.Vector) {
+	t.Helper()
+	var p packedRows
+	p.appendRow(row)
+	if p.len() != 1 || p.off[0] != 0 || int(p.off[1]) != len(p.idx) || len(p.idx) != len(p.val) || len(p.idx)%4 != 0 {
+		t.Fatalf("row shape: off=%v len(idx)=%d len(val)=%d", p.off, len(p.idx), len(p.val))
+	}
+	nonZero := 0
+	for _, x := range row {
+		if math.Float32bits(x) != 0 {
+			nonZero++
+		}
+	}
+	stored := 0
+	last := [4]int{-1, -1, -1, -1}
+	padded := [4]bool{}
+	for e, d := range p.idx {
+		l := e & 3
+		if math.Float32bits(p.val[e]) == 0 {
+			if d != 0 {
+				t.Fatalf("entry %d: padding has dimension %d", e, d)
+			}
+			padded[l] = true
+			continue
+		}
+		stored++
+		if padded[l] {
+			t.Fatalf("entry %d: lane %d has a component after padding", e, l)
+		}
+		if int(d)&3 != l || int(d) <= last[l] {
+			t.Fatalf("entry %d: dimension %d on lane %d after dimension %d", e, d, l, last[l])
+		}
+		last[l] = int(d)
+	}
+	if stored != nonZero {
+		t.Fatalf("stored %d components, row has %d non-zero", stored, nonZero)
+	}
+
+	var back embed.Vector
+	p.expand(0, &back)
+	for d := range row {
+		if math.Float32bits(back[d]) != math.Float32bits(row[d]) {
+			t.Fatalf("dimension %d: expanded bits %#08x, packed from %#08x", d, math.Float32bits(back[d]), math.Float32bits(row[d]))
+		}
+	}
+
+	wide := widen(q)
+	got, want := p.dot(&wide, 0), embed.NormDot(q, row)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("packed score %v (%#016x) != NormDot %v (%#016x)", got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// quickWorldStores renders the -quick world (node.ConfigFor(true)) into
+// its two KG stores.
+func quickWorldStores(t *testing.T) []*kg.Store {
+	t.Helper()
+	cfg := world.DefaultConfig()
+	cfg.Seed = 42
+	cfg.People, cfg.Cities, cfg.Works, cfg.Companies, cfg.Universities = 150, 60, 100, 40, 25
+	w, err := world.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*kg.Store{world.WikidataSchema().Render(w), world.FreebaseSchema().Render(w)}
+}
+
+// pseudoTriples loads pseudo-triples (Gp lines) captured from real
+// pipeline runs over the quick world, both sources.
+func pseudoTriples(t *testing.T) []string {
+	t.Helper()
+	f, err := os.Open("testdata/pseudo_triples.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := strings.TrimSpace(sc.Text()); line != "" {
+			out = append(out, line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) < 24 {
+		t.Fatalf("only %d pseudo-triples in testdata", len(out))
+	}
+	return out
+}
+
+// TestPackedScoreBitIdenticalOnQuickWorld is the bit-identity contract
+// on the data the server scans: every row of both quick-world indexes,
+// scored against real pseudo-triple queries, gives exactly the float64
+// embed.NormDot gives over the dense vectors, and expands back to the
+// encoder's output.
+func TestPackedScoreBitIdenticalOnQuickWorld(t *testing.T) {
+	enc := embed.NewEncoder()
+	queries := pseudoTriples(t)
+	qvs := make([]embed.Vector, len(queries))
+	wide := make([][embed.Dim]float64, len(queries))
+	for i, q := range queries {
+		qvs[i] = enc.Encode(q)
+		wide[i] = widen(&qvs[i])
+	}
+	for _, st := range quickWorldStores(t) {
+		idx := Build(enc, st)
+		if idx.Len() < 1000 {
+			t.Fatalf("%v index has only %d rows", st.Source(), idx.Len())
+		}
+		for r, tr := range idx.triples {
+			dense := enc.Encode(tr.Text())
+			var back embed.Vector
+			idx.rows.expand(r, &back)
+			if back != dense {
+				t.Fatalf("%v row %d does not expand to its encoding", st.Source(), r)
+			}
+			for i := range qvs {
+				got, want := idx.rows.dot(&wide[i], r), embed.NormDot(&qvs[i], &dense)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v row %d query %q: packed %v != NormDot %v", st.Source(), r, queries[i], got, want)
+				}
+			}
+		}
+	}
+}
+
+// vectorFromBits builds a vector from float32 bit patterns (little
+// endian, four bytes a component, missing components zero), mapping NaN
+// and ±Inf to finite values by clearing the lowest exponent bit.
+func vectorFromBits(b []byte) embed.Vector {
+	var v embed.Vector
+	for d := 0; d < embed.Dim && 4*d+4 <= len(b); d++ {
+		bits := binary.LittleEndian.Uint32(b[4*d:])
+		if bits&expMask == expMask {
+			bits &^= 0x00800000
+		}
+		v[d] = math.Float32frombits(bits)
+	}
+	return v
+}
+
+// bitsOf is vectorFromBits's inverse, for seeding the fuzzer.
+func bitsOf(v *embed.Vector) []byte {
+	b := make([]byte, 4*embed.Dim)
+	for d, x := range v {
+		binary.LittleEndian.PutUint32(b[4*d:], math.Float32bits(x))
+	}
+	return b
+}
+
+// packedSeeds are the rows the layout has corner cases for.
+func packedSeeds() map[string]embed.Vector {
+	negZero := float32(math.Copysign(0, -1))
+	subnormal := math.Float32frombits(1)
+	seeds := map[string]embed.Vector{"zero row": {}}
+
+	var v embed.Vector
+	for d := range v {
+		switch d % 5 {
+		case 0:
+			v[d] = negZero
+		case 1:
+			v[d] = float32(d) / 300
+		case 2:
+			v[d] = -float32(d) / 300
+		}
+	}
+	seeds["negative zeros"] = v
+
+	v = embed.Vector{}
+	for d := 0; d < embed.Dim; d += 3 {
+		v[d] = subnormal * float32(d+1)
+	}
+	v[7] = -subnormal
+	seeds["subnormals"] = v
+
+	v = embed.Vector{}
+	for d := range v {
+		if d&3 != 2 { // lane 2 stays empty
+			v[d] = float32(d+1) / 512
+		}
+	}
+	seeds["empty lane"] = v
+
+	v = embed.Vector{}
+	for d := range v { // 64 entries on every lane
+		v[d] = float32(d%17-8)/16 + 0.03125
+	}
+	seeds["fully dense"] = v
+
+	v = embed.Vector{}
+	v[0], v[255] = 0.5, -0.5 // a real component at dimension 0 next to padding
+	seeds["dimension zero"] = v
+
+	v = embed.Vector{}
+	for d := range v {
+		v[d] = math.MaxFloat32
+		if d%2 == 1 {
+			v[d] = -math.MaxFloat32
+		}
+	}
+	seeds["largest finite"] = v
+	return seeds
+}
+
+// TestPackedRowCornerCases runs every seed row against every seed query.
+func TestPackedRowCornerCases(t *testing.T) {
+	seeds := packedSeeds()
+	for rn, row := range seeds {
+		for qn, q := range seeds {
+			t.Run(rn+"/"+qn, func(t *testing.T) { checkPackedRow(t, &q, &row) })
+		}
+	}
+}
+
+// FuzzPackedRow checks layout, pack→expand identity and bit-identical
+// scoring over arbitrary finite float32 bit patterns for query and row.
+func FuzzPackedRow(f *testing.F) {
+	for _, row := range packedSeeds() {
+		for _, q := range packedSeeds() {
+			f.Add(bitsOf(&q), bitsOf(&row))
+		}
+	}
+	f.Fuzz(func(t *testing.T, qb, rb []byte) {
+		q, row := vectorFromBits(qb), vectorFromBits(rb)
+		checkPackedRow(t, &q, &row)
+	})
+}
+
+// TestPackExpandKeepsNonFiniteBits: pack→expand is a bijection on every
+// bit pattern, including the NaN and Inf patterns ReadFrom rejects.
+func TestPackExpandKeepsNonFiniteBits(t *testing.T) {
+	var v embed.Vector
+	for d := range v {
+		// Spread over sign, exponent (incl. 0x00 and 0xff) and mantissa.
+		v[d] = math.Float32frombits(uint32(d)<<24 | uint32(d)*0x010203)
+	}
+	v[3] = float32(math.Inf(1))
+	v[4] = float32(math.NaN())
+	var p packedRows
+	p.appendRow(&embed.Vector{})
+	p.appendRow(&v)
+	var back embed.Vector
+	p.expand(1, &back)
+	for d := range v {
+		if math.Float32bits(back[d]) != math.Float32bits(v[d]) {
+			t.Errorf("dimension %d: %#08x came back as %#08x", d, math.Float32bits(v[d]), math.Float32bits(back[d]))
+		}
+	}
+	p.expand(0, &back)
+	if back != (embed.Vector{}) {
+		t.Error("zero row did not expand to the zero vector")
+	}
+}
+
+// denseBytes assembles the persisted form of triples straight from the
+// encoder's output, without going through an Index.
+func denseBytes(enc *embed.Encoder, triples []kg.Triple) []byte {
+	var b bytes.Buffer
+	u32 := func(v uint32) { _ = binary.Write(&b, binary.LittleEndian, v) }
+	b.Write(persistMagic[:])
+	u32(uint32(len(triples)))
+	u32(embed.Dim)
+	for _, tr := range triples {
+		for _, s := range []string{tr.Subject, tr.Relation, tr.Object} {
+			u32(uint32(len(s)))
+			b.WriteString(s)
+		}
+		u32(uint32(tr.Source))
+		u32(uint32(tr.Ord))
+		v := enc.Encode(tr.Text())
+		b.Write(bitsOf(&v))
+	}
+	return b.Bytes()
+}
+
+// TestWriteToIsDenseEncoderOutput: the on-disk format does not see the
+// packed layout — WriteTo emits exactly the encoder's dense vectors, and
+// a load/store cycle reproduces the file byte for byte.
+func TestWriteToIsDenseEncoderOutput(t *testing.T) {
+	enc := embed.NewEncoder()
+	triples := corpus(300)
+	triples[7].Ord, triples[7].Source = 3, kg.SourceFreebase
+	var first bytes.Buffer
+	if _, err := BuildTriples(enc, triples).WriteTo(&first); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), denseBytes(enc, triples)) {
+		t.Fatal("WriteTo differs from the bytes assembled from enc.Encode output")
+	}
+	loaded, err := ReadFrom(bytes.NewReader(first.Bytes()), enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if _, err := loaded.WriteTo(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("WriteTo → ReadFrom → WriteTo changed the bytes")
+	}
+}
+
+// TestReadFromRejectsNonFinite: a NaN or Inf component fails the load
+// with an error naming the row, directly and through the container.
+func TestReadFromRejectsNonFinite(t *testing.T) {
+	enc := embed.NewEncoder()
+	triples := smallIndex(t).triples
+	good := denseBytes(enc, triples)
+	// Vector r is the last 4*Dim bytes of record r; records are
+	// variable-length, so find it from the next record's start.
+	vectorStart := func(r int) int {
+		return len(denseBytes(enc, triples[:r+1])) - 4*embed.Dim
+	}
+	for name, bits := range map[string]uint32{
+		"NaN":  math.Float32bits(float32(math.NaN())),
+		"+Inf": math.Float32bits(float32(math.Inf(1))),
+		"-Inf": math.Float32bits(float32(math.Inf(-1))),
+	} {
+		bad := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(bad[vectorStart(1)+4*17:], bits)
+		_, err := ReadFrom(bytes.NewReader(bad), enc)
+		if err == nil || !strings.Contains(err.Error(), "vector 1") || !strings.Contains(err.Error(), "component 17") {
+			t.Errorf("%s component: err = %v, want one naming vector 1 component 17", name, err)
+		}
+		var container bytes.Buffer
+		container.Write(shardsMagic[:])
+		_ = binary.Write(&container, binary.LittleEndian, uint32(1))
+		container.Write(bad)
+		if _, err := ReadShards(&container, enc); err == nil {
+			t.Errorf("%s component: container loaded", name)
+		}
+	}
+	if _, err := ReadFrom(bytes.NewReader(good), enc); err != nil {
+		t.Fatalf("undoctored bytes failed to load: %v", err)
+	}
+}
+
+// referenceCandidates is the map + sort selection the bitset replaced,
+// kept as the reference: ascending de-duplicated offsets of the triples
+// sharing a token with the query.
+func referenceCandidates(idx *Index, query string) []int32 {
+	seen := map[int32]bool{}
+	for _, tok := range embed.Tokenize(query) {
+		for _, off := range idx.inverted[tok] {
+			seen[off] = true
+		}
+	}
+	var out []int32
+	for off := int32(0); int(off) < idx.Len(); off++ {
+		if seen[off] {
+			out = append(out, off)
+		}
+	}
+	return out
+}
+
+// TestCandidatesMatchReference compares the bitset selection, as the
+// scan consumes it, with the reference on sizes that put the last row on
+// either side of a word boundary.
+func TestCandidatesMatchReference(t *testing.T) {
+	enc := embed.NewEncoder()
+	for _, n := range []int{1, 63, 64, 65, 4096} {
+		triples := corpus(n)
+		// The last row alone carries a token, so a boundary slip loses it.
+		triples[n-1].Object = "lastrowonly"
+		idx := BuildTriples(enc, triples)
+		for _, q := range []string{
+			"lastrowonly",
+			"Lake Superior area",
+			"lake LAKE lake area area", // repeated tokens
+			"zzz absent tokens qqq",    // none in the segment
+			"absent lastrowonly zzz",   // some in the segment
+			"population 1000 Toronto lastrowonly",
+			"",      // no tokens
+			"<> //", // separators only: no tokens
+		} {
+			set := idx.candidates(q)
+			if len(embed.Tokenize(q)) == 0 {
+				if set != nil {
+					t.Errorf("n=%d %q: token-less query gave a non-nil set", n, q)
+				}
+				continue
+			}
+			var got []int32
+			set.each(func(row int) { got = append(got, int32(row)) })
+			want := referenceCandidates(idx, q)
+			if len(got) != len(want) || set.count() != len(want) {
+				t.Fatalf("n=%d %q: %d candidates (count %d), want %d", n, q, len(got), set.count(), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d %q: candidate %d is row %d, want %d", n, q, i, got[i], want[i])
+				}
+			}
+		}
+		if got := idx.candidates("lastrowonly"); got.count() != 1 {
+			t.Errorf("n=%d: last row not selected alone: %d rows", n, got.count())
+		}
+	}
+}
+
+// TestSearchFallsThroughBelowK: when fewer than k rows share a token
+// with the query, Search is the full scan; with at least k, it scores
+// only the sharing rows.
+func TestSearchFallsThroughBelowK(t *testing.T) {
+	enc := embed.NewEncoder()
+	triples := corpus(200)
+	for i := 0; i < 3; i++ {
+		triples[50*i+9].Object = "raretoken"
+	}
+	idx := BuildTriples(enc, triples)
+	sameHits := func(a, b []Hit) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if !a[i].Triple.Equal(b[i].Triple) || a[i].Score != b[i].Score {
+				return false
+			}
+		}
+		return true
+	}
+	// Three rows carry the token: k=4 cannot be filled from them.
+	if got, want := idx.Search("raretoken", 4), idx.SearchExact("raretoken", 4); len(got) != 4 || !sameHits(got, want) {
+		t.Errorf("k=4 over 3 candidates: %v, want the full scan's %v", got, want)
+	}
+	// k=3 can: exactly the three sharing rows come back.
+	got := idx.Search("raretoken", 3)
+	if len(got) != 3 {
+		t.Fatalf("k=3 over 3 candidates: %d hits", len(got))
+	}
+	for _, h := range got {
+		if h.Triple.Object != "raretoken" {
+			t.Errorf("k=3 over 3 candidates returned a row without the token: %v", h.Triple)
+		}
+	}
+}

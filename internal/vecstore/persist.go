@@ -15,10 +15,15 @@ import (
 // on incompatible changes.
 var persistMagic = [8]byte{'P', 'G', 'A', 'K', 'V', 'I', 'X', 1}
 
+// expMask is the float32 exponent field; all ones means NaN or ±Inf.
+const expMask = 0x7f800000
+
 // WriteTo serialises the index (triples + vectors) in a compact binary
-// format, so large KGs can be indexed once and reloaded instantly. The
-// inverted token index is rebuilt on load (it is derived data and cheaper
-// to rebuild than to store).
+// format, so large KGs can be indexed once and reloaded instantly. Vectors
+// are written dense — each packed row is expanded as it is written — so the
+// format does not depend on the in-memory row layout. The inverted token
+// index is rebuilt on load (it is derived data and cheaper to rebuild than
+// to store).
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var written int64
@@ -58,9 +63,11 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 		if err := count(bw.Write(meta[:])); err != nil {
 			return written, fmt.Errorf("vecstore: write triple %d: %w", i, err)
 		}
+		var v embed.Vector
+		idx.rows.expand(i, &v)
 		var vec [4 * embed.Dim]byte
-		for d := 0; d < embed.Dim; d++ {
-			binary.LittleEndian.PutUint32(vec[d*4:], math.Float32bits(idx.vecs[i][d]))
+		for d, x := range v {
+			binary.LittleEndian.PutUint32(vec[d*4:], math.Float32bits(x))
 		}
 		if err := count(bw.Write(vec[:])); err != nil {
 			return written, fmt.Errorf("vecstore: write vector %d: %w", i, err)
@@ -73,7 +80,10 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFrom loads an index written by WriteTo; the encoder must match the
-// one used at build time (queries are encoded live).
+// one used at build time (queries are encoded live). Every vector
+// component must be finite: a NaN score could never be evicted from a
+// top-k heap, and the packed kernel's bit-identity with embed.NormDot
+// holds for finite values only.
 func ReadFrom(r io.Reader, enc *embed.Encoder) (*Index, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -115,6 +125,9 @@ func ReadFrom(r io.Reader, enc *embed.Encoder) (*Index, error) {
 	if dim != embed.Dim {
 		return nil, fmt.Errorf("vecstore: dimension mismatch: file has %d, build has %d", dim, embed.Dim)
 	}
+	if n > maxRows {
+		return nil, fmt.Errorf("vecstore: triple count %d too large", n)
+	}
 	// Grow incrementally instead of trusting n for the allocation: a
 	// corrupted count field must fail cleanly at the first short read, not
 	// attempt a multi-gigabyte up-front allocation.
@@ -124,7 +137,8 @@ func ReadFrom(r io.Reader, enc *embed.Encoder) (*Index, error) {
 		initial = preallocCap
 	}
 	triples := make([]kg.Triple, 0, initial)
-	vecs := make([]embed.Vector, 0, initial)
+	var rows packedRows
+	rows.reserve(initial)
 	for i := 0; i < int(n); i++ {
 		var t kg.Triple
 		if t.Subject, err = readString(); err != nil {
@@ -148,26 +162,15 @@ func ReadFrom(r io.Reader, enc *embed.Encoder) (*Index, error) {
 			return nil, fmt.Errorf("vecstore: vector %d: %w", i, err)
 		}
 		var v embed.Vector
-		for d := 0; d < embed.Dim; d++ {
-			v[d] = math.Float32frombits(binary.LittleEndian.Uint32(vec[d*4:]))
+		for d := range v {
+			b := binary.LittleEndian.Uint32(vec[d*4:])
+			if b&expMask == expMask {
+				return nil, fmt.Errorf("vecstore: vector %d: component %d is not finite (bits %#08x)", i, d, b)
+			}
+			v[d] = math.Float32frombits(b)
 		}
 		triples = append(triples, t)
-		vecs = append(vecs, v)
+		rows.appendRow(&v)
 	}
-	idx := &Index{
-		enc:      enc,
-		triples:  triples,
-		vecs:     vecs,
-		inverted: make(map[string][]int32),
-	}
-	for i, t := range triples {
-		seen := make(map[string]bool, 8)
-		for _, tok := range embed.Tokenize(t.Text()) {
-			if !seen[tok] {
-				seen[tok] = true
-				idx.inverted[tok] = append(idx.inverted[tok], int32(i))
-			}
-		}
-	}
-	return idx, nil
+	return newIndex(enc, triples, rows), nil
 }

@@ -180,7 +180,8 @@ func ReadShardsHNSW(r io.Reader, enc *embed.Encoder) ([]*Index, *HNSW, error) {
 }
 
 // bindGraph materialises a freshly-read graph's triples and vectors
-// from the segment prefix it covers. The graph stores adjacency only;
+// from the segment prefix it covers, expanding the segments' packed rows
+// into the dense vectors the graph scores. The graph stores adjacency only;
 // its node ids are, by the writer's contract, the first ids of the
 // renumbered combined space, so the prefix copy restores exactly the
 // (triple, vector) pairs the graph was built over.
@@ -197,7 +198,11 @@ func bindGraph(g *HNSW, shards []*Index, enc *embed.Encoder) error {
 			return fmt.Errorf("vecstore: hnsw graph covers %d triples, not a segment boundary", nodes)
 		}
 		g.triples = append(g.triples, sh.triples...)
-		g.vecs = append(g.vecs, sh.vecs...)
+		for r := range sh.triples {
+			var v embed.Vector
+			sh.rows.expand(r, &v)
+			g.vecs = append(g.vecs, v)
+		}
 	}
 	if len(g.triples) != nodes {
 		return fmt.Errorf("vecstore: hnsw graph covers %d triples but segments hold %d", nodes, len(g.triples))

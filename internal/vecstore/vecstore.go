@@ -3,21 +3,38 @@
 // time, and pseudo-triples are matched against the index by cosine
 // similarity to produce the temporary graph Gt.
 //
-// The index offers two search paths:
+// Row layout. The hashing encoder's vectors are sparse (about a hundred
+// non-zero components of embed.Dim), so an Index keeps only each row's
+// non-zero components, in the order the scoring kernel consumes them
+// (packedRows): groups of four (dimension, value) entries where entry l of
+// a group holds the row's next non-zero dimension ≡ l (mod 4), ascending
+// per lane, short lanes padded with (0, +0.0). "Non-zero" means the
+// float32 bit pattern is not all zeros, so a row expands back to exactly
+// the dense vector it was packed from; on disk rows stay dense (WriteTo).
 //
-//   - Exact: brute-force cosine scan over all vectors — always correct,
-//     used as the reference and for small stores.
-//   - Filtered: an inverted token index pre-selects candidates sharing at
-//     least one token with the query before scoring, which is typically
-//     >10x faster on KG-scale stores with no recall loss in practice,
-//     because zero-token-overlap pairs have near-zero cosine under the
-//     hashing encoder anyway.
+// Bit-identity contract. A packed row scored against a query gives the
+// same float64, bit for bit, as embed.NormDot over the two dense vectors,
+// for finite inputs: the kernel keeps NormDot's four accumulators, its
+// per-lane term order and its final association, and the only terms it
+// drops or pads are products with a stored +0.0, which cannot change an
+// accumulator. That is what lets scan-scored hits merge with hits an HNSW
+// graph scored with NormDot, and what keeps replay artifacts byte-stable.
+//
+// Filter rule. Search scores only the rows that share at least one token
+// with the query (inverted index → per-search bitset, ascending row
+// order); when fewer than k rows do, it scans every row instead.
+// SearchExact always scans every row and is the reference for Search:
+// the filter can only drop rows with no token in common with the query,
+// whose cosine under the hashing encoder is collision noise.
 package vecstore
 
 import (
 	"container/heap"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -56,9 +73,120 @@ var _ Searcher = (*Index)(nil)
 type Index struct {
 	enc     *embed.Encoder
 	triples []kg.Triple
-	vecs    []embed.Vector
-	// inverted maps token -> posting list of triple offsets.
+	// rows holds triple i's embedding as packed row i.
+	rows packedRows
+	// inverted maps token -> posting list of triple offsets, ascending.
 	inverted map[string][]int32
+}
+
+// packedRows stores the non-zero components of a sequence of embedding
+// vectors in scoring order (see the package comment): row r is entries
+// off[r]:off[r+1] of idx (dimension) and val (value), a whole number of
+// four-entry groups with entry l of each group on accumulator lane l.
+type packedRows struct {
+	off []uint32 // len rows+1 once non-empty; off[0] == 0
+	idx []uint8
+	val []float32
+}
+
+// maxRows keeps every off entry inside uint32: a row packs to at most
+// embed.Dim entries.
+const maxRows = math.MaxUint32 / embed.Dim
+
+// A dimension must fit idx's uint8.
+const _ = uint8(embed.Dim - 1)
+
+// len returns the number of rows.
+func (p *packedRows) len() int {
+	if len(p.off) == 0 {
+		return 0
+	}
+	return len(p.off) - 1
+}
+
+// appendRow packs v as the next row.
+func (p *packedRows) appendRow(v *embed.Vector) {
+	if len(p.off) == 0 {
+		p.off = append(p.off, 0)
+	}
+	var lane [4][embed.Dim / 4]uint8
+	var n [4]int
+	groups := 0
+	for l := range lane {
+		k := 0
+		for d := l; d < embed.Dim; d += 4 {
+			// Store first and keep the slot only for a non-zero component:
+			// no branch to mispredict on row contents. k is below
+			// len(lane[l]) whenever another store follows.
+			lane[l][k%len(lane[l])] = uint8(d)
+			if math.Float32bits(v[d]) != 0 {
+				k++
+			}
+		}
+		n[l] = k
+		groups = max(groups, k)
+	}
+	// Extending with zeroed entries lays down the (0, +0.0) padding.
+	base := len(p.idx)
+	p.idx = append(p.idx, make([]uint8, 4*groups)...)
+	p.val = append(p.val, make([]float32, 4*groups)...)
+	for l := range lane {
+		for g, d := range lane[l][:n[l]] {
+			p.idx[base+4*g+l] = d
+			p.val[base+4*g+l] = v[d]
+		}
+	}
+	p.off = append(p.off, uint32(len(p.idx)))
+}
+
+// reserve makes room for rows more rows so that appending them does not
+// regrow the slices. It reserves half of embed.Dim entries a row, which
+// the hashing encoder's rows stay under; fuller rows just regrow.
+func (p *packedRows) reserve(rows int) {
+	p.off = slices.Grow(p.off, rows+1)
+	p.idx = slices.Grow(p.idx, rows*embed.Dim/2)
+	p.val = slices.Grow(p.val, rows*embed.Dim/2)
+}
+
+// expand writes row r's dense form to v: the exact inverse of appendRow,
+// since padding is the only stored value whose bits are all zero.
+func (p *packedRows) expand(r int, v *embed.Vector) {
+	*v = embed.Vector{}
+	for e := p.off[r]; e < p.off[r+1]; e++ {
+		if x := p.val[e]; math.Float32bits(x) != 0 {
+			v[p.idx[e]] = x
+		}
+	}
+}
+
+// widen converts a query to the float64 form dot takes, once per scan
+// instead of once per row.
+func widen(qv *embed.Vector) (q [embed.Dim]float64) {
+	for d, x := range qv {
+		q[d] = float64(x)
+	}
+	return q
+}
+
+// dot scores row r against a widened query. It is
+// embed.NormDot over the sparse row: the same four accumulators, each
+// taking its lane's terms in ascending dimension order, and the same
+// final association, so the result is bit-identical for finite inputs
+// (the terms left out, and the padding, are products with a stored +0.0,
+// i.e. ±0, and adding ±0 to an accumulator that started at +0.0 leaves it
+// unchanged).
+func (p *packedRows) dot(q *[embed.Dim]float64, r int) float64 {
+	lo, hi := p.off[r], p.off[r+1]
+	ix, vs := p.idx[lo:hi], p.val[lo:hi]
+	var s0, s1, s2, s3 float64
+	for len(ix) >= 4 && len(vs) >= 4 {
+		s0 += q[ix[0]] * float64(vs[0])
+		s1 += q[ix[1]] * float64(vs[1])
+		s2 += q[ix[2]] * float64(vs[2])
+		s3 += q[ix[3]] * float64(vs[3])
+		ix, vs = ix[4:], vs[4:]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // Build encodes every triple in the store and constructs the index. The
@@ -69,40 +197,72 @@ func Build(enc *embed.Encoder, store *kg.Store) *Index {
 
 // BuildTriples builds an index directly over a triple slice.
 func BuildTriples(enc *embed.Encoder, triples []kg.Triple) *Index {
-	idx := &Index{
-		enc:      enc,
-		triples:  triples,
-		vecs:     make([]embed.Vector, len(triples)),
-		inverted: make(map[string][]int32),
+	if len(triples) > maxRows {
+		panic(fmt.Sprintf("vecstore: %d triples in one index (max %d): use BuildSharded", len(triples), maxRows))
 	}
-	type job struct{ lo, hi int }
-	const shard = 2048
+	// Encoding is order-independent, so chunks encode and pack in
+	// parallel; newIndex joins them in row order.
+	const chunk = 2048
+	parts := make([]packedRows, (len(triples)+chunk-1)/chunk)
 	var wg sync.WaitGroup
-	for lo := 0; lo < len(triples); lo += shard {
-		hi := lo + shard
-		if hi > len(triples) {
-			hi = len(triples)
-		}
+	for c := range parts {
 		wg.Add(1)
-		go func(j job) {
+		go func() {
 			defer wg.Done()
-			for i := j.lo; i < j.hi; i++ {
-				idx.vecs[i] = enc.Encode(triples[i].Text())
+			part := triples[c*chunk : min((c+1)*chunk, len(triples))]
+			parts[c].reserve(len(part))
+			for _, t := range part {
+				v := enc.Encode(t.Text())
+				parts[c].appendRow(&v)
 			}
-		}(job{lo, hi})
+		}()
 	}
 	wg.Wait()
+	return newIndex(enc, triples, parts...)
+}
+
+// newIndex assembles an Index over triples from their packed rows, given
+// as consecutive parts in row order: it joins the parts into exactly
+// sized slices and derives the inverted token index.
+func newIndex(enc *embed.Encoder, triples []kg.Triple, parts ...packedRows) *Index {
+	entries := 0
+	for i := range parts {
+		entries += len(parts[i].idx)
+	}
+	rows := packedRows{
+		off: make([]uint32, 1, len(triples)+1),
+		idx: make([]uint8, 0, entries),
+		val: make([]float32, 0, entries),
+	}
+	for i := range parts {
+		base := uint32(len(rows.idx))
+		for r := 0; r < parts[i].len(); r++ {
+			rows.off = append(rows.off, base+parts[i].off[r+1])
+		}
+		rows.idx = append(rows.idx, parts[i].idx...)
+		rows.val = append(rows.val, parts[i].val...)
+	}
+	idx := &Index{enc: enc, triples: triples, rows: rows, inverted: make(map[string][]int32)}
 	for i, t := range triples {
-		seen := make(map[string]bool, 8)
-		for _, tok := range embed.Tokenize(t.Text()) {
-			if seen[tok] {
-				continue
+		toks := embed.Tokenize(t.Text())
+		for j, tok := range toks {
+			if !repeated(toks, j) {
+				idx.inverted[tok] = append(idx.inverted[tok], int32(i))
 			}
-			seen[tok] = true
-			idx.inverted[tok] = append(idx.inverted[tok], int32(i))
 		}
 	}
 	return idx
+}
+
+// repeated reports whether toks[j] already occurs earlier in toks. A
+// triple or query has about a dozen tokens, so the scan beats a map.
+func repeated(toks []string, j int) bool {
+	for _, prev := range toks[:j] {
+		if prev == toks[j] {
+			return true
+		}
+	}
+	return false
 }
 
 // Len returns the number of indexed triples.
@@ -136,7 +296,7 @@ func (idx *Index) SearchVector(qv embed.Vector, k int) []Hit {
 // must have been produced by this index's encoder for the given text.
 func (idx *Index) searchPreEncoded(query string, qv embed.Vector, k int) []Hit {
 	cands := idx.candidates(query)
-	if len(cands) < k {
+	if cands.count() < k {
 		// Not enough token-overlapping candidates to fill k slots: scan
 		// everything so the caller still gets k results.
 		return idx.searchVec(qv, k, nil)
@@ -144,30 +304,44 @@ func (idx *Index) searchPreEncoded(query string, qv embed.Vector, k int) []Hit {
 	return idx.searchVec(qv, k, cands)
 }
 
-// candidates returns the offsets of triples sharing at least one query
-// token, deduplicated, or nil when the query has no indexed token.
-func (idx *Index) candidates(query string) []int32 {
+// rowSet is a bitset over an index's rows: bit r%64 of word r/64.
+type rowSet []uint64
+
+// count returns the number of rows in the set.
+func (s rowSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// each calls fn for every row in the set, ascending.
+func (s rowSet) each(fn func(row int)) {
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			fn(i<<6 | bits.TrailingZeros64(w))
+		}
+	}
+}
+
+// candidates returns the rows sharing at least one token with the query,
+// or nil when the query has no tokens.
+func (idx *Index) candidates(query string) rowSet {
 	toks := embed.Tokenize(query)
 	if len(toks) == 0 {
 		return nil
 	}
-	seen := make(map[int32]bool)
-	var out []int32
-	dedup := make(map[string]bool, len(toks))
-	for _, tok := range toks {
-		if dedup[tok] {
+	set := make(rowSet, (len(idx.triples)+63)/64)
+	for j, tok := range toks {
+		if repeated(toks, j) {
 			continue
 		}
-		dedup[tok] = true
 		for _, off := range idx.inverted[tok] {
-			if !seen[off] {
-				seen[off] = true
-				out = append(out, off)
-			}
+			set[off>>6] |= 1 << (off & 63)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return set
 }
 
 // hitHeap is a min-heap over scores holding the best k hits seen so far.
@@ -185,15 +359,16 @@ func (h *hitHeap) Pop() any {
 	return x
 }
 
-func (idx *Index) searchVec(qv embed.Vector, k int, subset []int32) []Hit {
+// searchVec scores the rows of subset (every row when nil) in ascending
+// row order and returns the top k.
+func (idx *Index) searchVec(qv embed.Vector, k int, subset rowSet) []Hit {
 	if k <= 0 || qv.IsZero() {
 		return nil
 	}
+	q := widen(&qv)
 	h := make(hitHeap, 0, k+1)
 	consider := func(i int) {
-		// NormDot, not Vector.Dot: the per-candidate kernel takes
-		// pointers (no 1 KiB array copies) and unrolls the accumulation.
-		score := embed.NormDot(&qv, &idx.vecs[i])
+		score := idx.rows.dot(&q, i)
 		if len(h) < k {
 			heap.Push(&h, Hit{Triple: idx.triples[i], Score: score})
 			return
@@ -204,13 +379,11 @@ func (idx *Index) searchVec(qv embed.Vector, k int, subset []int32) []Hit {
 		}
 	}
 	if subset == nil {
-		for i := range idx.vecs {
+		for i := range idx.triples {
 			consider(i)
 		}
 	} else {
-		for _, off := range subset {
-			consider(int(off))
-		}
+		subset.each(consider)
 	}
 	out := make([]Hit, len(h))
 	for i := len(out) - 1; i >= 0; i-- {
