@@ -73,10 +73,11 @@
 //
 // Durability: with -data-dir set, every ingest batch is appended to a
 // per-source write-ahead log before it is applied (-fsync
-// always|interval|never picks the sync policy) and checkpoints — a
-// paired (triples.nt, index.bin) snapshot — are written on compaction,
-// on the -checkpoint-interval timer, and on POST
-// /v1/snapshot/checkpoint. On boot the server recovers: newest valid
+// always|interval|never picks the sync policy) and checkpoints — the
+// snapshot's triples.nt under a manifest holding its hash, plus the HNSW
+// graph.bin under -ann; vectors are re-encoded at boot, never stored —
+// are written on compaction, on the -checkpoint-interval timer, and on
+// POST /v1/snapshot/checkpoint. On boot the server recovers: newest valid
 // checkpoint, then WAL tail replay, resuming at a non-regressed epoch so
 // epoch-scoped cache keys stay correct across restarts. See
 // docs/operations.md for the recovery runbook.

@@ -155,8 +155,8 @@ func unpackCheckpoint(r io.Reader, dataDir string) (string, uint64, error) {
 		if err != nil {
 			return "", 0, err
 		}
-		// The frame-level stream CRC does not apply here; the checkpoint's
-		// own manifest hashes are re-verified by recovery's validation.
+		// The frame-level stream CRC does not apply here: recovery
+		// verifies each file against the SHA-256 its manifest records.
 		if _, err := io.Copy(f, tr); err != nil {
 			f.Close()
 			return "", 0, fmt.Errorf("repl: unpacking %s: %w", name, err)

@@ -3,6 +3,8 @@ package repl
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -174,6 +176,46 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireGoldenBytes pins the stream's bytes — magic, then a kind byte
+// before each substrate frame: primaries and replicas of different
+// builds must keep understanding each other. The frames are a record, a
+// heartbeat and an epoch marker.
+func TestWireGoldenBytes(t *testing.T) {
+	const golden = "5047414b52504c31" +
+		"01" + "340000005be9c747" + "0700000000000000" + "02000000" +
+		"0b000000" + "3c533e203c723e203c4f3e" +
+		"15000000" + "3c53323e203c72323e203c4f323e20406f72643d33" +
+		"02" + "08000000f7a1940d" + "2a00000000000000" +
+		"01" + "0c00000091b0d97d" + "0800000000000000" + "00000000"
+	var buf bytes.Buffer
+	sw := newStreamWriter(&buf)
+	_ = sw.writeMagic()
+	_ = sw.writeRecord(WALRecord{Epoch: 7, Triples: []kg.Triple{
+		{Subject: "S", Relation: "r", Object: "O"},
+		{Subject: "S2", Relation: "r2", Object: "O2", Ord: 3},
+	}})
+	_ = sw.writeHeartbeat(42)
+	_ = sw.writeRecord(WALRecord{Epoch: 8})
+	if got := hex.EncodeToString(buf.Bytes()); got != golden {
+		t.Fatalf("stream bytes changed:\n got %s\nwant %s", got, golden)
+	}
+	// A stream cut inside a frame — even right after the kind byte — is
+	// not a clean close.
+	for _, cut := range []int{len(streamMagic) + 1, len(streamMagic) + 5, buf.Len() - 1} {
+		sr := newStreamReader(bytes.NewReader(buf.Bytes()[:cut]))
+		if err := sr.readMagic(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		for err == nil {
+			_, err = sr.next()
+		}
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("stream cut at byte %d ended with %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+}
+
 func TestWireRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	sw := newStreamWriter(&buf)
@@ -319,6 +361,51 @@ func TestBootstrapFromCheckpoint(t *testing.T) {
 	}
 	if res.Fetched {
 		t.Fatal("bootstrap re-fetched a checkpoint local state already covers")
+	}
+}
+
+// TestBootstrapRefusesAlteredTarball: the tar stream carries no content
+// checksum of its own, so a byte of triples.nt changed in flight unpacks
+// fine — and must then fail the manifest's hash at recovery instead of
+// being served as a different fact at the primary's epoch.
+func TestBootstrapRefusesAlteredTarball(t *testing.T) {
+	dir := t.TempDir()
+	primary := newNodeManager(t, filepath.Join(dir, "p"), false, 0)
+	defer primary.Close()
+	ingestN(t, primary, 4, "history")
+	info, err := primary.Checkpoint(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tarball bytes.Buffer
+	if err := packCheckpoint(&tarball, info.Path); err != nil {
+		t.Fatal(err)
+	}
+	altered := bytes.Replace(tarball.Bytes(), []byte("<Expedition history-3>"), []byte("<Xxpedition history-3>"), 1)
+	if bytes.Equal(altered, tarball.Bytes()) {
+		t.Fatal("tarball does not hold the triple to alter")
+	}
+
+	for name, tc := range map[string]struct {
+		tarball []byte
+		skipped int
+		epoch   uint64
+	}{
+		"as sent": {tarball.Bytes(), 0, info.Epoch},
+		"altered": {altered, 1, 1}, // falls back to the seed, a fresh replica's epoch 1
+	} {
+		dataDir := filepath.Join(dir, name)
+		if _, _, err := unpackCheckpoint(bytes.NewReader(tc.tarball), filepath.Join(dataDir, "wikidata")); err != nil {
+			t.Fatalf("%s: unpack: %v", name, err)
+		}
+		replica := newNodeManager(t, dataDir, true, 0)
+		defer replica.Close()
+		if rec := replica.Recovery(); rec.SkippedCheckpoints != tc.skipped || replica.Epoch() != tc.epoch {
+			t.Errorf("%s: recovered at epoch %d with %+v, want epoch %d and %d skipped", name, replica.Epoch(), rec, tc.epoch, tc.skipped)
+		}
+		if replica.Current().Store.Contains(kg.Triple{Subject: "Ingested history 3", Relation: "discovered in", Object: "Xxpedition history-3"}) {
+			t.Errorf("%s: replica serves the altered fact", name)
+		}
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"repro/internal/substrate"
@@ -53,17 +52,12 @@ const (
 	kindHeartbeat byte = 2
 )
 
-// maxFrameBytes bounds a single frame payload. The substrate caps
-// triples at 1 MiB each and ingest batches at 10k triples, so any
-// legitimate record fits comfortably; anything larger is a corrupt or
-// hostile stream.
-const maxFrameBytes = 256 << 20
-
 // streamWriter frames records and heartbeats onto one stream. Frame
-// layout: [1-byte kind][u32 LE payload len][u32 LE CRC-32 (IEEE) of
-// payload][payload]. The CRC is defense against infrastructure between
-// the nodes (proxies, buffers) — the record bytes themselves are
-// re-checksummed by the replica's own WAL append.
+// layout: [1-byte kind] then the substrate's WAL frame (AppendFrame):
+// [u32 LE payload len][u32 LE CRC-32 (IEEE) of payload][payload]. The
+// CRC is defense against infrastructure between the nodes (proxies,
+// buffers) — the record bytes themselves are re-checksummed by the
+// replica's own WAL append.
 type streamWriter struct {
 	w io.Writer
 }
@@ -76,14 +70,7 @@ func (sw *streamWriter) writeMagic() error {
 }
 
 func (sw *streamWriter) writeFrame(kind byte, payload []byte) error {
-	var hdr [9]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	if _, err := sw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := sw.w.Write(payload)
+	_, err := sw.w.Write(substrate.AppendFrame([]byte{kind}, payload))
 	return err
 }
 
@@ -129,31 +116,16 @@ func (sr *streamReader) readMagic() error {
 // next reads one frame. io.EOF (clean close between frames) is returned
 // verbatim; any mid-frame truncation surfaces as ErrUnexpectedEOF.
 func (sr *streamReader) next() (frame, error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(sr.r, hdr[:1]); err != nil {
+	kind, err := sr.r.ReadByte()
+	if err != nil {
 		return frame{}, err
 	}
-	if _, err := io.ReadFull(sr.r, hdr[1:]); err != nil {
-		if err == io.EOF {
+	payload, err := substrate.ReadFrame(sr.r)
+	if err != nil {
+		if err == io.EOF { // the kind byte was read: this is mid-frame
 			err = io.ErrUnexpectedEOF
 		}
-		return frame{}, err
-	}
-	kind := hdr[0]
-	n := binary.LittleEndian.Uint32(hdr[1:5])
-	sum := binary.LittleEndian.Uint32(hdr[5:9])
-	if n > maxFrameBytes {
-		return frame{}, fmt.Errorf("repl: frame of %d bytes exceeds the %d-byte limit", n, maxFrameBytes)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(sr.r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return frame{}, err
-	}
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return frame{}, fmt.Errorf("repl: frame checksum mismatch (got %08x, want %08x)", got, sum)
+		return frame{}, fmt.Errorf("repl: reading frame: %w", err)
 	}
 	switch kind {
 	case kindRecord:

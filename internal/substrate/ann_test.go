@@ -67,8 +67,8 @@ func TestANNMatchesExactOnSubstrate(t *testing.T) {
 }
 
 // TestANNCheckpointReloadsGraph: a durable ANN manager persists the
-// graph inside its checkpoint and recovery reloads it — no rebuild —
-// with the epoch intact and the same answers.
+// graph beside its checkpoint's triples and recovery reloads it — no
+// rebuild — with the epoch intact and the same answers.
 func TestANNCheckpointReloadsGraph(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(t, dir)
@@ -82,7 +82,7 @@ func TestANNCheckpointReloadsGraph(t *testing.T) {
 	// No Close: kill -9.
 
 	// The checkpoint on disk must carry the graph (reload, not rebuild).
-	cp, _ := loadNewestCheckpoint(m1.dir, embed.NewEncoder())
+	cp, _ := loadNewestCheckpoint(m1.dir, embed.NewEncoder(), cfg.ShardSize)
 	if cp == nil || cp.ann == nil || cp.ann.Len() != 46 {
 		t.Fatalf("checkpoint graph missing or wrong size: %+v", cp)
 	}
@@ -100,8 +100,8 @@ func TestANNCheckpointReloadsGraph(t *testing.T) {
 }
 
 // TestANNRecoveryPrefixCoverage: a checkpoint taken before compaction
-// flattens base shards + delta segments, so the persisted graph covers
-// only the former base. Recovery must serve that split — graph over the
+// flattens base + delta, so the persisted graph covers only the former
+// base. Recovery must serve that split — graph over the
 // prefix, exact over the tail — and the next compaction restores full
 // coverage.
 func TestANNRecoveryPrefixCoverage(t *testing.T) {
@@ -141,7 +141,7 @@ func TestANNRecoveryPrefixCoverage(t *testing.T) {
 }
 
 // TestANNDisabledIgnoresPersistedGraph: restarting with ANN off over an
-// ANN-bearing checkpoint must serve pure exact scans — the graph record
+// ANN-bearing checkpoint must serve pure exact scans — the graph file
 // is dropped, not an error.
 func TestANNDisabledIgnoresPersistedGraph(t *testing.T) {
 	dir := t.TempDir()

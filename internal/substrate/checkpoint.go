@@ -1,9 +1,13 @@
 package substrate
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,7 +24,13 @@ import (
 //	<dir>/wal.log
 //	<dir>/checkpoint-<epoch>/MANIFEST.json
 //	<dir>/checkpoint-<epoch>/triples.nt    kg.WriteNTTriples of the snapshot
-//	<dir>/checkpoint-<epoch>/index.bin     vecstore.WriteShards of its segments
+//	<dir>/checkpoint-<epoch>/graph.bin     HNSW adjacency, only when a graph exists
+//
+// A checkpoint holds each fact once. A triple's vector is a pure function
+// of its text, so the index segments are not persisted: loading rebuilds
+// them from triples.nt with the call a first boot and every compaction
+// make. Only the HNSW graph's adjacency, which is expensive to rebuild,
+// is stored next to the triples.
 //
 // A checkpoint directory is written as checkpoint-<epoch>.tmp, its files
 // fsynced, then renamed into place — MANIFEST.json inside a final-named
@@ -32,10 +42,13 @@ const (
 	checkpointPrefix = "checkpoint-"
 	manifestName     = "MANIFEST.json"
 	triplesName      = "triples.nt"
-	indexName        = "index.bin"
+	graphName        = "graph.bin"
 	walName          = "wal.log"
 	// checkpointFormat bumps on incompatible manifest/layout changes.
-	checkpointFormat = 1
+	// Format 1 also carried index.bin (every triple again, with its dense
+	// vector, and the graph inside it) and no content hashes; such a
+	// directory still loads, from its triples.nt alone.
+	checkpointFormat = 2
 )
 
 // manifest describes one checkpoint for validation at load time.
@@ -44,11 +57,15 @@ type manifest struct {
 	Epoch   uint64 `json:"epoch"`
 	Source  string `json:"source"`
 	Triples int    `json:"triples"`
-	Shards  int    `json:"shards"`
-	// ANNNodes is the persisted HNSW graph's node count (0 = no graph;
-	// index.bin is then the v1 container, byte-identical with pre-ANN
-	// checkpoints).
+	// TriplesSHA256 is the hex SHA-256 of triples.nt (format 2 on): a
+	// flipped byte that still parses would otherwise be served as a
+	// different fact at the same epoch.
+	TriplesSHA256 string `json:"triples_sha256,omitempty"`
+	// ANNNodes is the persisted HNSW graph's node count: the graph covers
+	// triples [0, ANNNodes). 0 = no graph and no graph.bin.
 	ANNNodes int `json:"ann_nodes,omitempty"`
+	// GraphSHA256 is the hex SHA-256 of graph.bin, set with ANNNodes.
+	GraphSHA256 string `json:"graph_sha256,omitempty"`
 }
 
 // checkpointDirName renders the final directory name for an epoch; the
@@ -70,10 +87,10 @@ func parseCheckpointEpoch(name string) (uint64, bool) {
 	return e, true
 }
 
-// writeCheckpoint persists one consistent snapshot: the triples and the
-// index segments exactly as published, plus a manifest. Returns the final
-// directory path.
-func writeCheckpoint(dir string, epoch uint64, source kg.Source, triples []kg.Triple, shards []*vecstore.Index, ann *vecstore.HNSW) (string, error) {
+// writeCheckpoint persists one consistent snapshot: the triples exactly
+// as published, the graph over their prefix when there is one, and a
+// manifest naming both files' hashes. Returns the final directory path.
+func writeCheckpoint(dir string, epoch uint64, source kg.Source, triples []kg.Triple, ann *vecstore.HNSW) (string, error) {
 	final := filepath.Join(dir, checkpointDirName(epoch))
 	tmp := final + ".tmp"
 	if err := os.RemoveAll(tmp); err != nil {
@@ -82,47 +99,46 @@ func writeCheckpoint(dir string, epoch uint64, source kg.Source, triples []kg.Tr
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return "", fmt.Errorf("substrate: checkpoint: %w", err)
 	}
-	writeFile := func(name string, write func(f *os.File) error) error {
+	// writeFile writes and fsyncs one file and returns its hex SHA-256.
+	writeFile := func(name string, write func(w io.Writer) error) (string, error) {
 		f, err := os.OpenFile(filepath.Join(tmp, name), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 		if err != nil {
-			return fmt.Errorf("substrate: checkpoint %s: %w", name, err)
+			return "", fmt.Errorf("substrate: checkpoint %s: %w", name, err)
 		}
-		if err := write(f); err != nil {
+		sum := sha256.New()
+		if err := write(io.MultiWriter(f, sum)); err != nil {
 			f.Close()
-			return fmt.Errorf("substrate: checkpoint %s: %w", name, err)
+			return "", fmt.Errorf("substrate: checkpoint %s: %w", name, err)
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return fmt.Errorf("substrate: checkpoint %s: %w", name, err)
+			return "", fmt.Errorf("substrate: checkpoint %s: %w", name, err)
 		}
 		if err := f.Close(); err != nil {
-			return fmt.Errorf("substrate: checkpoint %s: %w", name, err)
+			return "", fmt.Errorf("substrate: checkpoint %s: %w", name, err)
 		}
-		return nil
-	}
-	if err := writeFile(triplesName, func(f *os.File) error {
-		return kg.WriteNTTriples(f, triples)
-	}); err != nil {
-		return "", err
-	}
-	if err := writeFile(indexName, func(f *os.File) error {
-		_, err := vecstore.WriteShardsHNSW(f, shards, ann)
-		return err
-	}); err != nil {
-		return "", err
+		return hex.EncodeToString(sum.Sum(nil)), nil
 	}
 	m := manifest{
 		Format:  checkpointFormat,
 		Epoch:   epoch,
 		Source:  source.String(),
 		Triples: len(triples),
-		Shards:  len(shards),
+	}
+	var err error
+	if m.TriplesSHA256, err = writeFile(triplesName, func(w io.Writer) error {
+		return kg.WriteNTTriples(w, triples)
+	}); err != nil {
+		return "", err
 	}
 	if ann != nil {
 		m.ANNNodes = ann.Len()
+		if m.GraphSHA256, err = writeFile(graphName, ann.WriteGraph); err != nil {
+			return "", err
+		}
 	}
-	if err := writeFile(manifestName, func(f *os.File) error {
-		return json.NewEncoder(f).Encode(m)
+	if _, err := writeFile(manifestName, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(m)
 	}); err != nil {
 		return "", err
 	}
@@ -148,75 +164,92 @@ type loadedCheckpoint struct {
 	store  *kg.Store
 	shards []*vecstore.Index
 	// ann is the persisted HNSW graph over the shard prefix, nil when
-	// the checkpoint was written without one.
+	// the checkpoint has none (or is a format-1 directory, whose graph
+	// sat inside the index.bin this version no longer reads).
 	ann *vecstore.HNSW
 }
 
-// loadCheckpoint reads and validates one checkpoint directory.
-func loadCheckpoint(path string, enc *embed.Encoder) (*loadedCheckpoint, error) {
-	mf, err := os.Open(filepath.Join(path, manifestName))
+// readHashed reads one checkpoint file whole and, when the manifest
+// records a hash for it, refuses content that does not match.
+func readHashed(path, wantHex string) ([]byte, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if wantHex != "" {
+		if got := sha256.Sum256(b); hex.EncodeToString(got[:]) != wantHex {
+			return nil, fmt.Errorf("sha256 is %x, manifest says %s", got, wantHex)
+		}
+	}
+	return b, nil
+}
+
+// loadCheckpoint reads and validates one checkpoint directory, rebuilding
+// its index segments from the triples. The segments over the graph's
+// prefix [0, ann_nodes) and over the rest are built separately, so the
+// graph ends on a segment boundary.
+func loadCheckpoint(path string, enc *embed.Encoder, shardSize int) (*loadedCheckpoint, error) {
+	mb, err := os.ReadFile(filepath.Join(path, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("substrate: checkpoint manifest: %w", err)
 	}
 	var m manifest
-	err = json.NewDecoder(mf).Decode(&m)
-	mf.Close()
-	if err != nil {
+	if err := json.Unmarshal(mb, &m); err != nil {
 		return nil, fmt.Errorf("substrate: checkpoint manifest: %w", err)
 	}
-	if m.Format != checkpointFormat {
+	switch m.Format {
+	case checkpointFormat:
+		if m.TriplesSHA256 == "" || (m.ANNNodes > 0) != (m.GraphSHA256 != "") {
+			return nil, fmt.Errorf("substrate: checkpoint manifest: missing content hash")
+		}
+	case 1:
+		// No hashes, and the graph is not in a file of its own: load the
+		// triples; Recover rebuilds the graph when ANN is on.
+		m.TriplesSHA256, m.ANNNodes = "", 0
+	default:
 		return nil, fmt.Errorf("substrate: checkpoint format %d (want %d)", m.Format, checkpointFormat)
 	}
 	src, err := kg.ParseSource(m.Source)
 	if err != nil {
 		return nil, err
 	}
-	tf, err := os.Open(filepath.Join(path, triplesName))
+	tb, err := readHashed(filepath.Join(path, triplesName), m.TriplesSHA256)
 	if err != nil {
 		return nil, fmt.Errorf("substrate: checkpoint triples: %w", err)
 	}
-	store, err := kg.ReadNT(tf, src)
-	tf.Close()
+	store, err := kg.ReadNT(bytes.NewReader(tb), src)
 	if err != nil {
 		return nil, fmt.Errorf("substrate: checkpoint triples: %w", err)
 	}
 	if store.Len() != m.Triples {
 		return nil, fmt.Errorf("substrate: checkpoint holds %d triples, manifest says %d", store.Len(), m.Triples)
 	}
-	xf, err := os.Open(filepath.Join(path, indexName))
-	if err != nil {
-		return nil, fmt.Errorf("substrate: checkpoint index: %w", err)
+	if m.ANNNodes < 0 || m.ANNNodes > store.Len() {
+		return nil, fmt.Errorf("substrate: checkpoint graph covers %d of %d triples", m.ANNNodes, store.Len())
 	}
-	shards, ann, err := vecstore.ReadShardsHNSW(xf, enc)
-	xf.Close()
-	if err != nil {
-		return nil, fmt.Errorf("substrate: checkpoint index: %w", err)
+	all := store.All()
+	cp := &loadedCheckpoint{epoch: m.Epoch, store: store}
+	cp.shards = append(vecstore.BuildShards(enc, all[:m.ANNNodes], shardSize), vecstore.BuildShards(enc, all[m.ANNNodes:], shardSize)...)
+	if m.ANNNodes > 0 {
+		gb, err := readHashed(filepath.Join(path, graphName), m.GraphSHA256)
+		if err != nil {
+			return nil, fmt.Errorf("substrate: checkpoint graph: %w", err)
+		}
+		if cp.ann, err = vecstore.ReadGraph(bytes.NewReader(gb), enc, cp.shards); err != nil {
+			return nil, fmt.Errorf("substrate: checkpoint graph: %w", err)
+		}
+		if cp.ann.Len() != m.ANNNodes {
+			return nil, fmt.Errorf("substrate: checkpoint graph covers %d triples, manifest says %d", cp.ann.Len(), m.ANNNodes)
+		}
 	}
-	if len(shards) != m.Shards {
-		return nil, fmt.Errorf("substrate: checkpoint holds %d shards, manifest says %d", len(shards), m.Shards)
-	}
-	annNodes := 0
-	if ann != nil {
-		annNodes = ann.Len()
-	}
-	if annNodes != m.ANNNodes {
-		return nil, fmt.Errorf("substrate: checkpoint graph covers %d triples, manifest says %d", annNodes, m.ANNNodes)
-	}
-	indexed := 0
-	for _, sh := range shards {
-		indexed += sh.Len()
-	}
-	if indexed != store.Len() {
-		return nil, fmt.Errorf("substrate: checkpoint index covers %d triples, store holds %d", indexed, store.Len())
-	}
-	return &loadedCheckpoint{epoch: m.Epoch, store: store, shards: shards, ann: ann}, nil
+	return cp, nil
 }
 
 // loadNewestCheckpoint scans dir for checkpoint directories and returns
 // the newest one that fully validates, or nil when none does. Invalid
 // newer checkpoints are skipped (and reported) rather than fatal: an
 // older intact checkpoint plus the WAL is still a correct recovery base.
-func loadNewestCheckpoint(dir string, enc *embed.Encoder) (*loadedCheckpoint, []error) {
+func loadNewestCheckpoint(dir string, enc *embed.Encoder, shardSize int) (*loadedCheckpoint, []error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -240,7 +273,7 @@ func loadNewestCheckpoint(dir string, enc *embed.Encoder) (*loadedCheckpoint, []
 	sort.Slice(cands, func(i, j int) bool { return cands[i].epoch > cands[j].epoch })
 	var skipped []error
 	for _, c := range cands {
-		cp, err := loadCheckpoint(c.path, enc)
+		cp, err := loadCheckpoint(c.path, enc, shardSize)
 		if err != nil {
 			skipped = append(skipped, fmt.Errorf("%s: %w", filepath.Base(c.path), err))
 			continue

@@ -3,10 +3,8 @@ package substrate
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -231,41 +229,49 @@ func TestRecoverDropsTornTail(t *testing.T) {
 }
 
 // TestRecoverSkipsCorruptCheckpoint: a corrupted newest checkpoint falls
-// back to an older intact one without losing WAL-replayable state. A
-// well-formed index.bin whose vectors hold a NaN or an Inf is corrupt
-// like any other: no checksum covers the file, and the vector store
-// refuses non-finite components.
+// back to an older intact one without losing WAL-replayable state. The
+// manifest's content hashes make a file that still parses — a flipped
+// byte inside an object string would be served as a different fact at
+// the same epoch — as corrupt as one that does not.
 func TestRecoverSkipsCorruptCheckpoint(t *testing.T) {
-	// doctor overwrites one component of the file's last vector (the
-	// graph-free container ends with the last segment's last row).
-	doctor := func(bits uint32) func(*testing.T, string) {
-		return func(t *testing.T, idx string) {
-			b, err := os.ReadFile(idx)
+	rewrite := func(name string, edit func([]byte) []byte) func(*testing.T, string) {
+		return func(t *testing.T, cpDir string) {
+			path := filepath.Join(cpDir, name)
+			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			binary.LittleEndian.PutUint32(b[len(b)-4*embed.Dim+4*9:], bits)
-			if err := os.WriteFile(idx, b, 0o644); err != nil {
+			edited := edit(bytes.Clone(b))
+			if bytes.Equal(edited, b) {
+				t.Fatalf("edit left %s unchanged", name)
+			}
+			if err := os.WriteFile(path, edited, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for name, corrupt := range map[string]func(*testing.T, string){
-		"garbage": func(t *testing.T, idx string) {
-			if err := os.WriteFile(idx, []byte("garbage"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"NaN component":  doctor(math.Float32bits(float32(math.NaN()))),
-		"+Inf component": doctor(math.Float32bits(float32(math.Inf(1)))),
+	for _, tc := range []struct {
+		name    string
+		ann     bool
+		corrupt func(t *testing.T, cpDir string)
+	}{
+		{"garbage", false, rewrite(triplesName, func([]byte) []byte { return []byte("garbage") })},
+		{"flipped byte in an object", false, rewrite(triplesName, func(b []byte) []byte {
+			return bytes.Replace(b, []byte("<Expedition cp1-1>"), []byte("<Xxpedition cp1-1>"), 1)
+		})},
+		{"truncated graph", true, rewrite(graphName, func(b []byte) []byte { return b[:len(b)-5] })},
+		{"ann_nodes mismatch", true, rewrite(manifestName, func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"ann_nodes":10`), []byte(`"ann_nodes":12`), 1)
+		})},
 	} {
-		t.Run(name, func(t *testing.T) { testRecoverSkipsCorruptCheckpoint(t, corrupt) })
+		t.Run(tc.name, func(t *testing.T) { testRecoverSkipsCorruptCheckpoint(t, tc.ann, tc.corrupt) })
 	}
 }
 
-func testRecoverSkipsCorruptCheckpoint(t *testing.T, corrupt func(t *testing.T, indexPath string)) {
+func testRecoverSkipsCorruptCheckpoint(t *testing.T, ann bool, corrupt func(t *testing.T, cpDir string)) {
 	dir := t.TempDir()
 	cfg := durableConfig(t, dir)
+	cfg.ANN.Enabled = ann
 	m1 := recoverTestManager(t, 10, cfg)
 	ingestN(t, m1, 2, "cp1")
 	if _, err := m1.Checkpoint(context.Background()); err != nil {
@@ -276,12 +282,12 @@ func testRecoverSkipsCorruptCheckpoint(t *testing.T, corrupt func(t *testing.T, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the newest checkpoint's index. Pruning removed the older
+	// Corrupt the newest checkpoint. Pruning removed the older
 	// checkpoint, so recovery must fall back to the seed + WAL... but the
 	// WAL was truncated through info2.Epoch. To keep this recoverable we
 	// corrupt AND restore a full WAL, as a crash between "checkpoint
 	// written" and "WAL truncated" would leave it.
-	corrupt(t, filepath.Join(info2.Path, indexName))
+	corrupt(t, info2.Path)
 	walPath := filepath.Join(dir, "wikidata", walName)
 	var buf bytes.Buffer
 	buf.Write(walMagic[:])
@@ -291,7 +297,7 @@ func testRecoverSkipsCorruptCheckpoint(t *testing.T, corrupt func(t *testing.T, 
 		{Subject: "Ingested cp2 0", Relation: "discovered in", Object: "Expedition cp2-0"},
 		{Subject: "Ingested cp2 1", Relation: "discovered in", Object: "Expedition cp2-1"},
 	} {
-		buf.Write(frameRecord(encodeWALPayload(uint64(i+2), []kg.Triple{tr})))
+		buf.Write(AppendFrame(nil, encodeWALPayload(uint64(i+2), []kg.Triple{tr})))
 	}
 	if err := os.WriteFile(walPath, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
@@ -305,6 +311,9 @@ func testRecoverSkipsCorruptCheckpoint(t *testing.T, corrupt func(t *testing.T, 
 	}
 	if got := m2.Current().Store.Len(); got != 14 {
 		t.Fatalf("recovered %d triples, want 14", got)
+	}
+	if !m2.Current().Store.Contains(kg.Triple{Subject: "Ingested cp1 1", Relation: "discovered in", Object: "Expedition cp1-1"}) {
+		t.Fatal("recovered substrate does not hold the fact as it was ingested")
 	}
 	if m2.Epoch() < info2.Epoch {
 		t.Fatalf("epoch regressed past corrupt checkpoint: %d < %d", m2.Epoch(), info2.Epoch)

@@ -66,8 +66,9 @@ var (
 // substrate's pre-crash state from disk before serving:
 //
 //  1. Load the newest checkpoint under Dir/<source>/ that fully
-//     validates (manifest, triples, index); fall back to older ones,
-//     then to the seed store, when newer ones are corrupt.
+//     validates (manifest, content hashes, triples, graph) and rebuild
+//     its index segments; fall back to older ones, then to the seed
+//     store, when newer ones are corrupt.
 //  2. Replay the WAL tail — every record with an epoch past the
 //     checkpoint's — through the normal ingest path, re-encoding delta
 //     index segments. Torn tail records (incomplete frame or checksum
@@ -98,7 +99,7 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 		dir:     dir,
 	}
 
-	cp, skipped := loadNewestCheckpoint(dir, enc)
+	cp, skipped := loadNewestCheckpoint(dir, enc, cfg.ShardSize)
 	for _, err := range skipped {
 		log.Printf("substrate[%s]: skipping invalid checkpoint: %v", seed.Source(), err)
 	}
@@ -114,12 +115,12 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 			if cp.ann != nil {
 				// Reload: the persisted graph binds to a prefix of the
 				// checkpoint shards (checkpoints flatten base + delta, so
-				// former delta segments surface as uncovered tail shards
-				// that stay exact-scanned until the next compaction).
+				// the former delta surfaces as uncovered tail shards that
+				// stay exact-scanned until the next compaction).
 				m.baseANN = cp.ann
 			} else {
-				// ANN newly enabled over an older checkpoint: build the
-				// graph at boot.
+				// ANN newly enabled over a checkpoint written without a
+				// graph file (ANN was off, or format 1): build it at boot.
 				m.baseANN = vecstore.BuildHNSW(enc, cp.store.All(), cfg.ANN.hnswConfig())
 			}
 		}
@@ -262,18 +263,17 @@ func (m *Manager) checkpointLoop(every time.Duration) {
 type CheckpointInfo struct {
 	// Epoch is the snapshot epoch the checkpoint captured.
 	Epoch uint64 `json:"epoch"`
-	// Triples / Shards describe the persisted snapshot.
+	// Triples is the persisted snapshot's triple count.
 	Triples int `json:"triples"`
-	Shards  int `json:"shards"`
 	// Path is the checkpoint directory on disk.
 	Path string `json:"path"`
 }
 
-// Checkpoint atomically persists the current snapshot as a paired
-// (triples.nt, index.bin) checkpoint, then truncates the WAL up to the
+// Checkpoint atomically persists the current snapshot (triples.nt, plus
+// graph.bin when a graph exists), then truncates the WAL up to the
 // checkpointed epoch and prunes older checkpoints. The snapshot and its
-// index segments are captured under the writer lock, but all file I/O
-// runs outside it, so ingest stays live while a checkpoint writes.
+// graph are captured under the writer lock, but all file I/O runs
+// outside it, so ingest stays live while a checkpoint writes.
 // Returns ErrNotDurable on memory-only managers and ErrCheckpointing
 // when another checkpoint is in flight.
 func (m *Manager) Checkpoint(ctx context.Context) (CheckpointInfo, error) {
@@ -288,9 +288,8 @@ func (m *Manager) Checkpoint(ctx context.Context) (CheckpointInfo, error) {
 	m.checkpointing = true
 	// cur always reflects the master state while m.mu is held (every
 	// mutation republishes before releasing the lock), so the snapshot
-	// and the segment list captured here are one consistent pair.
+	// and the graph captured here are one consistent pair.
 	snap := m.cur.Load()
-	shards := append(append([]*vecstore.Index(nil), m.baseShards...), m.deltaSegs...)
 	ann := m.baseANN
 	m.mu.Unlock()
 	defer func() {
@@ -302,7 +301,7 @@ func (m *Manager) Checkpoint(ctx context.Context) (CheckpointInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return CheckpointInfo{}, err
 	}
-	path, err := writeCheckpoint(m.dir, snap.Epoch, snap.Store.Source(), snap.Store.All(), shards, ann)
+	path, err := writeCheckpoint(m.dir, snap.Epoch, snap.Store.Source(), snap.Store.All(), ann)
 	if err != nil {
 		return CheckpointInfo{}, err
 	}
@@ -321,7 +320,6 @@ func (m *Manager) Checkpoint(ctx context.Context) (CheckpointInfo, error) {
 	return CheckpointInfo{
 		Epoch:   snap.Epoch,
 		Triples: snap.Store.Len(),
-		Shards:  len(shards),
 		Path:    path,
 	}, nil
 }

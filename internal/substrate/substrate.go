@@ -40,11 +40,14 @@
 // # Durability
 //
 // Config.Durability enables persistence: an ingest WAL (wal.go) bounded
-// by atomic (triples.nt, index.bin) checkpoints (checkpoint.go), written
-// on compaction, on a timer, and on demand. Build durable managers with
-// Recover, which loads the newest valid checkpoint, replays the WAL tail
-// through the normal ingest path, and drops torn tail records by
-// checksum (recover.go). Close a durable manager on shutdown.
+// by atomic checkpoints (checkpoint.go) — the snapshot's triples, a
+// manifest with their hash, and the HNSW adjacency when there is a
+// graph; vectors are derived from the triples and never stored —
+// written on compaction, on a timer, and on demand. Build durable
+// managers with Recover, which loads the newest valid checkpoint,
+// re-encodes its index segments, replays the WAL tail through the normal
+// ingest path, and drops torn tail records by checksum (recover.go).
+// Close a durable manager on shutdown.
 package substrate
 
 import (

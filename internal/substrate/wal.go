@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -63,10 +62,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // walMagic opens every WAL file; the version byte bumps on incompatible
 // record-format changes.
 var walMagic = [8]byte{'P', 'G', 'A', 'K', 'W', 'A', 'L', 1}
-
-// maxWALPayload bounds one record's payload so a corrupted length prefix
-// fails cleanly instead of attempting a huge read.
-const maxWALPayload = 64 << 20
 
 // walRecord is one logged publish: the epoch the publish created and the
 // triples it added (empty for epoch markers, e.g. compaction publishes).
@@ -129,15 +124,6 @@ func decodeWALPayload(p []byte) (walRecord, error) {
 	return rec, nil
 }
 
-// frameRecord wraps a payload in its [u32 length][u32 crc32] header.
-func frameRecord(payload []byte) []byte {
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	return frame
-}
-
 // wal is the ingest write-ahead log: an append-only file of checksummed,
 // length-prefixed records, one per published ingest batch (plus zero-triple
 // epoch markers for compaction publishes). Appends happen under the
@@ -192,10 +178,10 @@ func openWAL(path string, policy SyncPolicy) (*wal, error) {
 // in-memory state, so a failed append leaves nothing to roll back.
 func (w *wal) append(epoch uint64, triples []kg.Triple) error {
 	payload := encodeWALPayload(epoch, triples)
-	if len(payload) > maxWALPayload {
-		return fmt.Errorf("substrate: wal record of %d bytes exceeds the %d-byte limit", len(payload), maxWALPayload)
+	if len(payload) > MaxFramePayload {
+		return fmt.Errorf("substrate: wal record of %d bytes exceeds the %d-byte limit", len(payload), MaxFramePayload)
 	}
-	frame := frameRecord(payload)
+	frame := AppendFrame(nil, payload)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -284,7 +270,7 @@ func (w *wal) truncateThrough(through uint64) error {
 		if rec.epoch <= through {
 			continue
 		}
-		if _, err := nf.Write(frameRecord(encodeWALPayload(rec.epoch, rec.triples))); err != nil {
+		if _, err := nf.Write(AppendFrame(nil, encodeWALPayload(rec.epoch, rec.triples))); err != nil {
 			nf.Close()
 			return fmt.Errorf("substrate: wal truncate: %w", err)
 		}
@@ -366,24 +352,11 @@ func replayWAL(path string) (recs []walRecord, validBytes int64, torn int, err e
 	}
 	validBytes = int64(len(walMagic))
 	for {
-		var head [8]byte
-		_, err := io.ReadFull(f, head[:])
-		if errors.Is(err, io.EOF) {
+		payload, err := ReadFrame(f)
+		if err == io.EOF {
 			return recs, validBytes, torn, nil
 		}
 		if err != nil {
-			return recs, validBytes, torn + 1, nil
-		}
-		n := binary.LittleEndian.Uint32(head[:4])
-		sum := binary.LittleEndian.Uint32(head[4:8])
-		if n > maxWALPayload {
-			return recs, validBytes, torn + 1, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return recs, validBytes, torn + 1, nil
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
 			return recs, validBytes, torn + 1, nil
 		}
 		rec, err := decodeWALPayload(payload)

@@ -414,71 +414,64 @@ func (h *HNSW) Stats() Stats {
 
 var _ Searcher = (*HNSW)(nil)
 
-// hnswMagic identifies the persisted graph record; the version byte
-// bumps on incompatible changes.
+// hnswMagic opens a persisted graph (a checkpoint's graph.bin); the
+// version byte bumps on incompatible changes.
 var hnswMagic = [8]byte{'P', 'G', 'A', 'K', 'V', 'H', 'N', 1}
 
-// writeGraphTo serialises the graph structure only — config, entry
-// point and adjacency lists. Vectors and triples are not duplicated:
-// inside the shards container the graph always covers a prefix of the
-// exact segments, and the reader rebinds node i to combined triple i.
-func (h *HNSW) writeGraphTo(w io.Writer) (int64, error) {
+// WriteGraph serialises the graph structure only — config, entry point
+// and adjacency lists, the one part of a vector substrate that is
+// expensive to rebuild. Triples and vectors are not written: node i is
+// triple i of the set the graph was built over, and ReadGraph rebinds it
+// to segments rebuilt from those triples.
+func (h *HNSW) WriteGraph(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	var written int64
-	count := func(n int, err error) error {
-		written += int64(n)
-		return err
-	}
-	writeU32 := func(v uint32) error {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], v)
-		return count(bw.Write(buf[:]))
-	}
-	if err := count(bw.Write(hnswMagic[:])); err != nil {
-		return written, fmt.Errorf("vecstore: write hnsw: %w", err)
-	}
-	var head [28]byte
-	binary.LittleEndian.PutUint32(head[0:], uint32(len(h.triples)))
-	binary.LittleEndian.PutUint32(head[4:], uint32(embed.Dim))
-	binary.LittleEndian.PutUint32(head[8:], uint32(h.cfg.M))
-	binary.LittleEndian.PutUint32(head[12:], uint32(h.cfg.EfConstruction))
-	binary.LittleEndian.PutUint32(head[16:], uint32(h.cfg.EfSearch))
-	binary.LittleEndian.PutUint32(head[20:], uint32(h.entry))
-	binary.LittleEndian.PutUint32(head[24:], uint32(h.maxLevel))
-	if err := count(bw.Write(head[:])); err != nil {
-		return written, fmt.Errorf("vecstore: write hnsw header: %w", err)
-	}
-	var seed [8]byte
-	binary.LittleEndian.PutUint64(seed[:], uint64(h.cfg.Seed))
-	if err := count(bw.Write(seed[:])); err != nil {
-		return written, fmt.Errorf("vecstore: write hnsw seed: %w", err)
-	}
-	for i, layers := range h.links {
-		if err := writeU32(uint32(len(layers))); err != nil {
-			return written, fmt.Errorf("vecstore: write hnsw node %d: %w", i, err)
+	var buf [4 * 9]byte
+	writeU32s := func(vs ...uint32) {
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(buf[4*i:], v)
 		}
+		bw.Write(buf[:4*len(vs)]) // a failed write sticks and surfaces at Flush
+	}
+	bw.Write(hnswMagic[:])
+	seed := uint64(h.cfg.Seed)
+	writeU32s(uint32(len(h.triples)), uint32(embed.Dim), uint32(h.cfg.M), uint32(h.cfg.EfConstruction),
+		uint32(h.cfg.EfSearch), uint32(h.entry), uint32(h.maxLevel), uint32(seed), uint32(seed>>32))
+	for _, layers := range h.links {
+		writeU32s(uint32(len(layers)))
 		for _, ids := range layers {
-			if err := writeU32(uint32(len(ids))); err != nil {
-				return written, fmt.Errorf("vecstore: write hnsw node %d: %w", i, err)
-			}
+			writeU32s(uint32(len(ids)))
 			for _, id := range ids {
-				if err := writeU32(uint32(id)); err != nil {
-					return written, fmt.Errorf("vecstore: write hnsw node %d: %w", i, err)
-				}
+				writeU32s(uint32(id))
 			}
 		}
 	}
 	if err := bw.Flush(); err != nil {
-		return written, fmt.Errorf("vecstore: flush hnsw: %w", err)
+		return fmt.Errorf("vecstore: write hnsw: %w", err)
 	}
-	return written, nil
+	return nil
 }
 
-// readGraphFrom loads a writeGraphTo stream. The returned graph has no
-// triples, vectors or encoder bound yet — the container reader
-// materialises those from the exact segments the graph covers. Every
-// structural field is validated so any truncated or corrupted prefix
-// fails cleanly.
+// ReadGraph loads a WriteGraph stream and binds it to segs: the graph
+// must cover a prefix of the concatenated segments ending exactly on a
+// segment boundary, and node i takes the triple and vector of combined
+// row i. The segments must index, in order, the triples the graph was
+// built over (the substrate rebuilds them from the same checkpoint's
+// triples.nt) and have been built with enc.
+func ReadGraph(r io.Reader, enc *embed.Encoder, segs []*Index) (*HNSW, error) {
+	g, err := readGraphFrom(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := bindGraph(g, segs, enc); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// readGraphFrom loads a WriteGraph stream. The returned graph has no
+// triples, vectors or encoder bound yet — bindGraph materialises those
+// from the exact segments the graph covers. Every structural field is
+// validated so any truncated or corrupted prefix fails cleanly.
 func readGraphFrom(r io.Reader) (*HNSW, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -531,9 +524,9 @@ func readGraphFrom(r io.Reader) (*HNSW, error) {
 		}
 		return binary.LittleEndian.Uint32(buf[:]), nil
 	}
-	// Grow incrementally instead of trusting the node count up front,
-	// same discipline as ReadFrom: corruption fails at the first short
-	// read, never as a giant allocation.
+	// Grow incrementally instead of trusting the node count up front:
+	// corruption fails at the first short read, never as a giant
+	// allocation.
 	const preallocCap = 1 << 16
 	h.links = make([][][]int32, 0, min(int(nodes), preallocCap))
 	for i := 0; i < int(nodes); i++ {
@@ -585,4 +578,32 @@ func readGraphFrom(r io.Reader) (*HNSW, error) {
 		}
 	}
 	return h, nil
+}
+
+// bindGraph materialises a freshly-read graph's triples and vectors
+// from the segment prefix it covers, expanding the segments' packed rows
+// into the dense vectors the graph scores.
+func bindGraph(g *HNSW, segs []*Index, enc *embed.Encoder) error {
+	nodes := len(g.links)
+	g.enc = enc
+	g.triples = make([]kg.Triple, 0, nodes)
+	g.vecs = make([]embed.Vector, 0, nodes)
+	for _, sh := range segs {
+		if len(g.triples) == nodes {
+			break
+		}
+		if len(g.triples)+sh.Len() > nodes {
+			return fmt.Errorf("vecstore: hnsw graph covers %d triples, not a segment boundary", nodes)
+		}
+		g.triples = append(g.triples, sh.triples...)
+		for r := range sh.triples {
+			var v embed.Vector
+			sh.rows.expand(r, &v)
+			g.vecs = append(g.vecs, v)
+		}
+	}
+	if len(g.triples) != nodes {
+		return fmt.Errorf("vecstore: hnsw graph covers %d triples but segments hold %d", nodes, len(g.triples))
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package vecstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/embed"
@@ -79,10 +80,10 @@ func TestHNSWDeterministicBuild(t *testing.T) {
 	a := BuildHNSW(enc, corpus(800), HNSWConfig{})
 	b := BuildHNSW(enc, corpus(800), HNSWConfig{})
 	var bufA, bufB bytes.Buffer
-	if _, err := a.writeGraphTo(&bufA); err != nil {
+	if err := a.WriteGraph(&bufA); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.writeGraphTo(&bufB); err != nil {
+	if err := b.WriteGraph(&bufB); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
@@ -159,100 +160,108 @@ func TestHNSWNarrowBeamReturnsFewer(t *testing.T) {
 	}
 }
 
-// TestShardsHNSWRoundTrip: the v2 container carries the graph next to
-// the exact segments, rebinding graph nodes to the renumbered combined
-// ID space without storing vectors twice.
-func TestShardsHNSWRoundTrip(t *testing.T) {
-	enc := embed.NewEncoder()
-	triples := corpus(200)
-	shards := BuildShards(enc, triples, 64)
-	g := BuildHNSW(enc, corpus(200), HNSWConfig{})
+// graphBytes is WriteGraph into memory.
+func graphBytes(t testing.TB, g *HNSW) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if _, err := WriteShardsHNSW(&buf, shards, g); err != nil {
+	if err := g.WriteGraph(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loadedShards, loaded, err := ReadShardsHNSW(bytes.NewReader(buf.Bytes()), enc)
+	return buf.Bytes()
+}
+
+// TestGraphRoundTrip: a persisted graph holds adjacency only; ReadGraph
+// rebinds node i to row i of segments rebuilt from the same triples, and
+// the reloaded graph answers like the one that was written.
+func TestGraphRoundTrip(t *testing.T) {
+	enc := embed.NewEncoder()
+	g := BuildHNSW(enc, corpus(200), HNSWConfig{})
+	// Four covered segments, then an uncovered tail the binder leaves alone.
+	segs := append(BuildShards(enc, corpus(200), 64), BuildTriples(enc, corpus(30)))
+	loaded, err := ReadGraph(bytes.NewReader(graphBytes(t, g)), enc, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loadedShards) != len(shards) {
-		t.Fatalf("%d shards, want %d", len(loadedShards), len(shards))
-	}
-	if loaded == nil || loaded.Len() != g.Len() {
-		t.Fatalf("graph did not round trip: %v", loaded)
+	if loaded.Len() != g.Len() || loaded.Config() != g.Config() {
+		t.Fatalf("graph did not round trip: %d nodes %+v, want %d %+v", loaded.Len(), loaded.Config(), g.Len(), g.Config())
 	}
 	for _, q := range []string{"Lake Superior 0 area", "Beijing 4 population"} {
-		want := hitKeys(g.Search(q, 10))
-		got := hitKeys(loaded.Search(q, 10))
-		if !equalStrings(got, want) {
-			t.Errorf("%q: reloaded graph answers differ:\n got %v\nwant %v", q, got, want)
+		want, got := g.Search(q, 10), loaded.Search(q, 10)
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d hits, want %d", q, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Triple.Key() != want[i].Triple.Key() || got[i].Score != want[i].Score {
+				t.Errorf("%q hit %d: reloaded %v@%g, built %v@%g", q, i, got[i].Triple, got[i].Score, want[i].Triple, want[i].Score)
+			}
 		}
 	}
-	// Node i must be bound to combined triple i.
 	for i, tr := range loaded.triples {
-		if tr.ID != i {
-			t.Fatalf("graph triple %d has ID %d after renumbering", i, tr.ID)
+		if tr.Key() != g.triples[i].Key() || loaded.vecs[i] != g.vecs[i] {
+			t.Fatalf("graph node %d bound to %v, built over %v", i, tr, g.triples[i])
 		}
 	}
-}
-
-// TestWriteShardsHNSWNilGraphIsV1: without a graph the writer emits the
-// v1 container byte for byte, so enabling the ANN build path cannot
-// perturb existing checkpoints.
-func TestWriteShardsHNSWNilGraphIsV1(t *testing.T) {
-	enc := embed.NewEncoder()
-	shards := BuildShards(enc, corpus(50), 16)
-	var v1, v2 bytes.Buffer
-	if _, err := WriteShards(&v1, shards); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteShardsHNSW(&v2, shards, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v1.Bytes(), v2.Bytes()) {
-		t.Fatal("nil-graph WriteShardsHNSW differs from WriteShards")
+	if !bytes.Equal(graphBytes(t, loaded), graphBytes(t, g)) {
+		t.Error("write → read → write changed the bytes")
 	}
 }
 
-// TestReadShardsDropsGraph: legacy callers reading a v2 container get
-// the exact segments and silently lose the graph — never an error.
-func TestReadShardsDropsGraph(t *testing.T) {
+// TestReadGraphEveryPrefixFailsCleanly is the persistence robustness
+// contract: every strict prefix of a valid graph file must error, never
+// panic or load short.
+func TestReadGraphEveryPrefixFailsCleanly(t *testing.T) {
 	enc := embed.NewEncoder()
-	shards := BuildShards(enc, corpus(100), 32)
-	g := BuildHNSW(enc, corpus(100), HNSWConfig{})
-	var buf bytes.Buffer
-	if _, err := WriteShardsHNSW(&buf, shards, g); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadShards(bytes.NewReader(buf.Bytes()), enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != len(shards) {
-		t.Fatalf("%d shards, want %d", len(loaded), len(shards))
-	}
-}
-
-// TestReadShardsHNSWEveryPrefixFailsCleanly extends the persistence
-// robustness contract to the v2 container: every strict prefix must
-// error, never panic or load short.
-func TestReadShardsHNSWEveryPrefixFailsCleanly(t *testing.T) {
-	enc := embed.NewEncoder()
-	triples := corpus(12)
-	shards := BuildShards(enc, triples, 4)
-	g := BuildHNSW(enc, corpus(12), HNSWConfig{})
-	var buf bytes.Buffer
-	if _, err := WriteShardsHNSW(&buf, shards, g); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	segs := BuildShards(enc, corpus(12), 4)
+	full := graphBytes(t, BuildHNSW(enc, corpus(12), HNSWConfig{}))
 	for i := 0; i < len(full); i++ {
-		if _, _, err := ReadShardsHNSW(bytes.NewReader(full[:i]), enc); err == nil {
+		if _, err := ReadGraph(bytes.NewReader(full[:i]), enc, segs); err == nil {
 			t.Fatalf("prefix of %d/%d bytes loaded without error", i, len(full))
 		}
 	}
-	if _, _, err := ReadShardsHNSW(bytes.NewReader(full), enc); err != nil {
-		t.Fatalf("full container failed to load: %v", err)
+	if _, err := ReadGraph(bytes.NewReader(full), enc, segs); err != nil {
+		t.Fatalf("full file failed to load: %v", err)
+	}
+}
+
+// TestReadGraphRejectsBrokenStructure doctors one field at a time of a
+// valid file: traversal indexes links[neighbor][layer] unchecked, so the
+// reader must refuse anything that would send it out of range.
+func TestReadGraphRejectsBrokenStructure(t *testing.T) {
+	enc := embed.NewEncoder()
+	segs := BuildShards(enc, corpus(12), 4)
+	g := BuildHNSW(enc, corpus(12), HNSWConfig{})
+	good := graphBytes(t, g)
+	// Header: magic[8] nodes[4] dim M efC efS entry maxLevel seed[8]; then per
+	// node: layer count, and per layer: neighbor count, ids.
+	const (
+		offDim      = 12
+		offM        = 16
+		offEntry    = 28
+		offMaxLevel = 32
+		offNode0    = 44
+	)
+	if len(g.links[0]) != 1 || len(g.links[0][0]) == 0 {
+		t.Fatalf("corpus drew node 0 above layer 0 or without neighbors: %v", g.links[0])
+	}
+	for name, doctor := range map[string]func(b []byte){
+		"magic":                  func(b []byte) { b[7] = 9 },
+		"dimension":              func(b []byte) { binary.LittleEndian.PutUint32(b[offDim:], embed.Dim+1) },
+		"M of one":               func(b []byte) { binary.LittleEndian.PutUint32(b[offM:], 1) },
+		"entry out of range":     func(b []byte) { binary.LittleEndian.PutUint32(b[offEntry:], 12) },
+		"max level out of range": func(b []byte) { binary.LittleEndian.PutUint32(b[offMaxLevel:], maxHNSWLevel+1) },
+		"entry below max level":  func(b []byte) { binary.LittleEndian.PutUint32(b[offMaxLevel:], maxHNSWLevel) },
+		"node without layers":    func(b []byte) { binary.LittleEndian.PutUint32(b[offNode0:], 0) },
+		"neighbor count":         func(b []byte) { binary.LittleEndian.PutUint32(b[offNode0+4:], 13) },
+		"neighbor id":            func(b []byte) { binary.LittleEndian.PutUint32(b[offNode0+8:], 12) },
+		// Node 0 claims a second layer it has no list for: the stream
+		// shifts and some later field lands out of range or short.
+		"layer count": func(b []byte) { binary.LittleEndian.PutUint32(b[offNode0:], 2) },
+	} {
+		bad := bytes.Clone(good)
+		doctor(bad)
+		if _, err := ReadGraph(bytes.NewReader(bad), enc, segs); err == nil {
+			t.Errorf("%s: doctored graph loaded", name)
+		}
 	}
 }
 
@@ -260,15 +269,38 @@ func TestReadShardsHNSWEveryPrefixFailsCleanly(t *testing.T) {
 // a segment boundary is corrupt and must be rejected at load.
 func TestBindGraphRejectsMisalignedBoundary(t *testing.T) {
 	enc := embed.NewEncoder()
-	shards := BuildShards(enc, corpus(100), 32) // boundaries at 32, 64, 96, 100
-	g := BuildHNSW(enc, corpus(50), HNSWConfig{})
-	var buf bytes.Buffer
-	if _, err := WriteShardsHNSW(&buf, shards, g); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadShardsHNSW(bytes.NewReader(buf.Bytes()), enc); err == nil {
+	segs := BuildShards(enc, corpus(100), 32) // boundaries at 32, 64, 96, 100
+	file := graphBytes(t, BuildHNSW(enc, corpus(50), HNSWConfig{}))
+	if _, err := ReadGraph(bytes.NewReader(file), enc, segs); err == nil {
 		t.Fatal("misaligned graph boundary accepted")
 	}
+	if _, err := ReadGraph(bytes.NewReader(file), enc, segs[:1]); err == nil {
+		t.Fatal("graph larger than the segments accepted")
+	}
+}
+
+// FuzzReadGraph: graph.bin is read from disk and from bootstrap tarballs.
+// Whatever the bytes, the reader must not panic, and a graph it accepts
+// must be safe to search. Seeds: the three below, and under
+// testdata/fuzz/FuzzReadGraph the graph.bin of a checkpoint a durable
+// -ann substrate manager wrote over twelve triples.
+func FuzzReadGraph(f *testing.F) {
+	enc := embed.NewEncoder()
+	segs := BuildShards(enc, corpus(12), 4)
+	good := graphBytes(f, BuildHNSW(enc, corpus(12), HNSWConfig{}))
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte("garbage"))
+	qv := enc.Encode("Lake Superior 3 area")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadGraph(bytes.NewReader(data), enc, segs)
+		if err != nil {
+			return
+		}
+		if hits := g.SearchVectorEf(qv, 5, 16); len(hits) > g.Len() {
+			t.Fatalf("%d hits from %d nodes", len(hits), g.Len())
+		}
+	})
 }
 
 // TestHybridMatchesExact: with a full-width beam the hybrid's

@@ -10,7 +10,10 @@
 // a group holds the row's next non-zero dimension ≡ l (mod 4), ascending
 // per lane, short lanes padded with (0, +0.0). "Non-zero" means the
 // float32 bit pattern is not all zeros, so a row expands back to exactly
-// the dense vector it was packed from; on disk rows stay dense (WriteTo).
+// the dense vector it was packed from. Vectors are never on disk: a
+// triple's vector is a pure function of its text, so a restart re-encodes
+// (BuildShards) and only an HNSW graph's adjacency is persisted
+// (WriteGraph / ReadGraph).
 //
 // Bit-identity contract. A packed row scored against a query gives the
 // same float64, bit for bit, as embed.NormDot over the two dense vectors,
