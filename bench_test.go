@@ -327,39 +327,6 @@ func BenchmarkServeCacheColdVsWarm(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchDedup measures duplicate folding in answer.Batch: a batch
-// that repeats each distinct question 8x, with and without DedupIdentical.
-func BenchmarkBatchDedup(b *testing.B) {
-	env := sharedEnv(b)
-	ans, err := env.Answerer(bench.MethodCoT, bench.ModelGPT35, kg.SourceWikidata)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const repeats = 8
-	var queries []answer.Query
-	for _, q := range env.Suite.QALD.Questions[:4] {
-		for r := 0; r < repeats; r++ {
-			queries = append(queries, answer.Query{Text: q.Text})
-		}
-	}
-	for _, mode := range []struct {
-		name string
-		opts []answer.BatchOption
-	}{
-		{"naive", []answer.BatchOption{answer.Concurrency(4)}},
-		{"dedup", []answer.BatchOption{answer.Concurrency(4), answer.DedupIdentical()}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				items := answer.Batch(context.Background(), ans, queries, mode.opts...)
-				if err := answer.FirstError(items); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationPruneStrategy compares the paper's two-step pruning
 // against count-only and no pruning on QALD.
 func BenchmarkAblationPruneStrategy(b *testing.B) {

@@ -6,7 +6,8 @@
 //	benchrun -experiment all            # every table and figure
 //	benchrun -experiment table2         # main results only
 //	benchrun -experiment fig2 -quick    # fast, smaller environment
-//	benchrun -quick -out BENCH_quick.json   # also log a perf-trajectory artifact
+//	benchrun -experiment table2 -csv cells.csv   # also write every cell as CSV
+//	benchrun -experiment recall -out BENCH_recall.json   # ANN recall gate + its record
 package main
 
 import (
@@ -28,7 +29,7 @@ func main() {
 	workers := flag.Int("workers", 8, "evaluation parallelism")
 	timeout := flag.Duration("timeout", 0, "overall deadline for the run (0 = none)")
 	csvPath := flag.String("csv", "", "also write a machine-readable CSV of every Table II cell to this path")
-	outPath := flag.String("out", "", "also write a BENCH_*.json perf-trajectory artifact (per-method accuracy, latency p50/p95, token cost) to this path")
+	outPath := flag.String("out", "", "recall experiment: also write the run's BENCH_*.json record to this path")
 	recallN := flag.Int("recall-n", 0, "recall experiment: corpus size (0 = default 100000)")
 	recallQueries := flag.Int("recall-queries", 0, "recall experiment: probe count (0 = default 200)")
 	recallFloor := flag.Float64("recall-floor", 0.95, "recall experiment: minimum recall@k; below it the run exits non-zero (0 = no gate)")
@@ -37,6 +38,10 @@ func main() {
 	annEfc := flag.Int("ann-efc", 0, "recall experiment: HNSW efConstruction beam (0 = vecstore default)")
 	annEf := flag.Int("ann-ef", 0, "recall experiment: HNSW efSearch beam (0 = vecstore default)")
 	flag.Parse()
+	if err := checkOut(*experiment, *outPath); err != nil {
+		fmt.Fprintln(os.Stderr, "benchrun:", err)
+		os.Exit(2)
+	}
 
 	if *experiment == "recall" {
 		// Standalone: no environment to build, just the two indexes.
@@ -52,7 +57,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "benchrun:", werr)
 				os.Exit(1)
 			}
-			fmt.Println("perf-trajectory artifact written to", *outPath)
+			fmt.Println("recall artifact written to", *outPath)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchrun:", err)
@@ -67,13 +72,23 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if err := run(ctx, *experiment, *quick, *seed, *workers, *csvPath, *outPath); err != nil {
+	if err := run(ctx, *experiment, *quick, *seed, *workers, *csvPath); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, experiment string, quick bool, seed int64, workers int, csvPath, outPath string) error {
+// checkOut rejects -out beside any experiment but recall: only the recall
+// gate has a record to write, and a flag that is accepted and then
+// ignored reads as an artifact that was never produced.
+func checkOut(experiment, outPath string) error {
+	if outPath != "" && experiment != "recall" {
+		return fmt.Errorf("-out is written by -experiment recall only (got -experiment %s); -csv writes the tables' cells", experiment)
+	}
+	return nil
+}
+
+func run(ctx context.Context, experiment string, quick bool, seed int64, workers int, csvPath string) error {
 	cfg := bench.DefaultEnvConfig()
 	if quick {
 		cfg = bench.QuickEnvConfig()
@@ -134,33 +149,24 @@ func run(ctx context.Context, experiment string, quick bool, seed int64, workers
 		return err
 	}
 
-	if csvPath != "" || outPath != "" {
+	if csvPath != "" {
 		report, err := collectTable2Report(ctx, env)
 		if err != nil {
 			return err
 		}
-		if csvPath != "" {
-			if err := writeTo(csvPath, report.WriteCSV); err != nil {
-				return err
-			}
-			fmt.Println("CSV report written to", csvPath)
+		if err := writeTo(csvPath, report.WriteCSV); err != nil {
+			return err
 		}
-		if outPath != "" {
-			art := bench.BuildPerf(env, report, quick, time.Now())
-			if err := writeTo(outPath, art.Write); err != nil {
-				return err
-			}
-			fmt.Println("perf-trajectory artifact written to", outPath)
-		}
+		fmt.Println("CSV report written to", csvPath)
 	}
 	return nil
 }
 
 // collectTable2Report re-runs every Table II cell plus the scenario-pack
 // cells through the Report collector (cells are cheap; the environment is
-// already warm) for the machine-readable outputs.
+// already warm) for the CSV.
 func collectTable2Report(ctx context.Context, env *bench.Env) (*bench.Report, error) {
-	r := &bench.Report{Title: "table2"}
+	r := &bench.Report{}
 	for _, model := range []string{bench.ModelGPT35, bench.ModelGPT4} {
 		for _, method := range []string{bench.MethodToG, bench.MethodIO, bench.MethodCoT, bench.MethodSC, bench.MethodRAG, bench.MethodOurs} {
 			for _, ds := range []string{"SimpleQuestions", "QALD", "NatureQuestions"} {

@@ -1,17 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/llm"
-	"repro/internal/loadgen"
+	"repro/internal/metrics"
 	"repro/internal/racedetect"
 	"repro/internal/world"
 )
@@ -81,12 +86,77 @@ func overloadQuestions(env *bench.Env, n int) []string {
 	return out
 }
 
+// burst is one closed-loop run's client-side account: the two outcomes
+// counted and their latencies (ms) kept apart, because shedding works
+// only if a refusal is far cheaper than service and one folded
+// distribution would hide that.
+type burst struct {
+	mu                sync.Mutex
+	ok, rejected      int64
+	accepted, refused []float64
+}
+
+// closedLoopBurst keeps `clients` workers each with one /v1/answer
+// outstanding until `requests` have been issued, walking the question
+// pool round-robin. Anything that is neither a 2xx nor a 429 carrying
+// Retry-After fails the test.
+func closedLoopBurst(t *testing.T, baseURL, method, model string, questions []string, clients, requests int) *burst {
+	t.Helper()
+	b := &burst{}
+	// One kept-alive connection per worker: with the default two idle
+	// connections per host most requests would dial, and dial time would
+	// drown the sub-millisecond refusals being measured.
+	httpc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer httpc.CloseIdleConnections()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				n := int(next.Add(1))
+				if n > requests {
+					return
+				}
+				body, _ := json.Marshal(answerRequest{queryItem: queryItem{Question: questions[n%len(questions)]}, Method: method, Model: model})
+				start := time.Now()
+				resp, err := httpc.Post(baseURL+"/v1/answer", "application/json", bytes.NewReader(body))
+				ms := float64(time.Since(start)) / float64(time.Millisecond)
+				if err != nil {
+					t.Errorf("request %d: %v", n, err)
+					continue
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				b.mu.Lock()
+				switch {
+				case resp.StatusCode == http.StatusOK:
+					b.ok++
+					b.accepted = append(b.accepted, ms)
+				case resp.StatusCode == http.StatusTooManyRequests && resp.Header.Get("Retry-After") != "":
+					b.rejected++
+					b.refused = append(b.refused, ms)
+				default:
+					t.Errorf("request %d: status %d (Retry-After %q): neither served nor cleanly refused",
+						n, resp.StatusCode, resp.Header.Get("Retry-After"))
+				}
+				b.mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	sort.Float64s(b.accepted)
+	sort.Float64s(b.refused)
+	return b
+}
+
 // TestOverloadShedsFastAndServesTheRest is the overload chaos test: a
 // closed-loop burst of 16 clients hammers a server whose admission gate
 // allows 2 in flight plus a queue of 2. The contract under overload:
-// every refusal is a 429 carrying Retry-After (loadgen counts a missing
-// header as an error), every admitted request completes, the controller's
-// books balance exactly, and shedding is far cheaper than service.
+// every refusal is a 429 carrying Retry-After, every admitted request
+// completes, the controller's books balance exactly — in memory and as
+// GET /v1/metrics reports them — and shedding is far cheaper than service.
 func TestOverloadShedsFastAndServesTheRest(t *testing.T) {
 	env := overloadEnv(t)
 	cfg := testConfig(30 * time.Second)
@@ -96,40 +166,27 @@ func TestOverloadShedsFastAndServesTheRest(t *testing.T) {
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
 
-	res, err := loadgen.Run(t.Context(), loadgen.Config{
-		BaseURL:   srv.URL,
-		Method:    "ours",
-		Model:     "gpt4", // the delayed client: service time dominates
-		Questions: overloadQuestions(env, 32),
-		Clients:   16,
-		Requests:  240,
-		Seed:      1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	const issued = 240
+	// gpt4 is the delayed client: service time dominates.
+	res := closedLoopBurst(t, srv.URL, "ours", "gpt4", overloadQuestions(env, 32), 16, issued)
+	if t.Failed() {
+		t.FailNow()
 	}
-
-	if res.Errors != 0 {
-		t.Fatalf("%d requests were neither served nor cleanly refused (429 without Retry-After, transport error, or 5xx)", res.Errors)
+	if res.ok == 0 || res.rejected == 0 {
+		t.Fatalf("burst did not exercise both outcomes: ok=%d rejected=%d", res.ok, res.rejected)
 	}
-	if res.Issued != 240 {
-		t.Fatalf("issued %d, want 240", res.Issued)
-	}
-	if res.OK == 0 || res.Rejected == 0 {
-		t.Fatalf("burst did not exercise both outcomes: ok=%d rejected=%d", res.OK, res.Rejected)
-	}
-	if res.OK+res.Rejected != res.Issued {
-		t.Fatalf("ok %d + rejected %d != issued %d", res.OK, res.Rejected, res.Issued)
+	if res.ok+res.rejected != issued {
+		t.Fatalf("ok %d + rejected %d != issued %d", res.ok, res.rejected, issued)
 	}
 
 	// The controller's books must balance with the client's view exactly:
 	// no rate limiter is configured, so every 429 is a shed.
 	st := server.admit.Stats()
-	if st.Shed != res.Rejected {
-		t.Fatalf("controller shed %d, clients saw %d rejections", st.Shed, res.Rejected)
+	if st.Shed != res.rejected {
+		t.Fatalf("controller shed %d, clients saw %d rejections", st.Shed, res.rejected)
 	}
-	if st.Admitted != res.OK {
-		t.Fatalf("controller admitted %d, clients saw %d successes", st.Admitted, res.OK)
+	if st.Admitted != res.ok {
+		t.Fatalf("controller admitted %d, clients saw %d successes", st.Admitted, res.ok)
 	}
 	if st.Limited != 0 {
 		t.Fatalf("limited = %d with no rate limiter", st.Limited)
@@ -138,22 +195,48 @@ func TestOverloadShedsFastAndServesTheRest(t *testing.T) {
 		t.Fatalf("gauges not drained: %+v", st)
 	}
 
+	// The same books on the wire, under the key names operators read,
+	// after a burst that really produced refusals.
+	resp, err := http.Get(srv.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wire struct {
+		AdmissionEnabled bool                       `json:"admission_enabled"`
+		Admission        map[string]json.RawMessage `json:"admission"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatalf("/v1/metrics: %v", err)
+	}
+	if !wire.AdmissionEnabled {
+		t.Error("/v1/metrics: admission_enabled is false on a server with an in-flight gate")
+	}
+	for key, want := range map[string]int64{"admitted": res.ok, "shed": res.rejected, "limited": 0, "queue_depth": 0, "in_flight": 0} {
+		var got int64
+		if b, ok := wire.Admission[key]; !ok {
+			t.Errorf("/v1/metrics: admission block has no %q", key)
+		} else if err := json.Unmarshal(b, &got); err != nil || got != want {
+			t.Errorf("/v1/metrics: admission.%s = %s, want %d", key, b, want)
+		}
+	}
+
 	// Shedding must be far cheaper than service: a refused request does
 	// no pipeline work. The typical refusal must sit well below the
 	// typical service; the tail contract — even the shed p99 below the
 	// accepted p50 — only holds in a normal build, because race-detector
 	// instrumentation inflates the client-side overhead that dominates
 	// sub-millisecond refusals.
-	if res.Refused.P50MS >= res.Accepted.P50MS {
-		t.Fatalf("shed p50 %.2fms >= accepted p50 %.2fms — refusals are not fast",
-			res.Refused.P50MS, res.Accepted.P50MS)
+	acceptedP50 := metrics.Percentile(res.accepted, 50)
+	refusedP50, refusedP99 := metrics.Percentile(res.refused, 50), metrics.Percentile(res.refused, 99)
+	if refusedP50 >= acceptedP50 {
+		t.Fatalf("shed p50 %.2fms >= accepted p50 %.2fms — refusals are not fast", refusedP50, acceptedP50)
 	}
-	if !racedetect.Enabled && res.Refused.P99MS >= res.Accepted.P50MS {
-		t.Fatalf("shed p99 %.2fms >= accepted p50 %.2fms — refusals are not fast",
-			res.Refused.P99MS, res.Accepted.P50MS)
+	if !racedetect.Enabled && refusedP99 >= acceptedP50 {
+		t.Fatalf("shed p99 %.2fms >= accepted p50 %.2fms — refusals are not fast", refusedP99, acceptedP50)
 	}
 	t.Logf("ok=%d rejected=%d accepted p50=%.2fms p99=%.2fms refused p99=%.2fms",
-		res.OK, res.Rejected, res.Accepted.P50MS, res.Accepted.P99MS, res.Refused.P99MS)
+		res.ok, res.rejected, acceptedP50, metrics.Percentile(res.accepted, 99), refusedP99)
 }
 
 // TestRateLimitedRequestsNeverReachTheLLM is the acceptance criterion

@@ -171,6 +171,9 @@ func TestChaosReplicaKillAndCatchUp(t *testing.T) {
 	if ws.LagRecords != 0 || !ws.Connected {
 		t.Fatalf("replica1 not fully caught up: %+v", ws)
 	}
+	if after.Replication.Role != "replica" || ws.AppliedEpoch < compacted.Epoch {
+		t.Fatalf("replica1 reports role %q at applied epoch %d; want a replica at or past epoch %d", after.Replication.Role, ws.AppliedEpoch, compacted.Epoch)
+	}
 	t.Logf("replica1 restarted: bootstrapped checkpoint epoch %d, applied %d tail record(s), epoch %d",
 		rec.CheckpointEpoch, ws.RecordsApplied, after.Substrates["wikidata"].Epoch)
 

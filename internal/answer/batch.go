@@ -25,7 +25,6 @@ type BatchItem struct {
 // batchOptions configure Batch.
 type batchOptions struct {
 	workers     int
-	dedup       bool
 	itemTimeout time.Duration
 }
 
@@ -46,21 +45,11 @@ func ItemTimeout(d time.Duration) BatchOption {
 	return func(o *batchOptions) { o.itemTimeout = d }
 }
 
-// DedupIdentical folds queries with the same DedupKey onto one
-// execution: the first occurrence runs, every duplicate receives a copy
-// of its outcome (result or error). Benchmark reruns and bursty serving
-// traffic repeat questions heavily, so this turns N identical pipeline
-// runs into one.
-func DedupIdentical() BatchOption {
-	return func(o *batchOptions) { o.dedup = true }
-}
-
 // Batch answers every query with a worker pool and per-item error
 // isolation: one failing query marks only its own item. Cancelling ctx
 // stops new work promptly — items not yet started are marked with the
 // context's error — and the returned slice always has one entry per input
-// query, in input order. With DedupIdentical, queries sharing a DedupKey
-// execute once and duplicates are answered from their leader's outcome.
+// query, in input order.
 func Batch(ctx context.Context, ans Answerer, queries []Query, opts ...BatchOption) []BatchItem {
 	o := batchOptions{workers: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
@@ -71,28 +60,6 @@ func Batch(ctx context.Context, ans Answerer, queries []Query, opts ...BatchOpti
 	}
 	if o.workers > len(queries) {
 		o.workers = len(queries)
-	}
-
-	// With dedup on, only the first occurrence of each identity runs;
-	// duplicates are filled in from their leader afterwards.
-	run := make([]int, 0, len(queries))
-	var leaderOf map[int]int // duplicate index -> leader index
-	if o.dedup {
-		leaderOf = make(map[int]int)
-		firstByKey := make(map[string]int, len(queries))
-		for i, q := range queries {
-			key := q.DedupKey()
-			if leader, seen := firstByKey[key]; seen {
-				leaderOf[i] = leader
-				continue
-			}
-			firstByKey[key] = i
-			run = append(run, i)
-		}
-	} else {
-		for i := range queries {
-			run = append(run, i)
-		}
 	}
 
 	items := make([]BatchItem, len(queries))
@@ -119,21 +86,11 @@ func Batch(ctx context.Context, ans Answerer, queries []Query, opts ...BatchOpti
 			}
 		}()
 	}
-	for _, i := range run {
+	for i := range queries {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	for dup, leader := range leaderOf {
-		item := items[leader]
-		item.Index = dup
-		item.Query = queries[dup]
-		// Each duplicate gets its own trace copy — sharing the leader's
-		// pointer would let one caller's mutation corrupt every folded
-		// item's result.
-		item.Result = item.Result.Clone()
-		items[dup] = item
-	}
 	return items
 }
 

@@ -122,67 +122,12 @@ func (c *countingAnswerer) Answer(ctx context.Context, q Query) (Result, error) 
 	return c.stubAnswerer.Answer(ctx, q)
 }
 
-func TestBatchDedupIdentical(t *testing.T) {
-	ans := &countingAnswerer{}
-	queries := []Query{
-		{Text: "Where was X born?"},
-		{Text: "Where was Y born?"},
-		{Text: "  where was  x BORN? "}, // normalised duplicate of 0
-		{Text: "Where was X born?"},     // exact duplicate of 0
-		{Text: "Where was Y born?"},     // duplicate of 1
-		{Text: "Where was Z born?"},
-	}
-	items := Batch(context.Background(), ans, queries, Concurrency(4), DedupIdentical())
-	if got := ans.runs.Load(); got != 3 {
-		t.Fatalf("underlying runs = %d, want 3 distinct", got)
-	}
-	if len(items) != len(queries) {
-		t.Fatalf("items = %d, want %d", len(items), len(queries))
-	}
-	for i, item := range items {
-		if item.Index != i || item.Query.Text != queries[i].Text {
-			t.Errorf("item %d mislabelled: %+v", i, item)
-		}
-		if item.Err != nil {
-			t.Errorf("item %d: %v", i, item.Err)
-		}
-	}
-	// Duplicates carry the leader's answer.
-	if items[3].Result.Answer != items[0].Result.Answer {
-		t.Errorf("duplicate answer %q != leader %q", items[3].Result.Answer, items[0].Result.Answer)
-	}
-	if items[4].Result.Answer != items[1].Result.Answer {
-		t.Errorf("duplicate answer %q != leader %q", items[4].Result.Answer, items[1].Result.Answer)
-	}
-}
-
-func TestBatchDedupCopiesErrors(t *testing.T) {
-	ans := &countingAnswerer{}
-	queries := []Query{
-		{Text: "will fail"},
-		{Text: "will fail"},
-		{Text: "fine"},
-	}
-	items := Batch(context.Background(), ans, queries, DedupIdentical())
-	if got := ans.runs.Load(); got != 2 {
-		t.Fatalf("runs = %d, want 2", got)
-	}
-	for _, i := range []int{0, 1} {
-		if items[i].Err == nil || items[i].Class != ClassUpstream {
-			t.Errorf("item %d should carry the leader's failure: %+v", i, items[i])
-		}
-	}
-	if items[2].Err != nil {
-		t.Errorf("item 2: %v", items[2].Err)
-	}
-}
-
 func TestBatchWithoutDedupRunsEverything(t *testing.T) {
 	ans := &countingAnswerer{}
 	queries := []Query{{Text: "same"}, {Text: "same"}, {Text: "same"}}
 	Batch(context.Background(), ans, queries)
 	if got := ans.runs.Load(); got != 3 {
-		t.Fatalf("runs = %d, want 3 (dedup must be opt-in)", got)
+		t.Fatalf("runs = %d, want 3 (Batch folds nothing; the serve stack is the dedup layer)", got)
 	}
 }
 

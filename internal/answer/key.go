@@ -57,10 +57,6 @@ func QueryKey(method, model string, q Query) string {
 	return b.String()
 }
 
-// DedupKey is QueryKey applied to the query's own routing labels — the
-// identity Batch's duplicate folding groups by.
-func (q Query) DedupKey() string { return QueryKey(q.Method, q.Model, q) }
-
 // normalizeText lower-cases, collapses all runs of whitespace to a
 // single space, and strips remaining control characters. The strip is a
 // security property, not just hygiene: the key format uses \x00/\x01 as

@@ -71,15 +71,6 @@ type Option func(*Options)
 // WithCoreConfig sets the pipeline configuration for "ours"/"ours-gp".
 func WithCoreConfig(cfg core.Config) Option { return func(o *Options) { o.Core = cfg } }
 
-// WithSCConfig sets the Self-Consistency sampling configuration.
-func WithSCConfig(cfg SCConfig) Option { return func(o *Options) { o.SC = cfg } }
-
-// WithRAGConfig sets the question-level retrieval configuration.
-func WithRAGConfig(cfg RAGConfig) Option { return func(o *Options) { o.RAG = cfg } }
-
-// WithToGConfig sets the Think-on-Graph exploration configuration.
-func WithToGConfig(cfg ToGConfig) Option { return func(o *Options) { o.ToG = cfg } }
-
 // WithModelLabel overrides the model name reported in results.
 func WithModelLabel(name string) Option { return func(o *Options) { o.Model = name } }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/kg"
 	"repro/internal/substrate"
 	"repro/internal/world"
@@ -67,44 +66,6 @@ func TestSubstrateDeps(t *testing.T) {
 	}
 	if resS.Epoch != 0 {
 		t.Errorf("static answerer epoch = %d, want 0", resS.Epoch)
-	}
-}
-
-// tracingAnswerer returns a fresh traced result per call, for aliasing
-// tests.
-type tracingAnswerer struct{}
-
-func (tracingAnswerer) Name() string { return "traced" }
-func (tracingAnswerer) Answer(_ context.Context, q Query) (Result, error) {
-	return Result{
-		Answer: "a:" + q.Text,
-		Trace:  &core.Trace{Gf: kg.NewGraph(kg.NewTriple("s", "r", "o"))},
-	}, nil
-}
-
-// TestBatchDedupTraceIsolated: duplicate folding must hand every folded
-// item its own trace copy, not the leader's pointer.
-func TestBatchDedupTraceIsolated(t *testing.T) {
-	queries := []Query{{Text: "q?"}, {Text: "q?"}, {Text: "q?"}}
-	items := Batch(context.Background(), tracingAnswerer{}, queries, Concurrency(2), DedupIdentical())
-	if err := FirstError(items); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[*core.Trace]bool{}
-	for i, item := range items {
-		if item.Result.Trace == nil {
-			t.Fatalf("item %d lost its trace", i)
-		}
-		if seen[item.Result.Trace] {
-			t.Fatal("folded items share one trace pointer")
-		}
-		seen[item.Result.Trace] = true
-		item.Result.Trace.Gf.Add(kg.NewTriple("poison", "p", "p"))
-	}
-	for i, item := range items {
-		if item.Result.Trace.Gf.Len() != 2 {
-			t.Fatalf("item %d's trace was mutated through another item: %d triples", i, item.Result.Trace.Gf.Len())
-		}
 	}
 }
 

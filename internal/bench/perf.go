@@ -5,38 +5,21 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"repro/internal/serve"
 )
 
-// PerfArtifact is one benchrun's machine-readable perf-trajectory entry:
-// the accuracy cells it evaluated plus the serving collector's per-method
-// cost and latency aggregates. Committed artifacts (BENCH_*.json) form a
-// trajectory of how the reproduction's speed and cost move across PRs —
-// unlike replay artifacts these carry real wall-clock numbers and are
-// records, not gates.
+// PerfArtifact is the machine-readable record of one recall-gate run
+// (benchrun -experiment recall -out): CI's recall-gate uploads it and
+// testdata/trajectory keeps a committed one. It carries wall-clock
+// numbers, so it is a record, not a gate; serving speed is measured by
+// `go run ./benchmark`, not here.
 type PerfArtifact struct {
-	GeneratedAt string `json:"generated_at"`
-	Quick       bool   `json:"quick"`
-	Seed        int64  `json:"seed"`
-	Workers     int    `json:"workers"`
-	// Cells are the accuracy results (Table-II shape).
-	Cells []PerfCell `json:"cells"`
-	// Serving are the per-method serving aggregates for everything the
-	// environment answered this run: token cost and wall latency
-	// percentiles.
-	Serving []PerfMethod `json:"serving"`
-	// Load, when present, is the client-side account of a loadgen run
-	// against a live server — the traffic-realistic counterpart to the
-	// bench cells (cmd/loadgen emits these; benchrun artifacts omit it).
-	Load *PerfLoad `json:"load,omitempty"`
-	// Recall, when present, is a recall-gate run's summary: HNSW answer
-	// quality and p50 speedup against the exact scan over the same
-	// corpus (benchrun -experiment recall emits these).
-	Recall *PerfRecall `json:"recall,omitempty"`
+	GeneratedAt string     `json:"generated_at"`
+	Seed        int64      `json:"seed"`
+	Recall      PerfRecall `json:"recall"`
 }
 
-// PerfRecall is one ANN recall-gate evaluation for the perf trajectory.
+// PerfRecall is one ANN recall-gate evaluation: HNSW answer quality and
+// p50 speedup against the exact scan over the same corpus.
 type PerfRecall struct {
 	Corpus         int     `json:"corpus"`
 	Queries        int     `json:"queries"`
@@ -52,136 +35,12 @@ type PerfRecall struct {
 	BuildMS        int64   `json:"build_ms"`
 }
 
-// BuildRecallPerf wraps a recall-gate result as a standalone artifact
-// (no accuracy cells or serving aggregates — no environment ran).
+// BuildRecallPerf wraps a recall-gate result as an artifact.
 func BuildRecallPerf(pr PerfRecall, seed int64, now time.Time) PerfArtifact {
 	return PerfArtifact{
 		GeneratedAt: now.UTC().Format(time.RFC3339),
 		Seed:        seed,
-		Cells:       []PerfCell{},
-		Serving:     []PerfMethod{},
-		Recall:      &pr,
-	}
-}
-
-// PerfLoad is one load-generation run's client-side summary: what was
-// offered, what was served, what was refused, and the two latency
-// populations kept apart (a healthy overload posture shows Refused far
-// below Accepted).
-type PerfLoad struct {
-	Mode        string          `json:"mode"` // "closed" or "open"
-	Clients     int             `json:"clients"`
-	ZipfS       float64         `json:"zipf_s"`
-	Issued      int64           `json:"issued"`
-	OK          int64           `json:"ok"`
-	CacheHits   int64           `json:"cache_hits"`
-	Rejected    int64           `json:"rejected"`
-	Errors      int64           `json:"errors"`
-	ElapsedMS   int64           `json:"elapsed_ms"`
-	AchievedRPS float64         `json:"achieved_rps"`
-	Accepted    PerfLoadLatency `json:"accepted"`
-	Refused     PerfLoadLatency `json:"refused"`
-	// Nodes splits the accepted population by backing node when the run
-	// targeted a pgakvlb router (loadgen -target-lb): per-node counts and
-	// latency, keyed by the X-Served-By value. Absent for single-node runs.
-	Nodes map[string]PerfLoadNode `json:"nodes,omitempty"`
-}
-
-// PerfLoadNode is one backing node's share of a routed load run.
-type PerfLoadNode struct {
-	OK        int64           `json:"ok"`
-	CacheHits int64           `json:"cache_hits"`
-	Latency   PerfLoadLatency `json:"latency"`
-}
-
-// PerfLoadLatency is a client-observed latency distribution.
-type PerfLoadLatency struct {
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-}
-
-// BuildLoadPerf assembles a perf artifact from a loadgen run: the serving
-// section comes from the target server's scraped /v1/metrics method
-// snapshots (the server did the work, so it owns the cost numbers), the
-// load section from the client-side account. Cells stay empty — no
-// accuracy was evaluated.
-func BuildLoadPerf(methods []serve.MethodSnapshot, load PerfLoad, quick bool, seed int64, now time.Time) PerfArtifact {
-	art := PerfArtifact{
-		GeneratedAt: now.UTC().Format(time.RFC3339),
-		Quick:       quick,
-		Seed:        seed,
-		Cells:       []PerfCell{},
-		Serving:     []PerfMethod{},
-		Load:        &load,
-	}
-	for _, m := range methods {
-		art.Serving = append(art.Serving, perfMethod(m))
-	}
-	return art
-}
-
-// PerfCell is one accuracy cell.
-type PerfCell struct {
-	Method    string  `json:"method"`
-	Model     string  `json:"model"`
-	Dataset   string  `json:"dataset"`
-	Source    string  `json:"kg_source"`
-	Score     float64 `json:"score"`
-	N         int     `json:"n"`
-	ElapsedMS int64   `json:"elapsed_ms"`
-}
-
-// PerfMethod is one method's serving aggregate.
-type PerfMethod struct {
-	Method           string  `json:"method"`
-	Count            int64   `json:"count"`
-	Errors           int64   `json:"errors"`
-	LLMCalls         int64   `json:"llm_calls"`
-	PromptTokens     int64   `json:"prompt_tokens"`
-	CompletionTokens int64   `json:"completion_tokens"`
-	MeanMS           float64 `json:"mean_ms"`
-	P50MS            float64 `json:"p50_ms"`
-	P95MS            float64 `json:"p95_ms"`
-}
-
-// BuildPerf assembles the artifact from a collected report and the
-// environment's metrics collector.
-func BuildPerf(e *Env, r *Report, quick bool, now time.Time) PerfArtifact {
-	art := PerfArtifact{
-		GeneratedAt: now.UTC().Format(time.RFC3339),
-		Quick:       quick,
-		Seed:        e.Cfg.WorldSeed,
-		Workers:     e.Cfg.Workers,
-		Cells:       []PerfCell{},
-		Serving:     []PerfMethod{},
-	}
-	for _, c := range r.Cells {
-		art.Cells = append(art.Cells, PerfCell{
-			Method: c.Method, Model: c.Model, Dataset: c.Dataset,
-			Source: c.Source.String(), Score: c.Score, N: c.N,
-			ElapsedMS: c.Elapsed.Milliseconds(),
-		})
-	}
-	for _, m := range e.Metrics.Snapshot() {
-		art.Serving = append(art.Serving, perfMethod(m))
-	}
-	return art
-}
-
-func perfMethod(m serve.MethodSnapshot) PerfMethod {
-	return PerfMethod{
-		Method:           m.Method,
-		Count:            m.Count,
-		Errors:           m.Errors,
-		LLMCalls:         m.LLMCalls,
-		PromptTokens:     m.PromptTokens,
-		CompletionTokens: m.CompletionTokens,
-		MeanMS:           m.Latency.MeanMS,
-		P50MS:            m.Latency.P50MS,
-		P95MS:            m.Latency.P95MS,
+		Recall:      pr,
 	}
 }
 

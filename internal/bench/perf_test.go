@@ -2,64 +2,44 @@ package bench
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"os"
 	"testing"
-	"time"
 )
 
-func TestBuildPerfArtifact(t *testing.T) {
-	env := tinyEnv(t)
-	r := &Report{Title: "table2"}
-	if err := r.Collect(context.Background(), env, MethodIO, ModelGPT35, "QALD"); err != nil {
+// TestRecallArtifactKeepsCommittedKeys reads the committed recall record
+// and writes it back: the three keys a recall artifact carries must come
+// out byte for byte as committed (the file also holds the empty sections
+// of the retired trajectory schema, which decoding ignores).
+func TestRecallArtifactKeepsCommittedKeys(t *testing.T) {
+	committed, err := os.ReadFile("../../testdata/trajectory/BENCH_2026-08-08_recall.json")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Collect(context.Background(), env, MethodCoT, ModelGPT35, "QALD"); err != nil {
+	var art PerfArtifact
+	if err := json.Unmarshal(committed, &art); err != nil {
 		t.Fatal(err)
 	}
-
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	art := BuildPerf(env, r, true, now)
-	if art.GeneratedAt != "2026-08-08T12:00:00Z" || !art.Quick || art.Seed != env.Cfg.WorldSeed {
-		t.Fatalf("header wrong: %+v", art)
+	if art.Seed != 42 || art.Recall.Corpus != 100000 || art.Recall.RecallAtK != 0.9965 {
+		t.Fatalf("committed artifact decoded wrong: %+v", art)
 	}
-	if len(art.Cells) != 2 {
-		t.Fatalf("want 2 cells, got %d", len(art.Cells))
-	}
-	for _, c := range art.Cells {
-		if c.N == 0 || c.Dataset != "QALD" || c.Source != "wikidata" {
-			t.Errorf("cell wrong: %+v", c)
-		}
-	}
-	// The serving aggregates cover both methods that answered, with token
-	// cost and latency filled in.
-	methods := map[string]PerfMethod{}
-	for _, m := range art.Serving {
-		methods[m.Method] = m
-	}
-	for _, name := range []string{"io", "cot"} {
-		m, ok := methods[name]
-		if !ok {
-			t.Fatalf("serving aggregate missing %q: %+v", name, art.Serving)
-		}
-		if m.Count == 0 || m.LLMCalls == 0 || m.PromptTokens == 0 {
-			t.Errorf("%s: usage not accounted: %+v", name, m)
-		}
-		if m.P95MS < m.P50MS {
-			t.Errorf("%s: latency percentiles disordered: %+v", name, m)
-		}
-	}
-
-	// Write emits parseable JSON that round-trips the shape.
 	var buf bytes.Buffer
 	if err := art.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var back PerfArtifact
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	var want, got map[string]json.RawMessage
+	if err := json.Unmarshal(committed, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatalf("artifact not parseable: %v", err)
 	}
-	if len(back.Cells) != 2 || len(back.Serving) != len(art.Serving) {
-		t.Fatalf("round trip diverged: %+v", back)
+	if len(got) != 3 {
+		t.Fatalf("artifact carries %d keys, want generated_at, seed, recall: %s", len(got), buf.Bytes())
+	}
+	for _, key := range []string{"generated_at", "seed", "recall"} {
+		if !bytes.Equal(got[key], want[key]) {
+			t.Errorf("%s: wrote %s, committed %s", key, got[key], want[key])
+		}
 	}
 }

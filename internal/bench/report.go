@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -12,11 +11,9 @@ import (
 	"repro/internal/kg"
 )
 
-// Report accumulates evaluation cells with timing, for machine-readable
-// experiment logs (CSV/JSON) alongside the human-readable tables.
+// Report accumulates evaluation cells with timing, for the machine-readable
+// CSV (benchrun -csv) alongside the human-readable tables.
 type Report struct {
-	// Title labels the report (e.g. "table2").
-	Title string
 	// Cells are the collected results, in run order.
 	Cells []TimedCell
 }
@@ -84,38 +81,4 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// reportJSON is the JSON wire form.
-type reportJSON struct {
-	Title string     `json:"title"`
-	Cells []cellJSON `json:"cells"`
-}
-
-type cellJSON struct {
-	Method    string  `json:"method"`
-	Model     string  `json:"model"`
-	Dataset   string  `json:"dataset"`
-	Source    string  `json:"kg_source"`
-	Score     float64 `json:"score"`
-	N         int     `json:"n"`
-	ElapsedMS int64   `json:"elapsed_ms"`
-}
-
-// WriteJSON emits the report as a JSON document.
-func (r *Report) WriteJSON(w io.Writer) error {
-	doc := reportJSON{Title: r.Title}
-	for _, c := range r.Cells {
-		doc.Cells = append(doc.Cells, cellJSON{
-			Method: c.Method, Model: c.Model, Dataset: c.Dataset,
-			Source: c.Source.String(), Score: c.Score, N: c.N,
-			ElapsedMS: c.Elapsed.Milliseconds(),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("bench: json: %w", err)
-	}
-	return nil
 }

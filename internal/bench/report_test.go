@@ -3,14 +3,13 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
 func TestReportCollectAndWrite(t *testing.T) {
 	env := tinyEnv(t)
-	r := &Report{Title: "smoke"}
+	r := &Report{}
 	if err := r.Collect(context.Background(), env, MethodCoT, ModelGPT35, "SimpleQuestions"); err != nil {
 		t.Fatal(err)
 	}
@@ -31,18 +30,6 @@ func TestReportCollectAndWrite(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
 	if len(lines) != 3 || !strings.HasPrefix(lines[0], "method,") {
 		t.Errorf("csv output:\n%s", csvBuf.String())
-	}
-
-	var jsonBuf bytes.Buffer
-	if err := r.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(jsonBuf.Bytes(), &doc); err != nil {
-		t.Fatalf("json output invalid: %v", err)
-	}
-	if doc["title"] != "smoke" {
-		t.Errorf("title = %v", doc["title"])
 	}
 }
 

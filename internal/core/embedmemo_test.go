@@ -77,12 +77,12 @@ func TestPipelineMemoWarmsAcrossQuestions(t *testing.T) {
 		t.Fatal("expected a pseudo-graph")
 	}
 	p.QueryAndPrune(gp, nil)
-	after1 := p.MemoStats()
+	after1 := p.memo.Stats()
 	if after1.Misses == 0 {
 		t.Fatal("first run should populate the memo")
 	}
 	p.QueryAndPrune(gp, nil)
-	after2 := p.MemoStats()
+	after2 := p.memo.Stats()
 	if after2.Misses != after1.Misses {
 		t.Fatalf("second identical run re-encoded: misses %d -> %d", after1.Misses, after2.Misses)
 	}

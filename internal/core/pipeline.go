@@ -104,7 +104,7 @@ type Config struct {
 	// Prompts is the versioned prompt registry the pipeline renders from;
 	// nil uses the shared embedded defaults (prompts.Default). Each LLM
 	// call resolves its view per request, so hot reloads and per-request
-	// version overrides (prompts.WithVersions/WithView) take effect
+	// version overrides (pinned with prompts.WithView) take effect
 	// without rebuilding the pipeline.
 	Prompts *prompts.Registry
 }
@@ -168,9 +168,6 @@ func New(client llm.Client, store kg.Reader, index vecstore.Searcher, cfg Config
 		memo:   memo,
 	}, nil
 }
-
-// Config returns the pipeline's configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
 
 // SubjectConfidence is one pruned-subject entry with its score.
 type SubjectConfidence struct {
@@ -237,22 +234,15 @@ type Result struct {
 // Failures produce an empty graph, never an error (LLM transport errors
 // still propagate).
 func (p *Pipeline) GeneratePseudoGraph(ctx context.Context, question string, tr *Trace) (*kg.Graph, error) {
-	return p.generatePseudoGraph(ctx, p.client, question, 0, p.cfg.Temperature, tr)
+	return p.generatePseudoGraph(ctx, p.client, question, tr)
 }
 
 // generatePseudoGraph is step 1 over an explicit client (stage runs route
-// through a per-run counting client) and sampling nonce: round 0 is greedy
-// at the pipeline temperature, later rounds sample at the given
-// temperature (the refine loop's retry diversity).
-func (p *Pipeline) generatePseudoGraph(ctx context.Context, client llm.Client, question string, nonce int, temperature float64, tr *Trace) (*kg.Graph, error) {
-	temp := p.cfg.Temperature
-	if nonce > 0 {
-		temp = temperature
-	}
+// through a per-run counting client).
+func (p *Pipeline) generatePseudoGraph(ctx context.Context, client llm.Client, question string, tr *Trace) (*kg.Graph, error) {
 	resp, err := client.Complete(ctx, llm.Request{
 		Prompt:      p.cfg.Prompts.For(ctx).PseudoGraph(question),
-		Temperature: temp,
-		Nonce:       nonce,
+		Temperature: p.cfg.Temperature,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: pseudo-graph generation: %w", err)
@@ -619,10 +609,3 @@ func calibrate(mean, maxMean float64) float64 {
 	}
 	return c
 }
-
-// Encoder returns the encoder used by the pipeline's index (needed by
-// callers that must encode queries consistently).
-func (p *Pipeline) Encoder() *embed.Encoder { return p.index.Encoder() }
-
-// MemoStats reports the embedding memo's hit/miss counters.
-func (p *Pipeline) MemoStats() MemoStats { return p.memo.Stats() }

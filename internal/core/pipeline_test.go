@@ -105,8 +105,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Config().TopK != 10 || p.Config().MaxSubjectTriples != 12 {
-		t.Errorf("defaults not applied: %+v", p.Config())
+	if p.cfg.TopK != 10 || p.cfg.MaxSubjectTriples != 12 {
+		t.Errorf("defaults not applied: %+v", p.cfg)
 	}
 }
 

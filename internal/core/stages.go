@@ -26,10 +26,7 @@ type runState struct {
 	client llm.Client
 	tr     *Trace
 
-	question    string
-	nonce       int     // refine round (0 = greedy first round)
-	temperature float64 // sampling temperature for retry rounds
-
+	question   string
 	gp, gg, gf *kg.Graph
 	answer     string
 }
@@ -39,7 +36,7 @@ func (p *Pipeline) stagePseudo() exec.Stage[runState] {
 	return exec.Stage[runState]{
 		Name: StagePseudo,
 		Run: func(ctx context.Context, s *runState) error {
-			gp, err := p.generatePseudoGraph(ctx, s.client, s.question, s.nonce, s.temperature, s.tr)
+			gp, err := p.generatePseudoGraph(ctx, s.client, s.question, s.tr)
 			if err != nil {
 				return err
 			}
@@ -117,7 +114,7 @@ func (p *Pipeline) stageAnswerFinal() exec.Stage[runState] {
 // spans to the returned trace. On error the partial trace (spans included,
 // the failing stage's span carrying its error class) still comes back with
 // the Result so serving layers can observe exactly which stage failed.
-func (p *Pipeline) run(ctx context.Context, question string, nonce int, temperature float64, stages ...exec.Stage[runState]) (Result, error) {
+func (p *Pipeline) run(ctx context.Context, question string, stages ...exec.Stage[runState]) (Result, error) {
 	// Reuse the caller's counter when the client already is one (the
 	// answer registry wraps every per-query client): one counting layer
 	// serves both the per-stage span diffs and the query totals.
@@ -126,7 +123,7 @@ func (p *Pipeline) run(ctx context.Context, question string, nonce int, temperat
 		counter = llm.NewCounting(p.client)
 	}
 	tr := Trace{Question: question}
-	st := runState{client: counter, tr: &tr, question: question, nonce: nonce, temperature: temperature}
+	st := runState{client: counter, tr: &tr, question: question}
 	spans, err := exec.Run(ctx, &st, exec.Options{DefaultTimeout: p.cfg.StageTimeout, Usage: counter.Usage}, stages...)
 	tr.Stages = spans
 	if err != nil {
@@ -138,7 +135,7 @@ func (p *Pipeline) run(ctx context.Context, question string, nonce int, temperat
 // Answer runs the full PG&AKV composition for a question. The context
 // bounds the whole run; Config.StageTimeout additionally bounds each stage.
 func (p *Pipeline) Answer(ctx context.Context, question string) (Result, error) {
-	return p.run(ctx, question, 0, p.cfg.Temperature,
+	return p.run(ctx, question,
 		p.stagePseudo(), p.stageRetrievePrune(), p.stageVerify(), p.stageAnswerFinal())
 }
 
@@ -146,6 +143,5 @@ func (p *Pipeline) Answer(ctx context.Context, question string) (Result, error) 
 // ablation, registry method "ours-gp"): pseudo-graph generation straight
 // into answer generation, skipping retrieval and verification.
 func (p *Pipeline) AnswerPseudoOnly(ctx context.Context, question string) (Result, error) {
-	return p.run(ctx, question, 0, p.cfg.Temperature,
-		p.stagePseudo(), p.stageAnswerFinal())
+	return p.run(ctx, question, p.stagePseudo(), p.stageAnswerFinal())
 }

@@ -12,7 +12,6 @@ package kg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -107,11 +106,6 @@ func (t Triple) SRKey() string {
 // ignored; comparison is exact on the surface strings).
 func (t Triple) Equal(u Triple) bool {
 	return t.Subject == u.Subject && t.Relation == u.Relation && t.Object == u.Object
-}
-
-// IsZero reports whether the triple is entirely empty.
-func (t Triple) IsZero() bool {
-	return t.Subject == "" && t.Relation == "" && t.Object == ""
 }
 
 // ParseTriple parses the angle-bracket surface form produced by
@@ -320,22 +314,4 @@ func ParseGraph(text string) (*Graph, error) {
 		g.Add(t)
 	}
 	return g, nil
-}
-
-// SortStable sorts the graph's triples by (subject, relation, ord, object)
-// for deterministic output. It is a stable sort.
-func (g *Graph) SortStable() {
-	sort.SliceStable(g.Triples, func(i, j int) bool {
-		a, b := g.Triples[i], g.Triples[j]
-		if a.Subject != b.Subject {
-			return a.Subject < b.Subject
-		}
-		if a.Relation != b.Relation {
-			return a.Relation < b.Relation
-		}
-		if a.Ord != b.Ord {
-			return a.Ord < b.Ord
-		}
-		return a.Object < b.Object
-	})
 }

@@ -223,21 +223,6 @@ func TestSourceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGraphSortStable(t *testing.T) {
-	g := NewGraph(
-		NewTriple("b", "r", "y"),
-		NewTriple("a", "r", "x"),
-		Triple{Subject: "a", Relation: "r", Object: "w", Ord: 1},
-	)
-	g.SortStable()
-	if g.Triples[0].Subject != "a" || g.Triples[0].Object != "x" {
-		t.Errorf("sort order wrong: %v", g.Triples)
-	}
-	if g.Triples[1].Ord != 1 {
-		t.Errorf("ord ordering wrong: %v", g.Triples)
-	}
-}
-
 func TestGraphClone(t *testing.T) {
 	g := NewGraph(NewTriple("a", "r", "x"))
 	c := g.Clone()

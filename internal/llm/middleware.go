@@ -57,13 +57,6 @@ func (r *Recorder) Exchanges() []Exchange {
 	return out
 }
 
-// Reset clears the transcript.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.exchanges = nil
-	r.mu.Unlock()
-}
-
 // Scripted is a Client that replays canned completions per task kind —
 // useful for tests and for replaying transcripts from real LLM endpoints
 // through the pipeline. Unconfigured task kinds return an error.
@@ -71,9 +64,6 @@ type Scripted struct {
 	// ByTask maps a task kind to the completion returned for it. A
 	// function receives the raw prompt for content-dependent scripting.
 	ByTask map[prompts.TaskKind]func(prompt string) (string, error)
-
-	mu    sync.Mutex
-	calls int
 }
 
 // NewScripted returns an empty scripted client; register handlers with On.
@@ -97,21 +87,11 @@ func (s *Scripted) OnFunc(task prompts.TaskKind, fn func(prompt string) (string,
 // Name implements Client.
 func (s *Scripted) Name() string { return "scripted" }
 
-// Calls returns the number of completions served.
-func (s *Scripted) Calls() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.calls
-}
-
 // Complete implements Client.
 func (s *Scripted) Complete(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	s.mu.Lock()
-	s.calls++
-	s.mu.Unlock()
 	task := prompts.Classify(req.Prompt)
 	fn, ok := s.ByTask[task]
 	if !ok {

@@ -36,9 +36,6 @@ func TestScriptedClient(t *testing.T) {
 	if _, err := s.Complete(context.Background(), Request{Prompt: prompts.PseudoGraph("q?")}); err == nil {
 		t.Error("unregistered task accepted")
 	}
-	if s.Calls() != 3 {
-		t.Errorf("calls = %d, want 3", s.Calls())
-	}
 }
 
 func TestRecorder(t *testing.T) {
@@ -62,10 +59,6 @@ func TestRecorder(t *testing.T) {
 	}
 	if ex[1].Err == nil {
 		t.Error("exchange 1 should carry the error")
-	}
-	rec.Reset()
-	if len(rec.Exchanges()) != 0 {
-		t.Error("Reset did not clear the transcript")
 	}
 }
 

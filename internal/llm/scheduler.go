@@ -79,10 +79,6 @@ func NewBudget(tokens int) *Budget {
 	return b
 }
 
-// Remaining reports the unspent allowance (negative once overdrawn by a
-// completion that ran longer than estimated).
-func (b *Budget) Remaining() int { return int(b.remaining.Load()) }
-
 // Rejected reports how many calls this budget refused.
 func (b *Budget) Rejected() int { return int(b.rejected.Load()) }
 
@@ -186,9 +182,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	}
 	return &Scheduler{limit: cfg.Concurrency}
 }
-
-// Concurrency returns the slot-pool size.
-func (s *Scheduler) Concurrency() int { return s.limit }
 
 // Acquire blocks until a slot is free (interactive requests jump every
 // queued batch request) or ctx ends. Callers must Release exactly once per

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/prompts"
 	"repro/internal/qa"
@@ -20,10 +19,6 @@ type SimLM struct {
 	mem    *memory
 	res    *qa.Resolver
 	seed   string
-
-	calls            atomic.Int64
-	promptTokens     atomic.Int64
-	completionTokens atomic.Int64
 }
 
 // NewSim builds a simulated model of the given grade over a world. The
@@ -42,14 +37,6 @@ func NewSim(w *world.World, params GradeParams, seed int64) *SimLM {
 
 // Name implements Client.
 func (s *SimLM) Name() string { return s.params.Name }
-
-// Params returns the grade parameters (read-only use).
-func (s *SimLM) Params() GradeParams { return s.params }
-
-// CallStats reports cumulative usage across all completions.
-func (s *SimLM) CallStats() (calls, promptTokens, completionTokens int64) {
-	return s.calls.Load(), s.promptTokens.Load(), s.completionTokens.Load()
-}
 
 // Complete implements Client: classify the prompt by its markers (exactly
 // as the texts from internal/prompts are shaped) and produce the grade- and
@@ -83,15 +70,11 @@ func (s *SimLM) Complete(ctx context.Context, req Request) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	resp := Response{
+	return Response{
 		Text: text,
 		Usage: Usage{
 			PromptTokens:     estimateTokens(req.Prompt),
 			CompletionTokens: estimateTokens(text),
 		},
-	}
-	s.calls.Add(1)
-	s.promptTokens.Add(int64(resp.Usage.PromptTokens))
-	s.completionTokens.Add(int64(resp.Usage.CompletionTokens))
-	return resp, nil
+	}, nil
 }

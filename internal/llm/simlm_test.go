@@ -74,10 +74,6 @@ func TestUsageAccounting(t *testing.T) {
 	if resp.Usage.PromptTokens == 0 || resp.Usage.CompletionTokens == 0 {
 		t.Errorf("usage = %+v", resp.Usage)
 	}
-	calls, pt, ct := s.CallStats()
-	if calls != 1 || pt == 0 || ct == 0 {
-		t.Errorf("stats = %d %d %d", calls, pt, ct)
-	}
 }
 
 // TestGradeKnowledgeGap: over the whole fact population, the GPT-4 grade

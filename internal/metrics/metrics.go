@@ -184,24 +184,3 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Accumulator collects per-question scores and reports aggregates, used by
-// the bench harness for each (method, model, dataset) cell.
-type Accumulator struct {
-	scores []float64
-}
-
-// Add records one score.
-func (a *Accumulator) Add(score float64) {
-	a.scores = append(a.scores, score)
-}
-
-// N returns the number of recorded scores.
-func (a *Accumulator) N() int { return len(a.scores) }
-
-// Mean returns the mean score (0 when empty).
-func (a *Accumulator) Mean() float64 { return Mean(a.scores) }
-
-// Percent returns the mean as a percentage with one decimal of precision
-// preserved (e.g. 0.343 -> 34.3).
-func (a *Accumulator) Percent() float64 { return a.Mean() * 100 }

@@ -154,13 +154,4 @@ func TestMeanAndAccumulator(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Error("Mean wrong")
 	}
-	var acc Accumulator
-	if acc.Mean() != 0 || acc.N() != 0 {
-		t.Error("zero accumulator wrong")
-	}
-	acc.Add(1)
-	acc.Add(0)
-	if acc.N() != 2 || acc.Mean() != 0.5 || acc.Percent() != 50 {
-		t.Errorf("accumulator: n=%d mean=%v pct=%v", acc.N(), acc.Mean(), acc.Percent())
-	}
 }

@@ -23,7 +23,6 @@ import (
 const (
 	MarkerCypher   = "with (Cypher)"
 	MarkerDirect   = "write the triples directly"
-	MarkerVerify   = `"graph to fix"`
 	MarkerGraphQA  = "[graph]:"
 	MarkerCoT      = "think step by step"
 	MarkerProblem  = "[problem]:"

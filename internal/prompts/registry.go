@@ -325,10 +325,9 @@ func (r *Registry) Fingerprint() string {
 }
 
 // For resolves the View a request should render with: a View pinned into
-// the context wins (one resolution per request, consistent across
-// stages), else the active set with any context version overrides
-// applied best-effort (unknown overrides are ignored here — the serving
-// path validates them strictly with Resolve before work starts).
+// the context wins (the serving path resolves per-request version
+// overrides once with Resolve and pins the result, so every stage renders
+// from one snapshot), else the active set.
 func (r *Registry) For(ctx context.Context) *View {
 	if v, ok := ctx.Value(viewKey{}).(*View); ok && v != nil {
 		return v
@@ -336,21 +335,7 @@ func (r *Registry) For(ctx context.Context) *View {
 	if r == nil {
 		return Default().For(ctx)
 	}
-	v := r.View()
-	overrides, _ := ctx.Value(versionsKey{}).(map[string]string)
-	if len(overrides) == 0 {
-		return v
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for name, vs := range overrides {
-		if ver, err := strconv.Atoi(vs); err == nil {
-			if p := r.versions[name][ver]; p != nil {
-				v.prompts[name] = p
-			}
-		}
-	}
-	return v
+	return r.View()
 }
 
 // Info describes one loaded prompt version for listings (/v1/prompts).
@@ -489,17 +474,7 @@ func (v *View) Fingerprint() string {
 	return b.String()
 }
 
-type versionsKey struct{}
 type viewKey struct{}
-
-// WithVersions attaches per-request prompt version overrides (name ->
-// version string) to a context; Registry.For applies them.
-func WithVersions(ctx context.Context, versions map[string]string) context.Context {
-	if len(versions) == 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, versionsKey{}, versions)
-}
 
 // WithView pins an already-resolved View into the context so every stage
 // of a request renders from the same snapshot even across a hot reload.

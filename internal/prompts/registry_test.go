@@ -254,21 +254,15 @@ func TestResolveOverrides(t *testing.T) {
 
 func TestForAppliesContextOverridesAndPinnedView(t *testing.T) {
 	r := NewRegistry()
-	ctx := WithVersions(context.Background(), map[string]string{"answer-graph": "2"})
-	if got := r.For(ctx).Version("answer-graph"); got != 2 {
-		t.Fatalf("For with override: version %d, want 2", got)
+	if got := r.For(context.Background()).Version("answer-graph"); got != 1 {
+		t.Fatalf("For without a pinned view: version %d, want the active 1", got)
 	}
-	// Invalid overrides are ignored best-effort.
-	ctx = WithVersions(context.Background(), map[string]string{"answer-graph": "bogus"})
-	if got := r.For(ctx).Version("answer-graph"); got != 1 {
-		t.Fatalf("For with bogus override: version %d, want 1", got)
-	}
-	// A pinned view wins over everything.
+	// A pinned view wins over the active set.
 	pinned, err := r.Resolve(map[string]string{"answer-graph": "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx = WithView(context.Background(), pinned)
+	ctx := WithView(context.Background(), pinned)
 	if got := r.For(ctx).Version("answer-graph"); got != 2 {
 		t.Fatalf("For with pinned view: version %d, want 2", got)
 	}

@@ -77,9 +77,6 @@ func (v Value) String() string {
 // AsString returns the string payload and whether the value is a string.
 func (v Value) AsString() (string, bool) { return v.s, v.kind == 's' }
 
-// AsInt returns the integer payload and whether the value is an int.
-func (v Value) AsInt() (int64, bool) { return v.i, v.kind == 'i' }
-
 // AsFloat returns a numeric view of the value (ints widen) and whether the
 // value is numeric.
 func (v Value) AsFloat() (float64, bool) {

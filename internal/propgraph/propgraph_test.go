@@ -33,9 +33,6 @@ func TestValueAccessors(t *testing.T) {
 	if s, ok := StringValue("a").AsString(); !ok || s != "a" {
 		t.Error("AsString")
 	}
-	if i, ok := IntValue(7).AsInt(); !ok || i != 7 {
-		t.Error("AsInt")
-	}
 	if f, ok := IntValue(7).AsFloat(); !ok || f != 7 {
 		t.Error("int AsFloat should widen")
 	}

@@ -242,12 +242,6 @@ func (a *Applier) streamOnce(ctx context.Context) (applied uint64, err error) {
 	}
 }
 
-// RedirectPath builds the primary URL an ingest rejected on a replica
-// should be retried against.
-func RedirectPath(primary, path string) string {
-	return primary + path
-}
-
 // ParseMinEpoch reads the X-Min-Epoch read-your-writes header (0 when
 // absent); an unparsable value is an error so a client typo cannot
 // silently drop its consistency requirement.

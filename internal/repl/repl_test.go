@@ -366,8 +366,10 @@ func TestBootstrapFromCheckpoint(t *testing.T) {
 
 // TestBootstrapRefusesAlteredTarball: the tar stream carries no content
 // checksum of its own, so a byte of triples.nt changed in flight unpacks
-// fine — and must then fail the manifest's hash at recovery instead of
-// being served as a different fact at the primary's epoch.
+// fine — and must then fail the manifest's hash at recovery. With no log
+// bridging the seed to the checkpoint's epoch the replica refuses to come
+// up, instead of serving the altered fact at the primary's epoch or the
+// bare seed at epoch 1.
 func TestBootstrapRefusesAlteredTarball(t *testing.T) {
 	dir := t.TempDir()
 	primary := newNodeManager(t, filepath.Join(dir, "p"), false, 0)
@@ -388,23 +390,31 @@ func TestBootstrapRefusesAlteredTarball(t *testing.T) {
 
 	for name, tc := range map[string]struct {
 		tarball []byte
-		skipped int
-		epoch   uint64
+		refused bool
 	}{
-		"as sent": {tarball.Bytes(), 0, info.Epoch},
-		"altered": {altered, 1, 1}, // falls back to the seed, a fresh replica's epoch 1
+		"as sent": {tarball.Bytes(), false},
+		"altered": {altered, true},
 	} {
 		dataDir := filepath.Join(dir, name)
 		if _, _, err := unpackCheckpoint(bytes.NewReader(tc.tarball), filepath.Join(dataDir, "wikidata")); err != nil {
 			t.Fatalf("%s: unpack: %v", name, err)
 		}
-		replica := newNodeManager(t, dataDir, true, 0)
-		defer replica.Close()
-		if rec := replica.Recovery(); rec.SkippedCheckpoints != tc.skipped || replica.Epoch() != tc.epoch {
-			t.Errorf("%s: recovered at epoch %d with %+v, want epoch %d and %d skipped", name, replica.Epoch(), rec, tc.epoch, tc.skipped)
+		replica, err := substrate.Recover(embed.NewEncoder(), seedStore(seedTriples), managerConfig(dataDir, true, 0))
+		if tc.refused {
+			var gap *substrate.ChainGapError
+			if !errors.As(err, &gap) {
+				t.Errorf("%s: Recover = %v, want a ChainGapError", name, err)
+			} else if !gap.FromSeed || gap.MissingEpoch != 2 || gap.NamedEpoch != info.Epoch || len(gap.Skipped) != 1 {
+				t.Errorf("%s: refusal = %+v, want seed base, epoch 2 missing, epoch %d named, 1 skipped", name, gap, info.Epoch)
+			}
+			continue
 		}
-		if replica.Current().Store.Contains(kg.Triple{Subject: "Ingested history 3", Relation: "discovered in", Object: "Xxpedition history-3"}) {
-			t.Errorf("%s: replica serves the altered fact", name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer replica.Close()
+		if rec := replica.Recovery(); rec.SkippedCheckpoints != 0 || replica.Epoch() != info.Epoch {
+			t.Errorf("%s: recovered at epoch %d with %+v, want epoch %d and none skipped", name, replica.Epoch(), rec, info.Epoch)
 		}
 	}
 }

@@ -14,8 +14,7 @@
 // records carry no wall time, and latency percentiles are computed over a
 // virtual latency model (a pure function of LLM calls and token counts)
 // rather than measured wall time. Wall time still flows into live trace
-// records and benchrun trajectory artifacts; it is only the regression
-// gate that must not see it.
+// records; it is only the regression gate that must not see it.
 package replay
 
 import (

@@ -316,9 +316,9 @@ func latencySnapshot(s *methodStats) LatencySnapshot {
 // quantile estimates the q-quantile from bucket counts: the position
 // interpolated linearly inside the bucket that crosses rank q*total. The
 // +Inf bucket reports its lower bound. This is histogram interpolation
-// over bucket counts, not the nearest-rank metrics.Percentile over raw
-// samples that replay and loadgen share — a different algorithm for
-// different input, kept separate on purpose.
+// over bucket counts, not the nearest-rank metrics.Percentile replay
+// takes over raw samples — a different algorithm for different input,
+// kept separate on purpose.
 func quantile(counts []int64, total int64, q float64) float64 {
 	rank := q * float64(total)
 	var seen float64

@@ -82,7 +82,7 @@ func TestANNCheckpointReloadsGraph(t *testing.T) {
 	// No Close: kill -9.
 
 	// The checkpoint on disk must carry the graph (reload, not rebuild).
-	cp, _ := loadNewestCheckpoint(m1.dir, embed.NewEncoder(), cfg.ShardSize)
+	cp, _, _ := loadNewestCheckpoint(m1.dir, embed.NewEncoder(), cfg.ShardSize)
 	if cp == nil || cp.ann == nil || cp.ann.Len() != 46 {
 		t.Fatalf("checkpoint graph missing or wrong size: %+v", cp)
 	}

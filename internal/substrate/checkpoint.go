@@ -246,16 +246,18 @@ func loadCheckpoint(path string, enc *embed.Encoder, shardSize int) (*loadedChec
 }
 
 // loadNewestCheckpoint scans dir for checkpoint directories and returns
-// the newest one that fully validates, or nil when none does. Invalid
-// newer checkpoints are skipped (and reported) rather than fatal: an
-// older intact checkpoint plus the WAL is still a correct recovery base.
-func loadNewestCheckpoint(dir string, enc *embed.Encoder, shardSize int) (*loadedCheckpoint, []error) {
+// the newest one that fully validates, or nil when none does, plus the
+// highest epoch any checkpoint directory is named for (0 without one).
+// Invalid newer checkpoints are skipped (and reported) rather than fatal:
+// an older intact checkpoint plus the WAL is still a correct recovery
+// base, provided the WAL reaches the named epoch (Recover checks).
+func loadNewestCheckpoint(dir string, enc *embed.Encoder, shardSize int) (cp *loadedCheckpoint, named uint64, skipped []error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, []error{fmt.Errorf("substrate: scan checkpoints: %w", err)}
+		return nil, 0, []error{fmt.Errorf("substrate: scan checkpoints: %w", err)}
 	}
 	type cand struct {
 		epoch uint64
@@ -271,16 +273,18 @@ func loadNewestCheckpoint(dir string, enc *embed.Encoder, shardSize int) (*loade
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].epoch > cands[j].epoch })
-	var skipped []error
+	if len(cands) > 0 {
+		named = cands[0].epoch
+	}
 	for _, c := range cands {
 		cp, err := loadCheckpoint(c.path, enc, shardSize)
 		if err != nil {
 			skipped = append(skipped, fmt.Errorf("%s: %w", filepath.Base(c.path), err))
 			continue
 		}
-		return cp, skipped
+		return cp, named, skipped
 	}
-	return nil, skipped
+	return nil, named, skipped
 }
 
 // pruneCheckpoints removes every checkpoint directory except the one for

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -317,6 +318,146 @@ func testRecoverSkipsCorruptCheckpoint(t *testing.T, ann bool, corrupt func(t *t
 	}
 	if m2.Epoch() < info2.Epoch {
 		t.Fatalf("epoch regressed past corrupt checkpoint: %d < %d", m2.Epoch(), info2.Epoch)
+	}
+}
+
+// TestRecoverRefusesBrokenChain is the recovery-side chain rule: from the
+// loaded base every replayed record extends the chain by exactly one
+// epoch, and the chain reaches the highest epoch the directory names.
+// Every row starts from the same directory — 10 seed triples, 3 ingests,
+// a checkpoint at epoch 4 that truncated the log behind it, 3 more
+// ingests (16 triples at epoch 7) — and damages it one way.
+func TestRecoverRefusesBrokenChain(t *testing.T) {
+	flip := func(t *testing.T, cpDir string) {
+		path := filepath.Join(cpDir, triplesName)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0x01
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeWAL := func(t *testing.T, walPath string, recs []walRecord) {
+		buf := bytes.Clone(walMagic[:])
+		for _, rec := range recs {
+			buf = AppendFrame(buf, encodeWALPayload(rec.epoch, rec.triples))
+		}
+		if err := os.WriteFile(walPath, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// damage edits the directory: head holds the records the
+		// checkpoint truncated away, tail the ones logged after it.
+		damage func(t *testing.T, cpDir, walPath string, head, tail []walRecord)
+		// refusal is the expected ChainGapError, less Dir, Source and the
+		// Skipped reasons; nil means recovery succeeds with the counts below.
+		refusal                        *ChainGapError
+		triples, skipped, torn, replay int
+		epoch                          uint64
+	}{
+		{
+			// Three acknowledged, checkpointed facts would be gone at a
+			// later epoch than any peer that still holds them.
+			name: "only checkpoint corrupt, log truncated behind it",
+			damage: func(t *testing.T, cpDir, _ string, _, _ []walRecord) {
+				flip(t, cpDir)
+			},
+			refusal: &ChainGapError{FromSeed: true, BaseEpoch: 1, MissingEpoch: 2, NamedEpoch: 7},
+			skipped: 1,
+		},
+		{
+			// The crash window between "checkpoint written" and "log
+			// truncated": the full log bridges the seed to the head.
+			name: "only checkpoint corrupt, log not yet truncated",
+			damage: func(t *testing.T, cpDir, walPath string, head, tail []walRecord) {
+				flip(t, cpDir)
+				writeWAL(t, walPath, append(head, tail...))
+			},
+			triples: 16, skipped: 1, replay: 6, epoch: 8,
+		},
+		{
+			name: "record missing from the middle of the tail",
+			damage: func(t *testing.T, _, walPath string, _, tail []walRecord) {
+				writeWAL(t, walPath, []walRecord{tail[0], tail[2]})
+			},
+			refusal: &ChainGapError{BaseEpoch: 4, MissingEpoch: 6, NamedEpoch: 7},
+		},
+		{
+			name: "torn final record",
+			damage: func(t *testing.T, _, walPath string, _, _ []walRecord) {
+				raw, err := os.ReadFile(walPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(walPath, raw[:len(raw)-7], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			triples: 15, torn: 1, replay: 2, epoch: 7,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig(t, dir)
+			walPath := filepath.Join(dir, "wikidata", walName)
+			m1 := recoverTestManager(t, 10, cfg)
+			ingestN(t, m1, 3, "kept")
+			head, _, _, err := replayWAL(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := m1.Checkpoint(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestN(t, m1, 3, "tail")
+			if err := m1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tail, _, _, err := replayWAL(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Epoch != 4 || len(head) != 4 || len(tail) != 3 || tail[2].epoch != 7 {
+				t.Fatalf("fixture drifted: checkpoint at %d, %d records before it, tail %+v", info.Epoch, len(head), tail)
+			}
+			tc.damage(t, info.Path, walPath, head, tail)
+
+			m2, err := Recover(embed.NewEncoder(), baseStore(10), cfg)
+			if tc.refusal != nil {
+				var gap *ChainGapError
+				if !errors.As(err, &gap) {
+					t.Fatalf("Recover = %v, want a ChainGapError", err)
+				}
+				if len(gap.Skipped) != tc.skipped || !strings.Contains(gap.Error(), gap.Dir) || gap.Dir != filepath.Dir(walPath) {
+					t.Errorf("refusal %q names %d skipped checkpoints, want %d and the directory", gap, len(gap.Skipped), tc.skipped)
+				}
+				got := *gap
+				got.Dir, got.Source, got.Skipped = "", 0, nil
+				if want := *tc.refusal; !reflect.DeepEqual(got, want) {
+					t.Errorf("refusal = %+v, want %+v", got, want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close()
+			rec := m2.Recovery()
+			if got := m2.Current().Store.Len(); got != tc.triples {
+				t.Errorf("recovered %d triples, want %d", got, tc.triples)
+			}
+			if rec.SkippedCheckpoints != tc.skipped || rec.TornRecordsDropped != tc.torn || rec.ReplayedRecords != tc.replay {
+				t.Errorf("recovery = %+v, want %d skipped, %d torn, %d replayed", rec, tc.skipped, tc.torn, tc.replay)
+			}
+			if m2.Epoch() != tc.epoch {
+				t.Errorf("resumed at epoch %d, want %d", m2.Epoch(), tc.epoch)
+			}
+		})
 	}
 }
 

@@ -61,6 +61,45 @@ var (
 	ErrCheckpointing = errors.New("substrate: checkpoint already in progress")
 )
 
+// ChainGapError is Recover refusing to serve a directory whose WAL does
+// not extend the loaded base one epoch at a time up to the highest epoch
+// the directory itself names. Some acknowledged publish is then on
+// neither side of the hole — typically every checkpoint that held it
+// failed validation after the WAL had been truncated behind it — and
+// serving would mean answering without those facts at a later epoch than
+// peers that still hold them. There is no override in code: see the
+// recovery runbook in docs/operations.md.
+type ChainGapError struct {
+	// Dir is the refused per-source data directory and Source its KG.
+	Dir    string
+	Source kg.Source
+	// BaseEpoch is the epoch of the base that loaded: a checkpoint's, or
+	// 1 for the seed (a primary's first boot publish and a fresh replica
+	// both mean the seed by epoch 1).
+	BaseEpoch uint64
+	FromSeed  bool
+	// MissingEpoch is the first epoch past the base with no WAL record.
+	MissingEpoch uint64
+	// NamedEpoch is the highest epoch a checkpoint directory name (valid
+	// or skipped) or a WAL record carries: what the chain had to reach.
+	NamedEpoch uint64
+	// Skipped lists why each newer checkpoint was passed over.
+	Skipped []error
+}
+
+func (e *ChainGapError) Error() string {
+	base := fmt.Sprintf("the checkpoint at epoch %d", e.BaseEpoch)
+	if e.FromSeed {
+		base = fmt.Sprintf("the seed (epoch %d)", e.BaseEpoch)
+	}
+	msg := fmt.Sprintf("substrate[%s]: refusing to recover %s: %s loaded, but the wal holds no record for epoch %d and the directory names epoch %d",
+		e.Source, e.Dir, base, e.MissingEpoch, e.NamedEpoch)
+	for _, err := range e.Skipped {
+		msg += fmt.Sprintf("; skipped %v", err)
+	}
+	return msg
+}
+
 // Recover builds a manager with persistence. When cfg.Durability is
 // disabled this is exactly NewManager; otherwise it restores the
 // substrate's pre-crash state from disk before serving:
@@ -77,6 +116,13 @@ var (
 //  3. Resume the epoch at (max persisted epoch) + 1, so the epoch never
 //     regresses across a restart and epoch-scoped serving caches stay
 //     correct.
+//
+// Recovery fails closed on a broken epoch chain, as ApplyReplicated does
+// on the live path: every replayed record must extend the base by exactly
+// one epoch, and the chain must reach the highest epoch any checkpoint
+// directory name or WAL record carries; otherwise Recover returns a
+// *ChainGapError and serves nothing. The crash window between "checkpoint
+// written" and "WAL truncated" leaves a full log and still falls back.
 //
 // The seed store is the deterministic boot-time base (the rendered
 // world); it is only used when no checkpoint exists. The manager owns
@@ -99,7 +145,7 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 		dir:     dir,
 	}
 
-	cp, skipped := loadNewestCheckpoint(dir, enc, cfg.ShardSize)
+	cp, named, skipped := loadNewestCheckpoint(dir, enc, cfg.ShardSize)
 	for _, err := range skipped {
 		log.Printf("substrate[%s]: skipping invalid checkpoint: %v", seed.Source(), err)
 	}
@@ -148,26 +194,49 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 		}
 	}
 	m.recovery.TornRecordsDropped = torn
-	m.mu.Lock()
-	lastEpoch := m.epoch
+	// The chain rule: named is the highest epoch a checkpoint directory
+	// or a record carries, chain the epoch the replayed state has reached,
+	// starting from the base's.
 	for _, rec := range recs {
-		if rec.epoch <= m.recovery.CheckpointEpoch {
-			// Already folded into the checkpoint; the record only
-			// survived because the post-checkpoint truncation didn't land
-			// before the crash.
+		named = max(named, rec.epoch)
+	}
+	chain := m.epoch
+	if cp == nil {
+		chain = 1 // see ChainGapError.BaseEpoch
+	}
+	baseEpoch := chain
+	m.mu.Lock()
+	for _, rec := range recs {
+		if rec.epoch <= chain {
+			// Already folded into the base; the record only survived
+			// because the post-checkpoint truncation didn't land before
+			// the crash (or it is the seed's own epoch-1 boot marker).
 			continue
 		}
-		if rec.epoch > lastEpoch {
-			lastEpoch = rec.epoch
+		if rec.epoch != chain+1 {
+			break // a hole: chain stays short of named
 		}
+		chain = rec.epoch
 		if len(rec.triples) == 0 {
-			continue // compaction epoch marker
+			continue // compaction or boot epoch marker
 		}
 		fresh, _ := m.planLocked(rec.triples)
 		m.applyLocked(fresh)
 		m.recovery.ReplayedRecords++
 		m.recovery.ReplayedTriples += len(fresh)
 	}
+	if chain < named {
+		m.mu.Unlock()
+		return nil, &ChainGapError{
+			Dir: dir, Source: seed.Source(),
+			BaseEpoch: baseEpoch, FromSeed: cp == nil,
+			MissingEpoch: chain + 1, NamedEpoch: named,
+			Skipped: skipped,
+		}
+	}
+	// chain == named from here on, except in an empty directory: there
+	// named is 0 and a primary's first publish must still create epoch 1.
+	lastEpoch := named
 	if len(m.deltaSegs) > 1 {
 		// Live ingest coalesces segments as it goes; replay built one per
 		// record, so fold them before publishing — a long WAL tail must
@@ -323,9 +392,6 @@ func (m *Manager) Checkpoint(ctx context.Context) (CheckpointInfo, error) {
 		Path:    path,
 	}, nil
 }
-
-// Durable reports whether the manager persists its state.
-func (m *Manager) Durable() bool { return m.durable }
 
 // Recovery returns what boot recovery restored (zero for memory-only
 // managers and first boots).

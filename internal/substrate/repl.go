@@ -238,10 +238,6 @@ func (m *Manager) NewestCheckpoint() (path string, epoch uint64, ok bool) {
 	return path, epoch, ok
 }
 
-// DataDir returns the manager's persistence directory ("" when
-// memory-only).
-func (m *Manager) DataDir() string { return m.dir }
-
 // ParseCheckpointDir reports whether name is a checkpoint directory
 // name (checkpoint-<epoch hex>) and the epoch it encodes. Exported for
 // the replication bootstrap, which validates fetched archive roots.

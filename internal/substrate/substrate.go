@@ -536,6 +536,20 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 	}
 
 	m.mu.Lock()
+	if m.wal != nil && !m.cfg.Replica {
+		// Log-before-apply, as Ingest does: a zero-triple epoch marker for
+		// the epoch the publish below creates, so the WAL records every
+		// publish — a recovery that replays the log never resumes below an
+		// epoch clients saw, and replicas see a contiguous record chain
+		// across compactions. A failed append fails the compaction with
+		// nothing swapped rather than publishing an epoch the log skips:
+		// recovery refuses a chain with a hole in it (ChainGapError), and
+		// the checkpoint below that would cover the hole may fail too.
+		if err := m.wal.append(m.epoch+1, nil); err != nil {
+			m.mu.Unlock()
+			return nil, fmt.Errorf("substrate: compaction epoch marker: %w", err)
+		}
+	}
 	// Whatever arrived during the build becomes the new delta. Delta IDs
 	// are assigned in insertion order, so the compacted prefix is exactly
 	// the first len(deltaPrefix) triples.
@@ -563,16 +577,7 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 	} else {
 		snap = m.publishLocked()
 		if m.wal != nil {
-			// A zero-triple epoch marker: the WAL then records every publish,
-			// so a recovery that replays the log never resumes at an epoch
-			// below the one clients last saw — even if the checkpoint below
-			// fails or the process dies before it lands — and replicas see a
-			// contiguous record chain across compactions.
-			if err := m.wal.append(snap.Epoch, nil); err != nil {
-				log.Printf("substrate[%s]: compaction epoch marker: %v", src, err)
-			} else {
-				m.notifyRepl(snap.Epoch, nil)
-			}
+			m.notifyRepl(snap.Epoch, nil)
 		}
 	}
 	m.mu.Unlock()

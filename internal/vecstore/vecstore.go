@@ -459,7 +459,7 @@ type Stats struct {
 
 // ANNInfo describes an approximate index layer: graph shape, the beam
 // width in effect, and — on serving composites — how traffic split
-// between the graph and the exact fallback, so loadgen runs can
+// between the graph and the exact fallback, so a benchmark run can
 // attribute latency wins to the index.
 type ANNInfo struct {
 	// Nodes is the graph size: how many triples the graph covers (the

@@ -251,11 +251,6 @@ func (w *World) index() {
 	}
 }
 
-// Entity returns the entity with the given ID.
-func (w *World) Entity(id int) Entity {
-	return w.Entities[id]
-}
-
 // EntityByName looks an entity up by exact name.
 func (w *World) EntityByName(name string) (Entity, bool) {
 	id, ok := w.byName[name]
