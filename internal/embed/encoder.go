@@ -18,6 +18,7 @@ import (
 	"math"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Dim is the dimensionality of produced vectors. 256 gives enough hash
@@ -191,26 +192,83 @@ func normalize(v *Vector) {
 // [people person place of birth] and overlaps the Wikidata-style label
 // "place of birth". This cross-schema overlap is what makes atomic semantic
 // querying source-agnostic, the property Table III depends on.
+//
+// A run that is already lower-case ASCII — most of a Freebase path, every
+// number — is returned as a substring of text, so a caller that keeps a
+// token beyond the text's lifetime (a map key, say) should clone it.
 func Tokenize(text string) []string {
-	var tokens []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			tokens = append(tokens, cur.String())
-			cur.Reset()
+	// Size the slice once: count the places a token byte follows a
+	// separator. Bytes of multi-byte runes count as token bytes, which is
+	// exact for ASCII text and close enough otherwise (append regrows).
+	n, prev := 0, byteSep
+	for i := 0; i < len(text); i++ {
+		c := byteClass[text[i]]
+		if c != byteSep && prev == byteSep {
+			n++
 		}
+		prev = c
 	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			cur.WriteRune(unicode.ToLower(r))
-		default:
-			flush()
+	tokens := make([]string, 0, n)
+	for i := 0; i < len(text); {
+		// text[i:j] grows over one run of letters and digits; asIs says it
+		// is all lower-case ASCII so far.
+		j, asIs, sepWidth := i, true, 0
+		for j < len(text) && sepWidth == 0 {
+			switch byteClass[text[j]] {
+			case byteSep:
+				sepWidth = 1
+			case byteKeep:
+				j++
+			case byteUpper:
+				asIs = false
+				j++
+			default:
+				// Invalid UTF-8 decodes to U+FFFD, a separator one byte wide.
+				r, w := utf8.DecodeRuneInString(text[j:])
+				if unicode.IsLetter(r) || unicode.IsDigit(r) {
+					asIs = false
+					j += w
+				} else {
+					sepWidth = w
+				}
+			}
 		}
+		if j > i {
+			tok := text[i:j]
+			if !asIs {
+				tok = strings.ToLower(tok)
+			}
+			tokens = append(tokens, tok)
+		}
+		i = j + sepWidth
 	}
-	flush()
+	if len(tokens) == 0 {
+		return nil
+	}
 	return tokens
 }
+
+// Byte classes of Tokenize's scan.
+const (
+	byteSep   uint8 = iota // ASCII separator
+	byteKeep               // lower-case ASCII letter or digit: part of a token as it stands
+	byteUpper              // upper-case ASCII letter: part of a token once lowered
+	byteMulti              // part of a multi-byte rune: the rune decides
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := range t {
+		switch {
+		case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+			t[c] = byteKeep
+		case 'A' <= c && c <= 'Z':
+			t[c] = byteUpper
+		case c >= utf8.RuneSelf:
+			t[c] = byteMulti
+		}
+	}
+	return t
+}()
 
 // Similarity is a convenience that encodes both texts and returns their
 // cosine similarity.

@@ -2,8 +2,12 @@ package embed
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestEncodeDeterministic(t *testing.T) {
@@ -94,6 +98,87 @@ func TestTokenize(t *testing.T) {
 				t.Errorf("Tokenize(%q)[%d] = %q, want %q", tt.in, i, got[i], tt.want[i])
 			}
 		}
+	}
+}
+
+// referenceTokenize is Tokenize as it was before it learnt to slice tokens
+// out of its input: every token built rune by rune. It defines the output.
+func referenceTokenize(text string) []string {
+	var tokens []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			tokens = append(tokens, cur.String())
+			cur.Reset()
+		}
+	}
+	for _, r := range text {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			cur.WriteRune(unicode.ToLower(r))
+		default:
+			flush()
+		}
+	}
+	flush()
+	return tokens
+}
+
+// tokenizeSeeds cover each way a run can begin, continue and end.
+var tokenizeSeeds = []string{
+	"",
+	"people/person/place_of_birth",
+	"organization.organization.headquarters location/mailing_address/citytown",
+	"<Lake Stanairk> <area> <6731>",
+	"iPhone 15Pro MAX x86_64",
+	"ALLCAPS lower MiXeD 007",
+	"Zürich Ångström ǅ İstanbul ΣΊΣΥΦΟΣ Straße",
+	"数据 知识 graph １２３ ٣٤",
+	"em—dash·dot\u00a0nbsp…",
+	"bad\xffutf8 \xc3( \xe2\x82 tail\xc3",
+	"\ufffd replacement \xef\xbf\xbd",
+	"—",
+	" \t\n//__..",
+	"a",
+	"Z",
+}
+
+// FuzzTokenize: the output is the reference's on every input.
+func FuzzTokenize(f *testing.F) {
+	for _, s := range tokenizeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(requireReferenceTokens)
+}
+
+// requireReferenceTokens fails unless Tokenize gives text the reference's
+// tokens, nil for none included.
+func requireReferenceTokens(t *testing.T, text string) {
+	t.Helper()
+	got, want := Tokenize(text), referenceTokenize(text)
+	if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+		t.Fatalf("Tokenize(%q) = %q, reference gives %q", text, got, want)
+	}
+}
+
+// TestTokenizeMatchesReference runs the fuzz property over random strings
+// drawn from the pieces of the seeds, so `go test` alone tries every
+// adjacency of run kinds (the fuzz engine only replays the seeds there).
+func TestTokenizeMatchesReference(t *testing.T) {
+	var pieces []string
+	for _, s := range tokenizeSeeds {
+		for _, r := range s {
+			pieces = append(pieces, string(r))
+		}
+	}
+	pieces = append(pieces, "\xff", "\xc3", "\xe2\x82", "\x80")
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(12); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		requireReferenceTokens(t, b.String())
 	}
 }
 
@@ -211,6 +296,25 @@ func BenchmarkDotKernel(b *testing.B) {
 		}
 		sinkFloat = s
 	})
+}
+
+// BenchmarkTokenize tokenises the three kinds of text the request path
+// sees: a Wikidata-style pseudo-triple (capitalised names), a Freebase
+// triple (lower-case paths) and a question.
+func BenchmarkTokenize(b *testing.B) {
+	texts := []string{
+		"Lake Stanairk number of population 11201949",
+		"lake stanairk geography/lake/surface_area 6731",
+		"Which university did the author of The Relgrerk Principle attend?",
+	}
+	b.ReportAllocs()
+	n := 0
+	for b.Loop() {
+		for _, s := range texts {
+			n += len(Tokenize(s))
+		}
+	}
+	sinkFloat = float64(n)
 }
 
 var sinkFloat float64

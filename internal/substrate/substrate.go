@@ -454,7 +454,10 @@ func (m *Manager) publishLocked() *Snapshot {
 // state at the CURRENT epoch, without bumping it. Only correct when the
 // content at this epoch is unchanged — the replica-mode compaction fold,
 // which rearranges base/delta layout but serves the same triple set, so
-// epoch-scoped cache keys stay valid. Caller holds m.mu.
+// epoch-scoped cache keys stay valid. (Nearly: vecstore's filter rule
+// falls through per segment, so a rearranged layout can return a
+// different top-k for the same triples — see the vecstore package
+// comment and ROADMAP item 4.) Caller holds m.mu.
 func (m *Manager) republishLocked() *Snapshot {
 	var store kg.Reader = m.base
 	shards := m.baseShards

@@ -58,11 +58,14 @@ func BenchmarkHNSWSearch(b *testing.B) {
 
 // BenchmarkFilteredSearch is the served path: the pipeline's per-request
 // call (Sharded.BatchSearchWith, one query per pseudo-triple), each
-// query token-filtered per segment and scanned over the candidates.
+// query token-filtered per segment and the segment walked once for the
+// batch. Two of the queries share a subject, as the pseudo-triples of one
+// pseudo-graph do, so their candidate sets overlap.
 func BenchmarkFilteredSearch(b *testing.B) {
 	enc := embed.NewEncoder()
 	s := BuildSharded(enc, corpus(20000), 0)
-	queries := []string{"Lake Superior 42 area", "Beijing 77 population 1400000", "River Danube length"}
+	queries := []string{"Lake Superior 42 area", "Lake Superior 42 country Canada", "River Danube length"}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
 		s.BatchSearchWith(enc.Encode, queries, 10)
@@ -70,7 +73,8 @@ func BenchmarkFilteredSearch(b *testing.B) {
 }
 
 // BenchmarkKernel scores one query against every row of a segment with
-// the dense reference kernel and with the packed kernel the scan uses.
+// the dense reference kernel and with the packed kernel the scan uses,
+// and two queries with the two-query kernel (compare with twice packed).
 func BenchmarkKernel(b *testing.B) {
 	enc := embed.NewEncoder()
 	triples := corpus(DefaultShardSize)
@@ -93,6 +97,16 @@ func BenchmarkKernel(b *testing.B) {
 		for b.Loop() {
 			for i := range dense {
 				sink += idx.rows.dot(&q, i)
+			}
+		}
+	})
+	b.Run("packed2", func(b *testing.B) {
+		qv2 := enc.Encode("Lake Superior 42 country Canada")
+		q, q2 := widen(&qv), widen(&qv2)
+		for b.Loop() {
+			for i := range dense {
+				sa, sb := idx.rows.dot2(&q, &q2, i)
+				sink += sa + sb
 			}
 		}
 	})

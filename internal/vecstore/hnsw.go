@@ -351,13 +351,6 @@ func (h *HNSW) Search(query string, k int) []Hit {
 	return h.SearchVectorEf(h.enc.Encode(query), k, h.cfg.EfSearch)
 }
 
-// searchPreEncoded is Search with the query's embedding supplied. The
-// graph path is purely geometric, so unlike Index the query text takes
-// no part in candidate selection.
-func (h *HNSW) searchPreEncoded(_ string, qv embed.Vector, k int) []Hit {
-	return h.SearchVectorEf(qv, k, h.cfg.EfSearch)
-}
-
 // SearchVectorEf searches with a pre-encoded vector and an explicit beam
 // width, the hook the recall harness uses to sweep ef without
 // rebuilding. It returns at most min(ef, k) hits: a beam narrower than k
@@ -390,10 +383,15 @@ func (h *HNSW) SearchVectorEf(qv embed.Vector, k, ef int) []Hit {
 	return out
 }
 
-// BatchSearchWith runs Search for each query concurrently, with
-// caller-supplied embeddings.
+// BatchSearchWith runs Search for each query with caller-supplied
+// embeddings. The graph path is purely geometric, so unlike Index the
+// query text takes no part in candidate selection.
 func (h *HNSW) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
-	return batchSearch(h, encode, queries, k)
+	out := make([][]Hit, len(queries))
+	for i, q := range queries {
+		out[i] = h.SearchVectorEf(encode(q), k, h.cfg.EfSearch)
+	}
+	return out
 }
 
 // Stats describes the graph for diagnostics.

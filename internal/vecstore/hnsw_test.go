@@ -103,18 +103,16 @@ func TestHNSWDeterministicBuild(t *testing.T) {
 }
 
 // TestHNSWSearcherParity: the Searcher surface must behave like Index's —
-// the pre-encoded path agrees with Search, batches preserve query order,
-// and the degenerate inputs return nil.
+// a batch agrees with Search and preserves query order, and the
+// degenerate inputs return nil.
 func TestHNSWSearcherParity(t *testing.T) {
 	enc := embed.NewEncoder()
 	h := BuildHNSW(enc, corpus(300), HNSWConfig{})
 	q := "Lake Superior 3 area"
 	want := hitKeys(h.Search(q, 5))
-	if got := hitKeys(h.searchPreEncoded(q, enc.Encode(q), 5)); !equalStrings(got, want) {
-		t.Errorf("searchPreEncoded: %v, want %v", got, want)
-	}
-	batch := h.BatchSearchWith(enc.Encode, []string{q, "Beijing 0 population"}, 5)
-	if len(batch) != 2 || !equalStrings(hitKeys(batch[0]), want) {
+	q2 := "Beijing 0 population"
+	batch := h.BatchSearchWith(enc.Encode, []string{q, q2}, 5)
+	if len(batch) != 2 || !equalStrings(hitKeys(batch[0]), want) || !equalStrings(hitKeys(batch[1]), hitKeys(h.Search(q2, 5))) {
 		t.Errorf("BatchSearchWith order or content wrong")
 	}
 	if h.Search(q, 0) != nil {

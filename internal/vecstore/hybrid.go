@@ -84,34 +84,10 @@ func (hy *Hybrid) ef() int {
 	return DefaultHNSWEfSearch
 }
 
-// useFallback decides routing for one query: exact when there is no
-// usable graph, or when the beam cannot fill k slots.
+// useFallback decides routing: exact when there is no usable graph, or
+// when the beam cannot fill k slots.
 func (hy *Hybrid) useFallback(k int) bool {
 	return hy.ann == nil || hy.ann.Len() == 0 || hy.ef() < k
-}
-
-// route runs one query through the graph+tail split or the exact
-// fallback, counting which path answered. exact is the scan applied to
-// the uncovered tail, or to every segment on fallback.
-func (hy *Hybrid) route(qv embed.Vector, k int, exact func(*Sharded) []Hit) []Hit {
-	if k <= 0 {
-		return nil
-	}
-	if hy.useFallback(k) {
-		if hy.opts.Counters != nil {
-			hy.opts.Counters.Fallbacks.Add(1)
-		}
-		return exact(hy.full)
-	}
-	if hy.opts.Counters != nil {
-		hy.opts.Counters.Searches.Add(1)
-	}
-	annHits := hy.ann.SearchVectorEf(qv, k, hy.ef())
-	var tailHits []Hit
-	if hy.tail.Len() > 0 {
-		tailHits = exact(hy.tail)
-	}
-	return MergeTopK([][]Hit{annHits, tailHits}, k)
 }
 
 // Len returns the number of indexed triples across graph and tail.
@@ -123,8 +99,7 @@ func (hy *Hybrid) Encoder() *embed.Encoder { return hy.enc }
 // Search returns the top-k triples most similar to the query text; the
 // exact paths keep their token-filtered candidate selection.
 func (hy *Hybrid) Search(query string, k int) []Hit {
-	qv := hy.enc.Encode(query)
-	return hy.route(qv, k, func(s *Sharded) []Hit { return s.searchFanOut(query, qv, k) })
+	return hy.BatchSearchWith(hy.enc.Encode, []string{query}, k)[0]
 }
 
 // SearchExact is the brute-force reference over every segment,
@@ -133,17 +108,29 @@ func (hy *Hybrid) SearchExact(query string, k int) []Hit {
 	return hy.full.SearchExact(query, k)
 }
 
-// searchPreEncoded is Search with the query's embedding supplied, kept
-// single-threaded for batchSearch, which already parallelises across
-// queries.
-func (hy *Hybrid) searchPreEncoded(query string, qv embed.Vector, k int) []Hit {
-	return hy.route(qv, k, func(s *Sharded) []Hit { return s.searchPreEncoded(query, qv, k) })
-}
-
-// BatchSearchWith runs Search for each query concurrently, with
-// caller-supplied embeddings.
+// BatchSearchWith searches every query, with caller-supplied embeddings,
+// through the graph+tail split — one graph probe per query merged with
+// one batch scan of the uncovered tail — or, on fallback, one batch scan
+// of every segment, counting which path answered.
 func (hy *Hybrid) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
-	return batchSearch(hy, encode, queries, k)
+	qs := prepare(encode, queries)
+	if k <= 0 {
+		return make([][]Hit, len(qs))
+	}
+	if hy.useFallback(k) {
+		if hy.opts.Counters != nil {
+			hy.opts.Counters.Fallbacks.Add(int64(len(qs)))
+		}
+		return hy.full.scanBatch(qs, k)
+	}
+	if hy.opts.Counters != nil {
+		hy.opts.Counters.Searches.Add(int64(len(qs)))
+	}
+	out := hy.tail.scanBatch(qs, k)
+	for i := range qs {
+		out[i] = MergeTopK([][]Hit{hy.ann.SearchVectorEf(qs[i].vec, k, hy.ef()), out[i]}, k)
+	}
+	return out
 }
 
 // Stats aggregates segment statistics plus the ANN layer description.

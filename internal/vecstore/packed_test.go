@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"os"
 	"strings"
 	"testing"
@@ -15,9 +16,10 @@ import (
 
 // checkPackedRow packs row and checks the three contracts of the packed
 // form against its dense source: the lane layout, pack→expand being the
-// identity on bit patterns, and the kernel's score being bit-identical
-// to embed.NormDot for the (finite) query.
-func checkPackedRow(t testing.TB, q, row *embed.Vector) {
+// identity on bit patterns, and the kernels' scores being bit-identical
+// to embed.NormDot for the (finite) queries — dot for q, dot2 for q and q2
+// together, in either position.
+func checkPackedRow(t testing.TB, q, q2, row *embed.Vector) {
 	t.Helper()
 	var p packedRows
 	p.appendRow(row)
@@ -63,11 +65,21 @@ func checkPackedRow(t testing.TB, q, row *embed.Vector) {
 		}
 	}
 
-	wide := widen(q)
-	got, want := p.dot(&wide, 0), embed.NormDot(q, row)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("packed score %v (%#016x) != NormDot %v (%#016x)", got, math.Float64bits(got), want, math.Float64bits(want))
+	wide, wide2 := widen(q), widen(q2)
+	want, want2 := embed.NormDot(q, row), embed.NormDot(q2, row)
+	same := func(kernel string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s score %v (%#016x) != NormDot %v (%#016x)", kernel, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
+	same("dot", p.dot(&wide, 0), want)
+	a, b := p.dot2(&wide, &wide2, 0)
+	same("dot2 first", a, want)
+	same("dot2 second", b, want2)
+	b, a = p.dot2(&wide2, &wide, 0)
+	same("dot2 swapped first", b, want2)
+	same("dot2 swapped second", a, want)
 }
 
 // quickWorldStores renders the -quick world (node.ConfigFor(true)) into
@@ -111,9 +123,9 @@ func pseudoTriples(t *testing.T) []string {
 
 // TestPackedScoreBitIdenticalOnQuickWorld is the bit-identity contract
 // on the data the server scans: every row of both quick-world indexes,
-// scored against real pseudo-triple queries, gives exactly the float64
-// embed.NormDot gives over the dense vectors, and expands back to the
-// encoder's output.
+// scored against real pseudo-triple queries — one at a time through dot,
+// adjacent pairs through dot2 — gives exactly the float64 embed.NormDot
+// gives over the dense vectors, and expands back to the encoder's output.
 func TestPackedScoreBitIdenticalOnQuickWorld(t *testing.T) {
 	enc := embed.NewEncoder()
 	queries := pseudoTriples(t)
@@ -136,9 +148,14 @@ func TestPackedScoreBitIdenticalOnQuickWorld(t *testing.T) {
 				t.Fatalf("%v row %d does not expand to its encoding", st.Source(), r)
 			}
 			for i := range qvs {
+				j := (i + 1) % len(qvs)
 				got, want := idx.rows.dot(&wide[i], r), embed.NormDot(&qvs[i], &dense)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%v row %d query %q: packed %v != NormDot %v", st.Source(), r, queries[i], got, want)
+				}
+				a, b := idx.rows.dot2(&wide[i], &wide[j], r)
+				if wantB := embed.NormDot(&qvs[j], &dense); math.Float64bits(a) != math.Float64bits(want) || math.Float64bits(b) != math.Float64bits(wantB) {
+					t.Fatalf("%v row %d queries %q, %q: dot2 (%v, %v) != NormDot (%v, %v)", st.Source(), r, queries[i], queries[j], a, b, want, wantB)
 				}
 			}
 		}
@@ -225,27 +242,34 @@ func packedSeeds() map[string]embed.Vector {
 	return seeds
 }
 
-// TestPackedRowCornerCases runs every seed row against every seed query.
+// TestPackedRowCornerCases runs every seed row against every pair of seed
+// queries.
 func TestPackedRowCornerCases(t *testing.T) {
 	seeds := packedSeeds()
 	for rn, row := range seeds {
 		for qn, q := range seeds {
-			t.Run(rn+"/"+qn, func(t *testing.T) { checkPackedRow(t, &q, &row) })
+			t.Run(rn+"/"+qn, func(t *testing.T) {
+				for _, q2 := range seeds {
+					checkPackedRow(t, &q, &q2, &row)
+				}
+			})
 		}
 	}
 }
 
 // FuzzPackedRow checks layout, pack→expand identity and bit-identical
-// scoring over arbitrary finite float32 bit patterns for query and row.
+// scoring over arbitrary finite float32 bit patterns for a row and the two
+// queries it is scored against.
 func FuzzPackedRow(f *testing.F) {
 	for _, row := range packedSeeds() {
 		for _, q := range packedSeeds() {
-			f.Add(bitsOf(&q), bitsOf(&row))
+			// The second query is the row itself: as varied as the seeds.
+			f.Add(bitsOf(&q), bitsOf(&row), bitsOf(&row))
 		}
 	}
-	f.Fuzz(func(t *testing.T, qb, rb []byte) {
-		q, row := vectorFromBits(qb), vectorFromBits(rb)
-		checkPackedRow(t, &q, &row)
+	f.Fuzz(func(t *testing.T, qb, q2b, rb []byte) {
+		q, q2, row := vectorFromBits(qb), vectorFromBits(q2b), vectorFromBits(rb)
+		checkPackedRow(t, &q, &q2, &row)
 	})
 }
 
@@ -294,6 +318,17 @@ func referenceCandidates(idx *Index, query string) []int32 {
 	return out
 }
 
+// rowsOf lists a set's rows the way scan walks them.
+func rowsOf(set rowSet) []int32 {
+	var rows []int32
+	for i, w := range set {
+		for ; w != 0; w &= w - 1 {
+			rows = append(rows, int32(i<<6|bits.TrailingZeros64(w)))
+		}
+	}
+	return rows
+}
+
 // TestCandidatesMatchReference compares the bitset selection, as the
 // scan consumes it, with the reference on sizes that put the last row on
 // either side of a word boundary.
@@ -314,15 +349,14 @@ func TestCandidatesMatchReference(t *testing.T) {
 			"",      // no tokens
 			"<> //", // separators only: no tokens
 		} {
-			set := idx.candidates(q)
+			set := idx.candidates(distinctTokens(q))
 			if len(embed.Tokenize(q)) == 0 {
 				if set != nil {
 					t.Errorf("n=%d %q: token-less query gave a non-nil set", n, q)
 				}
 				continue
 			}
-			var got []int32
-			set.each(func(row int) { got = append(got, int32(row)) })
+			got := rowsOf(set)
 			want := referenceCandidates(idx, q)
 			if len(got) != len(want) || set.count() != len(want) {
 				t.Fatalf("n=%d %q: %d candidates (count %d), want %d", n, q, len(got), set.count(), len(want))
@@ -333,7 +367,7 @@ func TestCandidatesMatchReference(t *testing.T) {
 				}
 			}
 		}
-		if got := idx.candidates("lastrowonly"); got.count() != 1 {
+		if got := idx.candidates([]string{"lastrowonly"}); got.count() != 1 {
 			t.Errorf("n=%d: last row not selected alone: %d rows", n, got.count())
 		}
 	}
@@ -372,6 +406,28 @@ func TestSearchFallsThroughBelowK(t *testing.T) {
 	for _, h := range got {
 		if h.Triple.Object != "raretoken" {
 			t.Errorf("k=3 over 3 candidates returned a row without the token: %v", h.Triple)
+		}
+	}
+
+	// The boundary where the two scans disagree: exactly k rows share a
+	// token (only "x7") with the query, and a row sharing none scores above
+	// them on character trigrams. k candidates are enough, so it stays out.
+	near := kg.NewTriple("alphas", "populations", "1000")
+	idx = BuildTriples(enc, []kg.Triple{
+		kg.NewTriple("zeta", "kind", "x7"), near, kg.NewTriple("omicron", "sort", "x7"),
+		kg.NewTriple("unrelated", "thing", "here"), kg.NewTriple("upsilon", "type", "x7"),
+	})
+	const q = "alpha population 100 x7"
+	if exact := idx.SearchExact(q, 3); !exact[0].Triple.Equal(near) {
+		t.Fatalf("the token-less near match does not win the full scan: %v", exact)
+	}
+	for _, k := range []int{3, 4} {
+		hasNear := false
+		for _, h := range idx.Search(q, k) {
+			hasNear = hasNear || h.Triple.Equal(near)
+		}
+		if want := k == 4; hasNear != want { // four slots cannot be filled from three candidates
+			t.Errorf("k=%d over 3 candidates: near match returned = %v, want %v", k, hasNear, want)
 		}
 	}
 }

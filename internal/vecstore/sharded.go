@@ -16,8 +16,9 @@ import (
 const DefaultShardSize = 4096
 
 // Sharded is a segmented vector index: the triple set is split into
-// fixed-size segments, each its own immutable Index, and every search fans
-// out across the segments concurrently with a top-k merge by score. On
+// fixed-size segments, each its own immutable Index, and every search —
+// one query or a request's batch — fans out across the segments
+// concurrently with a top-k merge by score per query. On
 // KG-scale stores the parallel scan is the difference between one core and
 // all of them (see BenchmarkShardedVsSingleSearch).
 //
@@ -82,7 +83,7 @@ func (s *Sharded) Encoder() *embed.Encoder { return s.enc }
 // Search returns the top-k triples most similar to the query text, merged
 // across all segments by score.
 func (s *Sharded) Search(query string, k int) []Hit {
-	return s.searchFanOut(query, s.enc.Encode(query), k)
+	return s.BatchSearchWith(s.enc.Encode, []string{query}, k)[0]
 }
 
 // SearchExact is the brute-force reference: an exact scan of every segment.
@@ -92,58 +93,48 @@ func (s *Sharded) SearchExact(query string, k int) []Hit {
 
 // SearchVector searches all segments with a pre-encoded vector.
 func (s *Sharded) SearchVector(qv embed.Vector, k int) []Hit {
-	return s.fanOut(k, func(sh *Index) []Hit { return sh.SearchVector(qv, k) })
-}
-
-// searchFanOut is Search with the query's embedding supplied, spread over
-// the worker pool; each segment keeps its token-filtered candidate path.
-func (s *Sharded) searchFanOut(query string, qv embed.Vector, k int) []Hit {
-	return s.fanOut(k, func(sh *Index) []Hit { return sh.searchPreEncoded(query, qv, k) })
-}
-
-// searchPreEncoded is searchFanOut without the worker pool, used by
-// batchSearch where queries are already parallelised.
-func (s *Sharded) searchPreEncoded(query string, qv embed.Vector, k int) []Hit {
-	if k <= 0 || len(s.shards) == 0 {
-		return nil
-	}
 	per := make([][]Hit, len(s.shards))
-	for i, sh := range s.shards {
-		per[i] = sh.searchPreEncoded(query, qv, k)
-	}
+	s.eachShard(func(i int, sh *Index) { per[i] = sh.SearchVector(qv, k) })
 	return MergeTopK(per, k)
 }
 
-// BatchSearchWith runs Search for each query concurrently, with
-// caller-supplied embeddings.
+// BatchSearchWith searches every query with the token-filtered path, with
+// caller-supplied embeddings: one batch scan per segment, merged per query.
 func (s *Sharded) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
-	return batchSearch(s, encode, queries, k)
+	return s.scanBatch(prepare(encode, queries), k)
 }
 
-// fanOut runs search on every segment and merges the per-segment top-k
-// lists into the global top-k. Each segment returns its own correct
-// top-k, so the merge of all of them contains the global winners. The
-// scan is spread over a worker pool sized by the machine's parallelism:
-// one worker per schedulable thread, capped at the shard count, falling
-// back to a plain sequential loop on single-core boxes where goroutine
-// hand-offs would only add overhead.
-func (s *Sharded) fanOut(k int, search func(*Index) []Hit) []Hit {
-	if k <= 0 || len(s.shards) == 0 {
-		return nil
+// scanBatch runs the batch scan on every segment and merges each query's
+// per-segment top-k lists into its global top-k. Each segment returns its
+// own correct top-k, so the merge of all of them contains the global
+// winners.
+func (s *Sharded) scanBatch(qs []batchQuery, k int) [][]Hit {
+	per := make([][][]Hit, len(s.shards))
+	s.eachShard(func(i int, sh *Index) { per[i] = sh.scanBatch(qs, k) })
+	out := make([][]Hit, len(qs))
+	lists := make([][]Hit, len(per))
+	for q := range out {
+		for i := range per {
+			lists[i] = per[i][q]
+		}
+		out[q] = MergeTopK(lists, k)
 	}
-	if len(s.shards) == 1 {
-		return search(s.shards[0])
-	}
-	per := make([][]Hit, len(s.shards))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
+	return out
+}
+
+// eachShard calls fn once per segment with the segment's position. The
+// calls are spread over a worker pool sized by the machine's parallelism —
+// the scans are CPU-bound, so more goroutines than schedulable threads
+// only adds contention: one worker per thread, capped at the shard count,
+// and a plain loop when that leaves one (a single segment, or a
+// single-core box where goroutine hand-offs would only add overhead).
+func (s *Sharded) eachShard(fn func(i int, sh *Index)) {
+	workers := min(runtime.GOMAXPROCS(0), len(s.shards))
 	if workers <= 1 {
 		for i, sh := range s.shards {
-			per[i] = search(sh)
+			fn(i, sh)
 		}
-		return MergeTopK(per, k)
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -156,12 +147,11 @@ func (s *Sharded) fanOut(k int, search func(*Index) []Hit) []Hit {
 				if i >= len(s.shards) {
 					return
 				}
-				per[i] = search(s.shards[i])
+				fn(i, s.shards[i])
 			}
 		}()
 	}
 	wg.Wait()
-	return MergeTopK(per, k)
 }
 
 // hitCursor walks one per-segment result list inside MergeTopK.

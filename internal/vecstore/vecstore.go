@@ -28,17 +28,30 @@
 // order); when fewer than k rows do, it scans every row instead.
 // SearchExact always scans every row and is the reference for Search:
 // the filter can only drop rows with no token in common with the query,
-// whose cosine under the hashing encoder is collision noise.
+// whose cosine under the hashing encoder is collision noise. The rule
+// applies per segment — a segment with fewer than k sharing rows is
+// scanned whole whatever the other segments hold — so a top-k depends on
+// how the triples are cut into segments, not only on the triple set.
+//
+// Batch rule. A request's queries are prepared once (embedding, widened
+// embedding, distinct tokens) and each segment is walked once for all of
+// them: every query gets its candidate set by the filter rule, then the
+// two unpaired queries whose sets share the most rows are scored together
+// — one pass over the union, the two-query kernel dot2 on the shared rows
+// and dot on the rest — until no two sets overlap, and the remaining
+// queries walk alone. A segment scanned whole counts as the set of all its
+// rows, so fall-through queries pair with each other first. Pairing
+// decides cost only: dot2 gives each query the float64 dot gives it, rows
+// reach each query's heap in ascending order either way, and the results
+// are those of searching the queries one by one.
 package vecstore
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/embed"
@@ -62,8 +75,9 @@ type Searcher interface {
 	Encoder() *embed.Encoder
 	// Search returns the top-k triples most similar to the query text.
 	Search(query string, k int) []Hit
-	// BatchSearchWith runs Search for each query concurrently, with the
-	// query embeddings supplied by encode.
+	// BatchSearchWith returns what Search returns for each query, in query
+	// order, with the query embeddings supplied by encode (called once per
+	// query).
 	BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit
 	// Stats describes the index for diagnostics.
 	Stats() Stats
@@ -192,6 +206,29 @@ func (p *packedRows) dot(q *[embed.Dim]float64, r int) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
+// dot2 scores row r against two widened queries in one pass over the
+// row: each entry is loaded and widened once and feeds both queries' lane
+// accumulators, in dot's term order and final association, so each result
+// is bit-identical to dot's for that query.
+func (p *packedRows) dot2(qa, qb *[embed.Dim]float64, r int) (float64, float64) {
+	lo, hi := p.off[r], p.off[r+1]
+	ix, vs := p.idx[lo:hi], p.val[lo:hi]
+	var a0, a1, a2, a3, b0, b1, b2, b3 float64
+	for len(ix) >= 4 && len(vs) >= 4 {
+		v0, v1, v2, v3 := float64(vs[0]), float64(vs[1]), float64(vs[2]), float64(vs[3])
+		a0 += qa[ix[0]] * v0
+		b0 += qb[ix[0]] * v0
+		a1 += qa[ix[1]] * v1
+		b1 += qb[ix[1]] * v1
+		a2 += qa[ix[2]] * v2
+		b2 += qb[ix[2]] * v2
+		a3 += qa[ix[3]] * v3
+		b3 += qb[ix[3]] * v3
+		ix, vs = ix[4:], vs[4:]
+	}
+	return (a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3)
+}
+
 // Build encodes every triple in the store and constructs the index. The
 // encoder must be the same one used to encode queries.
 func Build(enc *embed.Encoder, store *kg.Store) *Index {
@@ -247,25 +284,31 @@ func newIndex(enc *embed.Encoder, triples []kg.Triple, parts ...packedRows) *Ind
 	}
 	idx := &Index{enc: enc, triples: triples, rows: rows, inverted: make(map[string][]int32)}
 	for i, t := range triples {
-		toks := embed.Tokenize(t.Text())
-		for j, tok := range toks {
-			if !repeated(toks, j) {
-				idx.inverted[tok] = append(idx.inverted[tok], int32(i))
+		for _, tok := range distinctTokens(t.Text()) {
+			post, ok := idx.inverted[tok]
+			if !ok {
+				// The token may be a substring of the triple's text; the key
+				// must not keep that alive.
+				tok = strings.Clone(tok)
 			}
+			idx.inverted[tok] = append(post, int32(i))
 		}
 	}
 	return idx
 }
 
-// repeated reports whether toks[j] already occurs earlier in toks. A
-// triple or query has about a dozen tokens, so the scan beats a map.
-func repeated(toks []string, j int) bool {
-	for _, prev := range toks[:j] {
-		if prev == toks[j] {
-			return true
+// distinctTokens tokenises text and drops repeated tokens, keeping first
+// occurrences in order. A triple or query has about a dozen tokens, so
+// the scan beats a map.
+func distinctTokens(text string) []string {
+	toks := embed.Tokenize(text)
+	out := toks[:0]
+	for _, tok := range toks {
+		if !slices.Contains(out, tok) {
+			out = append(out, tok)
 		}
 	}
-	return false
+	return out
 }
 
 // Len returns the number of indexed triples.
@@ -275,36 +318,32 @@ func (idx *Index) Len() int { return len(idx.triples) }
 func (idx *Index) Encoder() *embed.Encoder { return idx.enc }
 
 // Search returns the top-k triples most similar to the query text, in
-// descending score order, using the token-filtered path. If the filter
-// yields no candidates (no token overlap at all) it falls back to the exact
-// scan so the caller always gets k results when the index has them.
+// descending score order, using the token-filtered path. If fewer than k
+// rows share a token with the query it falls back to the exact scan, so
+// the caller always gets k results when the index has them.
 func (idx *Index) Search(query string, k int) []Hit {
-	return idx.searchPreEncoded(query, idx.enc.Encode(query), k)
+	return idx.BatchSearchWith(idx.enc.Encode, []string{query}, k)[0]
 }
 
 // SearchExact returns the top-k results by brute-force scan over the whole
 // index. It is the correctness reference for Search.
 func (idx *Index) SearchExact(query string, k int) []Hit {
-	return idx.searchVec(idx.enc.Encode(query), k, nil)
+	return idx.SearchVector(idx.enc.Encode(query), k)
 }
 
 // SearchVector searches with a pre-encoded query vector over all triples.
 func (idx *Index) SearchVector(qv embed.Vector, k int) []Hit {
-	return idx.searchVec(qv, k, nil)
+	return idx.searchVec(qv, k, idx.allRows())
 }
 
-// searchPreEncoded is Search for callers that already hold the query's
-// embedding (e.g. from a memo): it keeps the token-filtered candidate
-// path — which needs the query text — but skips re-encoding. The vector
-// must have been produced by this index's encoder for the given text.
-func (idx *Index) searchPreEncoded(query string, qv embed.Vector, k int) []Hit {
-	cands := idx.candidates(query)
-	if cands.count() < k {
-		// Not enough token-overlapping candidates to fill k slots: scan
-		// everything so the caller still gets k results.
-		return idx.searchVec(qv, k, nil)
-	}
-	return idx.searchVec(qv, k, cands)
+// BatchSearchWith searches every query with the token-filtered path in
+// one walk of the index (see the package comment's batch rule) and returns
+// results in query order, with the query embeddings supplied by encode
+// instead of the index's encoder — the hook for callers that memoise
+// embeddings (internal/core's session memo). encode must be consistent
+// with the index's encoder.
+func (idx *Index) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
+	return idx.scanBatch(prepare(encode, queries), k)
 }
 
 // rowSet is a bitset over an index's rows: bit r%64 of word r/64.
@@ -319,27 +358,37 @@ func (s rowSet) count() int {
 	return n
 }
 
-// each calls fn for every row in the set, ascending.
-func (s rowSet) each(fn func(row int)) {
+// shared returns the number of rows in both s and t, sets over the same
+// index.
+func (s rowSet) shared(t rowSet) int {
+	n := 0
 	for i, w := range s {
-		for ; w != 0; w &= w - 1 {
-			fn(i<<6 | bits.TrailingZeros64(w))
-		}
+		n += bits.OnesCount64(w & t[i])
 	}
+	return n
 }
 
-// candidates returns the rows sharing at least one token with the query,
-// or nil when the query has no tokens.
-func (idx *Index) candidates(query string) rowSet {
-	toks := embed.Tokenize(query)
+// allRows returns the set of every row.
+func (idx *Index) allRows() rowSet {
+	n := len(idx.triples)
+	set := make(rowSet, (n+63)/64)
+	for i := range set {
+		set[i] = ^uint64(0)
+	}
+	if n&63 != 0 {
+		set[len(set)-1] = 1<<(n&63) - 1
+	}
+	return set
+}
+
+// candidates returns the rows sharing at least one of the tokens, or nil
+// when there are none to share.
+func (idx *Index) candidates(toks []string) rowSet {
 	if len(toks) == 0 {
 		return nil
 	}
 	set := make(rowSet, (len(idx.triples)+63)/64)
-	for j, tok := range toks {
-		if repeated(toks, j) {
-			continue
-		}
+	for _, tok := range toks {
 		for _, off := range idx.inverted[tok] {
 			set[off>>6] |= 1 << (off & 63)
 		}
@@ -347,54 +396,16 @@ func (idx *Index) candidates(query string) rowSet {
 	return set
 }
 
-// hitHeap is a min-heap over scores holding the best k hits seen so far.
-type hitHeap []Hit
-
-func (h hitHeap) Len() int           { return len(h) }
-func (h hitHeap) Less(i, j int) bool { return h[i].Score < h[j].Score }
-func (h hitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *hitHeap) Push(x any)        { *h = append(*h, x.(Hit)) }
-func (h *hitHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// searchVec scores the rows of subset (every row when nil) in ascending
-// row order and returns the top k.
+// searchVec scores the rows of subset in ascending row order and returns
+// the top k.
 func (idx *Index) searchVec(qv embed.Vector, k int, subset rowSet) []Hit {
 	if k <= 0 || qv.IsZero() {
 		return nil
 	}
 	q := widen(&qv)
-	h := make(hitHeap, 0, k+1)
-	consider := func(i int) {
-		score := idx.rows.dot(&q, i)
-		if len(h) < k {
-			heap.Push(&h, Hit{Triple: idx.triples[i], Score: score})
-			return
-		}
-		if score > h[0].Score {
-			h[0] = Hit{Triple: idx.triples[i], Score: score}
-			heap.Fix(&h, 0)
-		}
-	}
-	if subset == nil {
-		for i := range idx.triples {
-			consider(i)
-		}
-	} else {
-		subset.each(consider)
-	}
-	out := make([]Hit, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Hit)
-	}
-	// Tie-break equal scores deterministically by triple surface form.
-	sort.SliceStable(out, func(i, j int) bool { return hitBefore(out[i], out[j]) })
-	return out
+	best := make(topK, 0, min(k, len(idx.triples)))
+	idx.scan(&q, subset, &best)
+	return idx.hits(&best)
 }
 
 // hitBefore is the deterministic result order every Searcher produces:
@@ -404,45 +415,6 @@ func hitBefore(a, b Hit) bool {
 		return a.Score > b.Score
 	}
 	return a.Triple.Key() < b.Triple.Key()
-}
-
-// BatchSearchWith runs Search for each query concurrently and returns
-// results in query order, with the query embeddings supplied by encode
-// instead of the index's encoder — the hook for callers that memoise
-// embeddings (internal/core's session memo). encode must be safe for
-// concurrent use and consistent with the index's encoder.
-func (idx *Index) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
-	return batchSearch(idx, encode, queries, k)
-}
-
-// preEncodedSearcher is the surface batchSearch fans out over: one query
-// with its embedding supplied, searched without internal concurrency.
-type preEncodedSearcher interface {
-	searchPreEncoded(query string, qv embed.Vector, k int) []Hit
-}
-
-// batchSearch runs per-query searches concurrently, bounded by the
-// machine's parallelism: the searches are CPU-bound scans, so more
-// goroutines than schedulable threads only adds contention, and fewer
-// leaves large boxes idle. Each query is searched single-threaded (a
-// Sharded goes shard by shard) — the outer pool already saturates the
-// cores, so nesting a per-shard fan-out inside it would multiply the
-// goroutine count without adding throughput.
-func batchSearch(s preEncodedSearcher, encode func(string) embed.Vector, queries []string, k int) [][]Hit {
-	out := make([][]Hit, len(queries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, q := range queries {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, q string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = s.searchPreEncoded(q, encode(q), k)
-		}(i, q)
-	}
-	wg.Wait()
-	return out
 }
 
 // Stats describes an index for diagnostics.

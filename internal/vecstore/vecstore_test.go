@@ -209,7 +209,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-// TestSearchPreEncodedMatchesSearch: searching with a pre-encoded vector
+// TestSearchPreEncodedMatchesSearch: searching with a supplied embedding
 // (the core embedding memo's path) must return exactly what Search does.
 func TestSearchPreEncodedMatchesSearch(t *testing.T) {
 	idx := buildTestIndex(t)
@@ -222,7 +222,7 @@ func TestSearchPreEncodedMatchesSearch(t *testing.T) {
 	} {
 		qv := idx.Encoder().Encode(query)
 		want := idx.Search(query, 3)
-		got := idx.searchPreEncoded(query, qv, 3)
+		got := idx.BatchSearchWith(func(string) embed.Vector { return qv }, []string{query}, 3)[0]
 		if len(got) != len(want) {
 			t.Fatalf("%q: %d hits vs %d", query, len(got), len(want))
 		}
