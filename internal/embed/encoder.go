@@ -42,9 +42,10 @@ func (v Vector) Dot(u Vector) float64 {
 }
 
 // NormDot is the dense scoring kernel: the inner product of two
-// encoder-normalised vectors, i.e. their cosine similarity. It is what
-// internal/vecstore's HNSW graph scores its dense vectors with, and the
-// reference internal/vecstore's packed-row scan is tested against.
+// encoder-normalised vectors, i.e. their cosine similarity. Nothing served
+// calls it: it is the reference internal/vecstore's packed-row kernel —
+// which scores every scan and every HNSW graph comparison — is tested
+// against, and the dense baseline of vecstore's BenchmarkKernel.
 // Pointer arguments avoid the two 1 KiB array copies a value-receiver call
 // makes per candidate, and the body is unrolled over four independent
 // accumulators so the multiplies pipeline instead of serialising on one

@@ -22,30 +22,12 @@ type Reader interface {
 	Contains(t Triple) bool
 	// Subject returns all triples whose subject matches exactly.
 	Subject(s string) []Triple
-	// Relation returns all triples with the given relation.
-	Relation(r string) []Triple
-	// Object returns all triples whose object matches exactly.
-	Object(o string) []Triple
 	// SubjectRelation returns the (subject, relation) triples in Ord order.
 	SubjectRelation(s, r string) []Triple
-	// RelationObject is the reverse lookup used by exploration baselines.
-	RelationObject(r, o string) []Triple
 	// HasSubject reports whether any triple has the given subject.
 	HasSubject(s string) bool
-	// Subjects returns all distinct subjects, sorted.
-	Subjects() []string
-	// Relations returns all distinct relations, sorted.
-	Relations() []string
-	// Objects returns all distinct objects, sorted.
-	Objects() []string
-	// Neighbours returns the one-hop neighbourhood of s.
-	Neighbours(s string) []Triple
-	// SubjectGraph returns a Graph holding the given subjects' triples.
-	SubjectGraph(subjects []string) *Graph
 	// FindSubjectFold resolves a case-folded subject to its canonical form.
 	FindSubjectFold(q string) (string, bool)
-	// Stats summarises the view for diagnostics.
-	Stats() Stats
 }
 
 var _ Reader = (*Store)(nil)

@@ -2,6 +2,8 @@ package substrate
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/embed"
@@ -97,6 +99,63 @@ func TestANNCheckpointReloadsGraph(t *testing.T) {
 		t.Fatalf("recovered ANN stats = %+v, want 46-node graph", st.ANN)
 	}
 	assertSameSubstrate(t, m1, m2)
+}
+
+// TestANNEfSearchIsSearchTimeOnly: the serving beam is Config.ANN.EfSearch
+// and nothing else. A publish must not write it into the graph that older
+// snapshots and a running checkpoint share — ingest, Stats and Checkpoint
+// overlap here, and under the race detector such a write fails the test —
+// and a checkpoint must not carry it to a restart that does not set it.
+func TestANNEfSearchIsSearchTimeOnly(t *testing.T) {
+	ctx := context.Background()
+	cfg := durableConfig(t, t.TempDir())
+	cfg.ANN = ANNConfig{Enabled: true, EfSearch: 40}
+	m1 := recoverTestManager(t, 40, cfg)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	// until runs step over and over while the ingests below publish.
+	until := func(step func() (ok bool)) {
+		defer wg.Done()
+		for step() {
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}
+	wg.Add(2)
+	go until(func() bool {
+		st := m1.Stats()
+		if st.ANN == nil || st.ANN.EfSearch != 40 {
+			t.Errorf("ANN stats = %+v, want the configured beam of 40", st.ANN)
+			return false
+		}
+		return true
+	})
+	go until(func() bool {
+		if _, err := m1.Checkpoint(ctx); err != nil && !errors.Is(err, ErrCheckpointing) {
+			t.Errorf("checkpoint: %v", err)
+			return false
+		}
+		return true
+	})
+	ingestN(t, m1, 20, "beam")
+	close(done)
+	wg.Wait()
+	if _, err := m1.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.ANN.EfSearch = 0
+	m2 := recoverTestManager(t, 40, cfg)
+	defer m2.Close()
+	if st := m2.Stats(); st.ANN == nil || st.ANN.Nodes != 40 || st.ANN.EfSearch != vecstore.DefaultHNSWEfSearch {
+		t.Fatalf("restart without a beam: ANN stats = %+v, want the reloaded 40-node graph at the default beam %d", st.ANN, vecstore.DefaultHNSWEfSearch)
+	}
 }
 
 // TestANNRecoveryPrefixCoverage: a checkpoint taken before compaction

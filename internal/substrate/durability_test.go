@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/embed"
 	"repro/internal/kg"
@@ -491,6 +493,55 @@ func TestCompactKeepsEpochAcrossRestart(t *testing.T) {
 
 // TestIngestIdempotentAcrossRestart: re-ingesting recovered facts
 // reports them as duplicates instead of growing the substrate.
+// logLines forwards the log lines containing want to a channel.
+type logLines struct {
+	want  string
+	lines chan string
+}
+
+func (l logLines) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), l.want) {
+		select {
+		case l.lines <- string(p):
+		default:
+		}
+	}
+	return len(p), nil
+}
+
+// TestAutoCompactionFailureIsLogged: the threshold-triggered compaction
+// runs in the background with nobody to return its error to, and it can
+// fail — here on its WAL epoch marker, the log having broken after the
+// ingests that filled the delta. The failure must reach the log.
+func TestAutoCompactionFailureIsLogged(t *testing.T) {
+	m := recoverTestManager(t, 10, durableConfig(t, t.TempDir()))
+	defer m.Close()
+	ingestN(t, m, 2, "delta")
+
+	sink := logLines{want: "auto-compaction", lines: make(chan string, 1)}
+	log.SetOutput(sink)
+	defer log.SetOutput(os.Stderr)
+	m.wal.mu.Lock()
+	m.wal.f.Close()
+	m.wal.f = nil
+	m.wal.mu.Unlock()
+	m.mu.Lock()
+	m.cfg.CompactThreshold = 2 // what the two ingests would have crossed
+	m.autoCompactLocked()
+	m.mu.Unlock()
+	select {
+	case line := <-sink.lines:
+		if !strings.Contains(line, "compaction epoch marker") {
+			t.Errorf("logged %q, want the failed epoch marker append", line)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the failed auto-compaction logged nothing")
+	}
+	if st := m.Stats(); st.Compactions != 0 {
+		t.Errorf("a compaction whose marker was refused published: %+v", st)
+	}
+}
+
 func TestIngestIdempotentAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(t, dir)

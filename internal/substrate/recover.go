@@ -19,17 +19,15 @@ type Durability struct {
 	// Dir is the root data directory; each manager persists under
 	// Dir/<source>/. Empty disables persistence entirely.
 	Dir string
-	// Fsync is the WAL sync policy (default SyncInterval).
+	// Fsync is the WAL sync policy (default SyncInterval, which fsyncs
+	// every DefaultSyncEvery).
 	Fsync SyncPolicy
-	// SyncEvery is SyncInterval's background fsync cadence; <= 0 uses
-	// DefaultSyncEvery.
-	SyncEvery time.Duration
 	// CheckpointInterval writes a checkpoint on a timer; <= 0 checkpoints
 	// only on compaction and explicit Checkpoint calls.
 	CheckpointInterval time.Duration
 }
 
-// DefaultSyncEvery is the SyncInterval fsync cadence when none is given.
+// DefaultSyncEvery is SyncInterval's background fsync cadence.
 const DefaultSyncEvery = 100 * time.Millisecond
 
 // Enabled reports whether this configuration persists anything.
@@ -158,24 +156,20 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 		m.recovery.CheckpointTriples = cp.store.Len()
 		m.lastCheckpointEpoch.Store(cp.epoch)
 		if cfg.ANN.Enabled {
-			if cp.ann != nil {
-				// Reload: the persisted graph binds to a prefix of the
-				// checkpoint shards (checkpoints flatten base + delta, so
-				// the former delta surfaces as uncovered tail shards that
-				// stay exact-scanned until the next compaction).
-				m.baseANN = cp.ann
-			} else {
-				// ANN newly enabled over a checkpoint written without a
-				// graph file (ANN was off, or format 1): build it at boot.
-				m.baseANN = vecstore.BuildHNSW(enc, cp.store.All(), cfg.ANN.hnswConfig())
-			}
+			// Reload: the persisted graph is bound to a prefix of the
+			// checkpoint shards (checkpoints flatten base + delta, so the
+			// former delta surfaces as uncovered tail shards that stay
+			// exact-scanned until the next compaction).
+			m.baseANN = cp.ann
 		}
 	} else {
 		m.base = seed
 		m.baseShards = vecstore.BuildShards(enc, seed.All(), cfg.ShardSize)
-		if cfg.ANN.Enabled {
-			m.baseANN = vecstore.BuildHNSW(enc, seed.All(), cfg.ANN.hnswConfig())
-		}
+	}
+	if m.baseANN == nil {
+		// Seed boot, or ANN newly enabled over a checkpoint written without
+		// a graph file (ANN was off, or format 1): build it at boot.
+		m.baseANN = m.graphOver(m.baseShards)
 	}
 	m.delta = kg.NewStore(m.base.Source())
 
@@ -264,7 +258,6 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 		m.publishLocked()
 	}
 	bootEpoch := m.epoch
-	compactNeeded := cfg.CompactThreshold > 0 && m.delta.Len() >= m.cfg.CompactThreshold
 	m.mu.Unlock()
 
 	w, err := openWAL(walPath, cfg.Durability.Fsync)
@@ -285,29 +278,21 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 	}
 
 	if cfg.Durability.Fsync == SyncInterval {
-		every := cfg.Durability.SyncEvery
-		if every <= 0 {
-			every = DefaultSyncEvery
-		}
 		m.stopFlush = make(chan struct{})
 		m.flushDone = make(chan struct{})
-		go w.flusher(every, m.stopFlush, m.flushDone)
+		go w.flusher(m.stopFlush, m.flushDone)
 	}
 	if cfg.Durability.CheckpointInterval > 0 {
 		m.stopCkpt = make(chan struct{})
 		m.ckptDone = make(chan struct{})
 		go m.checkpointLoop(cfg.Durability.CheckpointInterval)
 	}
-	if compactNeeded {
-		// The replayed delta already crossed the auto-compaction
-		// threshold; fold it (and checkpoint) in the background instead of
-		// waiting for the next live ingest to notice.
-		go func() {
-			if _, err := m.Compact(context.Background()); err != nil && !errors.Is(err, ErrCompacting) {
-				log.Printf("substrate[%s]: post-recovery compaction: %v", m.Source(), err)
-			}
-		}()
-	}
+	// A replayed delta already past the auto-compaction threshold folds (and
+	// checkpoints) now instead of waiting for the next live ingest to
+	// notice. The WAL Compact logs to is open by this point.
+	m.mu.Lock()
+	m.autoCompactLocked()
+	m.mu.Unlock()
 	return m, nil
 }
 

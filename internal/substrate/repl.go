@@ -1,7 +1,6 @@
 package substrate
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -193,15 +192,10 @@ func (m *Manager) ApplyReplicated(rec WALRecord) (bool, error) {
 	}
 	m.coalesceDeltaSegsLocked()
 	m.publishLocked() // epoch was rec.Epoch-1, so this publishes rec.Epoch
-	compactNeeded := m.cfg.CompactThreshold > 0 && m.delta.Len() >= m.cfg.CompactThreshold
+	// Replica compactions are epoch-frozen (see Compact), so the fold never
+	// desynchronises the applied chain.
+	m.autoCompactLocked()
 	m.mu.Unlock()
-	if compactNeeded {
-		go func() {
-			// Replica compactions are epoch-frozen (see Compact), so the
-			// fold never desynchronises the applied chain.
-			_, _ = m.Compact(context.Background())
-		}()
-	}
 	return true, nil
 }
 

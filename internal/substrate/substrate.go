@@ -90,30 +90,19 @@ type Config struct {
 }
 
 // ANNConfig enables sublinear approximate retrieval: an HNSW graph is
-// built over the frozen base at boot and rebuilt by every compaction
-// (off the writer lock), while the hot delta stays exact-scan. The
-// snapshot then serves through a vecstore.Hybrid — graph over the base,
-// exact over the delta, merged per query — so the approximate/exact
+// built over the frozen base's index segments at boot and rebuilt by every
+// compaction (off the writer lock), while the hot delta stays exact-scan.
+// The snapshot then serves through a vecstore.Hybrid — graph over the
+// base, exact over the delta, merged per query — so the approximate/exact
 // split rides the existing snapshot lifecycle and epoch-scoped cache
-// invalidation unchanged.
+// invalidation unchanged. Every graph is built with the vecstore defaults.
 type ANNConfig struct {
 	// Enabled turns the ANN path on.
 	Enabled bool
-	// M, EfConstruction, EfSearch and Seed tune the graph; zero values
-	// use the vecstore defaults.
-	M              int
-	EfConstruction int
-	EfSearch       int
-	Seed           int64
-}
-
-func (c ANNConfig) hnswConfig() vecstore.HNSWConfig {
-	return vecstore.HNSWConfig{
-		M:              c.M,
-		EfConstruction: c.EfConstruction,
-		EfSearch:       c.EfSearch,
-		Seed:           c.Seed,
-	}
+	// EfSearch is the search beam width; 0 uses
+	// vecstore.DefaultHNSWEfSearch. It shapes searches only: nothing of it
+	// is built into, or persisted with, a graph.
+	EfSearch int
 }
 
 // Snapshot is one immutable substrate version. Store and Index never
@@ -222,13 +211,21 @@ func NewManager(enc *embed.Encoder, base *kg.Store, cfg Config) *Manager {
 		delta:      kg.NewStore(base.Source()),
 		epoch:      0,
 	}
-	if cfg.ANN.Enabled {
-		m.baseANN = vecstore.BuildHNSW(enc, base.All(), cfg.ANN.hnswConfig())
-	}
+	m.baseANN = m.graphOver(m.baseShards)
 	m.mu.Lock()
 	m.publishLocked()
 	m.mu.Unlock()
 	return m
+}
+
+// graphOver builds the ANN graph over a base's index segments: the graph
+// scores those segments' own rows, so it is always built after them and
+// from them. Nil when Config.ANN is disabled.
+func (m *Manager) graphOver(shards []*vecstore.Index) *vecstore.HNSW {
+	if !m.cfg.ANN.Enabled {
+		return nil
+	}
+	return vecstore.BuildGraph(m.enc, shards, vecstore.HNSWConfig{})
 }
 
 // Current returns the live snapshot. The result is immutable; hold it for
@@ -325,13 +322,7 @@ func (m *Manager) Ingest(triples []kg.Triple) (IngestResult, error) {
 			// and answers at snap.Epoch serves exactly what we serve.
 			m.notifyRepl(snap.Epoch, fresh)
 		}
-		if m.cfg.CompactThreshold > 0 && m.delta.Len() >= m.cfg.CompactThreshold {
-			go func() {
-				// Best-effort: a compaction already running will pick the
-				// new triples up on the next trigger.
-				_, _ = m.Compact(context.Background())
-			}()
-		}
+		m.autoCompactLocked()
 	} else {
 		snap = m.cur.Load()
 	}
@@ -342,6 +333,21 @@ func (m *Manager) Ingest(triples []kg.Triple) (IngestResult, error) {
 		BaseTriples:  snap.BaseTriples,
 		DeltaTriples: snap.DeltaTriples,
 	}, nil
+}
+
+// autoCompactLocked starts a background compaction when the delta has
+// reached Config.CompactThreshold. Caller holds m.mu.
+func (m *Manager) autoCompactLocked() {
+	if m.cfg.CompactThreshold <= 0 || m.delta.Len() < m.cfg.CompactThreshold {
+		return
+	}
+	go func() {
+		// ErrCompacting is not a failure: the compaction already running
+		// leaves the new triples in the delta for the next trigger.
+		if _, err := m.Compact(context.Background()); err != nil && !errors.Is(err, ErrCompacting) {
+			log.Printf("substrate[%s]: auto-compaction: %v", m.Source(), err)
+		}
+	}()
 }
 
 // planLocked computes which of the batch's triples are actually new —
@@ -527,13 +533,10 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 	newBase.AddAll(deltaPrefix)
 	newBase.Freeze()
 	newShards := vecstore.BuildShards(m.enc, newBase.All(), m.cfg.ShardSize)
-	var newANN *vecstore.HNSW
-	if m.cfg.ANN.Enabled {
-		// The graph build is the expensive part of an ANN compaction;
-		// like the re-shard above it runs here, outside the writer lock,
-		// so ingest stays live while the graph grows.
-		newANN = vecstore.BuildHNSW(m.enc, newBase.All(), m.cfg.ANN.hnswConfig())
-	}
+	// The graph build is the expensive part of an ANN compaction; like the
+	// re-shard above it runs here, outside the writer lock, so ingest stays
+	// live while the graph grows.
+	newANN := m.graphOver(newShards)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -367,17 +367,6 @@ func TestUnionReaderSemantics(t *testing.T) {
 	if s, ok := store.FindSubjectFold("fresh"); !ok || s != "Fresh" {
 		t.Errorf("FindSubjectFold(fresh) = %q ok=%v", s, ok)
 	}
-	if n := len(store.Subjects()); n != 6 { // 5 base + Fresh
-		t.Errorf("Subjects = %d, want 6", n)
-	}
-	if st := store.Stats(); st.Triples != 8 || st.Subjects != 6 {
-		t.Errorf("union stats = %+v", st)
-	}
-	// RelationObject spans both halves.
-	ro := store.RelationObject("r", "Entity 1")
-	if len(ro) != 1 || ro[0].Subject != "Fresh" {
-		t.Errorf("RelationObject = %v", ro)
-	}
 	// Accessor results are caller-owned (the Reader contract).
 	sub := store.Subject("Entity 0")
 	sub[0].Subject = "CORRUPTED"

@@ -79,16 +79,6 @@ func (u *union) Subject(s string) []kg.Triple {
 	return u.merge(u.base.Subject(s), u.delta.Subject(s))
 }
 
-// Relation returns all triples with the given relation.
-func (u *union) Relation(r string) []kg.Triple {
-	return u.merge(u.base.Relation(r), u.delta.Relation(r))
-}
-
-// Object returns all triples whose object matches exactly.
-func (u *union) Object(o string) []kg.Triple {
-	return u.merge(u.base.Object(o), u.delta.Object(o))
-}
-
 // SubjectRelation returns the (subject, relation) triples in Ord order
 // across both halves, so time-varying facts stay chronological even when
 // an ingested value interleaves with base history.
@@ -98,51 +88,9 @@ func (u *union) SubjectRelation(s, r string) []kg.Triple {
 	return out
 }
 
-// RelationObject is the reverse lookup across both halves.
-func (u *union) RelationObject(r, o string) []kg.Triple {
-	return u.merge(u.base.RelationObject(r, o), u.delta.RelationObject(r, o))
-}
-
 // HasSubject reports whether either half has the subject.
 func (u *union) HasSubject(s string) bool {
 	return u.base.HasSubject(s) || u.delta.HasSubject(s)
-}
-
-// mergeSorted unions two sorted distinct string slices.
-func mergeSorted(a, b []string) []string {
-	if len(b) == 0 {
-		return a
-	}
-	out := append(a, b...)
-	sort.Strings(out)
-	dedup := out[:0]
-	for i, s := range out {
-		if i == 0 || s != out[i-1] {
-			dedup = append(dedup, s)
-		}
-	}
-	return dedup
-}
-
-// Subjects returns all distinct subjects, sorted.
-func (u *union) Subjects() []string { return mergeSorted(u.base.Subjects(), u.delta.Subjects()) }
-
-// Relations returns all distinct relations, sorted.
-func (u *union) Relations() []string { return mergeSorted(u.base.Relations(), u.delta.Relations()) }
-
-// Objects returns all distinct objects, sorted.
-func (u *union) Objects() []string { return mergeSorted(u.base.Objects(), u.delta.Objects()) }
-
-// Neighbours returns the one-hop neighbourhood of s.
-func (u *union) Neighbours(s string) []kg.Triple { return u.Subject(s) }
-
-// SubjectGraph returns a Graph holding the given subjects' triples.
-func (u *union) SubjectGraph(subjects []string) *kg.Graph {
-	g := &kg.Graph{}
-	for _, s := range subjects {
-		g.Add(u.Subject(s)...)
-	}
-	return g
 }
 
 // FindSubjectFold resolves a case-folded subject, base winning ties.
@@ -151,15 +99,4 @@ func (u *union) FindSubjectFold(q string) (string, bool) {
 		return s, ok
 	}
 	return u.delta.FindSubjectFold(q)
-}
-
-// Stats summarises the combined view with exact distinct counts.
-func (u *union) Stats() kg.Stats {
-	return kg.Stats{
-		Source:    u.Source(),
-		Triples:   u.Len(),
-		Subjects:  len(u.Subjects()),
-		Relations: len(u.Relations()),
-		Objects:   len(u.Objects()),
-	}
 }

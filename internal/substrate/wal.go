@@ -20,7 +20,7 @@ type SyncPolicy int
 
 const (
 	// SyncInterval (the default) flushes appended records to the OS on
-	// every append and fsyncs on a background timer (Durability.SyncEvery).
+	// every append and fsyncs on a background timer (every DefaultSyncEvery).
 	// A crash of the process loses nothing; a crash of the machine loses
 	// at most one interval of ingests.
 	SyncInterval SyncPolicy = iota
@@ -381,11 +381,11 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// walFlusher runs the SyncInterval background fsync loop until stop is
+// flusher runs the SyncInterval background fsync loop until stop is
 // closed.
-func (w *wal) flusher(every time.Duration, stop <-chan struct{}, done chan<- struct{}) {
+func (w *wal) flusher(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	t := time.NewTicker(every)
+	t := time.NewTicker(DefaultSyncEvery)
 	defer t.Stop()
 	for {
 		select {

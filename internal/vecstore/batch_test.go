@@ -361,7 +361,7 @@ func TestHybridBatchMatchesPerQueryReference(t *testing.T) {
 	queries := pseudoTriples(t)
 	triples := quickWorldStores(t)[0].All()
 	segs := BuildShards(enc, triples, 256)
-	graph := BuildHNSW(enc, append([]kg.Triple{}, triples[:512]...), HNSWConfig{})
+	graph := BuildGraph(enc, segs[:2], HNSWConfig{})
 	const k = 10
 
 	for _, tc := range []struct {

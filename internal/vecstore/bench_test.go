@@ -2,6 +2,7 @@ package vecstore
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/embed"
@@ -56,6 +57,25 @@ func BenchmarkHNSWSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkHNSWBuild builds the graph over segments that already exist, as
+// the substrate does at boot and on every compaction, and reports what the
+// build allocates per row — links, the per-insert beams and the sorts; no
+// vector is copied.
+func BenchmarkHNSWBuild(b *testing.B) {
+	const rows = 2 * DefaultShardSize
+	enc := embed.NewEncoder()
+	segs := BuildShards(enc, corpus(rows), 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for b.Loop() {
+		BuildGraph(enc, segs, HNSWConfig{})
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*rows), "B/row")
+}
+
 // BenchmarkFilteredSearch is the served path: the pipeline's per-request
 // call (Sharded.BatchSearchWith, one query per pseudo-triple), each
 // query token-filtered per segment and the segment walked once for the
@@ -73,8 +93,9 @@ func BenchmarkFilteredSearch(b *testing.B) {
 }
 
 // BenchmarkKernel scores one query against every row of a segment with
-// the dense reference kernel and with the packed kernel the scan uses,
-// and two queries with the two-query kernel (compare with twice packed).
+// the dense reference kernel and with the packed kernel the scan and the
+// graph use, and two queries with the two-query kernel (compare with twice
+// packed).
 func BenchmarkKernel(b *testing.B) {
 	enc := embed.NewEncoder()
 	triples := corpus(DefaultShardSize)

@@ -8,8 +8,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/embed"
 	"repro/internal/kg"
@@ -42,11 +42,11 @@ type HNSWConfig struct {
 	M int
 	// EfConstruction is the candidate beam width during insertion.
 	EfConstruction int
-	// EfSearch is the default candidate beam width during search; wider
-	// beams trade latency for recall. Search returns at most
-	// min(ef, k) results — callers that need a guaranteed k should keep
-	// ef >= k (the substrate's exact-fallback escape hatch enforces
-	// this in serving).
+	// EfSearch is the beam width of the graph's own Search and
+	// BatchSearchWith; wider beams trade latency for recall. Search
+	// returns at most min(ef, k) results — callers that need a guaranteed
+	// k should keep ef >= k. A Hybrid does not read it: the serving beam
+	// is HybridOptions.EfSearch, and its exact fallback covers k > ef.
 	EfSearch int
 	// Seed drives the level RNG. Zero selects DefaultHNSWSeed, so the
 	// zero config is fully deterministic.
@@ -70,18 +70,24 @@ func (c HNSWConfig) withDefaults() HNSWConfig {
 }
 
 // HNSW is a hierarchical navigable small world graph over a frozen
-// triple set: an approximate Searcher whose per-query cost is
-// logarithmic in the corpus instead of the exact scan's linear cost.
+// sequence of segments: an approximate Searcher whose per-query cost is
+// logarithmic in the corpus instead of the exact scan's linear cost. The
+// graph is adjacency only: node i is row i of the segments' concatenation,
+// its vector is that segment's packed row, every comparison — build and
+// search — is packedRows.dot against it, and a hit's triple is the
+// segment's.
 // Construction is deterministic — node levels come from a seeded RNG and
 // every traversal breaks similarity ties by node id — so the same
 // triples and config always produce the same graph, the property the
 // replay gate depends on. Like Index, an HNSW is immutable after build
 // and safe for concurrent searches.
 type HNSW struct {
-	enc     *embed.Encoder
-	cfg     HNSWConfig
-	triples []kg.Triple
-	vecs    []embed.Vector
+	enc *embed.Encoder
+	cfg HNSWConfig
+	// segs are the segments the graph covers, in node order, and ends[s] is
+	// one past the last node of segs[s].
+	segs []*Index
+	ends []int32
 	// links[i][l] is node i's neighbor list on layer l; len(links[i])-1
 	// is the node's top layer.
 	links    [][][]int32
@@ -89,49 +95,82 @@ type HNSW struct {
 	maxLevel int32
 }
 
-// BuildHNSW constructs the graph over the triples. The builder takes
-// ownership of the slice. Insertion order is the slice order and all
-// randomness comes from the seeded level RNG, so the build is a pure
-// function of (triples, cfg).
+// BuildHNSW encodes the triples into segments of DefaultShardSize and
+// builds the graph over them. The builder takes ownership of the slice.
 func BuildHNSW(enc *embed.Encoder, triples []kg.Triple, cfg HNSWConfig) *HNSW {
+	return BuildGraph(enc, BuildShards(enc, triples, 0), cfg)
+}
+
+// BuildGraph constructs the graph over already-built segments, which must
+// have been built with enc: node i is row i of their concatenation.
+// Insertion order is row order and all randomness comes from the seeded
+// level RNG, so the build is a pure function of (triples, cfg) — how the
+// triples are cut into segments changes nothing.
+func BuildGraph(enc *embed.Encoder, segs []*Index, cfg HNSWConfig) *HNSW {
 	cfg = cfg.withDefaults()
-	h := &HNSW{
-		enc:     enc,
-		cfg:     cfg,
-		triples: triples,
-		vecs:    make([]embed.Vector, len(triples)),
-		links:   make([][][]int32, len(triples)),
-		entry:   -1,
+	h := &HNSW{enc: enc, cfg: cfg, segs: slices.Clone(segs), entry: -1}
+	nodes := 0
+	for _, sh := range segs {
+		nodes += sh.Len()
+		h.ends = append(h.ends, int32(nodes))
 	}
-	// Vector encoding is order-independent, so it parallelises freely;
-	// the graph inserts below stay sequential for determinism.
-	const shard = 2048
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(triples); lo += shard {
-		hi := min(lo+shard, len(triples))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				h.vecs[i] = enc.Encode(triples[i].Text())
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	h.links = make([][][]int32, nodes)
 	// Draw every node level up front from the seeded RNG: the level
 	// sequence depends only on (seed, node count), never on timing.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mL := 1 / math.Log(float64(cfg.M))
-	visited := make([]uint64, (len(triples)+63)/64)
-	for i := range triples {
+	sc := &buildScratch{
+		visited: make([]uint64, (nodes+63)/64),
+		kept:    make([][embed.Dim]float64, 2*cfg.M),
+	}
+	for i := range h.links {
 		f := -math.Log(rng.Float64()) * mL // u==0 -> +Inf, clamped below
 		level := int32(maxHNSWLevel)
 		if f < maxHNSWLevel {
 			level = int32(f)
 		}
-		h.insert(int32(i), level, visited)
+		h.insert(int32(i), level, sc)
 	}
 	return h
+}
+
+// buildScratch is the working memory shared across a build's inserts.
+type buildScratch struct {
+	// visited is searchLayer's bitset, cleared there before use.
+	visited []uint64
+	// kept holds the widened rows of the neighbors selectNeighbors has kept
+	// so far: at most 2M, layer 0's cap.
+	kept [][embed.Dim]float64
+}
+
+// row returns the segment holding node i and the node's row in it. A graph
+// covers a few dozen segments at most, so the scan beats a binary search's
+// mispredicted branches.
+func (h *HNSW) row(i int32) (*Index, int) {
+	s, start := 0, int32(0)
+	for i >= h.ends[s] {
+		start = h.ends[s]
+		s++
+	}
+	return h.segs[s], int(i - start)
+}
+
+// sim scores node i against a widened query.
+func (h *HNSW) sim(q *[embed.Dim]float64, i int32) float64 {
+	seg, r := h.row(i)
+	return seg.rows.dot(q, r)
+}
+
+// wide returns node i's vector in the form sim takes as its query. The
+// product of two widened float32s is exact, so sim(wide(a), b) is
+// embed.NormDot over the two dense vectors in either argument order, bit
+// for bit: node-with-node comparisons during the build score like
+// query-with-node ones.
+func (h *HNSW) wide(i int32) [embed.Dim]float64 {
+	seg, r := h.row(i)
+	var v embed.Vector
+	seg.rows.expand(r, &v)
+	return widen(&v)
 }
 
 // annCand is a candidate node during graph traversal.
@@ -168,30 +207,30 @@ func (h annMinHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *annMinHeap) Push(x any)        { *h = append(*h, x.(annCand)) }
 func (h *annMinHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// insert adds node i at the given level. visited is scratch shared
-// across inserts; searchLayer clears it before use.
-func (h *HNSW) insert(i, level int32, visited []uint64) {
+// insert adds node i at the given level.
+func (h *HNSW) insert(i, level int32, sc *buildScratch) {
 	h.links[i] = make([][]int32, level+1)
 	if h.entry < 0 {
 		h.entry, h.maxLevel = i, level
 		return
 	}
-	q := &h.vecs[i]
-	ep := annCand{id: h.entry, sim: embed.NormDot(q, &h.vecs[h.entry])}
+	wide := h.wide(i)
+	q := &wide
+	ep := annCand{id: h.entry, sim: h.sim(q, h.entry)}
 	for lc := h.maxLevel; lc > level; lc-- {
 		ep = h.greedy(q, ep, lc)
 	}
 	eps := []annCand{ep}
 	for lc := min(level, h.maxLevel); lc >= 0; lc-- {
-		w := h.searchLayer(q, eps, h.cfg.EfConstruction, lc, visited)
-		sel := h.selectNeighbors(w, h.cfg.M)
+		w := h.searchLayer(q, eps, h.cfg.EfConstruction, lc, sc.visited)
+		sel := h.selectNeighbors(w, h.cfg.M, sc)
 		ids := make([]int32, len(sel))
 		for n, c := range sel {
 			ids[n] = c.id
 		}
 		h.links[i][lc] = ids
 		for _, c := range sel {
-			h.connect(c.id, i, lc)
+			h.connect(c.id, i, lc, sc)
 		}
 		eps = w
 	}
@@ -202,7 +241,7 @@ func (h *HNSW) insert(i, level int32, visited []uint64) {
 
 // connect adds node i as a neighbor of n on layer lc, re-pruning n's
 // list with the diversity heuristic when it overflows the layer cap.
-func (h *HNSW) connect(n, i int32, lc int32) {
+func (h *HNSW) connect(n, i int32, lc int32, sc *buildScratch) {
 	l := append(h.links[n][lc], i)
 	mmax := h.cfg.M
 	if lc == 0 {
@@ -212,13 +251,13 @@ func (h *HNSW) connect(n, i int32, lc int32) {
 		h.links[n][lc] = l
 		return
 	}
-	nv := &h.vecs[n]
+	nv := h.wide(n)
 	cands := make([]annCand, len(l))
 	for k, id := range l {
-		cands[k] = annCand{id: id, sim: embed.NormDot(nv, &h.vecs[id])}
+		cands[k] = annCand{id: id, sim: h.sim(&nv, id)}
 	}
 	sort.Slice(cands, func(a, b int) bool { return candBetter(cands[a], cands[b]) })
-	sel := h.selectNeighbors(cands, mmax)
+	sel := h.selectNeighbors(cands, mmax, sc)
 	ids := make([]int32, len(sel))
 	for k, c := range sel {
 		ids[k] = c.id
@@ -230,7 +269,7 @@ func (h *HNSW) connect(n, i int32, lc int32) {
 // candidates best-first, keeping one only if it is closer to the query
 // than to every already-kept neighbor, then fill remaining slots with
 // the pruned candidates in order. cands must be sorted by candBetter.
-func (h *HNSW) selectNeighbors(cands []annCand, m int) []annCand {
+func (h *HNSW) selectNeighbors(cands []annCand, m int, sc *buildScratch) []annCand {
 	if len(cands) <= m {
 		return cands
 	}
@@ -240,15 +279,16 @@ func (h *HNSW) selectNeighbors(cands []annCand, m int) []annCand {
 		if len(sel) == m {
 			break
 		}
-		cv := &h.vecs[c.id]
 		keep := true
-		for _, s := range sel {
-			if embed.NormDot(cv, &h.vecs[s.id]) > c.sim {
+		for s := range sel {
+			if h.sim(&sc.kept[s], c.id) > c.sim {
 				keep = false
 				break
 			}
 		}
 		if keep {
+			// Widened once here, scored against every later candidate.
+			sc.kept[len(sel)] = h.wide(c.id)
 			sel = append(sel, c)
 		} else {
 			pruned = append(pruned, c)
@@ -266,11 +306,11 @@ func (h *HNSW) selectNeighbors(cands []annCand, m int) []annCand {
 // greedy walks layer lc from ep to the strict local similarity maximum.
 // Only strictly-better moves are taken, so the walk terminates and is
 // deterministic given the stored neighbor order.
-func (h *HNSW) greedy(q *embed.Vector, ep annCand, lc int32) annCand {
+func (h *HNSW) greedy(q *[embed.Dim]float64, ep annCand, lc int32) annCand {
 	for {
 		improved := false
 		for _, n := range h.links[ep.id][lc] {
-			if sim := embed.NormDot(q, &h.vecs[n]); sim > ep.sim {
+			if sim := h.sim(q, n); sim > ep.sim {
 				ep = annCand{id: n, sim: sim}
 				improved = true
 			}
@@ -284,7 +324,7 @@ func (h *HNSW) greedy(q *embed.Vector, ep annCand, lc int32) annCand {
 // searchLayer is the ef-bounded best-first expansion on one layer,
 // returning up to ef candidates sorted by candBetter. visited is a
 // caller-provided bitset scratch, cleared here.
-func (h *HNSW) searchLayer(q *embed.Vector, eps []annCand, ef int, lc int32, visited []uint64) []annCand {
+func (h *HNSW) searchLayer(q *[embed.Dim]float64, eps []annCand, ef int, lc int32, visited []uint64) []annCand {
 	clear(visited)
 	cand := make(annMaxHeap, 0, ef)
 	res := make(annMinHeap, 0, ef+1)
@@ -311,7 +351,7 @@ func (h *HNSW) searchLayer(q *embed.Vector, eps []annCand, ef int, lc int32, vis
 				continue
 			}
 			visited[n>>6] |= 1 << (uint(n) & 63)
-			nc := annCand{id: n, sim: embed.NormDot(q, &h.vecs[n])}
+			nc := annCand{id: n, sim: h.sim(q, n)}
 			if len(res) < ef {
 				heap.Push(&res, nc)
 				heap.Push(&cand, nc)
@@ -328,22 +368,13 @@ func (h *HNSW) searchLayer(q *embed.Vector, eps []annCand, ef int, lc int32, vis
 }
 
 // Len returns the number of indexed triples.
-func (h *HNSW) Len() int { return len(h.triples) }
+func (h *HNSW) Len() int { return len(h.links) }
 
 // Encoder returns the encoder the graph was built with.
 func (h *HNSW) Encoder() *embed.Encoder { return h.enc }
 
 // Config returns the build/search parameters in effect.
 func (h *HNSW) Config() HNSWConfig { return h.cfg }
-
-// SetEfSearch overrides the default search beam width. It must be
-// called before the graph starts serving concurrent searches (the
-// substrate applies it at boot when reloading a persisted graph).
-func (h *HNSW) SetEfSearch(ef int) {
-	if ef > 0 {
-		h.cfg.EfSearch = ef
-	}
-}
 
 // Search returns the top-k triples most similar to the query text via
 // the graph, using the configured EfSearch beam.
@@ -357,25 +388,27 @@ func (h *HNSW) Search(query string, k int) []Hit {
 // cannot fill k slots, the degradation Hybrid's exact fallback (and the
 // CI recall gate's doctored low-ef run) is built around.
 func (h *HNSW) SearchVectorEf(qv embed.Vector, k, ef int) []Hit {
-	if k <= 0 || len(h.triples) == 0 || qv.IsZero() {
+	if k <= 0 || len(h.links) == 0 || qv.IsZero() {
 		return nil
 	}
 	if ef < 1 {
 		ef = 1
 	}
-	q := &qv
-	ep := annCand{id: h.entry, sim: embed.NormDot(q, &h.vecs[h.entry])}
+	wide := widen(&qv)
+	q := &wide
+	ep := annCand{id: h.entry, sim: h.sim(q, h.entry)}
 	for lc := h.maxLevel; lc > 0; lc-- {
 		ep = h.greedy(q, ep, lc)
 	}
-	visited := make([]uint64, (len(h.vecs)+63)/64)
+	visited := make([]uint64, (len(h.links)+63)/64)
 	w := h.searchLayer(q, []annCand{ep}, ef, 0, visited)
 	if len(w) > k {
 		w = w[:k]
 	}
 	out := make([]Hit, len(w))
 	for i, c := range w {
-		out[i] = Hit{Triple: h.triples[c.id], Score: c.sim}
+		seg, r := h.row(c.id)
+		out[i] = Hit{Triple: seg.triples[r], Score: c.sim}
 	}
 	// Graph order breaks ties by node id; re-break by surface form for
 	// exact parity with every other Searcher.
@@ -397,11 +430,11 @@ func (h *HNSW) BatchSearchWith(encode func(string) embed.Vector, queries []strin
 // Stats describes the graph for diagnostics.
 func (h *HNSW) Stats() Stats {
 	return Stats{
-		Triples: len(h.triples),
+		Triples: len(h.links),
 		Dim:     embed.Dim,
-		Shards:  1,
+		Shards:  len(h.segs),
 		ANN: &ANNInfo{
-			Nodes:          len(h.triples),
+			Nodes:          len(h.links),
 			MaxLevel:       int(h.maxLevel),
 			M:              h.cfg.M,
 			EfConstruction: h.cfg.EfConstruction,
@@ -432,7 +465,7 @@ func (h *HNSW) WriteGraph(w io.Writer) error {
 	}
 	bw.Write(hnswMagic[:])
 	seed := uint64(h.cfg.Seed)
-	writeU32s(uint32(len(h.triples)), uint32(embed.Dim), uint32(h.cfg.M), uint32(h.cfg.EfConstruction),
+	writeU32s(uint32(len(h.links)), uint32(embed.Dim), uint32(h.cfg.M), uint32(h.cfg.EfConstruction),
 		uint32(h.cfg.EfSearch), uint32(h.entry), uint32(h.maxLevel), uint32(seed), uint32(seed>>32))
 	for _, layers := range h.links {
 		writeU32s(uint32(len(layers)))
@@ -467,9 +500,9 @@ func ReadGraph(r io.Reader, enc *embed.Encoder, segs []*Index) (*HNSW, error) {
 }
 
 // readGraphFrom loads a WriteGraph stream. The returned graph has no
-// triples, vectors or encoder bound yet — bindGraph materialises those
-// from the exact segments the graph covers. Every structural field is
-// validated so any truncated or corrupted prefix fails cleanly.
+// segments or encoder bound yet — bindGraph points it at the exact
+// segments it covers. Every structural field is validated so any
+// truncated or corrupted prefix fails cleanly.
 func readGraphFrom(r io.Reader) (*HNSW, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -578,30 +611,24 @@ func readGraphFrom(r io.Reader) (*HNSW, error) {
 	return h, nil
 }
 
-// bindGraph materialises a freshly-read graph's triples and vectors
-// from the segment prefix it covers, expanding the segments' packed rows
-// into the dense vectors the graph scores.
+// bindGraph points a freshly-read graph at the segment prefix it covers.
+// It copies nothing: the nodes' triples and vectors stay the segments'.
 func bindGraph(g *HNSW, segs []*Index, enc *embed.Encoder) error {
 	nodes := len(g.links)
 	g.enc = enc
-	g.triples = make([]kg.Triple, 0, nodes)
-	g.vecs = make([]embed.Vector, 0, nodes)
+	covered := 0
 	for _, sh := range segs {
-		if len(g.triples) == nodes {
+		if covered == nodes {
 			break
 		}
-		if len(g.triples)+sh.Len() > nodes {
+		if covered+sh.Len() > nodes {
 			return fmt.Errorf("vecstore: hnsw graph covers %d triples, not a segment boundary", nodes)
 		}
-		g.triples = append(g.triples, sh.triples...)
-		for r := range sh.triples {
-			var v embed.Vector
-			sh.rows.expand(r, &v)
-			g.vecs = append(g.vecs, v)
-		}
+		covered += sh.Len()
+		g.segs, g.ends = append(g.segs, sh), append(g.ends, int32(covered))
 	}
-	if len(g.triples) != nodes {
-		return fmt.Errorf("vecstore: hnsw graph covers %d triples but segments hold %d", nodes, len(g.triples))
+	if covered != nodes {
+		return fmt.Errorf("vecstore: hnsw graph covers %d triples but segments hold %d", nodes, covered)
 	}
 	return nil
 }

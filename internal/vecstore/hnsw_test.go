@@ -2,7 +2,11 @@ package vecstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/embed"
@@ -169,8 +173,9 @@ func graphBytes(t testing.TB, g *HNSW) []byte {
 }
 
 // TestGraphRoundTrip: a persisted graph holds adjacency only; ReadGraph
-// rebinds node i to row i of segments rebuilt from the same triples, and
-// the reloaded graph answers like the one that was written.
+// rebinds node i to row i of segments rebuilt from the same triples —
+// however they are cut — and the reloaded graph answers like the one that
+// was written, and like one built over the segments it was bound to.
 func TestGraphRoundTrip(t *testing.T) {
 	enc := embed.NewEncoder()
 	g := BuildHNSW(enc, corpus(200), HNSWConfig{})
@@ -183,24 +188,63 @@ func TestGraphRoundTrip(t *testing.T) {
 	if loaded.Len() != g.Len() || loaded.Config() != g.Config() {
 		t.Fatalf("graph did not round trip: %d nodes %+v, want %d %+v", loaded.Len(), loaded.Config(), g.Len(), g.Config())
 	}
-	for _, q := range []string{"Lake Superior 0 area", "Beijing 4 population"} {
-		want, got := g.Search(q, 10), loaded.Search(q, 10)
-		if len(got) != len(want) {
-			t.Fatalf("%q: %d hits, want %d", q, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Triple.Key() != want[i].Triple.Key() || got[i].Score != want[i].Score {
-				t.Errorf("%q hit %d: reloaded %v@%g, built %v@%g", q, i, got[i].Triple, got[i].Score, want[i].Triple, want[i].Score)
-			}
-		}
+	queries := []string{"Lake Superior 0 area", "Beijing 4 population"}
+	for _, q := range queries {
+		requireSameHits(t, "reloaded graph, "+q, loaded.Search(q, 10), g.Search(q, 10))
 	}
-	for i, tr := range loaded.triples {
-		if tr.Key() != g.triples[i].Key() || loaded.vecs[i] != g.vecs[i] {
-			t.Fatalf("graph node %d bound to %v, built over %v", i, tr, g.triples[i])
+	if !slices.Equal(loaded.segs, segs[:4]) {
+		t.Fatalf("graph bound to %d segments, want the four it covers", len(loaded.segs))
+	}
+	for i := int32(0); int(i) < g.Len(); i++ {
+		seg, r := g.row(i)
+		lseg, lr := loaded.row(i)
+		if lseg != segs[i/64] || lr != int(i%64) {
+			t.Fatalf("graph node %d bound to row %d of the wrong segment", i, lr)
+		}
+		var v, lv embed.Vector
+		seg.rows.expand(r, &v)
+		lseg.rows.expand(lr, &lv)
+		if lseg.triples[lr].Key() != seg.triples[r].Key() || lv != v {
+			t.Fatalf("graph node %d bound to %v, built over %v", i, lseg.triples[lr], seg.triples[r])
 		}
 	}
 	if !bytes.Equal(graphBytes(t, loaded), graphBytes(t, g)) {
 		t.Error("write → read → write changed the bytes")
+	}
+
+	built := BuildGraph(enc, segs[:4], HNSWConfig{})
+	for _, q := range queries {
+		requireSameHits(t, "graph built over the bound segments, "+q, built.Search(q, 10), loaded.Search(q, 10))
+	}
+	if !bytes.Equal(graphBytes(t, built), graphBytes(t, g)) {
+		t.Error("the same triples cut into other segments built a different graph")
+	}
+}
+
+// TestBuildGraphGoldenAndRetention builds a graph over already-built
+// segments and pins two things. The persisted bytes hash to the value
+// computed at the last commit whose graph scored dense vectors with
+// embed.NormDot: a kernel that changes one comparison anywhere in the build
+// changes an edge. And the graph retains adjacency only — about 180 B a
+// row; a private copy of the vectors would add 1 KiB a row.
+func TestBuildGraphGoldenAndRetention(t *testing.T) {
+	const (
+		n      = 2000
+		golden = "871fa17892411a5fedd996d647f1522df7fbef957e97ee5a6d56f72c8000d7ea"
+	)
+	enc := embed.NewEncoder()
+	segs := BuildShards(enc, corpus(n), 512)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g := BuildGraph(enc, segs, HNSWConfig{})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if perRow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n; perRow >= 512 {
+		t.Errorf("graph over %d pre-built rows retains %.0f B/row, want < 512", n, perRow)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(graphBytes(t, g))); got != golden {
+		t.Errorf("graph over corpus(%d) hashes to %s, want %s", n, got, golden)
 	}
 }
 
@@ -309,9 +353,9 @@ func TestHybridMatchesExact(t *testing.T) {
 	triples := corpus(300)
 	segs := BuildShards(enc, triples, 64)
 	// Graph over the first 4 segments (256 triples); tail of 44.
-	g := BuildHNSW(enc, corpus(256), HNSWConfig{EfSearch: 512})
+	g := BuildGraph(enc, segs[:4], HNSWConfig{})
 	var counters ANNCounters
-	hy := ComposeHybrid(enc, g, segs, HybridOptions{Counters: &counters})
+	hy := ComposeHybrid(enc, g, segs, HybridOptions{EfSearch: 512, Counters: &counters})
 	exact := Compose(enc, segs...)
 	if hy.Len() != exact.Len() {
 		t.Fatalf("hybrid len %d, want %d", hy.Len(), exact.Len())
@@ -344,7 +388,7 @@ func TestHybridMatchesExact(t *testing.T) {
 func TestHybridExactFallback(t *testing.T) {
 	enc := embed.NewEncoder()
 	segs := BuildShards(enc, corpus(200), 64)
-	g := BuildHNSW(enc, corpus(192), HNSWConfig{})
+	g := BuildGraph(enc, segs[:3], HNSWConfig{})
 	var counters ANNCounters
 	hy := ComposeHybrid(enc, g, segs, HybridOptions{EfSearch: 3, Counters: &counters})
 	hits := hy.Search("Lake Superior 0 area", 10)
@@ -371,18 +415,25 @@ func TestHybridExactFallback(t *testing.T) {
 }
 
 // TestHybridMisalignedGraphDegrades: ComposeHybrid must refuse a graph
-// whose coverage does not end on a segment boundary and serve exact.
+// whose segments are not a prefix of the ones it serves — one that ends off
+// a segment boundary, one over equal rows held in other segments, one over
+// more segments than there are — and serve exact.
 func TestHybridMisalignedGraphDegrades(t *testing.T) {
 	enc := embed.NewEncoder()
 	segs := BuildShards(enc, corpus(200), 64)
-	g := BuildHNSW(enc, corpus(100), HNSWConfig{}) // 100 is not a boundary
-	var counters ANNCounters
-	hy := ComposeHybrid(enc, g, segs, HybridOptions{Counters: &counters})
-	hits := hy.Search("Lake Superior 0 area", 5)
-	if len(hits) != 5 {
-		t.Fatalf("degraded hybrid returned %d hits", len(hits))
-	}
-	if counters.Fallbacks.Load() != 1 {
-		t.Error("misaligned graph was not rejected")
+	for name, g := range map[string]*HNSW{
+		"off a boundary":    BuildHNSW(enc, corpus(100), HNSWConfig{}),
+		"other segments":    BuildGraph(enc, BuildShards(enc, corpus(128), 64), HNSWConfig{}),
+		"too many segments": BuildGraph(enc, append(segs[:4:4], segs[0]), HNSWConfig{}),
+	} {
+		var counters ANNCounters
+		hy := ComposeHybrid(enc, g, segs, HybridOptions{Counters: &counters})
+		hits := hy.Search("Lake Superior 0 area", 5)
+		if len(hits) != 5 {
+			t.Fatalf("%s: degraded hybrid returned %d hits", name, len(hits))
+		}
+		if counters.Fallbacks.Load() != 1 {
+			t.Errorf("%s: misaligned graph was not rejected", name)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package vecstore
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/embed"
@@ -19,7 +20,7 @@ type ANNCounters struct {
 
 // HybridOptions tunes a Hybrid view.
 type HybridOptions struct {
-	// EfSearch overrides the graph's configured beam width (0 keeps it).
+	// EfSearch is the search beam width (0 uses DefaultHNSWEfSearch).
 	EfSearch int
 	// Counters receives routing counts; nil disables counting.
 	Counters *ANNCounters
@@ -40,34 +41,22 @@ type Hybrid struct {
 	opts HybridOptions
 }
 
-// ComposeHybrid assembles a Hybrid over the segments. ann must cover a
-// prefix of the concatenated segments ending exactly on a segment
-// boundary (the invariant the substrate maintains: the graph is built
-// or reloaded against whole frozen segments). If the boundary does not
-// align — a corrupted or mismatched graph — the graph is discarded and
-// the view degrades to pure exact scan rather than serving wrong
-// results. ann may be nil for an exact-only view with fallback
+// ComposeHybrid assembles a Hybrid over the segments. ann's own segments
+// must be a prefix of segs (the invariant the substrate maintains: the
+// graph is built over, or reloaded against, the frozen base segments it
+// publishes). If they are not — a graph over other rows — the graph is
+// discarded and the view degrades to pure exact scan rather than serving
+// wrong results. ann may be nil for an exact-only view with fallback
 // accounting.
 func ComposeHybrid(enc *embed.Encoder, ann *HNSW, segs []*Index, opts HybridOptions) *Hybrid {
 	hy := &Hybrid{enc: enc, ann: ann, full: Compose(enc, segs...), opts: opts}
-	if ann != nil && opts.EfSearch > 0 {
-		ann.SetEfSearch(opts.EfSearch)
-	}
-	covered := 0
+	split := 0
 	if ann != nil {
-		covered = ann.Len()
-	}
-	sum, split := 0, 0
-	for split < len(segs) && sum < covered {
-		if segs[split] != nil {
-			sum += segs[split].Len()
+		split = len(ann.segs)
+		if split > len(segs) || !slices.Equal(segs[:split], ann.segs) {
+			hy.ann = nil
+			split = 0
 		}
-		split++
-	}
-	if sum != covered {
-		// Misaligned graph: refuse to trust it.
-		hy.ann = nil
-		split = 0
 	}
 	hy.tail = Compose(enc, segs[split:]...)
 	return hy
@@ -77,9 +66,6 @@ func ComposeHybrid(enc *embed.Encoder, ann *HNSW, segs []*Index, opts HybridOpti
 func (hy *Hybrid) ef() int {
 	if hy.opts.EfSearch > 0 {
 		return hy.opts.EfSearch
-	}
-	if hy.ann != nil {
-		return hy.ann.Config().EfSearch
 	}
 	return DefaultHNSWEfSearch
 }

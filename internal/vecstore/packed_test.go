@@ -18,7 +18,9 @@ import (
 // form against its dense source: the lane layout, pack→expand being the
 // identity on bit patterns, and the kernels' scores being bit-identical
 // to embed.NormDot for the (finite) queries — dot for q, dot2 for q and q2
-// together, in either position.
+// together, in either position — and, as the graph scores node with node,
+// dot for the row expanded and widened as the query of q's packed form,
+// NormDot taking the two in either order.
 func checkPackedRow(t testing.TB, q, q2, row *embed.Vector) {
 	t.Helper()
 	var p packedRows
@@ -80,6 +82,12 @@ func checkPackedRow(t testing.TB, q, q2, row *embed.Vector) {
 	b, a = p.dot2(&wide2, &wide, 0)
 	same("dot2 swapped first", b, want2)
 	same("dot2 swapped second", a, want)
+
+	same("dot, NormDot's arguments swapped", p.dot(&wide, 0), embed.NormDot(row, q))
+	var pq packedRows
+	pq.appendRow(q)
+	wideRow := widen(&back)
+	same("dot of the widened row", pq.dot(&wideRow, 0), want)
 }
 
 // quickWorldStores renders the -quick world (node.ConfigFor(true)) into
@@ -126,6 +134,9 @@ func pseudoTriples(t *testing.T) []string {
 // scored against real pseudo-triple queries — one at a time through dot,
 // adjacent pairs through dot2 — gives exactly the float64 embed.NormDot
 // gives over the dense vectors, and expands back to the encoder's output.
+// So does every row scored the way a graph over the index scores node with
+// node (wide, sim) against a spread of other rows, NormDot taking the pair
+// in either order.
 func TestPackedScoreBitIdenticalOnQuickWorld(t *testing.T) {
 	enc := embed.NewEncoder()
 	queries := pseudoTriples(t)
@@ -140,12 +151,25 @@ func TestPackedScoreBitIdenticalOnQuickWorld(t *testing.T) {
 		if idx.Len() < 1000 {
 			t.Fatalf("%v index has only %d rows", st.Source(), idx.Len())
 		}
+		graph := &HNSW{segs: []*Index{idx}, ends: []int32{int32(idx.Len())}}
+		encoded := make([]embed.Vector, idx.Len())
 		for r, tr := range idx.triples {
-			dense := enc.Encode(tr.Text())
+			encoded[r] = enc.Encode(tr.Text())
+		}
+		for r := range idx.triples {
+			dense := encoded[r]
 			var back embed.Vector
 			idx.rows.expand(r, &back)
 			if back != dense {
 				t.Fatalf("%v row %d does not expand to its encoding", st.Source(), r)
+			}
+			node := graph.wide(int32(r))
+			for _, step := range []int{0, 1, 7, 389} {
+				o := (r + step) % idx.Len()
+				got := graph.sim(&node, int32(o))
+				if want, swapped := embed.NormDot(&dense, &encoded[o]), embed.NormDot(&encoded[o], &dense); math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(swapped) {
+					t.Fatalf("%v node %d with node %d: graph %v != NormDot %v (swapped %v)", st.Source(), r, o, got, want, swapped)
+				}
 			}
 			for i := range qvs {
 				j := (i + 1) % len(qvs)

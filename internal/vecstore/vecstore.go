@@ -10,18 +10,26 @@
 // a group holds the row's next non-zero dimension ≡ l (mod 4), ascending
 // per lane, short lanes padded with (0, +0.0). "Non-zero" means the
 // float32 bit pattern is not all zeros, so a row expands back to exactly
-// the dense vector it was packed from. Vectors are never on disk: a
-// triple's vector is a pure function of its text, so a restart re-encodes
-// (BuildShards) and only an HNSW graph's adjacency is persisted
-// (WriteGraph / ReadGraph).
+// the dense vector it was packed from. Packed rows are the only vector
+// representation: an HNSW graph is adjacency over segments' rows and holds
+// no vectors of its own. Vectors are never on disk either: a triple's
+// vector is a pure function of its text, so a restart re-encodes
+// (BuildShards) and only a graph's adjacency is persisted (WriteGraph /
+// ReadGraph).
 //
 // Bit-identity contract. A packed row scored against a query gives the
 // same float64, bit for bit, as embed.NormDot over the two dense vectors,
 // for finite inputs: the kernel keeps NormDot's four accumulators, its
 // per-lane term order and its final association, and the only terms it
 // drops or pads are products with a stored +0.0, which cannot change an
-// accumulator. That is what lets scan-scored hits merge with hits an HNSW
-// graph scored with NormDot, and what keeps replay artifacts byte-stable.
+// accumulator. The kernel (dot, and dot2 for two queries) is the only one
+// that scores: the scan runs it over a segment's candidates and the graph
+// over the nodes it visits, so their hits merge by score and tie exactly,
+// and replay artifacts stay byte-stable. Where the graph build compares
+// node with node it widens one of them as the query; each term is the
+// product of two float32s widened to float64, which is exact, so the score
+// is NormDot's with its arguments in either order. NormDot itself is the
+// reference the tests hold the kernel to, and scores nothing served.
 //
 // Filter rule. Search scores only the rows that share at least one token
 // with the query (inverted index → per-search bitset, ascending row
