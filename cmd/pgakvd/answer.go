@@ -22,7 +22,9 @@ import (
 // serving stack (metrics, answer cache, singleflight), so repeated and
 // concurrent-identical questions are served without re-running the
 // pipeline. /v1/answer runs on the LLM scheduler's interactive lane,
-// /v1/batch on the batch lane.
+// /v1/batch on the batch lane. A reply shows a trace only when the request
+// said include_trace, and every route tells the stack so (attach): a hit
+// that will not show a trace neither holds nor copies one.
 
 // --- wire types ---
 
@@ -178,7 +180,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, req answer
 		s.streamAnswer(w, ctx, ans, q, src, req.IncludeTrace)
 		return
 	}
-	ctx, info := serve.Attach(ctx)
+	ctx, info := attach(ctx, req.IncludeTrace)
 	res, err := ans.Answer(ctx, q)
 	if err != nil {
 		writeJSON(w, statusFor(answer.Classify(err)), failure(err, res, req.IncludeTrace))
@@ -192,6 +194,23 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, req answer
 		w.Header().Set("X-Cache", state)
 	}
 	writeJSON(w, http.StatusOK, toWire(res, src, req.IncludeTrace))
+}
+
+// attach gives one request its serve.Info, declaring whether the reply
+// will show the result's trace.
+func attach(ctx context.Context, includeTrace bool) (context.Context, *serve.Info) {
+	ctx, info := serve.Attach(ctx)
+	info.OmitTrace = !includeTrace
+	return ctx, info
+}
+
+// traceless runs every query under its own Info with the trace omitted:
+// batch items, whose wire form has no trace to show.
+type traceless struct{ answer.Answerer }
+
+func (t traceless) Answer(ctx context.Context, q answer.Query) (answer.Result, error) {
+	ctx, _ = attach(ctx, false)
+	return t.Answerer.Answer(ctx, q)
 }
 
 // sseWriter frames server-sent events over a flushed ResponseWriter.
@@ -237,7 +256,7 @@ func (s *Server) streamAnswer(w http.ResponseWriter, ctx context.Context, ans an
 	ctx = exec.WithSpanObserver(ctx, func(sp exec.Span) {
 		out.event("stage", stageWires([]exec.Span{sp})[0])
 	})
-	ctx, info := serve.Attach(ctx)
+	ctx, info := attach(ctx, includeTrace)
 	res, err := ans.Answer(ctx, q)
 	if err != nil {
 		out.event("error", failure(err, res, includeTrace))
@@ -290,7 +309,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, req batchRe
 		queries[i] = q.query(ans.Name(), model)
 	}
 	start := time.Now()
-	items := answer.Batch(ctx, ans, queries, opts...)
+	items := answer.Batch(ctx, traceless{ans}, queries, opts...)
 
 	resp := batchResponse{
 		Method:    ans.Name(),

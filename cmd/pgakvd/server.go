@@ -287,10 +287,9 @@ func writeError(w http.ResponseWriter, err error, class answer.ErrorClass) {
 	writeJSON(w, statusFor(class), errorResponse{Error: err.Error(), Class: string(class)})
 }
 
+// writeJSON writes v as one compact line; `jq .` is the pretty-printer.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -21,7 +21,7 @@ var (
 
 // cachedEnv builds a small environment with the serving cache enabled —
 // the configuration pgakvd runs with by default.
-func cachedEnv(t *testing.T) *bench.Env {
+func cachedEnv(t testing.TB) *bench.Env {
 	t.Helper()
 	cachedEnvOnce.Do(func() {
 		cfg := bench.QuickEnvConfig()

@@ -44,7 +44,7 @@ func testConfig(timeout time.Duration) Config {
 }
 
 // testServer fronts an environment's node with a server built from cfg.
-func testServer(t *testing.T, env *bench.Env, cfg Config) *Server {
+func testServer(t testing.TB, env *bench.Env, cfg Config) *Server {
 	t.Helper()
 	srv, err := NewServer(env.Node, cfg)
 	if err != nil {

@@ -1,9 +1,14 @@
 package node
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
+	"repro/internal/answer"
 	"repro/internal/kg"
+	"repro/internal/serve"
+	"repro/internal/world"
 )
 
 // quickNode is a small node for substrate plumbing tests.
@@ -65,4 +70,58 @@ func TestPipelineCacheFollowsEpoch(t *testing.T) {
 	if n != 1 {
 		t.Errorf("pipeline cache holds %d entries, want 1 (old epochs must be replaced)", n)
 	}
+}
+
+// TestTracelessEntriesRetainLittle: a cache filled by requests that will
+// not read the trace holds answers, not runs. Real quick-world "ours"
+// runs carry about 12 KB of graphs, hit lists and spans each; an entry
+// filled under Info.OmitTrace must retain under 2 KB after GC.
+func TestTracelessEntriesRetainLittle(t *testing.T) {
+	cfg := ConfigFor(true)
+	cfg.Cache = serve.CacheConfig{Size: 1024}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, err := n.Answerer("ours", ModelGPT35, kg.SourceWikidata)
+	if err != nil {
+		t.Fatal(err)
+	}
+	people := n.World.OfKind(world.KindPerson)
+	const entries = 100
+	if len(people) < entries {
+		t.Fatalf("quick world has %d people, need %d", len(people), entries)
+	}
+	fill := func(omitTrace bool) {
+		for _, id := range people[:entries] {
+			ctx, info := serve.Attach(context.Background())
+			info.OmitTrace = omitTrace
+			if _, err := ans.Answer(ctx, answer.Query{Text: "Where was " + n.World.Entities[id].Name + " born?"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	// The first pass warms everything else a run leaves behind (embedding
+	// memo, metrics slots, pipelines) with the cache out of the picture:
+	// full entries under keys the second pass never touches.
+	fill(false)
+	full := n.Cache.Len()
+	before := heap()
+	fill(true)
+	perEntry := (heap() - before) / entries
+	if got := n.Cache.Len() - full; got != entries {
+		t.Fatalf("second pass added %d entries, want %d", got, entries)
+	}
+	if perEntry >= 2048 {
+		t.Fatalf("a trace-less entry retains %d bytes, want < 2048", perEntry)
+	}
+	t.Logf("trace-less entry: %d bytes retained", perEntry)
 }

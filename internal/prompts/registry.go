@@ -51,6 +51,10 @@ type Registry struct {
 	pins map[string]int
 	// dir is the overlay directory Reload re-reads ("" = embedded only).
 	dir string
+	// view is the active set's one snapshot, fingerprint included:
+	// rebuilt wherever the set can change — LoadDir, Reload, SetActive —
+	// and nowhere else, so a reader pays for a pointer, not a resolve.
+	view *View
 }
 
 // NewRegistry builds a registry over the embedded default prompt set.
@@ -63,6 +67,7 @@ func NewRegistry() *Registry {
 		panic("prompts: embedded defaults are invalid: " + err.Error())
 	}
 	r.versions = versions
+	r.rebuildViewLocked()
 	return r
 }
 
@@ -182,6 +187,7 @@ func (r *Registry) LoadDir(dir string) error {
 	defer r.mu.Unlock()
 	r.dir = dir
 	r.versions = versions
+	r.rebuildViewLocked()
 	return nil
 }
 
@@ -202,6 +208,7 @@ func (r *Registry) Reload() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.versions = versions
+	r.rebuildViewLocked()
 	return nil
 }
 
@@ -225,6 +232,7 @@ func (r *Registry) SetActive(name string, version int) error {
 		return fmt.Errorf("prompts: %s has no version %d", name, version)
 	}
 	r.pins[name] = version
+	r.rebuildViewLocked()
 	return nil
 }
 
@@ -271,37 +279,52 @@ func (r *Registry) activeLocked(name string) *Prompt {
 	return bestAny
 }
 
-// View returns an immutable snapshot of the active version set. Renders
+// rebuildViewLocked replaces the kept View with one resolved from the
+// current versions and pins. Callers hold mu for writing (or own a
+// registry nobody else can see yet).
+func (r *Registry) rebuildViewLocked() {
+	active := make(map[string]*Prompt, len(r.versions))
+	for name := range r.versions {
+		if p := r.activeLocked(name); p != nil {
+			active[name] = p
+		}
+	}
+	r.view = newView(active)
+}
+
+// View returns the immutable snapshot of the active version set. Renders
 // through a View are consistent even if the registry reloads mid-request.
+// The registry keeps one View per active set: every call between two
+// changes of the set (LoadDir, Reload, SetActive) returns the same
+// pointer, so asking for it — or for its Fingerprint, as every cached
+// request's scope does — costs a load, not a rebuild.
 func (r *Registry) View() *View {
 	if r == nil {
 		return Default().View()
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	v := &View{prompts: make(map[string]*Prompt, len(r.versions))}
-	for name := range r.versions {
-		if p := r.activeLocked(name); p != nil {
-			v.prompts[name] = p
-		}
-	}
-	return v
+	return r.view
 }
 
 // Resolve returns a View of the active set with the given version
 // overrides applied, strictly: an unknown name or version errors, so a
 // request asking for a prompt that does not exist fails fast instead of
 // silently answering with a different prompt than its cache key claims.
+// Overrides land in a copy; the kept View is never written to.
 func (r *Registry) Resolve(overrides map[string]string) (*View, error) {
 	if r == nil {
 		return Default().Resolve(overrides)
 	}
-	v := r.View()
 	if len(overrides) == 0 {
-		return v, nil
+		return r.View(), nil
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	resolved := make(map[string]*Prompt, len(r.view.prompts)+len(overrides))
+	for name, p := range r.view.prompts {
+		resolved[name] = p
+	}
 	for name, vs := range overrides {
 		ver, err := strconv.Atoi(vs)
 		if err != nil {
@@ -311,9 +334,9 @@ func (r *Registry) Resolve(overrides map[string]string) (*View, error) {
 		if p == nil {
 			return nil, fmt.Errorf("prompts: no prompt %s@%d", name, ver)
 		}
-		v.prompts[name] = p
+		resolved[name] = p
 	}
-	return v, nil
+	return newView(resolved), nil
 }
 
 // Fingerprint renders the active version set as a stable string
@@ -382,7 +405,23 @@ func (r *Registry) List() []Info {
 // View is an immutable active-prompt snapshot with typed render helpers
 // for each pipeline slot.
 type View struct {
-	prompts map[string]*Prompt
+	prompts     map[string]*Prompt
+	fingerprint string
+}
+
+// newView takes ownership of prompts and renders its fingerprint once;
+// nothing writes to either afterwards.
+func newView(prompts map[string]*Prompt) *View {
+	var b strings.Builder
+	for i, name := range sortedNames(prompts) {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(name)
+		b.WriteByte('@')
+		b.WriteString(strconv.Itoa(prompts[name].Version))
+	}
+	return &View{prompts: prompts, fingerprint: b.String()}
 }
 
 // render renders a required slot; registry validation guarantees the slot
@@ -460,19 +499,9 @@ func (v *View) Version(name string) int {
 	return 0
 }
 
-// Fingerprint renders the view's version set as a stable string.
-func (v *View) Fingerprint() string {
-	var b strings.Builder
-	for i, name := range sortedNames(v.prompts) {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(name)
-		b.WriteByte('@')
-		b.WriteString(strconv.Itoa(v.prompts[name].Version))
-	}
-	return b.String()
-}
+// Fingerprint returns the view's version set as a stable string
+// ("answer-graph@1,cot@1,..."), rendered when the view was built.
+func (v *View) Fingerprint() string { return v.fingerprint }
 
 type viewKey struct{}
 

@@ -293,24 +293,8 @@ func TestFingerprintTracksActiveSet(t *testing.T) {
 
 func TestLoadDirOverlayAndReload(t *testing.T) {
 	dir := t.TempDir()
-	v3 := []byte(`---
-name: io
-version: 3
-description: overlay test version
-task: io
-markers:
-  - "[problem]:"
-  - "[answer]:"
-vars:
-  - question
----
-[Task description]:
-Answer the [problem] in one word. Mark your answer with "{ }".
-[Task]:
-[problem]: "{{question}}"
-[answer]: `)
 	path := filepath.Join(dir, "io.v3.prompt")
-	if err := os.WriteFile(path, v3, 0o644); err != nil {
+	if err := os.WriteFile(path, ioOverlay("3"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r := NewRegistry()

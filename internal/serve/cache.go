@@ -173,6 +173,13 @@ func WithCache(c *Cache, scope ScopeFunc) Middleware {
 	}
 }
 
+// cachedAnswerer is the cache middleware. What an entry holds follows the
+// request that filled it: under Info.OmitTrace the answer, labels, epoch
+// and prompt versions — a few hundred bytes, nothing for a hit to
+// deep-copy; otherwise the run's whole trace as well (graphs, hit lists,
+// spans: ~12 KB of pointers on the quick world). The two kinds live under
+// different keys, so a trace reader's first ask after a trace-less fill
+// is a miss that fills a full entry, never a hit without a trace.
 type cachedAnswerer struct {
 	named
 	cache *Cache
@@ -181,8 +188,9 @@ type cachedAnswerer struct {
 
 func (a *cachedAnswerer) Answer(ctx context.Context, q answer.Query) (answer.Result, error) {
 	start := time.Now()
-	k := key(a.inner, a.scope(), q)
 	info := infoFrom(ctx)
+	omitTrace := info != nil && info.OmitTrace
+	k := key(a.inner, a.scope(), q, omitTrace)
 	if info != nil {
 		info.CacheUsed = true
 	}
@@ -201,7 +209,13 @@ func (a *cachedAnswerer) Answer(ctx context.Context, q answer.Query) (answer.Res
 	}
 	res, err := a.inner.Answer(ctx, q)
 	if err == nil {
-		a.cache.Put(k, res)
+		stored := res
+		if omitTrace {
+			stored.Trace = nil
+		}
+		a.cache.Put(k, stored)
 	}
+	// The caller gets the run's own result, trace included, whatever was
+	// stored: the metrics layer reads its stage spans.
 	return res, err
 }

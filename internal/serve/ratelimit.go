@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/list"
 	"math"
 	"sync"
 	"time"
@@ -36,7 +37,8 @@ type Limiter struct {
 	now        Clock
 
 	mu      sync.Mutex
-	buckets map[string]*bucket
+	buckets map[string]*list.Element
+	order   *list.List // of *bucket; front = most recently refilled
 
 	allowed int64
 	limited int64
@@ -44,6 +46,7 @@ type Limiter struct {
 
 // bucket is one client's token balance at its last refill instant.
 type bucket struct {
+	client string
 	tokens float64
 	last   time.Time
 }
@@ -65,7 +68,8 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 		burst:      float64(cfg.Burst),
 		maxClients: cfg.MaxClients,
 		now:        cfg.Clock,
-		buckets:    map[string]*bucket{},
+		buckets:    map[string]*list.Element{},
+		order:      list.New(),
 	}
 }
 
@@ -82,14 +86,9 @@ func (l *Limiter) Allow(client string) (ok bool, retryAfter time.Duration) {
 	now := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	b := l.buckets[client]
-	if b == nil {
-		if len(l.buckets) >= l.maxClients {
-			l.evictStalest()
-		}
-		b = &bucket{tokens: l.burst, last: now}
-		l.buckets[client] = b
-	} else {
+	var b *bucket
+	if el, ok := l.buckets[client]; ok {
+		b = el.Value.(*bucket)
 		// Refill from elapsed time. A backwards-moving clock (skew, NTP
 		// step) yields a negative delta that must not drain or mint
 		// tokens; the bucket just re-anchors at the new instant.
@@ -97,6 +96,13 @@ func (l *Limiter) Allow(client string) (ok bool, retryAfter time.Duration) {
 			b.tokens = math.Min(l.burst, b.tokens+elapsed*l.rate)
 		}
 		b.last = now
+		l.order.MoveToFront(el)
+	} else {
+		if len(l.buckets) >= l.maxClients {
+			l.evictStalest()
+		}
+		b = &bucket{client: client, tokens: l.burst, last: now}
+		l.buckets[client] = l.order.PushFront(b)
 	}
 	if b.tokens >= 1 {
 		b.tokens--
@@ -114,19 +120,15 @@ func (l *Limiter) retryAfter(b *bucket) time.Duration {
 	return time.Duration(deficit / l.rate * float64(time.Second))
 }
 
-// evictStalest drops the bucket with the oldest refill instant. Callers
-// hold l.mu; only called when the table is full, so the linear scan is a
-// bounded, rare cost.
+// evictStalest drops the least recently refilled bucket: the back of the
+// touch order, so it is O(1). Once the table is full this runs for every
+// unseen identity — a client rotating API keys — under the lock every
+// request takes, which is why it must not walk the table. Callers hold
+// l.mu.
 func (l *Limiter) evictStalest() {
-	var stalest string
-	var oldest time.Time
-	first := true
-	for client, b := range l.buckets {
-		if first || b.last.Before(oldest) {
-			stalest, oldest, first = client, b.last, false
-		}
-	}
-	delete(l.buckets, stalest)
+	stalest := l.order.Back()
+	l.order.Remove(stalest)
+	delete(l.buckets, stalest.Value.(*bucket).client)
 }
 
 // LimiterStats is a point-in-time limiter snapshot.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strconv"
 	"testing"
 	"time"
 )
@@ -144,6 +145,70 @@ func TestLimiterEvictsStalestClient(t *testing.T) {
 	// "a" returns with a fresh bucket (more permissive, never less).
 	if ok, _ := l.Allow("a"); !ok {
 		t.Fatal("evicted client refused on return")
+	}
+}
+
+// TestLimiterFullTableEvictsLeastRecentlyRefilled: with the table full,
+// every unseen identity evicts exactly the bucket whose last refill is
+// oldest — a touch moves a bucket out of harm's way — and nothing else.
+// An evicted client returns with a full bucket; one that was kept is
+// still out of tokens.
+func TestLimiterFullTableEvictsLeastRecentlyRefilled(t *testing.T) {
+	clk := newFakeClock()
+	// One token per client and a rate too low to refill within the test.
+	l := NewLimiter(LimiterConfig{Rate: 1e-6, Burst: 1, Clock: clk.now, MaxClients: 3})
+	allow := func(client string) bool {
+		clk.advance(time.Second)
+		ok, _ := l.Allow(client)
+		return ok
+	}
+	for _, c := range []string{"a", "b", "c"} {
+		if !allow(c) {
+			t.Fatalf("first request from %s refused", c)
+		}
+	}
+	if allow("a") { // touches a: b is now the stalest
+		t.Fatal("a's second request allowed: its bucket should be empty")
+	}
+	if !allow("d") { // table full: evicts b
+		t.Fatal("new identity refused")
+	}
+	if got := l.Stats().Clients; got != 3 {
+		t.Fatalf("clients = %d, want 3", got)
+	}
+	// Refill order is now c, a, d (oldest first). a and c were kept, so
+	// they are still empty; asking refills (touches) them, leaving d the
+	// stalest.
+	if allow("a") || allow("c") {
+		t.Fatal("a kept client came back with a fresh bucket: the wrong bucket was evicted")
+	}
+	if !allow("b") { // b was evicted: fresh bucket (and d goes)
+		t.Fatal("b was not the evicted identity")
+	}
+	if !allow("d") { // d was evicted by b's return: fresh again (and a goes)
+		t.Fatal("d was not evicted by b's return")
+	}
+	if allow("c") {
+		t.Fatal("c was evicted out of turn")
+	}
+	if got := l.Stats().Clients; got != 3 {
+		t.Fatalf("clients = %d, want 3", got)
+	}
+}
+
+// BenchmarkLimiterFullTable is the cost an unseen identity pays once the
+// table holds MaxClients buckets — every request of a client that rotates
+// its API key — under the lock every other request takes. It was a walk
+// of all 4 096 buckets.
+func BenchmarkLimiterFullTable(b *testing.B) {
+	l := NewLimiter(LimiterConfig{Rate: 1, Burst: 1})
+	for i := 0; i < 4096; i++ {
+		l.Allow("resident-" + strconv.Itoa(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Allow("rotating-" + strconv.Itoa(i))
 	}
 }
 

@@ -27,7 +27,14 @@
 //     instead of inheriting its failure.
 //   - Cached results are isolated: Put and Get deep-copy the Result's
 //     Trace (graphs and stage spans), so no caller can mutate an entry
-//     another caller will receive.
+//     another caller will receive. A trace is copied only for a caller
+//     that will read it: a request whose Info says OmitTrace is stored
+//     and served without one, under a key that carries the bit, so it
+//     never meets — or fills — an entry a trace reader will be handed,
+//     and a singleflight follower under it drops the leader's trace
+//     instead of copying it. The run itself always returns its trace
+//     (stage metrics and SSE stage events come from it); WithTrace, whose
+//     records carry the graphs, clears the bit for everything below it.
 package serve
 
 import (
@@ -61,6 +68,12 @@ type Info struct {
 	// Shared is true when singleflight coalesced this request onto
 	// another in-flight identical run.
 	Shared bool
+	// OmitTrace is the one field the caller sets: true declares that
+	// Result.Trace will not be read, so a cache hit or a shared run need
+	// not produce one (a run that executes still returns its own). It is
+	// a property of the request — the front door derives it from
+	// include_trace — and the zero value keeps full results.
+	OmitTrace bool
 }
 
 type infoKey struct{}
@@ -106,11 +119,19 @@ func scopeOrEmpty(scope ScopeFunc) ScopeFunc {
 
 // key computes the cache/singleflight identity for a query against the
 // wrapped method. The query's own labels win so per-request model routing
-// stays distinct; the bound method name is the fallback.
-func key(ans answer.Answerer, scope string, q answer.Query) string {
+// stays distinct; the bound method name is the fallback. omitTrace moves
+// the key into the namespace of trace-less cache entries (the separator
+// carries the bit; QueryKey strips control characters from client text,
+// so neither separator can be forged). Singleflight always passes false:
+// a run produces its trace whoever leads it.
+func key(ans answer.Answerer, scope string, q answer.Query, omitTrace bool) string {
 	method := q.Method
 	if method == "" {
 		method = ans.Name()
 	}
-	return scope + "\x02" + answer.QueryKey(method, q.Model, q)
+	sep := "\x02"
+	if omitTrace {
+		sep = "\x03"
+	}
+	return scope + sep + answer.QueryKey(method, q.Model, q)
 }

@@ -126,12 +126,17 @@ type dedupAnswerer struct {
 
 func (a *dedupAnswerer) Answer(ctx context.Context, q answer.Query) (answer.Result, error) {
 	start := time.Now()
-	res, shared, err := a.group.Do(ctx, key(a.inner, a.scope(), q), func() (answer.Result, error) {
+	res, shared, err := a.group.Do(ctx, key(a.inner, a.scope(), q, false), func() (answer.Result, error) {
 		return a.inner.Answer(ctx, q)
 	})
 	if shared {
 		if info := infoFrom(ctx); info != nil {
 			info.Shared = true
+			if info.OmitTrace {
+				// Nobody will read it: drop the leader's trace rather
+				// than deep-copy it.
+				res.Trace = nil
+			}
 		}
 		// Mirror the cache middleware on both counts: the upstream cost
 		// belongs to the leader's response alone, the follower's elapsed

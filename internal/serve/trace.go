@@ -21,6 +21,10 @@ type Recorder interface {
 // epoch; those three fields are what lets replay diffs tell substrate
 // churn and cache effects apart from method regressions.
 //
+// Because a record carries the run's graphs and spans, WithTrace clears
+// the request's Info.OmitTrace: below it every request is a trace reader,
+// and cache hits keep serving full entries.
+//
 // kgLabel names the KG source this answerer is bound to (the query itself
 // does not carry it). A nil recorder yields a no-op middleware. Append
 // failures are deliberately swallowed: tracing is observability, and a
@@ -50,6 +54,7 @@ func (a *tracedAnswerer) Answer(ctx context.Context, q answer.Query) (answer.Res
 	if info == nil {
 		ctx, info = Attach(ctx)
 	}
+	info.OmitTrace = false // the record below reads the trace
 	res, err := a.inner.Answer(ctx, q)
 	_, _ = a.rec.Append(trace.Build(q, res, err, trace.Meta{
 		KG:       a.kg,
