@@ -236,7 +236,7 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 		// record, so fold them before publishing — a long WAL tail must
 		// not boot into a snapshot fanning out over hundreds of tiny
 		// segments.
-		m.deltaSegs = []*vecstore.Index{vecstore.BuildTriples(enc, m.deltaTriplesLocked())}
+		m.deltaSegs = []*vecstore.Index{vecstore.Concat(enc, m.deltaSegs...)}
 	}
 	if cfg.Replica {
 		// A replica resumes at EXACTLY the largest persisted epoch: its

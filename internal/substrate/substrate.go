@@ -18,8 +18,16 @@
 // layers fold into cache-key scopes so a swap implicitly invalidates every
 // answer computed against an older substrate.
 //
+// An ingest invalidates answers, not segments. A publish keeps every
+// index segment the ingest did not replace — all of the base's and, until
+// coalescing joins them, the delta's — and with Config.Memo on each
+// segment keeps the search results it remembered (the vecstore package
+// comment's memo rule), so a question re-asked after an ingest is scanned
+// only where the triples changed.
+//
 // Compaction folds the delta into a new frozen base — re-sharding the
-// index — and resets the delta. It runs concurrently with ingest: only the
+// index, keeping the old base's full leading segments (vecstore.Reshard)
+// — and resets the delta. It runs concurrently with ingest: only the
 // final swap takes the writer lock, and triples ingested during the build
 // survive as the new delta.
 //
@@ -80,6 +88,12 @@ type Config struct {
 	// ANN configures approximate retrieval over the frozen base; the
 	// zero value keeps every search an exact scan.
 	ANN ANNConfig
+	// Memo turns on the index segments' search memos in every view the
+	// manager publishes (the vecstore package comment's memo rule): a
+	// segment then answers a query it has seen from its memo instead of a
+	// scan, exactly. node sets it exactly when the node caches answers;
+	// the zero value keeps every search a real scan.
+	Memo bool
 	// Replica puts the manager in WAL-applying mode: recovery resumes at
 	// exactly the largest persisted epoch (never +1, so the applied chain
 	// can extend it seamlessly), compactions are epoch-frozen (the fold
@@ -170,9 +184,10 @@ type Manager struct {
 
 	ingests     atomic.Int64
 	compactions atomic.Int64
-	// annCounters survives snapshot recomposition: every publish wires
-	// the same counters into the new Hybrid view.
-	annCounters vecstore.ANNCounters
+	// annCounters and memoCounters survive snapshot recomposition: every
+	// publish wires the same counters into the new view.
+	annCounters  vecstore.ANNCounters
+	memoCounters vecstore.MemoCounters
 
 	// Durability state: nil/zero for memory-only managers (see Recover).
 	durable bool
@@ -426,14 +441,15 @@ func (m *Manager) maxOrdLocked(subject, relation string) (int, bool) {
 // coalesceDeltaSegsLocked folds the per-batch delta segments into one
 // once they proliferate: many tiny ingests would otherwise leave the
 // snapshot index fanning out over hundreds of near-empty segments. The
-// re-encode of the whole delta is amortised across maxDeltaSegs batches,
-// and compaction resets everything anyway. Caller holds m.mu.
+// fold concatenates the segments' packed rows (vecstore.Concat) rather
+// than re-encoding the delta, and compaction resets everything anyway.
+// Caller holds m.mu.
 func (m *Manager) coalesceDeltaSegsLocked() {
 	const maxDeltaSegs = 16
 	if len(m.deltaSegs) < maxDeltaSegs {
 		return
 	}
-	m.deltaSegs = []*vecstore.Index{vecstore.BuildTriples(m.enc, m.deltaTriplesLocked())}
+	m.deltaSegs = []*vecstore.Index{vecstore.Concat(m.enc, m.deltaSegs...)}
 }
 
 // deltaTriplesLocked returns the delta's triples remapped into the
@@ -463,7 +479,7 @@ func (m *Manager) publishLocked() *Snapshot {
 // epoch-scoped cache keys stay valid. (Nearly: vecstore's filter rule
 // falls through per segment, so a rearranged layout can return a
 // different top-k for the same triples — see the vecstore package
-// comment and ROADMAP item 4.) Caller holds m.mu.
+// comment and ROADMAP item 3.) Caller holds m.mu.
 func (m *Manager) republishLocked() *Snapshot {
 	var store kg.Reader = m.base
 	shards := m.baseShards
@@ -482,9 +498,10 @@ func (m *Manager) republishLocked() *Snapshot {
 		index = vecstore.ComposeHybrid(m.enc, m.baseANN, shards, vecstore.HybridOptions{
 			EfSearch: m.cfg.ANN.EfSearch,
 			Counters: &m.annCounters,
+			Memo:     m.viewMemo(),
 		})
 	} else {
-		index = vecstore.Compose(m.enc, shards...)
+		index = vecstore.Compose(m.enc, shards...).WithMemo(m.viewMemo())
 	}
 	snap := &Snapshot{
 		Epoch:        m.epoch,
@@ -497,10 +514,20 @@ func (m *Manager) republishLocked() *Snapshot {
 	return snap
 }
 
+// viewMemo returns the memo counters the views are composed with: nil,
+// which keeps the memos off, unless Config.Memo is set.
+func (m *Manager) viewMemo() *vecstore.MemoCounters {
+	if !m.cfg.Memo {
+		return nil
+	}
+	return &m.memoCounters
+}
+
 // Compact folds the delta into a new frozen, re-sharded base and publishes
-// the result. The expensive part — re-encoding the merged triple set —
-// runs outside the writer lock, so ingest stays live during compaction;
-// triples ingested while the build runs carry over into the new delta.
+// the result. The expensive part — encoding the merged triple set beyond
+// the old base's full segments — runs outside the writer lock, so ingest
+// stays live during compaction; triples ingested while the build runs
+// carry over into the new delta.
 // Returns ErrCompacting if another compaction is in flight. A compaction
 // of an empty delta is a no-op returning the current snapshot.
 func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
@@ -516,6 +543,7 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 	}
 	m.compacting = true
 	baseAll := m.base.All()
+	baseShards := m.baseShards
 	deltaPrefix := m.delta.All()
 	src := m.base.Source()
 	m.mu.Unlock()
@@ -532,7 +560,10 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 	newBase.AddAll(baseAll)
 	newBase.AddAll(deltaPrefix)
 	newBase.Freeze()
-	newShards := vecstore.BuildShards(m.enc, newBase.All(), m.cfg.ShardSize)
+	// The new base extends the old one, so its full leading segments are
+	// the old base's where their triples match: those keep their rows and
+	// their memos, and only the rest is encoded.
+	newShards := vecstore.Reshard(m.enc, newBase.All(), m.cfg.ShardSize, baseShards)
 	// The graph build is the expensive part of an ANN compaction; like the
 	// re-shard above it runs here, outside the writer lock, so ingest stays
 	// live while the graph grows.
@@ -606,6 +637,10 @@ type Stats struct {
 	Shards       int    `json:"shards"`
 	Ingests      int64  `json:"ingests"`
 	Compactions  int64  `json:"compactions"`
+	// Memo reports the index segments' search memos: lookups answered
+	// (hits) and scanned (misses) since boot, and entries held by the live
+	// snapshot's segments. All zero when Config.Memo is off.
+	Memo vecstore.MemoStats `json:"memo"`
 	// ANN describes the approximate index layer — graph size, levels,
 	// the beam in effect, and how traffic split between graph and exact
 	// fallback. Nil when Config.ANN is disabled.
@@ -644,6 +679,9 @@ func (m *Manager) Stats() Stats {
 		ANN:          idx.ANN,
 		Ingests:      m.ingests.Load(),
 		Compactions:  m.compactions.Load(),
+	}
+	if idx.Memo != nil {
+		st.Memo = *idx.Memo
 	}
 	if m.durable {
 		st.Durability = DurabilityStats{

@@ -2,7 +2,8 @@ package vecstore
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/embed"
 )
@@ -10,6 +11,7 @@ import (
 // batchQuery is one query of a request in the form every segment scan
 // takes, prepared once per request rather than once per segment.
 type batchQuery struct {
+	text string             // the query as the caller gave it: the memo key
 	vec  embed.Vector       // the embedding encode supplied
 	wide [embed.Dim]float64 // vec widened for dot and dot2
 	zero bool               // vec is the zero vector: the query matches nothing
@@ -22,6 +24,7 @@ func prepare(encode func(string) embed.Vector, queries []string) []batchQuery {
 	qs := make([]batchQuery, len(queries))
 	for i, text := range queries {
 		q := &qs[i]
+		q.text = text
 		q.vec = encode(text)
 		q.zero = q.vec.IsZero()
 		q.wide = widen(&q.vec)
@@ -40,16 +43,18 @@ type walk struct {
 
 // scanBatch is the token-filtered search of one segment for every query
 // of a request: out[i] is query i's top k by the filter rule, and the rows
-// are walked by the batch rule (both in the package comment).
-func (idx *Index) scanBatch(qs []batchQuery, k int) [][]Hit {
+// are walked by the batch rule (both in the package comment). With memo
+// non-nil the segment's memo answers the queries it holds and stores the
+// results of the rest (the memo rule), counting into memo.
+func (idx *Index) scanBatch(qs []batchQuery, k int, memo *MemoCounters) [][]Hit {
 	out := make([][]Hit, len(qs))
-	if k <= 0 {
+	if k <= 0 || memo != nil && idx.recall(qs, k, out, memo) == 0 {
 		return out
 	}
 	walks := make([]walk, 0, len(qs))
 	var all rowSet
 	for i := range qs {
-		if qs[i].zero {
+		if qs[i].zero || out[i] != nil {
 			continue
 		}
 		set := idx.candidates(qs[i].toks)
@@ -98,7 +103,11 @@ func (idx *Index) scanBatch(qs []batchQuery, k int) [][]Hit {
 		if !w.done {
 			idx.scan(&qs[w.query].wide, w.set, &w.best)
 		}
-		out[w.query] = idx.hits(&w.best)
+		ranked := idx.rank(&w.best)
+		out[w.query] = idx.hits(ranked)
+		if memo != nil {
+			idx.remember(qs[w.query].text, k, ranked)
+		}
 	}
 	return out
 }
@@ -203,15 +212,33 @@ func (h topK) down(i, n int) {
 	}
 }
 
-// hits empties best into the segment's result list, in the order every
-// Searcher produces. Only here does a row become a Hit.
-func (idx *Index) hits(best *topK) []Hit {
-	out := make([]Hit, len(*best))
-	for i := len(out) - 1; i >= 0; i-- {
-		s := best.pop()
+// rank empties best and returns its rows in the order every Searcher
+// produces, in place in best's storage: popping leaves them by score
+// descending, and a stable sort breaks equal scores by triple surface
+// form, as hitBefore orders Hits.
+func (idx *Index) rank(best *topK) []scored {
+	ranked := *best
+	for len(*best) > 0 {
+		best.pop()
+	}
+	slices.SortStableFunc(ranked, func(a, b scored) int {
+		if a.score != b.score {
+			if a.score > b.score {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(idx.triples[a.row].Key(), idx.triples[b.row].Key())
+	})
+	return ranked
+}
+
+// hits builds the segment's result list from ranked rows, into a fresh
+// slice. Only here does a row become a Hit.
+func (idx *Index) hits(ranked []scored) []Hit {
+	out := make([]Hit, len(ranked))
+	for i, s := range ranked {
 		out[i] = Hit{Triple: idx.triples[s.row], Score: s.score}
 	}
-	// Tie-break equal scores deterministically by triple surface form.
-	sort.SliceStable(out, func(i, j int) bool { return hitBefore(out[i], out[j]) })
 	return out
 }

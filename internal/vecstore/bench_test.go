@@ -92,6 +92,24 @@ func BenchmarkFilteredSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchSearchMemo is BenchmarkFilteredSearch with the segments'
+// memos on and hot — what a request costs once every segment has answered
+// its queries before. The warm-up fills the memos from the segment
+// fan-out's workers and the loop reads them back from the same workers,
+// so under -race it puts the memos' concurrent writes and reads under the
+// detector.
+func BenchmarkBatchSearchMemo(b *testing.B) {
+	enc := embed.NewEncoder()
+	s := BuildSharded(enc, corpus(20000), 0).WithMemo(&MemoCounters{})
+	queries := []string{"Lake Superior 42 area", "Lake Superior 42 country Canada", "River Danube length"}
+	s.BatchSearchWith(enc.Encode, queries, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for b.Loop() {
+		s.BatchSearchWith(enc.Encode, queries, 10)
+	}
+}
+
 // BenchmarkKernel scores one query against every row of a segment with
 // the dense reference kernel and with the packed kernel the scan and the
 // graph use, and two queries with the two-query kernel (compare with twice

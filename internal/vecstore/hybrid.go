@@ -24,6 +24,10 @@ type HybridOptions struct {
 	EfSearch int
 	// Counters receives routing counts; nil disables counting.
 	Counters *ANNCounters
+	// Memo, when non-nil, turns the segments' memos on for the exact
+	// scans (tail and fallback; see Sharded.WithMemo) and counts their
+	// lookups.
+	Memo *MemoCounters
 }
 
 // Hybrid is the serving composite of the approximate/exact split: an
@@ -49,7 +53,7 @@ type Hybrid struct {
 // wrong results. ann may be nil for an exact-only view with fallback
 // accounting.
 func ComposeHybrid(enc *embed.Encoder, ann *HNSW, segs []*Index, opts HybridOptions) *Hybrid {
-	hy := &Hybrid{enc: enc, ann: ann, full: Compose(enc, segs...), opts: opts}
+	hy := &Hybrid{enc: enc, ann: ann, full: Compose(enc, segs...).WithMemo(opts.Memo), opts: opts}
 	split := 0
 	if ann != nil {
 		split = len(ann.segs)
@@ -58,7 +62,7 @@ func ComposeHybrid(enc *embed.Encoder, ann *HNSW, segs []*Index, opts HybridOpti
 			split = 0
 		}
 	}
-	hy.tail = Compose(enc, segs[split:]...)
+	hy.tail = Compose(enc, segs[split:]...).WithMemo(opts.Memo)
 	return hy
 }
 

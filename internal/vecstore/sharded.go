@@ -3,6 +3,7 @@ package vecstore
 import (
 	"container/heap"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,6 +30,9 @@ type Sharded struct {
 	enc    *embed.Encoder
 	shards []*Index
 	total  int
+	// memo, when non-nil, turns the segments' memos on for this view's
+	// batch scans and counts their lookups (the memo rule).
+	memo *MemoCounters
 }
 
 // BuildSharded encodes the triples into fixed-size segments. A
@@ -43,16 +47,36 @@ func BuildSharded(enc *embed.Encoder, triples []kg.Triple, shardSize int) *Shard
 // the segments around to recompose with a delta segment later. A
 // non-positive shardSize uses DefaultShardSize.
 func BuildShards(enc *embed.Encoder, triples []kg.Triple, shardSize int) []*Index {
+	return Reshard(enc, triples, shardSize, nil)
+}
+
+// Reshard is BuildShards keeping the segments prev already has: a segment
+// of prev that holds a full shardSize rows, starts at a multiple of
+// shardSize in prev's concatenation, and whose triples equal the same
+// slice of triples field for field is reused — memo included — instead of
+// re-encoded. Every other segment is built from the triples, so the result
+// equals BuildShards' segment for segment. The substrate's compaction
+// passes the old base, which the new base extends.
+func Reshard(enc *embed.Encoder, triples []kg.Triple, shardSize int, prev []*Index) []*Index {
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
 	}
+	aligned := map[int]*Index{} // by first row
+	off := 0
+	for _, sh := range prev {
+		if off%shardSize == 0 && sh.Len() == shardSize {
+			aligned[off] = sh
+		}
+		off += sh.Len()
+	}
 	var shards []*Index
 	for lo := 0; lo < len(triples); lo += shardSize {
-		hi := lo + shardSize
-		if hi > len(triples) {
-			hi = len(triples)
+		part := triples[lo:min(lo+shardSize, len(triples))]
+		if sh := aligned[lo]; sh != nil && slices.Equal(sh.triples, part) {
+			shards = append(shards, sh)
+		} else {
+			shards = append(shards, BuildTriples(enc, part))
 		}
-		shards = append(shards, BuildTriples(enc, triples[lo:hi]))
 	}
 	return shards
 }
@@ -69,6 +93,18 @@ func Compose(enc *embed.Encoder, shards ...*Index) *Sharded {
 		s.total += sh.Len()
 	}
 	return s
+}
+
+// WithMemo returns a view over the same segments whose batch scans
+// consult and fill each segment's memo (the package comment's memo rule),
+// counting lookups into c; a nil c returns s itself.
+func (s *Sharded) WithMemo(c *MemoCounters) *Sharded {
+	if c == nil {
+		return s
+	}
+	memoized := *s
+	memoized.memo = c
+	return &memoized
 }
 
 // Len returns the number of indexed triples across all segments.
@@ -110,7 +146,7 @@ func (s *Sharded) BatchSearchWith(encode func(string) embed.Vector, queries []st
 // winners.
 func (s *Sharded) scanBatch(qs []batchQuery, k int) [][]Hit {
 	per := make([][][]Hit, len(s.shards))
-	s.eachShard(func(i int, sh *Index) { per[i] = sh.scanBatch(qs, k) })
+	s.eachShard(func(i int, sh *Index) { per[i] = sh.scanBatch(qs, k, s.memo) })
 	out := make([][]Hit, len(qs))
 	lists := make([][]Hit, len(per))
 	for q := range out {
@@ -225,6 +261,12 @@ func (s *Sharded) Stats() Stats {
 	st := Stats{Dim: embed.Dim, Shards: len(s.shards), Triples: s.total}
 	for _, sh := range s.shards {
 		st.Tokens += sh.Stats().Tokens
+	}
+	if s.memo != nil {
+		st.Memo = &MemoStats{Hits: s.memo.Hits.Load(), Misses: s.memo.Misses.Load()}
+		for _, sh := range s.shards {
+			st.Memo.Entries += sh.memoLen()
+		}
 	}
 	return st
 }

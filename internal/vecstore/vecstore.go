@@ -52,6 +52,25 @@
 // decides cost only: dot2 gives each query the float64 dot gives it, rows
 // reach each query's heap in ascending order either way, and the results
 // are those of searching the queries one by one.
+//
+// Memo rule. A view composed with memo counters (Sharded.WithMemo,
+// HybridOptions.Memo) lets each segment remember its own batch-scan
+// results: keyed by (query text, k), an entry holds the rows and scores of
+// the segment's result list, in order, and a later batch scan of that
+// segment for the same key is answered from it instead of walking rows. It
+// is exact by construction, not by tolerance: a segment never changes
+// after it is built; a query's result on a segment depends only on the
+// segment, the query text — its tokens, and its embedding, which encode
+// must derive from the text — and k, the batch rule's pairing deciding
+// cost only; and every hit is rebuilt from the segment's own triples into
+// a fresh slice, so nothing a caller does to its hits reaches the memo. A
+// memo lives and dies with its segment: a compaction or coalescing that
+// retires a segment retires its memo, one that keeps a segment (Reshard)
+// keeps it, so there is nothing to invalidate. It holds at most one entry
+// per row of its segment — it fills until full, then stops storing. The
+// substrate manager turns it on exactly when its node caches answers
+// (substrate.Config.Memo); every other view (BuildSharded, Compose, a
+// plain Index) scans every time.
 package vecstore
 
 import (
@@ -102,6 +121,9 @@ type Index struct {
 	rows packedRows
 	// inverted maps token -> posting list of triple offsets, ascending.
 	inverted map[string][]int32
+	// memo holds the segment's own batch-scan results for the views that
+	// turn it on (the memo rule).
+	memo memo
 }
 
 // packedRows stores the non-zero components of a sequence of embedding
@@ -245,9 +267,6 @@ func Build(enc *embed.Encoder, store *kg.Store) *Index {
 
 // BuildTriples builds an index directly over a triple slice.
 func BuildTriples(enc *embed.Encoder, triples []kg.Triple) *Index {
-	if len(triples) > maxRows {
-		panic(fmt.Sprintf("vecstore: %d triples in one index (max %d): use BuildSharded", len(triples), maxRows))
-	}
 	// Encoding is order-independent, so chunks encode and pack in
 	// parallel; newIndex joins them in row order.
 	const chunk = 2048
@@ -269,10 +288,28 @@ func BuildTriples(enc *embed.Encoder, triples []kg.Triple) *Index {
 	return newIndex(enc, triples, parts...)
 }
 
+// Concat joins segments into one over their triples in order, without
+// re-encoding: the packed rows are copied and only the inverted token
+// index is derived from the triples' text, so the result equals
+// BuildTriples over the concatenated triples. The substrate coalesces its
+// per-ingest delta segments with it.
+func Concat(enc *embed.Encoder, segs ...*Index) *Index {
+	var triples []kg.Triple
+	parts := make([]packedRows, len(segs))
+	for i, seg := range segs {
+		triples = append(triples, seg.triples...)
+		parts[i] = seg.rows
+	}
+	return newIndex(enc, triples, parts...)
+}
+
 // newIndex assembles an Index over triples from their packed rows, given
 // as consecutive parts in row order: it joins the parts into exactly
 // sized slices and derives the inverted token index.
 func newIndex(enc *embed.Encoder, triples []kg.Triple, parts ...packedRows) *Index {
+	if len(triples) > maxRows {
+		panic(fmt.Sprintf("vecstore: %d triples in one index (max %d): use BuildSharded", len(triples), maxRows))
+	}
 	entries := 0
 	for i := range parts {
 		entries += len(parts[i].idx)
@@ -351,7 +388,7 @@ func (idx *Index) SearchVector(qv embed.Vector, k int) []Hit {
 // embeddings (internal/core's session memo). encode must be consistent
 // with the index's encoder.
 func (idx *Index) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
-	return idx.scanBatch(prepare(encode, queries), k)
+	return idx.scanBatch(prepare(encode, queries), k, nil)
 }
 
 // rowSet is a bitset over an index's rows: bit r%64 of word r/64.
@@ -413,7 +450,7 @@ func (idx *Index) searchVec(qv embed.Vector, k int, subset rowSet) []Hit {
 	q := widen(&qv)
 	best := make(topK, 0, min(k, len(idx.triples)))
 	idx.scan(&q, subset, &best)
-	return idx.hits(&best)
+	return idx.hits(idx.rank(&best))
 }
 
 // hitBefore is the deterministic result order every Searcher produces:
@@ -435,6 +472,9 @@ type Stats struct {
 	// ANN describes the approximate layer when one is composed in (an
 	// HNSW graph or a Hybrid wrapping one); nil for purely exact views.
 	ANN *ANNInfo `json:"ann,omitempty"`
+	// Memo describes the segments' memos on views that turn them on; nil
+	// otherwise.
+	Memo *MemoStats `json:"memo,omitempty"`
 }
 
 // ANNInfo describes an approximate index layer: graph shape, the beam
