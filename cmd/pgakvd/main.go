@@ -44,9 +44,9 @@
 // on top (same name+version replaces, new versions add). SIGHUP or POST
 // /v1/prompts/reload re-reads the directory and swaps the whole set
 // atomically — an invalid file rejects the reload and the current set
-// keeps serving. Answer-cache keys are scoped by the active prompt
-// fingerprint, so a reload that changes any active version invalidates
-// every cached answer rendered under the old set. Per-request A/B:
+// keeps serving. Every cached answer records the prompt fingerprint it
+// rendered with, so after a reload that changes any active version no
+// answer rendered under the old set is served again. Per-request A/B:
 // "prompt_versions": {"answer-graph": "2"} in an answer or batch query
 // pins specific versions for that request only (candidate versions are
 // loaded but never active by default). See docs/operations.md.
@@ -66,8 +66,12 @@
 // ingested triples. /v1/ingest publishes a new snapshot atomically (the
 // epoch in every answer identifies which one served it), and
 // /v1/snapshot/compact folds the delta into a fresh re-sharded base.
-// Cache keys are epoch-scoped, so a swap invalidates all prior answers;
-// -compact-threshold N (default 2048) compacts automatically once the
+// After a swap a cached answer is served again only if the KG reads it was
+// computed from — its top-k lists, subject blocks and probes — replay
+// identically against the new snapshot (X-Cache: hit, at the new epoch);
+// an answer whose reads changed is a miss and runs again. A compaction
+// changes no read, so it keeps every cached answer. -compact-threshold N
+// (default 2048) compacts automatically once the
 // delta holds N triples, which also bounds per-ingest publish cost — the
 // delta store copy each publish makes never exceeds the threshold.
 //
@@ -79,7 +83,7 @@
 // are written on compaction, on the -checkpoint-interval timer, and on
 // POST /v1/snapshot/checkpoint. On boot the server recovers: newest valid
 // checkpoint, then WAL tail replay, resuming at a non-regressed epoch so
-// epoch-scoped cache keys stay correct across restarts. See
+// the epochs clients see never go backwards across restarts. See
 // docs/operations.md for the recovery runbook.
 //
 // Replication: every durable server exposes /v1/repl/info,

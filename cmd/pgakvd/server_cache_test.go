@@ -186,10 +186,10 @@ func TestAnswerNoCacheHeaderWhenDisabled(t *testing.T) {
 
 // TestMetricsReportSegmentMemos: /v1/metrics carries each source's
 // index-segment memo counters under substrates.<src>.memo. A question
-// re-asked after an ingest misses the answer cache (the epoch moved) and
-// runs again; with the cache on its retrievals are answered from the base
-// segments' memos, so hits and entries are above zero. With the cache off
-// the memos are off, and the counters read zero.
+// re-asked after an ingest has its cached answer revalidated (the epoch
+// moved), which replays its retrievals; with the cache on they are
+// answered from the base segments' memos, so hits and entries are above
+// zero. With the cache off the memos are off, and the counters read zero.
 func TestMetricsReportSegmentMemos(t *testing.T) {
 	for _, cacheSize := range []int{256, 0} {
 		cfg := bench.QuickEnvConfig()

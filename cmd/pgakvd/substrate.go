@@ -14,8 +14,9 @@ import (
 // The substrate admin routes: POST /v1/ingest, /v1/snapshot/compact and
 // /v1/snapshot/checkpoint. Ingest and compaction swap substrate snapshots
 // atomically: queries in flight keep the snapshot they resolved, new
-// queries see the new epoch, and the answer cache's epoch-scoped keys
-// guarantee no pre-swap answer is ever served post-swap.
+// queries see the new epoch, and the answer cache serves a pre-swap answer
+// post-swap only after its KG reads replayed identically on the new
+// snapshot.
 
 // tripleWire is the JSON form of one ingested triple.
 type tripleWire struct {

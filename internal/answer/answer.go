@@ -13,6 +13,19 @@
 // All methods honour context cancellation and deadlines, report uniform
 // usage accounting (LLM calls, token estimates, wall time), and classify
 // failures into a small set of typed error classes for serving layers.
+//
+// # The read-log contract
+//
+// A method reads the knowledge substrate only through Deps.Store and
+// Deps.Index, and those are the one snapshot Answer resolved for the run.
+// That makes a run replayable: asked through WithReadLog, Answer wraps the
+// two with recorders and returns every read and its result as
+// Result.Reads, and Reads.Revalidate re-issues them against a later
+// snapshot. Identical reads under an identical prompt view give identical
+// prompts, identical prompts give identical completions, so a log that
+// replays exactly proves the run would answer the same there — the proof
+// the serving cache keeps an answer across an epoch change on. A method
+// that reached the substrate any other way would break the proof silently.
 package answer
 
 import (
@@ -95,6 +108,10 @@ type Result struct {
 	// partial trace (spans up to and including the failing stage) is still
 	// returned alongside the error.
 	Trace *core.Trace
+	// Reads is the run's substrate read log, present only on a successful
+	// run whose context asked for one (WithReadLog) and whose reads can all
+	// be replayed. Immutable, so copies of a Result share it.
+	Reads *Reads
 }
 
 // Clone returns a copy safe to hand to an independent caller: the trace —

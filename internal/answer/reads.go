@@ -1,0 +1,450 @@
+package answer
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"math"
+	"sync"
+
+	"repro/internal/embed"
+	"repro/internal/kg"
+	"repro/internal/prompts"
+	"repro/internal/vecstore"
+)
+
+// Reads is the substrate read log of one run: every call the method made
+// on the kg.Reader and vecstore.Searcher it was handed, with each call's
+// result, plus the prompt view the run rendered with and the Substrate the
+// reads came from. A run's answer is a function of its question, its
+// prompts, its LLM completions and these reads; the completions are a
+// function of the prompts, and the prompts of the question, the view and
+// the reads. So if every read returns the identical result against a later
+// snapshot and the view is unchanged, a fresh run there would answer
+// exactly what this one did — Revalidate checks that, and the serving
+// cache keeps an answer across an epoch change when it holds.
+//
+// The log is compact and immutable once the run returns: arguments and
+// results are encoded into one byte slice, a triple as its ID (a triple ID
+// names the same triple for a node's lifetime: ingest appends, compaction
+// keeps IDs) and a score as its float64 bits. A run that makes a read the
+// log cannot replay exactly — Reader.All, Searcher.Stats — gets no log.
+type Reads struct {
+	substrate Substrate
+	prompts   *prompts.Registry
+	// fingerprint is the prompt view the run rendered with.
+	fingerprint string
+	// encode is the query encoder the run's batch searches used; replay
+	// reuses it so its searches cost what the run's did. Nil when the run
+	// made none.
+	encode func(string) embed.Vector
+	ops    []byte
+}
+
+// Size returns the encoded log's length in bytes.
+func (r *Reads) Size() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.ops)
+}
+
+// Revalidate replays the log against the substrate's current snapshot,
+// with q's prompt-version overrides resolved against the prompt registry
+// as they are now. It returns the snapshot's epoch and true when every
+// read returns exactly what it returned to the run and the prompt view's
+// fingerprint is unchanged; false otherwise, or on a nil log. Safe for
+// concurrent use.
+func (r *Reads) Revalidate(q Query) (uint64, bool) {
+	if r == nil {
+		return 0, false
+	}
+	view, err := r.prompts.Resolve(q.PromptVersions)
+	if err != nil || view.Fingerprint() != r.fingerprint {
+		return 0, false
+	}
+	store, index, epoch := r.substrate.Resolve()
+	if !r.replay(store, index) {
+		return 0, false
+	}
+	return epoch, true
+}
+
+type readLogKey struct{}
+
+// WithReadLog asks the run answering under ctx to return its read log in
+// Result.Reads. The serving cache sets it on the runs that fill it;
+// nothing else pays for recording.
+func WithReadLog(ctx context.Context) context.Context {
+	return context.WithValue(ctx, readLogKey{}, true)
+}
+
+func wantsReadLog(ctx context.Context) bool {
+	on, _ := ctx.Value(readLogKey{}).(bool)
+	return on
+}
+
+// static is the Substrate of an answerer bound to a fixed store and index:
+// one snapshot, epoch 0, forever.
+type static struct {
+	store kg.Reader
+	index vecstore.Searcher
+}
+
+func (s static) Resolve() (kg.Reader, vecstore.Searcher, uint64) { return s.store, s.index, 0 }
+
+// Read-log op codes: one byte per call, then its arguments, then its
+// result.
+const (
+	opSource          byte = iota + 1 // result: source
+	opLen                             // result: n
+	opGet                             // id; result: ok
+	opContains                        // subject, relation, object; result: ok
+	opSubject                         // subject; result: triples
+	opSubjectRelation                 // subject, relation; result: triples
+	opHasSubject                      // subject; result: ok
+	opFindSubjectFold                 // query; result: ok, canonical
+	opIndexLen                        // result: n
+	opSearch                          // query, k; result: hits
+	opBatchSearch                     // n, n queries, k; result: n hit lists
+)
+
+// recorder encodes one run's reads. Methods may read from several
+// goroutines, so appends are serialised; replay checks each read on its
+// own, so their order does not matter.
+type recorder struct {
+	mu  sync.Mutex
+	buf []byte
+	// encode is the first batch search's query encoder.
+	encode func(string) embed.Vector
+	// unreplayable is set by a read the log cannot replay.
+	unreplayable bool
+}
+
+// reads seals the log, or returns nil when the run made an unreplayable
+// read.
+func (rec *recorder) reads(sub Substrate, reg *prompts.Registry, fingerprint string) *Reads {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.unreplayable {
+		return nil
+	}
+	// A copy of exactly its length: the cache keeps the log for the
+	// entry's lifetime.
+	return &Reads{substrate: sub, prompts: reg, fingerprint: fingerprint, encode: rec.encode, ops: bytes.Clone(rec.buf)}
+}
+
+// log appends one read with f.
+func (rec *recorder) log(f func(b []byte) []byte) {
+	rec.mu.Lock()
+	rec.buf = f(rec.buf)
+	rec.mu.Unlock()
+}
+
+func (rec *recorder) poison() {
+	rec.mu.Lock()
+	rec.unreplayable = true
+	rec.mu.Unlock()
+}
+
+func appendNum(b []byte, n int) []byte { return binary.AppendUvarint(b, uint64(n)) }
+
+func appendStr(b []byte, s string) []byte { return append(appendNum(b, len(s)), s...) }
+
+func appendFlag(b []byte, ok bool) []byte {
+	if ok {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// appendTriples encodes a result list as its length and the IDs, each as
+// the signed difference from the one before: a subject's triples are
+// mostly adjacent, so most IDs cost a byte.
+func appendTriples(b []byte, ts []kg.Triple) []byte {
+	b = appendNum(b, len(ts))
+	prev := 0
+	for _, t := range ts {
+		b = binary.AppendVarint(b, int64(t.ID-prev))
+		prev = t.ID
+	}
+	return b
+}
+
+// appendHits encodes a hit list as appendTriples does its triples, each
+// ID followed by the score's float64 bits.
+func appendHits(b []byte, hs []vecstore.Hit) []byte {
+	b = appendNum(b, len(hs))
+	prev := 0
+	for _, h := range hs {
+		b = binary.AppendVarint(b, int64(h.Triple.ID-prev))
+		prev = h.Triple.ID
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h.Score))
+	}
+	return b
+}
+
+// recordingReader logs every call on a kg.Reader.
+type recordingReader struct {
+	r kg.Reader
+	*recorder
+}
+
+var _ kg.Reader = recordingReader{}
+
+func (w recordingReader) Source() kg.Source {
+	src := w.r.Source()
+	w.log(func(b []byte) []byte { return appendNum(append(b, opSource), int(src)) })
+	return src
+}
+
+func (w recordingReader) Len() int {
+	n := w.r.Len()
+	w.log(func(b []byte) []byte { return appendNum(append(b, opLen), n) })
+	return n
+}
+
+func (w recordingReader) Get(id int) (kg.Triple, bool) {
+	t, ok := w.r.Get(id)
+	w.log(func(b []byte) []byte { return appendFlag(appendNum(append(b, opGet), id), ok) })
+	return t, ok
+}
+
+// All is unreplayable: its result is the whole view, which every ingest
+// changes.
+func (w recordingReader) All() []kg.Triple {
+	w.poison()
+	return w.r.All()
+}
+
+func (w recordingReader) Contains(t kg.Triple) bool {
+	ok := w.r.Contains(t)
+	w.log(func(b []byte) []byte {
+		b = appendStr(appendStr(appendStr(append(b, opContains), t.Subject), t.Relation), t.Object)
+		return appendFlag(b, ok)
+	})
+	return ok
+}
+
+func (w recordingReader) Subject(s string) []kg.Triple {
+	ts := w.r.Subject(s)
+	w.log(func(b []byte) []byte { return appendTriples(appendStr(append(b, opSubject), s), ts) })
+	return ts
+}
+
+func (w recordingReader) SubjectRelation(s, r string) []kg.Triple {
+	ts := w.r.SubjectRelation(s, r)
+	w.log(func(b []byte) []byte {
+		return appendTriples(appendStr(appendStr(append(b, opSubjectRelation), s), r), ts)
+	})
+	return ts
+}
+
+func (w recordingReader) HasSubject(s string) bool {
+	ok := w.r.HasSubject(s)
+	w.log(func(b []byte) []byte { return appendFlag(appendStr(append(b, opHasSubject), s), ok) })
+	return ok
+}
+
+func (w recordingReader) FindSubjectFold(q string) (string, bool) {
+	s, ok := w.r.FindSubjectFold(q)
+	w.log(func(b []byte) []byte {
+		return appendStr(appendFlag(appendStr(append(b, opFindSubjectFold), q), ok), s)
+	})
+	return s, ok
+}
+
+// recordingSearcher logs every call on a vecstore.Searcher.
+type recordingSearcher struct {
+	s vecstore.Searcher
+	*recorder
+}
+
+var _ vecstore.Searcher = recordingSearcher{}
+
+func (w recordingSearcher) Len() int {
+	n := w.s.Len()
+	w.log(func(b []byte) []byte { return appendNum(append(b, opIndexLen), n) })
+	return n
+}
+
+// Encoder is not logged: a Substrate's encoder never changes.
+func (w recordingSearcher) Encoder() *embed.Encoder { return w.s.Encoder() }
+
+func (w recordingSearcher) Search(query string, k int) []vecstore.Hit {
+	hits := w.s.Search(query, k)
+	w.log(func(b []byte) []byte { return appendHits(appendNum(appendStr(append(b, opSearch), query), k), hits) })
+	return hits
+}
+
+func (w recordingSearcher) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]vecstore.Hit {
+	per := w.s.BatchSearchWith(encode, queries, k)
+	w.log(func(b []byte) []byte {
+		if w.encode == nil {
+			w.encode = encode
+		}
+		b = appendNum(append(b, opBatchSearch), len(queries))
+		for _, q := range queries {
+			b = appendStr(b, q)
+		}
+		b = appendNum(b, k)
+		for _, hits := range per {
+			b = appendHits(b, hits)
+		}
+		return b
+	})
+	return per
+}
+
+// Stats is unreplayable: it describes the index, not a read's result.
+func (w recordingSearcher) Stats() vecstore.Stats {
+	w.poison()
+	return w.s.Stats()
+}
+
+// replayer decodes a log. Any malformed field sets bad, which fails the
+// replay: a log that does not decode proves nothing.
+type replayer struct {
+	buf []byte
+	bad bool
+}
+
+func (p *replayer) op() byte {
+	if len(p.buf) == 0 {
+		p.bad = true
+		return 0
+	}
+	b := p.buf[0]
+	p.buf = p.buf[1:]
+	return b
+}
+
+func (p *replayer) num() int {
+	v, n := binary.Uvarint(p.buf)
+	if n <= 0 || v > math.MaxInt32 {
+		p.bad = true
+		return 0
+	}
+	p.buf = p.buf[n:]
+	return int(v)
+}
+
+func (p *replayer) delta() int {
+	v, n := binary.Varint(p.buf)
+	if n <= 0 || v > math.MaxInt32 || v < math.MinInt32 {
+		p.bad = true
+		return 0
+	}
+	p.buf = p.buf[n:]
+	return int(v)
+}
+
+func (p *replayer) flag() bool { return p.op() == 1 }
+
+func (p *replayer) str() string {
+	n := p.num()
+	if n > len(p.buf) {
+		p.bad = true
+		return ""
+	}
+	s := string(p.buf[:n])
+	p.buf = p.buf[n:]
+	return s
+}
+
+// sameTriples reports whether ts is the recorded triple list.
+func (p *replayer) sameTriples(ts []kg.Triple) bool {
+	if p.num() != len(ts) {
+		return false
+	}
+	prev := 0
+	for _, t := range ts {
+		prev += p.delta()
+		if t.ID != prev {
+			return false
+		}
+	}
+	return !p.bad
+}
+
+// sameHits reports whether hs is the recorded hit list, IDs and score
+// bits alike.
+func (p *replayer) sameHits(hs []vecstore.Hit) bool {
+	if p.num() != len(hs) {
+		return false
+	}
+	prev := 0
+	for _, h := range hs {
+		prev += p.delta()
+		if h.Triple.ID != prev || len(p.buf) < 8 || binary.LittleEndian.Uint64(p.buf) != math.Float64bits(h.Score) {
+			return false
+		}
+		p.buf = p.buf[8:]
+	}
+	return !p.bad
+}
+
+// replay re-issues every logged read against store and index and reports
+// whether each returned exactly its logged result.
+func (r *Reads) replay(store kg.Reader, index vecstore.Searcher) bool {
+	p := &replayer{buf: r.ops}
+	for len(p.buf) > 0 {
+		var same bool
+		switch p.op() {
+		case opSource:
+			same = int(store.Source()) == p.num()
+		case opLen:
+			same = store.Len() == p.num()
+		case opGet:
+			_, ok := store.Get(p.num())
+			same = ok == p.flag()
+		case opContains:
+			s, rel, o := p.str(), p.str(), p.str()
+			same = store.Contains(kg.NewTriple(s, rel, o)) == p.flag()
+		case opSubject:
+			same = p.sameTriples(store.Subject(p.str()))
+		case opSubjectRelation:
+			s, rel := p.str(), p.str()
+			same = p.sameTriples(store.SubjectRelation(s, rel))
+		case opHasSubject:
+			ok := store.HasSubject(p.str())
+			same = ok == p.flag()
+		case opFindSubjectFold:
+			got, ok := store.FindSubjectFold(p.str())
+			same = ok == p.flag() && got == p.str()
+		case opIndexLen:
+			same = index.Len() == p.num()
+		case opSearch:
+			q, k := p.str(), p.num()
+			same = p.sameHits(index.Search(q, k))
+		case opBatchSearch:
+			n := p.num()
+			if n > len(p.buf) {
+				return false
+			}
+			queries := make([]string, n)
+			for i := range queries {
+				queries[i] = p.str()
+			}
+			k := p.num()
+			if p.bad {
+				return false
+			}
+			encode := r.encode
+			if encode == nil {
+				encode = index.Encoder().Encode
+			}
+			same = true
+			for _, hits := range index.BatchSearchWith(encode, queries, k) {
+				if !p.sameHits(hits) {
+					same = false
+					break
+				}
+			}
+		}
+		if !same || p.bad {
+			return false
+		}
+	}
+	return true
+}

@@ -41,7 +41,8 @@ type Deps struct {
 	// live snapshot chain: every Answer call resolves one snapshot and
 	// runs end-to-end against it, overriding any statically-bound Store
 	// and Index above. Methods needing a store or index are satisfied by
-	// a Substrate at construction time.
+	// a Substrate at construction time. It must keep triple IDs stable for
+	// its lifetime — a read log names triples by ID.
 	Substrate Substrate
 	// Prompts is the versioned prompt registry queries render from; nil
 	// uses the shared embedded defaults. Every Answer call resolves one
@@ -192,7 +193,11 @@ func New(name string, deps Deps, opts ...Option) (Answerer, error) {
 		// makes pseudo-triple embeddings persist across questions anyway.
 		o.Core.Memo = core.NewMemo(deps.Index.Encoder(), 0)
 	}
-	return &method{reg: reg, deps: deps, opts: o}, nil
+	sub := deps.Substrate
+	if sub == nil {
+		sub = static{deps.Store, deps.Index}
+	}
+	return &method{reg: reg, deps: deps, opts: o, sub: sub}, nil
 }
 
 // method binds a registration to dependencies and options; it is the
@@ -201,6 +206,9 @@ type method struct {
 	reg  *Registration
 	deps Deps
 	opts Options
+	// sub is what every run resolves its store and index from: the
+	// Substrate, or the static pair as one.
+	sub Substrate
 }
 
 // Name implements Answerer.
@@ -234,17 +242,29 @@ func (m *method) Answer(ctx context.Context, q Query) (Result, error) {
 	counter := llm.NewCounting(llm.Budgeted(m.deps.Client))
 	deps := m.deps
 	deps.Client = counter
+	// One resolve per query: the whole run — retrieval, pruning,
+	// verification — sees this snapshot, no matter how many swaps happen
+	// underneath it.
 	var epoch uint64
-	if deps.Substrate != nil {
-		// One resolve per query: the whole run — retrieval, pruning,
-		// verification — sees this snapshot, no matter how many swaps
-		// happen underneath it.
-		deps.Store, deps.Index, epoch = deps.Substrate.Resolve()
+	deps.Store, deps.Index, epoch = m.sub.Resolve()
+	var rec *recorder
+	if wantsReadLog(ctx) {
+		rec = &recorder{}
+		if deps.Store != nil {
+			deps.Store = recordingReader{deps.Store, rec}
+		}
+		if deps.Index != nil {
+			deps.Index = recordingSearcher{deps.Index, rec}
+		}
 	}
 
 	start := time.Now()
 	text, trace, err := m.reg.Run(ctx, deps, m.opts, q)
 	calls, promptTokens, completionTokens := counter.Usage()
+	var reads *Reads
+	if rec != nil && err == nil {
+		reads = rec.reads(m.sub, m.deps.Prompts, view.Fingerprint())
+	}
 	return Result{
 		Answer:           text,
 		Method:           m.reg.Name,
@@ -256,5 +276,6 @@ func (m *method) Answer(ctx context.Context, q Query) (Result, error) {
 		CompletionTokens: completionTokens,
 		PromptVersions:   view.Versions(),
 		Trace:            trace,
+		Reads:            reads,
 	}, err
 }

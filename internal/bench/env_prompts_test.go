@@ -14,10 +14,12 @@ import (
 // TestPromptSwapInvalidatesCache is the hot-reload-under-traffic
 // regression: activating a different prompt version between two runs of
 // the same traffic must never serve an answer cached under the old
-// version. The cache scope embeds the registry fingerprint, so the proof
-// is in the hit/miss deltas — after the swap every request misses, and
-// restoring the original version makes the original entries valid again
-// (same prompt set, same answers — that is keying, not flat flushing).
+// version. The cache scope embeds the registry fingerprint and each entry
+// records the fingerprint it rendered with, so the proof is in the
+// hit/miss deltas — after the swap every request is a stale miss whose
+// fill replaces its entry, and restoring the original version misses
+// again (the v2 entries do not revalidate under v1) and answers exactly
+// what the cold run did.
 func TestPromptSwapInvalidatesCache(t *testing.T) {
 	cfg := QuickEnvConfig()
 	cfg.Data.SimpleN = 6
@@ -65,10 +67,13 @@ func TestPromptSwapInvalidatesCache(t *testing.T) {
 	if got := s.Misses - misses; got != n {
 		t.Fatalf("post-swap run missed %d times, want %d", got, n)
 	}
+	if got := s.StaleMisses; got != n {
+		t.Fatalf("post-swap run had %d stale misses, want %d", got, n)
+	}
 
-	// Restoring v1 restores the original fingerprint: the entries the cold
-	// run wrote are live again, proving invalidation is by scope key and
-	// not by guesswork.
+	// Restoring v1 restores the original fingerprint, but each key holds
+	// one entry and the swap replaced it with a v2 answer: revalidation
+	// refuses it, and the run answers what the cold run answered.
 	if err := env.Prompts.SetActive("answer-graph", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +82,8 @@ func TestPromptSwapInvalidatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := env.Cache.Stats().Hits - hits; got != n {
-		t.Fatalf("restored version hit %d times, want %d", got, n)
+	if s := env.Cache.Stats(); s.Hits != hits || s.StaleMisses != 2*n {
+		t.Fatalf("restored version: %d hits, %d stale misses in all; want 0, %d", s.Hits-hits, s.StaleMisses, 2*n)
 	}
 	if restored.Score != cold.Score {
 		t.Fatalf("restored version changed the score: %v -> %v", cold.Score, restored.Score)

@@ -42,7 +42,8 @@ package llm
 
 import (
 	"context"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Request is one completion call.
@@ -80,10 +81,34 @@ type Client interface {
 }
 
 // estimateTokens approximates a token count as 4/3 of the word count, the
-// usual English heuristic.
+// usual English heuristic. Words are what strings.Fields splits on
+// (unicode.IsSpace runs), counted in place rather than materialised: one
+// branch-free pass for ASCII text, as strings.Fields' own counting pass,
+// and a rune walk only when the text is not ASCII.
 func estimateTokens(s string) int {
-	return len(strings.Fields(s)) * 4 / 3
+	words, wasSpace, seen := 0, 1, uint8(0)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		seen |= c
+		isSpace := int(asciiSpace[c])
+		words += wasSpace &^ isSpace
+		wasSpace = isSpace
+	}
+	if seen >= utf8.RuneSelf {
+		words = 0
+		inWord := false
+		for _, r := range s {
+			space := unicode.IsSpace(r)
+			if !space && !inWord {
+				words++
+			}
+			inWord = !space
+		}
+	}
+	return words * 4 / 3
 }
+
+var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
 
 // GradeParams parameterises a simulated model grade. All probabilities are
 // in [0, 1].

@@ -64,8 +64,8 @@ type Config struct {
 	// Prompts is the versioned prompt registry every answerer renders
 	// from; nil gives the node its own registry over the embedded
 	// defaults. The active version set's fingerprint joins the cache/
-	// singleflight scope exactly like the substrate epoch, so a hot
-	// reload that changes any prompt invalidates cached answers.
+	// singleflight scope exactly like the substrate epoch, and a cached
+	// answer revalidates only under the fingerprint it rendered with.
 	Prompts *prompts.Registry
 }
 
@@ -269,10 +269,9 @@ func (n *Node) Answerer(method, model string, src kg.Source) (answer.Answerer, e
 	// The cache and singleflight group are shared across every answerer
 	// this node hands out; the (model, source, epoch, prompt-set) scope
 	// keeps identical questions against different substrates from
-	// colliding and makes every hot swap — of the substrate or of the
-	// active prompt versions — an implicit cache invalidation: entries
-	// keyed under an older epoch or prompt fingerprint can never be
-	// served again.
+	// coalescing, and every hot swap — of the substrate or of the active
+	// prompt versions — moves it, so an entry filled before the swap is
+	// served only once its read log replays exactly.
 	prefix := model + "/" + src.String() + "@"
 	scope := func() string {
 		return prefix + strconv.FormatUint(mgr.Epoch(), 10) + "#" + n.Prompts.Fingerprint()

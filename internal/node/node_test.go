@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -129,19 +130,30 @@ func TestTracelessEntriesRetainLittle(t *testing.T) {
 	t.Logf("trace-less entry: %d bytes retained", perEntry)
 }
 
-// story renders what a run answered and how it got there: the answer and
-// epoch, the retrieved hits with their score bits, the kept subjects and
-// the stage names.
-func story(res answer.Result) string {
+// story renders what a run answered and how it got there: the answer,
+// epoch and prompt versions and, when the trace is shown, its graphs, the
+// retrieved hits with their score bits, the kept subjects with their
+// confidence bits and the stage names.
+func story(res answer.Result, withTrace bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "answer %q epoch %d\n", res.Answer, res.Epoch)
-	for _, h := range res.Trace.Gt {
+	versions := make([]string, 0, len(res.PromptVersions))
+	for name, v := range res.PromptVersions {
+		versions = append(versions, name+"@"+v)
+	}
+	sort.Strings(versions)
+	fmt.Fprintf(&b, "answer %q epoch %d prompts %v\n", res.Answer, res.Epoch, versions)
+	if !withTrace {
+		return b.String()
+	}
+	tr := res.Trace
+	fmt.Fprintf(&b, "gp %q\ngg %q\ngf %q\n", tr.Gp.Strings(), tr.Gg.Strings(), tr.Gf.Strings())
+	for _, h := range tr.Gt {
 		fmt.Fprintf(&b, "gt %v %x\n", h.Triple, math.Float64bits(h.Score))
 	}
-	for _, k := range res.Trace.Kept {
-		fmt.Fprintf(&b, "kept %s\n", k.Subject)
+	for _, k := range tr.Kept {
+		fmt.Fprintf(&b, "kept %s %x\n", k.Subject, math.Float64bits(k.Confidence))
 	}
-	for _, sp := range res.Trace.Stages {
+	for _, sp := range tr.Stages {
 		fmt.Fprintf(&b, "stage %s\n", sp.Stage)
 	}
 	return b.String()
@@ -150,8 +162,9 @@ func story(res answer.Result) string {
 // TestMemoFollowsCacheAndChangesNoAnswer: the index segments' memos are
 // on exactly when the node caches answers, and change nothing a request
 // can see. A cache-on and a cache-off node answer the same questions, then
-// again after an ingest (which moves the epoch, so the cache-on node's
-// answers are dropped and its pipeline runs again) and after a compaction
+// again after an ingest (which moves the epoch, so the cache-on node
+// replays each answer's searches — through the memos — to revalidate it,
+// and runs the pipeline again where they changed) and after a compaction
 // (which keeps the old base's full segments, memos included): answers and
 // traces are identical throughout, memo hits are counted only on the
 // cache-on node, and the cache-off node's memo counters stay zero.
@@ -216,7 +229,7 @@ func TestMemoFollowsCacheAndChangesNoAnswer(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				stories[i] = story(res)
+				stories[i] = story(res, true)
 			}
 			if stories[0] != stories[1] {
 				t.Fatalf("%s %q: cache-on node\n%s\ncache-off node\n%s", phase, q, stories[0], stories[1])

@@ -19,8 +19,9 @@ import (
 // the overlay atomically — a bad file rejects the reload and keeps the
 // current set) and supports per-request version overrides for A/B tests.
 // The active version set has a Fingerprint that joins cache/singleflight
-// scope keys exactly like the substrate epoch, so a reload that changes
-// any prompt implicitly invalidates every cached answer.
+// scopes exactly like the substrate epoch, and every cached answer records
+// the fingerprint it rendered with, so after a reload that changes any
+// prompt no answer rendered under the old set is served.
 
 //go:embed defaults/*.prompt
 var defaultsFS embed.FS
@@ -341,8 +342,8 @@ func (r *Registry) Resolve(overrides map[string]string) (*View, error) {
 
 // Fingerprint renders the active version set as a stable string
 // ("answer-graph@1,cot@1,..."), the prompt analogue of the substrate
-// epoch: it joins cache and singleflight scope keys, so changing any
-// active version invalidates every cached answer by construction.
+// epoch: it joins cache and singleflight scopes, and a cached answer is
+// served only under the fingerprint it rendered with.
 func (r *Registry) Fingerprint() string {
 	return r.View().Fingerprint()
 }

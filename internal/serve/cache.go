@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +21,9 @@ type CacheConfig struct {
 }
 
 // Cache is an LRU+TTL cache of answer results keyed on the normalised
-// (method, model, query) identity. Safe for concurrent use.
+// (answerer, method, model, query) identity, one entry per key, each
+// stamped with the scope it was filled or last revalidated under. Safe for
+// concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element
@@ -28,16 +31,24 @@ type Cache struct {
 	size    int
 	ttl     time.Duration
 	now     func() time.Time // test hook
+	// namespaces numbers the middlewares over this cache, so each keeps
+	// its entries apart from every other's.
+	namespaces atomic.Uint64
 
 	hits        atomic.Int64
 	misses      atomic.Int64
 	evictions   atomic.Int64
 	expirations atomic.Int64
+	revalidated atomic.Int64
+	staleMisses atomic.Int64
 }
 
-// entry is one cached answer with its expiry.
+// entry is one cached answer with the scope it is valid under and its
+// expiry. An entry is replaced, never rewritten, by a fill, so a
+// revalidation that read one entry cannot re-stamp another.
 type entry struct {
 	key     string
+	scope   string
 	result  answer.Result
 	expires time.Time // zero = never
 }
@@ -57,10 +68,17 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 }
 
-// Get returns the cached result for key, if present and unexpired. The
-// result is an isolated copy: mutating its trace cannot corrupt the cached
-// entry, and two hitters of the same key cannot corrupt each other.
-func (c *Cache) Get(key string) (answer.Result, bool) {
+// Get returns the cached result for key, if present, unexpired and valid
+// under scope. An entry stamped with scope is a plain hit. An entry
+// stamped with another scope is revalidated: its read log is replayed
+// against the substrate's current snapshot, outside the cache lock, with
+// q's prompt overrides (answer.Reads.Revalidate). If every read matches,
+// the entry is re-stamped with scope and served with the replayed epoch; if
+// not — or it has no log — the lookup is a miss, and the caller's fill
+// replaces the entry. The result is an isolated copy: mutating its trace
+// cannot corrupt the cached entry, and two hitters of the same key cannot
+// corrupt each other.
+func (c *Cache) Get(key, scope string, q answer.Query) (answer.Result, bool) {
 	if c == nil {
 		return answer.Result{}, false
 	}
@@ -81,17 +99,34 @@ func (c *Cache) Get(key string) (answer.Result, bool) {
 		return answer.Result{}, false
 	}
 	c.order.MoveToFront(el)
-	res := e.result
+	res, stamped := e.result, e.scope
 	c.mu.Unlock()
+	if stamped != scope {
+		epoch, valid := res.Reads.Revalidate(q)
+		if !valid {
+			c.staleMisses.Add(1)
+			c.misses.Add(1)
+			return answer.Result{}, false
+		}
+		res.Epoch = epoch
+		c.mu.Lock()
+		if c.entries[key] == el && el.Value == e && e.scope == stamped {
+			e.scope = scope
+			e.result.Epoch = epoch
+		}
+		c.mu.Unlock()
+		c.revalidated.Add(1)
+	}
 	c.hits.Add(1)
 	return res.Clone(), true
 }
 
-// Put stores a result under key, evicting the least recently used entry
-// when full. Re-putting an existing key refreshes its value and TTL. The
-// cache keeps its own copy, so the producer remains free to hand the
-// original (trace included) to its caller.
-func (c *Cache) Put(key string, res answer.Result) {
+// Put stores a result under key as valid under scope, evicting the least
+// recently used entry when full. Re-putting an existing key replaces its
+// entry, refreshing scope and TTL. The cache keeps its own copy, so the
+// producer remains free to hand the original (trace included) to its
+// caller.
+func (c *Cache) Put(key, scope string, res answer.Result) {
 	if c == nil {
 		return
 	}
@@ -102,10 +137,9 @@ func (c *Cache) Put(key string, res answer.Result) {
 	if c.ttl > 0 {
 		expires = c.now().Add(c.ttl)
 	}
+	e := &entry{key: key, scope: scope, result: res, expires: expires}
 	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry)
-		e.result = res
-		e.expires = expires
+		el.Value = e
 		c.order.MoveToFront(el)
 		return
 	}
@@ -117,7 +151,7 @@ func (c *Cache) Put(key string, res answer.Result) {
 			c.evictions.Add(1)
 		}
 	}
-	c.entries[key] = c.order.PushFront(&entry{key: key, result: res, expires: expires})
+	c.entries[key] = c.order.PushFront(e)
 }
 
 // Len returns the current entry count.
@@ -130,7 +164,8 @@ func (c *Cache) Len() int {
 	return c.order.Len()
 }
 
-// CacheStats is a point-in-time cache counters snapshot.
+// CacheStats is a point-in-time cache counters snapshot. Hits include the
+// revalidated ones, misses the stale ones.
 type CacheStats struct {
 	Size        int   `json:"size"`
 	Capacity    int   `json:"capacity"`
@@ -138,6 +173,11 @@ type CacheStats struct {
 	Misses      int64 `json:"misses"`
 	Evictions   int64 `json:"evictions"`
 	Expirations int64 `json:"expirations"`
+	// Revalidated counts hits on an entry filled under another scope whose
+	// read log replayed exactly; StaleMisses counts lookups where it did
+	// not.
+	Revalidated int64 `json:"revalidated"`
+	StaleMisses int64 `json:"stale_misses"`
 }
 
 // Stats snapshots the counters. Safe on a nil cache (all zeros).
@@ -152,6 +192,8 @@ func (c *Cache) Stats() CacheStats {
 		Misses:      c.misses.Load(),
 		Evictions:   c.evictions.Load(),
 		Expirations: c.expirations.Load(),
+		Revalidated: c.revalidated.Load(),
+		StaleMisses: c.staleMisses.Load(),
 	}
 }
 
@@ -159,42 +201,53 @@ func (c *Cache) Stats() CacheStats {
 // results are stored; errors always pass through uncached. Hits report
 // the lookup's elapsed time and zero LLM usage (the cost belongs to the
 // run that filled the entry). A nil cache yields a no-op middleware.
-// scope namespaces this answerer's entries within a shared cache,
-// re-evaluated on every request — pass the substrate binding including
-// the live epoch (e.g. "model/kg@epoch") when one Cache serves answerers
-// over different or hot-swappable backends; a nil scope is the empty
-// namespace.
+//
+// Entries are keyed per middleware instance, so answerers sharing one
+// Cache never see each other's entries. scope, re-evaluated on every
+// request, names the state of what the answerer reads — pass the
+// substrate binding including the live epoch and prompt fingerprint
+// (e.g. "model/kg@epoch#prompts"); a nil scope is the empty one. When the
+// scope moves, an entry is served again only if its read log replays
+// exactly (Cache.Get), so a scope must move only with what the log
+// checks — the substrate's content and the prompt view.
 func WithCache(c *Cache, scope ScopeFunc) Middleware {
 	return func(inner answer.Answerer) answer.Answerer {
 		if c == nil {
 			return inner
 		}
-		return &cachedAnswerer{named: named{inner}, cache: c, scope: scopeOrEmpty(scope)}
+		return &cachedAnswerer{
+			named: named{inner},
+			cache: c,
+			scope: scopeOrEmpty(scope),
+			ns:    strconv.FormatUint(c.namespaces.Add(1), 36),
+		}
 	}
 }
 
 // cachedAnswerer is the cache middleware. What an entry holds follows the
-// request that filled it: under Info.OmitTrace the answer, labels, epoch
-// and prompt versions — a few hundred bytes, nothing for a hit to
-// deep-copy; otherwise the run's whole trace as well (graphs, hit lists,
-// spans: ~12 KB of pointers on the quick world). The two kinds live under
-// different keys, so a trace reader's first ask after a trace-less fill
-// is a miss that fills a full entry, never a hit without a trace.
+// request that filled it: under Info.OmitTrace the answer, labels, epoch,
+// prompt versions and read log — a few KB, nothing for a hit to deep-copy;
+// otherwise the run's whole trace as well (graphs, hit lists, spans: ~12
+// KB of pointers on the quick world). The two kinds live under different
+// keys, so a trace reader's first ask after a trace-less fill is a miss
+// that fills a full entry, never a hit without a trace.
 type cachedAnswerer struct {
 	named
 	cache *Cache
 	scope ScopeFunc
+	ns    string // this middleware's key namespace in the cache
 }
 
 func (a *cachedAnswerer) Answer(ctx context.Context, q answer.Query) (answer.Result, error) {
 	start := time.Now()
 	info := infoFrom(ctx)
 	omitTrace := info != nil && info.OmitTrace
-	k := key(a.inner, a.scope(), q, omitTrace)
+	k := key(a.ns, a.inner, q, omitTrace)
+	scope := a.scope()
 	if info != nil {
 		info.CacheUsed = true
 	}
-	if res, ok := a.cache.Get(k); ok {
+	if res, ok := a.cache.Get(k, scope, q); ok {
 		if info != nil {
 			info.CacheHit = true
 		}
@@ -207,13 +260,14 @@ func (a *cachedAnswerer) Answer(ctx context.Context, q answer.Query) (answer.Res
 		res.CompletionTokens = 0
 		return res, nil
 	}
-	res, err := a.inner.Answer(ctx, q)
+	// The fill carries its read log, so a later scope can revalidate it.
+	res, err := a.inner.Answer(answer.WithReadLog(ctx), q)
 	if err == nil {
 		stored := res
 		if omitTrace {
 			stored.Trace = nil
 		}
-		a.cache.Put(k, stored)
+		a.cache.Put(k, scope, stored)
 	}
 	// The caller gets the run's own result, trace included, whatever was
 	// stored: the metrics layer reads its stage spans.

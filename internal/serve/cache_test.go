@@ -14,10 +14,10 @@ func TestCacheNilAndDisabled(t *testing.T) {
 		t.Fatal("size 0 should disable the cache")
 	}
 	var c *Cache
-	if _, ok := c.Get("k"); ok {
+	if _, ok := c.Get("k", "", answer.Query{}); ok {
 		t.Fatal("nil cache must miss")
 	}
-	c.Put("k", answer.Result{}) // must not panic
+	c.Put("k", "", answer.Result{}) // must not panic
 	if s := c.Stats(); s != (CacheStats{}) {
 		t.Fatalf("nil cache stats %+v", s)
 	}
@@ -25,18 +25,18 @@ func TestCacheNilAndDisabled(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(CacheConfig{Size: 2})
-	c.Put("a", answer.Result{Answer: "A"})
-	c.Put("b", answer.Result{Answer: "B"})
+	c.Put("a", "", answer.Result{Answer: "A"})
+	c.Put("b", "", answer.Result{Answer: "B"})
 	// Touch "a" so "b" is the LRU victim.
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get("a", "", answer.Query{}); !ok {
 		t.Fatal("a should be cached")
 	}
-	c.Put("c", answer.Result{Answer: "C"})
-	if _, ok := c.Get("b"); ok {
+	c.Put("c", "", answer.Result{Answer: "C"})
+	if _, ok := c.Get("b", "", answer.Query{}); ok {
 		t.Fatal("b should have been evicted")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.Get(k, "", answer.Query{}); !ok {
 			t.Fatalf("%s should survive", k)
 		}
 	}
@@ -50,21 +50,21 @@ func TestCacheTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
 
-	c.Put("k", answer.Result{Answer: "v"})
-	if _, ok := c.Get("k"); !ok {
+	c.Put("k", "", answer.Result{Answer: "v"})
+	if _, ok := c.Get("k", "", answer.Query{}); !ok {
 		t.Fatal("fresh entry should hit")
 	}
 	now = now.Add(2 * time.Minute)
-	if _, ok := c.Get("k"); ok {
+	if _, ok := c.Get("k", "", answer.Query{}); ok {
 		t.Fatal("expired entry should miss")
 	}
 	if s := c.Stats(); s.Expirations != 1 || s.Size != 0 {
 		t.Fatalf("stats %+v", s)
 	}
 	// Re-put refreshes the TTL.
-	c.Put("k", answer.Result{Answer: "v2"})
+	c.Put("k", "", answer.Result{Answer: "v2"})
 	now = now.Add(30 * time.Second)
-	if res, ok := c.Get("k"); !ok || res.Answer != "v2" {
+	if res, ok := c.Get("k", "", answer.Query{}); !ok || res.Answer != "v2" {
 		t.Fatalf("refreshed entry: ok=%v res=%+v", ok, res)
 	}
 }

@@ -22,13 +22,13 @@ func TestCacheConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				key := fmt.Sprintf("key-%d", (g*iters+i)%100)
-				if res, ok := cache.Get(key); ok {
+				if res, ok := cache.Get(key, "", answer.Query{}); ok {
 					if res.Answer == "" {
 						t.Errorf("hit with empty result for %s", key)
 						return
 					}
 				} else {
-					cache.Put(key, answer.Result{Answer: "v:" + key})
+					cache.Put(key, "", answer.Result{Answer: "v:" + key})
 				}
 				if i%50 == 0 {
 					_ = cache.Stats()

@@ -35,7 +35,7 @@ func TestCacheGetReturnsIsolatedCopy(t *testing.T) {
 			},
 		},
 	}
-	c.Put("k", orig)
+	c.Put("k", "", orig)
 
 	// Mutating the producer's copy after Put must not reach the cache.
 	orig.Trace.Gp.Add(kg.NewTriple("post-put", "p", "p"))
@@ -47,7 +47,7 @@ func TestCacheGetReturnsIsolatedCopy(t *testing.T) {
 	orig.Trace.Stages[0].Stage = "CORRUPTED"
 	orig.Trace.Stages[1].LLMCalls = 99
 
-	first, ok := c.Get("k")
+	first, ok := c.Get("k", "", answer.Query{})
 	if !ok {
 		t.Fatal("miss")
 	}
@@ -71,7 +71,7 @@ func TestCacheGetReturnsIsolatedCopy(t *testing.T) {
 	first.Trace.Stages[0].Latency = time.Hour
 	first.Trace.Stages = append(first.Trace.Stages, exec.Span{Stage: "bogus"})
 
-	second, ok := c.Get("k")
+	second, ok := c.Get("k", "", answer.Query{})
 	if !ok {
 		t.Fatal("miss")
 	}

@@ -16,12 +16,20 @@
 //
 // # Invariants
 //
-//   - Epoch-scoped keys: cache and singleflight keys live under a caller
-//     scope (ScopeFunc) that includes the substrate epoch alongside the
-//     model/KG binding. A substrate hot swap moves the scope, making
-//     every pre-swap answer unreachable — invalidation by construction,
-//     not by expiry. Because durable substrates never regress their epoch
-//     across a restart, the guarantee holds across process lifetimes too.
+//   - Scope-checked, read-validated entries: the cache holds one entry per
+//     (answerer, trace bit, answer.QueryKey), stamped with the caller scope
+//     (ScopeFunc: model/KG binding, substrate epoch, prompt fingerprint) it
+//     was filled under, and with the run's read log (answer.Reads). Under
+//     the same scope an entry is a hit. Once the scope has moved — an
+//     ingest, a compaction, a prompt reload — it is served only if its log
+//     replays exactly against the current snapshot and prompt view, and
+//     then with that snapshot's epoch; otherwise the lookup misses and the
+//     fill replaces the entry. Exact by construction, not by tolerance: a
+//     run reads the substrate only through what the log records (the
+//     answer package's read-log contract). Epochs a reply carries stay
+//     monotone, since a replayed epoch is the live one. Singleflight keys
+//     still live under the scope, so runs against different epochs never
+//     coalesce.
 //   - Errors are never cached, and a singleflight follower whose own
 //     context is still live retries past a cancelled or panicking leader
 //     instead of inheriting its failure.
@@ -95,15 +103,14 @@ type named struct{ inner answer.Answerer }
 
 func (n named) Name() string { return n.inner.Name() }
 
-// ScopeFunc names the namespace a request's cache/singleflight key lives
-// in, evaluated per request. Scopes carry everything the query itself
-// cannot express — callers sharing one Cache or Group across answerers
-// bound to different substrates (KG source, model binding) MUST use a
-// distinct scope per binding or identical questions will collide across
-// them. Dynamic components belong here too: folding the substrate epoch
-// into the scope makes a hot swap invalidate every prior entry at once,
-// because post-swap lookups key into a namespace no stale answer was ever
-// written to.
+// ScopeFunc names the state a request's answer depends on beyond the
+// query, evaluated per request. Singleflight keys live under it, so
+// callers sharing one Group across answerers bound to different
+// substrates (KG source, model binding) MUST use a distinct scope per
+// binding or identical questions will coalesce across them. The cache
+// stamps entries with it: folding the substrate epoch and prompt
+// fingerprint into the scope makes every hot swap send the next lookup of
+// each entry through revalidation (Cache.Get).
 type ScopeFunc func() string
 
 // StaticScope returns a ScopeFunc for a fixed namespace.
@@ -118,13 +125,14 @@ func scopeOrEmpty(scope ScopeFunc) ScopeFunc {
 }
 
 // key computes the cache/singleflight identity for a query against the
-// wrapped method. The query's own labels win so per-request model routing
-// stays distinct; the bound method name is the fallback. omitTrace moves
-// the key into the namespace of trace-less cache entries (the separator
-// carries the bit; QueryKey strips control characters from client text,
-// so neither separator can be forged). Singleflight always passes false:
-// a run produces its trace whoever leads it.
-func key(ans answer.Answerer, scope string, q answer.Query, omitTrace bool) string {
+// wrapped method, within a namespace: the cache middleware's own, or the
+// singleflight scope. The query's own labels win so per-request model
+// routing stays distinct; the bound method name is the fallback. omitTrace
+// moves the key into the namespace of trace-less cache entries (the
+// separator carries the bit; QueryKey strips control characters from
+// client text, so neither separator can be forged). Singleflight always
+// passes false: a run produces its trace whoever leads it.
+func key(ns string, ans answer.Answerer, q answer.Query, omitTrace bool) string {
 	method := q.Method
 	if method == "" {
 		method = ans.Name()
@@ -133,5 +141,5 @@ func key(ans answer.Answerer, scope string, q answer.Query, omitTrace bool) stri
 	if omitTrace {
 		sep = "\x03"
 	}
-	return scope + sep + answer.QueryKey(method, q.Model, q)
+	return ns + sep + answer.QueryKey(method, q.Model, q)
 }

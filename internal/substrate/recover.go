@@ -112,8 +112,8 @@ func (e *ChainGapError) Error() string {
 //     mismatch) are dropped with a logged count and physically
 //     truncated so appends resume on a clean boundary.
 //  3. Resume the epoch at (max persisted epoch) + 1, so the epoch never
-//     regresses across a restart and epoch-scoped serving caches stay
-//     correct.
+//     regresses across a restart and the epochs clients see never go
+//     backwards.
 //
 // Recovery fails closed on a broken epoch chain, as ApplyReplicated does
 // on the live path: every replayed record must extend the base by exactly

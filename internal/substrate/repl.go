@@ -18,8 +18,8 @@ import (
 // content(E) reconstructs content(E+k) by applying the records E+1..E+k
 // in order; RecordsSince serves the on-disk tail, SubscribeWAL feeds the
 // live head, and ApplyReplicated is the replica-side apply that publishes
-// at exactly the primary's epoch so epoch-scoped cache keys, traces and
-// answers mean the same thing on every node.
+// at exactly the primary's epoch so the epochs in cache scopes, traces
+// and answers mean the same thing on every node.
 
 // WALRecord is the exported replication unit: one logged publish. Zero
 // triples is an epoch marker (compaction or boot publish) — the epoch

@@ -15,10 +15,15 @@
 // whole run, so a query served mid-ingest sees one consistent substrate
 // end-to-end. Writers (Ingest, Compact) build the next snapshot off to the
 // side and swap it in; the epoch increments on every swap, which serving
-// layers fold into cache-key scopes so a swap implicitly invalidates every
-// answer computed against an older substrate.
+// layers fold into cache scopes so an answer computed against an older
+// substrate is served again only after its reads are checked against the
+// new one.
 //
-// An ingest invalidates answers, not segments. A publish keeps every
+// A triple ID names one triple for a manager's lifetime: ingest appends
+// (delta IDs continue the base's), and compaction and coalescing keep
+// every ID. Answer read logs name triples by ID and rely on this.
+//
+// An ingest replaces no segment it did not touch. A publish keeps every
 // index segment the ingest did not replace — all of the base's and, until
 // coalescing joins them, the delta's — and with Config.Memo on each
 // segment keeps the search results it remembered (the vecstore package
@@ -38,8 +43,8 @@
 //     a running query.
 //   - Epoch monotonicity: every publish increments the epoch, and on
 //     durable managers the epoch never regresses across a restart —
-//     recovery resumes past the largest persisted epoch, so epoch-scoped
-//     serving-cache keys stay valid with zero coordination.
+//     recovery resumes past the largest persisted epoch, so the epochs
+//     clients see never go backwards with zero coordination.
 //   - Log-before-apply: on durable managers every ingest batch is
 //     appended (and, per policy, fsynced) to the WAL before any in-memory
 //     state changes; a failed append rejects the ingest with nothing to
@@ -98,7 +103,7 @@ type Config struct {
 	// exactly the largest persisted epoch (never +1, so the applied chain
 	// can extend it seamlessly), compactions are epoch-frozen (the fold
 	// changes layout, not content, so the epoch — and with it every
-	// epoch-scoped cache key — stays put), and ApplyReplicated becomes
+	// cache scope — stays put), and ApplyReplicated becomes
 	// the only legal writer. Local Ingest must not be called.
 	Replica bool
 }
@@ -108,8 +113,8 @@ type Config struct {
 // compaction (off the writer lock), while the hot delta stays exact-scan.
 // The snapshot then serves through a vecstore.Hybrid — graph over the
 // base, exact over the delta, merged per query — so the approximate/exact
-// split rides the existing snapshot lifecycle and epoch-scoped cache
-// invalidation unchanged. Every graph is built with the vecstore defaults.
+// split rides the existing snapshot lifecycle and cache revalidation
+// unchanged. Every graph is built with the vecstore defaults.
 type ANNConfig struct {
 	// Enabled turns the ANN path on.
 	Enabled bool
@@ -123,8 +128,9 @@ type ANNConfig struct {
 // change after publication; a caller holding a Snapshot can serve any
 // number of queries against a consistent view.
 type Snapshot struct {
-	// Epoch increments on every swap. Serving layers scope cache keys by
-	// it so answers from older substrates are never served after a swap.
+	// Epoch increments on every swap. Serving layers scope cache entries
+	// by it, so an answer from an older substrate is revalidated before it
+	// is served after a swap.
 	Epoch uint64
 	// Store is the consistent triple view (base, or base ∪ delta copy).
 	Store kg.Reader
@@ -476,10 +482,10 @@ func (m *Manager) publishLocked() *Snapshot {
 // state at the CURRENT epoch, without bumping it. Only correct when the
 // content at this epoch is unchanged — the replica-mode compaction fold,
 // which rearranges base/delta layout but serves the same triple set, so
-// epoch-scoped cache keys stay valid. (Nearly: vecstore's filter rule
-// falls through per segment, so a rearranged layout can return a
-// different top-k for the same triples — see the vecstore package
-// comment and ROADMAP item 3.) Caller holds m.mu.
+// cache entries stamped with this epoch stay valid. (Nearly: vecstore's
+// filter rule falls through per segment, so a rearranged layout can
+// return a different top-k for the same triples — see the vecstore
+// package comment and ROADMAP item 3.) Caller holds m.mu.
 func (m *Manager) republishLocked() *Snapshot {
 	var store kg.Reader = m.base
 	shards := m.baseShards
