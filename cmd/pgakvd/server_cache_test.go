@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -181,6 +182,58 @@ func TestAnswerNoCacheHeaderWhenDisabled(t *testing.T) {
 	}
 	if got := rec.Header().Get("X-Cache"); got != "" {
 		t.Errorf("X-Cache = %q, want unset when caching is disabled", got)
+	}
+}
+
+// TestMetricsReportIncrementalRevalidation: /v1/metrics counts under
+// cache.revalidated_incremental the revalidations whose searches ran only
+// on the index segments added since the entry's last replay. A question
+// re-asked after an unrelated ingest is revalidated in full (its first
+// replay), after a second one incrementally, and after a compaction,
+// which retires the delta's segments, in full again.
+func TestMetricsReportIncrementalRevalidation(t *testing.T) {
+	cfg := bench.QuickEnvConfig()
+	cfg.Data.SimpleN, cfg.Data.QALDN, cfg.Data.NatureN = 2, 2, 2
+	cfg.Cache = serve.CacheConfig{Size: 256}
+	env, err := bench.NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := testServer(t, env, testConfig(30*time.Second)).Handler()
+	person := env.World.Entities[env.World.OfKind(world.KindPerson)[0]]
+	ask := answerRequest{queryItem: queryItem{Question: "Where was " + person.Name + " born?"}, Method: "ours"}
+	post := func(path string, body any) {
+		t.Helper()
+		if rec := postJSON(t, h, path, body); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+		}
+	}
+	ingest := func(i int) {
+		post("/v1/ingest", ingestRequest{KG: "wikidata", Triples: []tripleWire{{Subject: fmt.Sprintf("Zorblax %d", i), Relation: "prime directive", Object: "Flumox"}}})
+	}
+	post("/v1/answer", ask)
+	for i, step := range []struct {
+		name                     string
+		change                   func()
+		revalidated, incremental int64
+	}{
+		{"first ingest", func() { ingest(1) }, 1, 0},
+		{"second ingest", func() { ingest(2) }, 2, 1},
+		{"compaction", func() { post("/v1/snapshot/compact", sourceRequest{KG: "wikidata"}) }, 3, 1},
+	} {
+		step.change()
+		post("/v1/answer", ask)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+		var out struct {
+			Cache map[string]int64 `json:"cache"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Cache; got["revalidated"] != step.revalidated || got["revalidated_incremental"] != step.incremental || got["stale_misses"] != 0 {
+			t.Fatalf("step %d, %s: cache %v, want revalidated %d, revalidated_incremental %d", i, step.name, got, step.revalidated, step.incremental)
+		}
 	}
 }
 

@@ -26,6 +26,26 @@
 // replays exactly proves the run would answer the same there — the proof
 // the serving cache keeps an answer across an epoch change on. A method
 // that reached the substrate any other way would break the proof silently.
+//
+// # The incremental rule
+//
+// A replay that succeeded against an index view composed of immutable
+// segments reports the view's token (vecstore.Token), and the caller
+// passes it to the next Revalidate. When the live view is that view's
+// segments, in order, followed by new ones — every ingest that neither
+// coalesces nor compacts — the replay searches the new segments only, and
+// a logged top-k list stands unless a new hit would rank ahead of its k-th
+// entry, or the list is short of k and any new hit exists. This is exact:
+// a segment's result for (query, k) depends only on the segment; a view's
+// result is vecstore.MergeTopK over its segments' lists, ordered by
+// vecstore.HitBefore, which is strict and total because triple keys are
+// unique in a view; so the top k of old and new segments together is the
+// top k of the logged list and the new segments' lists. Every other view
+// gets a full replay: coalescing, compaction and recovery retire
+// segments, and a merged segment's top k is not a function of its parts'.
+// Only a replay sets the token, never a fill, so a log that was wrong when
+// recorded meets a full replay at its first scope change and is refused
+// there.
 package answer
 
 import (

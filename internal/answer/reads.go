@@ -49,25 +49,66 @@ func (r *Reads) Size() int {
 	return len(r.ops)
 }
 
+// segmented is an index view composed of immutable segments
+// (vecstore.Sharded and vecstore.Hybrid): the views the incremental rule
+// applies to.
+type segmented interface {
+	// Token names the view's composition.
+	Token() vecstore.Token
+	// Since reports whether the view extends t and, when it does, returns
+	// a view over the segments it holds beyond t's.
+	Since(t vecstore.Token) (vecstore.Searcher, bool)
+}
+
+var (
+	_ segmented = (*vecstore.Sharded)(nil)
+	_ segmented = (*vecstore.Hybrid)(nil)
+)
+
+// Revalidation is what a log that replayed exactly was replayed against.
+type Revalidation struct {
+	// Epoch is the snapshot's.
+	Epoch uint64
+	// At names the snapshot's index view (the zero Token when the index is
+	// not composed of segments). The log's searches now return
+	// exactly their logged results there, so a later Revalidate passed At
+	// may search only what was added since.
+	At vecstore.Token
+	// Incremental is set when the searches ran only on the segments added
+	// since the token Revalidate was passed.
+	Incremental bool
+}
+
 // Revalidate replays the log against the substrate's current snapshot,
 // with q's prompt-version overrides resolved against the prompt registry
-// as they are now. It returns the snapshot's epoch and true when every
-// read returns exactly what it returned to the run and the prompt view's
-// fingerprint is unchanged; false otherwise, or on a nil log. Safe for
-// concurrent use.
-func (r *Reads) Revalidate(q Query) (uint64, bool) {
+// as they are now. It reports where, and true, when every read returns
+// exactly what it returned to the run and the prompt view's fingerprint
+// is unchanged; false otherwise, or on a nil log.
+//
+// since is the At of this log's last successful revalidation, or the zero
+// Token. When the snapshot's index extends it (vecstore.Sharded.Since),
+// the searches run on the added segments only and a logged list stands
+// unless a new hit would enter it (the package comment's incremental
+// rule); every other read is replayed in full. Safe for concurrent use.
+func (r *Reads) Revalidate(q Query, since vecstore.Token) (Revalidation, bool) {
 	if r == nil {
-		return 0, false
+		return Revalidation{}, false
 	}
 	view, err := r.prompts.Resolve(q.PromptVersions)
 	if err != nil || view.Fingerprint() != r.fingerprint {
-		return 0, false
+		return Revalidation{}, false
 	}
 	store, index, epoch := r.substrate.Resolve()
-	if !r.replay(store, index) {
-		return 0, false
+	rv := Revalidation{Epoch: epoch}
+	var added vecstore.Searcher
+	if seg, ok := index.(segmented); ok {
+		rv.At = seg.Token()
+		added, rv.Incremental = seg.Since(since)
 	}
-	return epoch, true
+	if !r.replay(store, index, added) {
+		return Revalidation{}, false
+	}
+	return rv, true
 }
 
 type readLogKey struct{}
@@ -384,10 +425,48 @@ func (p *replayer) sameHits(hs []vecstore.Hit) bool {
 	return !p.bad
 }
 
+// stands decodes a logged hit list — the top k of the index view the log
+// last replayed exactly against — and reports whether it is still the top
+// k once fresh, the top k of the segments added since, joins it: fresh is
+// empty, or the list is full and fresh's best hit does not precede its
+// last. The list's last triple is read from store, the snapshot's reader,
+// for the tie-break by surface form.
+func (p *replayer) stands(fresh []vecstore.Hit, k int, store kg.Reader) bool {
+	n := p.num()
+	id := 0
+	var bits uint64
+	for range n {
+		id += p.delta()
+		if p.bad || len(p.buf) < 8 {
+			p.bad = true
+			return false
+		}
+		bits = binary.LittleEndian.Uint64(p.buf)
+		p.buf = p.buf[8:]
+	}
+	switch {
+	case p.bad:
+		return false
+	case len(fresh) == 0:
+		return true
+	case n != k:
+		return false
+	}
+	last, ok := store.Get(id)
+	return ok && vecstore.HitBefore(vecstore.Hit{Triple: last, Score: math.Float64frombits(bits)}, fresh[0])
+}
+
 // replay re-issues every logged read against store and index and reports
-// whether each returned exactly its logged result.
-func (r *Reads) replay(store kg.Reader, index vecstore.Searcher) bool {
+// whether each returned exactly its logged result. With added non-nil —
+// the segments index holds beyond the view the log last replayed exactly
+// against — searches run on added alone and each logged list must stand
+// against them instead.
+func (r *Reads) replay(store kg.Reader, index, added vecstore.Searcher) bool {
 	p := &replayer{buf: r.ops}
+	search, check := index, func(hits []vecstore.Hit, _ int) bool { return p.sameHits(hits) }
+	if added != nil {
+		search, check = added, func(hits []vecstore.Hit, k int) bool { return p.stands(hits, k, store) }
+	}
 	for len(p.buf) > 0 {
 		var same bool
 		switch p.op() {
@@ -416,7 +495,7 @@ func (r *Reads) replay(store kg.Reader, index vecstore.Searcher) bool {
 			same = index.Len() == p.num()
 		case opSearch:
 			q, k := p.str(), p.num()
-			same = p.sameHits(index.Search(q, k))
+			same = check(search.Search(q, k), k)
 		case opBatchSearch:
 			n := p.num()
 			if n > len(p.buf) {
@@ -435,9 +514,8 @@ func (r *Reads) replay(store kg.Reader, index vecstore.Searcher) bool {
 				encode = index.Encoder().Encode
 			}
 			same = true
-			for _, hits := range index.BatchSearchWith(encode, queries, k) {
-				if !p.sameHits(hits) {
-					same = false
+			for _, hits := range search.BatchSearchWith(encode, queries, k) {
+				if same = check(hits, k); !same {
 					break
 				}
 			}

@@ -97,8 +97,8 @@ func TestReadLogRevalidationPerRead(t *testing.T) {
 			if reads == nil || reads.Size() == 0 {
 				t.Fatal("the run returned no read log")
 			}
-			if epoch, ok := reads.Revalidate(Query{Text: "q"}); !ok || epoch != 1 {
-				t.Fatalf("unchanged substrate: revalidated %v at epoch %d", ok, epoch)
+			if rv, ok := reads.Revalidate(Query{Text: "q"}, vecstore.Token{}); !ok || rv.Epoch != 1 {
+				t.Fatalf("unchanged substrate: revalidated %v at epoch %d", ok, rv.Epoch)
 			}
 			if tc.unrelated != (kg.Triple{}) {
 				if _, err := mgr.Ingest([]kg.Triple{tc.unrelated}); err != nil {
@@ -107,15 +107,15 @@ func TestReadLogRevalidationPerRead(t *testing.T) {
 				if _, err := mgr.Compact(context.Background()); err != nil {
 					t.Fatal(err)
 				}
-				if epoch, ok := reads.Revalidate(Query{Text: "q"}); !ok || epoch != mgr.Epoch() {
-					t.Fatalf("after %v and a compaction: revalidated %v at epoch %d, want true at %d", tc.unrelated, ok, epoch, mgr.Epoch())
+				if rv, ok := reads.Revalidate(Query{Text: "q"}, vecstore.Token{}); !ok || rv.Epoch != mgr.Epoch() {
+					t.Fatalf("after %v and a compaction: revalidated %v at epoch %d, want true at %d", tc.unrelated, ok, rv.Epoch, mgr.Epoch())
 				}
 			}
 			if tc.related != (kg.Triple{}) {
 				if _, err := mgr.Ingest([]kg.Triple{tc.related}); err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := reads.Revalidate(Query{Text: "q"}); ok {
+				if _, ok := reads.Revalidate(Query{Text: "q"}, vecstore.Token{}); ok {
 					t.Fatalf("after %v the read changed, but the log revalidated", tc.related)
 				}
 			}
@@ -158,19 +158,19 @@ func TestReadLogChecksPromptView(t *testing.T) {
 	if err := reg.SetActive("answer-graph", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := plainReads.Revalidate(plain); ok {
+	if _, ok := plainReads.Revalidate(plain, vecstore.Token{}); ok {
 		t.Error("a log rendered under answer-graph@1 revalidated under @2")
 	}
-	if _, ok := pinnedReads.Revalidate(pinned); !ok {
+	if _, ok := pinnedReads.Revalidate(pinned, vecstore.Token{}); !ok {
 		t.Error("a pinned query's log was refused though its view did not change")
 	}
 	if err := reg.SetActive("answer-graph", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := plainReads.Revalidate(plain); !ok {
+	if _, ok := plainReads.Revalidate(plain, vecstore.Token{}); !ok {
 		t.Error("restoring answer-graph@1 did not restore the log's validity")
 	}
-	if _, ok := (*Reads)(nil).Revalidate(plain); ok {
+	if _, ok := (*Reads)(nil).Revalidate(plain, vecstore.Token{}); ok {
 		t.Error("a nil log revalidated")
 	}
 }
@@ -182,7 +182,7 @@ func TestReadLogRefusesDoctoredScore(t *testing.T) {
 	mgr := substrate.NewManager(embed.NewEncoder(), probeStore(), substrate.Config{})
 	var top vecstore.Hit
 	reads := logged(t, probe(mgr, nil, func(d Deps) { top = d.Index.Search("Alpha knows", 2)[0] }), Query{Text: "q"})
-	if _, ok := reads.Revalidate(Query{Text: "q"}); !ok {
+	if _, ok := reads.Revalidate(Query{Text: "q"}, vecstore.Token{}); !ok {
 		t.Fatal("the undoctored log was refused")
 	}
 	bits := binary.LittleEndian.AppendUint64(nil, math.Float64bits(top.Score))
@@ -193,12 +193,12 @@ func TestReadLogRefusesDoctoredScore(t *testing.T) {
 	doctored := *reads
 	doctored.ops = bytes.Clone(reads.ops)
 	doctored.ops[at] ^= 1
-	if _, ok := doctored.Revalidate(Query{Text: "q"}); ok {
+	if _, ok := doctored.Revalidate(Query{Text: "q"}, vecstore.Token{}); ok {
 		t.Fatal("a log with one flipped score bit revalidated")
 	}
 	for cut := range reads.ops {
 		truncated := doctored
 		truncated.ops = reads.ops[:cut]
-		truncated.Revalidate(Query{Text: "q"}) // must not panic
+		truncated.Revalidate(Query{Text: "q"}, vecstore.Token{}) // must not panic
 	}
 }

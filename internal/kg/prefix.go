@@ -1,0 +1,89 @@
+package kg
+
+import "sort"
+
+// Prefix is the read view of a store's first n triples. It never changes
+// however the store grows (see Store's concurrency note), and its reads
+// take the store's read lock as the store's own do. It answers every
+// Reader call exactly as a frozen store holding those n triples, in order,
+// would: same IDs, (subject, relation) lists in Ord order, the same fold.
+type Prefix struct {
+	st *Store
+	n  int
+}
+
+var _ Reader = (*Prefix)(nil)
+
+// Prefix returns the view of the store's first n triples; n is clamped to
+// the store's length.
+func (st *Store) Prefix(n int) *Prefix {
+	return &Prefix{st: st, n: min(n, st.Len())}
+}
+
+// Source returns the store's KG source.
+func (p *Prefix) Source() Source { return p.st.source }
+
+// Len returns the number of triples in the view.
+func (p *Prefix) Len() int { return p.n }
+
+// Get returns the triple with the given ID.
+func (p *Prefix) Get(id int) (Triple, bool) {
+	if id >= p.n {
+		return Triple{}, false
+	}
+	return p.st.Get(id)
+}
+
+// All returns a copy of the view's triples in insertion order.
+func (p *Prefix) All() []Triple {
+	p.st.mu.RLock()
+	defer p.st.mu.RUnlock()
+	return append(make([]Triple, 0, p.n), p.st.triples[:p.n]...)
+}
+
+// Contains reports whether the view holds a triple with t's surface form.
+func (p *Prefix) Contains(t Triple) bool {
+	p.st.mu.RLock()
+	defer p.st.mu.RUnlock()
+	id, ok := p.st.byKey[t.Key()]
+	return ok && id < p.n
+}
+
+// Subject returns the view's triples whose subject matches exactly.
+func (p *Prefix) Subject(s string) []Triple {
+	p.st.mu.RLock()
+	defer p.st.mu.RUnlock()
+	ids := p.st.bySubject[s] // ascending: subject lists are never re-sorted
+	return p.st.take(ids[:sort.SearchInts(ids, p.n)])
+}
+
+// SubjectRelation returns the view's (subject, relation) triples in Ord
+// order, equal ordinals in ID order, as Freeze orders them.
+func (p *Prefix) SubjectRelation(s, r string) []Triple {
+	p.st.mu.RLock()
+	ids := p.st.bySR[s+"\x00"+r]
+	out := make([]Triple, 0, len(ids))
+	for _, id := range ids {
+		if id < p.n {
+			out = append(out, p.st.triples[id])
+		}
+	}
+	p.st.mu.RUnlock()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Ord < out[j].Ord })
+	return out
+}
+
+// HasSubject reports whether any of the view's triples has the subject.
+func (p *Prefix) HasSubject(s string) bool {
+	p.st.mu.RLock()
+	defer p.st.mu.RUnlock()
+	ids := p.st.bySubject[s]
+	return len(ids) > 0 && ids[0] < p.n
+}
+
+// FindSubjectFold is Store.FindSubjectFold over the view's triples.
+func (p *Prefix) FindSubjectFold(q string) (string, bool) {
+	p.st.mu.RLock()
+	defer p.st.mu.RUnlock()
+	return p.st.findSubjectFold(q, p.n)
+}

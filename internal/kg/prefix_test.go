@@ -1,0 +1,123 @@
+package kg
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestFindSubjectFoldIsFirstInserted: of two subjects that fold alike, the
+// one inserted first answers for the fold, on every call — a lookup
+// that walked the subject map returned either, call by call — and a prefix
+// view that holds only the second answers with that one.
+func TestFindSubjectFoldIsFirstInserted(t *testing.T) {
+	st := NewStore(SourceWikidata)
+	st.Add(NewTriple("Lake Superior", "area", "82350"))
+	st.Add(NewTriple("LAKE SUPERIOR", "area", "82103"))
+	st.Add(NewTriple("Lake Superior", "country", "Canada"))
+	for i := range 200 {
+		if s, ok := st.FindSubjectFold("lake superior"); !ok || s != "Lake Superior" {
+			t.Fatalf("call %d: FindSubjectFold(lake superior) = %q, %v", i, s, ok)
+		}
+	}
+	if s, ok := st.FindSubjectFold("LAKE SUPERIOR"); !ok || s != "LAKE SUPERIOR" {
+		t.Errorf("an exact subject folded to %q, %v", s, ok)
+	}
+	if s, ok := st.Prefix(1).FindSubjectFold("LAKE SUPERIOR"); !ok || s != "Lake Superior" {
+		t.Errorf("the one-triple prefix folds LAKE SUPERIOR to %q, %v", s, ok)
+	}
+	if s, ok := st.Prefix(0).FindSubjectFold("lake superior"); ok {
+		t.Errorf("the empty prefix folds to %q", s)
+	}
+
+	rev := NewStore(SourceWikidata)
+	rev.Add(NewTriple("LAKE SUPERIOR", "area", "82103"))
+	rev.Add(NewTriple("Lake Superior", "area", "82350"))
+	if s, _ := rev.FindSubjectFold("lake superior"); s != "LAKE SUPERIOR" {
+		t.Errorf("inserted first, LAKE SUPERIOR lost the fold to %q", s)
+	}
+}
+
+// TestPrefixMatchesFrozenCopy: a prefix view taken of a growing store
+// answers every Reader call — IDs, (subject, relation) lists in Ord order,
+// folds — exactly as a frozen store of the same triples does, both when it
+// is taken and after the store has grown past it. The triples carry
+// time-varying values with explicit ordinals out of insertion order,
+// subjects that fold alike and duplicates.
+func TestPrefixMatchesFrozenCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	subjects := []string{"Lake Superior", "LAKE SUPERIOR", "lake superior", "China", "Beijing", "beijing", "Mount Kenya"}
+	relations := []string{"population", "area", "capital"}
+	draw := func() Triple {
+		t := NewTriple(subjects[rng.Intn(len(subjects))], relations[rng.Intn(len(relations))], fmt.Sprint(rng.Intn(12)))
+		if rng.Intn(2) == 0 {
+			t.Ord = rng.Intn(5)
+		}
+		return t
+	}
+	st := NewStore(SourceWikidata)
+	type held struct {
+		view   *Prefix
+		frozen *Store
+	}
+	var views []held
+	check := func(stage string) {
+		t.Helper()
+		probes := append(subjects, "atlantis", "ATLANTIS", "china", "MOUNT KENYA")
+		for _, h := range views {
+			requireSameReads(t, fmt.Sprintf("%s, prefix of %d", stage, h.view.Len()), h.view, h.frozen, probes, relations, st.All())
+		}
+	}
+	for step := range 60 {
+		st.AddAll([]Triple{draw(), draw()})
+		if rng.Intn(3) == 0 {
+			n := rng.Intn(st.Len() + 1)
+			frozen := NewStore(SourceWikidata)
+			frozen.AddAll(st.All()[:n])
+			frozen.Freeze()
+			views = append(views, held{st.Prefix(n), frozen})
+		}
+		check(fmt.Sprint("step ", step))
+	}
+	st.Freeze()
+	views = append(views, held{st.Prefix(st.Len()), st})
+	check("frozen")
+}
+
+// requireSameReads fails unless got answers every kg.Reader call on the
+// probe subjects (and their relations, case variants, every ID and every
+// triple of universe) exactly as want does.
+func requireSameReads(t *testing.T, what string, got, want Reader, subjects, relations []string, universe []Triple) {
+	t.Helper()
+	same := func(call string, g, w any) {
+		t.Helper()
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: %s = %v, want %v", what, call, g, w)
+		}
+	}
+	same("Source", got.Source(), want.Source())
+	same("Len", got.Len(), want.Len())
+	same("All", got.All(), want.All())
+	for id := -1; id <= want.Len()+1; id++ {
+		g, gok := got.Get(id)
+		w, wok := want.Get(id)
+		same(fmt.Sprintf("Get(%d)", id), []any{g, gok}, []any{w, wok})
+	}
+	for _, tr := range universe {
+		same(fmt.Sprintf("Contains(%v)", tr), got.Contains(tr), want.Contains(tr))
+	}
+	for _, s := range subjects {
+		same(fmt.Sprintf("Subject(%q)", s), got.Subject(s), want.Subject(s))
+		same(fmt.Sprintf("HasSubject(%q)", s), got.HasSubject(s), want.HasSubject(s))
+		for _, q := range []string{s, strings.ToLower(s), strings.ToUpper(s)} {
+			g, gok := got.FindSubjectFold(q)
+			w, wok := want.FindSubjectFold(q)
+			same(fmt.Sprintf("FindSubjectFold(%q)", q), []any{g, gok}, []any{w, wok})
+		}
+		for _, r := range relations {
+			same(fmt.Sprintf("SubjectRelation(%q, %q)", s, r), got.SubjectRelation(s, r), want.SubjectRelation(s, r))
+		}
+	}
+}

@@ -16,7 +16,11 @@ import (
 //   - all subjects for a (relation, object) pair (reverse lookup, ToG),
 //   - full scan in insertion order (vector-store construction).
 //
-// Store is safe for concurrent readers after Freeze; writes are mutex-guarded.
+// Store is safe for concurrent use: every read takes the read lock, every
+// Add the write lock. IDs are assigned in insertion order and nothing is
+// ever removed, so the first n triples — and the part of every posting
+// list below n — never change once added: Prefix serves that part as an
+// immutable view while the store keeps growing.
 type Store struct {
 	mu     sync.RWMutex
 	source Source
@@ -29,6 +33,9 @@ type Store struct {
 	bySR       map[string][]int
 	byRO       map[string][]int
 	byKey      map[string]int
+	// byFold maps a lower-cased subject to the first triple of the
+	// first-inserted subject that folds to it.
+	byFold map[string]int
 
 	frozen bool
 }
@@ -44,6 +51,7 @@ func NewStore(source Source) *Store {
 		bySR:       make(map[string][]int),
 		byRO:       make(map[string][]int),
 		byKey:      make(map[string]int),
+		byFold:     make(map[string]int),
 	}
 }
 
@@ -77,6 +85,12 @@ func (st *Store) Add(t Triple) (int, bool) {
 	t.Source = st.source
 	st.triples = append(st.triples, t)
 	st.byKey[key] = id
+	if len(st.bySubject[t.Subject]) == 0 {
+		folded := strings.ToLower(t.Subject)
+		if _, ok := st.byFold[folded]; !ok {
+			st.byFold[folded] = id
+		}
+	}
 	st.bySubject[t.Subject] = append(st.bySubject[t.Subject], id)
 	st.byRelation[t.Relation] = append(st.byRelation[t.Relation], id)
 	st.byObject[t.Object] = append(st.byObject[t.Object], id)
@@ -144,9 +158,14 @@ func (st *Store) take(ids []int) []Triple {
 // Contains reports whether the store holds a triple with t's surface form
 // (Source, Ord and ID are ignored).
 func (st *Store) Contains(t Triple) bool {
+	return st.ContainsKey(t.Key())
+}
+
+// ContainsKey reports whether the store holds a triple whose Key is key.
+func (st *Store) ContainsKey(key string) bool {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	_, ok := st.byKey[t.Key()]
+	_, ok := st.byKey[key]
 	return ok
 }
 
@@ -248,19 +267,26 @@ func (st *Store) SubjectGraph(subjects []string) *Graph {
 }
 
 // FindSubjectFold returns the canonical subject whose case-folded form
-// matches the query, if any. Pseudo-triples often differ from KG entities
-// only in capitalisation ("lake superior" vs "Lake Superior").
+// matches the query, if any: the query itself when it is a subject, else
+// the first-inserted subject that folds as it does. Pseudo-triples often
+// differ from KG entities only in capitalisation ("lake superior" vs
+// "Lake Superior").
 func (st *Store) FindSubjectFold(q string) (string, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if len(st.bySubject[q]) > 0 {
+	return st.findSubjectFold(q, len(st.triples))
+}
+
+// findSubjectFold is FindSubjectFold over the first n triples. Caller
+// holds st.mu for reading.
+func (st *Store) findSubjectFold(q string, n int) (string, bool) {
+	if ids := st.bySubject[q]; len(ids) > 0 && ids[0] < n {
 		return q, true
 	}
-	folded := strings.ToLower(q)
-	for s := range st.bySubject {
-		if strings.ToLower(s) == folded {
-			return s, true
-		}
+	// The first-inserted subject of a fold has its smallest first ID, so
+	// when that is not below n no subject of the fold is.
+	if id, ok := st.byFold[strings.ToLower(q)]; ok && id < n {
+		return st.triples[id].Subject, true
 	}
 	return "", false
 }

@@ -119,7 +119,9 @@ func requests(w *world.World) []request {
 // a trace, unrelated ingests, ingests touching asked subjects,
 // compactions and prompt swaps — and every reply is identical: answer,
 // epoch, prompt versions and, where shown, the trace's graphs and hits.
-// The schedules must both revalidate entries and refuse some.
+// The schedules must both revalidate entries and refuse some, and
+// revalidate both incrementally (an ingest after an entry's last replay)
+// and in full (a first replay, or one across a compaction or coalescing).
 func TestRevalidationMatchesCacheOff(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -152,6 +154,9 @@ func TestRevalidationMatchesCacheOff(t *testing.T) {
 			st := p.on.Cache.Stats()
 			if st.Revalidated == 0 || st.StaleMisses == 0 {
 				t.Fatalf("the schedule never exercised both outcomes: %+v", st)
+			}
+			if st.RevalidatedIncremental == 0 || st.RevalidatedIncremental == st.Revalidated {
+				t.Fatalf("the schedule never exercised both incremental and full revalidation: %+v", st)
 			}
 			t.Logf("cache: %+v", st)
 		})

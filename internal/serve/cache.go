@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/answer"
+	"repro/internal/vecstore"
 )
 
 // CacheConfig sizes an answer cache.
@@ -35,20 +36,25 @@ type Cache struct {
 	// its entries apart from every other's.
 	namespaces atomic.Uint64
 
-	hits        atomic.Int64
-	misses      atomic.Int64
-	evictions   atomic.Int64
-	expirations atomic.Int64
-	revalidated atomic.Int64
-	staleMisses atomic.Int64
+	hits                   atomic.Int64
+	misses                 atomic.Int64
+	evictions              atomic.Int64
+	expirations            atomic.Int64
+	revalidated            atomic.Int64
+	revalidatedIncremental atomic.Int64
+	staleMisses            atomic.Int64
 }
 
 // entry is one cached answer with the scope it is valid under and its
 // expiry. An entry is replaced, never rewritten, by a fill, so a
 // revalidation that read one entry cannot re-stamp another.
 type entry struct {
-	key     string
-	scope   string
+	key   string
+	scope string
+	// at names the index view the entry's read log last replayed exactly
+	// against (answer.Revalidation.At), re-stamped with scope; the zero
+	// Token until a first replay, which is then a full one.
+	at      vecstore.Token
 	result  answer.Result
 	expires time.Time // zero = never
 }
@@ -72,12 +78,13 @@ func NewCache(cfg CacheConfig) *Cache {
 // under scope. An entry stamped with scope is a plain hit. An entry
 // stamped with another scope is revalidated: its read log is replayed
 // against the substrate's current snapshot, outside the cache lock, with
-// q's prompt overrides (answer.Reads.Revalidate). If every read matches,
-// the entry is re-stamped with scope and served with the replayed epoch; if
-// not — or it has no log — the lookup is a miss, and the caller's fill
-// replaces the entry. The result is an isolated copy: mutating its trace
-// cannot corrupt the cached entry, and two hitters of the same key cannot
-// corrupt each other.
+// q's prompt overrides and the index view it last replayed against
+// (answer.Reads.Revalidate). If every read matches, the entry is
+// re-stamped with scope and the replayed view and served with the
+// replayed epoch; if not — or it has no log — the lookup is a miss, and
+// the caller's fill replaces the entry. The result is an isolated copy:
+// mutating its trace cannot corrupt the cached entry, and two hitters of
+// the same key cannot corrupt each other.
 func (c *Cache) Get(key, scope string, q answer.Query) (answer.Result, bool) {
 	if c == nil {
 		return answer.Result{}, false
@@ -99,23 +106,27 @@ func (c *Cache) Get(key, scope string, q answer.Query) (answer.Result, bool) {
 		return answer.Result{}, false
 	}
 	c.order.MoveToFront(el)
-	res, stamped := e.result, e.scope
+	res, stamped, at := e.result, e.scope, e.at
 	c.mu.Unlock()
 	if stamped != scope {
-		epoch, valid := res.Reads.Revalidate(q)
+		rv, valid := res.Reads.Revalidate(q, at)
 		if !valid {
 			c.staleMisses.Add(1)
 			c.misses.Add(1)
 			return answer.Result{}, false
 		}
-		res.Epoch = epoch
+		res.Epoch = rv.Epoch
 		c.mu.Lock()
 		if c.entries[key] == el && el.Value == e && e.scope == stamped {
 			e.scope = scope
-			e.result.Epoch = epoch
+			e.at = rv.At
+			e.result.Epoch = rv.Epoch
 		}
 		c.mu.Unlock()
 		c.revalidated.Add(1)
+		if rv.Incremental {
+			c.revalidatedIncremental.Add(1)
+		}
 	}
 	c.hits.Add(1)
 	return res.Clone(), true
@@ -175,9 +186,12 @@ type CacheStats struct {
 	Expirations int64 `json:"expirations"`
 	// Revalidated counts hits on an entry filled under another scope whose
 	// read log replayed exactly; StaleMisses counts lookups where it did
-	// not.
-	Revalidated int64 `json:"revalidated"`
-	StaleMisses int64 `json:"stale_misses"`
+	// not. RevalidatedIncremental is the part of Revalidated whose
+	// searches ran on the index segments added since the entry's last
+	// replay only (the answer package's incremental rule).
+	Revalidated            int64 `json:"revalidated"`
+	RevalidatedIncremental int64 `json:"revalidated_incremental"`
+	StaleMisses            int64 `json:"stale_misses"`
 }
 
 // Stats snapshots the counters. Safe on a nil cache (all zeros).
@@ -186,14 +200,15 @@ func (c *Cache) Stats() CacheStats {
 		return CacheStats{}
 	}
 	return CacheStats{
-		Size:        c.Len(),
-		Capacity:    c.size,
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Evictions:   c.evictions.Load(),
-		Expirations: c.expirations.Load(),
-		Revalidated: c.revalidated.Load(),
-		StaleMisses: c.staleMisses.Load(),
+		Size:                   c.Len(),
+		Capacity:               c.size,
+		Hits:                   c.hits.Load(),
+		Misses:                 c.misses.Load(),
+		Evictions:              c.evictions.Load(),
+		Expirations:            c.expirations.Load(),
+		Revalidated:            c.revalidated.Load(),
+		RevalidatedIncremental: c.revalidatedIncremental.Load(),
+		StaleMisses:            c.staleMisses.Load(),
 	}
 }
 

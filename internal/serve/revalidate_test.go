@@ -26,9 +26,10 @@ const (
 	tripleID        // name it by its neighbour's ID
 )
 
-// doctoredSubstrate serves a manager's snapshots through an index that,
-// while mode is set, falsifies each search's top hit — so a run filled
-// then records a log one bit or one ID away from the truth.
+// doctoredSubstrate serves a manager's snapshots, while mode is set,
+// through an index that falsifies each search's top hit — so a run filled
+// then records a log one bit or one ID away from the truth — and the
+// manager's own index otherwise.
 type doctoredSubstrate struct {
 	mgr  *substrate.Manager
 	mode atomic.Int32
@@ -36,7 +37,10 @@ type doctoredSubstrate struct {
 
 func (d *doctoredSubstrate) Resolve() (kg.Reader, vecstore.Searcher, uint64) {
 	store, index, epoch := d.mgr.Resolve()
-	return store, doctoredIndex{index, doctor(d.mode.Load())}, epoch
+	if mode := doctor(d.mode.Load()); mode != honest {
+		index = doctoredIndex{index, mode}
+	}
+	return store, index, epoch
 }
 
 type doctoredIndex struct {
@@ -102,7 +106,11 @@ func smallStore() *kg.Store {
 // exactness: an entry whose log was recorded one score bit, or one triple
 // ID, away from what the substrate returns is refused after an unrelated
 // ingest moves the scope — while the honest entry for the same question
-// revalidates across the same ingest.
+// revalidates across the same ingest. The ingest only appends a segment to
+// the index view, the case the incremental rule searches alone; the
+// refusal holds because a fill never sets the token that rule needs, so a
+// first replay is always full. The honest entry's replay does set it, and
+// the next ingest's replay is incremental.
 func TestRevalidationRefusesDoctoredLog(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -125,8 +133,12 @@ func TestRevalidationRefusesDoctoredLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			sub.mode.Store(int32(honest))
+			filled := mgr.Current().Index.(*vecstore.Sharded).Token()
 			if _, err := mgr.Ingest([]kg.Triple{kg.NewTriple("Zeta", "colour", "red")}); err != nil {
 				t.Fatal(err)
+			}
+			if _, appended := mgr.Current().Index.(*vecstore.Sharded).Since(filled); !appended {
+				t.Fatal("the ingest did not just append a segment to the index view")
 			}
 			ctx, info := Attach(context.Background())
 			res, err := ans.Answer(ctx, q)
@@ -142,6 +154,24 @@ func TestRevalidationRefusesDoctoredLog(t *testing.T) {
 			}
 			if res.Epoch != 2 {
 				t.Fatalf("reply epoch %d, want the live epoch 2", res.Epoch)
+			}
+			if st := cache.Stats(); st.RevalidatedIncremental != 0 {
+				t.Fatalf("a first replay was incremental: %+v", st)
+			}
+			if _, err := mgr.Ingest([]kg.Triple{kg.NewTriple("Zeta", "colour", "blue")}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ans.Answer(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+			// The honest entry was replayed once; the refused one was
+			// replaced by a fill, whose first replay this is.
+			incremental := int64(0)
+			if tc.hit {
+				incremental = 1
+			}
+			if st := cache.Stats(); st.RevalidatedIncremental != incremental || st.Revalidated != want.Revalidated+1 {
+				t.Fatalf("after a second ingest: %+v, want %d incremental revalidation(s)", st, incremental)
 			}
 		})
 	}

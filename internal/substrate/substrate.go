@@ -6,10 +6,13 @@
 //
 //   - a frozen base store, vector-indexed as fixed-size shards that are
 //     searched concurrently (vecstore.Sharded);
-//   - an unfrozen delta store that accumulates ingested triples, with a
-//     small delta index rebuilt per ingest batch;
+//   - an append-only delta store that accumulates ingested triples, with
+//     one small index segment per ingest batch;
 //   - the current Snapshot: an immutable (epoch, kg.Reader,
-//     vecstore.Searcher) triple published with an atomic pointer swap.
+//     vecstore.Searcher) triple published with an atomic pointer swap. Its
+//     reader is the base plus a view of the delta store's first n triples
+//     (kg.Store.Prefix), which later appends never change, so a publish
+//     copies no triple and costs the batch, not the delta.
 //
 // Readers resolve the current snapshot once per query and keep it for the
 // whole run, so a query served mid-ingest sees one consistent substrate
@@ -28,7 +31,11 @@
 // coalescing joins them, the delta's — and with Config.Memo on each
 // segment keeps the search results it remembered (the vecstore package
 // comment's memo rule), so a question re-asked after an ingest is scanned
-// only where the triples changed.
+// only where the triples changed. Until coalescing or a compaction
+// retires a segment, each publish's index view is the previous one's
+// segments plus the batch's (the vecstore package comment's segment
+// identity), so a cached answer revalidated there searches only the
+// batch's segment.
 //
 // Compaction folds the delta into a new frozen base — re-sharding the
 // index, keeping the old base's full leading segments (vecstore.Reshard)
@@ -132,7 +139,8 @@ type Snapshot struct {
 	// by it, so an answer from an older substrate is revalidated before it
 	// is served after a swap.
 	Epoch uint64
-	// Store is the consistent triple view (base, or base ∪ delta copy).
+	// Store is the consistent triple view: the base, or the base ∪ a view
+	// of the delta store's first DeltaTriples triples.
 	Store kg.Reader
 	// Index is the sharded vector index over exactly Store's triples.
 	Index vecstore.Searcher
@@ -382,15 +390,18 @@ func (m *Manager) planLocked(triples []kg.Triple) (fresh []kg.Triple, skipped in
 	// accumulating past each other exactly as sequential ingests would.
 	pendingOrd := make(map[string]int)
 	for _, t := range triples {
-		if seen[t.Key()] || m.base.Contains(t) || m.delta.Contains(t) {
+		key := t.Key()
+		if seen[key] || m.base.ContainsKey(key) || m.delta.ContainsKey(key) {
 			skipped++
 			continue
 		}
+		sr := t.SRKey()
+		pending, planned := pendingOrd[sr]
 		if t.Ord == 0 {
 			max, found := m.maxOrdLocked(t.Subject, t.Relation)
-			if p, ok := pendingOrd[t.SRKey()]; ok {
-				if !found || p > max {
-					max = p
+			if planned {
+				if !found || pending > max {
+					max = pending
 				}
 				found = true
 			}
@@ -398,10 +409,10 @@ func (m *Manager) planLocked(triples []kg.Triple) (fresh []kg.Triple, skipped in
 				t.Ord = max + 1
 			}
 		}
-		if p, ok := pendingOrd[t.SRKey()]; !ok || t.Ord > p {
-			pendingOrd[t.SRKey()] = t.Ord
+		if !planned || t.Ord > pending {
+			pendingOrd[sr] = t.Ord
 		}
-		seen[t.Key()] = true
+		seen[key] = true
 		fresh = append(fresh, t)
 	}
 	return fresh, skipped
@@ -469,10 +480,10 @@ func (m *Manager) deltaTriplesLocked() []kg.Triple {
 }
 
 // publishLocked builds and swaps in a snapshot of the current master
-// state. Caller holds m.mu. The delta is copied into a fresh frozen
-// store and composed with the per-batch delta index segments, so publish
-// cost is proportional to the latest batch, not the substrate (store
-// copy aside, which is map inserts, not encoding).
+// state. Caller holds m.mu. The snapshot reads the delta through a view of
+// the triples it holds now (kg.Store.Prefix) and searches the per-batch
+// delta index segments, so publish copies nothing: its cost is the
+// latest batch's encoding, not the substrate's size.
 func (m *Manager) publishLocked() *Snapshot {
 	m.epoch++
 	return m.republishLocked()
@@ -489,11 +500,8 @@ func (m *Manager) publishLocked() *Snapshot {
 func (m *Manager) republishLocked() *Snapshot {
 	var store kg.Reader = m.base
 	shards := m.baseShards
-	if m.delta.Len() > 0 {
-		snapDelta := kg.NewStore(m.base.Source())
-		snapDelta.AddAll(m.delta.All())
-		snapDelta.Freeze()
-		store = newUnion(m.base, snapDelta)
+	if n := m.delta.Len(); n > 0 {
+		store = newUnion(m.base, m.delta.Prefix(n))
 		shards = append(append([]*vecstore.Index(nil), m.baseShards...), m.deltaSegs...)
 	}
 	var index vecstore.Searcher

@@ -3,6 +3,8 @@ package substrate
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -372,5 +374,89 @@ func TestUnionReaderSemantics(t *testing.T) {
 	sub[0].Subject = "CORRUPTED"
 	if store.Subject("Entity 0")[0].Subject == "CORRUPTED" {
 		t.Error("union.Subject aliases internal state")
+	}
+}
+
+// TestSnapshotPrefixReadsMatchFrozenCopy: a snapshot reads its delta through a
+// prefix view of the manager's delta store, which later ingests keep
+// appending to. Across a schedule of ingests — time-varying values with
+// and without ordinals, subjects that fold alike, duplicates — that
+// coalesces the delta's segments and compacts twice, every snapshot
+// answers every kg.Reader call as the union of its base and a frozen copy
+// of its delta would, both when published and after the schedule moved
+// on.
+func TestSnapshotPrefixReadsMatchFrozenCopy(t *testing.T) {
+	m := newTestManager(t, 12, Config{ShardSize: 8})
+	rng := rand.New(rand.NewSource(5))
+	subjects := []string{"Lake Superior", "LAKE SUPERIOR", "lake superior", "Entity 3", "entity 3", "Fresh", "Nobody"}
+	relations := []string{"population", "related to", "area"}
+	// The schedule ingests universe two triples at a time.
+	universe := make([]kg.Triple, 80)
+	for i := range universe {
+		universe[i] = kg.NewTriple(subjects[rng.Intn(len(subjects)-1)], relations[rng.Intn(len(relations))], fmt.Sprint(rng.Intn(9)))
+		if rng.Intn(3) == 0 {
+			universe[i].Ord = 1 + rng.Intn(4)
+		}
+	}
+	// reads renders every read a method could make of r on the probes.
+	reads := func(r kg.Reader) string {
+		out := fmt.Sprint(r.Source(), r.Len(), r.All())
+		for id := -1; id <= r.Len(); id++ {
+			tr, ok := r.Get(id)
+			out += fmt.Sprint(tr, ok)
+		}
+		for _, tr := range universe {
+			out += fmt.Sprint(r.Contains(tr))
+		}
+		for _, s := range append(subjects, "Entity 11", "ENTITY 11") {
+			out += fmt.Sprint(r.Subject(s), r.HasSubject(s))
+			for _, q := range []string{s, strings.ToLower(s), strings.ToUpper(s)} {
+				c, ok := r.FindSubjectFold(q)
+				out += fmt.Sprint(c, ok)
+			}
+			for _, rel := range relations {
+				out += fmt.Sprint(r.SubjectRelation(s, rel))
+			}
+		}
+		return out
+	}
+	type held struct {
+		snap *Snapshot
+		want string
+	}
+	var snaps []held
+	capture := func() {
+		snap := m.Current()
+		ref := snap.Store
+		if u, ok := snap.Store.(*union); ok {
+			frozen := kg.NewStore(u.Source())
+			frozen.AddAll(u.delta.All())
+			frozen.Freeze()
+			ref = newUnion(u.base, frozen.Prefix(frozen.Len()))
+		}
+		snaps = append(snaps, held{snap, reads(ref)})
+		for _, h := range snaps {
+			if got := reads(h.snap.Store); got != h.want {
+				t.Fatalf("epoch %d, read at epoch %d: the snapshot's reads differ from its frozen copy's", h.snap.Epoch, snap.Epoch)
+			}
+		}
+	}
+	capture()
+	for step := range len(universe) / 2 {
+		if _, err := m.Ingest(universe[2*step : 2*step+2]); err != nil {
+			t.Fatal(err)
+		}
+		if step == 24 && m.Stats().Ingests < 16 {
+			t.Fatalf("%d ingests before the first compaction: the delta never coalesced", m.Stats().Ingests)
+		}
+		if step == 24 || step == 36 {
+			if _, err := m.Compact(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		capture()
+	}
+	if m.Stats().Compactions != 2 {
+		t.Fatalf("%d compactions, want 2", m.Stats().Compactions)
 	}
 }

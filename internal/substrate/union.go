@@ -7,21 +7,22 @@ import (
 )
 
 // union is the consistent read view one snapshot exposes: a frozen base
-// store plus a frozen copy of the delta taken at publish time. Both halves
-// are immutable, so the view never changes under a reader — a query that
-// resolved this snapshot sees exactly these triples for its whole run,
-// regardless of concurrent ingests or compactions.
+// store plus a prefix view of the manager's delta store — the triples it
+// held at publish time. Both halves are immutable (the delta only ever
+// appends past the prefix), so the view never changes under a reader — a
+// query that resolved this snapshot sees exactly these triples for its
+// whole run, regardless of concurrent ingests or compactions.
 //
 // Triple IDs are remapped into one ID space: base IDs are unchanged, delta
 // IDs are offset by the base length.
 type union struct {
 	base  *kg.Store
-	delta *kg.Store
+	delta *kg.Prefix
 }
 
-// newUnion builds the combined view. Both stores must be frozen and share
-// a source.
-func newUnion(base, delta *kg.Store) *union {
+// newUnion builds the combined view. The base must be frozen, and both
+// halves must share a source.
+func newUnion(base *kg.Store, delta *kg.Prefix) *union {
 	return &union{base: base, delta: delta}
 }
 

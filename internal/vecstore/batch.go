@@ -215,7 +215,7 @@ func (h topK) down(i, n int) {
 // rank empties best and returns its rows in the order every Searcher
 // produces, in place in best's storage: popping leaves them by score
 // descending, and a stable sort breaks equal scores by triple surface
-// form, as hitBefore orders Hits.
+// form, as HitBefore orders Hits.
 func (idx *Index) rank(best *topK) []scored {
 	ranked := *best
 	for len(*best) > 0 {

@@ -249,7 +249,7 @@ func parentSearch(enc *embed.Encoder, triples []kg.Triple, query string, k int) 
 	for i, s := range kept {
 		out[len(out)-1-i] = Hit{Triple: triples[rows[s.row]], Score: s.score}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return hitBefore(out[i], out[j]) })
+	sort.SliceStable(out, func(i, j int) bool { return HitBefore(out[i], out[j]) })
 	return out
 }
 

@@ -93,6 +93,8 @@ type HNSW struct {
 	links    [][][]int32
 	entry    int32
 	maxLevel int32
+	// id names the graph (the package comment's segment identity).
+	id uint64
 }
 
 // BuildHNSW encodes the triples into segments of DefaultShardSize and
@@ -108,7 +110,7 @@ func BuildHNSW(enc *embed.Encoder, triples []kg.Triple, cfg HNSWConfig) *HNSW {
 // triples are cut into segments changes nothing.
 func BuildGraph(enc *embed.Encoder, segs []*Index, cfg HNSWConfig) *HNSW {
 	cfg = cfg.withDefaults()
-	h := &HNSW{enc: enc, cfg: cfg, segs: slices.Clone(segs), entry: -1}
+	h := &HNSW{enc: enc, cfg: cfg, segs: slices.Clone(segs), entry: -1, id: lastID.Add(1)}
 	nodes := 0
 	for _, sh := range segs {
 		nodes += sh.Len()
@@ -412,7 +414,7 @@ func (h *HNSW) SearchVectorEf(qv embed.Vector, k, ef int) []Hit {
 	}
 	// Graph order breaks ties by node id; re-break by surface form for
 	// exact parity with every other Searcher.
-	sort.SliceStable(out, func(i, j int) bool { return hitBefore(out[i], out[j]) })
+	sort.SliceStable(out, func(i, j int) bool { return HitBefore(out[i], out[j]) })
 	return out
 }
 
@@ -529,6 +531,7 @@ func readGraphFrom(r io.Reader) (*HNSW, error) {
 		},
 		entry:    int32(binary.LittleEndian.Uint32(head[20:])),
 		maxLevel: int32(binary.LittleEndian.Uint32(head[24:])),
+		id:       lastID.Add(1),
 	}
 	var seed [8]byte
 	if _, err := io.ReadFull(br, seed[:]); err != nil {

@@ -123,6 +123,29 @@ func (hy *Hybrid) BatchSearchWith(encode func(string) embed.Vector, queries []st
 	return out
 }
 
+// Token names the view's segments and its graph.
+func (hy *Hybrid) Token() Token {
+	t := hy.full.Token()
+	if hy.ann != nil {
+		t.graph = hy.ann.id
+	}
+	return t
+}
+
+// Since reports whether hy holds exactly t's segments, in order and under
+// t's graph, followed by zero or more others in its exact tail, and
+// returns a view over the others. Either path hy routes a query down —
+// graph plus tail, or the fallback over every segment — merges the new
+// segments' exact lists into what t's view returned, so that view is all
+// a search of what was added needs.
+func (hy *Hybrid) Since(t Token) (Searcher, bool) {
+	covered := len(hy.full.ids) - len(hy.tail.ids) // segments the graph holds
+	if t.graph != hy.Token().graph || len(t.segs) < covered || !hy.full.extends(t) {
+		return nil, false
+	}
+	return hy.full.after(len(t.segs)), true
+}
+
 // Stats aggregates segment statistics plus the ANN layer description.
 func (hy *Hybrid) Stats() Stats {
 	st := hy.full.Stats()

@@ -29,10 +29,20 @@ const DefaultShardSize = 4096
 type Sharded struct {
 	enc    *embed.Encoder
 	shards []*Index
-	total  int
+	// ids are the shards' IDs, in order: the view's Token. Never nil.
+	ids   []uint64
+	total int
 	// memo, when non-nil, turns the segments' memos on for this view's
 	// batch scans and counts their lookups (the memo rule).
 	memo *MemoCounters
+}
+
+// Token names a view's composition (the package comment's segment
+// identity): its segments' IDs in order and, for a Hybrid, its graph's.
+// The zero Token names no view, so no view extends it.
+type Token struct {
+	graph uint64   // 0 when the view searches no graph
+	segs  []uint64 // nil only in the zero Token
 }
 
 // BuildSharded encodes the triples into fixed-size segments. A
@@ -84,15 +94,40 @@ func Reshard(enc *embed.Encoder, triples []kg.Triple, shardSize int, prev []*Ind
 // Compose assembles a sharded view over existing segment indexes. Empty
 // segments are dropped. Every segment must have been built with enc.
 func Compose(enc *embed.Encoder, shards ...*Index) *Sharded {
-	s := &Sharded{enc: enc}
+	s := &Sharded{enc: enc, ids: make([]uint64, 0, len(shards))}
 	for _, sh := range shards {
 		if sh == nil || sh.Len() == 0 {
 			continue
 		}
 		s.shards = append(s.shards, sh)
+		s.ids = append(s.ids, sh.id)
 		s.total += sh.Len()
 	}
 	return s
+}
+
+// Token names the view's segments.
+func (s *Sharded) Token() Token { return Token{segs: s.ids} }
+
+// Since reports whether s holds exactly t's segments, in order and with no
+// graph, followed by zero or more others, and returns a view over the
+// others with s's memo setting.
+func (s *Sharded) Since(t Token) (Searcher, bool) {
+	if t.graph != 0 || !s.extends(t) {
+		return nil, false
+	}
+	return s.after(len(t.segs)), true
+}
+
+// extends reports whether s's segments begin with exactly t's.
+func (s *Sharded) extends(t Token) bool {
+	return t.segs != nil && len(t.segs) <= len(s.ids) && slices.Equal(s.ids[:len(t.segs)], t.segs)
+}
+
+// after returns a view over the segments after the first n, with s's memo
+// setting.
+func (s *Sharded) after(n int) *Sharded {
+	return Compose(s.enc, s.shards[n:]...).WithMemo(s.memo)
 }
 
 // WithMemo returns a view over the same segments whose batch scans
@@ -202,7 +237,7 @@ type cursorHeap []hitCursor
 
 func (h cursorHeap) Len() int { return len(h) }
 func (h cursorHeap) Less(i, j int) bool {
-	return hitBefore(h[i].hits[h[i].pos], h[j].hits[h[j].pos])
+	return HitBefore(h[i].hits[h[i].pos], h[j].hits[h[j].pos])
 }
 func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(hitCursor)) }

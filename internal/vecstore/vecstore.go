@@ -71,6 +71,19 @@
 // substrate manager turns it on exactly when its node caches answers
 // (substrate.Config.Memo); every other view (BuildSharded, Compose, a
 // plain Index) scans every time.
+//
+// Segment identity. Every segment and every HNSW graph gets an ID at
+// build, unique for the process; neither ever changes, so the ID names
+// its content. A view's Token is its segments' IDs in order, plus its
+// graph's for a Hybrid — IDs, not segments, so a token keeps nothing a
+// view retired alive. A view extends a token when it holds exactly the
+// token's segments, in order, under the same graph, followed by new
+// segments that it searches exactly; Since returns a view over just those.
+// A view's result is MergeTopK over its parts' lists, and HitBefore is a
+// strict total order on a view's hits (triple keys are unique in a view),
+// so the extending view's top-k is the top-k of the token view's top-k
+// merged with the new segments' — which is what lets a cached answer's
+// revalidation search only what an ingest added.
 package vecstore
 
 import (
@@ -80,6 +93,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/embed"
 	"repro/internal/kg"
@@ -124,7 +138,12 @@ type Index struct {
 	// memo holds the segment's own batch-scan results for the views that
 	// turn it on (the memo rule).
 	memo memo
+	// id names the segment (segment identity).
+	id uint64
 }
+
+// lastID is the last ID given to a segment or a graph.
+var lastID atomic.Uint64
 
 // packedRows stores the non-zero components of a sequence of embedding
 // vectors in scoring order (see the package comment): row r is entries
@@ -327,7 +346,7 @@ func newIndex(enc *embed.Encoder, triples []kg.Triple, parts ...packedRows) *Ind
 		rows.idx = append(rows.idx, parts[i].idx...)
 		rows.val = append(rows.val, parts[i].val...)
 	}
-	idx := &Index{enc: enc, triples: triples, rows: rows, inverted: make(map[string][]int32)}
+	idx := &Index{enc: enc, triples: triples, rows: rows, inverted: make(map[string][]int32), id: lastID.Add(1)}
 	for i, t := range triples {
 		for _, tok := range distinctTokens(t.Text()) {
 			post, ok := idx.inverted[tok]
@@ -453,9 +472,9 @@ func (idx *Index) searchVec(qv embed.Vector, k int, subset rowSet) []Hit {
 	return idx.hits(idx.rank(&best))
 }
 
-// hitBefore is the deterministic result order every Searcher produces:
+// HitBefore is the deterministic result order every Searcher produces:
 // score descending, equal scores broken by triple surface form ascending.
-func hitBefore(a, b Hit) bool {
+func HitBefore(a, b Hit) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
