@@ -34,6 +34,7 @@ type Config struct {
 	TraceDir  string
 	PromptDir string
 	ReplicaOf string
+	DebugAddr string
 
 	// MaxBody bounds every POST body; oversized requests get 413 before
 	// the decoder buffers them. No flag: only tests tighten it.
@@ -53,7 +54,7 @@ func parseFlags(args []string) (Config, error) {
 	fs.IntVar(&c.Cache.Size, "cache-size", 4096, "answer cache capacity (0 disables caching, singleflight and the index segments' search memos)")
 	fs.DurationVar(&c.Cache.TTL, "cache-ttl", 5*time.Minute, "answer cache entry lifetime (0 = no expiry)")
 	fs.IntVar(&c.Substrate.ShardSize, "shard-size", 0, "vector-index segment size (0 = vecstore default)")
-	fs.IntVar(&c.Substrate.CompactThreshold, "compact-threshold", 2048, "auto-compact when a delta reaches this many triples (0 = manual only; the default bounds per-ingest publish cost)")
+	fs.IntVar(&c.Substrate.CompactThreshold, "compact-threshold", 2048, "auto-compact when a delta reaches this many triples (0 = manual only); bounds the rows each delta coalescing copies, the rows -ann scans exactly, and the WAL tail a durable restart replays")
 	fs.IntVar(&c.LLMConcurrency, "llm-concurrency", 32, "max in-flight LLM calls across all traffic; interactive /v1/answer requests preempt queued batch work when saturated (0 = unbounded)")
 	fs.DurationVar(&c.StageTimeout, "stage-timeout", 0, "per-stage deadline inside every method run (0 = only the request timeout applies)")
 	fs.StringVar(&c.Substrate.Durability.Dir, "data-dir", "", "persist ingested triples under this directory (WAL + checkpoints, one subdirectory per KG source); empty = memory-only, a restart drops post-boot facts")
@@ -67,6 +68,7 @@ func parseFlags(args []string) (Config, error) {
 	fs.IntVar(&c.Admission.MaxQueue, "max-queue", 32, "max requests waiting for an in-flight slot before load shedding begins (only meaningful with -max-inflight > 0)")
 	fs.BoolVar(&c.Substrate.ANN.Enabled, "ann", false, "serve vector retrieval through an HNSW graph over each substrate's compacted base (deltas stay exact-scan until the next compaction); off = exact scans only")
 	fs.IntVar(&c.Substrate.ANN.EfSearch, "ann-ef", 0, "HNSW search beam width; wider = better recall, slower (0 = vecstore default; only meaningful with -ann)")
+	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve runtime profiles (net/http/pprof, under /debug/pprof/) on this separate listen address, never on -addr (empty = off)")
 	fs.StringVar(&c.ReplicaOf, "replica-of", "", "run as a read replica of this primary base URL (e.g. http://host:8080): bootstrap from its checkpoints, stream and apply its WAL, redirect local ingests to it; requires -data-dir")
 	fs.Parse(args) // ExitOnError: a bad flag has already exited
 	return c, c.Validate()
@@ -76,6 +78,9 @@ func parseFlags(args []string) (Config, error) {
 func (c Config) Validate() error {
 	if c.ReplicaOf != "" && !c.Substrate.Durability.Enabled() {
 		return errors.New("-replica-of requires -data-dir (replicas persist their own WAL and checkpoints)")
+	}
+	if c.DebugAddr != "" && c.DebugAddr == c.Addr {
+		return errors.New("-debug-addr must differ from -addr (profiles are never served on the serving port)")
 	}
 	if _, err := substrate.ParseSyncPolicy(c.Fsync); err != nil {
 		return err

@@ -32,6 +32,8 @@ func TestConfigValidate(t *testing.T) {
 		{"negative max-inflight", func(c *Config) { c.Admission.MaxInFlight = -1 }, "-max-inflight"},
 		{"negative max-queue", func(c *Config) { c.Admission.MaxQueue = -1 }, "-max-queue"},
 		{"negative ann-ef", func(c *Config) { c.Substrate.ANN.EfSearch = -8 }, "-ann-ef"},
+		{"debug listener", func(c *Config) { c.DebugAddr = "127.0.0.1:6060" }, ""},
+		{"debug on the serving port", func(c *Config) { c.DebugAddr = c.Addr }, "-debug-addr"},
 	}
 	for _, tc := range cases {
 		cfg := testConfig(time.Minute)

@@ -24,6 +24,7 @@
 //	POST /v1/ingest               {"kg": "wikidata", "triples": [{"subject": "...", "relation": "...", "object": "..."}]}
 //	POST /v1/snapshot/compact     {"kg": "wikidata"}
 //	POST /v1/snapshot/checkpoint  {"kg": "wikidata"} (durable servers only)
+//	GET  /debug/pprof/            runtime profiles, on the -debug-addr listener only
 //
 // Serving middleware: every method is wrapped with per-method metrics, an
 // LRU+TTL answer cache (disable with -cache-size 0; /v1/answer reports
@@ -70,10 +71,14 @@
 // computed from — its top-k lists, subject blocks and probes — replay
 // identically against the new snapshot (X-Cache: hit, at the new epoch);
 // an answer whose reads changed is a miss and runs again. A compaction
-// changes no read, so it keeps every cached answer. -compact-threshold N
-// (default 2048) compacts automatically once the
-// delta holds N triples, which also bounds per-ingest publish cost — the
-// delta store copy each publish makes never exceeds the threshold.
+// changes no read, so it keeps every cached answer, and a cached answer
+// revalidated after an ingest searches only the rows added since its last
+// replay. -compact-threshold N (default 2048) compacts automatically once
+// the delta holds N triples. A publish copies nothing whatever the delta's
+// size, so the threshold bounds the delta itself: the rows each coalescing
+// of its segments copies, the rows -ann scans exactly instead of through
+// the graph, and, on durable servers, the WAL tail a restart replays (a
+// compaction writes a checkpoint).
 //
 // Durability: with -data-dir set, every ingest batch is appended to a
 // per-source write-ahead log before it is applied (-fsync
@@ -204,17 +209,14 @@ func run(cfg Config) error {
 		fmt.Printf("admission control on: rate=%.1f/s burst=%d max-inflight=%d max-queue=%d\n",
 			cfg.Admission.Limiter.Rate, cfg.Admission.Limiter.Burst, cfg.Admission.MaxInFlight, cfg.Admission.MaxQueue)
 	}
-	srv := &http.Server{
-		Addr:              cfg.Addr,
-		Handler:           server.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
+	srvs := listeners(cfg, server)
+	errCh := make(chan error, len(srvs))
+	for _, srv := range srvs {
+		go func() {
+			fmt.Printf("listening on %s\n", srv.Addr)
+			errCh <- srv.ListenAndServe()
+		}()
 	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Printf("listening on %s\n", cfg.Addr)
-		errCh <- srv.ListenAndServe()
-	}()
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -237,8 +239,10 @@ func run(cfg Config) error {
 			fmt.Printf("received %v, draining...\n", sig)
 			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				return err
+			for _, srv := range srvs {
+				if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+					return err
+				}
 			}
 			return nil
 		}

@@ -187,10 +187,10 @@ func TestAnswerNoCacheHeaderWhenDisabled(t *testing.T) {
 
 // TestMetricsReportIncrementalRevalidation: /v1/metrics counts under
 // cache.revalidated_incremental the revalidations whose searches ran only
-// on the index segments added since the entry's last replay. A question
-// re-asked after an unrelated ingest is revalidated in full (its first
-// replay), after a second one incrementally, and after a compaction,
-// which retires the delta's segments, in full again.
+// on the rows added since the entry's last replay. A question re-asked
+// after an unrelated ingest is revalidated in full (its first replay),
+// then incrementally after a second ingest and after a compaction, which
+// re-cuts the segments but leaves the rows where they were.
 func TestMetricsReportIncrementalRevalidation(t *testing.T) {
 	cfg := bench.QuickEnvConfig()
 	cfg.Data.SimpleN, cfg.Data.QALDN, cfg.Data.NatureN = 2, 2, 2
@@ -219,7 +219,7 @@ func TestMetricsReportIncrementalRevalidation(t *testing.T) {
 	}{
 		{"first ingest", func() { ingest(1) }, 1, 0},
 		{"second ingest", func() { ingest(2) }, 2, 1},
-		{"compaction", func() { post("/v1/snapshot/compact", sourceRequest{KG: "wikidata"}) }, 3, 1},
+		{"compaction", func() { post("/v1/snapshot/compact", sourceRequest{KG: "wikidata"}) }, 3, 2},
 	} {
 		step.change()
 		post("/v1/answer", ask)
@@ -240,14 +240,16 @@ func TestMetricsReportIncrementalRevalidation(t *testing.T) {
 // TestMetricsReportSegmentMemos: /v1/metrics carries each source's
 // index-segment memo counters under substrates.<src>.memo. A question
 // re-asked after an ingest has its cached answer revalidated (the epoch
-// moved), which replays its retrievals; with the cache on they are
-// answered from the base segments' memos, so hits and entries are above
-// zero. With the cache off the memos are off, and the counters read zero.
+// moved), which replays its retrievals; with the cache on the base
+// segments that are whole blocks answer from their memos, so hits and
+// entries are above zero. With the cache off the memos are off, and the
+// counters read zero.
 func TestMetricsReportSegmentMemos(t *testing.T) {
 	for _, cacheSize := range []int{256, 0} {
 		cfg := bench.QuickEnvConfig()
 		cfg.Data.SimpleN, cfg.Data.QALDN, cfg.Data.NatureN = 2, 2, 2
 		cfg.Cache = serve.CacheConfig{Size: cacheSize}
+		cfg.Substrate.ShardSize = 256 // full base segments, which the delta does not join
 		env, err := bench.NewEnv(cfg)
 		if err != nil {
 			t.Fatal(err)

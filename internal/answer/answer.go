@@ -29,23 +29,29 @@
 //
 // # The incremental rule
 //
-// A replay that succeeded against an index view composed of immutable
-// segments reports the view's token (vecstore.Token), and the caller
-// passes it to the next Revalidate. When the live view is that view's
-// segments, in order, followed by new ones — every ingest that neither
-// coalesces nor compacts — the replay searches the new segments only, and
-// a logged top-k list stands unless a new hit would rank ahead of its k-th
-// entry, or the list is short of k and any new hit exists. This is exact:
-// a segment's result for (query, k) depends only on the segment; a view's
-// result is vecstore.MergeTopK over its segments' lists, ordered by
-// vecstore.HitBefore, which is strict and total because triple keys are
-// unique in a view; so the top k of old and new segments together is the
-// top k of the logged list and the new segments' lists. Every other view
-// gets a full replay: coalescing, compaction and recovery retire
-// segments, and a merged segment's top k is not a function of its parts'.
-// Only a replay sets the token, never a fill, so a log that was wrong when
-// recorded meets a full replay at its first scope change and is refused
-// there.
+// A replay that succeeded against a segmented index view reports the
+// view's token (vecstore.Token): its row count, its watermark, plus its
+// graph's ID under ANN. The caller passes it to the next Revalidate. Rows
+// are only appended and keep their positions, and a view's top k is a
+// function of its rows in order (vecstore's block rule), so a live view
+// under the same graph that holds at least as many rows is the replayed
+// view's rows followed by new ones — however ingests, coalescing and
+// compaction have cut them into segments. The replay then searches the
+// rows past the watermark only (vecstore.Suffix), and per query a logged
+// top-k list:
+//
+//   - stands when the suffix has no hit, or the list is full and the
+//     suffix's best hit scores below its k-th entry;
+//   - is stale when the suffix has a hit and the list is short of k, or
+//     the best hit scores above the k-th entry;
+//   - is searched in full on the whole view otherwise: the block holding
+//     the watermark changed from scanning every row to filtering for the
+//     query, or the best hit ties the k-th entry's score.
+//
+// This is exact (the vecstore package comment's watermark). A view with
+// fewer rows or another graph gets a full replay. Only a replay sets the
+// token, never a fill, so a log that was wrong when recorded meets a full
+// replay at its first scope change and is refused there.
 package answer
 
 import (

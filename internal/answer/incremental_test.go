@@ -3,6 +3,7 @@ package answer
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,93 +58,128 @@ func incrementalQueries(rng *rand.Rand, triples []kg.Triple, ties []string) []st
 	return qs
 }
 
+// randomCut cuts triples into segments of random lengths.
+func randomCut(rng *rand.Rand, enc *embed.Encoder, triples []kg.Triple) []*vecstore.Index {
+	var segs []*vecstore.Index
+	for lo := 0; lo < len(triples); {
+		hi := min(len(triples), lo+1+rng.Intn(max(1, len(triples)/3)))
+		segs = append(segs, vecstore.BuildTriples(enc, triples[lo:hi]))
+		lo = hi
+	}
+	return segs
+}
+
+// recuts returns the segment layouts a substrate can hold the rows rest
+// in after holding their first old as segs: segs with new segments
+// appended (ingests), then joined (coalescing), re-sharded (compaction),
+// and rebuilt as a recovery does (a checkpoint's aligned segments, then
+// per-record segments for the WAL tail).
+func recuts(rng *rand.Rand, enc *embed.Encoder, segs []*vecstore.Index, rest []kg.Triple, old, size int) map[string][]*vecstore.Index {
+	appended := append(slices.Clip(segs), randomCut(rng, enc, rest[old:])...)
+	from := rng.Intn(len(appended))
+	checkpoint := rng.Intn(len(rest) + 1)
+	return map[string][]*vecstore.Index{
+		"appended":  appended,
+		"coalesced": append(slices.Clip(appended[:from]), vecstore.Concat(enc, appended[from:]...)),
+		"compacted": vecstore.Reshard(enc, rest, size, segs),
+		"recovered": append(vecstore.BuildShards(enc, rest[:checkpoint], size), randomCut(rng, enc, rest[checkpoint:])...),
+	}
+}
+
 // TestIncrementalReplayMatchesFull is the incremental rule's property:
-// over random segment sequences, as Sharded views and as Hybrids with a
-// graph over their first segments, a one-search log recorded against a
-// view is replayed against the view with random segments appended — in
-// full, and incrementally over the appended segments — for k in {1, 3,
-// 10, 25}, and the two replays decide alike every time. Both outcomes,
-// and lists whose k-th hit ties the best appended hit's score, must occur.
+// over random triple lists and block sizes, as Sharded views and as
+// Hybrids with a graph over their first rows, a one-search log recorded
+// against a view is replayed against a view holding more rows — appended,
+// coalesced, compacted or recovered into other segments — in full, and
+// incrementally past the recorded view's watermark, for k in {1, 3, 10,
+// 25}, and the two replays decide alike every time. Both outcomes, lists
+// whose k-th hit ties the best new hit's score, and queries whose block at
+// the watermark changes mode must occur.
 func TestIncrementalReplayMatchesFull(t *testing.T) {
 	enc := embed.NewEncoder()
 	rng := rand.New(rand.NewSource(23))
-	var stood, refused, boundaryTies int
+	var stood, refused, boundaryTies, flips int
 	for trial := range 12 {
 		store := kg.NewStore(kg.SourceWikidata)
 		pool, ties := incrementalPool(rng, 80+rng.Intn(300))
 		store.AddAll(pool)
 		all := store.All()
-		// At least two segments, so something can be appended. A one-row
-		// first segment makes an old view shorter than k whose list the
-		// appended segments' hits only extend.
-		var segs []*vecstore.Index
-		for lo := 0; lo < len(all); {
-			hi := min(len(all), lo+1+rng.Intn(len(all)/2))
-			if lo == 0 && rng.Intn(3) == 0 {
-				hi = 1
-			}
-			segs = append(segs, vecstore.BuildTriples(enc, all[lo:hi]))
-			lo = hi
-		}
-		if len(segs) < 2 {
-			continue
-		}
-		old := 1 + rng.Intn(len(segs)-1)
-		if segs[0].Len() == 1 {
+		size := 16 << rng.Intn(3)
+		// The graph covers the first covered rows, the recorded view the
+		// first old. A one-row view is shorter than k, so the new rows'
+		// hits only extend its lists.
+		old := 1 + rng.Intn(len(all)-1)
+		if rng.Intn(4) == 0 {
 			old = 1
 		}
 		covered := rng.Intn(old + 1)
+		var graphSegs []*vecstore.Index
 		var graph *vecstore.HNSW
 		if covered > 0 {
-			graph = vecstore.BuildGraph(enc, segs[:covered], vecstore.HNSWConfig{})
+			graphSegs = vecstore.BuildShards(enc, all[:covered], size)
+			graph = vecstore.BuildGraph(enc, graphSegs, vecstore.HNSWConfig{})
 		}
 		memo := &vecstore.MemoCounters{}
-		views := []struct {
-			name     string
-			old, new vecstore.Searcher
+		sharded := func(segs []*vecstore.Index) vecstore.Searcher {
+			return vecstore.Compose(enc, size, segs...).WithMemo(memo)
+		}
+		hybrid := func(segs []*vecstore.Index) vecstore.Searcher {
+			return vecstore.ComposeHybrid(enc, graph, size, append(slices.Clip(graphSegs), segs...), vecstore.HybridOptions{Memo: memo})
+		}
+		oldSegs := randomCut(rng, enc, all[:old])
+		oldTail := randomCut(rng, enc, all[covered:old])
+		views := map[string]struct {
+			old  vecstore.Searcher
+			news map[string][]*vecstore.Index
+			of   func([]*vecstore.Index) vecstore.Searcher
 		}{
-			{"Sharded", vecstore.Compose(enc, segs[:old]...).WithMemo(memo), vecstore.Compose(enc, segs...).WithMemo(memo)},
-			{fmt.Sprintf("Hybrid(graph over %d)", covered),
-				vecstore.ComposeHybrid(enc, graph, segs[:old], vecstore.HybridOptions{Memo: memo}),
-				vecstore.ComposeHybrid(enc, graph, segs, vecstore.HybridOptions{Memo: memo})},
+			"Sharded": {sharded(oldSegs), recuts(rng, enc, oldSegs, all, old, size), sharded},
+			fmt.Sprintf("Hybrid(graph over %d)", covered): {hybrid(oldTail), recuts(rng, enc, oldTail, all[covered:], old-covered, size), hybrid},
 		}
 		queries := append(incrementalQueries(rng, all, ties), all[0].Text())
-		for _, v := range views {
-			added, ok := v.new.(segmented).Since(v.old.(segmented).Token())
-			if !ok {
-				t.Fatalf("trial %d %s: appending %d of %d segments does not extend the view", trial, v.name, len(segs)-old, len(segs))
-			}
-			for _, k := range []int{1, 3, 10, 25} {
-				for i, q := range queries {
-					rec := &recorder{}
-					if i%2 == 0 {
-						recordingSearcher{v.old, rec}.Search(q, k)
-					} else {
-						recordingSearcher{v.old, rec}.BatchSearchWith(enc.Encode, []string{q}, k)
-					}
-					reads := &Reads{encode: enc.Encode, ops: rec.buf}
-					if !reads.replay(store, v.old, nil) {
-						t.Fatalf("trial %d %s k=%d %q: the log does not replay against its own view", trial, v.name, k, q)
-					}
-					full, incremental := reads.replay(store, v.new, nil), reads.replay(store, v.new, added)
-					if full != incremental {
-						t.Fatalf("trial %d %s k=%d %q: full replay %v, incremental %v", trial, v.name, k, q, full, incremental)
-					}
-					if full {
-						stood++
-					} else {
-						refused++
-					}
-					logged, fresh := v.old.Search(q, k), added.Search(q, k)
-					if len(logged) == k && len(fresh) > 0 && logged[k-1].Score == fresh[0].Score {
-						boundaryTies++
+		for name, v := range views {
+			for layout, segs := range v.news {
+				view := v.of(segs)
+				added, ok := view.(segmented).Since(v.old.(segmented).Token())
+				if !ok {
+					t.Fatalf("trial %d %s %s: the view is not past the recorded view's watermark", trial, name, layout)
+				}
+				for _, k := range []int{1, 3, 10, 25} {
+					for i, q := range queries {
+						rec := &recorder{}
+						if i%2 == 0 {
+							recordingSearcher{v.old, rec}.Search(q, k)
+						} else {
+							recordingSearcher{v.old, rec}.BatchSearchWith(enc.Encode, []string{q}, k)
+						}
+						reads := &Reads{encode: enc.Encode, ops: rec.buf}
+						if !reads.replay(store, v.old, nil) {
+							t.Fatalf("trial %d %s k=%d %q: the log does not replay against its own view", trial, name, k, q)
+						}
+						full, incremental := reads.replay(store, view, nil), reads.replay(store, view, added)
+						if full != incremental {
+							t.Fatalf("trial %d %s %s k=%d %q: full replay %v, incremental %v", trial, name, layout, k, q, full, incremental)
+						}
+						if full {
+							stood++
+						} else {
+							refused++
+						}
+						logged := v.old.Search(q, k)
+						fresh, flipped := added.BatchSearchWith(enc.Encode, []string{q}, k)
+						if len(logged) == k && len(fresh[0]) > 0 && logged[k-1].Score == fresh[0][0].Score {
+							boundaryTies++
+						}
+						if flipped[0] {
+							flips++
+						}
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d logs stood, %d were refused, %d at a boundary tie", stood, refused, boundaryTies)
-	if stood == 0 || refused == 0 || boundaryTies == 0 {
-		t.Fatalf("the cases exercised too little: %d stood, %d refused, %d boundary ties", stood, refused, boundaryTies)
+	t.Logf("%d logs stood, %d were refused, %d at a boundary tie, %d with a mode change at the watermark", stood, refused, boundaryTies, flips)
+	if stood == 0 || refused == 0 || boundaryTies == 0 || flips == 0 {
+		t.Fatalf("the cases exercised too little: %d stood, %d refused, %d boundary ties, %d mode changes", stood, refused, boundaryTies, flips)
 	}
 }

@@ -53,11 +53,11 @@ func (r *Reads) Size() int {
 // (vecstore.Sharded and vecstore.Hybrid): the views the incremental rule
 // applies to.
 type segmented interface {
-	// Token names the view's composition.
+	// Token names the view by its watermark.
 	Token() vecstore.Token
-	// Since reports whether the view extends t and, when it does, returns
-	// a view over the segments it holds beyond t's.
-	Since(t vecstore.Token) (vecstore.Searcher, bool)
+	// Since reports whether the view is past t's watermark and, when it
+	// is, returns the rows from the watermark on.
+	Since(t vecstore.Token) (*vecstore.Suffix, bool)
 }
 
 var (
@@ -69,13 +69,14 @@ var (
 type Revalidation struct {
 	// Epoch is the snapshot's.
 	Epoch uint64
-	// At names the snapshot's index view (the zero Token when the index is
-	// not composed of segments). The log's searches now return
-	// exactly their logged results there, so a later Revalidate passed At
-	// may search only what was added since.
+	// At names the snapshot's index view by its watermark (the zero Token
+	// when the index is not composed of segments). The log's searches now
+	// return exactly their logged results there, so a later Revalidate
+	// passed At may search only the rows added since.
 	At vecstore.Token
-	// Incremental is set when the searches ran only on the segments added
-	// since the token Revalidate was passed.
+	// Incremental is set when the searches ran on the rows past the
+	// watermark Revalidate was passed, each falling back to the whole view
+	// only where the incremental rule cannot decide.
 	Incremental bool
 }
 
@@ -86,10 +87,10 @@ type Revalidation struct {
 // is unchanged; false otherwise, or on a nil log.
 //
 // since is the At of this log's last successful revalidation, or the zero
-// Token. When the snapshot's index extends it (vecstore.Sharded.Since),
-// the searches run on the added segments only and a logged list stands
-// unless a new hit would enter it (the package comment's incremental
-// rule); every other read is replayed in full. Safe for concurrent use.
+// Token. When the snapshot's index is past it (vecstore.Sharded.Since),
+// the searches run on the rows past the watermark and a logged list is
+// checked against them (the package comment's incremental rule); every
+// other read is replayed in full. Safe for concurrent use.
 func (r *Reads) Revalidate(q Query, since vecstore.Token) (Revalidation, bool) {
 	if r == nil {
 		return Revalidation{}, false
@@ -100,7 +101,7 @@ func (r *Reads) Revalidate(q Query, since vecstore.Token) (Revalidation, bool) {
 	}
 	store, index, epoch := r.substrate.Resolve()
 	rv := Revalidation{Epoch: epoch}
-	var added vecstore.Searcher
+	var added *vecstore.Suffix
 	if seg, ok := index.(segmented); ok {
 		rv.At = seg.Token()
 		added, rv.Incremental = seg.Since(since)
@@ -425,47 +426,73 @@ func (p *replayer) sameHits(hs []vecstore.Hit) bool {
 	return !p.bad
 }
 
-// stands decodes a logged hit list — the top k of the index view the log
-// last replayed exactly against — and reports whether it is still the top
-// k once fresh, the top k of the segments added since, joins it: fresh is
-// empty, or the list is full and fresh's best hit does not precede its
-// last. The list's last triple is read from store, the snapshot's reader,
-// for the tie-break by surface form.
-func (p *replayer) stands(fresh []vecstore.Hit, k int, store kg.Reader) bool {
+// stands decodes a logged hit list — the top k of the view at the
+// watermark the log last replayed exactly at — and reports whether it is
+// still the top k once fresh, the suffix's top k, joins it, and whether
+// that is sure: it stands when fresh is empty, or the list is full and
+// fresh's best hit scores below its last; it does not when fresh is not
+// empty and the list is short, or the best hit scores above the last. An
+// equal score is unsure: which of tied rows a block's heap keeps depends on
+// the block's rows before the watermark.
+func (p *replayer) stands(fresh []vecstore.Hit, k int) (stands, sure bool) {
 	n := p.num()
-	id := 0
 	var bits uint64
 	for range n {
-		id += p.delta()
+		p.delta()
 		if p.bad || len(p.buf) < 8 {
 			p.bad = true
-			return false
+			return false, true
 		}
 		bits = binary.LittleEndian.Uint64(p.buf)
 		p.buf = p.buf[8:]
 	}
 	switch {
 	case p.bad:
-		return false
+		return false, true
 	case len(fresh) == 0:
-		return true
+		return true, true
 	case n != k:
-		return false
+		return false, true
 	}
-	last, ok := store.Get(id)
-	return ok && vecstore.HitBefore(vecstore.Hit{Triple: last, Score: math.Float64frombits(bits)}, fresh[0])
+	last := math.Float64frombits(bits)
+	return fresh[0].Score < last, fresh[0].Score != last
 }
 
 // replay re-issues every logged read against store and index and reports
 // whether each returned exactly its logged result. With added non-nil —
-// the segments index holds beyond the view the log last replayed exactly
-// against — searches run on added alone and each logged list must stand
-// against them instead.
-func (r *Reads) replay(store kg.Reader, index, added vecstore.Searcher) bool {
+// index's rows past the watermark of the view the log last replayed
+// exactly against — searches run on added and each logged list is checked
+// against its suffix hits instead, by the incremental rule.
+func (r *Reads) replay(store kg.Reader, index vecstore.Searcher, added *vecstore.Suffix) bool {
 	p := &replayer{buf: r.ops}
-	search, check := index, func(hits []vecstore.Hit, _ int) bool { return p.sameHits(hits) }
-	if added != nil {
-		search, check = added, func(hits []vecstore.Hit, k int) bool { return p.stands(hits, k, store) }
+	// searched checks one logged search of queries at k whose results on
+	// the whole view full returns.
+	searched := func(encode func(string) embed.Vector, queries []string, k int, full func(queries []string) [][]vecstore.Hit) bool {
+		if added == nil {
+			for _, hits := range full(queries) {
+				if !p.sameHits(hits) {
+					return false
+				}
+			}
+			return true
+		}
+		fresh, flipped := added.BatchSearchWith(encode, queries, k)
+		for i, hits := range fresh {
+			at := p.buf
+			if !flipped[i] {
+				if stands, sure := p.stands(hits, k); sure {
+					if !stands {
+						return false
+					}
+					continue
+				}
+				p.buf = at
+			}
+			if !p.sameHits(full(queries[i : i+1])[0]) {
+				return false
+			}
+		}
+		return true
 	}
 	for len(p.buf) > 0 {
 		var same bool
@@ -495,7 +522,9 @@ func (r *Reads) replay(store kg.Reader, index, added vecstore.Searcher) bool {
 			same = index.Len() == p.num()
 		case opSearch:
 			q, k := p.str(), p.num()
-			same = check(search.Search(q, k), k)
+			same = searched(index.Encoder().Encode, []string{q}, k, func([]string) [][]vecstore.Hit {
+				return [][]vecstore.Hit{index.Search(q, k)}
+			})
 		case opBatchSearch:
 			n := p.num()
 			if n > len(p.buf) {
@@ -513,12 +542,9 @@ func (r *Reads) replay(store kg.Reader, index, added vecstore.Searcher) bool {
 			if encode == nil {
 				encode = index.Encoder().Encode
 			}
-			same = true
-			for _, hits := range search.BatchSearchWith(encode, queries, k) {
-				if same = check(hits, k); !same {
-					break
-				}
-			}
+			same = searched(encode, queries, k, func(queries []string) [][]vecstore.Hit {
+				return index.BatchSearchWith(encode, queries, k)
+			})
 		}
 		if !same || p.bad {
 			return false

@@ -27,7 +27,8 @@ func ParseNTLine(line string) (t Triple, ok bool, err error) {
 		return Triple{}, false, nil
 	}
 	ord := 0
-	if i := strings.LastIndex(line, "@ord="); i > 0 {
+	// The suffix follows the last field: an "@ord=" inside a field is text.
+	if i := strings.LastIndex(line, "@ord="); i > strings.LastIndexByte(line, '>') {
 		if _, err := fmt.Sscanf(line[i:], "@ord=%d", &ord); err != nil {
 			return Triple{}, false, fmt.Errorf("bad ord suffix: %w", err)
 		}

@@ -51,9 +51,9 @@ type Cache struct {
 type entry struct {
 	key   string
 	scope string
-	// at names the index view the entry's read log last replayed exactly
-	// against (answer.Revalidation.At), re-stamped with scope; the zero
-	// Token until a first replay, which is then a full one.
+	// at is the watermark of the index view the entry's read log last
+	// replayed exactly against (answer.Revalidation.At), re-stamped with
+	// scope; the zero Token until a first replay, which is then a full one.
 	at      vecstore.Token
 	result  answer.Result
 	expires time.Time // zero = never
@@ -187,8 +187,8 @@ type CacheStats struct {
 	// Revalidated counts hits on an entry filled under another scope whose
 	// read log replayed exactly; StaleMisses counts lookups where it did
 	// not. RevalidatedIncremental is the part of Revalidated whose
-	// searches ran on the index segments added since the entry's last
-	// replay only (the answer package's incremental rule).
+	// searches ran on the rows added since the entry's last replay only
+	// (the answer package's incremental rule).
 	Revalidated            int64 `json:"revalidated"`
 	RevalidatedIncremental int64 `json:"revalidated_incremental"`
 	StaleMisses            int64 `json:"stale_misses"`

@@ -106,11 +106,11 @@ func smallStore() *kg.Store {
 // exactness: an entry whose log was recorded one score bit, or one triple
 // ID, away from what the substrate returns is refused after an unrelated
 // ingest moves the scope — while the honest entry for the same question
-// revalidates across the same ingest. The ingest only appends a segment to
-// the index view, the case the incremental rule searches alone; the
-// refusal holds because a fill never sets the token that rule needs, so a
-// first replay is always full. The honest entry's replay does set it, and
-// the next ingest's replay is incremental.
+// revalidates across the same ingest. The ingest only appends rows to the
+// index view, the case the incremental rule searches past the watermark
+// alone; the refusal holds because a fill never sets the token that rule
+// needs, so a first replay is always full. The honest entry's replay does
+// set it, and the next ingest's replay is incremental.
 func TestRevalidationRefusesDoctoredLog(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -138,7 +138,7 @@ func TestRevalidationRefusesDoctoredLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, appended := mgr.Current().Index.(*vecstore.Sharded).Since(filled); !appended {
-				t.Fatal("the ingest did not just append a segment to the index view")
+				t.Fatal("the ingest did not just append rows to the index view")
 			}
 			ctx, info := Attach(context.Background())
 			res, err := ans.Answer(ctx, q)

@@ -568,12 +568,40 @@ func TestIngestRejectsReservedCharacters(t *testing.T) {
 		{Subject: "a<b", Relation: "r", Object: "o"},
 		{Subject: "a", Relation: "r>s", Object: "o"},
 		{Subject: "a", Relation: "r", Object: "o\np"},
+		// Edge whitespace: a checkpoint would load the fields trimmed.
+		{Subject: "a ", Relation: "r", Object: "o"},
+		{Subject: "a", Relation: "\tr", Object: "o"},
 		// Over the per-triple size cap: would make the checkpoint NT file
 		// unreadable (kg.ReadNT's 1 MiB line buffer).
 		{Subject: "a", Relation: "r", Object: strings.Repeat("x", maxTripleBytes)},
 	} {
 		if _, err := m.Ingest([]kg.Triple{bad}); err == nil {
 			t.Errorf("triple %q accepted", bad)
+		}
+	}
+}
+
+// TestOrdTextInFieldSurvivesRestart: a field may hold the text of the NT
+// form's "@ord=" suffix; the WAL tail and a checkpoint both load it back
+// as the field it was.
+func TestOrdTextInFieldSurvivesRestart(t *testing.T) {
+	cfg := durableConfig(t, t.TempDir())
+	m1 := recoverTestManager(t, 5, cfg)
+	want := []kg.Triple{kg.NewTriple("Lot 1", "price", "40 @ord=5"), kg.NewTriple("Lot 2", "price", "7 @ord=2")}
+	if _, err := m1.Ingest(want[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.Ingest(want[1:]); err != nil {
+		t.Fatal(err)
+	}
+	m2 := recoverTestManager(t, 5, cfg)
+	defer m2.Close()
+	for _, tr := range want {
+		if !m2.Current().Store.Contains(tr) {
+			t.Errorf("%v did not survive the restart", tr)
 		}
 	}
 }

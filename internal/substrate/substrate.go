@@ -31,11 +31,12 @@
 // coalescing joins them, the delta's — and with Config.Memo on each
 // segment keeps the search results it remembered (the vecstore package
 // comment's memo rule), so a question re-asked after an ingest is scanned
-// only where the triples changed. Until coalescing or a compaction
-// retires a segment, each publish's index view is the previous one's
-// segments plus the batch's (the vecstore package comment's segment
-// identity), so a cached answer revalidated there searches only the
-// batch's segment.
+// only where the triples changed. Every view's rows are the triples in ID
+// order, cut into blocks of the shard size (the vecstore package comment's
+// filter rule), so a view's results do not depend on how ingests,
+// coalescing and compaction have cut the triples into segments, and a
+// cached answer revalidated there searches only the rows added since its
+// last replay (the vecstore package comment's watermark).
 //
 // Compaction folds the delta into a new frozen base — re-sharding the
 // index, keeping the old base's full leading segments (vecstore.Reshard)
@@ -323,6 +324,11 @@ func (m *Manager) Ingest(triples []kg.Triple) (IngestResult, error) {
 			// meaning across a checkpoint/replay round-trip.
 			return IngestResult{}, invalidTriplef("substrate: triple %d contains a reserved character (one of '<', '>', newline): %v", i, t)
 		}
+		if strings.TrimSpace(t.Subject) != t.Subject || strings.TrimSpace(t.Relation) != t.Relation || strings.TrimSpace(t.Object) != t.Object {
+			// The persisted NT form trims each field, so a checkpoint would
+			// load a different triple than the one served before it.
+			return IngestResult{}, invalidTriplef("substrate: triple %d has a field with leading or trailing whitespace: %q", i, []string{t.Subject, t.Relation, t.Object})
+		}
 		if len(t.Subject)+len(t.Relation)+len(t.Object) > maxTripleBytes {
 			// kg.ReadNT scans checkpoint lines with a 1 MiB buffer; a
 			// triple past that would be accepted now but make every future
@@ -493,10 +499,7 @@ func (m *Manager) publishLocked() *Snapshot {
 // state at the CURRENT epoch, without bumping it. Only correct when the
 // content at this epoch is unchanged — the replica-mode compaction fold,
 // which rearranges base/delta layout but serves the same triple set, so
-// cache entries stamped with this epoch stay valid. (Nearly: vecstore's
-// filter rule falls through per segment, so a rearranged layout can
-// return a different top-k for the same triples — see the vecstore
-// package comment and ROADMAP item 3.) Caller holds m.mu.
+// cache entries stamped with this epoch stay valid. Caller holds m.mu.
 func (m *Manager) republishLocked() *Snapshot {
 	var store kg.Reader = m.base
 	shards := m.baseShards
@@ -509,13 +512,13 @@ func (m *Manager) republishLocked() *Snapshot {
 		// Approximate over the graph-covered base prefix, exact over the
 		// uncovered tail and the hot delta, merged per query. The same
 		// counters carry across publishes.
-		index = vecstore.ComposeHybrid(m.enc, m.baseANN, shards, vecstore.HybridOptions{
+		index = vecstore.ComposeHybrid(m.enc, m.baseANN, m.cfg.ShardSize, shards, vecstore.HybridOptions{
 			EfSearch: m.cfg.ANN.EfSearch,
 			Counters: &m.annCounters,
 			Memo:     m.viewMemo(),
 		})
 	} else {
-		index = vecstore.Compose(m.enc, shards...).WithMemo(m.viewMemo())
+		index = vecstore.Compose(m.enc, m.cfg.ShardSize, shards...).WithMemo(m.viewMemo())
 	}
 	snap := &Snapshot{
 		Epoch:        m.epoch,

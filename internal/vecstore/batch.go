@@ -6,10 +6,11 @@ import (
 	"strings"
 
 	"repro/internal/embed"
+	"repro/internal/kg"
 )
 
-// batchQuery is one query of a request in the form every segment scan
-// takes, prepared once per request rather than once per segment.
+// batchQuery is one query of a request in the form every block scan
+// takes, prepared once per request rather than once per block.
 type batchQuery struct {
 	text string             // the query as the caller gave it: the memo key
 	vec  embed.Vector       // the embedding encode supplied
@@ -33,43 +34,186 @@ func prepare(encode func(string) embed.Vector, queries []string) []batchQuery {
 	return qs
 }
 
-// walk is one query's part in a segment's batch scan.
+// span is rows [lo, hi) of one segment: a block's share of it.
+type span struct {
+	seg    *Index
+	lo, hi int
+}
+
+func (sp span) len() int { return sp.hi - sp.lo }
+
+// candidates returns the span's rows sharing at least one of the tokens,
+// bit j standing for row lo+j, or nil when there are none to share.
+func (sp span) candidates(toks []string) rowSet {
+	if len(toks) == 0 {
+		return nil
+	}
+	set := make(rowSet, (sp.len()+63)/64)
+	for _, tok := range toks {
+		post := sp.seg.inverted[tok]
+		if sp.lo > 0 {
+			i, _ := slices.BinarySearch(post, int32(sp.lo))
+			post = post[i:]
+		}
+		for _, off := range post {
+			if int(off) >= sp.hi {
+				break
+			}
+			j := int(off) - sp.lo
+			set[j>>6] |= 1 << (j & 63)
+		}
+	}
+	return set
+}
+
+// all returns the set of every row of the span.
+func (sp span) all() rowSet {
+	n := sp.len()
+	set := make(rowSet, (n+63)/64)
+	for i := range set {
+		set[i] = ^uint64(0)
+	}
+	if n&63 != 0 {
+		set[len(set)-1] = 1<<(n&63) - 1
+	}
+	return set
+}
+
+// scan offers best every row of set, a set over the span's rows, with its
+// score against q, in ascending row order; row lo+j is offered as
+// position at+j.
+func (sp span) scan(q *[embed.Dim]float64, set rowSet, at int, best *topK) {
+	for i, w := range set {
+		for ; w != 0; w &= w - 1 {
+			j := i<<6 | bits.TrailingZeros64(w)
+			best.offer(sp.seg.rows.dot(q, sp.lo+j), at+j)
+		}
+	}
+}
+
+// scan2 is scan for two queries at once: one ascending pass over the
+// union of their sets, each row offered to the queries whose set holds
+// it, rows in both scored by one dot2.
+func (sp span) scan2(qa, qb *[embed.Dim]float64, a, b rowSet, at int, bestA, bestB *topK) {
+	rows := &sp.seg.rows
+	for i, wa := range a {
+		wb := b[i]
+		for w := wa | wb; w != 0; w &= w - 1 {
+			j := i<<6 | bits.TrailingZeros64(w)
+			switch bit := w & -w; {
+			case wa&wb&bit != 0:
+				sa, sb := rows.dot2(qa, qb, sp.lo+j)
+				bestA.offer(sa, at+j)
+				bestB.offer(sb, at+j)
+			case wa&bit != 0:
+				bestA.offer(rows.dot(qa, sp.lo+j), at+j)
+			default:
+				bestB.offer(rows.dot(qb, sp.lo+j), at+j)
+			}
+		}
+	}
+}
+
+// spans are rows of a view in row order; a row's position counts from
+// the first span's lo.
+type spans []span
+
+// triple returns the triple at position pos.
+func (ss spans) triple(pos int32) kg.Triple {
+	p := int(pos)
+	for _, sp := range ss {
+		if p < sp.len() {
+			return sp.seg.triples[sp.lo+p]
+		}
+		p -= sp.len()
+	}
+	panic("vecstore: position past the spans")
+}
+
+// rows returns the number of rows.
+func (ss spans) rows() int {
+	n := 0
+	for _, sp := range ss {
+		n += sp.len()
+	}
+	return n
+}
+
+// count returns the number of rows sharing at least one of the tokens.
+func (ss spans) count(toks []string) int {
+	n := 0
+	for _, sp := range ss {
+		n += sp.candidates(toks).count()
+	}
+	return n
+}
+
+// split cuts ss after its first n rows, into fresh slices.
+func (ss spans) split(n int) (before, after spans) {
+	for i, sp := range ss {
+		if n < sp.len() {
+			before = slices.Clip(ss[:i])
+			if n > 0 {
+				before = append(before, span{sp.seg, sp.lo, sp.lo + n})
+			}
+			return before, append(spans{{sp.seg, sp.lo + n, sp.hi}}, ss[i+1:]...)
+		}
+		n -= sp.len()
+	}
+	return ss, nil
+}
+
+// walk is one query's part in a block's batch scan.
 type walk struct {
-	query int    // position in the batch
-	set   rowSet // the rows to score
+	query int
+	sets  []rowSet // per span of the block: the rows to score
 	best  topK
 	done  bool // the rows have been scored
 }
 
-// scanBatch is the token-filtered search of one segment for every query
-// of a request: out[i] is query i's top k by the filter rule, and the rows
-// are walked by the batch rule (both in the package comment). With memo
-// non-nil the segment's memo answers the queries it holds and stores the
-// results of the rest (the memo rule), counting into memo.
-func (idx *Index) scanBatch(qs []batchQuery, k int, memo *MemoCounters) [][]Hit {
-	out := make([][]Hit, len(qs))
-	if k <= 0 || memo != nil && idx.recall(qs, k, out, memo) == 0 {
-		return out
-	}
+// scanBlock is the search of one block for every query of qs that is not
+// the zero vector and not answered yet (out[i] nil): it writes query i's
+// top k by the filter rule to out[i], walking the rows by the batch rule
+// (both in the package comment). The block's rows are pre's then ss's:
+// pre's rows count towards each query's mode but are not scored, and
+// flipped[i] is set when query i has fewer than k sharing rows in pre and
+// k or more in the block. With keep non-nil — ss is all of keep's rows —
+// each result is stored in keep's memo.
+func scanBlock(pre, ss spans, qs []batchQuery, k int, out [][]Hit, flipped []bool, keep *Index) {
 	walks := make([]walk, 0, len(qs))
-	var all rowSet
+	sets := make([]rowSet, len(qs)*len(ss))
+	var all []rowSet
 	for i := range qs {
 		if qs[i].zero || out[i] != nil {
 			continue
 		}
-		set := idx.candidates(qs[i].toks)
-		if set.count() < k {
+		n := len(walks) * len(ss)
+		w := walk{query: i, sets: sets[n : n+len(ss) : n+len(ss)]}
+		sharing := 0
+		for j, sp := range ss {
+			w.sets[j] = sp.candidates(qs[i].toks)
+			sharing += w.sets[j].count()
+		}
+		if len(pre) > 0 {
+			before := pre.count(qs[i].toks)
+			flipped[i] = before < k && before+sharing >= k
+			sharing += before
+		}
+		if sharing < k {
 			// Not enough token-overlapping rows to fill k slots: scan
 			// everything so the caller still gets k results.
 			if all == nil {
-				all = idx.allRows()
+				all = make([]rowSet, len(ss))
+				for j, sp := range ss {
+					all[j] = sp.all()
+				}
 			}
-			set = all
+			copy(w.sets, all)
 		}
-		walks = append(walks, walk{query: i, set: set})
+		walks = append(walks, w)
 	}
 	// One heap per walk, carved out of one allocation.
-	n, depth := len(walks), min(k, len(idx.triples))
+	n, depth := len(walks), min(k, ss.rows())
 	heaps := make([]scored, n*depth)
 	for a := range walks {
 		walks[a].best = heaps[a*depth : a*depth : (a+1)*depth]
@@ -79,7 +223,9 @@ func (idx *Index) scanBatch(qs []batchQuery, k int, memo *MemoCounters) [][]Hit 
 	shared := make([]int, n*n)
 	for a := range walks {
 		for b := a + 1; b < n; b++ {
-			shared[a*n+b] = walks[a].set.shared(walks[b].set)
+			for j := range ss {
+				shared[a*n+b] += walks[a].sets[j].shared(walks[b].sets[j])
+			}
 		}
 	}
 	for {
@@ -95,52 +241,26 @@ func (idx *Index) scanBatch(qs []batchQuery, k int, memo *MemoCounters) [][]Hit 
 		if most == 0 {
 			break
 		}
-		idx.scan2(&qs[wa.query].wide, &qs[wb.query].wide, wa.set, wb.set, &wa.best, &wb.best)
+		at := 0
+		for j, sp := range ss {
+			sp.scan2(&qs[wa.query].wide, &qs[wb.query].wide, wa.sets[j], wb.sets[j], at, &wa.best, &wb.best)
+			at += sp.len()
+		}
 		wa.done, wb.done = true, true
 	}
 	for a := range walks {
 		w := &walks[a]
 		if !w.done {
-			idx.scan(&qs[w.query].wide, w.set, &w.best)
-		}
-		ranked := idx.rank(&w.best)
-		out[w.query] = idx.hits(ranked)
-		if memo != nil {
-			idx.remember(qs[w.query].text, k, ranked)
-		}
-	}
-	return out
-}
-
-// scan offers best every row of set with its score against q, in
-// ascending row order.
-func (idx *Index) scan(q *[embed.Dim]float64, set rowSet, best *topK) {
-	for i, w := range set {
-		for ; w != 0; w &= w - 1 {
-			r := i<<6 | bits.TrailingZeros64(w)
-			best.offer(idx.rows.dot(q, r), r)
-		}
-	}
-}
-
-// scan2 is scan for two queries at once: one ascending pass over the
-// union of their sets, each row offered to the queries whose set holds
-// it, rows in both scored by one dot2.
-func (idx *Index) scan2(qa, qb *[embed.Dim]float64, a, b rowSet, bestA, bestB *topK) {
-	for i, wa := range a {
-		wb := b[i]
-		for w := wa | wb; w != 0; w &= w - 1 {
-			r := i<<6 | bits.TrailingZeros64(w)
-			switch bit := w & -w; {
-			case wa&wb&bit != 0:
-				sa, sb := idx.rows.dot2(qa, qb, r)
-				bestA.offer(sa, r)
-				bestB.offer(sb, r)
-			case wa&bit != 0:
-				bestA.offer(idx.rows.dot(qa, r), r)
-			default:
-				bestB.offer(idx.rows.dot(qb, r), r)
+			at := 0
+			for j, sp := range ss {
+				sp.scan(&qs[w.query].wide, w.sets[j], at, &w.best)
+				at += sp.len()
 			}
+		}
+		ranked := ss.rank(&w.best)
+		out[w.query] = ss.hits(ranked)
+		if keep != nil {
+			keep.remember(qs[w.query].text, k, ranked)
 		}
 	}
 }
@@ -212,11 +332,11 @@ func (h topK) down(i, n int) {
 	}
 }
 
-// rank empties best and returns its rows in the order every Searcher
-// produces, in place in best's storage: popping leaves them by score
-// descending, and a stable sort breaks equal scores by triple surface
-// form, as HitBefore orders Hits.
-func (idx *Index) rank(best *topK) []scored {
+// rank empties best, a heap over positions in ss, and returns its rows in
+// the order every Searcher produces, in place in best's storage: popping
+// leaves them by score descending, and a stable sort breaks equal scores
+// by triple surface form, as HitBefore orders Hits.
+func (ss spans) rank(best *topK) []scored {
 	ranked := *best
 	for len(*best) > 0 {
 		best.pop()
@@ -228,17 +348,17 @@ func (idx *Index) rank(best *topK) []scored {
 			}
 			return 1
 		}
-		return strings.Compare(idx.triples[a.row].Key(), idx.triples[b.row].Key())
+		return strings.Compare(ss.triple(a.row).Key(), ss.triple(b.row).Key())
 	})
 	return ranked
 }
 
-// hits builds the segment's result list from ranked rows, into a fresh
+// hits builds a result list from ranked positions in ss, into a fresh
 // slice. Only here does a row become a Hit.
-func (idx *Index) hits(ranked []scored) []Hit {
+func (ss spans) hits(ranked []scored) []Hit {
 	out := make([]Hit, len(ranked))
 	for i, s := range ranked {
-		out[i] = Hit{Triple: idx.triples[s.row], Score: s.score}
+		out[i] = Hit{Triple: ss.triple(s.row), Score: s.score}
 	}
 	return out
 }

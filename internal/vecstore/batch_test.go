@@ -20,9 +20,10 @@ import (
 func referenceSearch(segs []*Index, query string, qv embed.Vector, k int) []Hit {
 	per := make([][]Hit, len(segs))
 	for i, seg := range segs {
-		cands := seg.candidates(embed.Tokenize(query))
+		whole := seg.whole()[0]
+		cands := whole.candidates(distinctTokens(query))
 		if cands.count() < k {
-			cands = seg.allRows()
+			cands = whole.all()
 		}
 		per[i] = seg.searchVec(qv, k, cands)
 	}
@@ -92,10 +93,73 @@ func TestBatchScanMatchesPerQueryReference(t *testing.T) {
 		for _, shardSize := range []int{4096, 512, 100} {
 			segs := BuildShards(enc, triples, shardSize)
 			what := fmt.Sprintf("%v/%d-row segments", st.Source(), shardSize)
-			requireBatchMatchesReference(t, what, Compose(enc, segs...), segs, queries, 10)
+			requireBatchMatchesReference(t, what, Compose(enc, shardSize, segs...), segs, queries, 10)
 		}
 		idx := BuildTriples(enc, triples)
 		requireBatchMatchesReference(t, fmt.Sprintf("%v/one index", st.Source()), idx, []*Index{idx}, queries, 10)
+	}
+}
+
+// TestBlockRuleIsLayoutIndependent: a view's results are a function of
+// its rows in order and its block size. Any partition of one triple list
+// into segments — random cuts, runs of them joined as coalescing joins
+// them, one segment spanning many blocks — answers through Search and
+// BatchSearchWith exactly what segments cut on the block boundaries
+// answer: the same hits, score bits and order.
+func TestBlockRuleIsLayoutIndependent(t *testing.T) {
+	enc := embed.NewEncoder()
+	rng := rand.New(rand.NewSource(26))
+	queries := pseudoTriples(t)
+	for _, st := range quickWorldStores(t) {
+		triples := st.All()
+		for _, size := range []int{512, 100} {
+			aligned := BuildShards(enc, triples, size)
+			layouts := map[string][]*Index{"one segment": {BuildTriples(enc, triples)}}
+			for trial := range 3 {
+				var cuts []int
+				for range 2 + rng.Intn(40) {
+					cuts = append(cuts, rng.Intn(len(triples)))
+				}
+				sort.Ints(cuts)
+				segs := cutAt(enc, triples, cuts)
+				var joined []*Index
+				for lo := 0; lo < len(segs); {
+					hi := min(len(segs), lo+1+rng.Intn(4))
+					joined = append(joined, Concat(enc, segs[lo:hi]...))
+					lo = hi
+				}
+				layouts[fmt.Sprintf("cuts %d", trial)] = segs
+				layouts[fmt.Sprintf("cuts %d joined", trial)] = joined
+			}
+			asked := make([]string, 60)
+			for i := range asked {
+				asked[i] = queries[rng.Intn(len(queries))]
+			}
+			ks := []int{1, 10, 25}
+			wants := make([]map[string][]Hit, len(ks))
+			for j, k := range ks {
+				wants[j] = map[string][]Hit{}
+				for _, q := range queries {
+					wants[j][q] = referenceSearch(aligned, q, enc.Encode(q), k)
+				}
+			}
+			for name, segs := range layouts {
+				view := Compose(enc, size, segs...)
+				for j, k := range ks {
+					for b, batch := range batchesOf(asked, 3) {
+						got := view.BatchSearchWith(enc.Encode, batch, k)
+						for i, q := range batch {
+							want := wants[j][q]
+							what := fmt.Sprintf("%v/%d-row blocks, %s, k=%d batch %d %q", st.Source(), size, name, k, b, q)
+							requireSameHits(t, what, got[i], want)
+							if i == 0 {
+								requireSameHits(t, what+" Search", view.Search(q, k), want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -104,7 +168,7 @@ func TestBatchScanMatchesPerQueryReference(t *testing.T) {
 func TestBatchScanEdgeCases(t *testing.T) {
 	enc := embed.NewEncoder()
 	segs := BuildShards(enc, corpus(300), 64)
-	s := Compose(enc, segs...)
+	s := Compose(enc, 64, segs...)
 	check := func(what string, batch []string, k int) {
 		t.Helper()
 		got := s.BatchSearchWith(enc.Encode, batch, k)
@@ -287,9 +351,11 @@ func tieCorpus() []kg.Triple {
 const tieQuery = "lake orin surface area 9120"
 
 // TestScoreTiesKeepParentOrder pins tie behaviour against the independent
-// reference: inside one segment (which tied rows survive is the heap's
-// sift order; an equal score never evicts), and across two (the merge
-// orders equal scores by key), for every k and every place to cut.
+// reference: inside one block (which tied rows survive is the heap's sift
+// order; an equal score never evicts), and across blocks (the merge orders
+// equal scores by key), for every k, every block size and every place to
+// cut the rows into two segments — a block the cut splits is still one
+// heap.
 func TestScoreTiesKeepParentOrder(t *testing.T) {
 	enc := embed.NewEncoder()
 	triples := tieCorpus()
@@ -307,20 +373,19 @@ func TestScoreTiesKeepParentOrder(t *testing.T) {
 		t.Fatalf("corpus has only %d rows tied on score", most)
 	}
 	mate := "lake orin country halvia" // shares rows with tieQuery, so the pair walks together
-	for k := 1; k <= len(triples)+1; k++ {
-		for cut := 0; cut < len(triples); cut++ {
-			var segs []*Index
-			var want [][]Hit
-			for _, part := range [][]kg.Triple{triples[:cut], triples[cut:]} {
-				if len(part) > 0 {
-					segs = append(segs, BuildTriples(enc, part))
-					want = append(want, parentSearch(enc, part, tieQuery, k))
+	for cut := 0; cut < len(triples); cut++ {
+		segs := cutAt(enc, triples, []int{cut})
+		for size := 1; size <= len(triples); size++ {
+			s := Compose(enc, size, segs...)
+			for k := 1; k <= len(triples)+1; k++ {
+				var want [][]Hit
+				for lo := 0; lo < len(triples); lo += size {
+					want = append(want, parentSearch(enc, triples[lo:min(lo+size, len(triples))], tieQuery, k))
 				}
+				what := fmt.Sprintf("k=%d size=%d cut=%d", k, size, cut)
+				requireSameHits(t, what+" alone", s.Search(tieQuery, k), MergeTopK(want, k))
+				requireSameHits(t, what+" paired", s.BatchSearchWith(enc.Encode, []string{mate, tieQuery}, k)[1], MergeTopK(want, k))
 			}
-			s := Compose(enc, segs...)
-			what := fmt.Sprintf("k=%d cut=%d", k, cut)
-			requireSameHits(t, what+" alone", s.Search(tieQuery, k), MergeTopK(want, k))
-			requireSameHits(t, what+" paired", s.BatchSearchWith(enc.Encode, []string{mate, tieQuery}, k)[1], MergeTopK(want, k))
 		}
 	}
 
@@ -344,11 +409,11 @@ func TestScoreTiesKeepParentOrder(t *testing.T) {
 	if got, want := hitKeys(BuildTriples(enc, ties).Search(tieQuery, 3)), byKey(ties[:3]); !equalStrings(got, want) {
 		t.Errorf("one segment of ties: %q, want its first three rows by key %q", got, want)
 	}
-	// …and the merge of two segments' first threes takes the three lowest keys.
+	// …and the merge of two blocks' first threes takes the three lowest keys.
 	both := append(append([]kg.Triple{}, ties[:3]...), ties[4:7]...)
-	got := hitKeys(Compose(enc, BuildTriples(enc, ties[:4]), BuildTriples(enc, ties[4:])).Search(tieQuery, 3))
+	got := hitKeys(Compose(enc, 4, BuildTriples(enc, ties[:4]), BuildTriples(enc, ties[4:])).Search(tieQuery, 3))
 	if want := byKey(both)[:3]; !equalStrings(got, want) {
-		t.Errorf("two segments of ties: %q, want %q", got, want)
+		t.Errorf("two blocks of ties: %q, want %q", got, want)
 	}
 }
 
@@ -373,7 +438,7 @@ func TestHybridBatchMatchesPerQueryReference(t *testing.T) {
 		{"no graph", nil, 0},
 	} {
 		var counters ANNCounters
-		hy := ComposeHybrid(enc, tc.ann, segs, HybridOptions{Counters: &counters})
+		hy := ComposeHybrid(enc, tc.ann, 256, segs, HybridOptions{Counters: &counters})
 		asked := 0
 		for _, size := range []int{1, 2, 3, 4, 13} {
 			for b, batch := range batchesOf(queries, size) {
@@ -409,7 +474,7 @@ func TestConcurrentBatchesOnOneSharded(t *testing.T) {
 	enc := embed.NewEncoder()
 	queries := pseudoTriples(t)
 	segs := BuildShards(enc, quickWorldStores(t)[1].All(), 100)
-	s := Compose(enc, segs...)
+	s := Compose(enc, 100, segs...)
 	batches := batchesOf(queries, 4)
 	want := make([][][]Hit, len(batches))
 	for b, batch := range batches {

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/embed"
 	"repro/internal/kg"
@@ -93,9 +94,12 @@ type HNSW struct {
 	links    [][][]int32
 	entry    int32
 	maxLevel int32
-	// id names the graph (the package comment's segment identity).
+	// id names the graph in a Token (the package comment's watermark).
 	id uint64
 }
+
+// lastGraphID is the last ID given to a graph.
+var lastGraphID atomic.Uint64
 
 // BuildHNSW encodes the triples into segments of DefaultShardSize and
 // builds the graph over them. The builder takes ownership of the slice.
@@ -110,7 +114,7 @@ func BuildHNSW(enc *embed.Encoder, triples []kg.Triple, cfg HNSWConfig) *HNSW {
 // triples are cut into segments changes nothing.
 func BuildGraph(enc *embed.Encoder, segs []*Index, cfg HNSWConfig) *HNSW {
 	cfg = cfg.withDefaults()
-	h := &HNSW{enc: enc, cfg: cfg, segs: slices.Clone(segs), entry: -1, id: lastID.Add(1)}
+	h := &HNSW{enc: enc, cfg: cfg, segs: slices.Clone(segs), entry: -1, id: lastGraphID.Add(1)}
 	nodes := 0
 	for _, sh := range segs {
 		nodes += sh.Len()
@@ -531,7 +535,7 @@ func readGraphFrom(r io.Reader) (*HNSW, error) {
 		},
 		entry:    int32(binary.LittleEndian.Uint32(head[20:])),
 		maxLevel: int32(binary.LittleEndian.Uint32(head[24:])),
-		id:       lastID.Add(1),
+		id:       lastGraphID.Add(1),
 	}
 	var seed [8]byte
 	if _, err := io.ReadFull(br, seed[:]); err != nil {

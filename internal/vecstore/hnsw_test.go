@@ -355,8 +355,8 @@ func TestHybridMatchesExact(t *testing.T) {
 	// Graph over the first 4 segments (256 triples); tail of 44.
 	g := BuildGraph(enc, segs[:4], HNSWConfig{})
 	var counters ANNCounters
-	hy := ComposeHybrid(enc, g, segs, HybridOptions{EfSearch: 512, Counters: &counters})
-	exact := Compose(enc, segs...)
+	hy := ComposeHybrid(enc, g, 64, segs, HybridOptions{EfSearch: 512, Counters: &counters})
+	exact := Compose(enc, 64, segs...)
 	if hy.Len() != exact.Len() {
 		t.Fatalf("hybrid len %d, want %d", hy.Len(), exact.Len())
 	}
@@ -390,7 +390,7 @@ func TestHybridExactFallback(t *testing.T) {
 	segs := BuildShards(enc, corpus(200), 64)
 	g := BuildGraph(enc, segs[:3], HNSWConfig{})
 	var counters ANNCounters
-	hy := ComposeHybrid(enc, g, segs, HybridOptions{EfSearch: 3, Counters: &counters})
+	hy := ComposeHybrid(enc, g, 64, segs, HybridOptions{EfSearch: 3, Counters: &counters})
 	hits := hy.Search("Lake Superior 0 area", 10)
 	if len(hits) != 10 {
 		t.Fatalf("fallback returned %d hits, want 10", len(hits))
@@ -405,7 +405,7 @@ func TestHybridExactFallback(t *testing.T) {
 	}
 	// A hybrid without any graph always falls back.
 	var c2 ANNCounters
-	exactOnly := ComposeHybrid(enc, nil, segs, HybridOptions{Counters: &c2})
+	exactOnly := ComposeHybrid(enc, nil, 64, segs, HybridOptions{Counters: &c2})
 	if hits := exactOnly.Search("Lake Superior 0 area", 5); len(hits) != 5 {
 		t.Fatalf("graph-less hybrid returned %d hits", len(hits))
 	}
@@ -427,7 +427,7 @@ func TestHybridMisalignedGraphDegrades(t *testing.T) {
 		"too many segments": BuildGraph(enc, append(segs[:4:4], segs[0]), HNSWConfig{}),
 	} {
 		var counters ANNCounters
-		hy := ComposeHybrid(enc, g, segs, HybridOptions{Counters: &counters})
+		hy := ComposeHybrid(enc, g, 64, segs, HybridOptions{Counters: &counters})
 		hits := hy.Search("Lake Superior 0 area", 5)
 		if len(hits) != 5 {
 			t.Fatalf("%s: degraded hybrid returned %d hits", name, len(hits))

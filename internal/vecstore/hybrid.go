@@ -45,15 +45,17 @@ type Hybrid struct {
 	opts HybridOptions
 }
 
-// ComposeHybrid assembles a Hybrid over the segments. ann's own segments
+// ComposeHybrid assembles a Hybrid over the segments, with blocks of size
+// rows (Compose): the fallback's from the first segment's first row, the
+// tail's from the first row the graph does not cover. ann's own segments
 // must be a prefix of segs (the invariant the substrate maintains: the
 // graph is built over, or reloaded against, the frozen base segments it
 // publishes). If they are not — a graph over other rows — the graph is
 // discarded and the view degrades to pure exact scan rather than serving
 // wrong results. ann may be nil for an exact-only view with fallback
 // accounting.
-func ComposeHybrid(enc *embed.Encoder, ann *HNSW, segs []*Index, opts HybridOptions) *Hybrid {
-	hy := &Hybrid{enc: enc, ann: ann, full: Compose(enc, segs...).WithMemo(opts.Memo), opts: opts}
+func ComposeHybrid(enc *embed.Encoder, ann *HNSW, size int, segs []*Index, opts HybridOptions) *Hybrid {
+	hy := &Hybrid{enc: enc, ann: ann, full: Compose(enc, size, segs...).WithMemo(opts.Memo), opts: opts}
 	split := 0
 	if ann != nil {
 		split = len(ann.segs)
@@ -62,7 +64,7 @@ func ComposeHybrid(enc *embed.Encoder, ann *HNSW, segs []*Index, opts HybridOpti
 			split = 0
 		}
 	}
-	hy.tail = Compose(enc, segs[split:]...).WithMemo(opts.Memo)
+	hy.tail = Compose(enc, size, segs[split:]...).WithMemo(opts.Memo)
 	return hy
 }
 
@@ -111,19 +113,19 @@ func (hy *Hybrid) BatchSearchWith(encode func(string) embed.Vector, queries []st
 		if hy.opts.Counters != nil {
 			hy.opts.Counters.Fallbacks.Add(int64(len(qs)))
 		}
-		return hy.full.scanBatch(qs, k)
+		return hy.full.search(qs, k, nil)
 	}
 	if hy.opts.Counters != nil {
 		hy.opts.Counters.Searches.Add(int64(len(qs)))
 	}
-	out := hy.tail.scanBatch(qs, k)
+	out := hy.tail.search(qs, k, nil)
 	for i := range qs {
 		out[i] = MergeTopK([][]Hit{hy.ann.SearchVectorEf(qs[i].vec, k, hy.ef()), out[i]}, k)
 	}
 	return out
 }
 
-// Token names the view's segments and its graph.
+// Token names the view by its row count and its graph.
 func (hy *Hybrid) Token() Token {
 	t := hy.full.Token()
 	if hy.ann != nil {
@@ -132,18 +134,21 @@ func (hy *Hybrid) Token() Token {
 	return t
 }
 
-// Since reports whether hy holds exactly t's segments, in order and under
-// t's graph, followed by zero or more others in its exact tail, and
-// returns a view over the others. Either path hy routes a query down —
-// graph plus tail, or the fallback over every segment — merges the new
-// segments' exact lists into what t's view returned, so that view is all
-// a search of what was added needs.
-func (hy *Hybrid) Since(t Token) (Searcher, bool) {
-	covered := len(hy.full.ids) - len(hy.tail.ids) // segments the graph holds
-	if t.graph != hy.Token().graph || len(t.segs) < covered || !hy.full.extends(t) {
+// Since returns the Suffix of hy past t's watermark, and true, when t
+// names a view under hy's graph with no more rows than hy. Either path hy
+// routes a query down — graph plus tail, or the fallback over every
+// segment — has its own suffix: the graph's list is the same under one
+// graph, so only the exact rows past the watermark differ.
+func (hy *Hybrid) Since(t Token) (*Suffix, bool) {
+	covered := hy.full.Len() - hy.tail.Len() // rows the graph holds
+	if !t.set || t.graph != hy.Token().graph || t.rows < covered || t.rows > hy.full.Len() {
 		return nil, false
 	}
-	return hy.full.after(len(t.segs)), true
+	x := &Suffix{exact: hy.full.from(t.rows)}
+	if hy.ann != nil {
+		x.tail, x.hy = hy.tail.from(t.rows-covered), hy
+	}
+	return x, true
 }
 
 // Stats aggregates segment statistics plus the ANN layer description.

@@ -49,7 +49,7 @@ func (idx *Index) recall(qs []batchQuery, k int, out [][]Hit, c *MemoCounters) i
 			continue
 		}
 		if ranked, ok := idx.memo.entries[memoKey{qs[i].text, k}]; ok {
-			out[i] = idx.hits(ranked)
+			out[i] = idx.whole().hits(ranked)
 			hits++
 		} else {
 			misses++

@@ -82,14 +82,14 @@ func cutAt(enc *embed.Encoder, triples []kg.Triple, cuts []int) []*Index {
 
 // memoTwins builds, over fresh segments cut at cuts (so every twin starts
 // with a cold memo), the views the memo must not change: the whole set as
-// one Index, a Sharded, a Hybrid with a graph over the first split
-// segments, and a Hybrid with no graph.
-func memoTwins(enc *embed.Encoder, triples []kg.Triple, cuts []int, split int) []twin {
+// one Index, and with blocks of size rows a Sharded, a Hybrid with a graph
+// over the first split segments, and a Hybrid with no graph.
+func memoTwins(enc *embed.Encoder, triples []kg.Triple, cuts []int, split, size int) []twin {
 	var c MemoCounters
 	idx := BuildTriples(enc, triples)
 	tws := []twin{{"Index", idx, memoIndex{idx, &c}}}
 	segs := cutAt(enc, triples, cuts)
-	s := Compose(enc, segs...)
+	s := Compose(enc, size, segs...)
 	tws = append(tws, twin{"Sharded", s, s.WithMemo(&c)})
 	segs = cutAt(enc, triples, cuts)
 	split = min(split, len(segs))
@@ -98,22 +98,24 @@ func memoTwins(enc *embed.Encoder, triples []kg.Triple, cuts []int, split int) [
 		g = BuildGraph(enc, segs[:split], HNSWConfig{})
 	}
 	tws = append(tws, twin{fmt.Sprintf("Hybrid(graph over %d of %d)", split, len(segs)),
-		ComposeHybrid(enc, g, segs, HybridOptions{}), ComposeHybrid(enc, g, segs, HybridOptions{Memo: &c})})
+		ComposeHybrid(enc, g, size, segs, HybridOptions{}), ComposeHybrid(enc, g, size, segs, HybridOptions{Memo: &c})})
 	segs = cutAt(enc, triples, cuts)
 	return append(tws, twin{"Hybrid(no graph)",
-		ComposeHybrid(enc, nil, segs, HybridOptions{}), ComposeHybrid(enc, nil, segs, HybridOptions{Memo: &c})})
+		ComposeHybrid(enc, nil, size, segs, HybridOptions{}), ComposeHybrid(enc, nil, size, segs, HybridOptions{Memo: &c})})
 }
 
 // memoCase draws one random instance: a triple set from the quick-world
-// stores, cut points, a graph split, and query batches with repeated
-// texts, a zero-vector query and a query that shares no token.
-func memoCase(rng *rand.Rand, pool []kg.Triple, queries []string) (triples []kg.Triple, cuts []int, split int, batches [][]string) {
+// stores, a block size, cut points — some on block boundaries, so some
+// segments are whole blocks — a graph split, and query batches with
+// repeated texts, a zero-vector query and a query that shares no token.
+func memoCase(rng *rand.Rand, pool []kg.Triple, queries []string) (triples []kg.Triple, cuts []int, split, size int, batches [][]string) {
 	n := 40 + rng.Intn(400)
 	for _, i := range rng.Perm(len(pool))[:n] {
 		triples = append(triples, pool[i])
 	}
+	size = 32 << rng.Intn(3)
 	for range rng.Intn(5) {
-		cuts = append(cuts, rng.Intn(n))
+		cuts = append(cuts, rng.Intn(n), rng.Intn(n/size+1)*size)
 	}
 	sort.Ints(cuts)
 	var asked []string
@@ -126,7 +128,7 @@ func memoCase(rng *rand.Rand, pool []kg.Triple, queries []string) (triples []kg.
 		size := min(1+rng.Intn(5), len(asked))
 		batches, asked = append(batches, asked[:size]), asked[size:]
 	}
-	return triples, cuts, rng.Intn(3), batches
+	return triples, cuts, rng.Intn(3), size, batches
 }
 
 // TestMemoMatchesScan is the memo's differential property: over random
@@ -147,8 +149,8 @@ func TestMemoMatchesScan(t *testing.T) {
 		trials = 2
 	}
 	for trial := range trials {
-		triples, cuts, split, batches := memoCase(rng, pool, queries)
-		for _, tw := range memoTwins(enc, triples, cuts, split) {
+		triples, cuts, split, size, batches := memoCase(rng, pool, queries)
+		for _, tw := range memoTwins(enc, triples, cuts, split, size) {
 			for _, k := range []int{1, 3, 10, 25} {
 				if d := twinDiff(enc, tw, batches, k); d != "" {
 					t.Fatalf("trial %d (%d triples, cuts %v): %s", trial, len(triples), cuts, d)
@@ -187,7 +189,7 @@ func TestMemoBoundedBySegmentRows(t *testing.T) {
 	enc := embed.NewEncoder()
 	segs := BuildShards(enc, corpus(23), 8) // 8, 8 and 7 rows
 	var c MemoCounters
-	on, off := Compose(enc, segs...).WithMemo(&c), Compose(enc, segs...)
+	on, off := Compose(enc, 8, segs...).WithMemo(&c), Compose(enc, 8, segs...)
 	var queries []string
 	for i := range 30 {
 		queries = append(queries, fmt.Sprintf("Lake Superior %d area", i))
@@ -207,13 +209,41 @@ func TestMemoBoundedBySegmentRows(t *testing.T) {
 	}
 }
 
+// TestMemoOnlyOnWholeBlocks: a segment's memo, filled while the segment
+// was a whole block of a view, is not consulted where the segment shares
+// its block with another — there the block decides which rows are
+// candidates, and it can decide differently from the segment alone.
+func TestMemoOnlyOnWholeBlocks(t *testing.T) {
+	enc := embed.NewEncoder()
+	triples := corpus(96)
+	segs := cutAt(enc, triples, []int{64, 70}) // block 1 is 6 rows alone, 32 joined
+	var c MemoCounters
+	alone, joined := Compose(enc, 64, segs[:2]...).WithMemo(&c), Compose(enc, 64, segs...).WithMemo(&c)
+	ref := Compose(enc, 64, BuildShards(enc, triples, 64)...)
+	flips := 0
+	for _, k := range []int{2, 3, 5} {
+		for i := range 12 {
+			q := fmt.Sprintf("Lake Superior %d area", i)
+			alone.Search(q, k)
+			requireSameHits(t, fmt.Sprintf("k=%d %q", k, q), joined.Search(q, k), ref.Search(q, k))
+			toks := distinctTokens(q)
+			if n := segs[1].whole()[0].candidates(toks).count(); n < k && n+segs[2].whole()[0].candidates(toks).count() >= k {
+				flips++
+			}
+		}
+	}
+	if flips == 0 || segs[1].memoLen() == 0 {
+		t.Fatalf("%d queries where the block's mode differs from the segment's, %d memo entries: the case is not exercised", flips, segs[1].memoLen())
+	}
+}
+
 // TestMemoHitsAreFreshSlices: a caller mutating the hits it got — scores,
 // triples, the slice itself — cannot change what a later memo hit returns.
 func TestMemoHitsAreFreshSlices(t *testing.T) {
 	enc := embed.NewEncoder()
 	segs := BuildShards(enc, corpus(300), 64)
 	var c MemoCounters
-	on, off := Compose(enc, segs...).WithMemo(&c), Compose(enc, segs...)
+	on, off := Compose(enc, 64, segs...).WithMemo(&c), Compose(enc, 64, segs...)
 	queries := []string{"Lake Superior 3 area", "Mount Kenya 7 elevation"}
 	want := off.BatchSearchWith(enc.Encode, queries, 10)
 	for round := range 3 {
@@ -250,10 +280,10 @@ func TestConcurrentMemoBatches(t *testing.T) {
 	segs := BuildShards(enc, quickWorldStores(t)[1].All(), 100)
 	var c MemoCounters
 	views := []searcher{
-		Compose(enc, segs...).WithMemo(&c),
-		ComposeHybrid(enc, nil, segs, HybridOptions{Memo: &c}),
+		Compose(enc, 100, segs...).WithMemo(&c),
+		ComposeHybrid(enc, nil, 100, segs, HybridOptions{Memo: &c}),
 	}
-	ref := Compose(enc, segs...)
+	ref := Compose(enc, 100, segs...)
 	batches := batchesOf(queries[:min(len(queries), 60)], 3)
 	want := make([][][]Hit, len(batches))
 	for b, batch := range batches {
@@ -300,7 +330,7 @@ func TestMemoHotAllocations(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	enc := embed.NewEncoder()
 	segs := BuildShards(enc, corpus(5*512), 512)
-	hot, scanned := Compose(enc, segs...).WithMemo(&MemoCounters{}), Compose(enc, segs...)
+	hot, scanned := Compose(enc, 512, segs...).WithMemo(&MemoCounters{}), Compose(enc, 512, segs...)
 	queries := []string{"Lake Superior 42 area", "Lake Superior 42 country Canada", "River Danube length"}
 	hot.BatchSearchWith(enc.Encode, queries, 10) // fill the memos
 	got := testing.AllocsPerRun(50, func() { hot.BatchSearchWith(enc.Encode, queries, 10) })

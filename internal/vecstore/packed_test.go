@@ -373,7 +373,7 @@ func TestCandidatesMatchReference(t *testing.T) {
 			"",      // no tokens
 			"<> //", // separators only: no tokens
 		} {
-			set := idx.candidates(distinctTokens(q))
+			set := idx.whole()[0].candidates(distinctTokens(q))
 			if len(embed.Tokenize(q)) == 0 {
 				if set != nil {
 					t.Errorf("n=%d %q: token-less query gave a non-nil set", n, q)
@@ -391,7 +391,7 @@ func TestCandidatesMatchReference(t *testing.T) {
 				}
 			}
 		}
-		if got := idx.candidates([]string{"lastrowonly"}); got.count() != 1 {
+		if got := idx.whole()[0].candidates([]string{"lastrowonly"}); got.count() != 1 {
 			t.Errorf("n=%d: last row not selected alone: %d rows", n, got.count())
 		}
 	}

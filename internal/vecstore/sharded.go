@@ -17,11 +17,11 @@ import (
 const DefaultShardSize = 4096
 
 // Sharded is a segmented vector index: the triple set is split into
-// fixed-size segments, each its own immutable Index, and every search —
-// one query or a request's batch — fans out across the segments
-// concurrently with a top-k merge by score per query. On
-// KG-scale stores the parallel scan is the difference between one core and
-// all of them (see BenchmarkShardedVsSingleSearch).
+// segments, each its own immutable Index, and every search — one query or
+// a request's batch — fans out across the view's blocks (the package
+// comment's filter rule) concurrently with a top-k merge by score per
+// query. On KG-scale stores the parallel scan is the difference between
+// one core and all of them (see BenchmarkShardedVsSingleSearch).
 //
 // Sharded is also the hot-swap substrate's composition point: Compose
 // assembles a view over already-built segments, so an ingest can publish
@@ -29,27 +29,60 @@ const DefaultShardSize = 4096
 type Sharded struct {
 	enc    *embed.Encoder
 	shards []*Index
-	// ids are the shards' IDs, in order: the view's Token. Never nil.
-	ids   []uint64
-	total int
-	// memo, when non-nil, turns the segments' memos on for this view's
-	// batch scans and counts their lookups (the memo rule).
+	size   int // the block size
+	// blocks are the view's rows cut at multiples of size.
+	blocks []block
+	total  int
+	// memo, when non-nil, turns the memos of the segments that are whole
+	// blocks on for this view's batch scans and counts their lookups (the
+	// memo rule).
 	memo *MemoCounters
 }
 
-// Token names a view's composition (the package comment's segment
-// identity): its segments' IDs in order and, for a Hybrid, its graph's.
-// The zero Token names no view, so no view extends it.
+// block is one block's rows in a view: pre's, which the filter rule
+// counts but the scan does not score, then rows'. Only a Suffix's first
+// block has a pre.
+type block struct {
+	pre, rows spans
+}
+
+// segment returns the segment that is exactly the block, or nil.
+func (b *block) segment() *Index {
+	if len(b.pre) == 0 && len(b.rows) == 1 && b.rows[0].lo == 0 && b.rows[0].hi == b.rows[0].seg.Len() {
+		return b.rows[0].seg
+	}
+	return nil
+}
+
+// scan searches the block for every query: a block that is one segment
+// through the segment's own batch scan, consulting its memo with memo
+// non-nil; any other by scanBlock, setting flipped[i] where query i's mode
+// differs between the block's pre and the whole block.
+func (b *block) scan(qs []batchQuery, k int, memo *MemoCounters, flipped []bool) [][]Hit {
+	if seg := b.segment(); seg != nil {
+		return seg.scanBatch(qs, k, memo)
+	}
+	out := make([][]Hit, len(qs))
+	if k > 0 {
+		scanBlock(b.pre, b.rows, qs, k, out, flipped, nil)
+	}
+	return out
+}
+
+// Token names a view by its watermark (the package comment's watermark):
+// the rows it holds and, for a Hybrid searching a graph, the graph's ID.
+// The zero Token names no view, so no view is past it.
 type Token struct {
-	graph uint64   // 0 when the view searches no graph
-	segs  []uint64 // nil only in the zero Token
+	rows  int
+	graph uint64 // 0 when the view searches no graph
+	set   bool   // false only in the zero Token
 }
 
 // BuildSharded encodes the triples into fixed-size segments. A
 // non-positive shardSize uses DefaultShardSize. The builder takes
 // ownership of the slice.
 func BuildSharded(enc *embed.Encoder, triples []kg.Triple, shardSize int) *Sharded {
-	return Compose(enc, BuildShards(enc, triples, shardSize)...)
+	return Compose(enc, shardSize, BuildShards(enc, triples, shardSize)...)
 }
 
 // BuildShards encodes the triples into fixed-size segment indexes without
@@ -91,48 +124,95 @@ func Reshard(enc *embed.Encoder, triples []kg.Triple, shardSize int, prev []*Ind
 	return shards
 }
 
-// Compose assembles a sharded view over existing segment indexes. Empty
-// segments are dropped. Every segment must have been built with enc.
-func Compose(enc *embed.Encoder, shards ...*Index) *Sharded {
-	s := &Sharded{enc: enc, ids: make([]uint64, 0, len(shards))}
+// Compose assembles a sharded view over existing segment indexes, in
+// order, whose blocks are size rows (a non-positive size uses
+// DefaultShardSize). Empty segments are dropped. Every segment must have
+// been built with enc.
+func Compose(enc *embed.Encoder, size int, shards ...*Index) *Sharded {
+	if size <= 0 {
+		size = DefaultShardSize
+	}
+	s := &Sharded{enc: enc, size: size}
 	for _, sh := range shards {
 		if sh == nil || sh.Len() == 0 {
 			continue
 		}
 		s.shards = append(s.shards, sh)
-		s.ids = append(s.ids, sh.id)
-		s.total += sh.Len()
+		for lo := 0; lo < sh.Len(); {
+			if s.total%size == 0 {
+				s.blocks = append(s.blocks, block{})
+			}
+			hi := min(sh.Len(), lo+size-s.total%size)
+			b := &s.blocks[len(s.blocks)-1]
+			b.rows = append(b.rows, span{sh, lo, hi})
+			s.total += hi - lo
+			lo = hi
+		}
 	}
 	return s
 }
 
-// Token names the view's segments.
-func (s *Sharded) Token() Token { return Token{segs: s.ids} }
+// Token names the view by its row count.
+func (s *Sharded) Token() Token { return Token{rows: s.total, set: true} }
 
-// Since reports whether s holds exactly t's segments, in order and with no
-// graph, followed by zero or more others, and returns a view over the
-// others with s's memo setting.
-func (s *Sharded) Since(t Token) (Searcher, bool) {
-	if t.graph != 0 || !s.extends(t) {
+// Since returns the Suffix of s past t's watermark, and true, when t names
+// a view with no graph and no more rows than s.
+func (s *Sharded) Since(t Token) (*Suffix, bool) {
+	if !t.set || t.graph != 0 || t.rows > s.total {
 		return nil, false
 	}
-	return s.after(len(t.segs)), true
+	return &Suffix{exact: s.from(t.rows)}, true
 }
 
-// extends reports whether s's segments begin with exactly t's.
-func (s *Sharded) extends(t Token) bool {
-	return t.segs != nil && len(t.segs) <= len(s.ids) && slices.Equal(s.ids[:len(t.segs)], t.segs)
+// from returns a view of s's rows from row n on, with s's memo setting:
+// the blocks from the one holding row n, that block's rows before n in its
+// pre.
+func (s *Sharded) from(n int) *Sharded {
+	x := &Sharded{enc: s.enc, size: s.size, total: s.total - n, memo: s.memo}
+	if b := n / s.size; b < len(s.blocks) {
+		x.blocks = slices.Clone(s.blocks[b:])
+		first := &x.blocks[0]
+		if first.pre, first.rows = first.rows.split(n % s.size); len(first.rows) == 0 {
+			x.blocks = x.blocks[1:]
+		}
+	}
+	return x
 }
 
-// after returns a view over the segments after the first n, with s's memo
-// setting.
-func (s *Sharded) after(n int) *Sharded {
-	return Compose(s.enc, s.shards[n:]...).WithMemo(s.memo)
+// Suffix is the rows a view holds from a Token's watermark on (Since),
+// searched by the view's rules.
+type Suffix struct {
+	exact *Sharded // the suffix of the view's exact scan
+	// tail and hy are a Hybrid's with a graph: the suffix of its exact
+	// tail, searched instead of exact when hy routes k through the graph.
+	tail *Sharded
+	hy   *Hybrid
+}
+
+// Len returns the number of rows past the watermark.
+func (x *Suffix) Len() int { return x.exact.total }
+
+// BatchSearchWith returns, in query order, each query's top k over the
+// rows past the watermark as the view's blocks list them, and flipped[i]
+// when query i's mode changed in the block holding the watermark: fewer
+// than k of its rows before the watermark share a token with the query,
+// and k or more of all its rows do. A top k logged at the watermark can be
+// checked against hits[i] only where flipped[i] is false (the package
+// comment's watermark).
+func (x *Suffix) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) (hits [][]Hit, flipped []bool) {
+	qs := prepare(encode, queries)
+	flipped = make([]bool, len(qs))
+	view := x.exact
+	if x.tail != nil && !x.hy.useFallback(k) {
+		view = x.tail
+	}
+	return view.search(qs, k, flipped), flipped
 }
 
 // WithMemo returns a view over the same segments whose batch scans
-// consult and fill each segment's memo (the package comment's memo rule),
-// counting lookups into c; a nil c returns s itself.
+// consult and fill the memos of the segments that are whole blocks (the
+// package comment's memo rule), counting lookups into c; a nil c returns s
+// itself.
 func (s *Sharded) WithMemo(c *MemoCounters) *Sharded {
 	if c == nil {
 		return s
@@ -152,7 +232,7 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 func (s *Sharded) Encoder() *embed.Encoder { return s.enc }
 
 // Search returns the top-k triples most similar to the query text, merged
-// across all segments by score.
+// across all blocks by score.
 func (s *Sharded) Search(query string, k int) []Hit {
 	return s.BatchSearchWith(s.enc.Encode, []string{query}, k)[0]
 }
@@ -165,23 +245,22 @@ func (s *Sharded) SearchExact(query string, k int) []Hit {
 // SearchVector searches all segments with a pre-encoded vector.
 func (s *Sharded) SearchVector(qv embed.Vector, k int) []Hit {
 	per := make([][]Hit, len(s.shards))
-	s.eachShard(func(i int, sh *Index) { per[i] = sh.SearchVector(qv, k) })
+	parallel(len(s.shards), func(i int) { per[i] = s.shards[i].SearchVector(qv, k) })
 	return MergeTopK(per, k)
 }
 
 // BatchSearchWith searches every query with the token-filtered path, with
-// caller-supplied embeddings: one batch scan per segment, merged per query.
+// caller-supplied embeddings: one batch scan per block, merged per query.
 func (s *Sharded) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
-	return s.scanBatch(prepare(encode, queries), k)
+	return s.search(prepare(encode, queries), k, nil)
 }
 
-// scanBatch runs the batch scan on every segment and merges each query's
-// per-segment top-k lists into its global top-k. Each segment returns its
-// own correct top-k, so the merge of all of them contains the global
-// winners.
-func (s *Sharded) scanBatch(qs []batchQuery, k int) [][]Hit {
-	per := make([][][]Hit, len(s.shards))
-	s.eachShard(func(i int, sh *Index) { per[i] = sh.scanBatch(qs, k, s.memo) })
+// search runs the batch scan on every block and merges each query's
+// per-block top-k lists into its global top-k. flipped receives the first
+// block's mode changes; it may be nil when no block has a pre.
+func (s *Sharded) search(qs []batchQuery, k int, flipped []bool) [][]Hit {
+	per := make([][][]Hit, len(s.blocks))
+	parallel(len(s.blocks), func(i int) { per[i] = s.blocks[i].scan(qs, k, s.memo, flipped) })
 	out := make([][]Hit, len(qs))
 	lists := make([][]Hit, len(per))
 	for q := range out {
@@ -193,17 +272,17 @@ func (s *Sharded) scanBatch(qs []batchQuery, k int) [][]Hit {
 	return out
 }
 
-// eachShard calls fn once per segment with the segment's position. The
-// calls are spread over a worker pool sized by the machine's parallelism —
-// the scans are CPU-bound, so more goroutines than schedulable threads
-// only adds contention: one worker per thread, capped at the shard count,
-// and a plain loop when that leaves one (a single segment, or a
-// single-core box where goroutine hand-offs would only add overhead).
-func (s *Sharded) eachShard(fn func(i int, sh *Index)) {
-	workers := min(runtime.GOMAXPROCS(0), len(s.shards))
+// parallel calls fn(i) for every i in [0, n). The calls are spread over a
+// worker pool sized by the machine's parallelism — the scans are
+// CPU-bound, so more goroutines than schedulable threads only adds
+// contention: one worker per thread, capped at n, and a plain loop when
+// that leaves one (a single block, or a single-core box where goroutine
+// hand-offs would only add overhead).
+func parallel(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
-		for i, sh := range s.shards {
-			fn(i, sh)
+		for i := range n {
+			fn(i)
 		}
 		return
 	}
@@ -215,10 +294,10 @@ func (s *Sharded) eachShard(fn func(i int, sh *Index)) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(s.shards) {
+				if i >= n {
 					return
 				}
-				fn(i, s.shards[i])
+				fn(i)
 			}
 		}()
 	}

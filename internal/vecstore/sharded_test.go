@@ -113,7 +113,7 @@ func TestShardedEdgeCases(t *testing.T) {
 
 	// Compose drops nil and empty segments.
 	idx := BuildTriples(enc, corpus(5))
-	composed := Compose(enc, nil, BuildTriples(enc, nil), idx)
+	composed := Compose(enc, 0, nil, BuildTriples(enc, nil), idx)
 	if composed.Shards() != 1 || composed.Len() != 5 {
 		t.Errorf("compose: shards=%d len=%d", composed.Shards(), composed.Len())
 	}
@@ -156,49 +156,49 @@ func TestShardedStats(t *testing.T) {
 	}
 }
 
-// TestIncrementalViewIsExactlyTheAppendedSegments pins segment identity: a view
-// extends a token only when it holds the token's very segments, in order
-// and under the same graph, followed by others it searches exactly, and
-// Since then returns a view over just those others. A rebuilt or
-// coalesced segment over the same triples is a different segment.
-func TestIncrementalViewIsExactlyTheAppendedSegments(t *testing.T) {
+// TestSinceIsThePastWatermark pins the watermark: a view is past a token
+// when the token names a view under the same graph, or none, with no more
+// rows — however either view is cut into segments — and Since then
+// returns the rows from the watermark on.
+func TestSinceIsThePastWatermark(t *testing.T) {
 	enc := embed.NewEncoder()
-	segs := BuildShards(enc, corpus(90), 30)
+	triples := corpus(90)
+	segs := BuildShards(enc, triples, 30)
 	a, b, c := segs[0], segs[1], segs[2]
 	g := BuildGraph(enc, []*Index{a}, HNSWConfig{})
-	hybrid := func(g *HNSW, segs ...*Index) *Hybrid { return ComposeHybrid(enc, g, segs, HybridOptions{}) }
+	compose := func(segs ...*Index) *Sharded { return Compose(enc, 30, segs...) }
+	hybrid := func(g *HNSW, segs ...*Index) *Hybrid { return ComposeHybrid(enc, g, 30, segs, HybridOptions{}) }
 	type view interface {
 		Token() Token
-		Since(Token) (Searcher, bool)
+		Since(Token) (*Suffix, bool)
 	}
 	for _, tc := range []struct {
 		name  string
 		from  view
 		to    view
-		added int // rows of the appended segments; -1: the view does not extend the token
+		added int // rows past the watermark; -1: the view is not past the token
 	}{
-		{"appended", Compose(enc, a), Compose(enc, a, b, c), 60},
-		{"unchanged", Compose(enc, a, b), Compose(enc, a, b), 0},
-		{"reordered", Compose(enc, a, b), Compose(enc, b, a, c), -1},
-		{"one retired", Compose(enc, a, b), Compose(enc, a, c), -1},
-		{"rebuilt", Compose(enc, a), Compose(enc, BuildTriples(enc, a.triples), b), -1},
-		{"coalesced", Compose(enc, a, b), Compose(enc, Concat(enc, a, b), c), -1},
+		{"appended", compose(a), compose(a, b, c), 60},
+		{"unchanged", compose(a, b), compose(a, b), 0},
+		{"coalesced", compose(a, b), compose(Concat(enc, a, b), c), 30},
+		{"re-cut", compose(a), compose(BuildTriples(enc, triples[:45]), BuildTriples(enc, triples[45:])), 60},
+		{"shorter", compose(a, b), compose(a), -1},
 		{"graph kept", hybrid(g, a), hybrid(g, a, b), 30},
 		{"graph rebuilt", hybrid(g, a), hybrid(BuildGraph(enc, []*Index{a}, HNSWConfig{}), a, b), -1},
-		{"graph dropped", hybrid(g, a), Compose(enc, a, b), -1},
-		{"graph added", Compose(enc, a), hybrid(g, a, b), -1},
+		{"graph dropped", hybrid(g, a), compose(a, b), -1},
+		{"graph added", compose(a), hybrid(g, a, b), -1},
 		{"graph over appended", hybrid(nil, a), hybrid(BuildGraph(enc, []*Index{a, b}, HNSWConfig{}), a, b), -1},
-		{"no graph either way", hybrid(nil, a), Compose(enc, a, b), 30},
+		{"no graph either way", hybrid(nil, a), compose(a, b), 30},
 	} {
-		view, ok := tc.to.Since(tc.from.Token())
+		suffix, ok := tc.to.Since(tc.from.Token())
 		switch {
 		case ok != (tc.added >= 0):
-			t.Errorf("%s: extends %v, want %v", tc.name, ok, tc.added >= 0)
-		case ok && view.Len() != tc.added:
-			t.Errorf("%s: the appended view holds %d rows, want %d", tc.name, view.Len(), tc.added)
+			t.Errorf("%s: past the watermark %v, want %v", tc.name, ok, tc.added >= 0)
+		case ok && suffix.Len() != tc.added:
+			t.Errorf("%s: the suffix holds %d rows, want %d", tc.name, suffix.Len(), tc.added)
 		}
 	}
-	if _, ok := Compose(enc, a).Since(Token{}); ok {
-		t.Error("a view extends the zero Token")
+	if _, ok := compose(a).Since(Token{}); ok {
+		t.Error("a view is past the zero Token")
 	}
 }

@@ -33,57 +33,69 @@
 //
 // Filter rule. Search scores only the rows that share at least one token
 // with the query (inverted index → per-search bitset, ascending row
-// order); when fewer than k rows do, it scans every row instead.
-// SearchExact always scans every row and is the reference for Search:
-// the filter can only drop rows with no token in common with the query,
-// whose cosine under the hashing encoder is collision noise. The rule
-// applies per segment — a segment with fewer than k sharing rows is
-// scanned whole whatever the other segments hold — so a top-k depends on
-// how the triples are cut into segments, not only on the triple set.
+// order); when fewer than k rows of a block do, it scores every row of
+// that block instead. A block is the rows of a view whose position falls
+// in [b·S, (b+1)·S), S being the view's block size — its shard size
+// (Compose); a plain Index is one block. SearchExact always scans every
+// row and is the reference for Search: the filter can only drop rows with
+// no token in common with the query, whose cosine under the hashing
+// encoder is collision noise. A block's rows are scored into one top-k
+// heap in ascending position order, whichever segments hold them, and a
+// view's result is MergeTopK over its blocks' lists, so a top-k is a
+// function of the view's rows in order and S, not of how the rows are cut
+// into segments. BuildShards and Reshard cut at multiples of S, so there
+// every block is one segment and is searched as one.
 //
 // Batch rule. A request's queries are prepared once (embedding, widened
-// embedding, distinct tokens) and each segment is walked once for all of
+// embedding, distinct tokens) and each block is walked once for all of
 // them: every query gets its candidate set by the filter rule, then the
 // two unpaired queries whose sets share the most rows are scored together
 // — one pass over the union, the two-query kernel dot2 on the shared rows
 // and dot on the rest — until no two sets overlap, and the remaining
-// queries walk alone. A segment scanned whole counts as the set of all its
+// queries walk alone. A block scanned whole counts as the set of all its
 // rows, so fall-through queries pair with each other first. Pairing
 // decides cost only: dot2 gives each query the float64 dot gives it, rows
 // reach each query's heap in ascending order either way, and the results
 // are those of searching the queries one by one.
 //
 // Memo rule. A view composed with memo counters (Sharded.WithMemo,
-// HybridOptions.Memo) lets each segment remember its own batch-scan
+// HybridOptions.Memo) lets each segment that is a whole block of the view
+// — it holds every row its block has there — remember its own batch-scan
 // results: keyed by (query text, k), an entry holds the rows and scores of
 // the segment's result list, in order, and a later batch scan of that
-// segment for the same key is answered from it instead of walking rows. It
-// is exact by construction, not by tolerance: a segment never changes
-// after it is built; a query's result on a segment depends only on the
-// segment, the query text — its tokens, and its embedding, which encode
-// must derive from the text — and k, the batch rule's pairing deciding
-// cost only; and every hit is rebuilt from the segment's own triples into
-// a fresh slice, so nothing a caller does to its hits reaches the memo. A
-// memo lives and dies with its segment: a compaction or coalescing that
-// retires a segment retires its memo, one that keeps a segment (Reshard)
-// keeps it, so there is nothing to invalidate. It holds at most one entry
-// per row of its segment — it fills until full, then stops storing. The
-// substrate manager turns it on exactly when its node caches answers
-// (substrate.Config.Memo); every other view (BuildSharded, Compose, a
-// plain Index) scans every time.
+// segment for the same key is answered from it instead of walking rows.
+// Every other segment is scanned. It is exact by construction, not by
+// tolerance: a segment never changes after it is built; as a whole block
+// its result depends only on the segment, the query text — its tokens, and
+// its embedding, which encode must derive from the text — and k, the
+// batch rule's pairing deciding cost only; and every hit is rebuilt from
+// the segment's own triples into a fresh slice, so nothing a caller does
+// to its hits reaches the memo. A memo lives and dies with its segment: a
+// compaction or coalescing that retires a segment retires its memo, one
+// that keeps a segment (Reshard) keeps it, so there is nothing to
+// invalidate. It holds at most one entry per row of its segment — it
+// fills until full, then stops storing. The substrate manager turns it on
+// exactly when its node caches answers (substrate.Config.Memo); every
+// other view (BuildSharded, Compose, a plain Index) scans every time.
 //
-// Segment identity. Every segment and every HNSW graph gets an ID at
-// build, unique for the process; neither ever changes, so the ID names
-// its content. A view's Token is its segments' IDs in order, plus its
-// graph's for a Hybrid — IDs, not segments, so a token keeps nothing a
-// view retired alive. A view extends a token when it holds exactly the
-// token's segments, in order, under the same graph, followed by new
-// segments that it searches exactly; Since returns a view over just those.
-// A view's result is MergeTopK over its parts' lists, and HitBefore is a
-// strict total order on a view's hits (triple keys are unique in a view),
-// so the extending view's top-k is the top-k of the token view's top-k
-// merged with the new segments' — which is what lets a cached answer's
-// revalidation search only what an ingest added.
+// Watermark. A view's Token is its row count and, for a Hybrid searching
+// a graph, the graph's ID (a graph gets an ID at build, unique for the
+// process, and never changes). In a substrate view a row's position is
+// its triple ID, and triples are only appended, so a view holding more
+// rows than a token holds the token view's rows and then new ones,
+// however either view is cut into segments. Since returns the Suffix past
+// the watermark: the view's blocks from the one holding it, that block
+// counting its earlier rows for the filter rule but scoring only the new
+// ones. A block's count of sharing rows only grows, so only the block
+// holding the watermark can change mode for a query, and only from
+// scanned whole to filtered; the Suffix reports where it did. Where it
+// did not, each block list of the view is its list in the token view with
+// suffix rows in, every row they evicted scoring below them; so when the
+// token view's top k is full and every suffix hit scores below its k-th,
+// the view's top k is the token view's, and when a suffix hit scores
+// above the k-th, it is not — which lets a cached answer's revalidation
+// search only the rows an ingest added (the answer package's incremental
+// rule).
 package vecstore
 
 import (
@@ -93,7 +105,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/embed"
 	"repro/internal/kg"
@@ -138,12 +149,7 @@ type Index struct {
 	// memo holds the segment's own batch-scan results for the views that
 	// turn it on (the memo rule).
 	memo memo
-	// id names the segment (segment identity).
-	id uint64
 }
-
-// lastID is the last ID given to a segment or a graph.
-var lastID atomic.Uint64
 
 // packedRows stores the non-zero components of a sequence of embedding
 // vectors in scoring order (see the package comment): row r is entries
@@ -346,7 +352,7 @@ func newIndex(enc *embed.Encoder, triples []kg.Triple, parts ...packedRows) *Ind
 		rows.idx = append(rows.idx, parts[i].idx...)
 		rows.val = append(rows.val, parts[i].val...)
 	}
-	idx := &Index{enc: enc, triples: triples, rows: rows, inverted: make(map[string][]int32), id: lastID.Add(1)}
+	idx := &Index{enc: enc, triples: triples, rows: rows, inverted: make(map[string][]int32)}
 	for i, t := range triples {
 		for _, tok := range distinctTokens(t.Text()) {
 			post, ok := idx.inverted[tok]
@@ -397,7 +403,7 @@ func (idx *Index) SearchExact(query string, k int) []Hit {
 
 // SearchVector searches with a pre-encoded query vector over all triples.
 func (idx *Index) SearchVector(qv embed.Vector, k int) []Hit {
-	return idx.searchVec(qv, k, idx.allRows())
+	return idx.searchVec(qv, k, idx.whole()[0].all())
 }
 
 // BatchSearchWith searches every query with the token-filtered path in
@@ -408,6 +414,26 @@ func (idx *Index) SearchVector(qv embed.Vector, k int) []Hit {
 // with the index's encoder.
 func (idx *Index) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
 	return idx.scanBatch(prepare(encode, queries), k, nil)
+}
+
+// whole returns the index's rows as spans: one block, the whole segment.
+func (idx *Index) whole() spans { return spans{{idx, 0, len(idx.triples)}} }
+
+// scanBatch searches the segment as a block for every query of a request
+// (scanBlock). With memo non-nil the segment's memo answers the queries it
+// holds and stores the results of the rest (the memo rule), counting into
+// memo.
+func (idx *Index) scanBatch(qs []batchQuery, k int, memo *MemoCounters) [][]Hit {
+	out := make([][]Hit, len(qs))
+	if k <= 0 || memo != nil && idx.recall(qs, k, out, memo) == 0 {
+		return out
+	}
+	var keep *Index
+	if memo != nil {
+		keep = idx
+	}
+	scanBlock(nil, idx.whole(), qs, k, out, nil, keep)
+	return out
 }
 
 // rowSet is a bitset over an index's rows: bit r%64 of word r/64.
@@ -432,34 +458,6 @@ func (s rowSet) shared(t rowSet) int {
 	return n
 }
 
-// allRows returns the set of every row.
-func (idx *Index) allRows() rowSet {
-	n := len(idx.triples)
-	set := make(rowSet, (n+63)/64)
-	for i := range set {
-		set[i] = ^uint64(0)
-	}
-	if n&63 != 0 {
-		set[len(set)-1] = 1<<(n&63) - 1
-	}
-	return set
-}
-
-// candidates returns the rows sharing at least one of the tokens, or nil
-// when there are none to share.
-func (idx *Index) candidates(toks []string) rowSet {
-	if len(toks) == 0 {
-		return nil
-	}
-	set := make(rowSet, (len(idx.triples)+63)/64)
-	for _, tok := range toks {
-		for _, off := range idx.inverted[tok] {
-			set[off>>6] |= 1 << (off & 63)
-		}
-	}
-	return set
-}
-
 // searchVec scores the rows of subset in ascending row order and returns
 // the top k.
 func (idx *Index) searchVec(qv embed.Vector, k int, subset rowSet) []Hit {
@@ -467,9 +465,10 @@ func (idx *Index) searchVec(qv embed.Vector, k int, subset rowSet) []Hit {
 		return nil
 	}
 	q := widen(&qv)
+	ss := idx.whole()
 	best := make(topK, 0, min(k, len(idx.triples)))
-	idx.scan(&q, subset, &best)
-	return idx.hits(idx.rank(&best))
+	ss[0].scan(&q, subset, 0, &best)
+	return ss.hits(ss.rank(&best))
 }
 
 // HitBefore is the deterministic result order every Searcher produces:
