@@ -384,44 +384,3 @@ func BenchmarkAblationContextOrder(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkStagedVsSequential proves the staged execution engine costs
-// nothing over the pre-refactor sequential path: "staged" runs
-// Pipeline.Answer (the exec composition with spans, per-stage usage and
-// deadline plumbing), "sequential" hand-runs the same four steps the way
-// the old monolithic Answer did. CI's bench smoke keeps the ratio visible.
-func BenchmarkStagedVsSequential(b *testing.B) {
-	env := sharedEnv(b)
-	p, err := env.Pipeline(bench.ModelGPT35, kg.SourceWikidata)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := env.Suite.QALD.Questions[0].Text
-	ctx := context.Background()
-
-	b.Run("staged", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Answer(ctx, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var tr core.Trace
-			tr.Question = q
-			gp, err := p.GeneratePseudoGraph(ctx, q, &tr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			gg := p.QueryAndPrune(gp, &tr)
-			gf, err := p.Verify(ctx, q, gp, gg, &tr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := p.AnswerFromGraph(ctx, q, gf, &tr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

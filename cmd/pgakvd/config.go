@@ -51,7 +51,7 @@ func parseFlags(args []string) (Config, error) {
 	fs.Int64Var(&c.Seed, "seed", 42, "world/model seed")
 	fs.IntVar(&c.Workers, "workers", 8, "default batch parallelism")
 	fs.DurationVar(&c.Timeout, "timeout", 60*time.Second, "per-request deadline (0 = none)")
-	fs.IntVar(&c.Cache.Size, "cache-size", 4096, "answer cache capacity (0 disables caching, singleflight and the index segments' search memos)")
+	fs.IntVar(&c.Cache.Size, "cache-size", 4096, "answer cache capacity (0 disables caching and singleflight)")
 	fs.DurationVar(&c.Cache.TTL, "cache-ttl", 5*time.Minute, "answer cache entry lifetime (0 = no expiry)")
 	fs.IntVar(&c.Substrate.ShardSize, "shard-size", 0, "vector-index segment size (0 = vecstore default)")
 	fs.IntVar(&c.Substrate.CompactThreshold, "compact-threshold", 2048, "auto-compact when a delta reaches this many triples (0 = manual only); bounds the rows each delta coalescing copies, the rows -ann scans exactly, and the WAL tail a durable restart replays")

@@ -236,57 +236,3 @@ func TestMetricsReportIncrementalRevalidation(t *testing.T) {
 		}
 	}
 }
-
-// TestMetricsReportSegmentMemos: /v1/metrics carries each source's
-// index-segment memo counters under substrates.<src>.memo. A question
-// re-asked after an ingest has its cached answer revalidated (the epoch
-// moved), which replays its retrievals; with the cache on the base
-// segments that are whole blocks answer from their memos, so hits and
-// entries are above zero. With the cache off the memos are off, and the
-// counters read zero.
-func TestMetricsReportSegmentMemos(t *testing.T) {
-	for _, cacheSize := range []int{256, 0} {
-		cfg := bench.QuickEnvConfig()
-		cfg.Data.SimpleN, cfg.Data.QALDN, cfg.Data.NatureN = 2, 2, 2
-		cfg.Cache = serve.CacheConfig{Size: cacheSize}
-		cfg.Substrate.ShardSize = 256 // full base segments, which the delta does not join
-		env, err := bench.NewEnv(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := testServer(t, env, testConfig(30*time.Second)).Handler()
-		person := env.World.Entities[env.World.OfKind(world.KindPerson)[0]]
-		ask := answerRequest{queryItem: queryItem{Question: "Where was " + person.Name + " born?"}, Method: "ours"}
-		post := func(path string, body any) {
-			if rec := postJSON(t, h, path, body); rec.Code != http.StatusOK {
-				t.Fatalf("cache %d %s: status %d: %s", cacheSize, path, rec.Code, rec.Body.String())
-			}
-		}
-		post("/v1/answer", ask)
-		post("/v1/ingest", ingestRequest{
-			KG:      "wikidata",
-			Triples: []tripleWire{{Subject: "Zorblax", Relation: "prime directive", Object: "Flumox42"}},
-		})
-		post("/v1/answer", ask)
-
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
-		var out struct {
-			Substrates map[string]struct {
-				Memo map[string]int64 `json:"memo"`
-			} `json:"substrates"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			t.Fatal(err)
-		}
-		memo := out.Substrates["wikidata"].Memo
-		for _, key := range []string{"hits", "misses", "entries"} {
-			if _, ok := memo[key]; !ok {
-				t.Fatalf("cache %d: substrates.wikidata.memo has no %q: %v", cacheSize, key, memo)
-			}
-		}
-		if on := cacheSize > 0; on && (memo["hits"] == 0 || memo["entries"] == 0) || !on && (memo["hits"] != 0 || memo["misses"] != 0 || memo["entries"] != 0) {
-			t.Errorf("cache %d: substrates.wikidata.memo = %v", cacheSize, memo)
-		}
-	}
-}

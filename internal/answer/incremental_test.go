@@ -119,12 +119,11 @@ func TestIncrementalReplayMatchesFull(t *testing.T) {
 			graphSegs = vecstore.BuildShards(enc, all[:covered], size)
 			graph = vecstore.BuildGraph(enc, graphSegs, vecstore.HNSWConfig{})
 		}
-		memo := &vecstore.MemoCounters{}
 		sharded := func(segs []*vecstore.Index) vecstore.Searcher {
-			return vecstore.Compose(enc, size, segs...).WithMemo(memo)
+			return vecstore.Compose(enc, size, segs...)
 		}
 		hybrid := func(segs []*vecstore.Index) vecstore.Searcher {
-			return vecstore.ComposeHybrid(enc, graph, size, append(slices.Clip(graphSegs), segs...), vecstore.HybridOptions{Memo: memo})
+			return vecstore.ComposeHybrid(enc, graph, size, append(slices.Clip(graphSegs), segs...), vecstore.HybridOptions{})
 		}
 		oldSegs := randomCut(rng, enc, all[:old])
 		oldTail := randomCut(rng, enc, all[covered:old])

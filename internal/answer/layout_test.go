@@ -65,7 +65,6 @@ func TestLayoutsAgreeAtOneEpoch(t *testing.T) {
 	primary, err := substrate.Recover(enc, seed(), substrate.Config{
 		ShardSize:  shardSize,
 		Durability: substrate.Durability{Dir: dir, Fsync: substrate.SyncNever},
-		Memo:       true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -91,7 +91,7 @@ func TestReadLogRevalidationPerRead(t *testing.T) {
 			kg.Triple{}, kg.NewTriple("Zeta", "colour", "red")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mgr := substrate.NewManager(enc, probeStore(), substrate.Config{Memo: true})
+			mgr := substrate.NewManager(enc, probeStore(), substrate.Config{})
 			ans := probe(mgr, prompts.NewRegistry(), tc.read)
 			reads := logged(t, ans, Query{Text: "q"})
 			if reads == nil || reads.Size() == 0 {

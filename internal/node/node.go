@@ -43,9 +43,7 @@ type Config struct {
 	Core      core.Config
 	// Cache configures the serving-layer answer cache every Answerer is
 	// wrapped with; Size <= 0 (the default) leaves caching off so
-	// experiment cells always measure real pipeline runs. Size > 0 also
-	// turns on the index segments' search memos (Substrate.Memo is
-	// derived from it, never taken from the caller).
+	// experiment cells always measure real pipeline runs.
 	Cache serve.CacheConfig
 	// Substrate sizes the live substrate managers (vector-index shard
 	// size, auto-compaction threshold); the zero value uses the package
@@ -129,10 +127,6 @@ type Node struct {
 // New builds the node deterministically.
 func New(cfg Config) (*Node, error) {
 	cfg.World.Seed = cfg.WorldSeed
-	// The index segments remember their search results exactly when the
-	// node caches answers: with the cache off every request is a real run,
-	// down to the scan.
-	cfg.Substrate.Memo = cfg.Cache.Size > 0
 	w, err := world.Generate(cfg.World)
 	if err != nil {
 		return nil, fmt.Errorf("node: world: %w", err)

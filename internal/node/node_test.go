@@ -158,93 +158,3 @@ func story(res answer.Result, withTrace bool) string {
 	}
 	return b.String()
 }
-
-// TestMemoFollowsCacheAndChangesNoAnswer: the index segments' memos are
-// on exactly when the node caches answers, and change nothing a request
-// can see. A cache-on and a cache-off node answer the same questions, then
-// again after an ingest (which moves the epoch, so the cache-on node
-// replays each answer's searches — through the memos — to revalidate it,
-// and runs the pipeline again where they changed) and after a compaction
-// (which keeps the old base's full segments, memos included): answers and
-// traces are identical throughout, memo hits are counted only on the
-// cache-on node, and the cache-off node's memo counters stay zero.
-func TestMemoFollowsCacheAndChangesNoAnswer(t *testing.T) {
-	nodes := map[bool]*Node{}
-	for _, cached := range []bool{true, false} {
-		cfg := ConfigFor(true)
-		cfg.Substrate.ShardSize = 256 // several full base segments to keep across the compaction
-		if cached {
-			cfg.Cache = serve.CacheConfig{Size: 256}
-		}
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Cfg.Substrate.Memo != cached {
-			t.Fatalf("cache size %d: Substrate.Memo = %v", cfg.Cache.Size, n.Cfg.Substrate.Memo)
-		}
-		nodes[cached] = n
-	}
-	w := nodes[true].World
-	var questions []string
-	for _, id := range w.OfKind(world.KindPerson)[:4] {
-		questions = append(questions, "Where was "+w.Entities[id].Name+" born?")
-	}
-	for _, id := range w.OfKind(world.KindCity)[:2] {
-		questions = append(questions, "What is the population of "+w.Entities[id].Name+"?")
-	}
-	person := w.Entities[w.OfKind(world.KindPerson)[0]].Name
-	memoHits := func() int64 { return nodes[true].SubstrateStats()["wikidata"].Memo.Hits }
-
-	hits := int64(0)
-	for _, phase := range []string{"boot", "ingest", "compact"} {
-		for cached, n := range nodes {
-			mgr := n.Substrates[kg.SourceWikidata]
-			switch phase {
-			case "ingest":
-				if _, err := mgr.Ingest([]kg.Triple{
-					{Subject: person, Relation: "nickname", Object: "Zed"},
-					{Subject: "Zorblax", Relation: "prime directive", Object: "Flumox"},
-				}); err != nil {
-					t.Fatal(err)
-				}
-			case "compact":
-				if _, err := mgr.Compact(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if phase != "boot" && cached && n.Cache.Len() == 0 {
-				t.Fatal("the cache-on node cached nothing")
-			}
-		}
-		retrieved := 0
-		for _, q := range questions {
-			var stories [2]string
-			for i, cached := range []bool{true, false} {
-				ans, err := nodes[cached].Answerer("ours", ModelGPT35, kg.SourceWikidata)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := ans.Answer(context.Background(), answer.Query{Text: q})
-				if err != nil {
-					t.Fatal(err)
-				}
-				stories[i] = story(res, true)
-			}
-			if stories[0] != stories[1] {
-				t.Fatalf("%s %q: cache-on node\n%s\ncache-off node\n%s", phase, q, stories[0], stories[1])
-			}
-			retrieved += strings.Count(stories[0], "\ngt ")
-		}
-		if retrieved == 0 {
-			t.Fatalf("%s: no run retrieved anything to compare", phase)
-		}
-		if phase != "boot" && memoHits() <= hits {
-			t.Errorf("%s: memo hits %d, not above the %d before it", phase, memoHits(), hits)
-		}
-		hits = memoHits()
-	}
-	if off := nodes[false].SubstrateStats()["wikidata"].Memo; off.Hits != 0 || off.Misses != 0 || off.Entries != 0 {
-		t.Errorf("cache-off node counted memo traffic: %+v", off)
-	}
-}

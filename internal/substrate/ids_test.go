@@ -16,7 +16,7 @@ import (
 // which changes layout but not content, changes no read at all: every
 // subject block, (subject, relation) list and top-k list is what it was.
 func TestTripleIDsStableAcrossIngestCoalesceAndCompact(t *testing.T) {
-	m := newTestManager(t, 20, Config{ShardSize: 8, Memo: true})
+	m := newTestManager(t, 20, Config{ShardSize: 8})
 	named := map[int]kg.Triple{}
 	queries := []string{"Entity 3 related to", "Fresh 5 r o", "Entity 1 population", "Fresh 17 r Entity 2"}
 	check := func(stage string) {

@@ -28,10 +28,8 @@
 //
 // An ingest replaces no segment it did not touch. A publish keeps every
 // index segment the ingest did not replace — all of the base's and, until
-// coalescing joins them, the delta's — and with Config.Memo on each
-// segment keeps the search results it remembered (the vecstore package
-// comment's memo rule), so a question re-asked after an ingest is scanned
-// only where the triples changed. Every view's rows are the triples in ID
+// coalescing joins them, the delta's — so nothing the ingest did not add
+// is encoded again. Every view's rows are the triples in ID
 // order, cut into blocks of the shard size (the vecstore package comment's
 // filter rule), so a view's results do not depend on how ingests,
 // coalescing and compaction have cut the triples into segments, and a
@@ -101,12 +99,6 @@ type Config struct {
 	// ANN configures approximate retrieval over the frozen base; the
 	// zero value keeps every search an exact scan.
 	ANN ANNConfig
-	// Memo turns on the index segments' search memos in every view the
-	// manager publishes (the vecstore package comment's memo rule): a
-	// segment then answers a query it has seen from its memo instead of a
-	// scan, exactly. node sets it exactly when the node caches answers;
-	// the zero value keeps every search a real scan.
-	Memo bool
 	// Replica puts the manager in WAL-applying mode: recovery resumes at
 	// exactly the largest persisted epoch (never +1, so the applied chain
 	// can extend it seamlessly), compactions are epoch-frozen (the fold
@@ -199,10 +191,9 @@ type Manager struct {
 
 	ingests     atomic.Int64
 	compactions atomic.Int64
-	// annCounters and memoCounters survive snapshot recomposition: every
-	// publish wires the same counters into the new view.
-	annCounters  vecstore.ANNCounters
-	memoCounters vecstore.MemoCounters
+	// annCounters survive snapshot recomposition: every publish wires the
+	// same counters into the new view.
+	annCounters vecstore.ANNCounters
 
 	// Durability state: nil/zero for memory-only managers (see Recover).
 	durable bool
@@ -515,10 +506,9 @@ func (m *Manager) republishLocked() *Snapshot {
 		index = vecstore.ComposeHybrid(m.enc, m.baseANN, m.cfg.ShardSize, shards, vecstore.HybridOptions{
 			EfSearch: m.cfg.ANN.EfSearch,
 			Counters: &m.annCounters,
-			Memo:     m.viewMemo(),
 		})
 	} else {
-		index = vecstore.Compose(m.enc, m.cfg.ShardSize, shards...).WithMemo(m.viewMemo())
+		index = vecstore.Compose(m.enc, m.cfg.ShardSize, shards...)
 	}
 	snap := &Snapshot{
 		Epoch:        m.epoch,
@@ -529,15 +519,6 @@ func (m *Manager) republishLocked() *Snapshot {
 	}
 	m.cur.Store(snap)
 	return snap
-}
-
-// viewMemo returns the memo counters the views are composed with: nil,
-// which keeps the memos off, unless Config.Memo is set.
-func (m *Manager) viewMemo() *vecstore.MemoCounters {
-	if !m.cfg.Memo {
-		return nil
-	}
-	return &m.memoCounters
 }
 
 // Compact folds the delta into a new frozen, re-sharded base and publishes
@@ -578,8 +559,8 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 	newBase.AddAll(deltaPrefix)
 	newBase.Freeze()
 	// The new base extends the old one, so its full leading segments are
-	// the old base's where their triples match: those keep their rows and
-	// their memos, and only the rest is encoded.
+	// the old base's where their triples match: those keep their rows, and
+	// only the rest is encoded.
 	newShards := vecstore.Reshard(m.enc, newBase.All(), m.cfg.ShardSize, baseShards)
 	// The graph build is the expensive part of an ANN compaction; like the
 	// re-shard above it runs here, outside the writer lock, so ingest stays
@@ -654,10 +635,6 @@ type Stats struct {
 	Shards       int    `json:"shards"`
 	Ingests      int64  `json:"ingests"`
 	Compactions  int64  `json:"compactions"`
-	// Memo reports the index segments' search memos: lookups answered
-	// (hits) and scanned (misses) since boot, and entries held by the live
-	// snapshot's segments. All zero when Config.Memo is off.
-	Memo vecstore.MemoStats `json:"memo"`
 	// ANN describes the approximate index layer — graph size, levels,
 	// the beam in effect, and how traffic split between graph and exact
 	// fallback. Nil when Config.ANN is disabled.
@@ -696,9 +673,6 @@ func (m *Manager) Stats() Stats {
 		ANN:          idx.ANN,
 		Ingests:      m.ingests.Load(),
 		Compactions:  m.compactions.Load(),
-	}
-	if idx.Memo != nil {
-		st.Memo = *idx.Memo
 	}
 	if m.durable {
 		st.Durability = DurabilityStats{

@@ -12,7 +12,6 @@ import (
 // batchQuery is one query of a request in the form every block scan
 // takes, prepared once per request rather than once per block.
 type batchQuery struct {
-	text string             // the query as the caller gave it: the memo key
 	vec  embed.Vector       // the embedding encode supplied
 	wide [embed.Dim]float64 // vec widened for dot and dot2
 	zero bool               // vec is the zero vector: the query matches nothing
@@ -25,7 +24,6 @@ func prepare(encode func(string) embed.Vector, queries []string) []batchQuery {
 	qs := make([]batchQuery, len(queries))
 	for i, text := range queries {
 		q := &qs[i]
-		q.text = text
 		q.vec = encode(text)
 		q.zero = q.vec.IsZero()
 		q.wide = widen(&q.vec)
@@ -172,19 +170,17 @@ type walk struct {
 }
 
 // scanBlock is the search of one block for every query of qs that is not
-// the zero vector and not answered yet (out[i] nil): it writes query i's
-// top k by the filter rule to out[i], walking the rows by the batch rule
-// (both in the package comment). The block's rows are pre's then ss's:
-// pre's rows count towards each query's mode but are not scored, and
-// flipped[i] is set when query i has fewer than k sharing rows in pre and
-// k or more in the block. With keep non-nil — ss is all of keep's rows —
-// each result is stored in keep's memo.
-func scanBlock(pre, ss spans, qs []batchQuery, k int, out [][]Hit, flipped []bool, keep *Index) {
+// the zero vector: it writes query i's top k by the filter rule to out[i],
+// walking the rows by the batch rule (both in the package comment). The
+// block's rows are pre's then ss's: pre's rows count towards each query's
+// mode but are not scored, and flipped[i] is set when query i has fewer
+// than k sharing rows in pre and k or more in the block.
+func scanBlock(pre, ss spans, qs []batchQuery, k int, out [][]Hit, flipped []bool) {
 	walks := make([]walk, 0, len(qs))
 	sets := make([]rowSet, len(qs)*len(ss))
 	var all []rowSet
 	for i := range qs {
-		if qs[i].zero || out[i] != nil {
+		if qs[i].zero {
 			continue
 		}
 		n := len(walks) * len(ss)
@@ -257,11 +253,7 @@ func scanBlock(pre, ss spans, qs []batchQuery, k int, out [][]Hit, flipped []boo
 				at += sp.len()
 			}
 		}
-		ranked := ss.rank(&w.best)
-		out[w.query] = ss.hits(ranked)
-		if keep != nil {
-			keep.remember(qs[w.query].text, k, ranked)
-		}
+		out[w.query] = ss.hits(ss.rank(&w.best))
 	}
 }
 

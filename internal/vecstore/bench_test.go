@@ -92,28 +92,11 @@ func BenchmarkFilteredSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchSearchMemo is BenchmarkFilteredSearch with the segments'
-// memos on and hot — what a request costs once every segment has answered
-// its queries before. The warm-up fills the memos from the segment
-// fan-out's workers and the loop reads them back from the same workers,
-// so under -race it puts the memos' concurrent writes and reads under the
-// detector.
-func BenchmarkBatchSearchMemo(b *testing.B) {
-	enc := embed.NewEncoder()
-	s := BuildSharded(enc, corpus(20000), 0).WithMemo(&MemoCounters{})
-	queries := []string{"Lake Superior 42 area", "Lake Superior 42 country Canada", "River Danube length"}
-	s.BatchSearchWith(enc.Encode, queries, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for b.Loop() {
-		s.BatchSearchWith(enc.Encode, queries, 10)
-	}
-}
-
 // BenchmarkKernel scores one query against every row of a segment with
 // the dense reference kernel and with the packed kernel the scan and the
 // graph use, and two queries with the two-query kernel (compare with twice
-// packed).
+// packed). The packed kernels also report ns/entry: time per packed entry
+// scored, padding included, which is what a row costs them.
 func BenchmarkKernel(b *testing.B) {
 	enc := embed.NewEncoder()
 	triples := corpus(DefaultShardSize)
@@ -121,6 +104,10 @@ func BenchmarkKernel(b *testing.B) {
 	dense := make([]embed.Vector, len(triples))
 	for i, t := range triples {
 		dense[i] = enc.Encode(t.Text())
+	}
+	entries := float64(len(idx.rows.idx))
+	perEntry := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*entries), "ns/entry")
 	}
 	qv := enc.Encode("Lake Superior 42 area")
 	var sink float64
@@ -138,6 +125,7 @@ func BenchmarkKernel(b *testing.B) {
 				sink += idx.rows.dot(&q, i)
 			}
 		}
+		perEntry(b)
 	})
 	b.Run("packed2", func(b *testing.B) {
 		qv2 := enc.Encode("Lake Superior 42 country Canada")
@@ -148,6 +136,7 @@ func BenchmarkKernel(b *testing.B) {
 				sink += sa + sb
 			}
 		}
+		perEntry(b)
 	})
 	_ = sink
 }

@@ -24,10 +24,6 @@ type HybridOptions struct {
 	EfSearch int
 	// Counters receives routing counts; nil disables counting.
 	Counters *ANNCounters
-	// Memo, when non-nil, turns the segments' memos on for the exact
-	// scans (tail and fallback; see Sharded.WithMemo) and counts their
-	// lookups.
-	Memo *MemoCounters
 }
 
 // Hybrid is the serving composite of the approximate/exact split: an
@@ -55,7 +51,7 @@ type Hybrid struct {
 // wrong results. ann may be nil for an exact-only view with fallback
 // accounting.
 func ComposeHybrid(enc *embed.Encoder, ann *HNSW, size int, segs []*Index, opts HybridOptions) *Hybrid {
-	hy := &Hybrid{enc: enc, ann: ann, full: Compose(enc, size, segs...).WithMemo(opts.Memo), opts: opts}
+	hy := &Hybrid{enc: enc, ann: ann, full: Compose(enc, size, segs...), opts: opts}
 	split := 0
 	if ann != nil {
 		split = len(ann.segs)
@@ -64,7 +60,7 @@ func ComposeHybrid(enc *embed.Encoder, ann *HNSW, size int, segs []*Index, opts 
 			split = 0
 		}
 	}
-	hy.tail = Compose(enc, size, segs[split:]...).WithMemo(opts.Memo)
+	hy.tail = Compose(enc, size, segs[split:]...)
 	return hy
 }
 

@@ -33,10 +33,6 @@ type Sharded struct {
 	// blocks are the view's rows cut at multiples of size.
 	blocks []block
 	total  int
-	// memo, when non-nil, turns the memos of the segments that are whole
-	// blocks on for this view's batch scans and counts their lookups (the
-	// memo rule).
-	memo *MemoCounters
 }
 
 // block is one block's rows in a view: pre's, which the filter rule
@@ -46,25 +42,13 @@ type block struct {
 	pre, rows spans
 }
 
-// segment returns the segment that is exactly the block, or nil.
-func (b *block) segment() *Index {
-	if len(b.pre) == 0 && len(b.rows) == 1 && b.rows[0].lo == 0 && b.rows[0].hi == b.rows[0].seg.Len() {
-		return b.rows[0].seg
-	}
-	return nil
-}
-
-// scan searches the block for every query: a block that is one segment
-// through the segment's own batch scan, consulting its memo with memo
-// non-nil; any other by scanBlock, setting flipped[i] where query i's mode
-// differs between the block's pre and the whole block.
-func (b *block) scan(qs []batchQuery, k int, memo *MemoCounters, flipped []bool) [][]Hit {
-	if seg := b.segment(); seg != nil {
-		return seg.scanBatch(qs, k, memo)
-	}
+// scan searches the block for every query by scanBlock, setting
+// flipped[i] where query i's mode differs between the block's pre and the
+// whole block.
+func (b *block) scan(qs []batchQuery, k int, flipped []bool) [][]Hit {
 	out := make([][]Hit, len(qs))
 	if k > 0 {
-		scanBlock(b.pre, b.rows, qs, k, out, flipped, nil)
+		scanBlock(b.pre, b.rows, qs, k, out, flipped)
 	}
 	return out
 }
@@ -96,10 +80,10 @@ func BuildShards(enc *embed.Encoder, triples []kg.Triple, shardSize int) []*Inde
 // Reshard is BuildShards keeping the segments prev already has: a segment
 // of prev that holds a full shardSize rows, starts at a multiple of
 // shardSize in prev's concatenation, and whose triples equal the same
-// slice of triples field for field is reused — memo included — instead of
-// re-encoded. Every other segment is built from the triples, so the result
-// equals BuildShards' segment for segment. The substrate's compaction
-// passes the old base, which the new base extends.
+// slice of triples field for field is reused instead of re-encoded.
+// Every other segment is built from the triples, so the result equals
+// BuildShards' segment for segment. The substrate's compaction passes the
+// old base, which the new base extends.
 func Reshard(enc *embed.Encoder, triples []kg.Triple, shardSize int, prev []*Index) []*Index {
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
@@ -164,11 +148,10 @@ func (s *Sharded) Since(t Token) (*Suffix, bool) {
 	return &Suffix{exact: s.from(t.rows)}, true
 }
 
-// from returns a view of s's rows from row n on, with s's memo setting:
-// the blocks from the one holding row n, that block's rows before n in its
-// pre.
+// from returns a view of s's rows from row n on: the blocks from the one
+// holding row n, that block's rows before n in its pre.
 func (s *Sharded) from(n int) *Sharded {
-	x := &Sharded{enc: s.enc, size: s.size, total: s.total - n, memo: s.memo}
+	x := &Sharded{enc: s.enc, size: s.size, total: s.total - n}
 	if b := n / s.size; b < len(s.blocks) {
 		x.blocks = slices.Clone(s.blocks[b:])
 		first := &x.blocks[0]
@@ -209,19 +192,6 @@ func (x *Suffix) BatchSearchWith(encode func(string) embed.Vector, queries []str
 	return view.search(qs, k, flipped), flipped
 }
 
-// WithMemo returns a view over the same segments whose batch scans
-// consult and fill the memos of the segments that are whole blocks (the
-// package comment's memo rule), counting lookups into c; a nil c returns s
-// itself.
-func (s *Sharded) WithMemo(c *MemoCounters) *Sharded {
-	if c == nil {
-		return s
-	}
-	memoized := *s
-	memoized.memo = c
-	return &memoized
-}
-
 // Len returns the number of indexed triples across all segments.
 func (s *Sharded) Len() int { return s.total }
 
@@ -260,7 +230,7 @@ func (s *Sharded) BatchSearchWith(encode func(string) embed.Vector, queries []st
 // block's mode changes; it may be nil when no block has a pre.
 func (s *Sharded) search(qs []batchQuery, k int, flipped []bool) [][]Hit {
 	per := make([][][]Hit, len(s.blocks))
-	parallel(len(s.blocks), func(i int) { per[i] = s.blocks[i].scan(qs, k, s.memo, flipped) })
+	parallel(len(s.blocks), func(i int) { per[i] = s.blocks[i].scan(qs, k, flipped) })
 	out := make([][]Hit, len(qs))
 	lists := make([][]Hit, len(per))
 	for q := range out {
@@ -375,12 +345,6 @@ func (s *Sharded) Stats() Stats {
 	st := Stats{Dim: embed.Dim, Shards: len(s.shards), Triples: s.total}
 	for _, sh := range s.shards {
 		st.Tokens += sh.Stats().Tokens
-	}
-	if s.memo != nil {
-		st.Memo = &MemoStats{Hits: s.memo.Hits.Load(), Misses: s.memo.Misses.Load()}
-		for _, sh := range s.shards {
-			st.Memo.Entries += sh.memoLen()
-		}
 	}
 	return st
 }

@@ -2,7 +2,12 @@ package vecstore
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/embed"
@@ -200,5 +205,89 @@ func TestSinceIsThePastWatermark(t *testing.T) {
 	}
 	if _, ok := compose(a).Since(Token{}); ok {
 		t.Error("a view is past the zero Token")
+	}
+}
+
+// cutAt splits triples into segments at the given ascending offsets.
+func cutAt(enc *embed.Encoder, triples []kg.Triple, cuts []int) []*Index {
+	var segs []*Index
+	lo := 0
+	for _, hi := range append(cuts, len(triples)) {
+		if hi > lo {
+			segs = append(segs, BuildTriples(enc, triples[lo:hi]))
+		}
+		lo = hi
+	}
+	return segs
+}
+
+// requireSameSegment fails unless got is, field for field, the segment
+// want is: packed offsets, entries and values, inverted lists, triples.
+func requireSameSegment(t *testing.T, what string, got, want *Index) {
+	t.Helper()
+	switch {
+	case !slices.Equal(got.triples, want.triples):
+		t.Fatalf("%s: triples differ", what)
+	case !slices.Equal(got.rows.off, want.rows.off):
+		t.Fatalf("%s: row offsets differ", what)
+	case !slices.Equal(got.rows.idx, want.rows.idx):
+		t.Fatalf("%s: entry dimensions differ", what)
+	case !slices.EqualFunc(got.rows.val, want.rows.val, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }):
+		t.Fatalf("%s: entry values differ", what)
+	case !reflect.DeepEqual(got.inverted, want.inverted):
+		t.Fatalf("%s: inverted lists differ", what)
+	}
+}
+
+// TestConcatAndReshardEqualFromTextBuilds: segments joined without
+// re-encoding (Concat) and segments kept across a reshard (Reshard) are
+// field for field the segments a from-text build gives over the same
+// triples, and Reshard keeps exactly the aligned full segments whose
+// triples are unchanged.
+func TestConcatAndReshardEqualFromTextBuilds(t *testing.T) {
+	enc := embed.NewEncoder()
+	rng := rand.New(rand.NewSource(4))
+	triples := quickWorldStores(t)[0].All()[:900]
+	for trial := range 8 {
+		var cuts []int
+		for range rng.Intn(20) {
+			cuts = append(cuts, rng.Intn(len(triples)))
+		}
+		sort.Ints(cuts)
+		requireSameSegment(t, fmt.Sprintf("trial %d Concat at %v", trial, cuts), Concat(enc, cutAt(enc, triples, cuts)...), BuildTriples(enc, triples))
+	}
+	requireSameSegment(t, "Concat of nothing", Concat(enc), BuildTriples(enc, nil))
+
+	const size = 128
+	old, grown := triples[:600], triples
+	for _, tc := range []struct {
+		name  string
+		prev  []*Index
+		reuse []int // positions of grown's segments that must be prev's
+	}{
+		{"plain base", BuildShards(enc, old, size), []int{0, 1, 2, 3}},
+		// A recovered base cut at a graph boundary: only segments that
+		// start on a multiple of size and are full can be reused.
+		{"cut at 300", append(BuildShards(enc, old[:300], size), BuildShards(enc, old[300:], size)...), []int{0, 1}},
+		{"no previous base", nil, nil},
+	} {
+		got := Reshard(enc, grown, size, tc.prev)
+		want := BuildShards(enc, grown, size)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d segments, want %d", tc.name, len(got), len(want))
+		}
+		for i := range want {
+			requireSameSegment(t, fmt.Sprintf("%s segment %d", tc.name, i), got[i], want[i])
+			if reused := slices.Contains(tc.prev, got[i]); reused != slices.Contains(tc.reuse, i) {
+				t.Errorf("%s segment %d: reused %v, want %v", tc.name, i, reused, !reused)
+			}
+		}
+	}
+	// A segment whose triples changed is rebuilt, however well placed.
+	changed := slices.Clone(old)
+	changed[5].ID = -1
+	prev := BuildShards(enc, changed, size)
+	if got := Reshard(enc, grown, size, prev); got[0] == prev[0] || got[1] != prev[1] {
+		t.Error("Reshard reused a segment whose triples differ, or rebuilt one whose triples match")
 	}
 }

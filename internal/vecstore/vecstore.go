@@ -29,7 +29,13 @@
 // node with node it widens one of them as the query; each term is the
 // product of two float32s widened to float64, which is exact, so the score
 // is NormDot's with its arguments in either order. NormDot itself is the
-// reference the tests hold the kernel to, and scores nothing served.
+// reference the tests hold the kernel to, and scores nothing served. The
+// kernel walks a row by index, taking each four-entry group as a full
+// slice expression of the row (whose values are cut to its dimensions'
+// length once), rather than re-slicing the row past each group: the
+// compiler then advances one counter per group instead of updating two
+// slice headers, which makes every group fewer instructions, and the
+// order of the terms — all that bit-identity depends on — is unchanged.
 //
 // Filter rule. Search scores only the rows that share at least one token
 // with the query (inverted index → per-search bitset, ascending row
@@ -57,26 +63,6 @@
 // decides cost only: dot2 gives each query the float64 dot gives it, rows
 // reach each query's heap in ascending order either way, and the results
 // are those of searching the queries one by one.
-//
-// Memo rule. A view composed with memo counters (Sharded.WithMemo,
-// HybridOptions.Memo) lets each segment that is a whole block of the view
-// — it holds every row its block has there — remember its own batch-scan
-// results: keyed by (query text, k), an entry holds the rows and scores of
-// the segment's result list, in order, and a later batch scan of that
-// segment for the same key is answered from it instead of walking rows.
-// Every other segment is scanned. It is exact by construction, not by
-// tolerance: a segment never changes after it is built; as a whole block
-// its result depends only on the segment, the query text — its tokens, and
-// its embedding, which encode must derive from the text — and k, the
-// batch rule's pairing deciding cost only; and every hit is rebuilt from
-// the segment's own triples into a fresh slice, so nothing a caller does
-// to its hits reaches the memo. A memo lives and dies with its segment: a
-// compaction or coalescing that retires a segment retires its memo, one
-// that keeps a segment (Reshard) keeps it, so there is nothing to
-// invalidate. It holds at most one entry per row of its segment — it
-// fills until full, then stops storing. The substrate manager turns it on
-// exactly when its node caches answers (substrate.Config.Memo); every
-// other view (BuildSharded, Compose, a plain Index) scans every time.
 //
 // Watermark. A view's Token is its row count and, for a Hybrid searching
 // a graph, the graph's ID (a graph gets an ID at build, unique for the
@@ -146,9 +132,6 @@ type Index struct {
 	rows packedRows
 	// inverted maps token -> posting list of triple offsets, ascending.
 	inverted map[string][]int32
-	// memo holds the segment's own batch-scan results for the views that
-	// turn it on (the memo rule).
-	memo memo
 }
 
 // packedRows stores the non-zero components of a sequence of embedding
@@ -240,6 +223,14 @@ func widen(qv *embed.Vector) (q [embed.Dim]float64) {
 	return q
 }
 
+// row returns row r's entries: its dimensions, and its values cut to the
+// same length, so that the kernels' group slices need no bounds checks.
+func (p *packedRows) row(r int) (ix []uint8, vs []float32) {
+	lo, hi := p.off[r], p.off[r+1]
+	ix = p.idx[lo:hi]
+	return ix, p.val[lo:hi][:len(ix)]
+}
+
 // dot scores row r against a widened query. It is
 // embed.NormDot over the sparse row: the same four accumulators, each
 // taking its lane's terms in ascending dimension order, and the same
@@ -248,15 +239,14 @@ func widen(qv *embed.Vector) (q [embed.Dim]float64) {
 // i.e. ±0, and adding ±0 to an accumulator that started at +0.0 leaves it
 // unchanged).
 func (p *packedRows) dot(q *[embed.Dim]float64, r int) float64 {
-	lo, hi := p.off[r], p.off[r+1]
-	ix, vs := p.idx[lo:hi], p.val[lo:hi]
+	ix, vs := p.row(r)
 	var s0, s1, s2, s3 float64
-	for len(ix) >= 4 && len(vs) >= 4 {
-		s0 += q[ix[0]] * float64(vs[0])
-		s1 += q[ix[1]] * float64(vs[1])
-		s2 += q[ix[2]] * float64(vs[2])
-		s3 += q[ix[3]] * float64(vs[3])
-		ix, vs = ix[4:], vs[4:]
+	for i := 0; i <= len(ix)-4; i += 4 {
+		g, v := ix[i:i+4:i+4], vs[i:i+4:i+4]
+		s0 += q[g[0]] * float64(v[0])
+		s1 += q[g[1]] * float64(v[1])
+		s2 += q[g[2]] * float64(v[2])
+		s3 += q[g[3]] * float64(v[3])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -266,20 +256,19 @@ func (p *packedRows) dot(q *[embed.Dim]float64, r int) float64 {
 // accumulators, in dot's term order and final association, so each result
 // is bit-identical to dot's for that query.
 func (p *packedRows) dot2(qa, qb *[embed.Dim]float64, r int) (float64, float64) {
-	lo, hi := p.off[r], p.off[r+1]
-	ix, vs := p.idx[lo:hi], p.val[lo:hi]
+	ix, vs := p.row(r)
 	var a0, a1, a2, a3, b0, b1, b2, b3 float64
-	for len(ix) >= 4 && len(vs) >= 4 {
-		v0, v1, v2, v3 := float64(vs[0]), float64(vs[1]), float64(vs[2]), float64(vs[3])
-		a0 += qa[ix[0]] * v0
-		b0 += qb[ix[0]] * v0
-		a1 += qa[ix[1]] * v1
-		b1 += qb[ix[1]] * v1
-		a2 += qa[ix[2]] * v2
-		b2 += qb[ix[2]] * v2
-		a3 += qa[ix[3]] * v3
-		b3 += qb[ix[3]] * v3
-		ix, vs = ix[4:], vs[4:]
+	for i := 0; i <= len(ix)-4; i += 4 {
+		g, v := ix[i:i+4:i+4], vs[i:i+4:i+4]
+		v0, v1, v2, v3 := float64(v[0]), float64(v[1]), float64(v[2]), float64(v[3])
+		a0 += qa[g[0]] * v0
+		b0 += qb[g[0]] * v0
+		a1 += qa[g[1]] * v1
+		b1 += qb[g[1]] * v1
+		a2 += qa[g[2]] * v2
+		b2 += qb[g[2]] * v2
+		a3 += qa[g[3]] * v3
+		b3 += qb[g[3]] * v3
 	}
 	return (a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3)
 }
@@ -413,28 +402,11 @@ func (idx *Index) SearchVector(qv embed.Vector, k int) []Hit {
 // embeddings (internal/core's session memo). encode must be consistent
 // with the index's encoder.
 func (idx *Index) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
-	return idx.scanBatch(prepare(encode, queries), k, nil)
+	return (&block{rows: idx.whole()}).scan(prepare(encode, queries), k, nil)
 }
 
 // whole returns the index's rows as spans: one block, the whole segment.
 func (idx *Index) whole() spans { return spans{{idx, 0, len(idx.triples)}} }
-
-// scanBatch searches the segment as a block for every query of a request
-// (scanBlock). With memo non-nil the segment's memo answers the queries it
-// holds and stores the results of the rest (the memo rule), counting into
-// memo.
-func (idx *Index) scanBatch(qs []batchQuery, k int, memo *MemoCounters) [][]Hit {
-	out := make([][]Hit, len(qs))
-	if k <= 0 || memo != nil && idx.recall(qs, k, out, memo) == 0 {
-		return out
-	}
-	var keep *Index
-	if memo != nil {
-		keep = idx
-	}
-	scanBlock(nil, idx.whole(), qs, k, out, nil, keep)
-	return out
-}
 
 // rowSet is a bitset over an index's rows: bit r%64 of word r/64.
 type rowSet []uint64
@@ -490,9 +462,6 @@ type Stats struct {
 	// ANN describes the approximate layer when one is composed in (an
 	// HNSW graph or a Hybrid wrapping one); nil for purely exact views.
 	ANN *ANNInfo `json:"ann,omitempty"`
-	// Memo describes the segments' memos on views that turn them on; nil
-	// otherwise.
-	Memo *MemoStats `json:"memo,omitempty"`
 }
 
 // ANNInfo describes an approximate index layer: graph shape, the beam
