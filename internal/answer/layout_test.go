@@ -74,8 +74,10 @@ func TestLayoutsAgreeAtOneEpoch(t *testing.T) {
 	defer cancel()
 
 	// Twelve batches — short of the sixteen segments that coalesce — each
-	// holding a fact about a person asked below, an unrelated one, and per
-	// pool fact a newer value, which shares tokens with the query, and a
+	// holding a fact about a person asked below, a fact whose subject is
+	// the lower-cased name of a person asked below (a subject of its own
+	// that folds onto a seed subject), an unrelated one, and per pool fact
+	// a newer value, which shares tokens with the query, and a
 	// misspelling, which shares none but scores high on its character
 	// trigrams: a block that filters drops it, one scanned whole may rank
 	// it.
@@ -85,6 +87,7 @@ func TestLayoutsAgreeAtOneEpoch(t *testing.T) {
 	for b := range 12 {
 		batch := []kg.Triple{
 			kg.NewTriple(w.Entities[people[b%4]].Name, "nickname", fmt.Sprintf("Zed %d", b)),
+			kg.NewTriple(strings.ToLower(w.Entities[people[b%8]].Name), "nickname", fmt.Sprintf("zed %d", b)),
 			kg.NewTriple(fmt.Sprintf("Zorblax %d", b), "prime directive", "Flumox"),
 		}
 		for j := b; j < len(pool); j += 12 {
@@ -169,12 +172,51 @@ func TestLayoutsAgreeAtOneEpoch(t *testing.T) {
 		}
 	}
 
+	// The atomic KG reads of every person asked, by their name and its
+	// case variants: the lower-cased name is a subject itself, so it
+	// resolves to itself, and the others resolve as one store of the
+	// triple set would resolve them, whatever part of it a node holds in
+	// its checkpoint, its compacted segments or its tail.
+	kgReads := func(r kg.Reader, s string, relations []string) string {
+		c, ok := r.FindSubjectFold(s)
+		out := fmt.Sprint(c, ok, r.Subject(s), r.HasSubject(s))
+		for _, rel := range relations {
+			out += fmt.Sprint(r.SubjectRelation(s, rel))
+		}
+		return out
+	}
+	mismatches := 0
+	for i := range 8 {
+		name := w.Entities[people[i]].Name
+		relations := []string{"nickname"}
+		for _, tr := range want.Store.Subject(name) {
+			relations = append(relations, tr.Relation)
+		}
+		for _, s := range []string{name, strings.ToLower(name), strings.ToUpper(name)} {
+			ref := kgReads(want.Store, s, relations)
+			for name, m := range nodes {
+				if got := kgReads(m.Current().Store, s, relations); got != ref {
+					mismatches++
+					t.Errorf("%s: the KG reads of %q differ from the primary's:\n got %s\nwant %s", name, s, got, ref)
+				}
+			}
+		}
+	}
+	if mismatches > 0 {
+		t.Fatalf("%d KG read mismatches over %d probes", mismatches, 8*3)
+	}
+
 	ans, err := New("ours", Deps{Client: llm.NewSim(w, llm.GPT35Params(), 42), Substrate: primary, Encoder: enc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range 8 {
-		q := Query{Text: "Where was " + w.Entities[people[i]].Name + " born?"}
+	// One question names its person lower-cased, the subject the first
+	// batch ingested: its read log resolves that subject.
+	for i := range 9 {
+		q := Query{Text: "Where was " + w.Entities[people[i%8]].Name + " born?"}
+		if i == 8 {
+			q.Text = "Where was " + strings.ToLower(w.Entities[people[0]].Name) + " born?"
+		}
 		reads := logged(t, ans, q)
 		if reads == nil {
 			t.Fatalf("%q: the run returned no read log", q.Text)
