@@ -222,7 +222,7 @@ func BenchmarkPipelineSingleQuestion(b *testing.B) {
 // BenchmarkVectorSearch measures semantic-query throughput over the KG.
 func BenchmarkVectorSearch(b *testing.B) {
 	env := sharedEnv(b)
-	idx := env.Indexes[kg.SourceWikidata]
+	idx := env.Substrates[kg.SourceWikidata].Current().Index
 	query := env.Suite.Simple.Questions[0].Text
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -102,8 +102,8 @@ func run(ctx context.Context, experiment string, quick bool, seed int64, workers
 		return err
 	}
 	fmt.Printf("environment ready in %v: %s\n", time.Since(start).Round(time.Millisecond), env.World.Stats())
-	for src, st := range env.Stores {
-		fmt.Printf("  KG[%s]: %s\n", src, st.Stats())
+	for src, mgr := range env.Substrates {
+		fmt.Printf("  KG[%s]: %s\n", src, mgr.Stats())
 	}
 	fmt.Print(env.Suite.Describe())
 	fmt.Println()

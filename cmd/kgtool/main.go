@@ -17,7 +17,9 @@ import (
 	"repro/internal/bench"
 	"repro/internal/datasets"
 	"repro/internal/kg"
+	"repro/internal/node"
 	"repro/internal/qa"
+	"repro/internal/world"
 )
 
 func main() {
@@ -75,7 +77,11 @@ func run(o opts) error {
 		for kind, n := range s.ByKind {
 			fmt.Printf("  %-16s %d\n", kind, n)
 		}
-		for src, st := range env.Stores {
+		for _, src := range node.Sources {
+			st, err := seedStore(env, src)
+			if err != nil {
+				return err
+			}
 			fmt.Printf("KG[%s]: %s\n", src, st.Stats())
 		}
 	}
@@ -85,9 +91,9 @@ func run(o opts) error {
 		if err != nil {
 			return err
 		}
-		st, ok := env.Stores[src]
-		if !ok {
-			return fmt.Errorf("no store for source %q", dump)
+		st, err := seedStore(env, src)
+		if err != nil {
+			return err
 		}
 		var triples []kg.Triple
 		if subject != "" {
@@ -131,7 +137,11 @@ func run(o opts) error {
 		if err != nil {
 			return err
 		}
-		if err := env.Stores[src].WriteJSON(os.Stdout); err != nil {
+		st, err := seedStore(env, src)
+		if err != nil {
+			return err
+		}
+		if err := st.WriteJSON(os.Stdout); err != nil {
 			return err
 		}
 	}
@@ -141,7 +151,11 @@ func run(o opts) error {
 		if err != nil {
 			return err
 		}
-		if err := env.Stores[src].WriteNT(os.Stdout); err != nil {
+		st, err := seedStore(env, src)
+		if err != nil {
+			return err
+		}
+		if err := st.WriteNT(os.Stdout); err != nil {
 			return err
 		}
 	}
@@ -172,4 +186,14 @@ func run(o opts) error {
 		return fmt.Errorf("nothing to do: pass -stats, -dump, -datasets, or an -export flag")
 	}
 	return nil
+}
+
+// seedStore renders the world into one source's KG: the seed every
+// node's substrate starts from.
+func seedStore(env *bench.Env, src kg.Source) (*kg.Store, error) {
+	schema, err := world.SchemaFor(src)
+	if err != nil {
+		return nil, err
+	}
+	return schema.Render(env.World), nil
 }

@@ -62,11 +62,12 @@
 // observable in /v1/metrics (admission counters, queue depth). See
 // docs/operations.md for overload tuning.
 //
-// Live ingest: each KG source is a versioned substrate — a sharded,
-// concurrently-searched vector index over a frozen base plus a delta of
-// ingested triples. /v1/ingest publishes a new snapshot atomically (the
-// epoch in every answer identifies which one served it), and
-// /v1/snapshot/compact folds the delta into a fresh re-sharded base.
+// Live ingest: each KG source is a versioned substrate — one append-only
+// triple store under a sharded, concurrently-searched vector index, whose
+// base shards cover the rows of the last compaction and whose delta
+// segments the rows ingested since. /v1/ingest publishes a new snapshot
+// atomically (the epoch in every answer identifies which one served it),
+// and /v1/snapshot/compact re-cuts the index into fresh base shards.
 // After a swap a cached answer is served again only if the KG reads it was
 // computed from — its top-k lists, subject blocks and probes — replay
 // identically against the new snapshot (X-Cache: hit, at the new epoch);

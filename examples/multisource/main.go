@@ -27,7 +27,7 @@ func main() {
 	person := env.World.Entities[env.World.OfKind(0)[0]] // KindPerson == 0
 	fmt.Println("one fact, two schemas:")
 	for _, src := range []kg.Source{kg.SourceWikidata, kg.SourceFreebase} {
-		st := env.Stores[src]
+		st := env.Substrates[src].Current().Store
 		if canonical, ok := st.FindSubjectFold(person.Name); ok {
 			for _, tr := range st.Subject(canonical)[:1] {
 				fmt.Printf("  %-9s %s\n", src.String()+":", tr)

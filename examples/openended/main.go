@@ -37,7 +37,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rag, err := baselines.RAG(context.Background(), model, env.Indexes[src], q.Text, baselines.DefaultRAGConfig())
+		rag, err := baselines.RAG(context.Background(), model, env.Substrates[src].Current().Index, q.Text, baselines.DefaultRAGConfig())
 		if err != nil {
 			log.Fatal(err)
 		}

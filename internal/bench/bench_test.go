@@ -28,9 +28,8 @@ func TestNewEnv(t *testing.T) {
 	if env.World == nil || env.Suite == nil {
 		t.Fatal("env incomplete")
 	}
-	if len(env.Stores) != 2 || len(env.Indexes) != 2 || len(env.Models) != 2 {
-		t.Fatalf("env components: %d stores %d indexes %d models",
-			len(env.Stores), len(env.Indexes), len(env.Models))
+	if len(env.Substrates) != 2 || len(env.Models) != 2 {
+		t.Fatalf("env components: %d substrates %d models", len(env.Substrates), len(env.Models))
 	}
 }
 

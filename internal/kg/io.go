@@ -59,8 +59,8 @@ func (e *LineError) Error() string { return fmt.Sprintf("kg: line %d: %v", e.Lin
 func (e *LineError) Unwrap() error { return e.Err }
 
 // WriteNTTriples streams triples in the line-oriented N-Triples-like text
-// format (see NTLine). It is the writer hook checkpointing uses for
-// arbitrary consistent views (snapshot unions, not just *Store): the
+// format (see NTLine). It is the writer hook checkpointing uses for any
+// consistent view (a snapshot's Prefix, not just *Store): the
 // caller owns the destination, so it can write to a temporary file and
 // fsync before renaming.
 func WriteNTTriples(w io.Writer, triples []Triple) error {
@@ -85,8 +85,9 @@ func (st *Store) WriteNT(w io.Writer) error {
 }
 
 // ReadNT loads triples in the WriteNT format into a new store tagged with
-// the given source. Blank lines and #-comments are skipped. Parse
-// failures are *LineError values carrying the 1-based offending line.
+// the given source, left open for further Adds. Blank lines and
+// #-comments are skipped. Parse failures are *LineError values carrying
+// the 1-based offending line.
 func ReadNT(r io.Reader, source Source) (*Store, error) {
 	st := NewStore(source)
 	sc := bufio.NewScanner(r)
@@ -109,7 +110,6 @@ func ReadNT(r io.Reader, source Source) (*Store, error) {
 		// of the failure is still findable.
 		return nil, &LineError{Line: lineNo + 1, Err: fmt.Errorf("read: %w", err)}
 	}
-	st.Freeze()
 	return st, nil
 }
 

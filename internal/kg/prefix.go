@@ -5,7 +5,7 @@ import "sort"
 // Prefix is the read view of a store's first n triples. It never changes
 // however the store grows (see Store's concurrency note), and its reads
 // take the store's read lock as the store's own do. It answers every
-// Reader call exactly as a frozen store holding those n triples, in order,
+// Reader call exactly as a store holding only those n triples, in order,
 // would: same IDs, (subject, relation) lists in Ord order, the same fold.
 type Prefix struct {
 	st *Store
@@ -58,9 +58,11 @@ func (p *Prefix) Subject(s string) []Triple {
 }
 
 // SubjectRelation returns the view's (subject, relation) triples in Ord
-// order, equal ordinals in ID order, as Freeze orders them.
+// order, equal ordinals in ID order: the store's list without the entries
+// past the view.
 func (p *Prefix) SubjectRelation(s, r string) []Triple {
 	p.st.mu.RLock()
+	defer p.st.mu.RUnlock()
 	ids := p.st.bySR[s+"\x00"+r]
 	out := make([]Triple, 0, len(ids))
 	for _, id := range ids {
@@ -68,8 +70,6 @@ func (p *Prefix) SubjectRelation(s, r string) []Triple {
 			out = append(out, p.st.triples[id])
 		}
 	}
-	p.st.mu.RUnlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Ord < out[j].Ord })
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -42,10 +43,11 @@ func TestFindSubjectFoldIsFirstInserted(t *testing.T) {
 
 // TestPrefixMatchesFrozenCopy: a prefix view taken of a growing store
 // answers every Reader call — IDs, (subject, relation) lists in Ord order,
-// folds — exactly as a frozen store of the same triples does, both when it
-// is taken and after the store has grown past it. The triples carry
-// time-varying values with explicit ordinals out of insertion order,
-// subjects that fold alike and duplicates.
+// folds — exactly as a frozen store of the same triples and as the
+// brute-force reference do, both when it is taken and after the store has
+// grown past it; the growing store itself matches the reference at every
+// step. The triples carry time-varying values with explicit ordinals out
+// of insertion order, subjects that fold alike and duplicates.
 func TestPrefixMatchesFrozenCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	subjects := []string{"Lake Superior", "LAKE SUPERIOR", "lake superior", "China", "Beijing", "beijing", "Mount Kenya"}
@@ -61,13 +63,17 @@ func TestPrefixMatchesFrozenCopy(t *testing.T) {
 	type held struct {
 		view   *Prefix
 		frozen *Store
+		ref    naive
 	}
 	var views []held
+	probes := append(subjects, "atlantis", "ATLANTIS", "china", "MOUNT KENYA")
 	check := func(stage string) {
 		t.Helper()
-		probes := append(subjects, "atlantis", "ATLANTIS", "china", "MOUNT KENYA")
+		requireSameReads(t, stage+", the store", st, naive{SourceWikidata, st.All()}, probes, relations, st.All())
 		for _, h := range views {
-			requireSameReads(t, fmt.Sprintf("%s, prefix of %d", stage, h.view.Len()), h.view, h.frozen, probes, relations, st.All())
+			what := fmt.Sprintf("%s, prefix of %d", stage, h.view.Len())
+			requireSameReads(t, what, h.view, h.ref, probes, relations, st.All())
+			requireSameReads(t, what+" against its frozen copy", h.view, h.frozen, probes, relations, st.All())
 		}
 	}
 	for step := range 60 {
@@ -77,13 +83,80 @@ func TestPrefixMatchesFrozenCopy(t *testing.T) {
 			frozen := NewStore(SourceWikidata)
 			frozen.AddAll(st.All()[:n])
 			frozen.Freeze()
-			views = append(views, held{st.Prefix(n), frozen})
+			views = append(views, held{st.Prefix(n), frozen, naive{SourceWikidata, st.All()[:n]}})
 		}
 		check(fmt.Sprint("step ", step))
 	}
 	st.Freeze()
-	views = append(views, held{st.Prefix(st.Len()), st})
+	views = append(views, held{st.Prefix(st.Len()), st, naive{SourceWikidata, st.All()}})
 	check("frozen")
+}
+
+// naive is the reference Reader the store is checked against: it shares
+// no code with Store and answers every call by scanning its triples, held
+// in ID order.
+type naive struct {
+	source  Source
+	triples []Triple
+}
+
+func (r naive) Source() Source { return r.source }
+func (r naive) Len() int       { return len(r.triples) }
+func (r naive) All() []Triple  { return append([]Triple{}, r.triples...) }
+
+func (r naive) Get(id int) (Triple, bool) {
+	if id < 0 || id >= len(r.triples) {
+		return Triple{}, false
+	}
+	return r.triples[id], true
+}
+
+func (r naive) Contains(t Triple) bool {
+	for _, s := range r.triples {
+		if s.Subject == t.Subject && s.Relation == t.Relation && s.Object == t.Object {
+			return true
+		}
+	}
+	return false
+}
+
+// Subject filters by subject.
+func (r naive) Subject(s string) []Triple {
+	out := []Triple{}
+	for _, t := range r.triples {
+		if t.Subject == s {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// SubjectRelation filters, then stable-sorts by Ord.
+func (r naive) SubjectRelation(s, rel string) []Triple {
+	out := []Triple{}
+	for _, t := range r.Subject(s) {
+		if t.Relation == rel {
+			out = append(out, t)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Ord < out[j].Ord })
+	return out
+}
+
+func (r naive) HasSubject(s string) bool { return len(r.Subject(s)) > 0 }
+
+// FindSubjectFold is the exact subject when there is one, else the subject
+// of the first triple whose subject folds alike: the first-inserted one.
+func (r naive) FindSubjectFold(q string) (string, bool) {
+	if r.HasSubject(q) {
+		return q, true
+	}
+	for _, t := range r.triples {
+		if strings.ToLower(t.Subject) == strings.ToLower(q) {
+			return t.Subject, true
+		}
+	}
+	return "", false
 }
 
 // requireSameReads fails unless got answers every kg.Reader call on the

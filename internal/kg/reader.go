@@ -1,9 +1,9 @@
 package kg
 
 // Reader is the read-only surface of a triple substrate. *Store implements
-// it directly; composite views (the substrate manager's base+delta union)
-// implement it over several stores so the pipeline and the baselines can
-// run against any consistent snapshot without knowing how it is assembled.
+// it, and so does *Prefix, the view of a store's first n triples that
+// every substrate snapshot is, so the pipeline and the baselines run
+// against any consistent snapshot without knowing how it is held.
 //
 // Implementations must be safe for concurrent readers and must return
 // slices the caller owns: appending to or mutating a returned slice never

@@ -2,6 +2,7 @@ package kg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,11 +17,18 @@ import (
 //   - all subjects for a (relation, object) pair (reverse lookup, ToG),
 //   - full scan in insertion order (vector-store construction).
 //
+// Each (subject, relation) list is kept in Ord order as triples arrive:
+// a new ID goes after every entry whose Ord is equal or smaller, so equal
+// ordinals stay in ID order and time-varying facts read chronologically,
+// as the verification prompt requires. Every other list is in ID order.
+//
 // Store is safe for concurrent use: every read takes the read lock, every
 // Add the write lock. IDs are assigned in insertion order and nothing is
-// ever removed, so the first n triples — and the part of every posting
-// list below n — never change once added: Prefix serves that part as an
-// immutable view while the store keeps growing.
+// ever removed or reordered, so the first n triples — and, in the same
+// order, the entries below n of every list — never change once added:
+// Prefix serves them as an immutable view while the store keeps growing.
+// The substrate's snapshots are such views. Freeze only latches the store
+// read-only.
 type Store struct {
 	mu     sync.RWMutex
 	source Source
@@ -94,7 +102,12 @@ func (st *Store) Add(t Triple) (int, bool) {
 	st.bySubject[t.Subject] = append(st.bySubject[t.Subject], id)
 	st.byRelation[t.Relation] = append(st.byRelation[t.Relation], id)
 	st.byObject[t.Object] = append(st.byObject[t.Object], id)
-	st.bySR[t.SRKey()] = append(st.bySR[t.SRKey()], id)
+	sr := st.bySR[t.SRKey()]
+	at := len(sr)
+	for at > 0 && st.triples[sr[at-1]].Ord > t.Ord {
+		at--
+	}
+	st.bySR[t.SRKey()] = slices.Insert(sr, at, id)
 	st.byRO[t.Relation+"\x00"+t.Object] = append(st.byRO[t.Relation+"\x00"+t.Object], id)
 	return id, true
 }
@@ -110,20 +123,10 @@ func (st *Store) AddAll(ts []Triple) int {
 	return added
 }
 
-// Freeze marks the store read-only. Further Adds panic. Freezing sorts each
-// (subject, relation) posting list by Ord so time-varying facts are returned
-// chronologically, as the verification prompt requires.
+// Freeze marks the store read-only. Further Adds panic.
 func (st *Store) Freeze() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.frozen {
-		return
-	}
-	for _, ids := range st.bySR {
-		sort.SliceStable(ids, func(i, j int) bool {
-			return st.triples[ids[i]].Ord < st.triples[ids[j]].Ord
-		})
-	}
 	st.frozen = true
 }
 
@@ -190,8 +193,8 @@ func (st *Store) Object(o string) []Triple {
 	return st.take(st.byObject[o])
 }
 
-// SubjectRelation returns the triples for (subject, relation), in Ord order
-// once the store is frozen.
+// SubjectRelation returns the triples for (subject, relation) in Ord
+// order, equal ordinals in ID order.
 func (st *Store) SubjectRelation(s, r string) []Triple {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

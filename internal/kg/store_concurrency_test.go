@@ -58,8 +58,8 @@ func TestStoreConcurrentReadsAfterFreeze(t *testing.T) {
 }
 
 // TestStoreFreezeRacesReaders freezes the store while 32 goroutines read:
-// Freeze sorts posting lists in place, so it must fully exclude readers.
-// Run with -race.
+// Freeze writes the store's latch, so it must exclude readers. Run with
+// -race.
 func TestStoreFreezeRacesReaders(t *testing.T) {
 	st := concurrencyStore()
 	const goroutines = 32
@@ -124,4 +124,64 @@ func TestStoreConcurrentFreezeIdempotent(t *testing.T) {
 		}
 	}()
 	st.Add(Triple{Subject: "s", Relation: "r", Object: "o"})
+}
+
+// TestPrefixReadsStableUnderOutOfOrderAdds: readers hold prefix views of
+// one (subject, relation) list while a writer adds to it ordinals that
+// land before entries the views already hold. Each view keeps returning
+// what it returned when it was taken — the first n triples in Ord order,
+// equal ordinals in ID order — however the list moves under it. Run with
+// -race.
+func TestPrefixReadsStableUnderOutOfOrderAdds(t *testing.T) {
+	st := NewStore(SourceWikidata)
+	add := func(i int) {
+		st.Add(Triple{Subject: "S", Relation: "r", Object: fmt.Sprint("o", i), Ord: (i * 37) % 11})
+	}
+	for i := range 20 {
+		add(i)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var views []*Prefix
+			var want [][]Triple
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				p := st.Prefix(st.Len())
+				got := p.SubjectRelation("S", "r")
+				if len(got) != p.Len() {
+					t.Errorf("a prefix of %d holds %d list entries", p.Len(), len(got))
+					return
+				}
+				for j := 1; j < len(got); j++ {
+					if a, b := got[j-1], got[j]; a.Ord > b.Ord || a.Ord == b.Ord && a.ID > b.ID {
+						t.Errorf("a prefix of %d lists %v before %v", p.Len(), a, b)
+						return
+					}
+				}
+				views, want = append(views, p), append(want, got)
+				for j, v := range views {
+					if again := v.SubjectRelation("S", "r"); fmt.Sprint(again) != fmt.Sprint(want[j]) {
+						t.Errorf("a prefix of %d changed under appends:\n got %v\nwant %v", v.Len(), again, want[j])
+						return
+					}
+				}
+				if len(views) > 16 {
+					views, want = views[1:], want[1:]
+				}
+			}
+		}()
+	}
+	for i := 20; i < 400; i++ {
+		add(i)
+	}
+	close(done)
+	wg.Wait()
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/substrate"
 	"repro/internal/trace"
-	"repro/internal/vecstore"
 	"repro/internal/world"
 )
 
@@ -88,13 +87,6 @@ type Node struct {
 	Cfg   Config
 	World *world.World
 	Enc   *embed.Encoder
-	// Stores holds the boot-time base store per source. Live state —
-	// ingested triples, compacted bases — lives in Substrates; tools that
-	// only inspect the seeded KG keep using Stores.
-	Stores map[kg.Source]*kg.Store
-	// Indexes holds each source's boot-snapshot sharded index (a
-	// consistent view of Stores). Like Stores, it does not follow ingests.
-	Indexes map[kg.Source]vecstore.Searcher
 	// Substrates owns the live snapshot chain per source: every Answerer
 	// resolves its (store, index) through these, so ingests and hot swaps
 	// are visible to serving traffic immediately.
@@ -134,8 +126,6 @@ func New(cfg Config) (*Node, error) {
 	n := &Node{
 		World:      w,
 		Enc:        embed.NewEncoder(),
-		Stores:     map[kg.Source]*kg.Store{},
-		Indexes:    map[kg.Source]vecstore.Searcher{},
 		Substrates: map[kg.Source]*substrate.Manager{},
 		Cache:      serve.NewCache(cfg.Cache), // nil when Size <= 0
 		Metrics:    serve.NewCollector(),
@@ -149,18 +139,15 @@ func New(cfg Config) (*Node, error) {
 			n.Close()
 			return nil, fmt.Errorf("node: %w", err)
 		}
-		st := schema.Render(w)
 		// Recover is NewManager when Config.Substrate.Durability is off
 		// (the default); with a data dir set it restores checkpoint + WAL
 		// state from a previous run before serving.
-		mgr, err := substrate.Recover(n.Enc, st, cfg.Substrate)
+		mgr, err := substrate.Recover(n.Enc, schema.Render(w), cfg.Substrate)
 		if err != nil {
 			n.Close()
 			return nil, fmt.Errorf("node: substrate %s: %w", src, err)
 		}
-		n.Stores[src] = st
 		n.Substrates[src] = mgr
-		n.Indexes[src] = mgr.Current().Index
 	}
 	n.Models = map[string]*llm.SimLM{
 		ModelGPT35: llm.NewSim(w, llm.GPT35Params(), cfg.WorldSeed),

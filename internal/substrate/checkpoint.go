@@ -158,7 +158,7 @@ func writeCheckpoint(dir string, epoch uint64, source kg.Source, triples []kg.Tr
 }
 
 // loadedCheckpoint is one fully-validated checkpoint, ready to become a
-// manager's base.
+// manager's store (open for the WAL tail's appends) and base shards.
 type loadedCheckpoint struct {
 	epoch  uint64
 	store  *kg.Store

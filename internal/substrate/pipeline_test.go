@@ -18,8 +18,8 @@ func (noopClient) Complete(context.Context, llm.Request) (llm.Response, error) {
 }
 
 // TestDeltaTriplesReachGoldGraph runs the pipeline's semantic query +
-// pruning steps against a live snapshot: a fact that only exists in the
-// delta store must be retrieved into Gt and assembled into Gg, proving the
+// pruning steps against a live snapshot: a fact that was only ingested
+// must be retrieved into Gt and assembled into Gg, proving the
 // whole AKV path sees ingested knowledge without a rebuild.
 func TestDeltaTriplesReachGoldGraph(t *testing.T) {
 	m := newTestManager(t, 25, Config{ShardSize: 8})

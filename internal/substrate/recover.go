@@ -102,15 +102,16 @@ func (e *ChainGapError) Error() string {
 // disabled this is exactly NewManager; otherwise it restores the
 // substrate's pre-crash state from disk before serving:
 //
-//  1. Load the newest checkpoint under Dir/<source>/ that fully
-//     validates (manifest, content hashes, triples, graph) and rebuild
-//     its index segments; fall back to older ones, then to the seed
-//     store, when newer ones are corrupt.
+//  1. Load the triples of the newest checkpoint under Dir/<source>/ that
+//     fully validates (manifest, content hashes, triples, graph) as the
+//     manager's store and rebuild its index segments; fall back to older
+//     ones, then to the seed store, when newer ones are corrupt.
 //  2. Replay the WAL tail — every record with an epoch past the
-//     checkpoint's — through the normal ingest path, re-encoding delta
-//     index segments. Torn tail records (incomplete frame or checksum
-//     mismatch) are dropped with a logged count and physically
-//     truncated so appends resume on a clean boundary.
+//     checkpoint's — through the normal ingest path, appending to that
+//     store and encoding delta index segments. Torn tail records
+//     (incomplete frame or checksum mismatch) are dropped with a logged
+//     count and physically truncated so appends resume on a clean
+//     boundary.
 //  3. Resume the epoch at (max persisted epoch) + 1, so the epoch never
 //     regresses across a restart and the epochs clients see never go
 //     backwards.
@@ -123,10 +124,10 @@ func (e *ChainGapError) Error() string {
 // written" and "WAL truncated" leaves a full log and still falls back.
 //
 // The seed store is the deterministic boot-time base (the rendered
-// world); it is only used when no checkpoint exists. The manager owns
-// the seed from here on, like NewManager. Callers should Close the
-// returned manager on shutdown to stop background fsync/checkpoint
-// loops and flush the WAL.
+// world); it is only used when no checkpoint exists, and then copied as
+// NewManager copies it, so the caller's store never changes. Callers
+// should Close the returned manager on shutdown to stop background
+// fsync/checkpoint loops and flush the WAL.
 func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 	if !cfg.Durability.Enabled() {
 		return NewManager(enc, seed, cfg), nil
@@ -135,7 +136,6 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("substrate: data dir: %w", err)
 	}
-	seed.Freeze()
 	m := &Manager{
 		enc:     enc,
 		cfg:     cfg,
@@ -149,7 +149,8 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 	}
 	m.recovery.SkippedCheckpoints = len(skipped)
 	if cp != nil {
-		m.base = cp.store
+		m.store = cp.store
+		m.baseRows = cp.store.Len()
 		m.baseShards = cp.shards
 		m.epoch = cp.epoch
 		m.recovery.CheckpointEpoch = cp.epoch
@@ -163,15 +164,13 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 			m.baseANN = cp.ann
 		}
 	} else {
-		m.base = seed
-		m.baseShards = vecstore.BuildShards(enc, seed.All(), cfg.ShardSize)
+		m.loadSeed(seed)
 	}
 	if m.baseANN == nil {
 		// Seed boot, or ANN newly enabled over a checkpoint written without
 		// a graph file (ANN was off, or format 1): build it at boot.
 		m.baseANN = m.graphOver(m.baseShards)
 	}
-	m.delta = kg.NewStore(m.base.Source())
 
 	// Replay the WAL tail through the ingest plan/apply path, then
 	// truncate any torn tail so the append cursor lands on a record

@@ -4,15 +4,18 @@
 //
 // The design is snapshot-based. A Manager owns:
 //
-//   - a frozen base store, vector-indexed as fixed-size shards that are
-//     searched concurrently (vecstore.Sharded);
-//   - an append-only delta store that accumulates ingested triples, with
-//     one small index segment per ingest batch;
+//   - one append-only kg.Store holding every triple it has served, in ID
+//     order, for its whole lifetime — the seed or a checkpoint's triples
+//     first, then every ingest;
+//   - the vector index over that store as segments: fixed-size base
+//     shards over the rows of the last compaction (or of the boot base),
+//     searched concurrently (vecstore.Sharded), plus one small delta
+//     segment per ingest batch over the rows added since;
 //   - the current Snapshot: an immutable (epoch, kg.Reader,
 //     vecstore.Searcher) triple published with an atomic pointer swap. Its
-//     reader is the base plus a view of the delta store's first n triples
-//     (kg.Store.Prefix), which later appends never change, so a publish
-//     copies no triple and costs the batch, not the delta.
+//     reader is a view of the store's first n triples (kg.Store.Prefix),
+//     which later appends never change, so a snapshot is a length: a
+//     publish copies no triple and costs the batch, not the store.
 //
 // Readers resolve the current snapshot once per query and keep it for the
 // whole run, so a query served mid-ingest sees one consistent substrate
@@ -22,9 +25,10 @@
 // substrate is served again only after its reads are checked against the
 // new one.
 //
-// A triple ID names one triple for a manager's lifetime: ingest appends
-// (delta IDs continue the base's), and compaction and coalescing keep
-// every ID. Answer read logs name triples by ID and rely on this.
+// A triple ID is its row in the store, so it names one triple for a
+// manager's lifetime, and every KG read of a snapshot is a function of its
+// triple set alone: ingest, coalescing and compaction never move a row.
+// Answer read logs name triples by ID and rely on this.
 //
 // An ingest replaces no segment it did not touch. A publish keeps every
 // index segment the ingest did not replace — all of the base's and, until
@@ -36,11 +40,12 @@
 // cached answer revalidated there searches only the rows added since its
 // last replay (the vecstore package comment's watermark).
 //
-// Compaction folds the delta into a new frozen base — re-sharding the
-// index, keeping the old base's full leading segments (vecstore.Reshard)
-// — and resets the delta. It runs concurrently with ingest: only the
-// final swap takes the writer lock, and triples ingested during the build
-// survive as the new delta.
+// Compaction re-cuts the index only: the rows published so far become the
+// new base shards, keeping the old base's full leading segments
+// (vecstore.Reshard), and the delta segments reset; the store is not
+// touched. It runs concurrently with ingest: only the final swap takes the
+// writer lock, and rows ingested during the build get a fresh delta
+// segment.
 //
 // # Invariants
 //
@@ -96,7 +101,7 @@ type Config struct {
 	// zero value keeps the manager memory-only. Durable managers must be
 	// built with Recover, which replays persisted state at boot.
 	Durability Durability
-	// ANN configures approximate retrieval over the frozen base; the
+	// ANN configures approximate retrieval over the base shards; the
 	// zero value keeps every search an exact scan.
 	ANN ANNConfig
 	// Replica puts the manager in WAL-applying mode: recovery resumes at
@@ -109,7 +114,7 @@ type Config struct {
 }
 
 // ANNConfig enables sublinear approximate retrieval: an HNSW graph is
-// built over the frozen base's index segments at boot and rebuilt by every
+// built over the base's index segments at boot and rebuilt by every
 // compaction (off the writer lock), while the hot delta stays exact-scan.
 // The snapshot then serves through a vecstore.Hybrid — graph over the
 // base, exact over the delta, merged per query — so the approximate/exact
@@ -132,12 +137,14 @@ type Snapshot struct {
 	// by it, so an answer from an older substrate is revalidated before it
 	// is served after a swap.
 	Epoch uint64
-	// Store is the consistent triple view: the base, or the base ∪ a view
-	// of the delta store's first DeltaTriples triples.
+	// Store is the consistent triple view: the manager store's first
+	// BaseTriples + DeltaTriples triples (a *kg.Prefix).
 	Store kg.Reader
 	// Index is the sharded vector index over exactly Store's triples.
 	Index vecstore.Searcher
-	// BaseTriples / DeltaTriples split Store.Len() by origin.
+	// BaseTriples / DeltaTriples split Store.Len() by index segment: the
+	// rows the base shards of the last compaction (or of the boot base)
+	// cover, and the rows added since, indexed by the delta segments.
 	BaseTriples  int
 	DeltaTriples int
 }
@@ -172,18 +179,22 @@ type Manager struct {
 
 	cur atomic.Pointer[Snapshot]
 
-	mu         sync.Mutex // guards the master state below
-	base       *kg.Store  // frozen
+	mu sync.Mutex // guards the master state below
+	// store holds every triple in ID order; it only ever appends, and
+	// every snapshot reads a prefix of it.
+	store *kg.Store
+	// baseShards index the store's first baseRows rows: those of the last
+	// compaction, or of the boot base.
+	baseRows   int
 	baseShards []*vecstore.Index
 	// baseANN is the HNSW graph over a prefix of baseShards (usually all
 	// of them; after a mid-generation recovery it may cover fewer — the
 	// uncovered tail is exact-scanned until the next compaction). Nil
 	// when Config.ANN is disabled.
 	baseANN *vecstore.HNSW
-	delta   *kg.Store // unfrozen, accumulating
-	// deltaSegs are the delta's index segments, one per ingest batch
+	// deltaSegs index the rows past baseRows, one segment per ingest batch
 	// (coalesced when they proliferate), so each publish encodes only the
-	// newly added triples instead of the whole accumulated delta.
+	// newly added triples instead of every row since the last compaction.
 	deltaSegs     []*vecstore.Index
 	epoch         uint64
 	compacting    bool
@@ -219,24 +230,27 @@ type Manager struct {
 	ckptDone  chan struct{}
 }
 
-// NewManager builds a manager over a base store, sharding its vector
-// index. The store is frozen if it is not already; the manager owns it
-// from here on.
-func NewManager(enc *embed.Encoder, base *kg.Store, cfg Config) *Manager {
-	base.Freeze()
-	m := &Manager{
-		enc:        enc,
-		cfg:        cfg,
-		base:       base,
-		baseShards: vecstore.BuildShards(enc, base.All(), cfg.ShardSize),
-		delta:      kg.NewStore(base.Source()),
-		epoch:      0,
-	}
+// NewManager builds a manager over a copy of the seed store, sharding its
+// vector index. The caller's store is not changed, by this call or by any
+// later ingest.
+func NewManager(enc *embed.Encoder, seed *kg.Store, cfg Config) *Manager {
+	m := &Manager{enc: enc, cfg: cfg}
+	m.loadSeed(seed)
 	m.baseANN = m.graphOver(m.baseShards)
 	m.mu.Lock()
 	m.publishLocked()
 	m.mu.Unlock()
 	return m
+}
+
+// loadSeed makes a copy of the seed the manager's store and base. The copy
+// keeps every ID: the seed's triples are its rows in order.
+func (m *Manager) loadSeed(seed *kg.Store) {
+	all := seed.All()
+	m.store = kg.NewStore(seed.Source())
+	m.store.AddAll(all)
+	m.baseRows = len(all)
+	m.baseShards = vecstore.BuildShards(m.enc, all, m.cfg.ShardSize)
 }
 
 // graphOver builds the ANN graph over a base's index segments: the graph
@@ -269,7 +283,7 @@ func (m *Manager) Source() kg.Source { return m.cur.Load().Store.Source() }
 // IngestResult reports what one Ingest call did.
 type IngestResult struct {
 	// Added is how many triples were new; Skipped counts duplicates of
-	// base or delta facts.
+	// stored facts.
 	Added   int `json:"added"`
 	Skipped int `json:"skipped"`
 	// Epoch is the snapshot epoch after the call (unchanged when nothing
@@ -280,9 +294,9 @@ type IngestResult struct {
 	DeltaTriples int `json:"delta_triples"`
 }
 
-// Ingest adds triples to the delta store and, if anything was new,
+// Ingest appends triples to the store and, if anything was new,
 // publishes a fresh snapshot whose index covers them. Triples already
-// present (in base or delta) are skipped, so ingestion is idempotent.
+// stored are skipped, so ingestion is idempotent.
 // Structurally empty triples are rejected.
 //
 // A triple with Ord 0 whose (subject, relation) already holds facts is
@@ -364,7 +378,7 @@ func (m *Manager) Ingest(triples []kg.Triple) (IngestResult, error) {
 // autoCompactLocked starts a background compaction when the delta has
 // reached Config.CompactThreshold. Caller holds m.mu.
 func (m *Manager) autoCompactLocked() {
-	if m.cfg.CompactThreshold <= 0 || m.delta.Len() < m.cfg.CompactThreshold {
+	if m.cfg.CompactThreshold <= 0 || m.store.Len()-m.baseRows < m.cfg.CompactThreshold {
 		return
 	}
 	go func() {
@@ -377,7 +391,7 @@ func (m *Manager) autoCompactLocked() {
 }
 
 // planLocked computes which of the batch's triples are actually new —
-// duplicates of base, delta or earlier batch entries skipped, ordinals
+// duplicates of stored or earlier batch entries skipped, ordinals
 // assigned — without mutating any state, so the WAL can log the exact
 // stored forms before they are applied. Caller holds m.mu.
 func (m *Manager) planLocked(triples []kg.Triple) (fresh []kg.Triple, skipped int) {
@@ -388,7 +402,7 @@ func (m *Manager) planLocked(triples []kg.Triple) (fresh []kg.Triple, skipped in
 	pendingOrd := make(map[string]int)
 	for _, t := range triples {
 		key := t.Key()
-		if seen[key] || m.base.ContainsKey(key) || m.delta.ContainsKey(key) {
+		if seen[key] || m.store.ContainsKey(key) {
 			skipped++
 			continue
 		}
@@ -415,19 +429,16 @@ func (m *Manager) planLocked(triples []kg.Triple) (fresh []kg.Triple, skipped in
 	return fresh, skipped
 }
 
-// applyLocked adds planned triples to the delta store and appends their
-// index segment under the union's combined ID space. Caller holds m.mu;
-// the triples must come from planLocked against the current state.
+// applyLocked appends planned triples to the store and a delta segment
+// over them. Caller holds m.mu; the triples must come from planLocked
+// against the current state.
 func (m *Manager) applyLocked(fresh []kg.Triple) {
 	batch := make([]kg.Triple, 0, len(fresh))
 	for _, t := range fresh {
-		id, ok := m.delta.Add(t)
-		if !ok {
-			continue // unreachable for planned triples
+		if id, ok := m.store.Add(t); ok { // always, for planned triples
+			stored, _ := m.store.Get(id)
+			batch = append(batch, stored)
 		}
-		stored, _ := m.delta.Get(id)
-		stored.ID = m.base.Len() + id
-		batch = append(batch, stored)
 	}
 	if len(batch) > 0 {
 		m.deltaSegs = append(m.deltaSegs, vecstore.BuildTriples(m.enc, batch))
@@ -435,21 +446,14 @@ func (m *Manager) applyLocked(fresh []kg.Triple) {
 }
 
 // maxOrdLocked returns the largest ordinal stored for (subject, relation)
-// across base and delta, and whether the pair holds any facts at all.
-// Caller holds m.mu.
+// — the last of its Ord-ordered list — and whether the pair holds any
+// facts at all. Caller holds m.mu.
 func (m *Manager) maxOrdLocked(subject, relation string) (int, bool) {
-	max, found := 0, false
-	for _, t := range m.base.SubjectRelation(subject, relation) {
-		if !found || t.Ord > max {
-			max, found = t.Ord, true
-		}
+	ts := m.store.SubjectRelation(subject, relation)
+	if len(ts) == 0 {
+		return 0, false
 	}
-	for _, t := range m.delta.SubjectRelation(subject, relation) {
-		if !found || t.Ord > max {
-			max, found = t.Ord, true
-		}
-	}
-	return max, found
+	return ts[len(ts)-1].Ord, true
 }
 
 // coalesceDeltaSegsLocked folds the per-batch delta segments into one
@@ -466,21 +470,11 @@ func (m *Manager) coalesceDeltaSegsLocked() {
 	m.deltaSegs = []*vecstore.Index{vecstore.Concat(m.enc, m.deltaSegs...)}
 }
 
-// deltaTriplesLocked returns the delta's triples remapped into the
-// union's combined ID space. Caller holds m.mu.
-func (m *Manager) deltaTriplesLocked() []kg.Triple {
-	out := m.delta.All()
-	for i := range out {
-		out[i].ID = m.base.Len() + i
-	}
-	return out
-}
-
 // publishLocked builds and swaps in a snapshot of the current master
-// state. Caller holds m.mu. The snapshot reads the delta through a view of
-// the triples it holds now (kg.Store.Prefix) and searches the per-batch
-// delta index segments, so publish copies nothing: its cost is the
-// latest batch's encoding, not the substrate's size.
+// state. Caller holds m.mu. The snapshot reads a view of the rows the
+// store holds now (kg.Store.Prefix) and searches the per-batch delta
+// index segments, so publish copies nothing: its cost is the latest
+// batch's encoding, not the substrate's size.
 func (m *Manager) publishLocked() *Snapshot {
 	m.epoch++
 	return m.republishLocked()
@@ -489,13 +483,12 @@ func (m *Manager) publishLocked() *Snapshot {
 // republishLocked builds and swaps in a snapshot of the current master
 // state at the CURRENT epoch, without bumping it. Only correct when the
 // content at this epoch is unchanged — the replica-mode compaction fold,
-// which rearranges base/delta layout but serves the same triple set, so
+// which re-cuts the index segments but serves the same triple set, so
 // cache entries stamped with this epoch stay valid. Caller holds m.mu.
 func (m *Manager) republishLocked() *Snapshot {
-	var store kg.Reader = m.base
+	n := m.store.Len()
 	shards := m.baseShards
-	if n := m.delta.Len(); n > 0 {
-		store = newUnion(m.base, m.delta.Prefix(n))
+	if n > m.baseRows {
 		shards = append(append([]*vecstore.Index(nil), m.baseShards...), m.deltaSegs...)
 	}
 	var index vecstore.Searcher
@@ -512,38 +505,38 @@ func (m *Manager) republishLocked() *Snapshot {
 	}
 	snap := &Snapshot{
 		Epoch:        m.epoch,
-		Store:        store,
+		Store:        m.store.Prefix(n),
 		Index:        index,
-		BaseTriples:  m.base.Len(),
-		DeltaTriples: m.delta.Len(),
+		BaseTriples:  m.baseRows,
+		DeltaTriples: n - m.baseRows,
 	}
 	m.cur.Store(snap)
 	return snap
 }
 
-// Compact folds the delta into a new frozen, re-sharded base and publishes
-// the result. The expensive part — encoding the merged triple set beyond
-// the old base's full segments — runs outside the writer lock, so ingest
-// stays live during compaction; triples ingested while the build runs
-// carry over into the new delta.
+// Compact re-cuts the index: the rows published so far become the new
+// base shards, and the delta segments reset. The store is untouched, so
+// every read of the triple set is too. The expensive part — encoding the
+// rows beyond the old base's full segments, and with ANN the graph — runs
+// outside the writer lock, so ingest stays live during compaction; rows
+// ingested while the build runs get a fresh delta segment.
 // Returns ErrCompacting if another compaction is in flight. A compaction
-// of an empty delta is a no-op returning the current snapshot.
+// with no rows past the base is a no-op returning the current snapshot.
 func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 	m.mu.Lock()
 	if m.compacting {
 		m.mu.Unlock()
 		return nil, ErrCompacting
 	}
-	if m.delta.Len() == 0 {
+	n := m.store.Len()
+	if n == m.baseRows {
 		snap := m.cur.Load()
 		m.mu.Unlock()
 		return snap, nil
 	}
 	m.compacting = true
-	baseAll := m.base.All()
+	rows := m.store.Prefix(n)
 	baseShards := m.baseShards
-	deltaPrefix := m.delta.All()
-	src := m.base.Source()
 	m.mu.Unlock()
 	defer func() {
 		m.mu.Lock()
@@ -554,14 +547,9 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	newBase := kg.NewStore(src)
-	newBase.AddAll(baseAll)
-	newBase.AddAll(deltaPrefix)
-	newBase.Freeze()
 	// The new base extends the old one, so its full leading segments are
-	// the old base's where their triples match: those keep their rows, and
-	// only the rest is encoded.
-	newShards := vecstore.Reshard(m.enc, newBase.All(), m.cfg.ShardSize, baseShards)
+	// the old base's: those keep their rows, and only the rest is encoded.
+	newShards := vecstore.Reshard(m.enc, rows.All(), m.cfg.ShardSize, baseShards)
 	// The graph build is the expensive part of an ANN compaction; like the
 	// re-shard above it runs here, outside the writer lock, so ingest stays
 	// live while the graph grows.
@@ -585,27 +573,19 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 			return nil, fmt.Errorf("substrate: compaction epoch marker: %w", err)
 		}
 	}
-	// Whatever arrived during the build becomes the new delta. Delta IDs
-	// are assigned in insertion order, so the compacted prefix is exactly
-	// the first len(deltaPrefix) triples.
-	tail := m.delta.All()[len(deltaPrefix):]
-	newDelta := kg.NewStore(src)
-	newDelta.AddAll(tail)
-	m.base = newBase
+	m.baseRows = n
 	m.baseShards = newShards
 	m.baseANN = newANN
-	m.delta = newDelta
 	m.deltaSegs = nil
-	if newDelta.Len() > 0 {
-		// Re-segment the carried-over triples against the new base's ID
-		// space.
-		m.deltaSegs = []*vecstore.Index{vecstore.BuildTriples(m.enc, m.deltaTriplesLocked())}
+	if m.store.Len() > n {
+		// Rows ingested during the build: one segment over all of them.
+		m.deltaSegs = []*vecstore.Index{vecstore.BuildTriples(m.enc, m.store.All()[n:])}
 	}
 	m.compactions.Add(1)
 	var snap *Snapshot
 	if m.cfg.Replica {
-		// Epoch-frozen: the fold rearranged base/delta layout but serves
-		// the same triple set, and the replica's epoch must keep meaning
+		// Epoch-frozen: the fold re-cut the index segments but serves the
+		// same triple set, and the replica's epoch must keep meaning
 		// exactly what the primary's does. No marker is logged either —
 		// the local WAL holds only records shipped from the primary.
 		snap = m.republishLocked()
@@ -621,7 +601,7 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 		// Compaction is the natural checkpoint moment: the delta just
 		// folded into the base, so persisting now keeps the WAL short.
 		if _, err := m.Checkpoint(ctx); err != nil && !errors.Is(err, ErrCheckpointing) {
-			log.Printf("substrate[%s]: checkpoint after compaction: %v", src, err)
+			log.Printf("substrate[%s]: checkpoint after compaction: %v", m.Source(), err)
 		}
 	}
 	return snap, nil

@@ -284,7 +284,7 @@ func TestIngestUpdatesTimeVaryingFact(t *testing.T) {
 		t.Fatalf("second update is not the latest value: %v", sr)
 	}
 
-	// Ordering survives compaction (the new base re-freezes SR lists).
+	// Ordering survives compaction.
 	if _, err := m.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -330,10 +330,13 @@ func TestManySmallIngestsCoalesce(t *testing.T) {
 	}
 }
 
-func TestUnionReaderSemantics(t *testing.T) {
+// TestSnapshotReaderSemantics: a snapshot after an ingest reads the seed
+// and the ingested triples as one store: one ID space, (subject,
+// relation) lists in Ord order, caller-owned results.
+func TestSnapshotReaderSemantics(t *testing.T) {
 	m := newTestManager(t, 5, Config{})
 	// Ingest a two-value time-varying history (explicit ordinals) to
-	// prove SR merge ordering, plus a brand-new subject.
+	// prove SR ordering, plus a brand-new subject.
 	if _, err := m.Ingest([]kg.Triple{
 		{Subject: "Entity 0", Relation: "population", Object: "50", Ord: 0},
 		{Subject: "Entity 0", Relation: "population", Object: "100", Ord: 1},
@@ -345,10 +348,10 @@ func TestUnionReaderSemantics(t *testing.T) {
 
 	sr := store.SubjectRelation("Entity 0", "population")
 	if len(sr) != 2 || sr[0].Object != "50" || sr[1].Object != "100" {
-		t.Errorf("SR merge not chronological: %v", sr)
+		t.Errorf("SR list not chronological: %v", sr)
 	}
 
-	// IDs are remapped into one space and Get round-trips.
+	// IDs are rows of one store and Get round-trips.
 	all := store.All()
 	if len(all) != 8 {
 		t.Fatalf("All = %d triples, want 8", len(all))
@@ -364,7 +367,7 @@ func TestUnionReaderSemantics(t *testing.T) {
 	}
 
 	if !store.Contains(kg.Triple{Subject: "Fresh", Relation: "r", Object: "Entity 1"}) {
-		t.Error("Contains missed a delta triple")
+		t.Error("Contains missed an ingested triple")
 	}
 	if s, ok := store.FindSubjectFold("fresh"); !ok || s != "Fresh" {
 		t.Errorf("FindSubjectFold(fresh) = %q ok=%v", s, ok)
@@ -373,7 +376,7 @@ func TestUnionReaderSemantics(t *testing.T) {
 	sub := store.Subject("Entity 0")
 	sub[0].Subject = "CORRUPTED"
 	if store.Subject("Entity 0")[0].Subject == "CORRUPTED" {
-		t.Error("union.Subject aliases internal state")
+		t.Error("Snapshot.Store.Subject aliases internal state")
 	}
 }
 

@@ -45,7 +45,7 @@ type Hybrid struct {
 // rows (Compose): the fallback's from the first segment's first row, the
 // tail's from the first row the graph does not cover. ann's own segments
 // must be a prefix of segs (the invariant the substrate maintains: the
-// graph is built over, or reloaded against, the frozen base segments it
+// graph is built over, or reloaded against, the base segments it
 // publishes). If they are not — a graph over other rows — the graph is
 // discarded and the view degrades to pure exact scan rather than serving
 // wrong results. ann may be nil for an exact-only view with fallback
