@@ -68,6 +68,16 @@ func run(o opts) error {
 	if err != nil {
 		return err
 	}
+	// The seed KG per source, rendered from the world as every node
+	// renders the seed of its substrate.
+	stores := map[kg.Source]*kg.Store{}
+	for _, src := range node.Sources {
+		schema, err := world.SchemaFor(src)
+		if err != nil {
+			return err
+		}
+		stores[src] = schema.Render(env.World)
+	}
 
 	did := false
 	if stats {
@@ -77,11 +87,7 @@ func run(o opts) error {
 		for kind, n := range s.ByKind {
 			fmt.Printf("  %-16s %d\n", kind, n)
 		}
-		for _, src := range node.Sources {
-			st, err := seedStore(env, src)
-			if err != nil {
-				return err
-			}
+		for src, st := range stores {
 			fmt.Printf("KG[%s]: %s\n", src, st.Stats())
 		}
 	}
@@ -91,9 +97,9 @@ func run(o opts) error {
 		if err != nil {
 			return err
 		}
-		st, err := seedStore(env, src)
-		if err != nil {
-			return err
+		st, ok := stores[src]
+		if !ok {
+			return fmt.Errorf("no store for source %q", dump)
 		}
 		var triples []kg.Triple
 		if subject != "" {
@@ -137,11 +143,7 @@ func run(o opts) error {
 		if err != nil {
 			return err
 		}
-		st, err := seedStore(env, src)
-		if err != nil {
-			return err
-		}
-		if err := st.WriteJSON(os.Stdout); err != nil {
+		if err := stores[src].WriteJSON(os.Stdout); err != nil {
 			return err
 		}
 	}
@@ -151,11 +153,7 @@ func run(o opts) error {
 		if err != nil {
 			return err
 		}
-		st, err := seedStore(env, src)
-		if err != nil {
-			return err
-		}
-		if err := st.WriteNT(os.Stdout); err != nil {
+		if err := stores[src].WriteNT(os.Stdout); err != nil {
 			return err
 		}
 	}
@@ -186,14 +184,4 @@ func run(o opts) error {
 		return fmt.Errorf("nothing to do: pass -stats, -dump, -datasets, or an -export flag")
 	}
 	return nil
-}
-
-// seedStore renders the world into one source's KG: the seed every
-// node's substrate starts from.
-func seedStore(env *bench.Env, src kg.Source) (*kg.Store, error) {
-	schema, err := world.SchemaFor(src)
-	if err != nil {
-		return nil, err
-	}
-	return schema.Render(env.World), nil
 }

@@ -102,12 +102,13 @@ func (st *Store) Add(t Triple) (int, bool) {
 	st.bySubject[t.Subject] = append(st.bySubject[t.Subject], id)
 	st.byRelation[t.Relation] = append(st.byRelation[t.Relation], id)
 	st.byObject[t.Object] = append(st.byObject[t.Object], id)
-	sr := st.bySR[t.SRKey()]
+	srKey := t.SRKey()
+	sr := st.bySR[srKey]
 	at := len(sr)
 	for at > 0 && st.triples[sr[at-1]].Ord > t.Ord {
 		at--
 	}
-	st.bySR[t.SRKey()] = slices.Insert(sr, at, id)
+	st.bySR[srKey] = slices.Insert(sr, at, id)
 	st.byRO[t.Relation+"\x00"+t.Object] = append(st.byRO[t.Relation+"\x00"+t.Object], id)
 	return id, true
 }

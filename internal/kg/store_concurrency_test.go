@@ -2,6 +2,7 @@ package kg
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -142,18 +143,13 @@ func TestPrefixReadsStableUnderOutOfOrderAdds(t *testing.T) {
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for range 8 {
+	for range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var views []*Prefix
 			var want [][]Triple
 			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
 				p := st.Prefix(st.Len())
 				got := p.SubjectRelation("S", "r")
 				if len(got) != p.Len() {
@@ -173,14 +169,20 @@ func TestPrefixReadsStableUnderOutOfOrderAdds(t *testing.T) {
 						return
 					}
 				}
-				if len(views) > 16 {
+				if len(views) > 8 {
 					views, want = views[1:], want[1:]
+				}
+				select {
+				case <-done:
+					return
+				default:
 				}
 			}
 		}()
 	}
-	for i := 20; i < 400; i++ {
+	for i := 20; i < 200; i++ {
 		add(i)
+		runtime.Gosched()
 	}
 	close(done)
 	wg.Wait()

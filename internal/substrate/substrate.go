@@ -548,7 +548,8 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 		return nil, err
 	}
 	// The new base extends the old one, so its full leading segments are
-	// the old base's: those keep their rows, and only the rest is encoded.
+	// the old base's where their triples match: those keep their rows, and
+	// only the rest is encoded.
 	newShards := vecstore.Reshard(m.enc, rows.All(), m.cfg.ShardSize, baseShards)
 	// The graph build is the expensive part of an ANN compaction; like the
 	// re-shard above it runs here, outside the writer lock, so ingest stays
