@@ -45,6 +45,14 @@ type Config struct {
 // the default server.
 func parseFlags(args []string) (Config, error) {
 	c := Config{MaxBody: 8 << 20}
+	flags(&c).Parse(args) // ExitOnError: a bad flag has already exited
+	return c, c.Validate()
+}
+
+// flags registers every pgakvd flag, each bound to its field of c. The
+// "Flags reference" table in docs/operations.md lists exactly this set
+// with these defaults; a test holds the two together.
+func flags(c *Config) *flag.FlagSet {
 	fs := flag.NewFlagSet("pgakvd", flag.ExitOnError)
 	fs.StringVar(&c.Addr, "addr", ":8080", "listen address")
 	fs.BoolVar(&c.Quick, "quick", false, "use the small test-scale environment (fast startup)")
@@ -70,8 +78,7 @@ func parseFlags(args []string) (Config, error) {
 	fs.IntVar(&c.Substrate.ANN.EfSearch, "ann-ef", 0, "HNSW search beam width; wider = better recall, slower (0 = vecstore default; only meaningful with -ann)")
 	fs.StringVar(&c.DebugAddr, "debug-addr", "", "serve runtime profiles (net/http/pprof, under /debug/pprof/) on this separate listen address, never on -addr (empty = off)")
 	fs.StringVar(&c.ReplicaOf, "replica-of", "", "run as a read replica of this primary base URL (e.g. http://host:8080): bootstrap from its checkpoints, stream and apply its WAL, redirect local ingests to it; requires -data-dir")
-	fs.Parse(args) // ExitOnError: a bad flag has already exited
-	return c, c.Validate()
+	return fs
 }
 
 // Validate rejects flag values the server cannot start with.

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -72,5 +77,85 @@ func TestFlagsLandInConfig(t *testing.T) {
 	}
 	if nc := got.node(nil, nil); !nc.Substrate.Replica || nc.Substrate.Durability.Dir != "/d" || nc.Cache.Size != 0 {
 		t.Errorf("node config does not follow the flags: %+v", nc.Substrate)
+	}
+}
+
+// flagTableDrift compares the "Flags reference" table of an operations
+// document with the flags pgakvd registers and returns one problem per
+// flag without a row, row without a flag, or default that differs.
+// Defaults are compared normalised: off/on are false/true, `""` is empty,
+// and a duration flag's cell is parsed, so `60s` equals 1m0s.
+func flagTableDrift(doc string) []string {
+	_, section, _ := strings.Cut(doc, "\n## Flags reference\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := map[string]string{}
+	var problems []string
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.SplitN(line, "|", 4)
+		if len(cells) < 4 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`-") {
+			continue
+		}
+		name := strings.Trim(strings.TrimSpace(cells[1]), "`-")
+		if _, dup := rows[name]; dup {
+			problems = append(problems, "-"+name+": two rows")
+		}
+		rows[name] = strings.Trim(strings.TrimSpace(cells[2]), "`")
+	}
+	fs := flags(&Config{})
+	fs.VisitAll(func(f *flag.Flag) {
+		cell, ok := rows[f.Name]
+		if !ok {
+			problems = append(problems, "-"+f.Name+": no row")
+			return
+		}
+		delete(rows, f.Name)
+		switch cell {
+		case "off":
+			cell = "false"
+		case "on":
+			cell = "true"
+		case `""`:
+			cell = ""
+		}
+		if def, ok := f.Value.(flag.Getter).Get().(time.Duration); ok {
+			if d, err := time.ParseDuration(cell); err == nil && d == def {
+				return
+			}
+		} else if cell == f.DefValue {
+			return
+		}
+		problems = append(problems, fmt.Sprintf("-%s: row says %q, flag defaults to %q", f.Name, cell, f.DefValue))
+	})
+	for name := range rows {
+		problems = append(problems, "-"+name+": row names no flag")
+	}
+	slices.Sort(problems)
+	return problems
+}
+
+// TestFlagsReferenceMatchesFlags: docs/operations.md lists every flag
+// parseFlags registers, no other, each with the flag's default. It also
+// proves the check trips on a doctored copy of the table.
+func TestFlagsReferenceMatchesFlags(t *testing.T) {
+	raw, err := os.ReadFile("../../docs/operations.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	if problems := flagTableDrift(doc); len(problems) > 0 {
+		t.Errorf("docs/operations.md flag table drifted from parseFlags:\n%s", strings.Join(problems, "\n"))
+	}
+	doctored := strings.Replace(doc, "| `-workers` | `8` |", "| `-workers` | `9` |", 1)
+	doctored = regexp.MustCompile("(?m)^\\| `-burst` \\|.*\n").ReplaceAllString(doctored, "")
+	doctored = strings.Replace(doctored, "| `-addr` |", "| `-retired` | off | gone |\n| `-addr` |", 1)
+	// Normalisation alone is no drift.
+	doctored = strings.Replace(doctored, "| `-timeout` | `60s` |", "| `-timeout` | `1m0s` |", 1)
+	want := []string{
+		"-burst: no row",
+		"-retired: row names no flag",
+		`-workers: row says "9", flag defaults to "8"`,
+	}
+	if got := flagTableDrift(doctored); !slices.Equal(got, want) {
+		t.Errorf("doctored table: got problems\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

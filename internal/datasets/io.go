@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/kg"
 	"repro/internal/qa"
-	"repro/internal/world"
 )
 
 // questionJSON is the JSON wire form of one question, carrying the intent
-// so loaded datasets remain machine-evaluable.
+// so a written dataset stays machine-evaluable.
 type questionJSON struct {
 	ID        int      `json:"id"`
 	Text      string   `json:"text"`
@@ -50,22 +48,6 @@ var trefNames = map[qa.TemporalRef]string{
 	qa.TemporalOriginal: "original",
 }
 
-var trefByName = func() map[string]qa.TemporalRef {
-	m := make(map[string]qa.TemporalRef, len(trefNames))
-	for k, n := range trefNames {
-		m[n] = k
-	}
-	return m
-}()
-
-var kindByName = func() map[string]qa.IntentKind {
-	m := make(map[string]qa.IntentKind, len(kindNames))
-	for k, n := range kindNames {
-		m[n] = k
-	}
-	return m
-}()
-
 // WriteJSON serialises a dataset.
 func WriteJSON(w io.Writer, d *qa.Dataset) error {
 	doc := datasetJSON{Name: d.Name, Metric: d.Metric}
@@ -94,48 +76,4 @@ func WriteJSON(w io.Writer, d *qa.Dataset) error {
 		return fmt.Errorf("datasets: write: %w", err)
 	}
 	return nil
-}
-
-// ReadJSON loads a dataset written by WriteJSON and validates it.
-func ReadJSON(r io.Reader) (*qa.Dataset, error) {
-	var doc datasetJSON
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("datasets: read: %w", err)
-	}
-	d := &qa.Dataset{Name: doc.Name, Metric: doc.Metric}
-	for i, qj := range doc.Questions {
-		kind, ok := kindByName[qj.Kind]
-		if !ok {
-			return nil, fmt.Errorf("datasets: question %d: unknown kind %q", i, qj.Kind)
-		}
-		src, err := kg.ParseSource(qj.SourceKG)
-		if err != nil {
-			return nil, fmt.Errorf("datasets: question %d: %w", i, err)
-		}
-		in := qa.Intent{
-			Kind:      kind,
-			Subject:   qj.Subject,
-			Subject2:  qj.Subject2,
-			ValueRel:  world.RelKey(qj.ValueRel),
-			FilterRel: world.RelKey(qj.FilterRel),
-		}
-		if qj.TRef != "" {
-			tref, ok := trefByName[qj.TRef]
-			if !ok {
-				return nil, fmt.Errorf("datasets: question %d: unknown temporal ref %q", i, qj.TRef)
-			}
-			in.TRef = tref
-		}
-		for _, rel := range qj.Chain {
-			in.Chain = append(in.Chain, world.RelKey(rel))
-		}
-		d.Questions = append(d.Questions, qa.Question{
-			ID: qj.ID, Text: qj.Text, Intent: in,
-			Golds: qj.Golds, Refs: qj.Refs, SourceKG: src,
-		})
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
 }

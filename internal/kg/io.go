@@ -140,21 +140,3 @@ func (st *Store) WriteJSON(w io.Writer) error {
 	}
 	return nil
 }
-
-// ReadJSON loads a store from the WriteJSON format.
-func ReadJSON(r io.Reader) (*Store, error) {
-	var doc storeJSON
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("kg: read json: %w", err)
-	}
-	src, err := ParseSource(doc.Source)
-	if err != nil {
-		return nil, err
-	}
-	st := NewStore(src)
-	for _, t := range doc.Triples {
-		st.Add(Triple{Subject: t.S, Relation: t.R, Object: t.O, Ord: t.Ord})
-	}
-	st.Freeze()
-	return st, nil
-}

@@ -3,24 +3,24 @@ package kg
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
 
-// Store is an indexed, in-memory triple store. It maintains SPO, POS and OSP
-// orderings via hash indexes over each position plus pair indexes, which is
-// sufficient for the access paths the pipeline needs:
+// Store is an indexed, in-memory triple store. It keeps exactly the access
+// paths the pipeline, the baselines and the substrate's writer read:
 //
-//   - all triples for a subject (verification gold graph assembly),
-//   - all triples for a (subject, relation) pair (fact lookup, time series),
-//   - all subjects for a (relation, object) pair (reverse lookup, ToG),
-//   - full scan in insertion order (vector-store construction).
+//   - every triple in insertion order, by ID (vector-store construction,
+//     checkpoints, Get);
+//   - all triples for a subject (entity blocks, HasSubject);
+//   - all triples for a (subject, relation) pair (fact lookup, time series);
+//   - a triple by its surface form (Contains, duplicate suppression on Add);
+//   - a case-folded subject to its canonical form (FindSubjectFold).
 //
 // Each (subject, relation) list is kept in Ord order as triples arrive:
 // a new ID goes after every entry whose Ord is equal or smaller, so equal
 // ordinals stay in ID order and time-varying facts read chronologically,
-// as the verification prompt requires. Every other list is in ID order.
+// as the verification prompt requires. Subject lists are in ID order.
 //
 // Store is safe for concurrent use: every read takes the read lock, every
 // Add the write lock. IDs are assigned in insertion order and nothing is
@@ -35,12 +35,9 @@ type Store struct {
 
 	triples []Triple
 
-	bySubject  map[string][]int
-	byRelation map[string][]int
-	byObject   map[string][]int
-	bySR       map[string][]int
-	byRO       map[string][]int
-	byKey      map[string]int
+	bySubject map[string][]int
+	bySR      map[string][]int
+	byKey     map[string]int
 	// byFold maps a lower-cased subject to the first triple of the
 	// first-inserted subject that folds to it.
 	byFold map[string]int
@@ -52,14 +49,11 @@ type Store struct {
 // given source.
 func NewStore(source Source) *Store {
 	return &Store{
-		source:     source,
-		bySubject:  make(map[string][]int),
-		byRelation: make(map[string][]int),
-		byObject:   make(map[string][]int),
-		bySR:       make(map[string][]int),
-		byRO:       make(map[string][]int),
-		byKey:      make(map[string]int),
-		byFold:     make(map[string]int),
+		source:    source,
+		bySubject: make(map[string][]int),
+		bySR:      make(map[string][]int),
+		byKey:     make(map[string]int),
+		byFold:    make(map[string]int),
 	}
 }
 
@@ -100,8 +94,6 @@ func (st *Store) Add(t Triple) (int, bool) {
 		}
 	}
 	st.bySubject[t.Subject] = append(st.bySubject[t.Subject], id)
-	st.byRelation[t.Relation] = append(st.byRelation[t.Relation], id)
-	st.byObject[t.Object] = append(st.byObject[t.Object], id)
 	srKey := t.SRKey()
 	sr := st.bySR[srKey]
 	at := len(sr)
@@ -109,7 +101,6 @@ func (st *Store) Add(t Triple) (int, bool) {
 		at--
 	}
 	st.bySR[srKey] = slices.Insert(sr, at, id)
-	st.byRO[t.Relation+"\x00"+t.Object] = append(st.byRO[t.Relation+"\x00"+t.Object], id)
 	return id, true
 }
 
@@ -180,20 +171,6 @@ func (st *Store) Subject(s string) []Triple {
 	return st.take(st.bySubject[s])
 }
 
-// Relation returns all triples with the given relation.
-func (st *Store) Relation(r string) []Triple {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.take(st.byRelation[r])
-}
-
-// Object returns all triples whose object matches exactly.
-func (st *Store) Object(o string) []Triple {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.take(st.byObject[o])
-}
-
 // SubjectRelation returns the triples for (subject, relation) in Ord
 // order, equal ordinals in ID order.
 func (st *Store) SubjectRelation(s, r string) []Triple {
@@ -202,72 +179,11 @@ func (st *Store) SubjectRelation(s, r string) []Triple {
 	return st.take(st.bySR[s+"\x00"+r])
 }
 
-// RelationObject returns the triples for (relation, object) — the reverse
-// lookup used by graph-exploration baselines.
-func (st *Store) RelationObject(r, o string) []Triple {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.take(st.byRO[r+"\x00"+o])
-}
-
 // HasSubject reports whether any triple has the given subject.
 func (st *Store) HasSubject(s string) bool {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return len(st.bySubject[s]) > 0
-}
-
-// Subjects returns all distinct subjects, sorted.
-func (st *Store) Subjects() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]string, 0, len(st.bySubject))
-	for s := range st.bySubject {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Relations returns all distinct relations, sorted.
-func (st *Store) Relations() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]string, 0, len(st.byRelation))
-	for r := range st.byRelation {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Objects returns all distinct objects, sorted.
-func (st *Store) Objects() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]string, 0, len(st.byObject))
-	for o := range st.byObject {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Neighbours returns every triple whose subject is s — the one-hop
-// neighbourhood used by exploration baselines. It is an alias of Subject
-// kept for call-site readability.
-func (st *Store) Neighbours(s string) []Triple {
-	return st.Subject(s)
-}
-
-// SubjectGraph returns a Graph holding the given subjects' triples, in
-// subject order then store order. Unknown subjects contribute nothing.
-func (st *Store) SubjectGraph(subjects []string) *Graph {
-	g := &Graph{}
-	for _, s := range subjects {
-		g.Add(st.Subject(s)...)
-	}
-	return g
 }
 
 // FindSubjectFold returns the canonical subject whose case-folded form
@@ -304,16 +220,23 @@ type Stats struct {
 	Objects   int
 }
 
-// Stats returns summary statistics.
+// Stats returns summary statistics. The store keeps no relation or object
+// index, so it counts the distinct ones in a pass over the triples.
 func (st *Store) Stats() Stats {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
+	relations := make(map[string]struct{})
+	objects := make(map[string]struct{})
+	for _, t := range st.triples {
+		relations[t.Relation] = struct{}{}
+		objects[t.Object] = struct{}{}
+	}
 	return Stats{
 		Source:    st.source,
 		Triples:   len(st.triples),
 		Subjects:  len(st.bySubject),
-		Relations: len(st.byRelation),
-		Objects:   len(st.byObject),
+		Relations: len(relations),
+		Objects:   len(objects),
 	}
 }
 

@@ -3,6 +3,7 @@ package kg
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -41,7 +42,10 @@ func TestStoreConcurrentReadsAfterFreeze(t *testing.T) {
 					return
 				}
 				st.SubjectRelation(subj, fmt.Sprintf("rel%d", i%7))
-				st.RelationObject(fmt.Sprintf("rel%d", i%7), fmt.Sprintf("Object%d", i%200))
+				if got, ok := st.FindSubjectFold(strings.ToLower(subj)); !ok || got != subj {
+					t.Errorf("FindSubjectFold(%s) = %q, %v", strings.ToLower(subj), got, ok)
+					return
+				}
 				if !st.HasSubject(subj) {
 					t.Errorf("HasSubject(%s) = false", subj)
 					return
@@ -50,7 +54,10 @@ func TestStoreConcurrentReadsAfterFreeze(t *testing.T) {
 					_ = st.Len()
 					_ = st.Stats()
 					_ = st.All()
-					_ = st.Subjects()
+					if !st.Contains(Triple{Subject: fmt.Sprintf("Entity%d", i%50), Relation: fmt.Sprintf("rel%d", i%7), Object: fmt.Sprintf("Object%d", i)}) {
+						t.Errorf("Contains lost triple %d", i)
+						return
+					}
 				}
 			}
 		}(g)

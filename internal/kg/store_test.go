@@ -25,14 +25,20 @@ func TestStoreIndexes(t *testing.T) {
 	if got := len(st.Subject("China")); got != 4 {
 		t.Errorf("Subject(China) = %d triples, want 4", got)
 	}
-	if got := len(st.Relation("population")); got != 3 {
-		t.Errorf("Relation(population) = %d, want 3", got)
+	if got := len(st.Subject("Beijing")); got != 1 {
+		t.Errorf("Subject(Beijing) = %d triples, want 1", got)
 	}
-	if got := len(st.Object("China")); got != 1 {
-		t.Errorf("Object(China) = %d, want 1", got)
+	if got := len(st.SubjectRelation("China", "population")); got != 3 {
+		t.Errorf("SubjectRelation(China, population) = %d, want 3", got)
 	}
-	if got := len(st.RelationObject("country", "China")); got != 1 {
-		t.Errorf("RelationObject = %d, want 1", got)
+	if got := len(st.SubjectRelation("China", "country")); got != 0 {
+		t.Errorf("SubjectRelation(China, country) = %d, want 0", got)
+	}
+	if !st.HasSubject("Beijing") || st.HasSubject("population") {
+		t.Error("HasSubject answers from something other than subjects")
+	}
+	if !st.ContainsKey(NewTriple("Beijing", "country", "China").Key()) {
+		t.Error("ContainsKey missed a stored triple")
 	}
 }
 
@@ -97,21 +103,14 @@ func TestStoreFindSubjectFold(t *testing.T) {
 	}
 }
 
-func TestStoreSubjectGraph(t *testing.T) {
-	st := newTestStore(t)
-	g := st.SubjectGraph([]string{"Beijing", "China", "nowhere"})
-	if g.Len() != 5 {
-		t.Errorf("SubjectGraph len = %d, want 5", g.Len())
-	}
-	if g.Triples[0].Subject != "Beijing" {
-		t.Errorf("SubjectGraph order wrong: first subject %q", g.Triples[0].Subject)
-	}
-}
-
 func TestStoreStats(t *testing.T) {
 	st := newTestStore(t)
 	s := st.Stats()
-	if s.Triples != 5 || s.Subjects != 2 || s.Relations != 3 {
+	if s.Triples != 5 || s.Subjects != 2 || s.Relations != 3 || s.Objects != 5 {
+		t.Errorf("Stats = %+v", s)
+	}
+	// Relations and objects are counted once however many triples share them.
+	if s := aliasingStore(t).Stats(); s.Triples != 4 || s.Subjects != 2 || s.Relations != 2 || s.Objects != 3 {
 		t.Errorf("Stats = %+v", s)
 	}
 	if s.String() == "" {
@@ -129,8 +128,8 @@ func TestStoreGetOutOfRange(t *testing.T) {
 	}
 }
 
-// Property: every added triple is findable via all three single-position
-// indexes, and All preserves insertion order of first occurrences.
+// Property: every added triple is findable via its (subject, relation)
+// list, and All preserves insertion order of first occurrences.
 func TestStoreIndexConsistency(t *testing.T) {
 	f := func(raw []uint8) bool {
 		st := NewStore(SourceWikidata)
@@ -174,17 +173,5 @@ func TestStoreIndexConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestStoreSubjectsSorted(t *testing.T) {
-	st := newTestStore(t)
-	subs := st.Subjects()
-	if len(subs) != 2 || subs[0] != "Beijing" || subs[1] != "China" {
-		t.Errorf("Subjects() = %v", subs)
-	}
-	rels := st.Relations()
-	if len(rels) != 3 || rels[0] != "capital" {
-		t.Errorf("Relations() = %v", rels)
 	}
 }

@@ -28,29 +28,12 @@ type worldJSON struct {
 	Facts    []factJSON   `json:"facts"`
 }
 
-// kindNames maps kinds to their stable wire names.
-var kindNames = func() map[Kind]string {
-	m := map[Kind]string{}
-	for k := Kind(0); k < kindCount; k++ {
-		m[k] = k.String()
-	}
-	return m
-}()
-
-var kindByName = func() map[string]Kind {
-	m := map[string]Kind{}
-	for k, n := range kindNames {
-		m[n] = k
-	}
-	return m
-}()
-
-// WriteJSON serialises the world. Together with ReadJSON it lets tools
-// pin a world to disk or hand-author custom worlds for the pipeline.
+// WriteJSON serialises the world, so tools can pin a generated world to
+// disk for inspection.
 func (w *World) WriteJSON(out io.Writer) error {
 	doc := worldJSON{}
 	for _, e := range w.Entities {
-		doc.Entities = append(doc.Entities, entityJSON{ID: e.ID, Kind: kindNames[e.Kind], Name: e.Name})
+		doc.Entities = append(doc.Entities, entityJSON{ID: e.ID, Kind: e.Kind.String(), Name: e.Name})
 	}
 	for _, f := range w.Facts {
 		doc.Facts = append(doc.Facts, factJSON{
@@ -64,48 +47,4 @@ func (w *World) WriteJSON(out io.Writer) error {
 		return fmt.Errorf("world: write: %w", err)
 	}
 	return nil
-}
-
-// ReadJSON loads a world written by WriteJSON (or hand-authored in the
-// same format) and rebuilds the indexes. Entity IDs must be dense and in
-// order; facts must reference valid entities.
-func ReadJSON(in io.Reader) (*World, error) {
-	var doc worldJSON
-	if err := json.NewDecoder(in).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("world: read: %w", err)
-	}
-	w := &World{}
-	for i, e := range doc.Entities {
-		if e.ID != i {
-			return nil, fmt.Errorf("world: entity %d has non-dense ID %d", i, e.ID)
-		}
-		kind, ok := kindByName[e.Kind]
-		if !ok {
-			return nil, fmt.Errorf("world: entity %d has unknown kind %q", i, e.Kind)
-		}
-		if e.Name == "" {
-			return nil, fmt.Errorf("world: entity %d has empty name", i)
-		}
-		w.Entities = append(w.Entities, Entity{ID: e.ID, Kind: kind, Name: e.Name})
-	}
-	for i, f := range doc.Facts {
-		if f.Subject < 0 || f.Subject >= len(w.Entities) {
-			return nil, fmt.Errorf("world: fact %d has bad subject %d", i, f.Subject)
-		}
-		if f.Object >= len(w.Entities) {
-			return nil, fmt.Errorf("world: fact %d has bad object %d", i, f.Object)
-		}
-		if f.Object < 0 && f.Literal == "" {
-			return nil, fmt.Errorf("world: fact %d has neither object nor literal", i)
-		}
-		w.Facts = append(w.Facts, Fact{
-			ID: i, Subject: f.Subject, Rel: RelKey(f.Rel),
-			Object: f.Object, Literal: f.Literal, Ord: f.Ord,
-		})
-		if f.Object < 0 {
-			w.Facts[i].Object = -1
-		}
-	}
-	w.index()
-	return w, nil
 }
