@@ -1,7 +1,8 @@
-// Command failures runs the PG&AKV pipeline over a dataset and attributes
-// each wrong answer to the stage that lost it — the analysis behind the
-// paper's §IV-E error discussion ("the main errors in the model's
-// verification process were caused by...").
+// Command failures runs the PG&AKV method ("ours", through the answer
+// registry) over a dataset and attributes each wrong answer, from its
+// trace, to the stage that lost it — the analysis behind the paper's
+// §IV-E error discussion ("the main errors in the model's verification
+// process were caused by...").
 //
 // Stages, in pipeline order:
 //
@@ -76,7 +77,7 @@ func run(dataset, model, kgSource string, n int, quick, verbose bool) error {
 	if strings.Contains(model, "4") {
 		modelName = bench.ModelGPT4
 	}
-	p, err := env.Pipeline(modelName, src)
+	ans, err := env.Answerer(bench.MethodOurs, modelName, src)
 	if err != nil {
 		return err
 	}
@@ -89,7 +90,7 @@ func run(dataset, model, kgSource string, n int, quick, verbose bool) error {
 	stages := map[string]int{}
 	right := 0
 	for _, q := range questions {
-		res, err := p.Answer(context.Background(), q.Text)
+		res, err := ans.Answer(context.Background(), bench.Query(bench.MethodOurs, modelName, q))
 		if err != nil {
 			return err
 		}

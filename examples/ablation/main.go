@@ -1,7 +1,8 @@
 // Ablation: answer the same questions with (a) no graph (CoT), (b) the raw
-// pseudo-graph Gp, and (c) the verified graph Gf — the conditions of the
-// paper's Tables IV and V. Shows concretely how verification turns a
-// hallucinated value into the KG's current one.
+// pseudo-graph Gp (the registry's "ours-gp"), and (c) the verified graph
+// Gf ("ours") — the conditions of the paper's Tables IV and V. Shows
+// concretely how verification turns a hallucinated value into the KG's
+// current one.
 //
 //	go run ./examples/ablation
 package main
@@ -11,9 +12,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/baselines"
+	"repro/internal/answer"
 	"repro/internal/bench"
 	"repro/internal/metrics"
+	"repro/internal/qa"
 )
 
 func main() {
@@ -21,35 +23,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := env.Models[bench.ModelGPT4]
 	src := bench.DefaultSource("QALD")
-	pipeline, err := env.Pipeline(bench.ModelGPT4, src)
-	if err != nil {
-		log.Fatal(err)
+	ask := func(method string, q qa.Question) answer.Result {
+		ans, err := env.Answerer(method, bench.ModelGPT4, src)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := ans.Answer(context.Background(), bench.Query(method, bench.ModelGPT4, q))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
 
 	questions := env.Suite.QALD.Questions[:10]
 	var cotRight, gpRight, gfRight int
 	for _, q := range questions {
-		cot, err := baselines.CoT(context.Background(), model, q.Text)
-		if err != nil {
-			log.Fatal(err)
-		}
-		gp, err := pipeline.GeneratePseudoGraph(context.Background(), q.Text, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		gpAnswer, err := pipeline.AnswerFromGraph(context.Background(), q.Text, gp, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		full, err := pipeline.Answer(context.Background(), q.Text)
-		if err != nil {
-			log.Fatal(err)
-		}
+		cot := ask(bench.MethodCoT, q)
+		gp := ask(bench.MethodOursGp, q)
+		full := ask(bench.MethodOurs, q)
 
-		c := metrics.Hit1(cot, q.Golds)
-		g := metrics.Hit1(gpAnswer, q.Golds)
+		c := metrics.Hit1(cot.Answer, q.Golds)
+		g := metrics.Hit1(gp.Answer, q.Golds)
 		f := metrics.Hit1(full.Answer, q.Golds)
 		cotRight += int(c)
 		gpRight += int(g)

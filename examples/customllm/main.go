@@ -1,9 +1,9 @@
-// Custom LLM client: the pipeline only speaks prompt text through the
+// Custom LLM client: every method only speaks prompt text through the
 // llm.Client interface, so any backend can drive it. This example wires a
-// hand-scripted client (llm.Scripted) into core.Pipeline — the same
-// mechanism you would use to replay transcripts from a real GPT endpoint —
-// and wraps it in llm.Recorder to show the full prompt/completion
-// transcript of one run.
+// hand-scripted client (llm.Scripted) into the PG&AKV method through the
+// answer registry — the same mechanism you would use to replay transcripts
+// from a real GPT endpoint — and wraps it in llm.Recorder to show the full
+// prompt/completion transcript of one run.
 //
 //	go run ./examples/customllm
 package main
@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/answer"
 	"repro/internal/embed"
 	"repro/internal/kg"
 	"repro/internal/llm"
@@ -75,12 +75,12 @@ func main() {
 		})
 
 	recorder := llm.NewRecorder(scripted)
-	pipeline, err := core.New(recorder, store, index, core.DefaultConfig())
+	ans, err := answer.New("ours", answer.Deps{Client: recorder, Store: store, Index: index})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	res, err := pipeline.Answer(context.Background(), "Who has the largest area of the Great Lakes in the United States?")
+	res, err := ans.Answer(context.Background(), answer.Query{Text: "Who has the largest area of the Great Lakes in the United States?"})
 	if err != nil {
 		log.Fatal(err)
 	}

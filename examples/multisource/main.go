@@ -38,13 +38,13 @@ func main() {
 
 	questions := env.Suite.Simple.Questions[:8]
 	for _, src := range []kg.Source{kg.SourceFreebase, kg.SourceWikidata} {
-		pipeline, err := env.Pipeline(bench.ModelGPT35, src)
+		ans, err := env.Answerer(bench.MethodOurs, bench.ModelGPT35, src)
 		if err != nil {
 			log.Fatal(err)
 		}
 		right := 0
 		for _, q := range questions {
-			res, err := pipeline.Answer(context.Background(), q.Text)
+			res, err := ans.Answer(context.Background(), bench.Query(bench.MethodOurs, bench.ModelGPT35, q))
 			if err != nil {
 				log.Fatal(err)
 			}

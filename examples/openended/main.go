@@ -11,9 +11,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/baselines"
+	"repro/internal/answer"
 	"repro/internal/bench"
 	"repro/internal/metrics"
+	"repro/internal/qa"
 )
 
 func main() {
@@ -21,11 +22,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := env.Models[bench.ModelGPT35]
 	src := bench.DefaultSource("NatureQuestions")
-	pipeline, err := env.Pipeline(bench.ModelGPT35, src)
-	if err != nil {
-		log.Fatal(err)
+	ask := func(method string, q qa.Question) answer.Result {
+		ans, err := env.Answerer(method, bench.ModelGPT35, src)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := ans.Answer(context.Background(), bench.Query(method, bench.ModelGPT35, q))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
 
 	var cotTotal, ragTotal, oursTotal float64
@@ -33,18 +40,9 @@ func main() {
 	for _, q := range env.Suite.Nature.Questions[:n] {
 		fmt.Println("Q:", q.Text)
 
-		cot, err := baselines.CoT(context.Background(), model, q.Text)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rag, err := baselines.RAG(context.Background(), model, env.Substrates[src].Current().Index, q.Text, baselines.DefaultRAGConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := pipeline.Answer(context.Background(), q.Text)
-		if err != nil {
-			log.Fatal(err)
-		}
+		cot := ask(bench.MethodCoT, q).Answer
+		rag := ask(bench.MethodRAG, q).Answer
+		res := ask(bench.MethodOurs, q)
 
 		cotScore := metrics.RougeLMulti(cot, q.Refs)
 		ragScore := metrics.RougeLMulti(rag, q.Refs)

@@ -1,6 +1,7 @@
-// Quickstart: wire up the PG&AKV pipeline from its parts — world, KG
-// store, vector index, simulated LLM — and answer one question, printing
-// every intermediate artefact (Gp, pruned subjects, Gg, Gf, answer).
+// Quickstart: wire up the PG&AKV method from its parts — world, KG store,
+// vector index, simulated LLM — build it through the answer registry and
+// answer one question, printing every intermediate artefact of the run's
+// trace (Gp, pruned subjects, Gg, Gf, answer).
 //
 //	go run ./examples/quickstart
 package main
@@ -10,7 +11,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/answer"
 	"repro/internal/embed"
 	"repro/internal/llm"
 	"repro/internal/vecstore"
@@ -37,8 +38,8 @@ func main() {
 	//    snapshot of the same world.
 	model := llm.NewSim(w, llm.GPT35Params(), 42)
 
-	// 4. The PG&AKV pipeline with the paper's settings.
-	pipeline, err := core.New(model, store, index, core.DefaultConfig())
+	// 4. The PG&AKV method ("ours") with the paper's settings.
+	ans, err := answer.New("ours", answer.Deps{Client: model, Store: store, Index: index})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func main() {
 	//    verification step must pick the latest value.
 	city := w.Entities[w.OfKind(world.KindCity)[3]]
 	question := fmt.Sprintf("What is the population of %s?", city.Name)
-	res, err := pipeline.Answer(context.Background(), question)
+	res, err := ans.Answer(context.Background(), answer.Query{Text: question})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/kg"
@@ -96,6 +97,40 @@ func TestNewValidatesDeps(t *testing.T) {
 	}
 	if _, err := New("io", Deps{}); err == nil {
 		t.Error("io without a client should fail at construction")
+	}
+}
+
+// TestToGNeedsNoEncoder: tog explores the store and never embeds, so it
+// builds from a client and a store alone and answers exactly as it does
+// with an encoder wired in.
+func TestToGNeedsNoEncoder(t *testing.T) {
+	deps, w := testDeps(t)
+	city := w.Entities[w.OfKind(world.KindCity)[0]]
+	q := Query{
+		Text:    fmt.Sprintf("What is the population of %s?", city.Name),
+		Anchors: []string{city.Name},
+	}
+	bare, err := New("tog", Deps{Client: deps.Client, Store: deps.Store})
+	if err != nil {
+		t.Fatalf("tog without an encoder: %v", err)
+	}
+	got, err := bare.Answer(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := New("tog", deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.Answer(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Answer == "" || got.Answer != want.Answer {
+		t.Errorf("tog without an encoder answered %q, with one %q", got.Answer, want.Answer)
+	}
+	if got.LLMCalls != want.LLMCalls {
+		t.Errorf("tog without an encoder made %d LLM calls, with one %d", got.LLMCalls, want.LLMCalls)
 	}
 }
 
@@ -254,9 +289,9 @@ func TestPerRequestOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.LLMCalls != DefaultSCConfig().Samples || single.LLMCalls != 1 {
+	if want := baselines.DefaultSCConfig().Samples; base.LLMCalls != want || single.LLMCalls != 1 {
 		t.Errorf("SC call counts: base %d (want %d), overridden %d (want 1)",
-			base.LLMCalls, DefaultSCConfig().Samples, single.LLMCalls)
+			base.LLMCalls, want, single.LLMCalls)
 	}
 }
 

@@ -10,35 +10,10 @@ import (
 	"repro/internal/llm"
 )
 
-// Config aliases keep the answer API self-contained: callers configure
-// methods without importing the baselines package.
-type (
-	// SCConfig parameterises Self-Consistency sampling.
-	SCConfig = baselines.SCConfig
-	// RAGConfig parameterises question-level retrieval.
-	RAGConfig = baselines.RAGConfig
-	// ToGConfig parameterises Think-on-Graph exploration.
-	ToGConfig = baselines.ToGConfig
-)
-
-// DefaultSCConfig returns the paper's Self-Consistency settings.
-func DefaultSCConfig() SCConfig { return baselines.DefaultSCConfig() }
-
-// DefaultRAGConfig returns the standard retrieval setting.
-func DefaultRAGConfig() RAGConfig { return baselines.DefaultRAGConfig() }
-
-// DefaultToGConfig returns the exploration settings used in the benches.
-func DefaultToGConfig() ToGConfig { return baselines.DefaultToGConfig() }
-
 // coreConfig applies per-request overrides to the configured pipeline
-// settings.
-func coreConfig(d Deps, o Options, q Query) core.Config {
+// settings. Prompts come from the view Answer pins into the context.
+func coreConfig(o Options, q Query) core.Config {
 	cfg := o.Core
-	if cfg.Prompts == nil {
-		// The per-request view pinned into the context wins anyway; wiring
-		// the registry keeps direct pipeline reuse consistent too.
-		cfg.Prompts = d.Prompts
-	}
 	if q.Overrides.Temperature != nil {
 		cfg.Temperature = *q.Overrides.Temperature
 	}
@@ -49,7 +24,7 @@ func coreConfig(d Deps, o Options, q Query) core.Config {
 }
 
 // stageBuilder constructs a baseline composition from the validated deps.
-type stageBuilder func(d Deps, o Options, q Query, client llm.Client) []exec.Stage[baselines.State]
+type stageBuilder func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State]
 
 // runBaseline executes a baseline stage composition with per-stage usage
 // accounting: every method returns a trace carrying its stage spans —
@@ -57,13 +32,10 @@ type stageBuilder func(d Deps, o Options, q Query, client llm.Client) []exec.Sta
 // partial trace (spans up to the failing stage) survives errors.
 func runBaseline(build stageBuilder) RunFunc {
 	return func(ctx context.Context, d Deps, o Options, q Query) (string, *core.Trace, error) {
-		// The registry hands every method a *llm.Counting client; reuse it
-		// so one counting layer serves span diffs and query totals alike.
-		counter, ok := d.Client.(*llm.Counting)
-		if !ok {
-			counter = llm.NewCounting(d.Client)
-		}
-		stages := build(d, o, q, counter)
+		// The registry hands every method a *llm.Counting client; one
+		// counting layer serves span diffs and query totals alike.
+		counter := d.Client.(*llm.Counting)
+		stages := build(d, q, counter)
 		st := baselines.State{Question: q.Text, Open: q.Open, Anchors: q.Anchors}
 		spans, err := exec.Run(ctx, &st,
 			exec.Options{DefaultTimeout: o.Core.StageTimeout, Usage: counter.Usage}, stages...)
@@ -88,7 +60,7 @@ func init() {
 		NeedsStore:  true,
 		NeedsIndex:  true,
 		Run: func(ctx context.Context, d Deps, o Options, q Query) (string, *core.Trace, error) {
-			p, err := core.New(d.Client, d.Store, d.Index, coreConfig(d, o, q))
+			p, err := core.New(d.Client, d.Store, d.Index, coreConfig(o, q))
 			if err != nil {
 				return "", nil, err
 			}
@@ -106,7 +78,7 @@ func init() {
 		NeedsStore:  true,
 		NeedsIndex:  true,
 		Run: func(ctx context.Context, d Deps, o Options, q Query) (string, *core.Trace, error) {
-			p, err := core.New(d.Client, d.Store, d.Index, coreConfig(d, o, q))
+			p, err := core.New(d.Client, d.Store, d.Index, coreConfig(o, q))
 			if err != nil {
 				return "", nil, err
 			}
@@ -118,38 +90,37 @@ func init() {
 		},
 	})
 	MustRegister(Registration{
-		Name:         "tog",
-		Description:  "Think-on-Graph: QID-anchored KG exploration with LLM relation pruning",
-		NeedsStore:   true,
-		NeedsEncoder: true,
+		Name:        "tog",
+		Description: "Think-on-Graph: QID-anchored KG exploration with LLM relation pruning",
+		NeedsStore:  true,
 		Run: func(ctx context.Context, d Deps, o Options, q Query) (string, *core.Trace, error) {
 			if len(q.Anchors) == 0 {
 				return "", nil, &InvalidQueryError{Reason: "method tog needs anchor entities"}
 			}
-			return runBaseline(func(d Deps, o Options, q Query, client llm.Client) []exec.Stage[baselines.State] {
-				return baselines.ToGStages(client, d.Store, o.ToG)
+			return runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
+				return baselines.ToGStages(client, d.Store, baselines.DefaultToGConfig())
 			})(ctx, d, o, q)
 		},
 	})
 	MustRegister(Registration{
 		Name:        "io",
 		Description: "standard input-output prompting, 6 in-context examples",
-		Run: runBaseline(func(d Deps, o Options, q Query, client llm.Client) []exec.Stage[baselines.State] {
+		Run: runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
 			return baselines.IOStages(client)
 		}),
 	})
 	MustRegister(Registration{
 		Name:        "cot",
 		Description: "chain-of-thought prompting",
-		Run: runBaseline(func(d Deps, o Options, q Query, client llm.Client) []exec.Stage[baselines.State] {
+		Run: runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
 			return baselines.CoTStages(client)
 		}),
 	})
 	MustRegister(Registration{
 		Name:        "sc",
-		Description: fmt.Sprintf("self-consistency: %d CoT samples at temperature %.1f, voted", DefaultSCConfig().Samples, DefaultSCConfig().Temperature),
-		Run: runBaseline(func(d Deps, o Options, q Query, client llm.Client) []exec.Stage[baselines.State] {
-			cfg := o.SC
+		Description: fmt.Sprintf("self-consistency: %d CoT samples at temperature %.1f, voted", baselines.DefaultSCConfig().Samples, baselines.DefaultSCConfig().Temperature),
+		Run: runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
+			cfg := baselines.DefaultSCConfig()
 			if q.Overrides.Samples != nil {
 				cfg.Samples = *q.Overrides.Samples
 			}
@@ -163,8 +134,8 @@ func init() {
 		Name:        "rag",
 		Description: "question-level retrieval over the semantic KG",
 		NeedsIndex:  true,
-		Run: runBaseline(func(d Deps, o Options, q Query, client llm.Client) []exec.Stage[baselines.State] {
-			cfg := o.RAG
+		Run: runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
+			cfg := baselines.DefaultRAGConfig()
 			if q.Overrides.TopK != nil {
 				cfg.TopK = *q.Overrides.TopK
 			}

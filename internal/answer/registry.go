@@ -35,7 +35,8 @@ type Deps struct {
 	// Index is the vector index over the store (RAG, pipeline semantic
 	// query).
 	Index vecstore.Searcher
-	// Encoder embeds text consistently with the index (ToG).
+	// Encoder embeds text consistently with the index. No built-in method
+	// reads it; it stays while the benchmark rig still sets it.
 	Encoder *embed.Encoder
 	// Substrate, when set, supplies Store and Index per query from the
 	// live snapshot chain: every Answer call resolves one snapshot and
@@ -56,12 +57,9 @@ type Deps struct {
 // Construct through functional options to New; zero values mean the
 // paper's defaults.
 type Options struct {
-	// Core configures pipeline-backed methods.
+	// Core configures pipeline-backed methods. The baselines run with
+	// their package defaults, tuned per request through Query.Overrides.
 	Core core.Config
-	// SC / RAG / ToG configure the respective baselines.
-	SC  SCConfig
-	RAG RAGConfig
-	ToG ToGConfig
 	// Model labels results for attribution; defaults to Client.Name().
 	Model string
 }
@@ -87,11 +85,10 @@ type Registration struct {
 	Aliases []string
 	// Description is a one-line human-readable summary.
 	Description string
-	// NeedsStore / NeedsIndex / NeedsEncoder are validated against Deps
-	// at construction time so misconfiguration fails fast, not mid-query.
-	NeedsStore   bool
-	NeedsIndex   bool
-	NeedsEncoder bool
+	// NeedsStore / NeedsIndex are validated against Deps at construction
+	// time so misconfiguration fails fast, not mid-query.
+	NeedsStore bool
+	NeedsIndex bool
 	// Run is the implementation.
 	Run RunFunc
 }
@@ -177,10 +174,7 @@ func New(name string, deps Deps, opts ...Option) (Answerer, error) {
 	if reg.NeedsIndex && deps.Index == nil && deps.Substrate == nil {
 		return nil, fmt.Errorf("answer: method %q needs a vector index", reg.Name)
 	}
-	if reg.NeedsEncoder && deps.Encoder == nil {
-		return nil, fmt.Errorf("answer: method %q needs an encoder", reg.Name)
-	}
-	o := Options{Core: core.DefaultConfig(), SC: DefaultSCConfig(), RAG: DefaultRAGConfig(), ToG: DefaultToGConfig()}
+	o := Options{Core: core.DefaultConfig()}
 	for _, opt := range opts {
 		opt(&o)
 	}

@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"repro/internal/core/exec"
-	"repro/internal/embed"
 	"repro/internal/kg"
 	"repro/internal/llm"
 	"repro/internal/metrics"
@@ -94,25 +93,6 @@ func CoTStages(client llm.Client) []exec.Stage[State] {
 	}
 }
 
-// IO answers with the standard input-output prompt.
-func IO(ctx context.Context, client llm.Client, question string) (string, error) {
-	return runComposition(ctx, question, false, nil, IOStages(client))
-}
-
-// CoT answers with chain-of-thought prompting.
-func CoT(ctx context.Context, client llm.Client, question string) (string, error) {
-	return runComposition(ctx, question, false, nil, CoTStages(client))
-}
-
-// runComposition executes a baseline composition over a fresh state.
-func runComposition(ctx context.Context, question string, open bool, anchors []string, stages []exec.Stage[State]) (string, error) {
-	st := State{Question: question, Open: open, Anchors: anchors}
-	if _, err := exec.Run(ctx, &st, exec.Options{}, stages...); err != nil {
-		return "", err
-	}
-	return st.Answer, nil
-}
-
 // SCConfig parameterises Self-Consistency; the paper samples three CoT
 // completions at temperature 0.7 and votes.
 type SCConfig struct {
@@ -166,12 +146,6 @@ func SCStages(client llm.Client, cfg SCConfig) []exec.Stage[State] {
 			OutputSize: func(s *State) int { return len(s.Answer) },
 		},
 	}
-}
-
-// SC answers with Self-Consistency: sample several CoT completions and
-// aggregate.
-func SC(ctx context.Context, client llm.Client, question string, open bool, cfg SCConfig) (string, error) {
-	return runComposition(ctx, question, open, nil, SCStages(client, cfg))
 }
 
 // scVote picks the majority normalised marked answer; ties break toward
@@ -259,12 +233,6 @@ func RAGStages(client llm.Client, index vecstore.Searcher, cfg RAGConfig) []exec
 	}
 }
 
-// RAG retrieves the triples most similar to the question and answers from
-// them.
-func RAG(ctx context.Context, client llm.Client, index vecstore.Searcher, question string, cfg RAGConfig) (string, error) {
-	return runComposition(ctx, question, false, nil, RAGStages(client, index, cfg))
-}
-
 // ToGConfig parameterises Think-on-Graph exploration.
 type ToGConfig struct {
 	// Depth is the exploration depth (hops from the anchors).
@@ -307,13 +275,6 @@ func ToGStages(client llm.Client, store kg.Reader, cfg ToGConfig) []exec.Stage[S
 			return view(ctx).AnswerFromGraph(s.Question, s.Graph.String())
 		}, "ToG"),
 	}
-}
-
-// ToG implements Think-on-Graph over the gold topic entities. The encoder
-// parameter is kept for signature stability with earlier revisions.
-func ToG(ctx context.Context, client llm.Client, store kg.Reader, enc *embed.Encoder, question string, anchors []string, cfg ToGConfig) (string, error) {
-	_ = enc
-	return runComposition(ctx, question, false, anchors, ToGStages(client, store, cfg))
 }
 
 // explore walks the KG from the anchors, keeping the LLM-pruned relation

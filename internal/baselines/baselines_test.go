@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core/exec"
 	"repro/internal/embed"
 	"repro/internal/kg"
 	"repro/internal/llm"
@@ -32,13 +33,22 @@ func testEnv(t testing.TB) (*world.World, *llm.SimLM, *kg.Store, *vecstore.Index
 	return w, m, st, idx
 }
 
+// run executes a baseline composition over a fresh state, the way the
+// answer registry runs it.
+func run(st State, stages []exec.Stage[State]) (string, error) {
+	if _, err := exec.Run(context.Background(), &st, exec.Options{}, stages...); err != nil {
+		return "", err
+	}
+	return st.Answer, nil
+}
+
 func TestIOAndCoTProduceMarkedAnswers(t *testing.T) {
 	w, m, _, _ := testEnv(t)
 	q := "Where was " + w.Entities[w.OfKind(world.KindPerson)[0]].Name + " born?"
-	for name, fn := range map[string]func(context.Context, llm.Client, string) (string, error){
-		"IO": IO, "CoT": CoT,
+	for name, stages := range map[string][]exec.Stage[State]{
+		"IO": IOStages(m), "CoT": CoTStages(m),
 	} {
-		out, err := fn(context.Background(), m, q)
+		out, err := run(State{Question: q}, stages)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -80,11 +90,11 @@ func TestSCMedoid(t *testing.T) {
 func TestSCDeterministic(t *testing.T) {
 	w, m, _, _ := testEnv(t)
 	q := "Where was " + w.Entities[w.OfKind(world.KindPerson)[5]].Name + " born?"
-	a, err := SC(context.Background(), m, q, false, DefaultSCConfig())
+	a, err := run(State{Question: q}, SCStages(m, DefaultSCConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SC(context.Background(), m, q, false, DefaultSCConfig())
+	b, err := run(State{Question: q}, SCStages(m, DefaultSCConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +107,7 @@ func TestRAGRetrievesAndAnswers(t *testing.T) {
 	w, m, _, idx := testEnv(t)
 	city := w.Entities[w.OfKind(world.KindCity)[0]]
 	q := "What is the population of " + city.Name + "?"
-	out, err := RAG(context.Background(), m, idx, q, DefaultRAGConfig())
+	out, err := run(State{Question: q}, RAGStages(m, idx, DefaultRAGConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +118,9 @@ func TestRAGRetrievesAndAnswers(t *testing.T) {
 
 func TestToGAnchorsOnGoldEntity(t *testing.T) {
 	w, m, st, _ := testEnv(t)
-	enc := embed.NewEncoder()
 	city := w.Entities[w.OfKind(world.KindCity)[0]]
 	q := "What is the population of " + city.Name + "?"
-	out, err := ToG(context.Background(), m, st, enc, q, []string{city.Name}, DefaultToGConfig())
+	out, err := run(State{Question: q, Anchors: []string{city.Name}}, ToGStages(m, st, DefaultToGConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +135,7 @@ func TestToGAnchorsOnGoldEntity(t *testing.T) {
 
 func TestToGUnknownAnchor(t *testing.T) {
 	_, m, st, _ := testEnv(t)
-	enc := embed.NewEncoder()
-	out, err := ToG(context.Background(), m, st, enc, "Where was Nobody born?", []string{"Nobody At All"}, DefaultToGConfig())
+	out, err := run(State{Question: "Where was Nobody born?", Anchors: []string{"Nobody At All"}}, ToGStages(m, st, DefaultToGConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,24 +33,6 @@ func TestNewEnv(t *testing.T) {
 	}
 }
 
-func TestPipelineCache(t *testing.T) {
-	env := tinyEnv(t)
-	a, err := env.Pipeline(ModelGPT35, kg.SourceWikidata)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := env.Pipeline(ModelGPT35, kg.SourceWikidata)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("pipeline not cached")
-	}
-	if _, err := env.Pipeline("no-such-model", kg.SourceWikidata); err == nil {
-		t.Error("unknown model accepted")
-	}
-}
-
 func TestRunAllMethods(t *testing.T) {
 	env := tinyEnv(t)
 	ds := env.Suite.Simple

@@ -66,7 +66,8 @@ func QuickEnvConfig() EnvConfig {
 
 // Env is the assembled experiment environment: a serving node (world,
 // substrates, models, prompt registry, serving stack — everything
-// env.Answerer, env.Pipeline, env.Substrates… reach) plus the datasets.
+// env.Answerer, env.Substrates… reach) plus the datasets. Every method
+// runs through env.Answerer.
 type Env struct {
 	*node.Node
 	// Cfg shadows the node's own: the same normalised node config plus

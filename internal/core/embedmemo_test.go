@@ -69,7 +69,7 @@ func TestPipelineMemoWarmsAcrossQuestions(t *testing.T) {
 		pseudo: "```\nCREATE (c:Country {name: 'China'})-[:POPULATION]->(v:Value {name: '1400000000'})\n```",
 	}
 	p := newTestPipeline(t, client)
-	gp, err := p.GeneratePseudoGraph(context.Background(), "What is the population of China?", nil)
+	gp, err := p.generatePseudoGraph(context.Background(), p.client, "What is the population of China?", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,8 +176,9 @@ type SubjectConfidence struct {
 	Triples    int
 }
 
-// Trace records every intermediate artefact of one run, for debugging,
-// ablations and the example programs.
+// Trace records every intermediate artefact of one run. The answer
+// registry returns it as answer.Result.Trace, which is where debugging
+// tools (cmd/failures) and the example programs read it.
 type Trace struct {
 	Question   string
 	PseudoRaw  string    // the LLM's full Fig. 3 completion
@@ -230,15 +231,9 @@ type Result struct {
 	Trace  Trace
 }
 
-// GeneratePseudoGraph performs step 1: prompt, execute Cypher, decode.
-// Failures produce an empty graph, never an error (LLM transport errors
-// still propagate).
-func (p *Pipeline) GeneratePseudoGraph(ctx context.Context, question string, tr *Trace) (*kg.Graph, error) {
-	return p.generatePseudoGraph(ctx, p.client, question, tr)
-}
-
-// generatePseudoGraph is step 1 over an explicit client (stage runs route
-// through a per-run counting client).
+// generatePseudoGraph performs step 1 over the run's client: prompt,
+// execute Cypher, decode. Failures produce an empty graph, never an error
+// (LLM transport errors still propagate).
 func (p *Pipeline) generatePseudoGraph(ctx context.Context, client llm.Client, question string, tr *Trace) (*kg.Graph, error) {
 	resp, err := client.Complete(ctx, llm.Request{
 		Prompt:      p.cfg.Prompts.For(ctx).PseudoGraph(question),
@@ -515,13 +510,9 @@ func tokenSet(s string) map[string]bool {
 	return out
 }
 
-// Verify performs step 4: the LLM edits Gp against Gg. With an empty Gg
-// there is nothing to verify against and Gp passes through unchanged.
-func (p *Pipeline) Verify(ctx context.Context, question string, gp, gg *kg.Graph, tr *Trace) (*kg.Graph, error) {
-	return p.verify(ctx, p.client, question, gp, gg, tr)
-}
-
-// verify is step 4 over an explicit client.
+// verify performs step 4 over the run's client: the LLM edits Gp against
+// Gg. With an empty Gg there is nothing to verify against and Gp passes
+// through unchanged.
 func (p *Pipeline) verify(ctx context.Context, client llm.Client, question string, gp, gg *kg.Graph, tr *Trace) (*kg.Graph, error) {
 	if gg.Len() == 0 {
 		return gp, nil
@@ -547,14 +538,8 @@ func (p *Pipeline) verify(ctx context.Context, client llm.Client, question strin
 	return gf, nil
 }
 
-// AnswerFromGraph performs step 5 with an arbitrary reference graph — the
-// ablation entry point (w/ Gp vs w/ Gf) as well as the final step of the
-// full pipeline.
-func (p *Pipeline) AnswerFromGraph(ctx context.Context, question string, graph *kg.Graph, tr *Trace) (string, error) {
-	return p.answerFromGraph(ctx, p.client, question, graph, tr)
-}
-
-// answerFromGraph is step 5 over an explicit client.
+// answerFromGraph performs step 5 over the run's client: answer from the
+// question and a reference graph (Gf, or Gp in the "w/ Gp" ablation).
 func (p *Pipeline) answerFromGraph(ctx context.Context, client llm.Client, question string, graph *kg.Graph, tr *Trace) (string, error) {
 	text := ""
 	if graph != nil {

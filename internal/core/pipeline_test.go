@@ -131,7 +131,7 @@ func TestGeneratePseudoGraphDecodes(t *testing.T) {
 	}
 	p := newTestPipeline(t, client)
 	var tr Trace
-	gp, err := p.GeneratePseudoGraph(context.Background(), "What is the population of China?", &tr)
+	gp, err := p.generatePseudoGraph(context.Background(), p.client, "What is the population of China?", &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestGeneratePseudoGraphMalformedIsEmptyNotError(t *testing.T) {
 	client := &fakeClient{pseudo: "```\nCREATE (broken\n```"}
 	p := newTestPipeline(t, client)
 	var tr Trace
-	gp, err := p.GeneratePseudoGraph(context.Background(), "q?", &tr)
+	gp, err := p.generatePseudoGraph(context.Background(), p.client, "q?", &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestChainGatedExpansion(t *testing.T) {
 func TestVerifyEmptyGgPassesThrough(t *testing.T) {
 	p := newTestPipeline(t, &fakeClient{verify: passthroughVerify})
 	gp := kg.NewGraph(kg.NewTriple("a", "r", "x"))
-	gf, err := p.Verify(context.Background(), "q?", gp, &kg.Graph{}, nil)
+	gf, err := p.verify(context.Background(), p.client, "q?", gp, &kg.Graph{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestVerifyUnparsableFallsBackToGp(t *testing.T) {
 	p := newTestPipeline(t, client)
 	gp := kg.NewGraph(kg.NewTriple("a", "r", "x"))
 	gg := kg.NewGraph(kg.NewTriple("b", "r", "y"))
-	gf, err := p.Verify(context.Background(), "q?", gp, gg, nil)
+	gf, err := p.verify(context.Background(), p.client, "q?", gp, gg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestAnswerPropagatesTransportErrors(t *testing.T) {
 func TestAnswerFromGraphNilGraph(t *testing.T) {
 	client := &fakeClient{answer: answerEcho}
 	p := newTestPipeline(t, client)
-	out, err := p.AnswerFromGraph(context.Background(), "q?", nil, nil)
+	out, err := p.answerFromGraph(context.Background(), p.client, "q?", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

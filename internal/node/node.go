@@ -2,9 +2,10 @@
 // into a seed store per KG source, each behind a live substrate manager;
 // the simulated models behind the shared LLM scheduler; one embedding
 // memo; the prompt registry; and the metrics → trace → cache →
-// singleflight stack around every registry method. cmd/pgakvd serves a
-// Node directly, internal/replay re-runs suites on one, and bench.Env is
-// a Node plus the question datasets — nothing dataset-shaped lives here.
+// singleflight stack around every registry method. A method runs on a
+// node only through Answerer. cmd/pgakvd serves a Node directly,
+// internal/replay re-runs suites on one, and bench.Env is a Node plus the
+// question datasets — nothing dataset-shaped lives here.
 package node
 
 import (
@@ -94,8 +95,8 @@ type Node struct {
 	Models     map[string]*llm.SimLM
 	// Scheduler is the shared LLM admission controller (nil when
 	// LLMConcurrency is unbounded); Clients are the per-model serving
-	// clients every pipeline and answerer routes Complete through — the
-	// sim models wrapped by the scheduler when one is configured.
+	// clients every answerer routes Complete through — the sim models
+	// wrapped by the scheduler when one is configured.
 	Scheduler *llm.Scheduler
 	Clients   map[string]llm.Client
 
@@ -107,9 +108,6 @@ type Node struct {
 	// Prompts is the node's versioned prompt registry (never nil after
 	// New); hot reloads and A/B pins go through it.
 	Prompts *prompts.Registry
-
-	pipeMu    sync.Mutex
-	pipelines map[string]cachedPipeline
 
 	ansMu     sync.Mutex
 	answerers map[string]answer.Answerer
@@ -129,7 +127,6 @@ func New(cfg Config) (*Node, error) {
 		Substrates: map[kg.Source]*substrate.Manager{},
 		Cache:      serve.NewCache(cfg.Cache), // nil when Size <= 0
 		Metrics:    serve.NewCollector(),
-		pipelines:  map[string]cachedPipeline{},
 		answerers:  map[string]answer.Answerer{},
 		flights:    serve.NewGroup(),
 	}
@@ -162,58 +159,16 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.Core.Memo == nil {
 		// One embedding memo for the whole node: text -> vector is
-		// encoder-level, so every pipeline and answerer across models and
-		// KG sources can share it.
+		// encoder-level, so every answerer across models and KG sources
+		// can share it.
 		cfg.Core.Memo = core.NewMemo(n.Enc, 0)
 	}
 	if cfg.Prompts == nil {
 		cfg.Prompts = prompts.NewRegistry()
 	}
-	cfg.Core.Prompts = cfg.Prompts
 	n.Prompts = cfg.Prompts
 	n.Cfg = cfg
 	return n, nil
-}
-
-// Pipeline returns (building on demand) the PG&AKV pipeline for a model
-// and KG source — the trace-level entry point for tools that inspect
-// intermediate artefacts (cmd/failures, the micro-benchmarks). The
-// pipeline is bound to the substrate's current snapshot: a pipeline
-// requested after an ingest or compaction is rebuilt over the fresh view
-// (replacing the cached one, so the map stays bounded at one entry per
-// model/source) while in-flight holders keep their consistent snapshot.
-func (n *Node) Pipeline(model string, src kg.Source) (*core.Pipeline, error) {
-	mgr, ok := n.Substrates[src]
-	if !ok {
-		return nil, fmt.Errorf("node: no substrate for source %q", src)
-	}
-	key := model + "/" + src.String()
-	n.pipeMu.Lock()
-	defer n.pipeMu.Unlock()
-	// Load the snapshot under pipeMu so a swap between the epoch check
-	// and the cache write cannot replace a newer cached pipeline with one
-	// built over an older snapshot.
-	snap := mgr.Current()
-	if c, ok := n.pipelines[key]; ok && c.epoch == snap.Epoch {
-		return c.pipeline, nil
-	}
-	m, ok := n.Clients[model]
-	if !ok {
-		return nil, fmt.Errorf("node: unknown model %q", model)
-	}
-	p, err := core.New(m, snap.Store, snap.Index, n.Cfg.Core)
-	if err != nil {
-		return nil, err
-	}
-	n.pipelines[key] = cachedPipeline{epoch: snap.Epoch, pipeline: p}
-	return p, nil
-}
-
-// cachedPipeline is one Pipeline entry pinned to the snapshot epoch it
-// was built over.
-type cachedPipeline struct {
-	epoch    uint64
-	pipeline *core.Pipeline
 }
 
 // Answerer returns (building and caching on demand) the registry method

@@ -21,7 +21,7 @@ const DefaultShardSize = 4096
 // a request's batch — fans out across the view's blocks (the package
 // comment's filter rule) concurrently with a top-k merge by score per
 // query. On KG-scale stores the parallel scan is the difference between
-// one core and all of them (see BenchmarkShardedVsSingleSearch).
+// one core and all of them.
 //
 // Sharded is also the hot-swap substrate's composition point: Compose
 // assembles a view over already-built segments, so an ingest can publish
