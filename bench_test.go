@@ -1,7 +1,9 @@
 // Package repro's root benchmarks time the method and its substrates
 // through the same surfaces production callers use: one PG&AKV run
-// through the answer registry, a semantic query, a pseudo-graph decode,
-// and the serving stack's answer cache cold and warm. Run with:
+// through the answer registry, a pseudo-graph decode, and the serving
+// stack's answer cache cold and warm. (The vector search's cost is pinned
+// by internal/vecstore's TestBatchSearchAllocations, and its benchmarks
+// live there.) Run with:
 //
 //	go test -run=^$ -bench=. -benchmem
 //
@@ -55,17 +57,6 @@ func BenchmarkPipelineSingleQuestion(b *testing.B) {
 		if _, err := ans.Answer(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkVectorSearch measures semantic-query throughput over the KG.
-func BenchmarkVectorSearch(b *testing.B) {
-	env := sharedEnv(b)
-	idx := env.Substrates[kg.SourceWikidata].Current().Index
-	query := env.Suite.Simple.Questions[0].Text
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.Search(query, 10)
 	}
 }
 

@@ -63,11 +63,11 @@
 // docs/operations.md for overload tuning.
 //
 // Live ingest: each KG source is a versioned substrate — one append-only
-// triple store under a sharded, concurrently-searched vector index, whose
-// base shards cover the rows of the last compaction and whose delta
-// segments the rows ingested since. /v1/ingest publishes a new snapshot
-// atomically (the epoch in every answer identifies which one served it),
-// and /v1/snapshot/compact re-cuts the index into fresh base shards.
+// triple store and one append-only vector arena over the same rows,
+// searched block by block, concurrently. /v1/ingest appends and publishes
+// a new snapshot atomically (the epoch in every answer identifies which
+// one served it); /v1/snapshot/compact makes the rows so far the base,
+// and under -ann rebuilds the graph over them.
 // After a swap a cached answer is served again only if the KG reads it was
 // computed from — its top-k lists, subject blocks and probes — replay
 // identically against the new snapshot (X-Cache: hit, at the new epoch);
@@ -76,10 +76,9 @@
 // revalidated after an ingest searches only the rows added since its last
 // replay. -compact-threshold N (default 2048) compacts automatically once
 // the delta holds N triples. A publish copies nothing whatever the delta's
-// size, so the threshold bounds the delta itself: the rows each coalescing
-// of its segments copies, the rows -ann scans exactly instead of through
-// the graph, and, on durable servers, the WAL tail a restart replays (a
-// compaction writes a checkpoint).
+// size, so the threshold bounds the delta itself: the rows -ann scans
+// exactly instead of through the graph, and, on durable servers, the WAL
+// tail a restart replays (a compaction writes a checkpoint).
 //
 // Durability: with -data-dir set, every ingest batch is appended to a
 // per-source write-ahead log before it is applied (-fsync

@@ -190,7 +190,7 @@ func TestAnswerNoCacheHeaderWhenDisabled(t *testing.T) {
 // on the rows added since the entry's last replay. A question re-asked
 // after an unrelated ingest is revalidated in full (its first replay),
 // then incrementally after a second ingest and after a compaction, which
-// re-cuts the segments but leaves the rows where they were.
+// leaves the rows where they were.
 func TestMetricsReportIncrementalRevalidation(t *testing.T) {
 	cfg := bench.QuickEnvConfig()
 	cfg.Data.SimpleN, cfg.Data.QALDN, cfg.Data.NatureN = 2, 2, 2

@@ -22,7 +22,8 @@
 // the router can be conservative, never stale.
 //
 // GET /v1/lb/status reports the node table: health, per-source epochs,
-// lag, routed-read counts and primary fallbacks.
+// lag, routed-read counts and primary fallbacks. The flags are listed,
+// with their defaults, in docs/operations.md.
 package main
 
 import (
@@ -36,30 +37,48 @@ import (
 	"repro/internal/repl"
 )
 
-func main() {
-	addr := flag.String("addr", ":8090", "listen address")
-	primary := flag.String("primary", "", "primary pgakvd base URL (required)")
-	replicas := flag.String("replicas", "", "comma-separated replica base URLs")
-	maxLag := flag.Uint64("max-lag", 64, "max records (= epochs) a replica may trail the primary and still take reads")
-	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "health/epoch probe cadence")
-	flag.Parse()
+// config is everything pgakvlb is started with, one field per flag.
+type config struct {
+	Addr          string
+	Primary       string
+	Replicas      string
+	MaxLag        uint64
+	ProbeInterval time.Duration
+}
 
-	if *primary == "" {
+// flags registers every pgakvlb flag, each bound to its field of c. The
+// "Router flags" table in docs/operations.md lists exactly this set with
+// these defaults; a test holds the two together.
+func flags(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("pgakvlb", flag.ExitOnError)
+	fs.StringVar(&c.Addr, "addr", ":8090", "listen address")
+	fs.StringVar(&c.Primary, "primary", "", "primary pgakvd base URL (required)")
+	fs.StringVar(&c.Replicas, "replicas", "", "comma-separated replica base URLs")
+	fs.Uint64Var(&c.MaxLag, "max-lag", 64, "max records (= epochs) a replica may trail the primary and still take reads")
+	fs.DurationVar(&c.ProbeInterval, "probe-interval", 500*time.Millisecond, "health/epoch probe cadence")
+	return fs
+}
+
+func main() {
+	var c config
+	flags(&c).Parse(os.Args[1:]) // ExitOnError: a bad flag has already exited
+
+	if c.Primary == "" {
 		fmt.Fprintln(os.Stderr, "pgakvlb: -primary is required")
 		os.Exit(1)
 	}
 	var replicaURLs []string
-	for _, u := range strings.Split(*replicas, ",") {
+	for _, u := range strings.Split(c.Replicas, ",") {
 		if u = strings.TrimSpace(u); u != "" {
 			replicaURLs = append(replicaURLs, u)
 		}
 	}
 
 	router, err := repl.NewRouter(repl.RouterConfig{
-		Primary:       *primary,
+		Primary:       c.Primary,
 		Replicas:      replicaURLs,
-		MaxLag:        *maxLag,
-		ProbeInterval: *probeInterval,
+		MaxLag:        c.MaxLag,
+		ProbeInterval: c.ProbeInterval,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pgakvlb:", err)
@@ -67,13 +86,13 @@ func main() {
 	}
 	defer router.Close()
 
-	fmt.Printf("routing reads across %d replica(s), writes to %s, max lag %d\n", len(replicaURLs), *primary, *maxLag)
+	fmt.Printf("routing reads across %d replica(s), writes to %s, max lag %d\n", len(replicaURLs), c.Primary, c.MaxLag)
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              c.Addr,
 		Handler:           router,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	fmt.Printf("listening on %s\n", *addr)
+	fmt.Printf("listening on %s\n", c.Addr)
 	if err := srv.ListenAndServe(); err != nil {
 		fmt.Fprintln(os.Stderr, "pgakvlb:", err)
 		os.Exit(1)

@@ -29,14 +29,13 @@
 //
 // # The incremental rule
 //
-// A replay that succeeded against a segmented index view reports the
-// view's token (vecstore.Token): its row count, its watermark, plus its
-// graph's ID under ANN. The caller passes it to the next Revalidate. Rows
-// are only appended and keep their positions, and a view's top k is a
-// function of its rows in order (vecstore's block rule), so a live view
-// under the same graph that holds at least as many rows is the replayed
-// view's rows followed by new ones — however ingests, coalescing and
-// compaction have cut them into segments. The replay then searches the
+// A replay that succeeded against an arena view reports the view's token
+// (vecstore.Token): its row count, its watermark, plus its graph's ID
+// under ANN. The caller passes it to the next Revalidate. Rows are only
+// appended and keep their positions, and a view's top k is a function of
+// its rows in order (vecstore's block rule), so a live view under the
+// same graph that holds at least as many rows is the replayed view's rows
+// followed by new ones. The replay then searches the
 // rows past the watermark only (vecstore.Suffix), and per query a logged
 // top-k list:
 //

@@ -3,7 +3,6 @@ package answer
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -40,7 +39,7 @@ func incrementalPool(rng *rand.Rand, n int) (triples []kg.Triple, ties []string)
 
 // incrementalQueries derives query texts from the triples: whole texts,
 // texts missing a token or with one more, the tie groups' texts — whose
-// members spread over old and appended segments meet at the boundary with
+// members spread over old and appended rows meet at the boundary with
 // equal scores — plus a zero-vector query and one sharing no token with
 // any triple.
 func incrementalQueries(rng *rand.Rand, triples []kg.Triple, ties []string) []string {
@@ -58,43 +57,15 @@ func incrementalQueries(rng *rand.Rand, triples []kg.Triple, ties []string) []st
 	return qs
 }
 
-// randomCut cuts triples into segments of random lengths.
-func randomCut(rng *rand.Rand, enc *embed.Encoder, triples []kg.Triple) []*vecstore.Index {
-	var segs []*vecstore.Index
-	for lo := 0; lo < len(triples); {
-		hi := min(len(triples), lo+1+rng.Intn(max(1, len(triples)/3)))
-		segs = append(segs, vecstore.BuildTriples(enc, triples[lo:hi]))
-		lo = hi
-	}
-	return segs
-}
-
-// recuts returns the segment layouts a substrate can hold the rows rest
-// in after holding their first old as segs: segs with new segments
-// appended (ingests), then joined (coalescing), re-sharded (compaction),
-// and rebuilt as a recovery does (a checkpoint's aligned segments, then
-// per-record segments for the WAL tail).
-func recuts(rng *rand.Rand, enc *embed.Encoder, segs []*vecstore.Index, rest []kg.Triple, old, size int) map[string][]*vecstore.Index {
-	appended := append(slices.Clip(segs), randomCut(rng, enc, rest[old:])...)
-	from := rng.Intn(len(appended))
-	checkpoint := rng.Intn(len(rest) + 1)
-	return map[string][]*vecstore.Index{
-		"appended":  appended,
-		"coalesced": append(slices.Clip(appended[:from]), vecstore.Concat(enc, appended[from:]...)),
-		"compacted": vecstore.Reshard(enc, rest, size, segs),
-		"recovered": append(vecstore.BuildShards(enc, rest[:checkpoint], size), randomCut(rng, enc, rest[checkpoint:])...),
-	}
-}
-
 // TestIncrementalReplayMatchesFull is the incremental rule's property:
-// over random triple lists and block sizes, as Sharded views and as
-// Hybrids with a graph over their first rows, a one-search log recorded
-// against a view is replayed against a view holding more rows — appended,
-// coalesced, compacted or recovered into other segments — in full, and
-// incrementally past the recorded view's watermark, for k in {1, 3, 10,
-// 25}, and the two replays decide alike every time. Both outcomes, lists
-// whose k-th hit ties the best new hit's score, and queries whose block at
-// the watermark changes mode must occur.
+// over random triple lists and block sizes, as exact views and as Hybrids
+// with a graph over their first rows, a one-search log recorded against a
+// view of an arena's first rows is replayed against views holding more
+// rows — appended in random batches since — in full, and incrementally
+// past the recorded view's watermark, for k in {1, 3, 10, 25}, and the
+// two replays decide alike every time. Both outcomes, lists whose k-th hit
+// ties the best new hit's score, and queries whose block at the watermark
+// changes mode must occur.
 func TestIncrementalReplayMatchesFull(t *testing.T) {
 	enc := embed.NewEncoder()
 	rng := rand.New(rand.NewSource(23))
@@ -113,58 +84,60 @@ func TestIncrementalReplayMatchesFull(t *testing.T) {
 			old = 1
 		}
 		covered := rng.Intn(old + 1)
-		var graphSegs []*vecstore.Index
+		arena := vecstore.NewArena(enc, size)
+		arena.Append(all[:old])
 		var graph *vecstore.HNSW
 		if covered > 0 {
-			graphSegs = vecstore.BuildShards(enc, all[:covered], size)
-			graph = vecstore.BuildGraph(enc, graphSegs, vecstore.HNSWConfig{})
+			graph = vecstore.BuildGraph(arena, covered, vecstore.HNSWConfig{})
 		}
-		sharded := func(segs []*vecstore.Index) vecstore.Searcher {
-			return vecstore.Compose(enc, size, segs...)
+		sharded := func(n int) vecstore.Searcher { return arena.View(n) }
+		hybrid := func(n int) vecstore.Searcher {
+			return vecstore.NewHybrid(arena.View(n), graph, vecstore.HybridOptions{})
 		}
-		hybrid := func(segs []*vecstore.Index) vecstore.Searcher {
-			return vecstore.ComposeHybrid(enc, graph, size, append(slices.Clip(graphSegs), segs...), vecstore.HybridOptions{})
+		// The later views: every batch of the rest appended, in random
+		// lengths.
+		var lengths []int
+		for n := old; n < len(all); {
+			next := min(len(all), n+1+rng.Intn(max(1, (len(all)-old)/3)))
+			arena.Append(all[n:next])
+			n = next
+			lengths = append(lengths, n)
 		}
-		oldSegs := randomCut(rng, enc, all[:old])
-		oldTail := randomCut(rng, enc, all[covered:old])
-		views := map[string]struct {
-			old  vecstore.Searcher
-			news map[string][]*vecstore.Index
-			of   func([]*vecstore.Index) vecstore.Searcher
-		}{
-			"Sharded": {sharded(oldSegs), recuts(rng, enc, oldSegs, all, old, size), sharded},
-			fmt.Sprintf("Hybrid(graph over %d)", covered): {hybrid(oldTail), recuts(rng, enc, oldTail, all[covered:], old-covered, size), hybrid},
+		views := map[string]func(int) vecstore.Searcher{
+			"Sharded": sharded,
+			fmt.Sprintf("Hybrid(graph over %d)", covered): hybrid,
 		}
 		queries := append(incrementalQueries(rng, all, ties), all[0].Text())
-		for name, v := range views {
-			for layout, segs := range v.news {
-				view := v.of(segs)
-				added, ok := view.(segmented).Since(v.old.(segmented).Token())
+		for name, of := range views {
+			recorded := of(old)
+			for _, n := range lengths {
+				view := of(n)
+				added, ok := view.(segmented).Since(recorded.(segmented).Token())
 				if !ok {
-					t.Fatalf("trial %d %s %s: the view is not past the recorded view's watermark", trial, name, layout)
+					t.Fatalf("trial %d %s at %d rows: the view is not past the recorded view's watermark", trial, name, n)
 				}
 				for _, k := range []int{1, 3, 10, 25} {
 					for i, q := range queries {
 						rec := &recorder{}
 						if i%2 == 0 {
-							recordingSearcher{v.old, rec}.Search(q, k)
+							recordingSearcher{recorded, rec}.Search(q, k)
 						} else {
-							recordingSearcher{v.old, rec}.BatchSearchWith(enc.Encode, []string{q}, k)
+							recordingSearcher{recorded, rec}.BatchSearchWith(enc.Encode, []string{q}, k)
 						}
 						reads := &Reads{encode: enc.Encode, ops: rec.buf}
-						if !reads.replay(store, v.old, nil) {
+						if !reads.replay(store, recorded, nil) {
 							t.Fatalf("trial %d %s k=%d %q: the log does not replay against its own view", trial, name, k, q)
 						}
 						full, incremental := reads.replay(store, view, nil), reads.replay(store, view, added)
 						if full != incremental {
-							t.Fatalf("trial %d %s %s k=%d %q: full replay %v, incremental %v", trial, name, layout, k, q, full, incremental)
+							t.Fatalf("trial %d %s at %d rows k=%d %q: full replay %v, incremental %v", trial, name, n, k, q, full, incremental)
 						}
 						if full {
 							stood++
 						} else {
 							refused++
 						}
-						logged := v.old.Search(q, k)
+						logged := recorded.Search(q, k)
 						fresh, flipped := added.BatchSearchWith(enc.Encode, []string{q}, k)
 						if len(logged) == k && len(fresh[0]) > 0 && logged[k-1].Score == fresh[0][0].Score {
 							boundaryTies++

@@ -40,11 +40,11 @@ func poolTriples(t *testing.T) []string {
 
 // TestLayoutsAgreeAtOneEpoch is the cross-node differential for "an epoch
 // means identical content": three managers hold one triple set at one
-// epoch in three segment layouts —
+// epoch, reached by three histories —
 //
-//   - a primary with one index segment per ingest;
+//   - a primary that ingested every batch;
 //   - a manager recovered from the primary's data directory: a
-//     checkpoint's aligned segments plus the WAL tail folded into one;
+//     checkpoint's triples, then the WAL tail replayed;
 //   - a replica that applied the primary's records and ran an
 //     epoch-frozen compaction part way through —
 //
@@ -73,14 +73,13 @@ func TestLayoutsAgreeAtOneEpoch(t *testing.T) {
 	sub, cancel := primary.SubscribeWAL(256)
 	defer cancel()
 
-	// Twelve batches — short of the sixteen segments that coalesce — each
-	// holding a fact about a person asked below, a fact whose subject is
-	// the lower-cased name of a person asked below (a subject of its own
-	// that folds onto a seed subject), an unrelated one, and per pool fact
-	// a newer value, which shares tokens with the query, and a
-	// misspelling, which shares none but scores high on its character
-	// trigrams: a block that filters drops it, one scanned whole may rank
-	// it.
+	// Twelve batches, each holding a fact about a person asked below, a
+	// fact whose subject is the lower-cased name of a person asked below
+	// (a subject of its own that folds onto a seed subject), an unrelated
+	// one, and per pool fact a newer value, which shares tokens with the
+	// query, and a misspelling, which shares none but scores high on its
+	// character trigrams: a block that filters drops it, one scanned whole
+	// may rank it.
 	pool := poolTriples(t)
 	people := w.OfKind(world.KindPerson)
 	misspell := func(s string) string { return strings.ReplaceAll(s, " ", "q ") + "q" }
@@ -141,8 +140,8 @@ func TestLayoutsAgreeAtOneEpoch(t *testing.T) {
 		if got.Epoch != want.Epoch || got.Store.Len() != want.Store.Len() {
 			t.Fatalf("%s: epoch %d with %d triples, the primary %d with %d", name, got.Epoch, got.Store.Len(), want.Epoch, want.Store.Len())
 		}
-		if got.Index.Stats().Shards == want.Index.Stats().Shards {
-			t.Fatalf("%s: %d segments, as many as the primary: the layouts do not differ", name, got.Index.Stats().Shards)
+		if got.BaseTriples == want.BaseTriples {
+			t.Fatalf("%s: a base of %d rows, as the primary's: the histories do not differ", name, got.BaseTriples)
 		}
 	}
 
@@ -176,7 +175,7 @@ func TestLayoutsAgreeAtOneEpoch(t *testing.T) {
 	// case variants: the lower-cased name is a subject itself, so it
 	// resolves to itself, and the others resolve as one store of the
 	// triple set would resolve them, whatever part of it a node holds in
-	// its checkpoint, its compacted segments or its tail.
+	// its checkpoint, its compacted base or its tail.
 	kgReads := func(r kg.Reader, s string, relations []string) string {
 		c, ok := r.FindSubjectFold(s)
 		out := fmt.Sprint(c, ok, r.Subject(s), r.HasSubject(s))

@@ -49,9 +49,8 @@ func (r *Reads) Size() int {
 	return len(r.ops)
 }
 
-// segmented is an index view composed of immutable segments
-// (vecstore.Sharded and vecstore.Hybrid): the views the incremental rule
-// applies to.
+// segmented is an index view of an arena's first rows (vecstore.Sharded
+// and vecstore.Hybrid): the views the incremental rule applies to.
 type segmented interface {
 	// Token names the view by its watermark.
 	Token() vecstore.Token
@@ -70,7 +69,7 @@ type Revalidation struct {
 	// Epoch is the snapshot's.
 	Epoch uint64
 	// At names the snapshot's index view by its watermark (the zero Token
-	// when the index is not composed of segments). The log's searches now
+	// when the index is not an arena view). The log's searches now
 	// return exactly their logged results there, so a later Revalidate
 	// passed At may search only the rows added since.
 	At vecstore.Token

@@ -14,7 +14,7 @@ import (
 	"repro/internal/world"
 )
 
-func testEnv(t testing.TB) (*world.World, *llm.SimLM, *kg.Store, *vecstore.Index) {
+func testEnv(t testing.TB) (*world.World, *llm.SimLM, *kg.Store, *vecstore.Sharded) {
 	t.Helper()
 	cfg := world.DefaultConfig()
 	cfg.People = 100

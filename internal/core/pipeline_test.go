@@ -53,7 +53,7 @@ func (f *fakeClient) Complete(_ context.Context, req llm.Request) (llm.Response,
 
 // testStore builds a small Wikidata-flavoured store with a time-varying
 // fact and a chain.
-func testStore(t *testing.T) (*kg.Store, *vecstore.Index) {
+func testStore(t *testing.T) (*kg.Store, *vecstore.Sharded) {
 	t.Helper()
 	st := kg.NewStore(kg.SourceWikidata)
 	st.AddAll([]kg.Triple{

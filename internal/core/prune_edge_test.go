@@ -16,7 +16,7 @@ import (
 // be driven through retrieval outcomes the real encoder cannot produce on
 // demand (exact zero scores, empty result sets).
 type scriptedSearcher struct {
-	*vecstore.Index
+	*vecstore.Sharded
 	hits []vecstore.Hit
 }
 
@@ -30,7 +30,7 @@ func (s scriptedSearcher) BatchSearchWith(_ func(string) embed.Vector, queries [
 
 func scriptedPipeline(t *testing.T, st *kg.Store, hits []vecstore.Hit, cfg Config) *Pipeline {
 	t.Helper()
-	idx := scriptedSearcher{Index: vecstore.BuildTriples(embed.NewEncoder(), nil), hits: hits}
+	idx := scriptedSearcher{Sharded: vecstore.BuildTriples(embed.NewEncoder(), nil), hits: hits}
 	p, err := New(&fakeClient{}, st, idx, cfg)
 	if err != nil {
 		t.Fatal(err)

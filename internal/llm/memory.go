@@ -3,7 +3,6 @@ package llm
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/world"
 )
@@ -205,19 +204,13 @@ func (m *memory) recallSR(subjectID int, rel world.RelKey, temperature float64, 
 }
 
 // resolveSubject finds the world entity for a surface name, tolerating
-// case differences (Freebase-style lower-cased questions).
+// case differences (Freebase-style lower-cased questions): when several
+// entities fold alike, the first in world order.
 func (m *memory) resolveSubject(name string) (world.Entity, bool) {
 	if e, ok := m.w.EntityByName(name); ok {
 		return e, true
 	}
-	// Case-folded scan; worlds are small enough for this rare path.
-	folded := strings.ToLower(name)
-	for _, e := range m.w.Entities {
-		if strings.ToLower(e.Name) == folded {
-			return e, true
-		}
-	}
-	return world.Entity{}, false
+	return m.w.EntityByFold(name)
 }
 
 // distort returns a wrong-but-plausible object for a fact: another entity

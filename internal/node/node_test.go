@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/answer"
 	"repro/internal/kg"
+	"repro/internal/racedetect"
 	"repro/internal/serve"
 	"repro/internal/world"
 )
@@ -126,4 +127,40 @@ func story(res answer.Result, withTrace bool) string {
 		fmt.Fprintf(&b, "stage %s\n", sp.Stage)
 	}
 	return b.String()
+}
+
+// unknownEntityAllocs is what one "ours" answer about an entity the
+// quick world lacks allocates, cache off (measured). A subject lookup
+// that lower-cased every entity name would add thousands.
+const unknownEntityAllocs = 340
+
+// TestUnknownEntityAnswerAllocations pins the allocations of an answer
+// whose subject no entity is named, in any case: the simulated model
+// resolves such a name through the world's fold map, where it once
+// lower-cased every entity name per lookup.
+func TestUnknownEntityAnswerAllocations(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	cfg := ConfigFor(true)
+	cfg.Cache = serve.CacheConfig{Size: 0}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ans, err := n.Answerer("ours", ModelGPT35, kg.SourceWikidata)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := answer.Query{Text: "Where was Zorblax Quintavius born?"}
+	run := func() {
+		if _, err := ans.Answer(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if got := testing.AllocsPerRun(20, run); got > unknownEntityAllocs {
+		t.Fatalf("an answer about an unknown entity allocates %.0f times, want at most %d", got, unknownEntityAllocs)
+	}
 }

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/answer"
 	"repro/internal/datasets"
@@ -27,7 +29,7 @@ func newPair(t *testing.T, cacheSize int) pair {
 	var p pair
 	for _, size := range []int{cacheSize, 0} {
 		cfg := ConfigFor(true)
-		cfg.Substrate.ShardSize = 256 // several base segments, some kept by a compaction
+		cfg.Substrate.ShardSize = 256 // several blocks
 		cfg.Cache = serve.CacheConfig{Size: size}
 		n, err := New(cfg)
 		if err != nil {
@@ -350,12 +352,24 @@ func TestRevalidationRacesIngest(t *testing.T) {
 	reqs := requests(n.World)
 	people := n.World.OfKind(world.KindPerson)
 	// The readers keep going until the writer is done, so every write
-	// lands among reads.
+	// lands among reads. Before each write, and before it is done, the
+	// writer waits for the readers to answer as many questions as there
+	// are, so reads land among writes too: an ingest or a compaction can
+	// cost less than the answers it should race.
 	done := make(chan struct{})
+	var answered atomic.Int64
+	round := func() {
+		target := answered.Load() + int64(len(reqs))
+		for wait := time.Now().Add(10 * time.Second); answered.Load() < target && time.Now().Before(wait); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
 	go func() {
 		defer close(done)
+		defer round()
 		mgr := n.Substrates[kg.SourceWikidata]
 		for i := 0; i < 24; i++ {
+			round()
 			var err error
 			switch i % 4 {
 			case 0, 1:
@@ -400,6 +414,7 @@ func TestRevalidationRacesIngest(t *testing.T) {
 					return
 				}
 				last[r.src] = res.Epoch
+				answered.Add(1)
 			}
 		}(g)
 	}

@@ -27,10 +27,10 @@ import (
 //	<dir>/checkpoint-<epoch>/graph.bin     HNSW adjacency, only when a graph exists
 //
 // A checkpoint holds each fact once. A triple's vector is a pure function
-// of its text, so the index segments are not persisted: loading rebuilds
-// them from triples.nt with the call a first boot and every compaction
-// make. Only the HNSW graph's adjacency, which is expensive to rebuild,
-// is stored next to the triples.
+// of its text, so the vector rows are not persisted: loading re-encodes
+// triples.nt into the arena with the call a first boot makes. Only the
+// HNSW graph's adjacency, which is expensive to rebuild, is stored next to
+// the triples.
 //
 // A checkpoint directory is written as checkpoint-<epoch>.tmp, its files
 // fsynced, then renamed into place — MANIFEST.json inside a final-named
@@ -158,14 +158,14 @@ func writeCheckpoint(dir string, epoch uint64, source kg.Source, triples []kg.Tr
 }
 
 // loadedCheckpoint is one fully-validated checkpoint, ready to become a
-// manager's store (open for the WAL tail's appends) and base shards.
+// manager's store and arena (open for the WAL tail's appends).
 type loadedCheckpoint struct {
-	epoch  uint64
-	store  *kg.Store
-	shards []*vecstore.Index
-	// ann is the persisted HNSW graph over the shard prefix, nil when
-	// the checkpoint has none (or is a format-1 directory, whose graph
-	// sat inside the index.bin this version no longer reads).
+	epoch uint64
+	store *kg.Store
+	arena *vecstore.Arena
+	// ann is the persisted HNSW graph over the arena's first rows, nil
+	// when the checkpoint has none (or is a format-1 directory, whose
+	// graph sat inside the index.bin this version no longer reads).
 	ann *vecstore.HNSW
 }
 
@@ -184,10 +184,9 @@ func readHashed(path, wantHex string) ([]byte, error) {
 	return b, nil
 }
 
-// loadCheckpoint reads and validates one checkpoint directory, rebuilding
-// its index segments from the triples. The segments over the graph's
-// prefix [0, ann_nodes) and over the rest are built separately, so the
-// graph ends on a segment boundary.
+// loadCheckpoint reads and validates one checkpoint directory, encoding
+// its triples into a new arena and binding the graph, when there is one,
+// to the arena's first ann_nodes rows.
 func loadCheckpoint(path string, enc *embed.Encoder, shardSize int) (*loadedCheckpoint, error) {
 	mb, err := os.ReadFile(filepath.Join(path, manifestName))
 	if err != nil {
@@ -227,15 +226,14 @@ func loadCheckpoint(path string, enc *embed.Encoder, shardSize int) (*loadedChec
 	if m.ANNNodes < 0 || m.ANNNodes > store.Len() {
 		return nil, fmt.Errorf("substrate: checkpoint graph covers %d of %d triples", m.ANNNodes, store.Len())
 	}
-	all := store.All()
-	cp := &loadedCheckpoint{epoch: m.Epoch, store: store}
-	cp.shards = append(vecstore.BuildShards(enc, all[:m.ANNNodes], shardSize), vecstore.BuildShards(enc, all[m.ANNNodes:], shardSize)...)
+	cp := &loadedCheckpoint{epoch: m.Epoch, store: store, arena: vecstore.NewArena(enc, shardSize)}
+	cp.arena.Append(store.All())
 	if m.ANNNodes > 0 {
 		gb, err := readHashed(filepath.Join(path, graphName), m.GraphSHA256)
 		if err != nil {
 			return nil, fmt.Errorf("substrate: checkpoint graph: %w", err)
 		}
-		if cp.ann, err = vecstore.ReadGraph(bytes.NewReader(gb), enc, cp.shards); err != nil {
+		if cp.ann, err = vecstore.ReadGraph(bytes.NewReader(gb), cp.arena); err != nil {
 			return nil, fmt.Errorf("substrate: checkpoint graph: %w", err)
 		}
 		if cp.ann.Len() != m.ANNNodes {

@@ -84,8 +84,8 @@ func TestCheckpointHoldsEachFactOnce(t *testing.T) {
 
 // TestANNMidGenerationCheckpoint: a format-2 -ann checkpoint taken with a
 // compacted base and a live delta persists the graph over the base only;
-// recovery rebuilds the segments around that boundary and serves a
-// Hybrid whose graph covers exactly ann_nodes and whose answers equal the
+// recovery binds the graph to the arena's first ann_nodes rows and serves
+// a Hybrid whose graph covers exactly those and whose answers equal the
 // exact scan's.
 func TestANNMidGenerationCheckpoint(t *testing.T) {
 	cfg := durableConfig(t, t.TempDir())

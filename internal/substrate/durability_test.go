@@ -647,10 +647,11 @@ func TestCheckpointRequiresDurability(t *testing.T) {
 	}
 }
 
-// TestRecoveryCoalescesReplayedSegments: a long WAL tail of tiny
-// batches must not boot into a snapshot fanning out over one index
-// segment per replayed record.
-func TestRecoveryCoalescesReplayedSegments(t *testing.T) {
+// TestRecoveryReplaysIntoOneArena: a long WAL tail of tiny batches boots
+// into one arena, whose blocks are the shard size's cut of every row —
+// however many records the rows were replayed from — and which searches as
+// the manager that logged them did.
+func TestRecoveryReplaysIntoOneArena(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(t, dir) // ShardSize 16
 	m1 := recoverTestManager(t, 30, cfg)
@@ -661,10 +662,11 @@ func TestRecoveryCoalescesReplayedSegments(t *testing.T) {
 	if got := m2.Current().Store.Len(); got != 70 {
 		t.Fatalf("recovered %d triples, want 70", got)
 	}
-	// ceil(30/16) = 2 base shards + exactly 1 coalesced delta segment.
-	if got := m2.Stats().Shards; got != 3 {
-		t.Fatalf("boot snapshot has %d shards, want 3 (2 base + 1 coalesced delta)", got)
+	// ceil(70/16) = 5 blocks, as on the manager that logged the records.
+	if got, want := m2.Stats().Shards, m1.Stats().Shards; got != 5 || want != 5 {
+		t.Fatalf("boot snapshot has %d blocks, the logging manager %d, want 5", got, want)
 	}
+	assertSameSubstrate(t, m1, m2)
 }
 
 // TestDurableChurnThenRecover hammers a durable manager with concurrent

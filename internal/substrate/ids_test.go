@@ -11,9 +11,9 @@ import (
 // TestTripleIDsStableAcrossIngestCoalesceAndCompact pins the invariant
 // answer read logs rely on: for a manager's lifetime a triple ID names
 // one triple — subject, relation, object, source and ordinal — through
-// ingests, the coalescing of delta segments and compactions, and the index
-// returns each triple under the ID the store gives it. A compaction,
-// which changes layout but not content, changes no read at all: every
+// many small ingests and compactions, and the index returns each triple
+// under the ID the store gives it. A compaction, which changes no
+// content, changes no read at all: every
 // subject block, (subject, relation) list and top-k list is what it was.
 func TestTripleIDsStableAcrossIngestCoalesceAndCompact(t *testing.T) {
 	m := newTestManager(t, 20, Config{ShardSize: 8})
@@ -68,7 +68,7 @@ func TestTripleIDsStableAcrossIngestCoalesceAndCompact(t *testing.T) {
 	}
 
 	check("boot")
-	for i := 0; i < 20; i++ { // 20 one-triple batches: the 16th coalesces the delta
+	for i := 0; i < 20; i++ { // 20 one-triple batches
 		ingest(kg.NewTriple(fmt.Sprintf("Fresh %d", i), "r", fmt.Sprintf("Entity %d", i%5)))
 		if i%4 == 0 {
 			// A newer value of a base fact's (subject, relation) pair.

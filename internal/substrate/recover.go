@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/kg"
-	"repro/internal/vecstore"
 )
 
 // Durability configures a Manager's persistence layer.
@@ -104,14 +103,13 @@ func (e *ChainGapError) Error() string {
 //
 //  1. Load the triples of the newest checkpoint under Dir/<source>/ that
 //     fully validates (manifest, content hashes, triples, graph) as the
-//     manager's store and rebuild its index segments; fall back to older
-//     ones, then to the seed store, when newer ones are corrupt.
+//     manager's store and re-encode them into its arena; fall back to
+//     older ones, then to the seed store, when newer ones are corrupt.
 //  2. Replay the WAL tail — every record with an epoch past the
 //     checkpoint's — through the normal ingest path, appending to that
-//     store and encoding delta index segments. Torn tail records
-//     (incomplete frame or checksum mismatch) are dropped with a logged
-//     count and physically truncated so appends resume on a clean
-//     boundary.
+//     store and arena. Torn tail records (incomplete frame or checksum
+//     mismatch) are dropped with a logged count and physically truncated
+//     so appends resume on a clean boundary.
 //  3. Resume the epoch at (max persisted epoch) + 1, so the epoch never
 //     regresses across a restart and the epochs clients see never go
 //     backwards.
@@ -150,17 +148,16 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 	m.recovery.SkippedCheckpoints = len(skipped)
 	if cp != nil {
 		m.store = cp.store
+		m.arena = cp.arena
 		m.baseRows = cp.store.Len()
-		m.baseShards = cp.shards
 		m.epoch = cp.epoch
 		m.recovery.CheckpointEpoch = cp.epoch
 		m.recovery.CheckpointTriples = cp.store.Len()
 		m.lastCheckpointEpoch.Store(cp.epoch)
 		if cfg.ANN.Enabled {
-			// Reload: the persisted graph is bound to a prefix of the
-			// checkpoint shards (checkpoints flatten base + delta, so the
-			// former delta surfaces as uncovered tail shards that stay
-			// exact-scanned until the next compaction).
+			// Reload: the persisted graph is bound to the arena's first rows
+			// (a checkpoint holds base + delta, so the former delta's rows
+			// stay exact-scanned until the next compaction).
 			m.baseANN = cp.ann
 		}
 	} else {
@@ -169,7 +166,7 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 	if m.baseANN == nil {
 		// Seed boot, or ANN newly enabled over a checkpoint written without
 		// a graph file (ANN was off, or format 1): build it at boot.
-		m.baseANN = m.graphOver(m.baseShards)
+		m.baseANN = m.graphOver(m.baseRows)
 	}
 
 	// Replay the WAL tail through the ingest plan/apply path, then
@@ -230,13 +227,6 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 	// chain == named from here on, except in an empty directory: there
 	// named is 0 and a primary's first publish must still create epoch 1.
 	lastEpoch := named
-	if len(m.deltaSegs) > 1 {
-		// Live ingest coalesces segments as it goes; replay built one per
-		// record, so fold them before publishing — a long WAL tail must
-		// not boot into a snapshot fanning out over hundreds of tiny
-		// segments.
-		m.deltaSegs = []*vecstore.Index{vecstore.Concat(enc, m.deltaSegs...)}
-	}
 	if cfg.Replica {
 		// A replica resumes at EXACTLY the largest persisted epoch: its
 		// epoch must track the primary's record chain one-for-one, and the

@@ -190,10 +190,9 @@ func (m *Manager) ApplyReplicated(rec WALRecord) (bool, error) {
 	if len(fresh) > 0 {
 		m.ingests.Add(1)
 	}
-	m.coalesceDeltaSegsLocked()
 	m.publishLocked() // epoch was rec.Epoch-1, so this publishes rec.Epoch
-	// Replica compactions are epoch-frozen (see Compact), so the fold never
-	// desynchronises the applied chain.
+	// Replica compactions are epoch-frozen (see Compact), so a compaction
+	// never desynchronises the applied chain.
 	m.autoCompactLocked()
 	m.mu.Unlock()
 	return true, nil

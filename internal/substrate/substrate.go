@@ -7,15 +7,16 @@
 //   - one append-only kg.Store holding every triple it has served, in ID
 //     order, for its whole lifetime — the seed or a checkpoint's triples
 //     first, then every ingest;
-//   - the vector index over that store as segments: fixed-size base
-//     shards over the rows of the last compaction (or of the boot base),
-//     searched concurrently (vecstore.Sharded), plus one small delta
-//     segment per ingest batch over the rows added since;
+//   - one append-only vector arena (vecstore.Arena) holding the store's
+//     triples as rows in the same order, row i being triple i, in chunks
+//     of the shard size;
 //   - the current Snapshot: an immutable (epoch, kg.Reader,
 //     vecstore.Searcher) triple published with an atomic pointer swap. Its
-//     reader is a view of the store's first n triples (kg.Store.Prefix),
-//     which later appends never change, so a snapshot is a length: a
-//     publish copies no triple and costs the batch, not the store.
+//     reader is a view of the store's first n triples (kg.Store.Prefix)
+//     and its index a view of the arena's first n rows (Arena.View), which
+//     later appends change neither of, so a snapshot is a length: a
+//     publish copies no triple and no row, and costs the batch, not the
+//     store.
 //
 // Readers resolve the current snapshot once per query and keep it for the
 // whole run, so a query served mid-ingest sees one consistent substrate
@@ -25,27 +26,24 @@
 // substrate is served again only after its reads are checked against the
 // new one.
 //
-// A triple ID is its row in the store, so it names one triple for a
-// manager's lifetime, and every KG read of a snapshot is a function of its
-// triple set alone: ingest, coalescing and compaction never move a row.
-// Answer read logs name triples by ID and rely on this.
+// A triple ID is its row in the store and in the arena, so it names one
+// triple for a manager's lifetime, and every KG read of a snapshot is a
+// function of its triple set alone: ingest and compaction never move a
+// row. Answer read logs name triples by ID and rely on this.
 //
-// An ingest replaces no segment it did not touch. A publish keeps every
-// index segment the ingest did not replace — all of the base's and, until
-// coalescing joins them, the delta's — so nothing the ingest did not add
-// is encoded again. Every view's rows are the triples in ID
-// order, cut into blocks of the shard size (the vecstore package comment's
-// filter rule), so a view's results do not depend on how ingests,
-// coalescing and compaction have cut the triples into segments, and a
-// cached answer revalidated there searches only the rows added since its
-// last replay (the vecstore package comment's watermark).
+// An ingest encodes only the triples it adds: it appends them to the
+// arena and publishes the longer view. Every view's rows are the triples
+// in ID order, cut into blocks of the shard size (the vecstore package
+// comment's filter rule), so a cached answer revalidated at a later view
+// searches only the rows added since its last replay (the vecstore
+// package comment's watermark).
 //
-// Compaction re-cuts the index only: the rows published so far become the
-// new base shards, keeping the old base's full leading segments
-// (vecstore.Reshard), and the delta segments reset; the store is not
-// touched. It runs concurrently with ingest: only the final swap takes the
-// writer lock, and rows ingested during the build get a fresh delta
-// segment.
+// Compaction marks the rows published so far as the base: BaseTriples in
+// the stats, the rows a durable restart loads from the checkpoint it
+// writes. It re-encodes nothing. With Config.ANN it builds the HNSW graph
+// over those rows, off the writer lock so ingest stays live, and the
+// snapshot it publishes searches the graph, with the rows ingested since
+// scanned exactly.
 //
 // # Invariants
 //
@@ -69,8 +67,9 @@
 // graph; vectors are derived from the triples and never stored —
 // written on compaction, on a timer, and on demand. Build durable
 // managers with Recover, which loads the newest valid checkpoint,
-// re-encodes its index segments, replays the WAL tail through the normal
-// ingest path, and drops torn tail records by checksum (recover.go).
+// re-encodes its triples into the arena, replays the WAL tail through the
+// normal ingest path, and drops torn tail records by checksum
+// (recover.go).
 // Close a durable manager on shutdown.
 package substrate
 
@@ -90,8 +89,8 @@ import (
 
 // Config sizes a Manager.
 type Config struct {
-	// ShardSize is the segment size of the base's sharded vector index;
-	// <= 0 uses vecstore.DefaultShardSize.
+	// ShardSize is the block size of the vector index, and the chunk size
+	// of its arena; <= 0 uses vecstore.DefaultShardSize.
 	ShardSize int
 	// CompactThreshold starts a background compaction when an ingest
 	// leaves the delta at or above this many triples; 0 disables
@@ -106,16 +105,16 @@ type Config struct {
 	ANN ANNConfig
 	// Replica puts the manager in WAL-applying mode: recovery resumes at
 	// exactly the largest persisted epoch (never +1, so the applied chain
-	// can extend it seamlessly), compactions are epoch-frozen (the fold
-	// changes layout, not content, so the epoch — and with it every
+	// can extend it seamlessly), compactions are epoch-frozen (a
+	// compaction changes no content, so the epoch — and with it every
 	// cache scope — stays put), and ApplyReplicated becomes
 	// the only legal writer. Local Ingest must not be called.
 	Replica bool
 }
 
 // ANNConfig enables sublinear approximate retrieval: an HNSW graph is
-// built over the base's index segments at boot and rebuilt by every
-// compaction (off the writer lock), while the hot delta stays exact-scan.
+// built over the base rows at boot and rebuilt by every compaction (off
+// the writer lock), while the rows ingested since stay exact-scan.
 // The snapshot then serves through a vecstore.Hybrid — graph over the
 // base, exact over the delta, merged per query — so the approximate/exact
 // split rides the existing snapshot lifecycle and cache revalidation
@@ -140,11 +139,12 @@ type Snapshot struct {
 	// Store is the consistent triple view: the manager store's first
 	// BaseTriples + DeltaTriples triples (a *kg.Prefix).
 	Store kg.Reader
-	// Index is the sharded vector index over exactly Store's triples.
+	// Index is the vector index over exactly Store's triples: a view of
+	// the arena's first rows.
 	Index vecstore.Searcher
-	// BaseTriples / DeltaTriples split Store.Len() by index segment: the
-	// rows the base shards of the last compaction (or of the boot base)
-	// cover, and the rows added since, indexed by the delta segments.
+	// BaseTriples / DeltaTriples split Store.Len() at the last compaction
+	// (or the boot base): the rows published then, and the rows added
+	// since.
 	BaseTriples  int
 	DeltaTriples int
 }
@@ -183,19 +183,16 @@ type Manager struct {
 	// store holds every triple in ID order; it only ever appends, and
 	// every snapshot reads a prefix of it.
 	store *kg.Store
-	// baseShards index the store's first baseRows rows: those of the last
-	// compaction, or of the boot base.
-	baseRows   int
-	baseShards []*vecstore.Index
-	// baseANN is the HNSW graph over a prefix of baseShards (usually all
-	// of them; after a mid-generation recovery it may cover fewer — the
-	// uncovered tail is exact-scanned until the next compaction). Nil
+	// arena holds the store's triples as vector rows, in the same order.
+	arena *vecstore.Arena
+	// baseRows is the row count at the last compaction, or of the boot
+	// base.
+	baseRows int
+	// baseANN is the HNSW graph over the arena's first rows (usually the
+	// base's; after a mid-generation recovery it may cover fewer — the
+	// uncovered rows are exact-scanned until the next compaction). Nil
 	// when Config.ANN is disabled.
-	baseANN *vecstore.HNSW
-	// deltaSegs index the rows past baseRows, one segment per ingest batch
-	// (coalesced when they proliferate), so each publish encodes only the
-	// newly added triples instead of every row since the last compaction.
-	deltaSegs     []*vecstore.Index
+	baseANN       *vecstore.HNSW
 	epoch         uint64
 	compacting    bool
 	checkpointing bool
@@ -230,13 +227,13 @@ type Manager struct {
 	ckptDone  chan struct{}
 }
 
-// NewManager builds a manager over a copy of the seed store, sharding its
-// vector index. The caller's store is not changed, by this call or by any
+// NewManager builds a manager over a copy of the seed store, encoding its
+// vector rows. The caller's store is not changed, by this call or by any
 // later ingest.
 func NewManager(enc *embed.Encoder, seed *kg.Store, cfg Config) *Manager {
 	m := &Manager{enc: enc, cfg: cfg}
 	m.loadSeed(seed)
-	m.baseANN = m.graphOver(m.baseShards)
+	m.baseANN = m.graphOver(m.baseRows)
 	m.mu.Lock()
 	m.publishLocked()
 	m.mu.Unlock()
@@ -249,18 +246,18 @@ func (m *Manager) loadSeed(seed *kg.Store) {
 	all := seed.All()
 	m.store = kg.NewStore(seed.Source())
 	m.store.AddAll(all)
+	m.arena = vecstore.NewArena(m.enc, m.cfg.ShardSize)
+	m.arena.Append(all)
 	m.baseRows = len(all)
-	m.baseShards = vecstore.BuildShards(m.enc, all, m.cfg.ShardSize)
 }
 
-// graphOver builds the ANN graph over a base's index segments: the graph
-// scores those segments' own rows, so it is always built after them and
-// from them. Nil when Config.ANN is disabled.
-func (m *Manager) graphOver(shards []*vecstore.Index) *vecstore.HNSW {
+// graphOver builds the ANN graph over the arena's first rows: the graph
+// scores the arena's own rows. Nil when Config.ANN is disabled.
+func (m *Manager) graphOver(rows int) *vecstore.HNSW {
 	if !m.cfg.ANN.Enabled {
 		return nil
 	}
-	return vecstore.BuildGraph(m.enc, shards, vecstore.HNSWConfig{})
+	return vecstore.BuildGraph(m.arena, rows, vecstore.HNSWConfig{})
 }
 
 // Current returns the live snapshot. The result is immutable; hold it for
@@ -355,7 +352,6 @@ func (m *Manager) Ingest(triples []kg.Triple) (IngestResult, error) {
 		}
 		m.applyLocked(fresh)
 		m.ingests.Add(1)
-		m.coalesceDeltaSegsLocked()
 		snap = m.publishLocked()
 		if m.wal != nil {
 			// The snapshot is live, so a replica that applies this record
@@ -429,9 +425,9 @@ func (m *Manager) planLocked(triples []kg.Triple) (fresh []kg.Triple, skipped in
 	return fresh, skipped
 }
 
-// applyLocked appends planned triples to the store and a delta segment
-// over them. Caller holds m.mu; the triples must come from planLocked
-// against the current state.
+// applyLocked appends planned triples to the store and their rows to the
+// arena. Caller holds m.mu; the triples must come from planLocked against
+// the current state.
 func (m *Manager) applyLocked(fresh []kg.Triple) {
 	batch := make([]kg.Triple, 0, len(fresh))
 	for _, t := range fresh {
@@ -440,9 +436,7 @@ func (m *Manager) applyLocked(fresh []kg.Triple) {
 			batch = append(batch, stored)
 		}
 	}
-	if len(batch) > 0 {
-		m.deltaSegs = append(m.deltaSegs, vecstore.BuildTriples(m.enc, batch))
-	}
+	m.arena.Append(batch)
 }
 
 // maxOrdLocked returns the largest ordinal stored for (subject, relation)
@@ -456,25 +450,11 @@ func (m *Manager) maxOrdLocked(subject, relation string) (int, bool) {
 	return ts[len(ts)-1].Ord, true
 }
 
-// coalesceDeltaSegsLocked folds the per-batch delta segments into one
-// once they proliferate: many tiny ingests would otherwise leave the
-// snapshot index fanning out over hundreds of near-empty segments. The
-// fold concatenates the segments' packed rows (vecstore.Concat) rather
-// than re-encoding the delta, and compaction resets everything anyway.
-// Caller holds m.mu.
-func (m *Manager) coalesceDeltaSegsLocked() {
-	const maxDeltaSegs = 16
-	if len(m.deltaSegs) < maxDeltaSegs {
-		return
-	}
-	m.deltaSegs = []*vecstore.Index{vecstore.Concat(m.enc, m.deltaSegs...)}
-}
-
 // publishLocked builds and swaps in a snapshot of the current master
 // state. Caller holds m.mu. The snapshot reads a view of the rows the
-// store holds now (kg.Store.Prefix) and searches the per-batch delta
-// index segments, so publish copies nothing: its cost is the latest
-// batch's encoding, not the substrate's size.
+// store and the arena hold now (kg.Store.Prefix, vecstore.Arena.View), so
+// publish copies nothing: its cost is the latest batch's encoding, not
+// the substrate's size.
 func (m *Manager) publishLocked() *Snapshot {
 	m.epoch++
 	return m.republishLocked()
@@ -482,26 +462,21 @@ func (m *Manager) publishLocked() *Snapshot {
 
 // republishLocked builds and swaps in a snapshot of the current master
 // state at the CURRENT epoch, without bumping it. Only correct when the
-// content at this epoch is unchanged — the replica-mode compaction fold,
-// which re-cuts the index segments but serves the same triple set, so
-// cache entries stamped with this epoch stay valid. Caller holds m.mu.
+// content at this epoch is unchanged — the replica-mode compaction, which
+// serves the same triple set, so cache entries stamped with this epoch
+// stay valid. Caller holds m.mu.
 func (m *Manager) republishLocked() *Snapshot {
 	n := m.store.Len()
-	shards := m.baseShards
-	if n > m.baseRows {
-		shards = append(append([]*vecstore.Index(nil), m.baseShards...), m.deltaSegs...)
-	}
-	var index vecstore.Searcher
+	view := m.arena.View(n)
+	var index vecstore.Searcher = view
 	if m.baseANN != nil {
-		// Approximate over the graph-covered base prefix, exact over the
-		// uncovered tail and the hot delta, merged per query. The same
-		// counters carry across publishes.
-		index = vecstore.ComposeHybrid(m.enc, m.baseANN, m.cfg.ShardSize, shards, vecstore.HybridOptions{
+		// Approximate over the graph-covered rows, exact over the rows
+		// ingested since, merged per query. The same counters carry across
+		// publishes.
+		index = vecstore.NewHybrid(view, m.baseANN, vecstore.HybridOptions{
 			EfSearch: m.cfg.ANN.EfSearch,
 			Counters: &m.annCounters,
 		})
-	} else {
-		index = vecstore.Compose(m.enc, m.cfg.ShardSize, shards...)
 	}
 	snap := &Snapshot{
 		Epoch:        m.epoch,
@@ -514,12 +489,12 @@ func (m *Manager) republishLocked() *Snapshot {
 	return snap
 }
 
-// Compact re-cuts the index: the rows published so far become the new
-// base shards, and the delta segments reset. The store is untouched, so
-// every read of the triple set is too. The expensive part — encoding the
-// rows beyond the old base's full segments, and with ANN the graph — runs
-// outside the writer lock, so ingest stays live during compaction; rows
-// ingested while the build runs get a fresh delta segment.
+// Compact makes the rows published so far the base and publishes a new
+// epoch over them. The store and the arena are untouched, so every read of
+// the triple set is too, and nothing is re-encoded. With ANN the graph is
+// rebuilt over the new base — the expensive part, run outside the writer
+// lock so ingest stays live during compaction; rows ingested while it
+// builds are scanned exactly.
 // Returns ErrCompacting if another compaction is in flight. A compaction
 // with no rows past the base is a no-op returning the current snapshot.
 func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
@@ -535,8 +510,6 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 		return snap, nil
 	}
 	m.compacting = true
-	rows := m.store.Prefix(n)
-	baseShards := m.baseShards
 	m.mu.Unlock()
 	defer func() {
 		m.mu.Lock()
@@ -547,14 +520,10 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The new base extends the old one, so its full leading segments are
-	// the old base's where their triples match: those keep their rows, and
-	// only the rest is encoded.
-	newShards := vecstore.Reshard(m.enc, rows.All(), m.cfg.ShardSize, baseShards)
-	// The graph build is the expensive part of an ANN compaction; like the
-	// re-shard above it runs here, outside the writer lock, so ingest stays
-	// live while the graph grows.
-	newANN := m.graphOver(newShards)
+	// The graph build is the expensive part of an ANN compaction; it runs
+	// here, outside the writer lock, so ingest stays live while the graph
+	// grows.
+	newANN := m.graphOver(n)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -575,20 +544,14 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 		}
 	}
 	m.baseRows = n
-	m.baseShards = newShards
 	m.baseANN = newANN
-	m.deltaSegs = nil
-	if m.store.Len() > n {
-		// Rows ingested during the build: one segment over all of them.
-		m.deltaSegs = []*vecstore.Index{vecstore.BuildTriples(m.enc, m.store.All()[n:])}
-	}
 	m.compactions.Add(1)
 	var snap *Snapshot
 	if m.cfg.Replica {
-		// Epoch-frozen: the fold re-cut the index segments but serves the
-		// same triple set, and the replica's epoch must keep meaning
-		// exactly what the primary's does. No marker is logged either —
-		// the local WAL holds only records shipped from the primary.
+		// Epoch-frozen: the compaction serves the same triple set, and the
+		// replica's epoch must keep meaning exactly what the primary's
+		// does. No marker is logged either — the local WAL holds only
+		// records shipped from the primary.
 		snap = m.republishLocked()
 	} else {
 		snap = m.publishLocked()
@@ -600,7 +563,7 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 
 	if m.durable {
 		// Compaction is the natural checkpoint moment: the delta just
-		// folded into the base, so persisting now keeps the WAL short.
+		// became the base, so persisting now keeps the WAL short.
 		if _, err := m.Checkpoint(ctx); err != nil && !errors.Is(err, ErrCheckpointing) {
 			log.Printf("substrate[%s]: checkpoint after compaction: %v", m.Source(), err)
 		}

@@ -32,13 +32,26 @@ func prepare(encode func(string) embed.Vector, queries []string) []batchQuery {
 	return qs
 }
 
-// span is rows [lo, hi) of one segment: a block's share of it.
+// span is rows [lo, hi) of one chunk of a view, counted from the
+// chunk's first row, which is arena row at.
 type span struct {
-	seg    *Index
+	c      *chunkView
+	at     int
 	lo, hi int
 }
 
 func (sp span) len() int { return sp.hi - sp.lo }
+
+// spansOf cuts arena rows [lo, hi) of chunks, chunks of size rows, at
+// the chunk boundaries; nil when the range is empty.
+func spansOf(chunks []chunkView, size, lo, hi int) spans {
+	var ss spans
+	for c := lo / size; lo < hi && c*size < hi; c++ {
+		at := c * size
+		ss = append(ss, span{&chunks[c], at, max(lo, at) - at, min(hi, at+size) - at})
+	}
+	return ss
+}
 
 // candidates returns the span's rows sharing at least one of the tokens,
 // bit j standing for row lo+j, or nil when there are none to share.
@@ -48,7 +61,7 @@ func (sp span) candidates(toks []string) rowSet {
 	}
 	set := make(rowSet, (sp.len()+63)/64)
 	for _, tok := range toks {
-		post := sp.seg.inverted[tok]
+		post := sp.c.posting(tok)
 		if sp.lo > 0 {
 			i, _ := slices.BinarySearch(post, int32(sp.lo))
 			post = post[i:]
@@ -78,13 +91,14 @@ func (sp span) all() rowSet {
 }
 
 // scan offers best every row of set, a set over the span's rows, with its
-// score against q, in ascending row order; row lo+j is offered as
-// position at+j.
-func (sp span) scan(q *[embed.Dim]float64, set rowSet, at int, best *topK) {
+// score against q, in ascending row order; a row is offered as its arena
+// row.
+func (sp span) scan(q *[embed.Dim]float64, set rowSet, best *topK) {
+	rows, first := &sp.c.rows, sp.at+sp.lo
 	for i, w := range set {
 		for ; w != 0; w &= w - 1 {
 			j := i<<6 | bits.TrailingZeros64(w)
-			best.offer(sp.seg.rows.dot(q, sp.lo+j), at+j)
+			best.offer(rows.dot(q, sp.lo+j), first+j)
 		}
 	}
 }
@@ -92,8 +106,8 @@ func (sp span) scan(q *[embed.Dim]float64, set rowSet, at int, best *topK) {
 // scan2 is scan for two queries at once: one ascending pass over the
 // union of their sets, each row offered to the queries whose set holds
 // it, rows in both scored by one dot2.
-func (sp span) scan2(qa, qb *[embed.Dim]float64, a, b rowSet, at int, bestA, bestB *topK) {
-	rows := &sp.seg.rows
+func (sp span) scan2(qa, qb *[embed.Dim]float64, a, b rowSet, bestA, bestB *topK) {
+	rows, first := &sp.c.rows, sp.at+sp.lo
 	for i, wa := range a {
 		wb := b[i]
 		for w := wa | wb; w != 0; w &= w - 1 {
@@ -101,31 +115,28 @@ func (sp span) scan2(qa, qb *[embed.Dim]float64, a, b rowSet, at int, bestA, bes
 			switch bit := w & -w; {
 			case wa&wb&bit != 0:
 				sa, sb := rows.dot2(qa, qb, sp.lo+j)
-				bestA.offer(sa, at+j)
-				bestB.offer(sb, at+j)
+				bestA.offer(sa, first+j)
+				bestB.offer(sb, first+j)
 			case wa&bit != 0:
-				bestA.offer(rows.dot(qa, sp.lo+j), at+j)
+				bestA.offer(rows.dot(qa, sp.lo+j), first+j)
 			default:
-				bestB.offer(rows.dot(qb, sp.lo+j), at+j)
+				bestB.offer(rows.dot(qb, sp.lo+j), first+j)
 			}
 		}
 	}
 }
 
-// spans are rows of a view in row order; a row's position counts from
-// the first span's lo.
+// spans are rows of a view in row order.
 type spans []span
 
-// triple returns the triple at position pos.
+// triple returns the triple at arena row pos, one of the spans' rows.
 func (ss spans) triple(pos int32) kg.Triple {
-	p := int(pos)
 	for _, sp := range ss {
-		if p < sp.len() {
-			return sp.seg.triples[sp.lo+p]
+		if r := int(pos) - sp.at; r >= sp.lo && r < sp.hi {
+			return sp.c.triples[r]
 		}
-		p -= sp.len()
 	}
-	panic("vecstore: position past the spans")
+	panic("vecstore: row outside the spans")
 }
 
 // rows returns the number of rows.
@@ -144,21 +155,6 @@ func (ss spans) count(toks []string) int {
 		n += sp.candidates(toks).count()
 	}
 	return n
-}
-
-// split cuts ss after its first n rows, into fresh slices.
-func (ss spans) split(n int) (before, after spans) {
-	for i, sp := range ss {
-		if n < sp.len() {
-			before = slices.Clip(ss[:i])
-			if n > 0 {
-				before = append(before, span{sp.seg, sp.lo, sp.lo + n})
-			}
-			return before, append(spans{{sp.seg, sp.lo + n, sp.hi}}, ss[i+1:]...)
-		}
-		n -= sp.len()
-	}
-	return ss, nil
 }
 
 // walk is one query's part in a block's batch scan.
@@ -237,20 +233,16 @@ func scanBlock(pre, ss spans, qs []batchQuery, k int, out [][]Hit, flipped []boo
 		if most == 0 {
 			break
 		}
-		at := 0
 		for j, sp := range ss {
-			sp.scan2(&qs[wa.query].wide, &qs[wb.query].wide, wa.sets[j], wb.sets[j], at, &wa.best, &wb.best)
-			at += sp.len()
+			sp.scan2(&qs[wa.query].wide, &qs[wb.query].wide, wa.sets[j], wb.sets[j], &wa.best, &wb.best)
 		}
 		wa.done, wb.done = true, true
 	}
 	for a := range walks {
 		w := &walks[a]
 		if !w.done {
-			at := 0
 			for j, sp := range ss {
-				sp.scan(&qs[w.query].wide, w.sets[j], at, &w.best)
-				at += sp.len()
+				sp.scan(&qs[w.query].wide, w.sets[j], &w.best)
 			}
 		}
 		out[w.query] = ss.hits(ss.rank(&w.best))
@@ -324,7 +316,7 @@ func (h topK) down(i, n int) {
 	}
 }
 
-// rank empties best, a heap over positions in ss, and returns its rows in
+// rank empties best, a heap over rows of ss, and returns its rows in
 // the order every Searcher produces, in place in best's storage: popping
 // leaves them by score descending, and a stable sort breaks equal scores
 // by triple surface form, as HitBefore orders Hits.
@@ -345,7 +337,7 @@ func (ss spans) rank(best *topK) []scored {
 	return ranked
 }
 
-// hits builds a result list from ranked positions in ss, into a fresh
+// hits builds a result list from ranked rows of ss, into a fresh
 // slice. Only here does a row become a Hit.
 func (ss spans) hits(ranked []scored) []Hit {
 	out := make([]Hit, len(ranked))

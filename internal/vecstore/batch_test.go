@@ -14,18 +14,40 @@ import (
 	"repro/internal/kg"
 )
 
+// whole returns the rows of a one-block view built by BuildTriples as
+// one span.
+func whole(v *Sharded) span { return v.blocks[0].rows[0] }
+
+// oneBlockViews cuts triples into blocks of size rows, each built as a
+// view of its own.
+func oneBlockViews(enc *embed.Encoder, triples []kg.Triple, size int) []*Sharded {
+	var views []*Sharded
+	for lo := 0; lo < len(triples); lo += size {
+		views = append(views, BuildTriples(enc, triples[lo:min(lo+size, len(triples))]))
+	}
+	return views
+}
+
 // referenceSearch is the filtered search of one query as it ran before
-// segments were walked once per batch: per segment, the candidate set or
-// — below k candidates — every row, scanned alone, then the merge.
-func referenceSearch(segs []*Index, query string, qv embed.Vector, k int) []Hit {
-	per := make([][]Hit, len(segs))
-	for i, seg := range segs {
-		whole := seg.whole()[0]
-		cands := whole.candidates(distinctTokens(query))
+// blocks were walked once per batch: per block, given as a view of its
+// own, the candidate set or — below k candidates — every row, scanned
+// alone, then the merge.
+func referenceSearch(blocks []*Sharded, query string, qv embed.Vector, k int) []Hit {
+	if k <= 0 || qv.IsZero() {
+		return nil
+	}
+	q := widen(&qv)
+	per := make([][]Hit, len(blocks))
+	for i, b := range blocks {
+		sp := whole(b)
+		cands := sp.candidates(distinctTokens(query))
 		if cands.count() < k {
-			cands = whole.all()
+			cands = sp.all()
 		}
-		per[i] = seg.searchVec(qv, k, cands)
+		best := make(topK, 0, min(k, sp.len()))
+		sp.scan(&q, cands, &best)
+		ss := spans{sp}
+		per[i] = ss.hits(ss.rank(&best))
 	}
 	return MergeTopK(per, k)
 }
@@ -64,8 +86,8 @@ func batchesOf(queries []string, n int) [][]string {
 
 // requireBatchMatchesReference runs queries through s in batches of every
 // size and compares each result with the one-query-at-a-time reference
-// over segs, the segments s serves.
-func requireBatchMatchesReference(t *testing.T, what string, s Searcher, segs []*Index, queries []string, k int) {
+// over blocks, the blocks s serves.
+func requireBatchMatchesReference(t *testing.T, what string, s Searcher, blocks []*Sharded, queries []string, k int) {
 	t.Helper()
 	enc := s.Encoder()
 	for _, size := range []int{1, 2, 3, 4, 13} {
@@ -75,7 +97,7 @@ func requireBatchMatchesReference(t *testing.T, what string, s Searcher, segs []
 				t.Fatalf("%s size %d batch %d: %d result lists for %d queries", what, size, b, len(got), len(batch))
 			}
 			for i, q := range batch {
-				requireSameHits(t, fmt.Sprintf("%s size %d batch %d %q", what, size, b, q), got[i], referenceSearch(segs, q, enc.Encode(q), k))
+				requireSameHits(t, fmt.Sprintf("%s size %d batch %d %q", what, size, b, q), got[i], referenceSearch(blocks, q, enc.Encode(q), k))
 			}
 		}
 	}
@@ -83,83 +105,19 @@ func requireBatchMatchesReference(t *testing.T, what string, s Searcher, segs []
 
 // TestBatchScanMatchesPerQueryReference is the equivalence the batch scan
 // is held to, on the data the server scans: both quick-world stores,
-// real pseudo-triples, every batch size, segment sizes that give one,
-// three and eleven segments, and a plain Index.
+// real pseudo-triples, every batch size, block sizes that give one,
+// three and eleven blocks, and a one-block view.
 func TestBatchScanMatchesPerQueryReference(t *testing.T) {
 	enc := embed.NewEncoder()
 	queries := pseudoTriples(t)
 	for _, st := range quickWorldStores(t) {
 		triples := st.All()
 		for _, shardSize := range []int{4096, 512, 100} {
-			segs := BuildShards(enc, triples, shardSize)
-			what := fmt.Sprintf("%v/%d-row segments", st.Source(), shardSize)
-			requireBatchMatchesReference(t, what, Compose(enc, shardSize, segs...), segs, queries, 10)
+			what := fmt.Sprintf("%v/%d-row blocks", st.Source(), shardSize)
+			requireBatchMatchesReference(t, what, BuildSharded(enc, triples, shardSize), oneBlockViews(enc, triples, shardSize), queries, 10)
 		}
 		idx := BuildTriples(enc, triples)
-		requireBatchMatchesReference(t, fmt.Sprintf("%v/one index", st.Source()), idx, []*Index{idx}, queries, 10)
-	}
-}
-
-// TestBlockRuleIsLayoutIndependent: a view's results are a function of
-// its rows in order and its block size. Any partition of one triple list
-// into segments — random cuts, runs of them joined as coalescing joins
-// them, one segment spanning many blocks — answers through Search and
-// BatchSearchWith exactly what segments cut on the block boundaries
-// answer: the same hits, score bits and order.
-func TestBlockRuleIsLayoutIndependent(t *testing.T) {
-	enc := embed.NewEncoder()
-	rng := rand.New(rand.NewSource(26))
-	queries := pseudoTriples(t)
-	for _, st := range quickWorldStores(t) {
-		triples := st.All()
-		for _, size := range []int{512, 100} {
-			aligned := BuildShards(enc, triples, size)
-			layouts := map[string][]*Index{"one segment": {BuildTriples(enc, triples)}}
-			for trial := range 3 {
-				var cuts []int
-				for range 2 + rng.Intn(40) {
-					cuts = append(cuts, rng.Intn(len(triples)))
-				}
-				sort.Ints(cuts)
-				segs := cutAt(enc, triples, cuts)
-				var joined []*Index
-				for lo := 0; lo < len(segs); {
-					hi := min(len(segs), lo+1+rng.Intn(4))
-					joined = append(joined, Concat(enc, segs[lo:hi]...))
-					lo = hi
-				}
-				layouts[fmt.Sprintf("cuts %d", trial)] = segs
-				layouts[fmt.Sprintf("cuts %d joined", trial)] = joined
-			}
-			asked := make([]string, 60)
-			for i := range asked {
-				asked[i] = queries[rng.Intn(len(queries))]
-			}
-			ks := []int{1, 10, 25}
-			wants := make([]map[string][]Hit, len(ks))
-			for j, k := range ks {
-				wants[j] = map[string][]Hit{}
-				for _, q := range queries {
-					wants[j][q] = referenceSearch(aligned, q, enc.Encode(q), k)
-				}
-			}
-			for name, segs := range layouts {
-				view := Compose(enc, size, segs...)
-				for j, k := range ks {
-					for b, batch := range batchesOf(asked, 3) {
-						got := view.BatchSearchWith(enc.Encode, batch, k)
-						for i, q := range batch {
-							want := wants[j][q]
-							what := fmt.Sprintf("%v/%d-row blocks, %s, k=%d batch %d %q", st.Source(), size, name, k, b, q)
-							requireSameHits(t, what, got[i], want)
-							if i == 0 {
-								requireSameHits(t, what+" Search", view.Search(q, k), want)
-							}
-						}
-					}
-				}
-			}
-		}
+		requireBatchMatchesReference(t, fmt.Sprintf("%v/one block", st.Source()), idx, []*Sharded{idx}, queries, 10)
 	}
 }
 
@@ -167,8 +125,8 @@ func TestBlockRuleIsLayoutIndependent(t *testing.T) {
 // could trip the scan.
 func TestBatchScanEdgeCases(t *testing.T) {
 	enc := embed.NewEncoder()
-	segs := BuildShards(enc, corpus(300), 64)
-	s := Compose(enc, 64, segs...)
+	s := BuildSharded(enc, corpus(300), 64)
+	blocks := oneBlockViews(enc, corpus(300), 64)
 	check := func(what string, batch []string, k int) {
 		t.Helper()
 		got := s.BatchSearchWith(enc.Encode, batch, k)
@@ -176,11 +134,11 @@ func TestBatchScanEdgeCases(t *testing.T) {
 			t.Fatalf("%s: %d result lists (nil: %v) for %d queries", what, len(got), got == nil, len(batch))
 		}
 		for i, q := range batch {
-			requireSameHits(t, fmt.Sprintf("%s %q", what, q), got[i], referenceSearch(segs, q, enc.Encode(q), k))
+			requireSameHits(t, fmt.Sprintf("%s %q", what, q), got[i], referenceSearch(blocks, q, enc.Encode(q), k))
 		}
 	}
 	check("identical queries", []string{"Lake Superior 3 area", "Lake Superior 3 area", "Beijing 0 population", "Lake Superior 3 area"}, 5)
-	check("k above a segment's rows", []string{"Lake Superior 3 area", "Toronto 2 country"}, 100)
+	check("k above a block's rows", []string{"Lake Superior 3 area", "Toronto 2 country"}, 100)
 	check("k above every row", []string{"Lake Superior 3 area", "zzz"}, 1000)
 	check("every query falls through", []string{"zzz qqq", "vvv www xxx", "uuu", "zzz qqq"}, 5)
 	check("one fall-through among filtered", []string{"Lake Superior 3 area", "zzz qqq", "Lake Michigan 3 area"}, 5)
@@ -232,8 +190,8 @@ func (h *referenceHeap) Pop() any {
 	return x
 }
 
-// referenceTopK runs a score stream through container/heap the way
-// searchVec used to and returns the survivors in pop order.
+// referenceTopK runs a score stream through container/heap the way the
+// scan used to and returns the survivors in pop order.
 func referenceTopK(scores []float64, k int) []scored {
 	h := make(referenceHeap, 0, k+1)
 	for row, score := range scores {
@@ -277,7 +235,7 @@ func TestTopKKeepsContainerHeapOrder(t *testing.T) {
 	}
 }
 
-// parentSearch is the filtered search of one segment re-derived from
+// parentSearch is the filtered search of one block re-derived from
 // nothing the scan uses: dense encodings scored with embed.NormDot, the
 // candidate rule from the tokens, container/heap, a stable sort.
 func parentSearch(enc *embed.Encoder, triples []kg.Triple, query string, k int) []Hit {
@@ -354,7 +312,7 @@ const tieQuery = "lake orin surface area 9120"
 // reference: inside one block (which tied rows survive is the heap's sift
 // order; an equal score never evicts), and across blocks (the merge orders
 // equal scores by key), for every k, every block size and every place to
-// cut the rows into two segments — a block the cut splits is still one
+// cut the rows into two appends — a chunk the cut splits is still one
 // heap.
 func TestScoreTiesKeepParentOrder(t *testing.T) {
 	enc := embed.NewEncoder()
@@ -374,9 +332,11 @@ func TestScoreTiesKeepParentOrder(t *testing.T) {
 	}
 	mate := "lake orin country halvia" // shares rows with tieQuery, so the pair walks together
 	for cut := 0; cut < len(triples); cut++ {
-		segs := cutAt(enc, triples, []int{cut})
 		for size := 1; size <= len(triples); size++ {
-			s := Compose(enc, size, segs...)
+			a := NewArena(enc, size)
+			a.Append(triples[:cut])
+			a.Append(triples[cut:])
+			s := a.View(len(triples))
 			for k := 1; k <= len(triples)+1; k++ {
 				var want [][]Hit
 				for lo := 0; lo < len(triples); lo += size {
@@ -390,7 +350,7 @@ func TestScoreTiesKeepParentOrder(t *testing.T) {
 	}
 
 	// The two rules stated outright on the simplest case: eight tied rows
-	// and nothing else, k = 3. A segment keeps the first three it sees…
+	// and nothing else, k = 3. A block keeps the first three it sees…
 	var ties []kg.Triple
 	for _, tr := range triples {
 		v := enc.Encode(tr.Text())
@@ -407,38 +367,42 @@ func TestScoreTiesKeepParentOrder(t *testing.T) {
 		return keys
 	}
 	if got, want := hitKeys(BuildTriples(enc, ties).Search(tieQuery, 3)), byKey(ties[:3]); !equalStrings(got, want) {
-		t.Errorf("one segment of ties: %q, want its first three rows by key %q", got, want)
+		t.Errorf("one block of ties: %q, want its first three rows by key %q", got, want)
 	}
 	// …and the merge of two blocks' first threes takes the three lowest keys.
 	both := append(append([]kg.Triple{}, ties[:3]...), ties[4:7]...)
-	got := hitKeys(Compose(enc, 4, BuildTriples(enc, ties[:4]), BuildTriples(enc, ties[4:])).Search(tieQuery, 3))
+	got := hitKeys(BuildSharded(enc, ties, 4).Search(tieQuery, 3))
 	if want := byKey(both)[:3]; !equalStrings(got, want) {
 		t.Errorf("two blocks of ties: %q, want %q", got, want)
 	}
 }
 
 // TestHybridBatchMatchesPerQueryReference: a Hybrid's batch is, per
-// query, the graph probe merged with the reference over the tail — or the
-// reference over everything when there is no usable graph — and the
-// routing counters count queries.
+// query, the graph probe merged with the reference over the tail, in
+// blocks cut from the first row past the graph — or the reference over
+// everything when there is no usable graph — and the routing counters
+// count queries.
 func TestHybridBatchMatchesPerQueryReference(t *testing.T) {
 	enc := embed.NewEncoder()
 	queries := pseudoTriples(t)
 	triples := quickWorldStores(t)[0].All()
-	segs := BuildShards(enc, triples, 256)
-	graph := BuildGraph(enc, segs[:2], HNSWConfig{})
+	a := NewArena(enc, 256)
+	a.Append(triples)
+	const covered = 2*256 + 37 // the tail's blocks straddle chunks
+	graph := BuildGraph(a, covered, HNSWConfig{})
 	const k = 10
 
 	for _, tc := range []struct {
 		name  string
 		ann   *HNSW
-		split int // segments the graph covers
+		split int // rows the graph covers
 	}{
-		{"graph over two segments", graph, 2},
+		{"graph over two chunks and a part", graph, covered},
 		{"no graph", nil, 0},
 	} {
 		var counters ANNCounters
-		hy := ComposeHybrid(enc, tc.ann, 256, segs, HybridOptions{Counters: &counters})
+		hy := NewHybrid(a.View(len(triples)), tc.ann, HybridOptions{Counters: &counters})
+		tail := oneBlockViews(enc, triples[tc.split:], 256)
 		asked := 0
 		for _, size := range []int{1, 2, 3, 4, 13} {
 			for b, batch := range batchesOf(queries, size) {
@@ -446,7 +410,7 @@ func TestHybridBatchMatchesPerQueryReference(t *testing.T) {
 				asked += len(batch)
 				for i, q := range batch {
 					qv := enc.Encode(q)
-					want := referenceSearch(segs[tc.split:], q, qv, k)
+					want := referenceSearch(tail, q, qv, k)
 					if tc.ann != nil {
 						want = MergeTopK([][]Hit{tc.ann.SearchVectorEf(qv, k, hy.ef()), want}, k)
 					}
@@ -464,7 +428,7 @@ func TestHybridBatchMatchesPerQueryReference(t *testing.T) {
 }
 
 // TestConcurrentBatchesOnOneSharded runs batches from several goroutines
-// over one Sharded with the segment worker pool forced on (single-core
+// over one Sharded with the block worker pool forced on (single-core
 // machines otherwise skip it); under -race this is the check that a batch
 // scan shares nothing mutable.
 func TestConcurrentBatchesOnOneSharded(t *testing.T) {
@@ -473,13 +437,14 @@ func TestConcurrentBatchesOnOneSharded(t *testing.T) {
 
 	enc := embed.NewEncoder()
 	queries := pseudoTriples(t)
-	segs := BuildShards(enc, quickWorldStores(t)[1].All(), 100)
-	s := Compose(enc, 100, segs...)
+	triples := quickWorldStores(t)[1].All()
+	s := BuildSharded(enc, triples, 100)
+	blocks := oneBlockViews(enc, triples, 100)
 	batches := batchesOf(queries, 4)
 	want := make([][][]Hit, len(batches))
 	for b, batch := range batches {
 		for _, q := range batch {
-			want[b] = append(want[b], referenceSearch(segs, q, enc.Encode(q), 10))
+			want[b] = append(want[b], referenceSearch(blocks, q, enc.Encode(q), 10))
 		}
 	}
 	var wg sync.WaitGroup

@@ -57,19 +57,20 @@ func BenchmarkHNSWSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkHNSWBuild builds the graph over segments that already exist, as
+// BenchmarkHNSWBuild builds the graph over rows an arena already holds, as
 // the substrate does at boot and on every compaction, and reports what the
 // build allocates per row — links, the per-insert beams and the sorts; no
 // vector is copied.
 func BenchmarkHNSWBuild(b *testing.B) {
 	const rows = 2 * DefaultShardSize
 	enc := embed.NewEncoder()
-	segs := BuildShards(enc, corpus(rows), 0)
+	a := NewArena(enc, 0)
+	a.Append(corpus(rows))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for b.Loop() {
-		BuildGraph(enc, segs, HNSWConfig{})
+		BuildGraph(a, rows, HNSWConfig{})
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
@@ -78,7 +79,7 @@ func BenchmarkHNSWBuild(b *testing.B) {
 
 // BenchmarkFilteredSearch is the served path: the pipeline's per-request
 // call (Sharded.BatchSearchWith, one query per pseudo-triple), each
-// query token-filtered per segment and the segment walked once for the
+// query token-filtered per block and the block walked once for the
 // batch. Two of the queries share a subject, as the pseudo-triples of one
 // pseudo-graph do, so their candidate sets overlap.
 func BenchmarkFilteredSearch(b *testing.B) {
@@ -92,7 +93,7 @@ func BenchmarkFilteredSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel scores one query against every row of a segment with
+// BenchmarkKernel scores one query against every row of a block with
 // the dense reference kernel and with the packed kernel the scan and the
 // graph use, and two queries with the two-query kernel (compare with twice
 // packed). The packed kernels also report ns/entry: time per packed entry
@@ -100,12 +101,12 @@ func BenchmarkFilteredSearch(b *testing.B) {
 func BenchmarkKernel(b *testing.B) {
 	enc := embed.NewEncoder()
 	triples := corpus(DefaultShardSize)
-	idx := BuildTriples(enc, triples)
+	rows := &BuildTriples(enc, triples).chunks[0].rows
 	dense := make([]embed.Vector, len(triples))
 	for i, t := range triples {
 		dense[i] = enc.Encode(t.Text())
 	}
-	entries := float64(len(idx.rows.idx))
+	entries := float64(len(rows.idx))
 	perEntry := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*entries), "ns/entry")
 	}
@@ -122,7 +123,7 @@ func BenchmarkKernel(b *testing.B) {
 		q := widen(&qv)
 		for b.Loop() {
 			for i := range dense {
-				sink += idx.rows.dot(&q, i)
+				sink += rows.dot(&q, i)
 			}
 		}
 		perEntry(b)
@@ -132,7 +133,7 @@ func BenchmarkKernel(b *testing.B) {
 		q, q2 := widen(&qv), widen(&qv2)
 		for b.Loop() {
 			for i := range dense {
-				sa, sb := idx.rows.dot2(&q, &q2, i)
+				sa, sb := rows.dot2(&q, &q2, i)
 				sink += sa + sb
 			}
 		}

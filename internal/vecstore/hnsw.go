@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -70,25 +69,23 @@ func (c HNSWConfig) withDefaults() HNSWConfig {
 	return c
 }
 
-// HNSW is a hierarchical navigable small world graph over a frozen
-// sequence of segments: an approximate Searcher whose per-query cost is
-// logarithmic in the corpus instead of the exact scan's linear cost. The
-// graph is adjacency only: node i is row i of the segments' concatenation,
-// its vector is that segment's packed row, every comparison — build and
-// search — is packedRows.dot against it, and a hit's triple is the
-// segment's.
+// HNSW is a hierarchical navigable small world graph over an arena's
+// first rows: an approximate Searcher whose per-query cost is logarithmic
+// in the corpus instead of the exact scan's linear cost. The graph is
+// adjacency only: node i is arena row i, its vector is that row's packed
+// form, every comparison — build and search — is packedRows.dot against
+// it, and a hit's triple is the row's.
 // Construction is deterministic — node levels come from a seeded RNG and
 // every traversal breaks similarity ties by node id — so the same
 // triples and config always produce the same graph, the property the
-// replay gate depends on. Like Index, an HNSW is immutable after build
-// and safe for concurrent searches.
+// replay gate depends on. An HNSW is immutable after build and safe for
+// concurrent searches.
 type HNSW struct {
-	enc *embed.Encoder
 	cfg HNSWConfig
-	// segs are the segments the graph covers, in node order, and ends[s] is
-	// one past the last node of segs[s].
-	segs []*Index
-	ends []int32
+	// a is the arena the graph covers the first rows of, and chunks those
+	// rows as the graph was built or bound over them.
+	a      *Arena
+	chunks []chunkView
 	// links[i][l] is node i's neighbor list on layer l; len(links[i])-1
 	// is the node's top layer.
 	links    [][][]int32
@@ -101,32 +98,27 @@ type HNSW struct {
 // lastGraphID is the last ID given to a graph.
 var lastGraphID atomic.Uint64
 
-// BuildHNSW encodes the triples into segments of DefaultShardSize and
-// builds the graph over them. The builder takes ownership of the slice.
+// BuildHNSW encodes the triples into a new arena of DefaultShardSize
+// chunks and builds the graph over all of them.
 func BuildHNSW(enc *embed.Encoder, triples []kg.Triple, cfg HNSWConfig) *HNSW {
-	return BuildGraph(enc, BuildShards(enc, triples, 0), cfg)
+	a := NewArena(enc, 0)
+	a.Append(triples)
+	return BuildGraph(a, len(triples), cfg)
 }
 
-// BuildGraph constructs the graph over already-built segments, which must
-// have been built with enc: node i is row i of their concatenation.
-// Insertion order is row order and all randomness comes from the seeded
-// level RNG, so the build is a pure function of (triples, cfg) — how the
-// triples are cut into segments changes nothing.
-func BuildGraph(enc *embed.Encoder, segs []*Index, cfg HNSWConfig) *HNSW {
+// BuildGraph constructs the graph over the arena's first rows: node i is
+// row i. Insertion order is row order and all randomness comes from the
+// seeded level RNG, so the build is a pure function of (triples, cfg).
+func BuildGraph(a *Arena, rows int, cfg HNSWConfig) *HNSW {
 	cfg = cfg.withDefaults()
-	h := &HNSW{enc: enc, cfg: cfg, segs: slices.Clone(segs), entry: -1, id: lastGraphID.Add(1)}
-	nodes := 0
-	for _, sh := range segs {
-		nodes += sh.Len()
-		h.ends = append(h.ends, int32(nodes))
-	}
-	h.links = make([][][]int32, nodes)
+	h := &HNSW{cfg: cfg, a: a, chunks: a.cut(rows), entry: -1, id: lastGraphID.Add(1)}
+	h.links = make([][][]int32, rows)
 	// Draw every node level up front from the seeded RNG: the level
 	// sequence depends only on (seed, node count), never on timing.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mL := 1 / math.Log(float64(cfg.M))
 	sc := &buildScratch{
-		visited: make([]uint64, (nodes+63)/64),
+		visited: make([]uint64, (rows+63)/64),
 		kept:    make([][embed.Dim]float64, 2*cfg.M),
 	}
 	for i := range h.links {
@@ -149,22 +141,16 @@ type buildScratch struct {
 	kept [][embed.Dim]float64
 }
 
-// row returns the segment holding node i and the node's row in it. A graph
-// covers a few dozen segments at most, so the scan beats a binary search's
-// mispredicted branches.
-func (h *HNSW) row(i int32) (*Index, int) {
-	s, start := 0, int32(0)
-	for i >= h.ends[s] {
-		start = h.ends[s]
-		s++
-	}
-	return h.segs[s], int(i - start)
+// row returns the chunk holding node i and the node's row in it.
+func (h *HNSW) row(i int32) (*chunkView, int) {
+	c := int(i) / h.a.size
+	return &h.chunks[c], int(i) - c*h.a.size
 }
 
 // sim scores node i against a widened query.
 func (h *HNSW) sim(q *[embed.Dim]float64, i int32) float64 {
-	seg, r := h.row(i)
-	return seg.rows.dot(q, r)
+	c, r := h.row(i)
+	return c.rows.dot(q, r)
 }
 
 // wide returns node i's vector in the form sim takes as its query. The
@@ -173,9 +159,9 @@ func (h *HNSW) sim(q *[embed.Dim]float64, i int32) float64 {
 // for bit: node-with-node comparisons during the build score like
 // query-with-node ones.
 func (h *HNSW) wide(i int32) [embed.Dim]float64 {
-	seg, r := h.row(i)
+	c, r := h.row(i)
 	var v embed.Vector
-	seg.rows.expand(r, &v)
+	c.rows.expand(r, &v)
 	return widen(&v)
 }
 
@@ -376,8 +362,8 @@ func (h *HNSW) searchLayer(q *[embed.Dim]float64, eps []annCand, ef int, lc int3
 // Len returns the number of indexed triples.
 func (h *HNSW) Len() int { return len(h.links) }
 
-// Encoder returns the encoder the graph was built with.
-func (h *HNSW) Encoder() *embed.Encoder { return h.enc }
+// Encoder returns the encoder the rows were embedded with.
+func (h *HNSW) Encoder() *embed.Encoder { return h.a.enc }
 
 // Config returns the build/search parameters in effect.
 func (h *HNSW) Config() HNSWConfig { return h.cfg }
@@ -385,7 +371,7 @@ func (h *HNSW) Config() HNSWConfig { return h.cfg }
 // Search returns the top-k triples most similar to the query text via
 // the graph, using the configured EfSearch beam.
 func (h *HNSW) Search(query string, k int) []Hit {
-	return h.SearchVectorEf(h.enc.Encode(query), k, h.cfg.EfSearch)
+	return h.SearchVectorEf(h.a.enc.Encode(query), k, h.cfg.EfSearch)
 }
 
 // SearchVectorEf searches with a pre-encoded vector and an explicit beam
@@ -413,8 +399,8 @@ func (h *HNSW) SearchVectorEf(qv embed.Vector, k, ef int) []Hit {
 	}
 	out := make([]Hit, len(w))
 	for i, c := range w {
-		seg, r := h.row(c.id)
-		out[i] = Hit{Triple: seg.triples[r], Score: c.sim}
+		ch, r := h.row(c.id)
+		out[i] = Hit{Triple: ch.triples[r], Score: c.sim}
 	}
 	// Graph order breaks ties by node id; re-break by surface form for
 	// exact parity with every other Searcher.
@@ -423,8 +409,8 @@ func (h *HNSW) SearchVectorEf(qv embed.Vector, k, ef int) []Hit {
 }
 
 // BatchSearchWith runs Search for each query with caller-supplied
-// embeddings. The graph path is purely geometric, so unlike Index the
-// query text takes no part in candidate selection.
+// embeddings. The graph path is purely geometric, so unlike the exact
+// scan the query text takes no part in candidate selection.
 func (h *HNSW) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
 	out := make([][]Hit, len(queries))
 	for i, q := range queries {
@@ -438,7 +424,7 @@ func (h *HNSW) Stats() Stats {
 	return Stats{
 		Triples: len(h.links),
 		Dim:     embed.Dim,
-		Shards:  len(h.segs),
+		Shards:  len(h.chunks),
 		ANN: &ANNInfo{
 			Nodes:          len(h.links),
 			MaxLevel:       int(h.maxLevel),
@@ -459,7 +445,7 @@ var hnswMagic = [8]byte{'P', 'G', 'A', 'K', 'V', 'H', 'N', 1}
 // and adjacency lists, the one part of a vector substrate that is
 // expensive to rebuild. Triples and vectors are not written: node i is
 // triple i of the set the graph was built over, and ReadGraph rebinds it
-// to segments rebuilt from those triples.
+// to row i of an arena rebuilt from those triples.
 func (h *HNSW) WriteGraph(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var buf [4 * 9]byte
@@ -488,26 +474,25 @@ func (h *HNSW) WriteGraph(w io.Writer) error {
 	return nil
 }
 
-// ReadGraph loads a WriteGraph stream and binds it to segs: the graph
-// must cover a prefix of the concatenated segments ending exactly on a
-// segment boundary, and node i takes the triple and vector of combined
-// row i. The segments must index, in order, the triples the graph was
-// built over (the substrate rebuilds them from the same checkpoint's
-// triples.nt) and have been built with enc.
-func ReadGraph(r io.Reader, enc *embed.Encoder, segs []*Index) (*HNSW, error) {
+// ReadGraph loads a WriteGraph stream and binds it to the arena's first
+// rows: node i takes the triple and vector of row i. The arena must hold,
+// in order, the triples the graph was built over (the substrate rebuilds
+// it from the same checkpoint's triples.nt), and at least as many rows as
+// the graph has nodes.
+func ReadGraph(r io.Reader, a *Arena) (*HNSW, error) {
 	g, err := readGraphFrom(r)
 	if err != nil {
 		return nil, err
 	}
-	if err := bindGraph(g, segs, enc); err != nil {
-		return nil, err
+	if rows := a.Len(); len(g.links) > rows {
+		return nil, fmt.Errorf("vecstore: hnsw graph covers %d triples but the arena holds %d", len(g.links), rows)
 	}
+	g.a, g.chunks = a, a.cut(len(g.links))
 	return g, nil
 }
 
 // readGraphFrom loads a WriteGraph stream. The returned graph has no
-// segments or encoder bound yet — bindGraph points it at the exact
-// segments it covers. Every structural field is validated so any
+// arena bound yet — ReadGraph points it at the rows it covers. Every structural field is validated so any
 // truncated or corrupted prefix fails cleanly.
 func readGraphFrom(r io.Reader) (*HNSW, error) {
 	br := bufio.NewReader(r)
@@ -616,26 +601,4 @@ func readGraphFrom(r io.Reader) (*HNSW, error) {
 		}
 	}
 	return h, nil
-}
-
-// bindGraph points a freshly-read graph at the segment prefix it covers.
-// It copies nothing: the nodes' triples and vectors stay the segments'.
-func bindGraph(g *HNSW, segs []*Index, enc *embed.Encoder) error {
-	nodes := len(g.links)
-	g.enc = enc
-	covered := 0
-	for _, sh := range segs {
-		if covered == nodes {
-			break
-		}
-		if covered+sh.Len() > nodes {
-			return fmt.Errorf("vecstore: hnsw graph covers %d triples, not a segment boundary", nodes)
-		}
-		covered += sh.Len()
-		g.segs, g.ends = append(g.segs, sh), append(g.ends, int32(covered))
-	}
-	if covered != nodes {
-		return fmt.Errorf("vecstore: hnsw graph covers %d triples but segments hold %d", nodes, covered)
-	}
-	return nil
 }

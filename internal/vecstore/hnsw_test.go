@@ -6,10 +6,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/embed"
+	"repro/internal/kg"
 )
 
 func hitKeys(hits []Hit) []string {
@@ -106,7 +106,7 @@ func TestHNSWDeterministicBuild(t *testing.T) {
 	}
 }
 
-// TestHNSWSearcherParity: the Searcher surface must behave like Index's —
+// TestHNSWSearcherParity: the Searcher surface must behave like Sharded's —
 // a batch agrees with Search and preserves query order, and the
 // degenerate inputs return nil.
 func TestHNSWSearcherParity(t *testing.T) {
@@ -172,16 +172,25 @@ func graphBytes(t testing.TB, g *HNSW) []byte {
 	return buf.Bytes()
 }
 
+// arenaOf returns an arena of chunks of size rows holding the triples.
+func arenaOf(enc *embed.Encoder, triples []kg.Triple, size int) *Arena {
+	a := NewArena(enc, size)
+	a.Append(triples)
+	return a
+}
+
 // TestGraphRoundTrip: a persisted graph holds adjacency only; ReadGraph
-// rebinds node i to row i of segments rebuilt from the same triples —
-// however they are cut — and the reloaded graph answers like the one that
-// was written, and like one built over the segments it was bound to.
+// rebinds node i to row i of an arena rebuilt from the same triples —
+// whatever its chunk size — and the reloaded graph answers like the one
+// that was written, and like one built over the rows it was bound to.
 func TestGraphRoundTrip(t *testing.T) {
 	enc := embed.NewEncoder()
 	g := BuildHNSW(enc, corpus(200), HNSWConfig{})
-	// Four covered segments, then an uncovered tail the binder leaves alone.
-	segs := append(BuildShards(enc, corpus(200), 64), BuildTriples(enc, corpus(30)))
-	loaded, err := ReadGraph(bytes.NewReader(graphBytes(t, g)), enc, segs)
+	// Four chunks hold the covered rows, then an uncovered tail the binder
+	// leaves alone.
+	a := arenaOf(enc, corpus(200), 64)
+	a.Append(corpus(30))
+	loaded, err := ReadGraph(bytes.NewReader(graphBytes(t, g)), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,37 +201,37 @@ func TestGraphRoundTrip(t *testing.T) {
 	for _, q := range queries {
 		requireSameHits(t, "reloaded graph, "+q, loaded.Search(q, 10), g.Search(q, 10))
 	}
-	if !slices.Equal(loaded.segs, segs[:4]) {
-		t.Fatalf("graph bound to %d segments, want the four it covers", len(loaded.segs))
+	if loaded.a != a || len(loaded.chunks) != 4 {
+		t.Fatalf("graph bound to %d chunks, want the four holding its rows", len(loaded.chunks))
 	}
 	for i := int32(0); int(i) < g.Len(); i++ {
-		seg, r := g.row(i)
-		lseg, lr := loaded.row(i)
-		if lseg != segs[i/64] || lr != int(i%64) {
-			t.Fatalf("graph node %d bound to row %d of the wrong segment", i, lr)
+		c, r := g.row(i)
+		lc, lr := loaded.row(i)
+		if lc != &loaded.chunks[i/64] || lr != int(i%64) {
+			t.Fatalf("graph node %d bound to row %d of the wrong chunk", i, lr)
 		}
 		var v, lv embed.Vector
-		seg.rows.expand(r, &v)
-		lseg.rows.expand(lr, &lv)
-		if lseg.triples[lr].Key() != seg.triples[r].Key() || lv != v {
-			t.Fatalf("graph node %d bound to %v, built over %v", i, lseg.triples[lr], seg.triples[r])
+		c.rows.expand(r, &v)
+		lc.rows.expand(lr, &lv)
+		if lc.triples[lr].Key() != c.triples[r].Key() || lv != v {
+			t.Fatalf("graph node %d bound to %v, built over %v", i, lc.triples[lr], c.triples[r])
 		}
 	}
 	if !bytes.Equal(graphBytes(t, loaded), graphBytes(t, g)) {
 		t.Error("write → read → write changed the bytes")
 	}
 
-	built := BuildGraph(enc, segs[:4], HNSWConfig{})
+	built := BuildGraph(a, 200, HNSWConfig{})
 	for _, q := range queries {
-		requireSameHits(t, "graph built over the bound segments, "+q, built.Search(q, 10), loaded.Search(q, 10))
+		requireSameHits(t, "graph built over the bound rows, "+q, built.Search(q, 10), loaded.Search(q, 10))
 	}
 	if !bytes.Equal(graphBytes(t, built), graphBytes(t, g)) {
-		t.Error("the same triples cut into other segments built a different graph")
+		t.Error("the same triples in chunks of another size built a different graph")
 	}
 }
 
-// TestBuildGraphGoldenAndRetention builds a graph over already-built
-// segments and pins two things. The persisted bytes hash to the value
+// TestBuildGraphGoldenAndRetention builds a graph over rows an arena
+// already holds and pins two things. The persisted bytes hash to the value
 // computed at the last commit whose graph scored dense vectors with
 // embed.NormDot: a kernel that changes one comparison anywhere in the build
 // changes an edge. And the graph retains adjacency only — about 180 B a
@@ -233,11 +242,11 @@ func TestBuildGraphGoldenAndRetention(t *testing.T) {
 		golden = "871fa17892411a5fedd996d647f1522df7fbef957e97ee5a6d56f72c8000d7ea"
 	)
 	enc := embed.NewEncoder()
-	segs := BuildShards(enc, corpus(n), 512)
+	a := arenaOf(enc, corpus(n), 512)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	g := BuildGraph(enc, segs, HNSWConfig{})
+	g := BuildGraph(a, n, HNSWConfig{})
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	if perRow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n; perRow >= 512 {
@@ -253,14 +262,14 @@ func TestBuildGraphGoldenAndRetention(t *testing.T) {
 // panic or load short.
 func TestReadGraphEveryPrefixFailsCleanly(t *testing.T) {
 	enc := embed.NewEncoder()
-	segs := BuildShards(enc, corpus(12), 4)
+	a := arenaOf(enc, corpus(12), 4)
 	full := graphBytes(t, BuildHNSW(enc, corpus(12), HNSWConfig{}))
 	for i := 0; i < len(full); i++ {
-		if _, err := ReadGraph(bytes.NewReader(full[:i]), enc, segs); err == nil {
+		if _, err := ReadGraph(bytes.NewReader(full[:i]), a); err == nil {
 			t.Fatalf("prefix of %d/%d bytes loaded without error", i, len(full))
 		}
 	}
-	if _, err := ReadGraph(bytes.NewReader(full), enc, segs); err != nil {
+	if _, err := ReadGraph(bytes.NewReader(full), a); err != nil {
 		t.Fatalf("full file failed to load: %v", err)
 	}
 }
@@ -270,7 +279,7 @@ func TestReadGraphEveryPrefixFailsCleanly(t *testing.T) {
 // reader must refuse anything that would send it out of range.
 func TestReadGraphRejectsBrokenStructure(t *testing.T) {
 	enc := embed.NewEncoder()
-	segs := BuildShards(enc, corpus(12), 4)
+	a := arenaOf(enc, corpus(12), 4)
 	g := BuildHNSW(enc, corpus(12), HNSWConfig{})
 	good := graphBytes(t, g)
 	// Header: magic[8] nodes[4] dim M efC efS entry maxLevel seed[8]; then per
@@ -301,23 +310,24 @@ func TestReadGraphRejectsBrokenStructure(t *testing.T) {
 	} {
 		bad := bytes.Clone(good)
 		doctor(bad)
-		if _, err := ReadGraph(bytes.NewReader(bad), enc, segs); err == nil {
+		if _, err := ReadGraph(bytes.NewReader(bad), a); err == nil {
 			t.Errorf("%s: doctored graph loaded", name)
 		}
 	}
 }
 
-// TestBindGraphRejectsMisalignedBoundary: a graph that does not end on
-// a segment boundary is corrupt and must be rejected at load.
-func TestBindGraphRejectsMisalignedBoundary(t *testing.T) {
+// TestReadGraphRejectsMoreNodesThanRows: a graph binds to the arena's
+// first rows, wherever they end in a chunk, and a graph over more rows
+// than the arena holds is corrupt and must be rejected at load.
+func TestReadGraphRejectsMoreNodesThanRows(t *testing.T) {
 	enc := embed.NewEncoder()
-	segs := BuildShards(enc, corpus(100), 32) // boundaries at 32, 64, 96, 100
 	file := graphBytes(t, BuildHNSW(enc, corpus(50), HNSWConfig{}))
-	if _, err := ReadGraph(bytes.NewReader(file), enc, segs); err == nil {
-		t.Fatal("misaligned graph boundary accepted")
+	g, err := ReadGraph(bytes.NewReader(file), arenaOf(enc, corpus(100), 32))
+	if err != nil || g.Len() != 50 {
+		t.Fatalf("a 50-node graph over a 100-row arena of 32-row chunks: %v", err)
 	}
-	if _, err := ReadGraph(bytes.NewReader(file), enc, segs[:1]); err == nil {
-		t.Fatal("graph larger than the segments accepted")
+	if _, err := ReadGraph(bytes.NewReader(file), arenaOf(enc, corpus(32), 32)); err == nil {
+		t.Fatal("graph larger than the arena accepted")
 	}
 }
 
@@ -328,14 +338,14 @@ func TestBindGraphRejectsMisalignedBoundary(t *testing.T) {
 // -ann substrate manager wrote over twelve triples.
 func FuzzReadGraph(f *testing.F) {
 	enc := embed.NewEncoder()
-	segs := BuildShards(enc, corpus(12), 4)
+	a := arenaOf(enc, corpus(12), 4)
 	good := graphBytes(f, BuildHNSW(enc, corpus(12), HNSWConfig{}))
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add([]byte("garbage"))
 	qv := enc.Encode("Lake Superior 3 area")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadGraph(bytes.NewReader(data), enc, segs)
+		g, err := ReadGraph(bytes.NewReader(data), a)
 		if err != nil {
 			return
 		}
@@ -350,13 +360,12 @@ func FuzzReadGraph(f *testing.F) {
 // scan, covered prefix and uncovered tail alike.
 func TestHybridMatchesExact(t *testing.T) {
 	enc := embed.NewEncoder()
-	triples := corpus(300)
-	segs := BuildShards(enc, triples, 64)
-	// Graph over the first 4 segments (256 triples); tail of 44.
-	g := BuildGraph(enc, segs[:4], HNSWConfig{})
+	a := arenaOf(enc, corpus(300), 64)
+	// Graph over the first 250 rows; a tail of 50 straddling two chunks.
+	g := BuildGraph(a, 250, HNSWConfig{})
 	var counters ANNCounters
-	hy := ComposeHybrid(enc, g, 64, segs, HybridOptions{EfSearch: 512, Counters: &counters})
-	exact := Compose(enc, 64, segs...)
+	exact := a.View(300)
+	hy := NewHybrid(exact, g, HybridOptions{EfSearch: 512, Counters: &counters})
 	if hy.Len() != exact.Len() {
 		t.Fatalf("hybrid len %d, want %d", hy.Len(), exact.Len())
 	}
@@ -377,7 +386,7 @@ func TestHybridMatchesExact(t *testing.T) {
 		t.Errorf("counters: searches=%d fallbacks=%d", counters.Searches.Load(), counters.Fallbacks.Load())
 	}
 	st := hy.Stats()
-	if st.ANN == nil || st.ANN.Nodes != 256 || st.ANN.Searches == 0 {
+	if st.ANN == nil || st.ANN.Nodes != 250 || st.ANN.Searches == 0 {
 		t.Errorf("hybrid stats = %+v", st.ANN)
 	}
 }
@@ -387,10 +396,10 @@ func TestHybridMatchesExact(t *testing.T) {
 // hybrid without a graph always answers exactly.
 func TestHybridExactFallback(t *testing.T) {
 	enc := embed.NewEncoder()
-	segs := BuildShards(enc, corpus(200), 64)
-	g := BuildGraph(enc, segs[:3], HNSWConfig{})
+	a := arenaOf(enc, corpus(200), 64)
+	g := BuildGraph(a, 192, HNSWConfig{})
 	var counters ANNCounters
-	hy := ComposeHybrid(enc, g, 64, segs, HybridOptions{EfSearch: 3, Counters: &counters})
+	hy := NewHybrid(a.View(200), g, HybridOptions{EfSearch: 3, Counters: &counters})
 	hits := hy.Search("Lake Superior 0 area", 10)
 	if len(hits) != 10 {
 		t.Fatalf("fallback returned %d hits, want 10", len(hits))
@@ -405,7 +414,7 @@ func TestHybridExactFallback(t *testing.T) {
 	}
 	// A hybrid without any graph always falls back.
 	var c2 ANNCounters
-	exactOnly := ComposeHybrid(enc, nil, 64, segs, HybridOptions{Counters: &c2})
+	exactOnly := NewHybrid(a.View(200), nil, HybridOptions{Counters: &c2})
 	if hits := exactOnly.Search("Lake Superior 0 area", 5); len(hits) != 5 {
 		t.Fatalf("graph-less hybrid returned %d hits", len(hits))
 	}
@@ -414,20 +423,19 @@ func TestHybridExactFallback(t *testing.T) {
 	}
 }
 
-// TestHybridMisalignedGraphDegrades: ComposeHybrid must refuse a graph
-// whose segments are not a prefix of the ones it serves — one that ends off
-// a segment boundary, one over equal rows held in other segments, one over
-// more segments than there are — and serve exact.
+// TestHybridMisalignedGraphDegrades: NewHybrid must refuse a graph that
+// is not over the first rows of the view it serves — one over equal rows
+// held in another arena, one over more rows than the view holds — and
+// serve exact.
 func TestHybridMisalignedGraphDegrades(t *testing.T) {
 	enc := embed.NewEncoder()
-	segs := BuildShards(enc, corpus(200), 64)
+	a := arenaOf(enc, corpus(200), 64)
 	for name, g := range map[string]*HNSW{
-		"off a boundary":    BuildHNSW(enc, corpus(100), HNSWConfig{}),
-		"other segments":    BuildGraph(enc, BuildShards(enc, corpus(128), 64), HNSWConfig{}),
-		"too many segments": BuildGraph(enc, append(segs[:4:4], segs[0]), HNSWConfig{}),
+		"other arena":   BuildHNSW(enc, corpus(100), HNSWConfig{}),
+		"too many rows": BuildGraph(a, 200, HNSWConfig{}),
 	} {
 		var counters ANNCounters
-		hy := ComposeHybrid(enc, g, 64, segs, HybridOptions{Counters: &counters})
+		hy := NewHybrid(a.View(150), g, HybridOptions{Counters: &counters})
 		hits := hy.Search("Lake Superior 0 area", 5)
 		if len(hits) != 5 {
 			t.Fatalf("%s: degraded hybrid returned %d hits", name, len(hits))

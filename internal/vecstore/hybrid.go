@@ -1,7 +1,6 @@
 package vecstore
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/embed"
@@ -26,42 +25,43 @@ type HybridOptions struct {
 	Counters *ANNCounters
 }
 
-// Hybrid is the serving composite of the approximate/exact split: an
-// HNSW graph over the frozen prefix of a segment sequence, an exact
-// scan over the uncovered tail (late base segments after a mid-
-// generation recovery, plus the hot delta segments), and a brute-force
-// fallback over everything. Per-path top-k lists merge through
-// MergeTopK, so results keep the deterministic (score desc, surface
-// form asc) order every Searcher produces.
+// Hybrid is the serving composite of the approximate/exact split over an
+// exact view: an HNSW graph over the view's first rows, an exact scan
+// over the rest (the tail: rows ingested since the graph was built), and
+// a brute-force fallback over everything. Per-path top-k lists merge
+// through MergeTopK, so results keep the deterministic (score desc,
+// surface form asc) order every Searcher produces.
 type Hybrid struct {
-	enc  *embed.Encoder
+	full *Sharded // every row: exact reference and fallback path
 	ann  *HNSW
-	tail *Sharded // segments the graph does not cover
-	full *Sharded // every segment: exact reference and fallback path
+	tail blocks // the rows the graph does not cover, in blocks cut from its first
 	opts HybridOptions
 }
 
-// ComposeHybrid assembles a Hybrid over the segments, with blocks of size
-// rows (Compose): the fallback's from the first segment's first row, the
-// tail's from the first row the graph does not cover. ann's own segments
-// must be a prefix of segs (the invariant the substrate maintains: the
-// graph is built over, or reloaded against, the base segments it
-// publishes). If they are not — a graph over other rows — the graph is
-// discarded and the view degrades to pure exact scan rather than serving
-// wrong results. ann may be nil for an exact-only view with fallback
-// accounting.
-func ComposeHybrid(enc *embed.Encoder, ann *HNSW, size int, segs []*Index, opts HybridOptions) *Hybrid {
-	hy := &Hybrid{enc: enc, ann: ann, full: Compose(enc, size, segs...), opts: opts}
-	split := 0
-	if ann != nil {
-		split = len(ann.segs)
-		if split > len(segs) || !slices.Equal(segs[:split], ann.segs) {
-			hy.ann = nil
-			split = 0
-		}
+// NewHybrid assembles a Hybrid over view with the graph ann: the graph
+// searches rows [0, m) of view's arena, m its node count, and the tail
+// rows [m, view.Len()) in blocks cut from m (the package comment's filter
+// rule). A graph over another arena, or over more rows than the view
+// holds, is discarded and the view degrades to pure exact scan rather
+// than serving wrong results. ann may be nil for an exact-only view with
+// fallback accounting.
+func NewHybrid(view *Sharded, ann *HNSW, opts HybridOptions) *Hybrid {
+	if ann != nil && (ann.a != view.a || ann.Len() > view.rows) {
+		ann = nil
 	}
-	hy.tail = Compose(enc, size, segs[split:]...)
+	hy := &Hybrid{full: view, ann: ann, opts: opts}
+	if ann != nil {
+		hy.tail = view.from(ann.Len(), ann.Len())
+	}
 	return hy
+}
+
+// covered returns the number of rows the graph holds.
+func (hy *Hybrid) covered() int {
+	if hy.ann == nil {
+		return 0
+	}
+	return hy.ann.Len()
 }
 
 // ef returns the beam width in effect.
@@ -78,20 +78,20 @@ func (hy *Hybrid) useFallback(k int) bool {
 	return hy.ann == nil || hy.ann.Len() == 0 || hy.ef() < k
 }
 
-// Len returns the number of indexed triples across graph and tail.
+// Len returns the number of rows across graph and tail.
 func (hy *Hybrid) Len() int { return hy.full.Len() }
 
-// Encoder returns the encoder all segments were built with.
-func (hy *Hybrid) Encoder() *embed.Encoder { return hy.enc }
+// Encoder returns the encoder the rows were embedded with.
+func (hy *Hybrid) Encoder() *embed.Encoder { return hy.full.Encoder() }
 
 // Search returns the top-k triples most similar to the query text; the
 // exact paths keep their token-filtered candidate selection.
 func (hy *Hybrid) Search(query string, k int) []Hit {
-	return hy.BatchSearchWith(hy.enc.Encode, []string{query}, k)[0]
+	return hy.BatchSearchWith(hy.full.Encoder().Encode, []string{query}, k)[0]
 }
 
-// SearchExact is the brute-force reference over every segment,
-// bypassing the graph.
+// SearchExact is the brute-force reference over every row, bypassing the
+// graph.
 func (hy *Hybrid) SearchExact(query string, k int) []Hit {
 	return hy.full.SearchExact(query, k)
 }
@@ -99,7 +99,7 @@ func (hy *Hybrid) SearchExact(query string, k int) []Hit {
 // BatchSearchWith searches every query, with caller-supplied embeddings,
 // through the graph+tail split — one graph probe per query merged with
 // one batch scan of the uncovered tail — or, on fallback, one batch scan
-// of every segment, counting which path answered.
+// of every row, counting which path answered.
 func (hy *Hybrid) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
 	qs := prepare(encode, queries)
 	if k <= 0 {
@@ -109,7 +109,7 @@ func (hy *Hybrid) BatchSearchWith(encode func(string) embed.Vector, queries []st
 		if hy.opts.Counters != nil {
 			hy.opts.Counters.Fallbacks.Add(int64(len(qs)))
 		}
-		return hy.full.search(qs, k, nil)
+		return hy.full.blocks.search(qs, k, nil)
 	}
 	if hy.opts.Counters != nil {
 		hy.opts.Counters.Searches.Add(int64(len(qs)))
@@ -132,22 +132,22 @@ func (hy *Hybrid) Token() Token {
 
 // Since returns the Suffix of hy past t's watermark, and true, when t
 // names a view under hy's graph with no more rows than hy. Either path hy
-// routes a query down — graph plus tail, or the fallback over every
-// segment — has its own suffix: the graph's list is the same under one
-// graph, so only the exact rows past the watermark differ.
+// routes a query down — graph plus tail, or the fallback over every row —
+// has its own suffix: the graph's list is the same under one graph, so
+// only the exact rows past the watermark differ.
 func (hy *Hybrid) Since(t Token) (*Suffix, bool) {
-	covered := hy.full.Len() - hy.tail.Len() // rows the graph holds
+	covered := hy.covered()
 	if !t.set || t.graph != hy.Token().graph || t.rows < covered || t.rows > hy.full.Len() {
 		return nil, false
 	}
-	x := &Suffix{exact: hy.full.from(t.rows)}
+	x := &Suffix{exact: hy.full.from(0, t.rows), rows: hy.full.Len() - t.rows}
 	if hy.ann != nil {
-		x.tail, x.hy = hy.tail.from(t.rows-covered), hy
+		x.tail, x.hy = hy.full.from(covered, t.rows), hy
 	}
 	return x, true
 }
 
-// Stats aggregates segment statistics plus the ANN layer description.
+// Stats describes the exact view plus the ANN layer.
 func (hy *Hybrid) Stats() Stats {
 	st := hy.full.Stats()
 	info := &ANNInfo{EfSearch: hy.ef()}

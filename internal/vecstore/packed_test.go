@@ -151,15 +151,16 @@ func TestPackedScoreBitIdenticalOnQuickWorld(t *testing.T) {
 		if idx.Len() < 1000 {
 			t.Fatalf("%v index has only %d rows", st.Source(), idx.Len())
 		}
-		graph := &HNSW{segs: []*Index{idx}, ends: []int32{int32(idx.Len())}}
+		graph := &HNSW{a: idx.a, chunks: idx.chunks}
+		rows := &idx.chunks[0].rows
 		encoded := make([]embed.Vector, idx.Len())
-		for r, tr := range idx.triples {
+		for r, tr := range idx.chunks[0].triples {
 			encoded[r] = enc.Encode(tr.Text())
 		}
-		for r := range idx.triples {
+		for r := range encoded {
 			dense := encoded[r]
 			var back embed.Vector
-			idx.rows.expand(r, &back)
+			rows.expand(r, &back)
 			if back != dense {
 				t.Fatalf("%v row %d does not expand to its encoding", st.Source(), r)
 			}
@@ -173,11 +174,11 @@ func TestPackedScoreBitIdenticalOnQuickWorld(t *testing.T) {
 			}
 			for i := range qvs {
 				j := (i + 1) % len(qvs)
-				got, want := idx.rows.dot(&wide[i], r), embed.NormDot(&qvs[i], &dense)
+				got, want := rows.dot(&wide[i], r), embed.NormDot(&qvs[i], &dense)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%v row %d query %q: packed %v != NormDot %v", st.Source(), r, queries[i], got, want)
 				}
-				a, b := idx.rows.dot2(&wide[i], &wide[j], r)
+				a, b := rows.dot2(&wide[i], &wide[j], r)
 				if wantB := embed.NormDot(&qvs[j], &dense); math.Float64bits(a) != math.Float64bits(want) || math.Float64bits(b) != math.Float64bits(wantB) {
 					t.Fatalf("%v row %d queries %q, %q: dot2 (%v, %v) != NormDot (%v, %v)", st.Source(), r, queries[i], queries[j], a, b, want, wantB)
 				}
@@ -326,10 +327,10 @@ func TestPackExpandKeepsNonFiniteBits(t *testing.T) {
 // referenceCandidates is the map + sort selection the bitset replaced,
 // kept as the reference: ascending de-duplicated offsets of the triples
 // sharing a token with the query.
-func referenceCandidates(idx *Index, query string) []int32 {
+func referenceCandidates(idx *Sharded, query string) []int32 {
 	seen := map[int32]bool{}
 	for _, tok := range embed.Tokenize(query) {
-		for _, off := range idx.inverted[tok] {
+		for _, off := range idx.chunks[0].inverted[tok] {
 			seen[off] = true
 		}
 	}
@@ -367,13 +368,13 @@ func TestCandidatesMatchReference(t *testing.T) {
 			"lastrowonly",
 			"Lake Superior area",
 			"lake LAKE lake area area", // repeated tokens
-			"zzz absent tokens qqq",    // none in the segment
-			"absent lastrowonly zzz",   // some in the segment
+			"zzz absent tokens qqq",    // none in the block
+			"absent lastrowonly zzz",   // some in the block
 			"population 1000 Toronto lastrowonly",
 			"",      // no tokens
 			"<> //", // separators only: no tokens
 		} {
-			set := idx.whole()[0].candidates(distinctTokens(q))
+			set := whole(idx).candidates(distinctTokens(q))
 			if len(embed.Tokenize(q)) == 0 {
 				if set != nil {
 					t.Errorf("n=%d %q: token-less query gave a non-nil set", n, q)
@@ -391,7 +392,7 @@ func TestCandidatesMatchReference(t *testing.T) {
 				}
 			}
 		}
-		if got := idx.whole()[0].candidates([]string{"lastrowonly"}); got.count() != 1 {
+		if got := whole(idx).candidates([]string{"lastrowonly"}); got.count() != 1 {
 			t.Errorf("n=%d: last row not selected alone: %d rows", n, got.count())
 		}
 	}

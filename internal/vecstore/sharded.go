@@ -3,7 +3,6 @@ package vecstore
 import (
 	"container/heap"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,28 +10,21 @@ import (
 	"repro/internal/kg"
 )
 
-// DefaultShardSize is the segment size BuildSharded uses when none is
-// given. Segments of a few thousand vectors keep each per-shard scan well
-// inside cache while leaving enough shards to occupy every core.
+// DefaultShardSize is the block size, and an arena's chunk size, when
+// none is given. Blocks of a few thousand vectors keep each block scan
+// well inside cache while leaving enough blocks to occupy every core.
 const DefaultShardSize = 4096
 
-// Sharded is a segmented vector index: the triple set is split into
-// segments, each its own immutable Index, and every search — one query or
-// a request's batch — fans out across the view's blocks (the package
-// comment's filter rule) concurrently with a top-k merge by score per
-// query. On KG-scale stores the parallel scan is the difference between
-// one core and all of them.
-//
-// Sharded is also the hot-swap substrate's composition point: Compose
-// assembles a view over already-built segments, so an ingest can publish
-// {base segments + fresh delta segment} without re-encoding the base.
+// Sharded is the exact view of an arena's first rows (Arena.View): every
+// search — one query or a request's batch — fans out across the view's
+// blocks (the package comment's filter rule) concurrently, with a top-k
+// merge by score per query. On KG-scale stores the parallel scan is the
+// difference between one core and all of them.
 type Sharded struct {
-	enc    *embed.Encoder
-	shards []*Index
-	size   int // the block size
-	// blocks are the view's rows cut at multiples of size.
-	blocks []block
-	total  int
+	a      *Arena
+	chunks []chunkView // the chunks holding rows [0, rows)
+	rows   int
+	blocks blocks // rows [0, rows) cut at multiples of the chunk size
 }
 
 // block is one block's rows in a view: pre's, which the filter rule
@@ -53,6 +45,25 @@ func (b *block) scan(qs []batchQuery, k int, flipped []bool) [][]Hit {
 	return out
 }
 
+// blocks are a view's blocks in row order.
+type blocks []block
+
+// cutBlocks cuts rows [from, to) of chunks, chunks of size rows, into the
+// blocks of a view whose origin is origin <= from: block b holds the rows
+// in [origin + b·size, origin + (b+1)·size), and the rows of the first
+// block before from are its pre.
+func cutBlocks(chunks []chunkView, size, origin, from, to int) blocks {
+	var bs blocks
+	for lo := origin + (from-origin)/size*size; lo < to; lo += size {
+		hi, first := min(lo+size, to), max(lo, from)
+		if first == hi {
+			continue
+		}
+		bs = append(bs, block{pre: spansOf(chunks, size, lo, first), rows: spansOf(chunks, size, first, hi)})
+	}
+	return bs
+}
+
 // Token names a view by its watermark (the package comment's watermark):
 // the rows it holds and, for a Hybrid searching a graph, the graph's ID.
 // The zero Token names no view, so no view is past it.
@@ -62,118 +73,56 @@ type Token struct {
 	set   bool   // false only in the zero Token
 }
 
-// BuildSharded encodes the triples into fixed-size segments. A
-// non-positive shardSize uses DefaultShardSize. The builder takes
-// ownership of the slice.
+// Build encodes every triple in the store into a one-block view.
+func Build(enc *embed.Encoder, store *kg.Store) *Sharded {
+	return BuildTriples(enc, store.All())
+}
+
+// BuildTriples encodes the triples into a view of one block: an arena
+// whose chunk size is the row count.
+func BuildTriples(enc *embed.Encoder, triples []kg.Triple) *Sharded {
+	return BuildSharded(enc, triples, len(triples))
+}
+
+// BuildSharded encodes the triples into a new arena whose blocks are
+// shardSize rows (a non-positive shardSize uses DefaultShardSize) and
+// returns the view of all of them.
 func BuildSharded(enc *embed.Encoder, triples []kg.Triple, shardSize int) *Sharded {
-	return Compose(enc, shardSize, BuildShards(enc, triples, shardSize)...)
-}
-
-// BuildShards encodes the triples into fixed-size segment indexes without
-// composing them — the hook for callers (the substrate manager) that keep
-// the segments around to recompose with a delta segment later. A
-// non-positive shardSize uses DefaultShardSize.
-func BuildShards(enc *embed.Encoder, triples []kg.Triple, shardSize int) []*Index {
-	return Reshard(enc, triples, shardSize, nil)
-}
-
-// Reshard is BuildShards keeping the segments prev already has: a segment
-// of prev that holds a full shardSize rows, starts at a multiple of
-// shardSize in prev's concatenation, and whose triples equal the same
-// slice of triples field for field is reused instead of re-encoded.
-// Every other segment is built from the triples, so the result equals
-// BuildShards' segment for segment. The substrate's compaction passes the
-// old base, which the new base extends.
-func Reshard(enc *embed.Encoder, triples []kg.Triple, shardSize int, prev []*Index) []*Index {
-	if shardSize <= 0 {
-		shardSize = DefaultShardSize
-	}
-	aligned := map[int]*Index{} // by first row
-	off := 0
-	for _, sh := range prev {
-		if off%shardSize == 0 && sh.Len() == shardSize {
-			aligned[off] = sh
-		}
-		off += sh.Len()
-	}
-	var shards []*Index
-	for lo := 0; lo < len(triples); lo += shardSize {
-		part := triples[lo:min(lo+shardSize, len(triples))]
-		if sh := aligned[lo]; sh != nil && slices.Equal(sh.triples, part) {
-			shards = append(shards, sh)
-		} else {
-			shards = append(shards, BuildTriples(enc, part))
-		}
-	}
-	return shards
-}
-
-// Compose assembles a sharded view over existing segment indexes, in
-// order, whose blocks are size rows (a non-positive size uses
-// DefaultShardSize). Empty segments are dropped. Every segment must have
-// been built with enc.
-func Compose(enc *embed.Encoder, size int, shards ...*Index) *Sharded {
-	if size <= 0 {
-		size = DefaultShardSize
-	}
-	s := &Sharded{enc: enc, size: size}
-	for _, sh := range shards {
-		if sh == nil || sh.Len() == 0 {
-			continue
-		}
-		s.shards = append(s.shards, sh)
-		for lo := 0; lo < sh.Len(); {
-			if s.total%size == 0 {
-				s.blocks = append(s.blocks, block{})
-			}
-			hi := min(sh.Len(), lo+size-s.total%size)
-			b := &s.blocks[len(s.blocks)-1]
-			b.rows = append(b.rows, span{sh, lo, hi})
-			s.total += hi - lo
-			lo = hi
-		}
-	}
-	return s
+	a := NewArena(enc, shardSize)
+	a.Append(triples)
+	return a.View(len(triples))
 }
 
 // Token names the view by its row count.
-func (s *Sharded) Token() Token { return Token{rows: s.total, set: true} }
+func (s *Sharded) Token() Token { return Token{rows: s.rows, set: true} }
 
 // Since returns the Suffix of s past t's watermark, and true, when t names
 // a view with no graph and no more rows than s.
 func (s *Sharded) Since(t Token) (*Suffix, bool) {
-	if !t.set || t.graph != 0 || t.rows > s.total {
+	if !t.set || t.graph != 0 || t.rows > s.rows {
 		return nil, false
 	}
-	return &Suffix{exact: s.from(t.rows)}, true
+	return &Suffix{exact: s.from(0, t.rows), rows: s.rows - t.rows}, true
 }
 
-// from returns a view of s's rows from row n on: the blocks from the one
-// holding row n, that block's rows before n in its pre.
-func (s *Sharded) from(n int) *Sharded {
-	x := &Sharded{enc: s.enc, size: s.size, total: s.total - n}
-	if b := n / s.size; b < len(s.blocks) {
-		x.blocks = slices.Clone(s.blocks[b:])
-		first := &x.blocks[0]
-		if first.pre, first.rows = first.rows.split(n % s.size); len(first.rows) == 0 {
-			x.blocks = x.blocks[1:]
-		}
-	}
-	return x
+// from returns s's rows from row w on, in blocks cut from origin.
+func (s *Sharded) from(origin, w int) blocks {
+	return cutBlocks(s.chunks, s.a.size, origin, w, s.rows)
 }
 
 // Suffix is the rows a view holds from a Token's watermark on (Since),
 // searched by the view's rules.
 type Suffix struct {
-	exact *Sharded // the suffix of the view's exact scan
+	exact blocks // the suffix of the view's exact scan
+	rows  int
 	// tail and hy are a Hybrid's with a graph: the suffix of its exact
 	// tail, searched instead of exact when hy routes k through the graph.
-	tail *Sharded
+	tail blocks
 	hy   *Hybrid
 }
 
 // Len returns the number of rows past the watermark.
-func (x *Suffix) Len() int { return x.exact.total }
+func (x *Suffix) Len() int { return x.rows }
 
 // BatchSearchWith returns, in query order, each query's top k over the
 // rows past the watermark as the view's blocks list them, and flipped[i]
@@ -186,51 +135,65 @@ func (x *Suffix) BatchSearchWith(encode func(string) embed.Vector, queries []str
 	qs := prepare(encode, queries)
 	flipped = make([]bool, len(qs))
 	view := x.exact
-	if x.tail != nil && !x.hy.useFallback(k) {
+	if x.hy != nil && !x.hy.useFallback(k) {
 		view = x.tail
 	}
 	return view.search(qs, k, flipped), flipped
 }
 
-// Len returns the number of indexed triples across all segments.
-func (s *Sharded) Len() int { return s.total }
+// Len returns the number of rows in the view.
+func (s *Sharded) Len() int { return s.rows }
 
-// Shards returns the number of non-empty segments.
-func (s *Sharded) Shards() int { return len(s.shards) }
+// Shards returns the number of blocks.
+func (s *Sharded) Shards() int { return len(s.blocks) }
 
-// Encoder returns the encoder the segments were built with.
-func (s *Sharded) Encoder() *embed.Encoder { return s.enc }
+// Encoder returns the encoder the rows were embedded with.
+func (s *Sharded) Encoder() *embed.Encoder { return s.a.enc }
 
 // Search returns the top-k triples most similar to the query text, merged
 // across all blocks by score.
 func (s *Sharded) Search(query string, k int) []Hit {
-	return s.BatchSearchWith(s.enc.Encode, []string{query}, k)[0]
+	return s.BatchSearchWith(s.a.enc.Encode, []string{query}, k)[0]
 }
 
-// SearchExact is the brute-force reference: an exact scan of every segment.
+// SearchExact is the brute-force reference: an exact scan of every block.
 func (s *Sharded) SearchExact(query string, k int) []Hit {
-	return s.SearchVector(s.enc.Encode(query), k)
+	return s.SearchVector(s.a.enc.Encode(query), k)
 }
 
-// SearchVector searches all segments with a pre-encoded vector.
+// SearchVector scores every row against a pre-encoded vector, block by
+// block, and merges the blocks' top k.
 func (s *Sharded) SearchVector(qv embed.Vector, k int) []Hit {
-	per := make([][]Hit, len(s.shards))
-	parallel(len(s.shards), func(i int) { per[i] = s.shards[i].SearchVector(qv, k) })
+	if k <= 0 || qv.IsZero() {
+		return nil
+	}
+	q := widen(&qv)
+	per := make([][]Hit, len(s.blocks))
+	parallel(len(s.blocks), func(i int) {
+		ss := s.blocks[i].rows
+		best := make(topK, 0, min(k, ss.rows()))
+		for _, sp := range ss {
+			sp.scan(&q, sp.all(), &best)
+		}
+		per[i] = ss.hits(ss.rank(&best))
+	})
 	return MergeTopK(per, k)
 }
 
 // BatchSearchWith searches every query with the token-filtered path, with
 // caller-supplied embeddings: one batch scan per block, merged per query.
+// encode must be consistent with the arena's encoder; it is the hook for
+// callers that memoise embeddings (internal/core's session memo).
 func (s *Sharded) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
-	return s.search(prepare(encode, queries), k, nil)
+	return s.blocks.search(prepare(encode, queries), k, nil)
 }
 
 // search runs the batch scan on every block and merges each query's
 // per-block top-k lists into its global top-k. flipped receives the first
 // block's mode changes; it may be nil when no block has a pre.
-func (s *Sharded) search(qs []batchQuery, k int, flipped []bool) [][]Hit {
-	per := make([][][]Hit, len(s.blocks))
-	parallel(len(s.blocks), func(i int) { per[i] = s.blocks[i].scan(qs, k, flipped) })
+func (bs blocks) search(qs []batchQuery, k int, flipped []bool) [][]Hit {
+	per := make([][][]Hit, len(bs))
+	parallel(len(bs), func(i int) { per[i] = bs[i].scan(qs, k, flipped) })
 	out := make([][]Hit, len(qs))
 	lists := make([][]Hit, len(per))
 	for q := range out {
@@ -274,7 +237,7 @@ func parallel(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// hitCursor walks one per-segment result list inside MergeTopK.
+// hitCursor walks one per-block result list inside MergeTopK.
 type hitCursor struct {
 	hits []Hit
 	pos  int
@@ -302,9 +265,9 @@ func (h *cursorHeap) Pop() any {
 // (score desc, surface-form asc) order every search path produces — into
 // the global top-k with a bounded k-way heap merge: k pops over a heap of
 // list heads instead of flattening and sorting every hit, so cost is
-// O(k log lists) after seeding rather than O(total log total). Sharded
-// fan-out and the ANN searcher's approximate-base/exact-delta assembly
-// both merge through here.
+// O(k log lists) after seeding rather than O(total log total). The block
+// fan-out and the Hybrid's graph-plus-tail assembly both merge through
+// here.
 func MergeTopK(per [][]Hit, k int) []Hit {
 	if k <= 0 {
 		return nil
@@ -340,13 +303,9 @@ func MergeTopK(per [][]Hit, k int) []Hit {
 	return out
 }
 
-// Stats aggregates segment statistics.
+// Stats describes the view: its rows and its blocks.
 func (s *Sharded) Stats() Stats {
-	st := Stats{Dim: embed.Dim, Shards: len(s.shards), Triples: s.total}
-	for _, sh := range s.shards {
-		st.Tokens += sh.Stats().Tokens
-	}
-	return st
+	return Stats{Dim: embed.Dim, Shards: len(s.blocks), Triples: s.rows}
 }
 
 var _ Searcher = (*Sharded)(nil)

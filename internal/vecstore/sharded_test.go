@@ -2,12 +2,7 @@ package vecstore
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"reflect"
 	"runtime"
-	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/embed"
@@ -116,11 +111,12 @@ func TestShardedEdgeCases(t *testing.T) {
 		t.Errorf("k=0 returned hits: %v", hits)
 	}
 
-	// Compose drops nil and empty segments.
-	idx := BuildTriples(enc, corpus(5))
-	composed := Compose(enc, 0, nil, BuildTriples(enc, nil), idx)
-	if composed.Shards() != 1 || composed.Len() != 5 {
-		t.Errorf("compose: shards=%d len=%d", composed.Shards(), composed.Len())
+	// A view of an arena's first rows holds those rows in blocks of the
+	// arena's chunk size.
+	a := NewArena(enc, 4)
+	a.Append(corpus(10))
+	if v := a.View(5); v.Len() != 5 || v.Shards() != 2 || len(v.Search("Lake Superior 0 area", 10)) != 5 {
+		t.Errorf("view of 5 rows: len=%d shards=%d", v.Len(), v.Shards())
 	}
 }
 
@@ -163,16 +159,13 @@ func TestShardedStats(t *testing.T) {
 
 // TestSinceIsThePastWatermark pins the watermark: a view is past a token
 // when the token names a view under the same graph, or none, with no more
-// rows — however either view is cut into segments — and Since then
-// returns the rows from the watermark on.
+// rows, and Since then returns the rows from the watermark on.
 func TestSinceIsThePastWatermark(t *testing.T) {
 	enc := embed.NewEncoder()
-	triples := corpus(90)
-	segs := BuildShards(enc, triples, 30)
-	a, b, c := segs[0], segs[1], segs[2]
-	g := BuildGraph(enc, []*Index{a}, HNSWConfig{})
-	compose := func(segs ...*Index) *Sharded { return Compose(enc, 30, segs...) }
-	hybrid := func(g *HNSW, segs ...*Index) *Hybrid { return ComposeHybrid(enc, g, 30, segs, HybridOptions{}) }
+	a := NewArena(enc, 30)
+	a.Append(corpus(90))
+	g := BuildGraph(a, 30, HNSWConfig{})
+	hybrid := func(g *HNSW, n int) *Hybrid { return NewHybrid(a.View(n), g, HybridOptions{}) }
 	type view interface {
 		Token() Token
 		Since(Token) (*Suffix, bool)
@@ -183,17 +176,16 @@ func TestSinceIsThePastWatermark(t *testing.T) {
 		to    view
 		added int // rows past the watermark; -1: the view is not past the token
 	}{
-		{"appended", compose(a), compose(a, b, c), 60},
-		{"unchanged", compose(a, b), compose(a, b), 0},
-		{"coalesced", compose(a, b), compose(Concat(enc, a, b), c), 30},
-		{"re-cut", compose(a), compose(BuildTriples(enc, triples[:45]), BuildTriples(enc, triples[45:])), 60},
-		{"shorter", compose(a, b), compose(a), -1},
-		{"graph kept", hybrid(g, a), hybrid(g, a, b), 30},
-		{"graph rebuilt", hybrid(g, a), hybrid(BuildGraph(enc, []*Index{a}, HNSWConfig{}), a, b), -1},
-		{"graph dropped", hybrid(g, a), compose(a, b), -1},
-		{"graph added", compose(a), hybrid(g, a, b), -1},
-		{"graph over appended", hybrid(nil, a), hybrid(BuildGraph(enc, []*Index{a, b}, HNSWConfig{}), a, b), -1},
-		{"no graph either way", hybrid(nil, a), compose(a, b), 30},
+		{"appended", a.View(30), a.View(90), 60},
+		{"unchanged", a.View(60), a.View(60), 0},
+		{"inside a block", a.View(45), a.View(90), 45},
+		{"shorter", a.View(60), a.View(30), -1},
+		{"graph kept", hybrid(g, 30), hybrid(g, 60), 30},
+		{"graph rebuilt", hybrid(g, 30), hybrid(BuildGraph(a, 30, HNSWConfig{}), 60), -1},
+		{"graph dropped", hybrid(g, 30), a.View(60), -1},
+		{"graph added", a.View(30), hybrid(g, 60), -1},
+		{"graph over appended", hybrid(nil, 30), hybrid(BuildGraph(a, 60, HNSWConfig{}), 60), -1},
+		{"no graph either way", hybrid(nil, 30), a.View(60), 30},
 	} {
 		suffix, ok := tc.to.Since(tc.from.Token())
 		switch {
@@ -203,91 +195,7 @@ func TestSinceIsThePastWatermark(t *testing.T) {
 			t.Errorf("%s: the suffix holds %d rows, want %d", tc.name, suffix.Len(), tc.added)
 		}
 	}
-	if _, ok := compose(a).Since(Token{}); ok {
+	if _, ok := a.View(30).Since(Token{}); ok {
 		t.Error("a view is past the zero Token")
-	}
-}
-
-// cutAt splits triples into segments at the given ascending offsets.
-func cutAt(enc *embed.Encoder, triples []kg.Triple, cuts []int) []*Index {
-	var segs []*Index
-	lo := 0
-	for _, hi := range append(cuts, len(triples)) {
-		if hi > lo {
-			segs = append(segs, BuildTriples(enc, triples[lo:hi]))
-		}
-		lo = hi
-	}
-	return segs
-}
-
-// requireSameSegment fails unless got is, field for field, the segment
-// want is: packed offsets, entries and values, inverted lists, triples.
-func requireSameSegment(t *testing.T, what string, got, want *Index) {
-	t.Helper()
-	switch {
-	case !slices.Equal(got.triples, want.triples):
-		t.Fatalf("%s: triples differ", what)
-	case !slices.Equal(got.rows.off, want.rows.off):
-		t.Fatalf("%s: row offsets differ", what)
-	case !slices.Equal(got.rows.idx, want.rows.idx):
-		t.Fatalf("%s: entry dimensions differ", what)
-	case !slices.EqualFunc(got.rows.val, want.rows.val, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }):
-		t.Fatalf("%s: entry values differ", what)
-	case !reflect.DeepEqual(got.inverted, want.inverted):
-		t.Fatalf("%s: inverted lists differ", what)
-	}
-}
-
-// TestConcatAndReshardEqualFromTextBuilds: segments joined without
-// re-encoding (Concat) and segments kept across a reshard (Reshard) are
-// field for field the segments a from-text build gives over the same
-// triples, and Reshard keeps exactly the aligned full segments whose
-// triples are unchanged.
-func TestConcatAndReshardEqualFromTextBuilds(t *testing.T) {
-	enc := embed.NewEncoder()
-	rng := rand.New(rand.NewSource(4))
-	triples := quickWorldStores(t)[0].All()[:900]
-	for trial := range 8 {
-		var cuts []int
-		for range rng.Intn(20) {
-			cuts = append(cuts, rng.Intn(len(triples)))
-		}
-		sort.Ints(cuts)
-		requireSameSegment(t, fmt.Sprintf("trial %d Concat at %v", trial, cuts), Concat(enc, cutAt(enc, triples, cuts)...), BuildTriples(enc, triples))
-	}
-	requireSameSegment(t, "Concat of nothing", Concat(enc), BuildTriples(enc, nil))
-
-	const size = 128
-	old, grown := triples[:600], triples
-	for _, tc := range []struct {
-		name  string
-		prev  []*Index
-		reuse []int // positions of grown's segments that must be prev's
-	}{
-		{"plain base", BuildShards(enc, old, size), []int{0, 1, 2, 3}},
-		// A recovered base cut at a graph boundary: only segments that
-		// start on a multiple of size and are full can be reused.
-		{"cut at 300", append(BuildShards(enc, old[:300], size), BuildShards(enc, old[300:], size)...), []int{0, 1}},
-		{"no previous base", nil, nil},
-	} {
-		got := Reshard(enc, grown, size, tc.prev)
-		want := BuildShards(enc, grown, size)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d segments, want %d", tc.name, len(got), len(want))
-		}
-		for i := range want {
-			requireSameSegment(t, fmt.Sprintf("%s segment %d", tc.name, i), got[i], want[i])
-			if reused := slices.Contains(tc.prev, got[i]); reused != slices.Contains(tc.reuse, i) {
-				t.Errorf("%s segment %d: reused %v, want %v", tc.name, i, reused, !reused)
-			}
-		}
-	}
-	// A segment whose triples changed is rebuilt, however well placed.
-	changed := slices.Clone(old)
-	changed[5].ID = -1
-	prev := BuildShards(enc, changed, size)
-	if got := Reshard(enc, grown, size, prev); got[0] == prev[0] || got[1] != prev[1] {
-		t.Error("Reshard reused a segment whose triples differ, or rebuilt one whose triples match")
 	}
 }

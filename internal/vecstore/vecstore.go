@@ -1,21 +1,23 @@
 // Package vecstore provides the vectorised triple index used by the
-// pipeline's Semantic Query step: every KG triple is encoded once at build
-// time, and pseudo-triples are matched against the index by cosine
-// similarity to produce the temporary graph Gt.
+// pipeline's Semantic Query step: every KG triple is encoded once, as it
+// is appended to an Arena, and pseudo-triples are matched against a view
+// of the arena by cosine similarity to produce the temporary graph Gt.
 //
 // Row layout. The hashing encoder's vectors are sparse (about a hundred
-// non-zero components of embed.Dim), so an Index keeps only each row's
+// non-zero components of embed.Dim), so an Arena keeps only each row's
 // non-zero components, in the order the scoring kernel consumes them
 // (packedRows): groups of four (dimension, value) entries where entry l of
 // a group holds the row's next non-zero dimension ≡ l (mod 4), ascending
 // per lane, short lanes padded with (0, +0.0). "Non-zero" means the
 // float32 bit pattern is not all zeros, so a row expands back to exactly
-// the dense vector it was packed from. Packed rows are the only vector
-// representation: an HNSW graph is adjacency over segments' rows and holds
-// no vectors of its own. Vectors are never on disk either: a triple's
-// vector is a pure function of its text, so a restart re-encodes
-// (BuildShards) and only a graph's adjacency is persisted (WriteGraph /
-// ReadGraph).
+// the dense vector it was packed from. The rows are stored in chunks of S
+// rows, each with the token index of its rows; an append fills the last
+// chunk and starts the next, and never moves a row. Packed rows are the
+// only vector representation: an HNSW graph is adjacency over an arena's
+// rows and holds no vectors of its own. Vectors are never on disk either:
+// a triple's vector is a pure function of its text, so a restart
+// re-encodes (Arena.Append) and only a graph's adjacency is persisted
+// (WriteGraph / ReadGraph).
 //
 // Bit-identity contract. A packed row scored against a query gives the
 // same float64, bit for bit, as embed.NormDot over the two dense vectors,
@@ -23,7 +25,7 @@
 // per-lane term order and its final association, and the only terms it
 // drops or pads are products with a stored +0.0, which cannot change an
 // accumulator. The kernel (dot, and dot2 for two queries) is the only one
-// that scores: the scan runs it over a segment's candidates and the graph
+// that scores: the scan runs it over a block's candidates and the graph
 // over the nodes it visits, so their hits merge by score and tie exactly,
 // and replay artifacts stay byte-stable. Where the graph build compares
 // node with node it widens one of them as the query; each term is the
@@ -38,19 +40,19 @@
 // order of the terms — all that bit-identity depends on — is unchanged.
 //
 // Filter rule. Search scores only the rows that share at least one token
-// with the query (inverted index → per-search bitset, ascending row
-// order); when fewer than k rows of a block do, it scores every row of
-// that block instead. A block is the rows of a view whose position falls
-// in [b·S, (b+1)·S), S being the view's block size — its shard size
-// (Compose); a plain Index is one block. SearchExact always scans every
-// row and is the reference for Search: the filter can only drop rows with
-// no token in common with the query, whose cosine under the hashing
-// encoder is collision noise. A block's rows are scored into one top-k
-// heap in ascending position order, whichever segments hold them, and a
-// view's result is MergeTopK over its blocks' lists, so a top-k is a
-// function of the view's rows in order and S, not of how the rows are cut
-// into segments. BuildShards and Reshard cut at multiples of S, so there
-// every block is one segment and is searched as one.
+// with the query (token index → per-search bitset, ascending row order);
+// when fewer than k rows of a block do, it scores every row of that block
+// instead. A block is the rows of a view whose arena row falls in
+// [o + b·S, o + (b+1)·S), S being the arena's chunk size and o the view's
+// origin: 0 for an exact view (Arena.View), whose blocks are therefore
+// its chunks, and the first row past the graph for a Hybrid's exact tail,
+// whose blocks may straddle two chunks. BuildTriples makes S the row
+// count, so a plain index is one block. SearchExact always scans every row
+// and is the reference for Search: the filter can only drop rows with no
+// token in common with the query, whose cosine under the hashing encoder
+// is collision noise. A block's rows are scored into one top-k heap in
+// ascending row order, and a view's result is MergeTopK over its blocks'
+// lists, so a top-k is a function of the view's rows in order, S and o.
 //
 // Batch rule. A request's queries are prepared once (embedding, widened
 // embedding, distinct tokens) and each block is walked once for all of
@@ -66,13 +68,12 @@
 //
 // Watermark. A view's Token is its row count and, for a Hybrid searching
 // a graph, the graph's ID (a graph gets an ID at build, unique for the
-// process, and never changes). In a substrate view a row's position is
-// its triple ID, and triples are only appended, so a view holding more
-// rows than a token holds the token view's rows and then new ones,
-// however either view is cut into segments. Since returns the Suffix past
-// the watermark: the view's blocks from the one holding it, that block
-// counting its earlier rows for the filter rule but scoring only the new
-// ones. A block's count of sharing rows only grows, so only the block
+// process, and never changes). In a substrate view a row is its triple
+// ID, and an arena only appends, so a view holding more rows than a token
+// holds the token view's rows and then new ones. Since returns the Suffix
+// past the watermark: the view's blocks from the one holding it, that
+// block counting its earlier rows for the filter rule but scoring only the
+// new ones. A block's count of sharing rows only grows, so only the block
 // holding the watermark can change mode for a query, and only from
 // scanned whole to filtered; the Suffix reports where it did. Where it
 // did not, each block list of the view is its list in the token view with
@@ -89,8 +90,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strings"
-	"sync"
 
 	"repro/internal/embed"
 	"repro/internal/kg"
@@ -102,10 +101,9 @@ type Hit struct {
 	Score  float64
 }
 
-// Searcher is the query surface shared by the single-segment Index and the
-// Sharded composite, and what the pipeline and serving layers program
-// against: any consistent snapshot of a vector substrate, however it is
-// assembled. Implementations are safe for concurrent searches.
+// Searcher is the query surface shared by the exact view (Sharded), the
+// Hybrid and the HNSW graph, and what the pipeline and serving layers
+// program against: any consistent snapshot of a vector substrate. Implementations are safe for concurrent searches.
 type Searcher interface {
 	// Len returns the number of indexed triples.
 	Len() int
@@ -119,19 +117,6 @@ type Searcher interface {
 	BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit
 	// Stats describes the index for diagnostics.
 	Stats() Stats
-}
-
-var _ Searcher = (*Index)(nil)
-
-// Index is an immutable vector index over a triple store. Build it with
-// Build; it is safe for concurrent searches afterwards.
-type Index struct {
-	enc     *embed.Encoder
-	triples []kg.Triple
-	// rows holds triple i's embedding as packed row i.
-	rows packedRows
-	// inverted maps token -> posting list of triple offsets, ascending.
-	inverted map[string][]int32
 }
 
 // packedRows stores the non-zero components of a sequence of embedding
@@ -201,6 +186,31 @@ func (p *packedRows) reserve(rows int) {
 	p.off = slices.Grow(p.off, rows+1)
 	p.idx = slices.Grow(p.idx, rows*embed.Dim/2)
 	p.val = slices.Grow(p.val, rows*embed.Dim/2)
+}
+
+// appendRows appends rows [lo, hi) of src, growing the slices once for
+// all of them.
+func (p *packedRows) appendRows(src *packedRows, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	if len(p.off) == 0 {
+		p.off = append(p.off, 0)
+	}
+	from, to := src.off[lo], src.off[hi]
+	at := uint32(len(p.idx))
+	for _, end := range src.off[lo+1 : hi+1] {
+		p.off = append(p.off, at+end-from)
+	}
+	p.idx = append(p.idx, src.idx[from:to]...)
+	p.val = append(p.val, src.val[from:to]...)
+}
+
+// prefix returns the first n rows, n > 0, with every slice's capacity
+// cut to its length, so nothing appended to it can reach p's storage.
+func (p *packedRows) prefix(n int) packedRows {
+	e := p.off[n]
+	return packedRows{off: p.off[: n+1 : n+1], idx: p.idx[:e:e], val: p.val[:e:e]}
 }
 
 // expand writes row r's dense form to v: the exact inverse of appendRow,
@@ -273,89 +283,6 @@ func (p *packedRows) dot2(qa, qb *[embed.Dim]float64, r int) (float64, float64) 
 	return (a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3)
 }
 
-// Build encodes every triple in the store and constructs the index. The
-// encoder must be the same one used to encode queries.
-func Build(enc *embed.Encoder, store *kg.Store) *Index {
-	return BuildTriples(enc, store.All())
-}
-
-// BuildTriples builds an index directly over a triple slice.
-func BuildTriples(enc *embed.Encoder, triples []kg.Triple) *Index {
-	// Encoding is order-independent, so chunks encode and pack in
-	// parallel; newIndex joins them in row order.
-	const chunk = 2048
-	parts := make([]packedRows, (len(triples)+chunk-1)/chunk)
-	var wg sync.WaitGroup
-	for c := range parts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			part := triples[c*chunk : min((c+1)*chunk, len(triples))]
-			parts[c].reserve(len(part))
-			for _, t := range part {
-				v := enc.Encode(t.Text())
-				parts[c].appendRow(&v)
-			}
-		}()
-	}
-	wg.Wait()
-	return newIndex(enc, triples, parts...)
-}
-
-// Concat joins segments into one over their triples in order, without
-// re-encoding: the packed rows are copied and only the inverted token
-// index is derived from the triples' text, so the result equals
-// BuildTriples over the concatenated triples. The substrate coalesces its
-// per-ingest delta segments with it.
-func Concat(enc *embed.Encoder, segs ...*Index) *Index {
-	var triples []kg.Triple
-	parts := make([]packedRows, len(segs))
-	for i, seg := range segs {
-		triples = append(triples, seg.triples...)
-		parts[i] = seg.rows
-	}
-	return newIndex(enc, triples, parts...)
-}
-
-// newIndex assembles an Index over triples from their packed rows, given
-// as consecutive parts in row order: it joins the parts into exactly
-// sized slices and derives the inverted token index.
-func newIndex(enc *embed.Encoder, triples []kg.Triple, parts ...packedRows) *Index {
-	if len(triples) > maxRows {
-		panic(fmt.Sprintf("vecstore: %d triples in one index (max %d): use BuildSharded", len(triples), maxRows))
-	}
-	entries := 0
-	for i := range parts {
-		entries += len(parts[i].idx)
-	}
-	rows := packedRows{
-		off: make([]uint32, 1, len(triples)+1),
-		idx: make([]uint8, 0, entries),
-		val: make([]float32, 0, entries),
-	}
-	for i := range parts {
-		base := uint32(len(rows.idx))
-		for r := 0; r < parts[i].len(); r++ {
-			rows.off = append(rows.off, base+parts[i].off[r+1])
-		}
-		rows.idx = append(rows.idx, parts[i].idx...)
-		rows.val = append(rows.val, parts[i].val...)
-	}
-	idx := &Index{enc: enc, triples: triples, rows: rows, inverted: make(map[string][]int32)}
-	for i, t := range triples {
-		for _, tok := range distinctTokens(t.Text()) {
-			post, ok := idx.inverted[tok]
-			if !ok {
-				// The token may be a substring of the triple's text; the key
-				// must not keep that alive.
-				tok = strings.Clone(tok)
-			}
-			idx.inverted[tok] = append(post, int32(i))
-		}
-	}
-	return idx
-}
-
 // distinctTokens tokenises text and drops repeated tokens, keeping first
 // occurrences in order. A triple or query has about a dozen tokens, so
 // the scan beats a map.
@@ -370,45 +297,7 @@ func distinctTokens(text string) []string {
 	return out
 }
 
-// Len returns the number of indexed triples.
-func (idx *Index) Len() int { return len(idx.triples) }
-
-// Encoder returns the encoder the index was built with.
-func (idx *Index) Encoder() *embed.Encoder { return idx.enc }
-
-// Search returns the top-k triples most similar to the query text, in
-// descending score order, using the token-filtered path. If fewer than k
-// rows share a token with the query it falls back to the exact scan, so
-// the caller always gets k results when the index has them.
-func (idx *Index) Search(query string, k int) []Hit {
-	return idx.BatchSearchWith(idx.enc.Encode, []string{query}, k)[0]
-}
-
-// SearchExact returns the top-k results by brute-force scan over the whole
-// index. It is the correctness reference for Search.
-func (idx *Index) SearchExact(query string, k int) []Hit {
-	return idx.SearchVector(idx.enc.Encode(query), k)
-}
-
-// SearchVector searches with a pre-encoded query vector over all triples.
-func (idx *Index) SearchVector(qv embed.Vector, k int) []Hit {
-	return idx.searchVec(qv, k, idx.whole()[0].all())
-}
-
-// BatchSearchWith searches every query with the token-filtered path in
-// one walk of the index (see the package comment's batch rule) and returns
-// results in query order, with the query embeddings supplied by encode
-// instead of the index's encoder — the hook for callers that memoise
-// embeddings (internal/core's session memo). encode must be consistent
-// with the index's encoder.
-func (idx *Index) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
-	return (&block{rows: idx.whole()}).scan(prepare(encode, queries), k, nil)
-}
-
-// whole returns the index's rows as spans: one block, the whole segment.
-func (idx *Index) whole() spans { return spans{{idx, 0, len(idx.triples)}} }
-
-// rowSet is a bitset over an index's rows: bit r%64 of word r/64.
+// rowSet is a bitset over a span's rows: bit r%64 of word r/64.
 type rowSet []uint64
 
 // count returns the number of rows in the set.
@@ -421,26 +310,13 @@ func (s rowSet) count() int {
 }
 
 // shared returns the number of rows in both s and t, sets over the same
-// index.
+// span.
 func (s rowSet) shared(t rowSet) int {
 	n := 0
 	for i, w := range s {
 		n += bits.OnesCount64(w & t[i])
 	}
 	return n
-}
-
-// searchVec scores the rows of subset in ascending row order and returns
-// the top k.
-func (idx *Index) searchVec(qv embed.Vector, k int, subset rowSet) []Hit {
-	if k <= 0 || qv.IsZero() {
-		return nil
-	}
-	q := widen(&qv)
-	ss := idx.whole()
-	best := make(topK, 0, min(k, len(idx.triples)))
-	ss[0].scan(&q, subset, 0, &best)
-	return ss.hits(ss.rank(&best))
 }
 
 // HitBefore is the deterministic result order every Searcher produces:
@@ -455,9 +331,8 @@ func HitBefore(a, b Hit) bool {
 // Stats describes an index for diagnostics.
 type Stats struct {
 	Triples int `json:"triples"`
-	Tokens  int `json:"tokens"`
 	Dim     int `json:"dim"`
-	// Shards is the number of fixed-size segments (1 for a plain Index).
+	// Shards is the number of blocks the view's exact scan walks.
 	Shards int `json:"shards"`
 	// ANN describes the approximate layer when one is composed in (an
 	// HNSW graph or a Hybrid wrapping one); nil for purely exact views.
@@ -480,15 +355,10 @@ type ANNInfo struct {
 	Fallbacks      int64 `json:"fallbacks"`
 }
 
-// Stats returns index statistics.
-func (idx *Index) Stats() Stats {
-	return Stats{Triples: len(idx.triples), Tokens: len(idx.inverted), Dim: embed.Dim, Shards: 1}
-}
-
 // String renders the stats.
 func (s Stats) String() string {
 	if s.Shards > 1 {
-		return fmt.Sprintf("vecstore: %d triples, %d tokens, dim=%d, %d shards", s.Triples, s.Tokens, s.Dim, s.Shards)
+		return fmt.Sprintf("vecstore: %d triples, dim=%d, %d shards", s.Triples, s.Dim, s.Shards)
 	}
-	return fmt.Sprintf("vecstore: %d triples, %d tokens, dim=%d", s.Triples, s.Tokens, s.Dim)
+	return fmt.Sprintf("vecstore: %d triples, dim=%d", s.Triples, s.Dim)
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/kg"
 )
 
-func buildTestIndex(t *testing.T) *Index {
+func buildTestIndex(t *testing.T) *Sharded {
 	t.Helper()
 	enc := embed.NewEncoder()
 	st := kg.NewStore(kg.SourceWikidata)
@@ -182,7 +182,7 @@ func TestKLargerThanIndex(t *testing.T) {
 func TestStats(t *testing.T) {
 	idx := buildTestIndex(t)
 	s := idx.Stats()
-	if s.Triples != 7 || s.Dim != embed.Dim || s.Tokens == 0 {
+	if s.Triples != 7 || s.Dim != embed.Dim || s.Shards != 1 {
 		t.Errorf("Stats = %+v", s)
 	}
 	if s.String() == "" {

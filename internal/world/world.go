@@ -13,6 +13,7 @@ package world
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Kind is an entity type.
@@ -220,6 +221,9 @@ type World struct {
 	byRel map[RelKey][]int
 	// byName maps entity name to ID (names are unique by construction).
 	byName map[string]int
+	// byFold maps a lower-cased entity name to the ID of the first entity,
+	// in world order, whose name lower-cases to it.
+	byFold map[string]int
 }
 
 type srKey struct {
@@ -234,9 +238,14 @@ func (w *World) index() {
 	w.bySubject = make(map[int][]int)
 	w.byRel = make(map[RelKey][]int)
 	w.byName = make(map[string]int, len(w.Entities))
+	w.byFold = make(map[string]int, len(w.Entities))
 	for _, e := range w.Entities {
 		w.byKind[e.Kind] = append(w.byKind[e.Kind], e.ID)
 		w.byName[e.Name] = e.ID
+		folded := strings.ToLower(e.Name)
+		if _, seen := w.byFold[folded]; !seen {
+			w.byFold[folded] = e.ID
+		}
 	}
 	for i, f := range w.Facts {
 		k := srKey{f.Subject, f.Rel}
@@ -254,6 +263,16 @@ func (w *World) index() {
 // EntityByName looks an entity up by exact name.
 func (w *World) EntityByName(name string) (Entity, bool) {
 	id, ok := w.byName[name]
+	if !ok {
+		return Entity{}, false
+	}
+	return w.Entities[id], true
+}
+
+// EntityByFold looks an entity up by name ignoring case: the first
+// entity, in world order, whose lower-cased name is name's.
+func (w *World) EntityByFold(name string) (Entity, bool) {
+	id, ok := w.byFold[strings.ToLower(name)]
 	if !ok {
 		return Entity{}, false
 	}

@@ -393,3 +393,21 @@ func TestWorldJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestEntityByFoldFirstInWorldOrder: names that fold alike resolve to the
+// first of them in world order, whatever case the query is in.
+func TestEntityByFoldFirstInWorldOrder(t *testing.T) {
+	w := &World{Entities: []Entity{{ID: 0, Name: "Lake Orin"}, {ID: 1, Name: "LAKE ORIN"}, {ID: 2, Name: "Mount Kesh"}}}
+	w.index()
+	for _, q := range []string{"lake orin", "LAKE ORIN", "Lake Orin", "lAkE oRiN"} {
+		if e, ok := w.EntityByFold(q); !ok || e.ID != 0 {
+			t.Errorf("%q folds to %d (%v), want the first in world order, 0", q, e.ID, ok)
+		}
+	}
+	if e, ok := w.EntityByFold("mount KESH"); !ok || e.ID != 2 {
+		t.Errorf("mount KESH folds to %d (%v), want 2", e.ID, ok)
+	}
+	if _, ok := w.EntityByFold("Lake Orin 2"); ok {
+		t.Error("a name no entity folds to resolved")
+	}
+}
