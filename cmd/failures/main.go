@@ -94,13 +94,8 @@ func run(dataset, model, kgSource string, n int, quick, verbose bool) error {
 		if err != nil {
 			return err
 		}
-		ok := false
-		if q.Open() {
-			ok = metrics.RougeLMulti(res.Answer, q.Refs) >= 0.30
-		} else {
-			ok = metrics.Hit1(res.Answer, q.Golds) > 0
-		}
-		if ok {
+		// Hit@1 is 0 or 1, so one threshold serves both rules.
+		if metrics.Score(res.Answer, q.Open(), q.Refs, q.Golds) >= 0.30 {
 			right++
 			continue
 		}

@@ -193,8 +193,10 @@ func warmHit(tb testing.TB) func() {
 
 // BenchmarkAnswerHit is a cache hit through Server.Handler(): route
 // match, admission, body decode, scope + key, Cache.Get, the collector
-// and the reply encode. CI prints it with -benchmem so the bytes and
-// allocations a hit costs sit in every log.
+// and the reply encode, for a local look at its time and bytes
+// (TestAnswerHitAllocations pins its allocations):
+//
+//	go test -run=^$ -bench=AnswerHit -benchmem ./cmd/pgakvd
 func BenchmarkAnswerHit(b *testing.B) {
 	hit := warmHit(b)
 	b.ReportAllocs()

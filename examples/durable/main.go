@@ -103,7 +103,8 @@ func main() {
 		}
 	}
 	fmt.Println("\nall ingested facts survived; semantic search over the recovered index:")
-	for _, hit := range snap.Index.Search("Zorblax prime directive", 3) {
+	hits := snap.Index.BatchSearchWith(enc.Encode, []string{"Zorblax prime directive"}, 3)[0]
+	for _, hit := range hits {
 		fmt.Printf("  %.3f  %s\n", hit.Score, hit.Triple)
 	}
 }

@@ -18,14 +18,18 @@
 //
 // A method reads the knowledge substrate only through Deps.Store and
 // Deps.Index, and those are the one snapshot Answer resolved for the run.
-// That makes a run replayable: asked through WithReadLog, Answer wraps the
-// two with recorders and returns every read and its result as
-// Result.Reads, and Reads.Revalidate re-issues them against a later
-// snapshot. Identical reads under an identical prompt view give identical
-// prompts, identical prompts give identical completions, so a log that
-// replays exactly proves the run would answer the same there — the proof
-// the serving cache keeps an answer across an epoch change on. A method
-// that reached the substrate any other way would break the proof silently.
+// The two interfaces hold only the reads methods make — kg.Reader's
+// Subject, SubjectRelation, HasSubject and FindSubjectFold, and
+// vecstore.Searcher's BatchSearchWith — and each read's result is a
+// function of the snapshot's triple set. That makes every run replayable:
+// asked through WithReadLog, Answer wraps the two with recorders and
+// returns every read and its result as Result.Reads, and Reads.Revalidate
+// re-issues them against a later snapshot. Identical reads under an
+// identical prompt view give identical prompts, identical prompts give
+// identical completions, so a log that replays exactly proves the run
+// would answer the same there — the proof the serving cache keeps an
+// answer across an epoch change on. A method that reached the substrate
+// any other way would break the proof silently.
 //
 // # The incremental rule
 //
@@ -133,9 +137,9 @@ type Result struct {
 	// partial trace (spans up to and including the failing stage) is still
 	// returned alongside the error.
 	Trace *core.Trace
-	// Reads is the run's substrate read log, present only on a successful
-	// run whose context asked for one (WithReadLog) and whose reads can all
-	// be replayed. Immutable, so copies of a Result share it.
+	// Reads is the run's substrate read log, present on every successful
+	// run whose context asked for one (WithReadLog). Immutable, so copies
+	// of a Result share it.
 	Reads *Reads
 }
 

@@ -40,7 +40,6 @@ func runBaseline(build stageBuilder) RunFunc {
 		spans, err := exec.Run(ctx, &st,
 			exec.Options{DefaultTimeout: o.Core.StageTimeout, Usage: counter.Usage}, stages...)
 		tr := &core.Trace{Question: q.Text, Stages: spans}
-		tr.LLMCalls, _, _ = counter.Usage()
 		if err != nil {
 			return "", tr, err
 		}

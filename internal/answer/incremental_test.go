@@ -117,13 +117,9 @@ func TestIncrementalReplayMatchesFull(t *testing.T) {
 					t.Fatalf("trial %d %s at %d rows: the view is not past the recorded view's watermark", trial, name, n)
 				}
 				for _, k := range []int{1, 3, 10, 25} {
-					for i, q := range queries {
+					for _, q := range queries {
 						rec := &recorder{}
-						if i%2 == 0 {
-							recordingSearcher{recorded, rec}.Search(q, k)
-						} else {
-							recordingSearcher{recorded, rec}.BatchSearchWith(enc.Encode, []string{q}, k)
-						}
+						recordingSearcher{recorded, rec}.BatchSearchWith(enc.Encode, []string{q}, k)
 						reads := &Reads{encode: enc.Encode, ops: rec.buf}
 						if !reads.replay(store, recorded, nil) {
 							t.Fatalf("trial %d %s k=%d %q: the log does not replay against its own view", trial, name, k, q)
@@ -137,7 +133,7 @@ func TestIncrementalReplayMatchesFull(t *testing.T) {
 						} else {
 							refused++
 						}
-						logged := recorded.Search(q, k)
+						logged := recorded.BatchSearchWith(enc.Encode, []string{q}, k)[0]
 						fresh, flipped := added.BatchSearchWith(enc.Encode, []string{q}, k)
 						if len(logged) == k && len(fresh[0]) > 0 && logged[k-1].Score == fresh[0][0].Score {
 							boundaryTies++

@@ -27,8 +27,9 @@ import (
 // The log is compact and immutable once the run returns: arguments and
 // results are encoded into one byte slice, a triple as its ID (a triple ID
 // names the same triple for a node's lifetime: ingest appends, compaction
-// keeps IDs) and a score as its float64 bits. A run that makes a read the
-// log cannot replay exactly — Reader.All, Searcher.Stats — gets no log.
+// keeps IDs) and a score as its float64 bits. Every read a method can
+// make — the four kg.Reader calls and Searcher.BatchSearchWith — is a
+// function of the snapshot's triple set, so every log replays.
 type Reads struct {
 	substrate Substrate
 	prompts   *prompts.Registry
@@ -36,7 +37,7 @@ type Reads struct {
 	fingerprint string
 	// encode is the query encoder the run's batch searches used; replay
 	// reuses it so its searches cost what the run's did. Nil when the run
-	// made none.
+	// made none, and so has no search to replay.
 	encode func(string) embed.Vector
 	ops    []byte
 }
@@ -137,16 +138,10 @@ func (s static) Resolve() (kg.Reader, vecstore.Searcher, uint64) { return s.stor
 // Read-log op codes: one byte per call, then its arguments, then its
 // result.
 const (
-	opSource          byte = iota + 1 // result: source
-	opLen                             // result: n
-	opGet                             // id; result: ok
-	opContains                        // subject, relation, object; result: ok
-	opSubject                         // subject; result: triples
+	opSubject         byte = iota + 1 // subject; result: triples
 	opSubjectRelation                 // subject, relation; result: triples
 	opHasSubject                      // subject; result: ok
 	opFindSubjectFold                 // query; result: ok, canonical
-	opIndexLen                        // result: n
-	opSearch                          // query, k; result: hits
 	opBatchSearch                     // n, n queries, k; result: n hit lists
 )
 
@@ -158,18 +153,12 @@ type recorder struct {
 	buf []byte
 	// encode is the first batch search's query encoder.
 	encode func(string) embed.Vector
-	// unreplayable is set by a read the log cannot replay.
-	unreplayable bool
 }
 
-// reads seals the log, or returns nil when the run made an unreplayable
-// read.
+// reads seals the log.
 func (rec *recorder) reads(sub Substrate, reg *prompts.Registry, fingerprint string) *Reads {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.unreplayable {
-		return nil
-	}
 	// A copy of exactly its length: the cache keeps the log for the
 	// entry's lifetime.
 	return &Reads{substrate: sub, prompts: reg, fingerprint: fingerprint, encode: rec.encode, ops: bytes.Clone(rec.buf)}
@@ -179,12 +168,6 @@ func (rec *recorder) reads(sub Substrate, reg *prompts.Registry, fingerprint str
 func (rec *recorder) log(f func(b []byte) []byte) {
 	rec.mu.Lock()
 	rec.buf = f(rec.buf)
-	rec.mu.Unlock()
-}
-
-func (rec *recorder) poison() {
-	rec.mu.Lock()
-	rec.unreplayable = true
 	rec.mu.Unlock()
 }
 
@@ -233,40 +216,6 @@ type recordingReader struct {
 
 var _ kg.Reader = recordingReader{}
 
-func (w recordingReader) Source() kg.Source {
-	src := w.r.Source()
-	w.log(func(b []byte) []byte { return appendNum(append(b, opSource), int(src)) })
-	return src
-}
-
-func (w recordingReader) Len() int {
-	n := w.r.Len()
-	w.log(func(b []byte) []byte { return appendNum(append(b, opLen), n) })
-	return n
-}
-
-func (w recordingReader) Get(id int) (kg.Triple, bool) {
-	t, ok := w.r.Get(id)
-	w.log(func(b []byte) []byte { return appendFlag(appendNum(append(b, opGet), id), ok) })
-	return t, ok
-}
-
-// All is unreplayable: its result is the whole view, which every ingest
-// changes.
-func (w recordingReader) All() []kg.Triple {
-	w.poison()
-	return w.r.All()
-}
-
-func (w recordingReader) Contains(t kg.Triple) bool {
-	ok := w.r.Contains(t)
-	w.log(func(b []byte) []byte {
-		b = appendStr(appendStr(appendStr(append(b, opContains), t.Subject), t.Relation), t.Object)
-		return appendFlag(b, ok)
-	})
-	return ok
-}
-
 func (w recordingReader) Subject(s string) []kg.Triple {
 	ts := w.r.Subject(s)
 	w.log(func(b []byte) []byte { return appendTriples(appendStr(append(b, opSubject), s), ts) })
@@ -303,20 +252,8 @@ type recordingSearcher struct {
 
 var _ vecstore.Searcher = recordingSearcher{}
 
-func (w recordingSearcher) Len() int {
-	n := w.s.Len()
-	w.log(func(b []byte) []byte { return appendNum(append(b, opIndexLen), n) })
-	return n
-}
-
 // Encoder is not logged: a Substrate's encoder never changes.
 func (w recordingSearcher) Encoder() *embed.Encoder { return w.s.Encoder() }
-
-func (w recordingSearcher) Search(query string, k int) []vecstore.Hit {
-	hits := w.s.Search(query, k)
-	w.log(func(b []byte) []byte { return appendHits(appendNum(appendStr(append(b, opSearch), query), k), hits) })
-	return hits
-}
 
 func (w recordingSearcher) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]vecstore.Hit {
 	per := w.s.BatchSearchWith(encode, queries, k)
@@ -335,12 +272,6 @@ func (w recordingSearcher) BatchSearchWith(encode func(string) embed.Vector, que
 		return b
 	})
 	return per
-}
-
-// Stats is unreplayable: it describes the index, not a read's result.
-func (w recordingSearcher) Stats() vecstore.Stats {
-	w.poison()
-	return w.s.Stats()
 }
 
 // replayer decodes a log. Any malformed field sets bad, which fails the
@@ -464,48 +395,9 @@ func (p *replayer) stands(fresh []vecstore.Hit, k int) (stands, sure bool) {
 // against its suffix hits instead, by the incremental rule.
 func (r *Reads) replay(store kg.Reader, index vecstore.Searcher, added *vecstore.Suffix) bool {
 	p := &replayer{buf: r.ops}
-	// searched checks one logged search of queries at k whose results on
-	// the whole view full returns.
-	searched := func(encode func(string) embed.Vector, queries []string, k int, full func(queries []string) [][]vecstore.Hit) bool {
-		if added == nil {
-			for _, hits := range full(queries) {
-				if !p.sameHits(hits) {
-					return false
-				}
-			}
-			return true
-		}
-		fresh, flipped := added.BatchSearchWith(encode, queries, k)
-		for i, hits := range fresh {
-			at := p.buf
-			if !flipped[i] {
-				if stands, sure := p.stands(hits, k); sure {
-					if !stands {
-						return false
-					}
-					continue
-				}
-				p.buf = at
-			}
-			if !p.sameHits(full(queries[i : i+1])[0]) {
-				return false
-			}
-		}
-		return true
-	}
 	for len(p.buf) > 0 {
 		var same bool
 		switch p.op() {
-		case opSource:
-			same = int(store.Source()) == p.num()
-		case opLen:
-			same = store.Len() == p.num()
-		case opGet:
-			_, ok := store.Get(p.num())
-			same = ok == p.flag()
-		case opContains:
-			s, rel, o := p.str(), p.str(), p.str()
-			same = store.Contains(kg.NewTriple(s, rel, o)) == p.flag()
 		case opSubject:
 			same = p.sameTriples(store.Subject(p.str()))
 		case opSubjectRelation:
@@ -517,13 +409,6 @@ func (r *Reads) replay(store kg.Reader, index vecstore.Searcher, added *vecstore
 		case opFindSubjectFold:
 			got, ok := store.FindSubjectFold(p.str())
 			same = ok == p.flag() && got == p.str()
-		case opIndexLen:
-			same = index.Len() == p.num()
-		case opSearch:
-			q, k := p.str(), p.num()
-			same = searched(index.Encoder().Encode, []string{q}, k, func([]string) [][]vecstore.Hit {
-				return [][]vecstore.Hit{index.Search(q, k)}
-			})
 		case opBatchSearch:
 			n := p.num()
 			if n > len(p.buf) {
@@ -534,18 +419,39 @@ func (r *Reads) replay(store kg.Reader, index vecstore.Searcher, added *vecstore
 				queries[i] = p.str()
 			}
 			k := p.num()
-			if p.bad {
-				return false
-			}
-			encode := r.encode
-			if encode == nil {
-				encode = index.Encoder().Encode
-			}
-			same = searched(encode, queries, k, func(queries []string) [][]vecstore.Hit {
-				return index.BatchSearchWith(encode, queries, k)
-			})
+			same = !p.bad && r.searched(p, index, added, queries, k)
 		}
 		if !same || p.bad {
+			return false
+		}
+	}
+	return true
+}
+
+// searched checks one logged batch search of queries at k, the hit lists
+// next in p, against index, or against added by the incremental rule.
+func (r *Reads) searched(p *replayer, index vecstore.Searcher, added *vecstore.Suffix, queries []string, k int) bool {
+	if added == nil {
+		for _, hits := range index.BatchSearchWith(r.encode, queries, k) {
+			if !p.sameHits(hits) {
+				return false
+			}
+		}
+		return true
+	}
+	fresh, flipped := added.BatchSearchWith(r.encode, queries, k)
+	for i, hits := range fresh {
+		at := p.buf
+		if !flipped[i] {
+			if stands, sure := p.stands(hits, k); sure {
+				if !stands {
+					return false
+				}
+				continue
+			}
+			p.buf = at
+		}
+		if !p.sameHits(index.BatchSearchWith(r.encode, queries[i:i+1], k)[0]) {
 			return false
 		}
 	}

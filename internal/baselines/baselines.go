@@ -218,7 +218,8 @@ func RAGStages(client llm.Client, index vecstore.Searcher, cfg RAGConfig) []exec
 			Name: StageRetrieve,
 			Run: func(ctx context.Context, s *State) error {
 				g := &kg.Graph{}
-				for _, h := range index.Search(s.Question, cfg.TopK) {
+				hits := index.BatchSearchWith(index.Encoder().Encode, []string{s.Question}, cfg.TopK)[0]
+				for _, h := range hits {
 					g.Add(h.Triple)
 				}
 				s.Graph = g

@@ -120,14 +120,6 @@ func Query(method, model string, q qa.Question) answer.Query {
 	}
 }
 
-// score evaluates one answer against the question's gold material.
-func score(q qa.Question, answer string) float64 {
-	if q.Open() {
-		return metrics.RougeLMulti(answer, q.Refs)
-	}
-	return metrics.Hit1(answer, q.Golds)
-}
-
 // Run evaluates a method×model over a dataset against the given KG source
 // and returns the aggregate cell. The context bounds the whole cell:
 // cancellation aborts in-flight questions and skips the rest.
@@ -146,7 +138,8 @@ func (e *Env) Run(ctx context.Context, method, model string, ds *qa.Dataset, src
 	}
 	scores := make([]float64, len(items))
 	for i, item := range items {
-		scores[i] = score(ds.Questions[i], item.Result.Answer)
+		q := ds.Questions[i]
+		scores[i] = metrics.Score(item.Result.Answer, q.Open(), q.Refs, q.Golds)
 	}
 	return Cell{
 		Method:  method,

@@ -79,8 +79,8 @@ func TestPipelineTraceConsistency(t *testing.T) {
 		if tr.Question == "" || tr.PseudoRaw == "" || tr.AnswerRaw == "" {
 			t.Fatalf("trace incomplete: %+v", tr)
 		}
-		if tr.LLMCalls < 2 {
-			t.Errorf("expected at least 2 LLM calls, got %d", tr.LLMCalls)
+		if calls := stageCalls(tr); calls < 2 {
+			t.Errorf("expected at least 2 LLM calls, got %d", calls)
 		}
 		// Every kept subject must have its block in Gg.
 		for _, sc := range tr.Kept {

@@ -192,7 +192,6 @@ type Trace struct {
 	Gf         *kg.Graph
 	VerifyRaw  string
 	AnswerRaw  string
-	LLMCalls   int
 	// Stages holds one span per executed stage — latency, LLM usage,
 	// input/output sizes and error class, in execution order.
 	Stages []exec.Span
@@ -244,7 +243,6 @@ func (p *Pipeline) generatePseudoGraph(ctx context.Context, client llm.Client, q
 	}
 	if tr != nil {
 		tr.PseudoRaw = resp.Text
-		tr.LLMCalls++
 	}
 	code := ExtractCypher(resp.Text)
 	if tr != nil {
@@ -527,7 +525,6 @@ func (p *Pipeline) verify(ctx context.Context, client llm.Client, question strin
 	}
 	if tr != nil {
 		tr.VerifyRaw = resp.Text
-		tr.LLMCalls++
 	}
 	gf, perr := kg.ParseGraph(resp.Text)
 	if perr != nil || gf.Len() == 0 {
@@ -554,7 +551,6 @@ func (p *Pipeline) answerFromGraph(ctx context.Context, client llm.Client, quest
 	}
 	if tr != nil {
 		tr.AnswerRaw = resp.Text
-		tr.LLMCalls++
 	}
 	return resp.Text, nil
 }

@@ -26,10 +26,15 @@ func aliasingStore(t *testing.T) *Store {
 // read runs against the store, a prefix holding all of it and a shorter
 // prefix.
 func TestAccessorsReturnCopies(t *testing.T) {
+	// A snapshot's Store is a *Prefix; All is how checkpoints read it.
+	type view interface {
+		Reader
+		All() []Triple
+	}
 	st := aliasingStore(t)
 	views := []struct {
 		name string
-		r    Reader
+		r    view
 	}{
 		{"store", st},
 		{"prefix-full", st.Prefix(st.Len())},
@@ -37,11 +42,11 @@ func TestAccessorsReturnCopies(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		get  func(Reader) []Triple
+		get  func(view) []Triple
 	}{
-		{"Subject", func(r Reader) []Triple { return r.Subject("A") }},
-		{"SubjectRelation", func(r Reader) []Triple { return r.SubjectRelation("A", "r1") }},
-		{"All", func(r Reader) []Triple { return r.All() }},
+		{"Subject", func(r view) []Triple { return r.Subject("A") }},
+		{"SubjectRelation", func(r view) []Triple { return r.SubjectRelation("A", "r1") }},
+		{"All", func(r view) []Triple { return r.All() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

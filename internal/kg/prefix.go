@@ -26,14 +26,6 @@ func (p *Prefix) Source() Source { return p.st.source }
 // Len returns the number of triples in the view.
 func (p *Prefix) Len() int { return p.n }
 
-// Get returns the triple with the given ID.
-func (p *Prefix) Get(id int) (Triple, bool) {
-	if id >= p.n {
-		return Triple{}, false
-	}
-	return p.st.Get(id)
-}
-
 // All returns a copy of the view's triples in insertion order.
 func (p *Prefix) All() []Triple {
 	p.st.mu.RLock()

@@ -173,6 +173,16 @@ func RougeLMulti(candidate string, references []string) float64 {
 	return best
 }
 
+// Score evaluates one answer by the paper's rule: ROUGE-L F1 against the
+// reference answers when the question is open-ended, Hit@1 against the
+// gold answers otherwise.
+func Score(answer string, open bool, refs, golds []string) float64 {
+	if open {
+		return RougeLMulti(answer, refs)
+	}
+	return Hit1(answer, golds)
+}
+
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -155,3 +155,21 @@ func TestMeanAndAccumulator(t *testing.T) {
 		t.Error("Mean wrong")
 	}
 }
+
+// TestScoreRule: an open question is scored by ROUGE-L against its
+// references, a closed one by Hit@1 against its golds, whatever the other
+// list holds.
+func TestScoreRule(t *testing.T) {
+	refs := []string{"the lake lies between canada and the united states"}
+	golds := []string{"Lake Superior"}
+	answer := "{Lake Superior} lies between Canada and the United States"
+	if got, want := Score(answer, true, refs, golds), RougeLMulti(answer, refs); got != want {
+		t.Errorf("open: score %v, want ROUGE-L %v", got, want)
+	}
+	if got := Score(answer, false, refs, golds); got != 1 {
+		t.Errorf("closed: score %v, want Hit@1 of 1", got)
+	}
+	if got := Score(answer, false, golds, refs); got != 0 {
+		t.Errorf("closed against the references as golds: score %v, want 0", got)
+	}
+}

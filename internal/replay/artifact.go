@@ -137,7 +137,7 @@ func (a *methodAgg) add(rec, cur trace.Record) {
 		a.errors++
 		a.errorsByClass[cur.ErrorClass]++
 	}
-	a.scoreSum += scoreRecord(rec, cur.Answer)
+	a.scoreSum += metrics.Score(cur.Answer, rec.Open, rec.Refs, rec.Golds)
 	if cur.Answer != rec.Answer {
 		a.answerDrift++
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/answer"
 	"repro/internal/bench"
 	"repro/internal/kg"
-	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/trace"
 )
@@ -181,13 +180,4 @@ func Run(ctx context.Context, s Suite, opts ...RunOption) (Artifact, error) {
 		a.add(s.Records[i], cur)
 	}
 	return buildArtifact(s.Meta, agg), nil
-}
-
-// scoreRecord evaluates a record's answer against its own gold material:
-// ROUGE-L for open questions, Hit@1 otherwise.
-func scoreRecord(rec trace.Record, answerText string) float64 {
-	if rec.Open {
-		return metrics.RougeLMulti(answerText, rec.Refs)
-	}
-	return metrics.Hit1(answerText, rec.Golds)
 }

@@ -48,9 +48,9 @@ type doctoredIndex struct {
 	mode doctor
 }
 
-func (x doctoredIndex) falsify(hits []vecstore.Hit) []vecstore.Hit {
+func (x doctoredIndex) falsify(hits []vecstore.Hit) {
 	if len(hits) == 0 {
-		return hits
+		return
 	}
 	switch x.mode {
 	case scoreBit:
@@ -58,11 +58,6 @@ func (x doctoredIndex) falsify(hits []vecstore.Hit) []vecstore.Hit {
 	case tripleID:
 		hits[0].Triple.ID ^= 1
 	}
-	return hits
-}
-
-func (x doctoredIndex) Search(q string, k int) []vecstore.Hit {
-	return x.falsify(x.Searcher.Search(q, k))
 }
 
 func (x doctoredIndex) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]vecstore.Hit {

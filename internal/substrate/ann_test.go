@@ -32,7 +32,7 @@ func TestANNLifecycle(t *testing.T) {
 	}
 	// Delta triples must be findable through the hybrid view.
 	snap := m.Current()
-	hits := snap.Index.Search("Ingested ann 3 discovered in", 3)
+	hits := search(snap.Index, "Ingested ann 3 discovered in", 3)
 	if len(hits) == 0 || hits[0].Triple.Subject != "Ingested ann 3" {
 		t.Fatalf("delta triple not served through hybrid: %v", hits)
 	}
@@ -57,7 +57,7 @@ func TestANNMatchesExactOnSubstrate(t *testing.T) {
 	ingestN(t, m, 5, "mix")
 	snap := m.Current()
 	for _, q := range []string{"Entity 17 related to", "Ingested mix 2 discovered", "Entity 99"} {
-		approx := snap.Index.Search(q, 5)
+		approx := search(snap.Index, q, 5)
 		exact := snap.Index.(*vecstore.Hybrid).SearchExact(q, 5)
 		if len(approx) == 0 || len(exact) == 0 {
 			t.Fatalf("%q: empty results (%d approx, %d exact)", q, len(approx), len(exact))
@@ -185,7 +185,7 @@ func TestANNRecoveryPrefixCoverage(t *testing.T) {
 		t.Fatalf("recovered ANN covers %d nodes, want the 40-triple former base: %+v", st.ANN.Nodes, st.ANN)
 	}
 	// The uncovered tail still answers exactly.
-	hits := snap.Index.Search("Ingested tail 5 discovered in", 3)
+	hits := search(snap.Index, "Ingested tail 5 discovered in", 3)
 	if len(hits) == 0 || hits[0].Triple.Subject != "Ingested tail 5" {
 		t.Fatalf("tail triple not served after recovery: %v", hits)
 	}

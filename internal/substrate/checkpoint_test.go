@@ -114,7 +114,7 @@ func TestANNMidGenerationCheckpoint(t *testing.T) {
 	assertSameSubstrate(t, m1, m2)
 	hy := m2.Current().Index.(*vecstore.Hybrid)
 	for _, q := range []string{"Ingested crash 3 discovered", "Ingested delta 4 discovered in", "Ingested tail 1", "Entity 5 related"} {
-		got, want := hy.Search(q, 5), hy.SearchExact(q, 5)
+		got, want := search(hy, q, 5), hy.SearchExact(q, 5)
 		if len(got) != len(want) {
 			t.Fatalf("%q: %d hits, exact scan has %d", q, len(got), len(want))
 		}

@@ -76,7 +76,7 @@ func assertSameSubstrate(t *testing.T, before, after *Manager) {
 		}
 	}
 	for _, q := range []string{"Ingested crash 3 discovered", "Entity 5 related", "Expedition crash-0"} {
-		ha, hb := a.Index.Search(q, 5), b.Index.Search(q, 5)
+		ha, hb := search(a.Index, q, 5), search(b.Index, q, 5)
 		if len(ha) != len(hb) {
 			t.Fatalf("query %q: %d hits before, %d after", q, len(ha), len(hb))
 		}
@@ -184,8 +184,8 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if r.epoch <= info.Epoch {
-			t.Fatalf("wal still holds record at epoch %d <= checkpoint %d", r.epoch, info.Epoch)
+		if r.Epoch <= info.Epoch {
+			t.Fatalf("wal still holds record at epoch %d <= checkpoint %d", r.Epoch, info.Epoch)
 		}
 	}
 }
@@ -341,10 +341,10 @@ func TestRecoverRefusesBrokenChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writeWAL := func(t *testing.T, walPath string, recs []walRecord) {
+	writeWAL := func(t *testing.T, walPath string, recs []WALRecord) {
 		buf := bytes.Clone(walMagic[:])
 		for _, rec := range recs {
-			buf = AppendFrame(buf, encodeWALPayload(rec.epoch, rec.triples))
+			buf = AppendFrame(buf, encodeWALPayload(rec.Epoch, rec.Triples))
 		}
 		if err := os.WriteFile(walPath, buf, 0o644); err != nil {
 			t.Fatal(err)
@@ -354,7 +354,7 @@ func TestRecoverRefusesBrokenChain(t *testing.T) {
 		name string
 		// damage edits the directory: head holds the records the
 		// checkpoint truncated away, tail the ones logged after it.
-		damage func(t *testing.T, cpDir, walPath string, head, tail []walRecord)
+		damage func(t *testing.T, cpDir, walPath string, head, tail []WALRecord)
 		// refusal is the expected ChainGapError, less Dir, Source and the
 		// Skipped reasons; nil means recovery succeeds with the counts below.
 		refusal                        *ChainGapError
@@ -365,7 +365,7 @@ func TestRecoverRefusesBrokenChain(t *testing.T) {
 			// Three acknowledged, checkpointed facts would be gone at a
 			// later epoch than any peer that still holds them.
 			name: "only checkpoint corrupt, log truncated behind it",
-			damage: func(t *testing.T, cpDir, _ string, _, _ []walRecord) {
+			damage: func(t *testing.T, cpDir, _ string, _, _ []WALRecord) {
 				flip(t, cpDir)
 			},
 			refusal: &ChainGapError{FromSeed: true, BaseEpoch: 1, MissingEpoch: 2, NamedEpoch: 7},
@@ -375,7 +375,7 @@ func TestRecoverRefusesBrokenChain(t *testing.T) {
 			// The crash window between "checkpoint written" and "log
 			// truncated": the full log bridges the seed to the head.
 			name: "only checkpoint corrupt, log not yet truncated",
-			damage: func(t *testing.T, cpDir, walPath string, head, tail []walRecord) {
+			damage: func(t *testing.T, cpDir, walPath string, head, tail []WALRecord) {
 				flip(t, cpDir)
 				writeWAL(t, walPath, append(head, tail...))
 			},
@@ -383,14 +383,14 @@ func TestRecoverRefusesBrokenChain(t *testing.T) {
 		},
 		{
 			name: "record missing from the middle of the tail",
-			damage: func(t *testing.T, _, walPath string, _, tail []walRecord) {
-				writeWAL(t, walPath, []walRecord{tail[0], tail[2]})
+			damage: func(t *testing.T, _, walPath string, _, tail []WALRecord) {
+				writeWAL(t, walPath, []WALRecord{tail[0], tail[2]})
 			},
 			refusal: &ChainGapError{BaseEpoch: 4, MissingEpoch: 6, NamedEpoch: 7},
 		},
 		{
 			name: "torn final record",
-			damage: func(t *testing.T, _, walPath string, _, _ []walRecord) {
+			damage: func(t *testing.T, _, walPath string, _, _ []WALRecord) {
 				raw, err := os.ReadFile(walPath)
 				if err != nil {
 					t.Fatal(err)
@@ -424,7 +424,7 @@ func TestRecoverRefusesBrokenChain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Epoch != 4 || len(head) != 4 || len(tail) != 3 || tail[2].epoch != 7 {
+			if info.Epoch != 4 || len(head) != 4 || len(tail) != 3 || tail[2].Epoch != 7 {
 				t.Fatalf("fixture drifted: checkpoint at %d, %d records before it, tail %+v", info.Epoch, len(head), tail)
 			}
 			tc.damage(t, info.Path, walPath, head, tail)
@@ -740,27 +740,27 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		{Subject: "S", Relation: "r", Object: "O"},
 		{Subject: "S2", Relation: "r2", Object: "O2", Ord: 7},
 	}
-	rec, err := decodeWALPayload(encodeWALPayload(42, triples))
+	rec, err := DecodeWALRecord(encodeWALPayload(42, triples))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.epoch != 42 || len(rec.triples) != 2 {
+	if rec.Epoch != 42 || len(rec.Triples) != 2 {
 		t.Fatalf("decoded %+v", rec)
 	}
-	if rec.triples[1].Ord != 7 {
-		t.Errorf("ord lost: %+v", rec.triples[1])
+	if rec.Triples[1].Ord != 7 {
+		t.Errorf("ord lost: %+v", rec.Triples[1])
 	}
-	marker, err := decodeWALPayload(encodeWALPayload(9, nil))
+	marker, err := DecodeWALRecord(encodeWALPayload(9, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if marker.epoch != 9 || len(marker.triples) != 0 {
+	if marker.Epoch != 9 || len(marker.Triples) != 0 {
 		t.Fatalf("marker decoded as %+v", marker)
 	}
 	// Every truncation of a payload must fail decode, not panic.
 	full := encodeWALPayload(42, triples)
 	for i := 0; i < len(full); i++ {
-		if _, err := decodeWALPayload(full[:i]); err == nil {
+		if _, err := DecodeWALRecord(full[:i]); err == nil {
 			t.Fatalf("truncated payload of %d/%d bytes decoded", i, len(full))
 		}
 	}

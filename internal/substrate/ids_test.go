@@ -22,16 +22,17 @@ func TestTripleIDsStableAcrossIngestCoalesceAndCompact(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		snap := m.Current()
-		for _, tr := range snap.Store.All() {
+		all := snap.Store.All()
+		for _, tr := range all {
 			if was, ok := named[tr.ID]; ok && was != tr {
 				t.Fatalf("%s: ID %d named %v, now %v", stage, tr.ID, was, tr)
 			}
 			named[tr.ID] = tr
 		}
 		for _, q := range queries {
-			for _, h := range snap.Index.Search(q, 5) {
-				if got, _ := snap.Store.Get(h.Triple.ID); got != h.Triple {
-					t.Fatalf("%s: the index returns %v as ID %d, the store %v", stage, h.Triple, h.Triple.ID, got)
+			for _, h := range search(snap.Index, q, 5) {
+				if id := h.Triple.ID; id >= len(all) || all[id] != h.Triple {
+					t.Fatalf("%s: the index returns %v as ID %d, not the store's", stage, h.Triple, id)
 				}
 			}
 		}
@@ -44,7 +45,7 @@ func TestTripleIDsStableAcrossIngestCoalesceAndCompact(t *testing.T) {
 			out = append(out, fmt.Sprint(ids(snap.Store.Subject(tr.Subject)), ids(snap.Store.SubjectRelation(tr.Subject, tr.Relation))))
 		}
 		for _, q := range queries {
-			for _, h := range snap.Index.Search(q, 5) {
+			for _, h := range search(snap.Index, q, 5) {
 				out = append(out, fmt.Sprint(h.Triple.ID, h.Score))
 			}
 		}

@@ -188,7 +188,7 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 	// or a record carries, chain the epoch the replayed state has reached,
 	// starting from the base's.
 	for _, rec := range recs {
-		named = max(named, rec.epoch)
+		named = max(named, rec.Epoch)
 	}
 	chain := m.epoch
 	if cp == nil {
@@ -197,20 +197,20 @@ func Recover(enc *embed.Encoder, seed *kg.Store, cfg Config) (*Manager, error) {
 	baseEpoch := chain
 	m.mu.Lock()
 	for _, rec := range recs {
-		if rec.epoch <= chain {
+		if rec.Epoch <= chain {
 			// Already folded into the base; the record only survived
 			// because the post-checkpoint truncation didn't land before
 			// the crash (or it is the seed's own epoch-1 boot marker).
 			continue
 		}
-		if rec.epoch != chain+1 {
+		if rec.Epoch != chain+1 {
 			break // a hole: chain stays short of named
 		}
-		chain = rec.epoch
-		if len(rec.triples) == 0 {
+		chain = rec.Epoch
+		if len(rec.Triples) == 0 {
 			continue // compaction or boot epoch marker
 		}
-		fresh, _ := m.planLocked(rec.triples)
+		fresh, _ := m.planLocked(rec.Triples)
 		m.applyLocked(fresh)
 		m.recovery.ReplayedRecords++
 		m.recovery.ReplayedTriples += len(fresh)

@@ -21,27 +21,10 @@ import (
 // at exactly the primary's epoch so the epochs in cache scopes, traces
 // and answers mean the same thing on every node.
 
-// WALRecord is the exported replication unit: one logged publish. Zero
-// triples is an epoch marker (compaction or boot publish) — the epoch
-// advances, the content does not.
-type WALRecord struct {
-	Epoch   uint64
-	Triples []kg.Triple
-}
-
 // EncodeWALRecord renders the record in the WAL payload format — the
 // exact bytes the primary logged, reused as the stream wire format.
 func EncodeWALRecord(rec WALRecord) []byte {
 	return encodeWALPayload(rec.Epoch, rec.Triples)
-}
-
-// DecodeWALRecord parses an EncodeWALRecord payload.
-func DecodeWALRecord(p []byte) (WALRecord, error) {
-	rec, err := decodeWALPayload(p)
-	if err != nil {
-		return WALRecord{}, err
-	}
-	return WALRecord{Epoch: rec.epoch, Triples: rec.triples}, nil
 }
 
 // ErrTruncatedHistory reports that the WAL no longer reaches back to the
@@ -70,8 +53,8 @@ func (m *Manager) RecordsSince(from uint64) ([]WALRecord, error) {
 	}
 	out := make([]WALRecord, 0, len(recs))
 	for _, rec := range recs {
-		if rec.epoch > from {
-			out = append(out, WALRecord{Epoch: rec.epoch, Triples: rec.triples})
+		if rec.Epoch > from {
+			out = append(out, rec)
 		}
 	}
 	// Coverage check: the chain (from, head] is served only when the
@@ -79,7 +62,7 @@ func (m *Manager) RecordsSince(from uint64) ([]WALRecord, error) {
 	// starts at from+1 or earlier (truncation is best-effort, so records
 	// below the horizon may survive). Anything else risks a silent gap.
 	if m.lastCheckpointEpoch.Load() > from {
-		if len(recs) == 0 || recs[0].epoch > from+1 {
+		if len(recs) == 0 || recs[0].Epoch > from+1 {
 			return nil, ErrTruncatedHistory
 		}
 	}
@@ -267,8 +250,8 @@ func MaxPersistedEpoch(dir string) (uint64, error) {
 		return 0, err
 	}
 	for _, rec := range recs {
-		if rec.epoch > max {
-			max = rec.epoch
+		if rec.Epoch > max {
+			max = rec.Epoch
 		}
 	}
 	return max, nil

@@ -10,9 +10,9 @@
 //   - one append-only vector arena (vecstore.Arena) holding the store's
 //     triples as rows in the same order, row i being triple i, in chunks
 //     of the shard size;
-//   - the current Snapshot: an immutable (epoch, kg.Reader,
+//   - the current Snapshot: an immutable (epoch, *kg.Prefix,
 //     vecstore.Searcher) triple published with an atomic pointer swap. Its
-//     reader is a view of the store's first n triples (kg.Store.Prefix)
+//     store is a view of the store's first n triples (kg.Store.Prefix)
 //     and its index a view of the arena's first n rows (Arena.View), which
 //     later appends change neither of, so a snapshot is a length: a
 //     publish copies no triple and no row, and costs the batch, not the
@@ -137,8 +137,8 @@ type Snapshot struct {
 	// is served after a swap.
 	Epoch uint64
 	// Store is the consistent triple view: the manager store's first
-	// BaseTriples + DeltaTriples triples (a *kg.Prefix).
-	Store kg.Reader
+	// BaseTriples + DeltaTriples triples.
+	Store *kg.Prefix
 	// Index is the vector index over exactly Store's triples: a view of
 	// the arena's first rows.
 	Index vecstore.Searcher
@@ -147,6 +147,11 @@ type Snapshot struct {
 	// since.
 	BaseTriples  int
 	DeltaTriples int
+
+	// view is Index's exact view of the arena, and graph the HNSW graph
+	// Index searches (nil when it is that view): what Stats describes.
+	view  *vecstore.Sharded
+	graph *vecstore.HNSW
 }
 
 // ErrCompacting reports that a compaction is already running.
@@ -484,6 +489,8 @@ func (m *Manager) republishLocked() *Snapshot {
 		Index:        index,
 		BaseTriples:  m.baseRows,
 		DeltaTriples: n - m.baseRows,
+		view:         view,
+		graph:        m.baseANN,
 	}
 	m.cur.Store(snap)
 	return snap
@@ -608,15 +615,24 @@ type DurabilityStats struct {
 // Stats summarises the live snapshot and the writer counters.
 func (m *Manager) Stats() Stats {
 	snap := m.cur.Load()
-	idx := snap.Index.Stats()
 	st := Stats{
 		Epoch:        snap.Epoch,
 		BaseTriples:  snap.BaseTriples,
 		DeltaTriples: snap.DeltaTriples,
-		Shards:       idx.Shards,
-		ANN:          idx.ANN,
+		Shards:       snap.view.Shards(),
 		Ingests:      m.ingests.Load(),
 		Compactions:  m.compactions.Load(),
+	}
+	if snap.graph != nil {
+		// The beam in effect is the Hybrid's (HybridOptions.EfSearch).
+		info := snap.graph.Info()
+		info.EfSearch = m.cfg.ANN.EfSearch
+		if info.EfSearch <= 0 {
+			info.EfSearch = vecstore.DefaultHNSWEfSearch
+		}
+		info.Searches = m.annCounters.Searches.Load()
+		info.Fallbacks = m.annCounters.Fallbacks.Load()
+		st.ANN = &info
 	}
 	if m.durable {
 		st.Durability = DurabilityStats{

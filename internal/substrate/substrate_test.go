@@ -11,7 +11,13 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/kg"
+	"repro/internal/vecstore"
 )
+
+// search is s's top k for q alone, as a method's batch search gets it.
+func search(s vecstore.Searcher, q string, k int) []vecstore.Hit {
+	return s.BatchSearchWith(s.Encoder().Encode, []string{q}, k)[0]
+}
 
 func baseStore(n int) *kg.Store {
 	st := kg.NewStore(kg.SourceWikidata)
@@ -37,8 +43,8 @@ func TestBootSnapshot(t *testing.T) {
 	if snap.Epoch != 1 {
 		t.Errorf("boot epoch = %d, want 1", snap.Epoch)
 	}
-	if snap.Store.Len() != 50 || snap.Index.Len() != 50 {
-		t.Errorf("boot snapshot: store=%d index=%d, want 50/50", snap.Store.Len(), snap.Index.Len())
+	if snap.Store.Len() != 50 || snap.view.Len() != 50 {
+		t.Errorf("boot snapshot: store=%d index=%d, want 50/50", snap.Store.Len(), snap.view.Len())
 	}
 	if st := m.Stats(); st.Shards != 4 { // ceil(50/16)
 		t.Errorf("shards = %d, want 4", st.Shards)
@@ -59,7 +65,7 @@ func TestIngestPublishesNewEpoch(t *testing.T) {
 
 	// The old snapshot is untouched: a reader that resolved it pre-swap
 	// keeps a consistent view.
-	if before.Store.HasSubject("Zorblax") || before.Index.Len() != 20 {
+	if before.Store.HasSubject("Zorblax") || before.view.Len() != 20 {
 		t.Error("published snapshot leaked into a previously-resolved one")
 	}
 
@@ -67,18 +73,17 @@ func TestIngestPublishesNewEpoch(t *testing.T) {
 	if !after.Store.HasSubject("Zorblax") {
 		t.Error("ingested subject missing from the new snapshot's store")
 	}
-	if after.Index.Len() != 21 || after.Store.Len() != 21 {
-		t.Errorf("new snapshot: index=%d store=%d, want 21/21", after.Index.Len(), after.Store.Len())
+	if after.view.Len() != 21 || after.Store.Len() != 21 {
+		t.Errorf("new snapshot: index=%d store=%d, want 21/21", after.view.Len(), after.Store.Len())
 	}
-	hits := after.Index.Search("Zorblax prime directive", 3)
+	hits := search(after.Index, "Zorblax prime directive", 3)
 	if len(hits) == 0 || hits[0].Triple.Subject != "Zorblax" {
 		t.Errorf("ingested triple not retrievable: %v", hits)
 	}
 	// Index and store agree on IDs: a delta hit's Triple.ID must resolve
 	// to the same fact through the snapshot's store.
-	got, ok := after.Store.Get(hits[0].Triple.ID)
-	if !ok || !got.Equal(hits[0].Triple) {
-		t.Errorf("hit ID %d resolves to %v (ok=%v), want %v", hits[0].Triple.ID, got, ok, hits[0].Triple)
+	if id, all := hits[0].Triple.ID, after.Store.All(); id >= len(all) || !all[id].Equal(hits[0].Triple) {
+		t.Errorf("hit ID %d does not resolve to %v", id, hits[0].Triple)
 	}
 }
 
@@ -133,7 +138,7 @@ func TestCompactFoldsDelta(t *testing.T) {
 		t.Errorf("compaction epoch = %d, want %d", snap.Epoch, pre.Epoch+1)
 	}
 	// The folded facts stay retrievable.
-	if hits := snap.Index.Search("D3 r o", 1); len(hits) == 0 || hits[0].Triple.Subject != "D3" {
+	if hits := search(snap.Index, "D3 r o", 1); len(hits) == 0 || hits[0].Triple.Subject != "D3" {
 		t.Errorf("compacted fact lost: %v", hits)
 	}
 	if !snap.Store.HasSubject("D3") {
@@ -216,8 +221,8 @@ func TestSnapshotConsistencyUnderChurn(t *testing.T) {
 				default:
 				}
 				snap := m.Current()
-				if snap.Store.Len() != snap.Index.Len() {
-					t.Errorf("epoch %d: store %d != index %d", snap.Epoch, snap.Store.Len(), snap.Index.Len())
+				if snap.Store.Len() != snap.view.Len() {
+					t.Errorf("epoch %d: store %d != index %d", snap.Epoch, snap.Store.Len(), snap.view.Len())
 					return
 				}
 				if snap.Store.Len() != snap.BaseTriples+snap.DeltaTriples {
@@ -227,7 +232,7 @@ func TestSnapshotConsistencyUnderChurn(t *testing.T) {
 				// The view must not move while held.
 				n := snap.Store.Len()
 				for i := 0; i < 3; i++ {
-					if snap.Store.Len() != n || snap.Index.Len() != n {
+					if snap.Store.Len() != n || snap.view.Len() != n {
 						t.Errorf("epoch %d: snapshot changed while held", snap.Epoch)
 						return
 					}
@@ -314,15 +319,15 @@ func TestManySmallIngestsCoalesce(t *testing.T) {
 		}
 	}
 	snap := m.Current()
-	if snap.Index.Len() != 10+n {
-		t.Fatalf("index len = %d, want %d", snap.Index.Len(), 10+n)
+	if snap.view.Len() != 10+n {
+		t.Fatalf("index len = %d, want %d", snap.view.Len(), 10+n)
 	}
-	if shards := snap.Index.Stats().Shards; shards != 7 { // ceil(50/8)
+	if shards := snap.view.Shards(); shards != 7 { // ceil(50/8)
 		t.Errorf("%d ingests left %d blocks, want 7", n, shards)
 	}
 	for _, i := range []int{0, 15, n - 1} {
 		q := fmt.Sprintf("Tiny %d r o", i)
-		hits := snap.Index.Search(q, 1)
+		hits := search(snap.Index, q, 1)
 		if len(hits) == 0 || hits[0].Triple.Subject != fmt.Sprintf("Tiny %d", i) {
 			t.Errorf("%q not retrievable after many ingests: %v", q, hits)
 		}
@@ -350,7 +355,7 @@ func TestSnapshotReaderSemantics(t *testing.T) {
 		t.Errorf("SR list not chronological: %v", sr)
 	}
 
-	// IDs are rows of one store and Get round-trips.
+	// IDs are rows of one store.
 	all := store.All()
 	if len(all) != 8 {
 		t.Fatalf("All = %d triples, want 8", len(all))
@@ -358,10 +363,6 @@ func TestSnapshotReaderSemantics(t *testing.T) {
 	for i, tr := range all {
 		if tr.ID != i {
 			t.Errorf("All[%d].ID = %d", i, tr.ID)
-		}
-		got, ok := store.Get(i)
-		if !ok || !got.Equal(tr) || got.ID != i {
-			t.Errorf("Get(%d) = %v ok=%v, want %v", i, got, ok, tr)
 		}
 	}
 
@@ -384,7 +385,7 @@ func TestSnapshotReaderSemantics(t *testing.T) {
 // Across a schedule of ingests — time-varying values with and without
 // ordinals, subjects that fold alike (an ingested "entity 3" over the
 // seed's "Entity 3"), duplicates — that ingests sixteen batches before
-// compacting, and compacts twice, every snapshot answers every kg.Reader call as a frozen
+// compacting, and compacts twice, every snapshot answers every read as a frozen
 // store of its triples would, both when published and after the schedule
 // moved on, and the snapshot a compaction publishes reads exactly as the
 // one before it.
@@ -401,13 +402,16 @@ func TestSnapshotPrefixReadsMatchFrozenCopy(t *testing.T) {
 			universe[i].Ord = 1 + rng.Intn(4)
 		}
 	}
-	// reads renders every read a method could make of r on the probes.
-	reads := func(r kg.Reader) string {
+	// reads renders every read of r on the probes: the whole-view reads
+	// checkpoints make, then every read a method could make.
+	reads := func(r interface {
+		kg.Reader
+		Source() kg.Source
+		Len() int
+		All() []kg.Triple
+		Contains(kg.Triple) bool
+	}) string {
 		out := fmt.Sprint(r.Source(), r.Len(), r.All())
-		for id := -1; id <= r.Len(); id++ {
-			tr, ok := r.Get(id)
-			out += fmt.Sprint(tr, ok)
-		}
 		for _, tr := range universe {
 			out += fmt.Sprint(r.Contains(tr))
 		}

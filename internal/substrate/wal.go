@@ -63,11 +63,13 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // record-format changes.
 var walMagic = [8]byte{'P', 'G', 'A', 'K', 'W', 'A', 'L', 1}
 
-// walRecord is one logged publish: the epoch the publish created and the
-// triples it added (empty for epoch markers, e.g. compaction publishes).
-type walRecord struct {
-	epoch   uint64
-	triples []kg.Triple
+// WALRecord is one logged publish, and the replication unit: the epoch
+// the publish created and the triples it added. Zero triples is an epoch
+// marker (a compaction or boot publish): the epoch advances, the content
+// does not.
+type WALRecord struct {
+	Epoch   uint64
+	Triples []kg.Triple
 }
 
 // encodeWALPayload renders a record payload: epoch, triple count, then
@@ -89,37 +91,37 @@ func encodeWALPayload(epoch uint64, triples []kg.Triple) []byte {
 	return buf.Bytes()
 }
 
-// decodeWALPayload parses an encodeWALPayload buffer. Triple parse errors
-// carry their record-local line via *kg.LineError, so replay diagnostics
-// can point at the offending entry.
-func decodeWALPayload(p []byte) (walRecord, error) {
+// DecodeWALRecord parses an encodeWALPayload buffer (EncodeWALRecord).
+// Triple parse errors carry their record-local line via *kg.LineError, so
+// replay diagnostics can point at the offending entry.
+func DecodeWALRecord(p []byte) (WALRecord, error) {
 	if len(p) < 12 {
-		return walRecord{}, fmt.Errorf("substrate: wal payload too short (%d bytes)", len(p))
+		return WALRecord{}, fmt.Errorf("substrate: wal payload too short (%d bytes)", len(p))
 	}
-	rec := walRecord{epoch: binary.LittleEndian.Uint64(p[:8])}
+	rec := WALRecord{Epoch: binary.LittleEndian.Uint64(p[:8])}
 	count := binary.LittleEndian.Uint32(p[8:12])
 	p = p[12:]
 	for i := 0; i < int(count); i++ {
 		if len(p) < 4 {
-			return walRecord{}, fmt.Errorf("substrate: wal payload truncated at triple %d", i)
+			return WALRecord{}, fmt.Errorf("substrate: wal payload truncated at triple %d", i)
 		}
 		n := binary.LittleEndian.Uint32(p[:4])
 		p = p[4:]
 		if int(n) > len(p) {
-			return walRecord{}, fmt.Errorf("substrate: wal payload truncated at triple %d", i)
+			return WALRecord{}, fmt.Errorf("substrate: wal payload truncated at triple %d", i)
 		}
 		t, ok, err := kg.ParseNTLine(string(p[:n]))
 		if err != nil {
-			return walRecord{}, &kg.LineError{Line: i + 1, Err: err}
+			return WALRecord{}, &kg.LineError{Line: i + 1, Err: err}
 		}
 		if !ok {
-			return walRecord{}, fmt.Errorf("substrate: wal triple %d is empty", i)
+			return WALRecord{}, fmt.Errorf("substrate: wal triple %d is empty", i)
 		}
 		p = p[n:]
-		rec.triples = append(rec.triples, t)
+		rec.Triples = append(rec.Triples, t)
 	}
 	if len(p) != 0 {
-		return walRecord{}, fmt.Errorf("substrate: wal payload has %d trailing bytes", len(p))
+		return WALRecord{}, fmt.Errorf("substrate: wal payload has %d trailing bytes", len(p))
 	}
 	return rec, nil
 }
@@ -267,10 +269,10 @@ func (w *wal) truncateThrough(through uint64) error {
 		return fmt.Errorf("substrate: wal truncate: %w", err)
 	}
 	for _, rec := range recs {
-		if rec.epoch <= through {
+		if rec.Epoch <= through {
 			continue
 		}
-		if _, err := nf.Write(AppendFrame(nil, encodeWALPayload(rec.epoch, rec.triples))); err != nil {
+		if _, err := nf.Write(AppendFrame(nil, EncodeWALRecord(rec))); err != nil {
 			nf.Close()
 			return fmt.Errorf("substrate: wal truncate: %w", err)
 		}
@@ -333,7 +335,7 @@ func (w *wal) close() error {
 // framing there is no way to resynchronise past a bad record, and
 // appends are ordered, so everything after the first bad frame is
 // unreliable by construction.
-func replayWAL(path string) (recs []walRecord, validBytes int64, torn int, err error) {
+func replayWAL(path string) (recs []WALRecord, validBytes int64, torn int, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, 0, nil
@@ -359,7 +361,7 @@ func replayWAL(path string) (recs []walRecord, validBytes int64, torn int, err e
 		if err != nil {
 			return recs, validBytes, torn + 1, nil
 		}
-		rec, err := decodeWALPayload(payload)
+		rec, err := DecodeWALRecord(payload)
 		if err != nil {
 			return recs, validBytes, torn + 1, nil
 		}

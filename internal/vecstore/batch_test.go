@@ -415,7 +415,7 @@ func TestHybridBatchMatchesPerQueryReference(t *testing.T) {
 						want = MergeTopK([][]Hit{tc.ann.SearchVectorEf(qv, k, hy.ef()), want}, k)
 					}
 					requireSameHits(t, fmt.Sprintf("%s size %d batch %d %q", tc.name, size, b, q), got[i], want)
-					requireSameHits(t, fmt.Sprintf("%s Search %q", tc.name, q), hy.Search(q, k), want)
+					requireSameHits(t, fmt.Sprintf("%s Search %q", tc.name, q), search(hy, q, k), want)
 					asked++
 				}
 			}

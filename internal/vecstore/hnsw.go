@@ -42,11 +42,11 @@ type HNSWConfig struct {
 	M int
 	// EfConstruction is the candidate beam width during insertion.
 	EfConstruction int
-	// EfSearch is the beam width of the graph's own Search and
-	// BatchSearchWith; wider beams trade latency for recall. Search
-	// returns at most min(ef, k) results — callers that need a guaranteed
-	// k should keep ef >= k. A Hybrid does not read it: the serving beam
-	// is HybridOptions.EfSearch, and its exact fallback covers k > ef.
+	// EfSearch is the beam width of the graph's own BatchSearchWith;
+	// wider beams trade latency for recall. A search returns at most
+	// min(ef, k) results — callers that need a guaranteed k should keep
+	// ef >= k. A Hybrid does not read it: the serving beam is
+	// HybridOptions.EfSearch, and its exact fallback covers k > ef.
 	EfSearch int
 	// Seed drives the level RNG. Zero selects DefaultHNSWSeed, so the
 	// zero config is fully deterministic.
@@ -368,12 +368,6 @@ func (h *HNSW) Encoder() *embed.Encoder { return h.a.enc }
 // Config returns the build/search parameters in effect.
 func (h *HNSW) Config() HNSWConfig { return h.cfg }
 
-// Search returns the top-k triples most similar to the query text via
-// the graph, using the configured EfSearch beam.
-func (h *HNSW) Search(query string, k int) []Hit {
-	return h.SearchVectorEf(h.a.enc.Encode(query), k, h.cfg.EfSearch)
-}
-
 // SearchVectorEf searches with a pre-encoded vector and an explicit beam
 // width, the hook the recall harness uses to sweep ef without
 // rebuilding. It returns at most min(ef, k) hits: a beam narrower than k
@@ -408,9 +402,10 @@ func (h *HNSW) SearchVectorEf(qv embed.Vector, k, ef int) []Hit {
 	return out
 }
 
-// BatchSearchWith runs Search for each query with caller-supplied
-// embeddings. The graph path is purely geometric, so unlike the exact
-// scan the query text takes no part in candidate selection.
+// BatchSearchWith searches the graph for each query, with caller-supplied
+// embeddings, using the configured EfSearch beam. The graph path is
+// purely geometric, so unlike the exact scan the query text takes no part
+// in candidate selection.
 func (h *HNSW) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
 	out := make([][]Hit, len(queries))
 	for i, q := range queries {
@@ -419,19 +414,14 @@ func (h *HNSW) BatchSearchWith(encode func(string) embed.Vector, queries []strin
 	return out
 }
 
-// Stats describes the graph for diagnostics.
-func (h *HNSW) Stats() Stats {
-	return Stats{
-		Triples: len(h.links),
-		Dim:     embed.Dim,
-		Shards:  len(h.chunks),
-		ANN: &ANNInfo{
-			Nodes:          len(h.links),
-			MaxLevel:       int(h.maxLevel),
-			M:              h.cfg.M,
-			EfConstruction: h.cfg.EfConstruction,
-			EfSearch:       h.cfg.EfSearch,
-		},
+// Info describes the graph's shape and its own beam width.
+func (h *HNSW) Info() ANNInfo {
+	return ANNInfo{
+		Nodes:          len(h.links),
+		MaxLevel:       int(h.maxLevel),
+		M:              h.cfg.M,
+		EfConstruction: h.cfg.EfConstruction,
+		EfSearch:       h.cfg.EfSearch,
 	}
 }
 

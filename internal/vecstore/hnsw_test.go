@@ -31,7 +31,7 @@ func TestHNSWSmallCorpusMatchesExact(t *testing.T) {
 	for _, k := range []int{1, 5, 10} {
 		for _, q := range []string{"Lake Superior 3 area", "population of Beijing", "River Danube length"} {
 			want := exact.SearchExact(q, k)
-			got := h.Search(q, k)
+			got := search(h, q, k)
 			if len(got) != len(want) {
 				t.Fatalf("k=%d %q: %d hits, want %d", k, q, len(got), len(want))
 			}
@@ -64,7 +64,7 @@ func TestHNSWRecallSanity(t *testing.T) {
 		for _, w := range exact.SearchExact(q, 10) {
 			want[w.Triple.Key()] = true
 		}
-		for _, g := range h.Search(q, 10) {
+		for _, g := range search(h, q, 10) {
 			if want[g.Triple.Key()] {
 				hit++
 			}
@@ -94,7 +94,7 @@ func TestHNSWDeterministicBuild(t *testing.T) {
 		t.Fatal("two builds over identical input produced different graphs")
 	}
 	for _, q := range []string{"Lake Superior 5 area", "Toronto 1 country"} {
-		ka, kb := hitKeys(a.Search(q, 10)), hitKeys(b.Search(q, 10))
+		ka, kb := hitKeys(search(a, q, 10)), hitKeys(search(b, q, 10))
 		if len(ka) != len(kb) {
 			t.Fatalf("%q: %d vs %d hits", q, len(ka), len(kb))
 		}
@@ -107,34 +107,33 @@ func TestHNSWDeterministicBuild(t *testing.T) {
 }
 
 // TestHNSWSearcherParity: the Searcher surface must behave like Sharded's —
-// a batch agrees with Search and preserves query order, and the
-// degenerate inputs return nil.
+// a batch agrees with each query searched alone and preserves query
+// order, and the degenerate inputs return nil.
 func TestHNSWSearcherParity(t *testing.T) {
 	enc := embed.NewEncoder()
 	h := BuildHNSW(enc, corpus(300), HNSWConfig{})
 	q := "Lake Superior 3 area"
-	want := hitKeys(h.Search(q, 5))
+	want := hitKeys(search(h, q, 5))
 	q2 := "Beijing 0 population"
 	batch := h.BatchSearchWith(enc.Encode, []string{q, q2}, 5)
-	if len(batch) != 2 || !equalStrings(hitKeys(batch[0]), want) || !equalStrings(hitKeys(batch[1]), hitKeys(h.Search(q2, 5))) {
+	if len(batch) != 2 || !equalStrings(hitKeys(batch[0]), want) || !equalStrings(hitKeys(batch[1]), hitKeys(search(h, q2, 5))) {
 		t.Errorf("BatchSearchWith order or content wrong")
 	}
-	if h.Search(q, 0) != nil {
+	if search(h, q, 0) != nil {
 		t.Error("k=0 returned hits")
 	}
-	if h.Search("", 5) != nil {
+	if search(h, "", 5) != nil {
 		t.Error("empty query returned hits")
 	}
-	if got := h.Search(q, 1000); len(got) > h.Len() {
+	if got := search(h, q, 1000); len(got) > h.Len() {
 		t.Errorf("k>corpus returned %d hits from %d triples", len(got), h.Len())
 	}
 	empty := BuildHNSW(enc, nil, HNSWConfig{})
-	if empty.Search(q, 5) != nil || empty.Len() != 0 {
+	if search(empty, q, 5) != nil || empty.Len() != 0 {
 		t.Error("empty graph returned hits")
 	}
-	st := h.Stats()
-	if st.ANN == nil || st.ANN.Nodes != 300 || st.ANN.M != DefaultHNSWM {
-		t.Errorf("stats = %+v", st.ANN)
+	if info := h.Info(); info.Nodes != 300 || info.M != DefaultHNSWM {
+		t.Errorf("info = %+v", info)
 	}
 }
 
@@ -199,7 +198,7 @@ func TestGraphRoundTrip(t *testing.T) {
 	}
 	queries := []string{"Lake Superior 0 area", "Beijing 4 population"}
 	for _, q := range queries {
-		requireSameHits(t, "reloaded graph, "+q, loaded.Search(q, 10), g.Search(q, 10))
+		requireSameHits(t, "reloaded graph, "+q, search(loaded, q, 10), search(g, q, 10))
 	}
 	if loaded.a != a || len(loaded.chunks) != 4 {
 		t.Fatalf("graph bound to %d chunks, want the four holding its rows", len(loaded.chunks))
@@ -223,7 +222,7 @@ func TestGraphRoundTrip(t *testing.T) {
 
 	built := BuildGraph(a, 200, HNSWConfig{})
 	for _, q := range queries {
-		requireSameHits(t, "graph built over the bound rows, "+q, built.Search(q, 10), loaded.Search(q, 10))
+		requireSameHits(t, "graph built over the bound rows, "+q, search(built, q, 10), search(loaded, q, 10))
 	}
 	if !bytes.Equal(graphBytes(t, built), graphBytes(t, g)) {
 		t.Error("the same triples in chunks of another size built a different graph")
@@ -366,12 +365,9 @@ func TestHybridMatchesExact(t *testing.T) {
 	var counters ANNCounters
 	exact := a.View(300)
 	hy := NewHybrid(exact, g, HybridOptions{EfSearch: 512, Counters: &counters})
-	if hy.Len() != exact.Len() {
-		t.Fatalf("hybrid len %d, want %d", hy.Len(), exact.Len())
-	}
 	for _, q := range []string{"Lake Superior 3 area", "Toronto 48 country", "Beijing 40 population"} {
 		want := exact.SearchExact(q, 10)
-		got := hy.Search(q, 10)
+		got := search(hy, q, 10)
 		if len(got) != len(want) {
 			t.Fatalf("%q: %d hits, want %d", q, len(got), len(want))
 		}
@@ -385,10 +381,6 @@ func TestHybridMatchesExact(t *testing.T) {
 	if counters.Searches.Load() == 0 || counters.Fallbacks.Load() != 0 {
 		t.Errorf("counters: searches=%d fallbacks=%d", counters.Searches.Load(), counters.Fallbacks.Load())
 	}
-	st := hy.Stats()
-	if st.ANN == nil || st.ANN.Nodes != 250 || st.ANN.Searches == 0 {
-		t.Errorf("hybrid stats = %+v", st.ANN)
-	}
 }
 
 // TestHybridExactFallback: a beam narrower than k routes to the exact
@@ -400,7 +392,7 @@ func TestHybridExactFallback(t *testing.T) {
 	g := BuildGraph(a, 192, HNSWConfig{})
 	var counters ANNCounters
 	hy := NewHybrid(a.View(200), g, HybridOptions{EfSearch: 3, Counters: &counters})
-	hits := hy.Search("Lake Superior 0 area", 10)
+	hits := search(hy, "Lake Superior 0 area", 10)
 	if len(hits) != 10 {
 		t.Fatalf("fallback returned %d hits, want 10", len(hits))
 	}
@@ -408,14 +400,14 @@ func TestHybridExactFallback(t *testing.T) {
 		t.Errorf("counters: searches=%d fallbacks=%d", counters.Searches.Load(), counters.Fallbacks.Load())
 	}
 	// Narrow beam but k within it: graph path serves.
-	hy.Search("Lake Superior 0 area", 2)
+	search(hy, "Lake Superior 0 area", 2)
 	if counters.Searches.Load() != 1 {
 		t.Errorf("k<=ef did not use the graph: searches=%d", counters.Searches.Load())
 	}
 	// A hybrid without any graph always falls back.
 	var c2 ANNCounters
 	exactOnly := NewHybrid(a.View(200), nil, HybridOptions{Counters: &c2})
-	if hits := exactOnly.Search("Lake Superior 0 area", 5); len(hits) != 5 {
+	if hits := search(exactOnly, "Lake Superior 0 area", 5); len(hits) != 5 {
 		t.Fatalf("graph-less hybrid returned %d hits", len(hits))
 	}
 	if c2.Fallbacks.Load() != 1 {
@@ -436,7 +428,7 @@ func TestHybridMisalignedGraphDegrades(t *testing.T) {
 	} {
 		var counters ANNCounters
 		hy := NewHybrid(a.View(150), g, HybridOptions{Counters: &counters})
-		hits := hy.Search("Lake Superior 0 area", 5)
+		hits := search(hy, "Lake Superior 0 area", 5)
 		if len(hits) != 5 {
 			t.Fatalf("%s: degraded hybrid returned %d hits", name, len(hits))
 		}

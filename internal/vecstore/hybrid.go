@@ -78,17 +78,8 @@ func (hy *Hybrid) useFallback(k int) bool {
 	return hy.ann == nil || hy.ann.Len() == 0 || hy.ef() < k
 }
 
-// Len returns the number of rows across graph and tail.
-func (hy *Hybrid) Len() int { return hy.full.Len() }
-
 // Encoder returns the encoder the rows were embedded with.
 func (hy *Hybrid) Encoder() *embed.Encoder { return hy.full.Encoder() }
-
-// Search returns the top-k triples most similar to the query text; the
-// exact paths keep their token-filtered candidate selection.
-func (hy *Hybrid) Search(query string, k int) []Hit {
-	return hy.BatchSearchWith(hy.full.Encoder().Encode, []string{query}, k)[0]
-}
 
 // SearchExact is the brute-force reference over every row, bypassing the
 // graph.
@@ -145,25 +136,6 @@ func (hy *Hybrid) Since(t Token) (*Suffix, bool) {
 		x.tail, x.hy = hy.full.from(covered, t.rows), hy
 	}
 	return x, true
-}
-
-// Stats describes the exact view plus the ANN layer.
-func (hy *Hybrid) Stats() Stats {
-	st := hy.full.Stats()
-	info := &ANNInfo{EfSearch: hy.ef()}
-	if hy.ann != nil {
-		g := hy.ann.Stats().ANN
-		info.Nodes = g.Nodes
-		info.MaxLevel = g.MaxLevel
-		info.M = g.M
-		info.EfConstruction = g.EfConstruction
-	}
-	if hy.opts.Counters != nil {
-		info.Searches = hy.opts.Counters.Searches.Load()
-		info.Fallbacks = hy.opts.Counters.Fallbacks.Load()
-	}
-	st.ANN = info
-	return st
 }
 
 var _ Searcher = (*Hybrid)(nil)

@@ -151,7 +151,7 @@ func (s *Sharded) Shards() int { return len(s.blocks) }
 func (s *Sharded) Encoder() *embed.Encoder { return s.a.enc }
 
 // Search returns the top-k triples most similar to the query text, merged
-// across all blocks by score.
+// across all blocks by score: BatchSearchWith of the one query.
 func (s *Sharded) Search(query string, k int) []Hit {
 	return s.BatchSearchWith(s.a.enc.Encode, []string{query}, k)[0]
 }
@@ -301,11 +301,6 @@ func MergeTopK(per [][]Hit, k int) []Hit {
 		}
 	}
 	return out
-}
-
-// Stats describes the view: its rows and its blocks.
-func (s *Sharded) Stats() Stats {
-	return Stats{Dim: embed.Dim, Shards: len(s.blocks), Triples: s.rows}
 }
 
 var _ Searcher = (*Sharded)(nil)

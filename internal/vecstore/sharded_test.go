@@ -148,12 +148,8 @@ func TestShardedParallelPathMatches(t *testing.T) {
 func TestShardedStats(t *testing.T) {
 	enc := embed.NewEncoder()
 	sharded := BuildSharded(enc, corpus(130), 50)
-	st := sharded.Stats()
-	if st.Triples != 130 || st.Shards != 3 || st.Dim != embed.Dim {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.String() == "" {
-		t.Error("empty stats string")
+	if sharded.Len() != 130 || sharded.Shards() != 3 {
+		t.Errorf("%d rows in %d blocks, want 130 in 3", sharded.Len(), sharded.Shards())
 	}
 }
 

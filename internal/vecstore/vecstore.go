@@ -86,7 +86,6 @@
 package vecstore
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -101,22 +100,21 @@ type Hit struct {
 	Score  float64
 }
 
-// Searcher is the query surface shared by the exact view (Sharded), the
-// Hybrid and the HNSW graph, and what the pipeline and serving layers
-// program against: any consistent snapshot of a vector substrate. Implementations are safe for concurrent searches.
+// Searcher is what a QA method searches a vector substrate with: a batch
+// of queries at one k, embedded by the caller, and the encoder to embed
+// them with. The exact view (Sharded), the Hybrid and the HNSW graph
+// implement it; the pipeline and the serving layers program against it,
+// so any consistent snapshot of a vector substrate serves. A search's
+// result is a function of the view's rows, which is what lets a cached
+// answer replay its searches against a later snapshot (the answer
+// package's read log). Implementations are safe for concurrent searches.
 type Searcher interface {
-	// Len returns the number of indexed triples.
-	Len() int
 	// Encoder returns the encoder queries must be embedded with.
 	Encoder() *embed.Encoder
-	// Search returns the top-k triples most similar to the query text.
-	Search(query string, k int) []Hit
-	// BatchSearchWith returns what Search returns for each query, in query
-	// order, with the query embeddings supplied by encode (called once per
-	// query).
+	// BatchSearchWith returns the top-k triples most similar to each
+	// query, in query order, with the query embeddings supplied by encode
+	// (called once per query).
 	BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit
-	// Stats describes the index for diagnostics.
-	Stats() Stats
 }
 
 // packedRows stores the non-zero components of a sequence of embedding
@@ -328,17 +326,6 @@ func HitBefore(a, b Hit) bool {
 	return a.Triple.Key() < b.Triple.Key()
 }
 
-// Stats describes an index for diagnostics.
-type Stats struct {
-	Triples int `json:"triples"`
-	Dim     int `json:"dim"`
-	// Shards is the number of blocks the view's exact scan walks.
-	Shards int `json:"shards"`
-	// ANN describes the approximate layer when one is composed in (an
-	// HNSW graph or a Hybrid wrapping one); nil for purely exact views.
-	ANN *ANNInfo `json:"ann,omitempty"`
-}
-
 // ANNInfo describes an approximate index layer: graph shape, the beam
 // width in effect, and — on serving composites — how traffic split
 // between the graph and the exact fallback, so a benchmark run can
@@ -353,12 +340,4 @@ type ANNInfo struct {
 	EfSearch       int   `json:"ef_search"`
 	Searches       int64 `json:"searches"`
 	Fallbacks      int64 `json:"fallbacks"`
-}
-
-// String renders the stats.
-func (s Stats) String() string {
-	if s.Shards > 1 {
-		return fmt.Sprintf("vecstore: %d triples, dim=%d, %d shards", s.Triples, s.Dim, s.Shards)
-	}
-	return fmt.Sprintf("vecstore: %d triples, dim=%d", s.Triples, s.Dim)
 }

@@ -9,6 +9,11 @@ import (
 	"repro/internal/kg"
 )
 
+// search is s's top k for q alone.
+func search(s Searcher, q string, k int) []Hit {
+	return s.BatchSearchWith(s.Encoder().Encode, []string{q}, k)[0]
+}
+
 func buildTestIndex(t *testing.T) *Sharded {
 	t.Helper()
 	enc := embed.NewEncoder()
@@ -179,14 +184,11 @@ func TestKLargerThanIndex(t *testing.T) {
 	}
 }
 
+// TestStats: a plain index is every row in one block.
 func TestStats(t *testing.T) {
 	idx := buildTestIndex(t)
-	s := idx.Stats()
-	if s.Triples != 7 || s.Dim != embed.Dim || s.Shards != 1 {
-		t.Errorf("Stats = %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty stats string")
+	if idx.Len() != 7 || idx.Shards() != 1 {
+		t.Errorf("%d rows in %d blocks, want 7 in 1", idx.Len(), idx.Shards())
 	}
 }
 
