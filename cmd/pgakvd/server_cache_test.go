@@ -187,10 +187,11 @@ func TestAnswerNoCacheHeaderWhenDisabled(t *testing.T) {
 
 // TestMetricsReportIncrementalRevalidation: /v1/metrics counts under
 // cache.revalidated_incremental the revalidations whose searches ran only
-// on the rows added since the entry's last replay. A question re-asked
-// after an unrelated ingest is revalidated in full (its first replay),
-// then incrementally after a second ingest and after a compaction, which
-// leaves the rows where they were.
+// on the rows added since the view the entry's run searched or its last
+// replay. A question re-asked after an unrelated ingest is revalidated
+// incrementally — its fill carries the searched view's token — and again
+// after a second ingest and after a compaction, which leaves the rows
+// where they were.
 func TestMetricsReportIncrementalRevalidation(t *testing.T) {
 	cfg := bench.QuickEnvConfig()
 	cfg.Data.SimpleN, cfg.Data.QALDN, cfg.Data.NatureN = 2, 2, 2
@@ -217,9 +218,9 @@ func TestMetricsReportIncrementalRevalidation(t *testing.T) {
 		change                   func()
 		revalidated, incremental int64
 	}{
-		{"first ingest", func() { ingest(1) }, 1, 0},
-		{"second ingest", func() { ingest(2) }, 2, 1},
-		{"compaction", func() { post("/v1/snapshot/compact", sourceRequest{KG: "wikidata"}) }, 3, 2},
+		{"first ingest", func() { ingest(1) }, 1, 1},
+		{"second ingest", func() { ingest(2) }, 2, 2},
+		{"compaction", func() { post("/v1/snapshot/compact", sourceRequest{KG: "wikidata"}) }, 3, 3},
 	} {
 		step.change()
 		post("/v1/answer", ask)

@@ -52,9 +52,12 @@
 //     query, or the best hit ties the k-th entry's score.
 //
 // This is exact (the vecstore package comment's watermark). A view with
-// fewer rows or another graph gets a full replay. Only a replay sets the
-// token, never a fill, so a log that was wrong when recorded meets a full
-// replay at its first scope change and is refused there.
+// fewer rows or another graph gets a full replay. A fill carries a token
+// too (Reads.At): its run searched one arena view and logged that view's
+// top k, the state a full replay against it would leave, so an entry's
+// first replay is already incremental. A run that made no search, or
+// searched an index that is no arena view, carries none and meets a full
+// replay first.
 package answer
 
 import (

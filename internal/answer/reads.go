@@ -39,7 +39,19 @@ type Reads struct {
 	// reuses it so its searches cost what the run's did. Nil when the run
 	// made none, and so has no search to replay.
 	encode func(string) embed.Vector
+	at     vecstore.Token // names the index view the run searched
 	ops    []byte
+}
+
+// At returns the Token of the index view the run searched, whose top k
+// the logged hit lists are, so the log's first Revalidate may be passed
+// it (the package comment's incremental rule); the zero Token on a nil
+// log, or when the run searched no arena view.
+func (r *Reads) At() vecstore.Token {
+	if r == nil {
+		return vecstore.Token{}
+	}
+	return r.at
 }
 
 // Size returns the encoded log's length in bytes.
@@ -151,8 +163,10 @@ const (
 type recorder struct {
 	mu  sync.Mutex
 	buf []byte
-	// encode is the first batch search's query encoder.
+	// encode is the first batch search's query encoder, and at the
+	// searched view's Token.
 	encode func(string) embed.Vector
+	at     vecstore.Token
 }
 
 // reads seals the log.
@@ -161,7 +175,7 @@ func (rec *recorder) reads(sub Substrate, reg *prompts.Registry, fingerprint str
 	defer rec.mu.Unlock()
 	// A copy of exactly its length: the cache keeps the log for the
 	// entry's lifetime.
-	return &Reads{substrate: sub, prompts: reg, fingerprint: fingerprint, encode: rec.encode, ops: bytes.Clone(rec.buf)}
+	return &Reads{substrate: sub, prompts: reg, fingerprint: fingerprint, encode: rec.encode, at: rec.at, ops: bytes.Clone(rec.buf)}
 }
 
 // log appends one read with f.
@@ -260,6 +274,9 @@ func (w recordingSearcher) BatchSearchWith(encode func(string) embed.Vector, que
 	w.log(func(b []byte) []byte {
 		if w.encode == nil {
 			w.encode = encode
+			if seg, ok := w.s.(segmented); ok {
+				w.at = seg.Token()
+			}
 		}
 		b = appendNum(append(b, opBatchSearch), len(queries))
 		for _, q := range queries {

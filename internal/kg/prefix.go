@@ -1,10 +1,16 @@
 package kg
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+	"strings"
+)
 
 // Prefix is the read view of a store's first n triples. It never changes
 // however the store grows (see Store's concurrency note), and its reads
-// take the store's read lock as the store's own do. It answers every
+// take the store's read lock; the store's own reads are those of the view
+// of all its triples. It answers every
 // Reader call exactly as a store holding only those n triples, in order,
 // would: same IDs, (subject, relation) lists in Ord order, the same fold.
 type Prefix struct {
@@ -37,8 +43,8 @@ func (p *Prefix) All() []Triple {
 func (p *Prefix) Contains(t Triple) bool {
 	p.st.mu.RLock()
 	defer p.st.mu.RUnlock()
-	id, ok := p.st.byKey[t.Key()]
-	return ok && id < p.n
+	_, ok := p.st.find(t, p.n)
+	return ok
 }
 
 // Subject returns the view's triples whose subject matches exactly.
@@ -46,22 +52,20 @@ func (p *Prefix) Subject(s string) []Triple {
 	p.st.mu.RLock()
 	defer p.st.mu.RUnlock()
 	ids := p.st.bySubject[s] // ascending: subject lists are never re-sorted
-	return p.st.take(ids[:sort.SearchInts(ids, p.n)])
+	out := make([]Triple, 0, len(ids))
+	for _, id := range ids[:sort.SearchInts(ids, p.n)] {
+		out = append(out, p.st.triples[id])
+	}
+	return out
 }
 
 // SubjectRelation returns the view's (subject, relation) triples in Ord
-// order, equal ordinals in ID order: the store's list without the entries
-// past the view.
+// order, equal ordinals in ID order: the subject's triples with the
+// relation, stable-sorted by Ord.
 func (p *Prefix) SubjectRelation(s, r string) []Triple {
-	p.st.mu.RLock()
-	defer p.st.mu.RUnlock()
-	ids := p.st.bySR[s+"\x00"+r]
-	out := make([]Triple, 0, len(ids))
-	for _, id := range ids {
-		if id < p.n {
-			out = append(out, p.st.triples[id])
-		}
-	}
+	out := p.Subject(s)
+	out = slices.DeleteFunc(out, func(t Triple) bool { return t.Relation != r })
+	slices.SortStableFunc(out, func(a, b Triple) int { return cmp.Compare(a.Ord, b.Ord) })
 	return out
 }
 
@@ -75,7 +79,15 @@ func (p *Prefix) HasSubject(s string) bool {
 
 // FindSubjectFold is Store.FindSubjectFold over the view's triples.
 func (p *Prefix) FindSubjectFold(q string) (string, bool) {
+	if p.HasSubject(q) {
+		return q, true
+	}
 	p.st.mu.RLock()
 	defer p.st.mu.RUnlock()
-	return p.st.findSubjectFold(q, p.n)
+	// The first-inserted subject of a fold has its smallest first ID, so
+	// when that is not below n no subject of the fold is.
+	if id, ok := p.st.byFold[strings.ToLower(q)]; ok && id < p.n {
+		return p.st.triples[id].Subject, true
+	}
+	return "", false
 }

@@ -2,33 +2,31 @@ package kg
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"strings"
 	"sync"
 )
 
-// Store is an indexed, in-memory triple store. It keeps exactly the access
-// paths the pipeline, the baselines and the substrate's writer read:
+// Store is an indexed, in-memory triple store. It holds each triple once,
+// in insertion order by ID, and keeps two small indexes over it:
 //
-//   - every triple in insertion order, by ID (vector-store construction,
-//     checkpoints, Get);
-//   - all triples for a subject (entity blocks, HasSubject);
-//   - all triples for a (subject, relation) pair (fact lookup, time series);
-//   - a triple by its surface form (Contains, duplicate suppression on Add);
+//   - a subject to its triples' IDs, ascending (entity blocks, HasSubject;
+//     a (subject, relation) list is the subject's block filtered by
+//     relation, and a duplicate is found by scanning the block, so both
+//     cost the subject's degree);
 //   - a case-folded subject to its canonical form (FindSubjectFold).
 //
-// Each (subject, relation) list is kept in Ord order as triples arrive:
-// a new ID goes after every entry whose Ord is equal or smaller, so equal
-// ordinals stay in ID order and time-varying facts read chronologically,
-// as the verification prompt requires. Subject lists are in ID order.
+// A (subject, relation) list is in Ord order, equal ordinals in ID order,
+// so time-varying facts read chronologically, as the verification prompt
+// requires. Subject lists are in ID order.
 //
 // Store is safe for concurrent use: every read takes the read lock, every
 // Add the write lock. IDs are assigned in insertion order and nothing is
 // ever removed or reordered, so the first n triples — and, in the same
-// order, the entries below n of every list — never change once added:
-// Prefix serves them as an immutable view while the store keeps growing.
-// The substrate's snapshots are such views. Freeze only latches the store
-// read-only.
+// order, the entries below n of every subject list — never change once
+// added: Prefix serves them as an immutable view while the store keeps
+// growing. The substrate's snapshots are such views. Freeze only latches
+// the store read-only.
 type Store struct {
 	mu     sync.RWMutex
 	source Source
@@ -36,8 +34,6 @@ type Store struct {
 	triples []Triple
 
 	bySubject map[string][]int
-	bySR      map[string][]int
-	byKey     map[string]int
 	// byFold maps a lower-cased subject to the first triple of the
 	// first-inserted subject that folds to it.
 	byFold map[string]int
@@ -51,8 +47,6 @@ func NewStore(source Source) *Store {
 	return &Store{
 		source:    source,
 		bySubject: make(map[string][]int),
-		bySR:      make(map[string][]int),
-		byKey:     make(map[string]int),
 		byFold:    make(map[string]int),
 	}
 }
@@ -78,15 +72,13 @@ func (st *Store) Add(t Triple) (int, bool) {
 	if st.frozen {
 		panic("kg: Add on frozen store")
 	}
-	key := t.Key()
-	if id, ok := st.byKey[key]; ok {
-		return id, false
-	}
 	id := len(st.triples)
+	if dup, ok := st.find(t, id); ok {
+		return dup, false
+	}
 	t.ID = id
 	t.Source = st.source
 	st.triples = append(st.triples, t)
-	st.byKey[key] = id
 	if len(st.bySubject[t.Subject]) == 0 {
 		folded := strings.ToLower(t.Subject)
 		if _, ok := st.byFold[folded]; !ok {
@@ -94,13 +86,6 @@ func (st *Store) Add(t Triple) (int, bool) {
 		}
 	}
 	st.bySubject[t.Subject] = append(st.bySubject[t.Subject], id)
-	srKey := t.SRKey()
-	sr := st.bySR[srKey]
-	at := len(sr)
-	for at > 0 && st.triples[sr[at-1]].Ord > t.Ord {
-		at--
-	}
-	st.bySR[srKey] = slices.Insert(sr, at, id)
 	return id, true
 }
 
@@ -133,83 +118,45 @@ func (st *Store) Get(id int) (Triple, bool) {
 }
 
 // All returns a copy of every triple in insertion order.
-func (st *Store) All() []Triple {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]Triple, len(st.triples))
-	copy(out, st.triples)
-	return out
-}
+func (st *Store) All() []Triple { return st.whole().All() }
 
-// take returns the triples at the given ids in order.
-func (st *Store) take(ids []int) []Triple {
-	out := make([]Triple, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, st.triples[id])
+// whole is the view of every triple the store holds now.
+func (st *Store) whole() *Prefix { return st.Prefix(math.MaxInt) }
+
+// find returns the ID below n of the triple with t's surface form, if
+// there is one, by scanning t's subject list. Caller holds st.mu.
+func (st *Store) find(t Triple, n int) (int, bool) {
+	for _, id := range st.bySubject[t.Subject] {
+		if id >= n {
+			break
+		}
+		if u := st.triples[id]; u.Relation == t.Relation && u.Object == t.Object {
+			return id, true
+		}
 	}
-	return out
+	return 0, false
 }
 
 // Contains reports whether the store holds a triple with t's surface form
 // (Source, Ord and ID are ignored).
-func (st *Store) Contains(t Triple) bool {
-	return st.ContainsKey(t.Key())
-}
-
-// ContainsKey reports whether the store holds a triple whose Key is key.
-func (st *Store) ContainsKey(key string) bool {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	_, ok := st.byKey[key]
-	return ok
-}
+func (st *Store) Contains(t Triple) bool { return st.whole().Contains(t) }
 
 // Subject returns all triples whose subject matches exactly.
-func (st *Store) Subject(s string) []Triple {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.take(st.bySubject[s])
-}
+func (st *Store) Subject(s string) []Triple { return st.whole().Subject(s) }
 
 // SubjectRelation returns the triples for (subject, relation) in Ord
 // order, equal ordinals in ID order.
-func (st *Store) SubjectRelation(s, r string) []Triple {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.take(st.bySR[s+"\x00"+r])
-}
+func (st *Store) SubjectRelation(s, r string) []Triple { return st.whole().SubjectRelation(s, r) }
 
 // HasSubject reports whether any triple has the given subject.
-func (st *Store) HasSubject(s string) bool {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.bySubject[s]) > 0
-}
+func (st *Store) HasSubject(s string) bool { return st.whole().HasSubject(s) }
 
 // FindSubjectFold returns the canonical subject whose case-folded form
 // matches the query, if any: the query itself when it is a subject, else
 // the first-inserted subject that folds as it does. Pseudo-triples often
 // differ from KG entities only in capitalisation ("lake superior" vs
 // "Lake Superior").
-func (st *Store) FindSubjectFold(q string) (string, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.findSubjectFold(q, len(st.triples))
-}
-
-// findSubjectFold is FindSubjectFold over the first n triples. Caller
-// holds st.mu for reading.
-func (st *Store) findSubjectFold(q string, n int) (string, bool) {
-	if ids := st.bySubject[q]; len(ids) > 0 && ids[0] < n {
-		return q, true
-	}
-	// The first-inserted subject of a fold has its smallest first ID, so
-	// when that is not below n no subject of the fold is.
-	if id, ok := st.byFold[strings.ToLower(q)]; ok && id < n {
-		return st.triples[id].Subject, true
-	}
-	return "", false
-}
+func (st *Store) FindSubjectFold(q string) (string, bool) { return st.whole().FindSubjectFold(q) }
 
 // Stats summarises the store for diagnostics.
 type Stats struct {

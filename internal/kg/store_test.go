@@ -37,8 +37,8 @@ func TestStoreIndexes(t *testing.T) {
 	if !st.HasSubject("Beijing") || st.HasSubject("population") {
 		t.Error("HasSubject answers from something other than subjects")
 	}
-	if !st.ContainsKey(NewTriple("Beijing", "country", "China").Key()) {
-		t.Error("ContainsKey missed a stored triple")
+	if !st.Contains(NewTriple("Beijing", "country", "China")) {
+		t.Error("Contains missed a stored triple")
 	}
 }
 

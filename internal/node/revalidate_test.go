@@ -165,6 +165,28 @@ func TestRevalidationMatchesCacheOff(t *testing.T) {
 	}
 }
 
+// TestFirstRevalidationIsIncremental: a fill carries the token of the
+// index view its run searched, so the first re-ask after an unrelated
+// ingest searches only the rows that ingest added — one incremental
+// revalidation — and answers what the cache-off node answers.
+func TestFirstRevalidationIsIncremental(t *testing.T) {
+	p := newPair(t, 64)
+	person := p.on.World.Entities[p.on.World.OfKind(world.KindPerson)[2]].Name
+	q := answer.Query{Text: "Where was " + person + " born?"}
+	for i, method := range []string{"ours", "rag"} {
+		p.same(t, method, kg.SourceWikidata, q, false)
+		p.ingest(t, kg.SourceWikidata, kg.NewTriple(fmt.Sprint("Zorblax ", i), "prime directive", "Flumox"))
+		before := p.on.Cache.Stats()
+		if info := p.same(t, method, kg.SourceWikidata, q, false); !info.CacheHit {
+			t.Fatalf("%s: the re-ask after an unrelated ingest missed", method)
+		}
+		after := p.on.Cache.Stats()
+		if after.Revalidated-before.Revalidated != 1 || after.RevalidatedIncremental-before.RevalidatedIncremental != 1 {
+			t.Fatalf("%s: cache %+v after the re-ask, %+v before; want one revalidation, incremental", method, after, before)
+		}
+	}
+}
+
 // TestRevalidationRefusesChangedReads: each kind of read the pipeline and
 // ToG make, flipped by an ingest or a prompt swap, forces a miss — and the
 // re-run answers what the cache-off node answers.

@@ -52,8 +52,8 @@ type entry struct {
 	key   string
 	scope string
 	// at is the watermark of the index view the entry's read log last
-	// replayed exactly against (answer.Revalidation.At), re-stamped with
-	// scope; the zero Token until a first replay, which is then a full one.
+	// held exactly against: the view its run searched (answer.Reads.At)
+	// until a replay re-stamps it with scope (answer.Revalidation.At).
 	at      vecstore.Token
 	result  answer.Result
 	expires time.Time // zero = never
@@ -148,7 +148,7 @@ func (c *Cache) Put(key, scope string, res answer.Result) {
 	if c.ttl > 0 {
 		expires = c.now().Add(c.ttl)
 	}
-	e := &entry{key: key, scope: scope, result: res, expires: expires}
+	e := &entry{key: key, scope: scope, at: res.Reads.At(), result: res, expires: expires}
 	if el, ok := c.entries[key]; ok {
 		el.Value = e
 		c.order.MoveToFront(el)

@@ -11,10 +11,13 @@ import (
 	"repro/internal/core/exec"
 )
 
-// latencyBucketsMS are the histogram upper bounds in milliseconds; the
-// final implicit bucket is +Inf. Exponential-ish spacing covers the range
-// from cache hits (sub-millisecond) to slow multi-call pipeline runs.
-var latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+// latencyBucketsMS are the histogram upper bounds in milliseconds, a
+// 1-2-5 series from 10 µs to 5 s; the final implicit bucket is +Inf. A
+// cache hit on this server takes tens of microseconds and a cold answer
+// under a millisecond, so the bounds start far below 1 ms, and adjacent
+// bounds are at most 2.5× apart: a reported quantile lies in the bucket
+// of the sample it stands for.
+var latencyBucketsMS = [...]float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 
 // errorClasses is the fixed set of answer error classes tracked per slot;
 // anything new lands in the last, catch-all slot.
@@ -48,7 +51,7 @@ type methodStats struct {
 	shared    atomic.Int64
 
 	latencySumNS atomic.Int64
-	buckets      [13]atomic.Int64 // len(latencyBucketsMS) + 1 (+Inf)
+	buckets      [len(latencyBucketsMS) + 1]atomic.Int64 // the last is +Inf
 
 	llmCalls         atomic.Int64
 	promptTokens     atomic.Int64
@@ -120,15 +123,7 @@ func (c *Collector) Record(method string, elapsed time.Duration, err error, usag
 		s.shared.Add(1)
 	}
 	s.latencySumNS.Add(int64(elapsed))
-	ms := float64(elapsed) / float64(time.Millisecond)
-	slot := len(latencyBucketsMS)
-	for i, bound := range latencyBucketsMS {
-		if ms <= bound {
-			slot = i
-			break
-		}
-	}
-	s.buckets[slot].Add(1)
+	s.buckets[bucketOf(latencyBucketsMS[:], float64(elapsed)/float64(time.Millisecond))].Add(1)
 	s.llmCalls.Add(int64(usage.LLMCalls))
 	s.promptTokens.Add(int64(usage.PromptTokens))
 	s.completionTokens.Add(int64(usage.CompletionTokens))
@@ -307,38 +302,44 @@ func latencySnapshot(s *methodStats) LatencySnapshot {
 		return snap
 	}
 	snap.MeanMS = float64(s.latencySumNS.Load()) / float64(total) / float64(time.Millisecond)
-	snap.P50MS = quantile(counts, total, 0.50)
-	snap.P95MS = quantile(counts, total, 0.95)
-	snap.P99MS = quantile(counts, total, 0.99)
+	snap.P50MS = quantile(latencyBucketsMS[:], counts, total, 50)
+	snap.P95MS = quantile(latencyBucketsMS[:], counts, total, 95)
+	snap.P99MS = quantile(latencyBucketsMS[:], counts, total, 99)
 	return snap
 }
 
-// quantile estimates the q-quantile from bucket counts: the position
-// interpolated linearly inside the bucket that crosses rank q*total. The
-// +Inf bucket reports its lower bound. This is histogram interpolation
-// over bucket counts, not the nearest-rank metrics.Percentile replay
-// takes over raw samples — a different algorithm for different input,
-// kept separate on purpose.
-func quantile(counts []int64, total int64, q float64) float64 {
-	rank := q * float64(total)
-	var seen float64
+// bucketOf returns the index of the bucket of bounds that holds ms: the
+// first whose upper bound is at least ms, or len(bounds) for +Inf.
+func bucketOf(bounds []float64, ms float64) int {
+	for i, bound := range bounds {
+		if ms <= bound {
+			return i
+		}
+	}
+	return len(bounds)
+}
+
+// quantile estimates the p-th percentile from the counts of the buckets
+// of bounds (the last one +Inf), total in all: it finds the bucket that
+// holds the nearest-rank sample metrics.Percentile would take over the raw
+// samples, and interpolates linearly inside it by that sample's rank. The
+// +Inf bucket reports its lower bound.
+func quantile(bounds []float64, counts []int64, total int64, p int) float64 {
+	rank := max((int64(p)*total+99)/100, 1)
+	var seen int64
 	for i, n := range counts {
-		if n == 0 {
+		if seen+n < rank {
+			seen += n
 			continue
 		}
-		if seen+float64(n) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = latencyBucketsMS[i-1]
-			}
-			if i >= len(latencyBucketsMS) {
-				return lo // +Inf bucket: report its floor
-			}
-			hi := latencyBucketsMS[i]
-			frac := (rank - seen) / float64(n)
-			return lo + (hi-lo)*frac
+		lo := 0.0
+		if i > 0 {
+			lo = bounds[i-1]
 		}
-		seen += float64(n)
+		if i >= len(bounds) {
+			return lo // +Inf bucket: report its floor
+		}
+		return lo + (bounds[i]-lo)*float64(rank-seen)/float64(n)
 	}
 	return 0
 }

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/answer"
 	"repro/internal/core/exec"
+	"repro/internal/metrics"
 )
 
 func TestCollectorRecordAndSnapshot(t *testing.T) {
@@ -65,19 +69,71 @@ func TestQuantileEstimates(t *testing.T) {
 	// 100 requests all in the (2ms, 5ms] bucket: every quantile lands
 	// inside it.
 	counts := make([]int64, len(latencyBucketsMS)+1)
-	counts[2] = 100
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		got := quantile(counts, 100, q)
+	counts[bucketOf(latencyBucketsMS[:], 5)] = 100
+	for _, p := range []int{50, 95, 99} {
+		got := quantile(latencyBucketsMS[:], counts, 100, p)
 		if got <= 2 || got > 5 {
-			t.Errorf("q%.2f = %v, want in (2, 5]", q, got)
+			t.Errorf("p%d = %v, want in (2, 5]", p, got)
 		}
 	}
 	// +Inf bucket reports its floor.
 	counts = make([]int64, len(latencyBucketsMS)+1)
 	counts[len(counts)-1] = 10
-	if got := quantile(counts, 10, 0.5); got != latencyBucketsMS[len(latencyBucketsMS)-1] {
+	if got := quantile(latencyBucketsMS[:], counts, 10, 50); got != latencyBucketsMS[len(latencyBucketsMS)-1] {
 		t.Errorf("+Inf bucket quantile = %v", got)
 	}
+}
+
+// TestQuantilesResolveTheServer: over seeded sub-millisecond and
+// multi-second samples, each reported p50, p95 and p99 falls in the bucket
+// that holds the nearest-rank sample metrics.Percentile takes over the raw
+// samples, and that bucket resolves it — it has a lower bound, at most
+// 2.5× below its upper. The table that started at 1 ms fails: every hit
+// and cold answer of this server fell in its first bucket, (0, 1 ms].
+func TestQuantilesResolveTheServer(t *testing.T) {
+	if err := quantilesResolve(latencyBucketsMS[:]); err != nil {
+		t.Fatal(err)
+	}
+	from1ms := []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+	if quantilesResolve(from1ms) == nil {
+		t.Fatal("the table from 1 ms resolved sub-millisecond samples")
+	}
+}
+
+// quantilesResolve records seeded sample sets into bounds' buckets and
+// reports the first quantile that does not resolve its raw sample.
+func quantilesResolve(bounds []float64) error {
+	rng := rand.New(rand.NewSource(7))
+	logUniform := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	for _, set := range []struct {
+		name   string
+		lo, hi float64 // ms
+		n      int
+	}{
+		{"hits", 0.012, 0.4, 1000},
+		{"cold answers", 0.3, 0.95, 997},
+		{"sub-millisecond", 0.011, 0.99, 100},
+		{"multi-second", 1200, 4900, 203},
+	} {
+		samples := make([]float64, set.n)
+		counts := make([]int64, len(bounds)+1)
+		for i := range samples {
+			samples[i] = logUniform(set.lo, set.hi)
+			counts[bucketOf(bounds, samples[i])]++
+		}
+		slices.Sort(samples)
+		for _, p := range []int{50, 95, 99} {
+			raw, got := metrics.Percentile(samples, p), quantile(bounds, counts, int64(set.n), p)
+			b := bucketOf(bounds, raw)
+			if bucketOf(bounds, got) != b {
+				return fmt.Errorf("%s: p%d reported %v, outside the bucket of the raw %v", set.name, p, got, raw)
+			}
+			if b == 0 || b == len(bounds) || bounds[b] > 2.5*bounds[b-1] {
+				return fmt.Errorf("%s: p%d's raw %v falls in a bucket that does not resolve it", set.name, p, raw)
+			}
+		}
+	}
+	return nil
 }
 
 func TestMetricsMiddlewareAttributesCost(t *testing.T) {

@@ -103,9 +103,11 @@ func smallStore() *kg.Store {
 // ingest moves the scope — while the honest entry for the same question
 // revalidates across the same ingest. The ingest only appends rows to the
 // index view, the case the incremental rule searches past the watermark
-// alone; the refusal holds because a fill never sets the token that rule
-// needs, so a first replay is always full. The honest entry's replay does
-// set it, and the next ingest's replay is incremental.
+// alone. The honest fill searched the arena view itself and carries its
+// token, so its first replay is already incremental; the doctored index
+// is no arena view, its fill carries no token, and its first replay is a
+// full one, which refuses it. The fill that replaces it is honest, and
+// the next ingest's replay of it is incremental.
 func TestRevalidationRefusesDoctoredLog(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -150,8 +152,8 @@ func TestRevalidationRefusesDoctoredLog(t *testing.T) {
 			if res.Epoch != 2 {
 				t.Fatalf("reply epoch %d, want the live epoch 2", res.Epoch)
 			}
-			if st := cache.Stats(); st.RevalidatedIncremental != 0 {
-				t.Fatalf("a first replay was incremental: %+v", st)
+			if st := cache.Stats(); st.RevalidatedIncremental != want.Revalidated {
+				t.Fatalf("first replays: %+v, want only the honest fill's, and it incremental", st)
 			}
 			if _, err := mgr.Ingest([]kg.Triple{kg.NewTriple("Zeta", "colour", "blue")}); err != nil {
 				t.Fatal(err)
@@ -160,13 +162,9 @@ func TestRevalidationRefusesDoctoredLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The honest entry was replayed once; the refused one was
-			// replaced by a fill, whose first replay this is.
-			incremental := int64(0)
-			if tc.hit {
-				incremental = 1
-			}
-			if st := cache.Stats(); st.RevalidatedIncremental != incremental || st.Revalidated != want.Revalidated+1 {
-				t.Fatalf("after a second ingest: %+v, want %d incremental revalidation(s)", st, incremental)
+			// replaced by an honest fill, whose first replay this is.
+			if st := cache.Stats(); st.RevalidatedIncremental != want.Revalidated+1 || st.Revalidated != want.Revalidated+1 {
+				t.Fatalf("after a second ingest: %+v, want %d revalidation(s), all incremental", st, want.Revalidated+1)
 			}
 		})
 	}

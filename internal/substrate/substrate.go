@@ -403,7 +403,7 @@ func (m *Manager) planLocked(triples []kg.Triple) (fresh []kg.Triple, skipped in
 	pendingOrd := make(map[string]int)
 	for _, t := range triples {
 		key := t.Key()
-		if seen[key] || m.store.ContainsKey(key) {
+		if seen[key] || m.store.Contains(t) {
 			skipped++
 			continue
 		}

@@ -152,27 +152,6 @@ func (s *Schema) RelationLabel(key RelKey) string {
 	return strings.ReplaceAll(string(key), "_", " ")
 }
 
-// EntitySurface returns the schema's rendering of an entity name.
-func (s *Schema) EntitySurface(name string) string {
-	return s.entityCase(name)
-}
-
-// RenderFact converts one canonical fact into a schema-surface triple.
-func (s *Schema) RenderFact(w *World, f Fact) kg.Triple {
-	subj := s.EntitySurface(w.Entities[f.Subject].Name)
-	obj := f.Literal
-	if f.ObjectIsEntity() {
-		obj = s.EntitySurface(w.Entities[f.Object].Name)
-	}
-	return kg.Triple{
-		Subject:  subj,
-		Relation: s.RelationLabel(f.Rel),
-		Object:   obj,
-		Source:   s.Source,
-		Ord:      f.Ord,
-	}
-}
-
 // surfaceToRel maps every known relation surface form — Wikidata labels,
 // Freebase paths, and humanised canonical keys — back to the canonical
 // relation. Built once at init.
@@ -227,14 +206,29 @@ func fnv(x uint64) uint64 {
 }
 
 // Render materialises the whole world into a frozen triple store in this
-// schema.
+// schema. Each entity's surface form is computed once, so every fact that
+// names the entity holds the same string.
 func (s *Schema) Render(w *World) *kg.Store {
+	surface := make([]string, len(w.Entities))
+	for i, e := range w.Entities {
+		surface[i] = s.entityCase(e.Name)
+	}
 	st := kg.NewStore(s.Source)
 	for _, f := range w.Facts {
 		if !s.Covers(f) {
 			continue
 		}
-		st.Add(s.RenderFact(w, f))
+		obj := f.Literal
+		if f.ObjectIsEntity() {
+			obj = surface[f.Object]
+		}
+		st.Add(kg.Triple{
+			Subject:  surface[f.Subject],
+			Relation: s.RelationLabel(f.Rel),
+			Object:   obj,
+			Source:   s.Source,
+			Ord:      f.Ord,
+		})
 	}
 	st.Freeze()
 	return st
