@@ -88,11 +88,11 @@ func TestIncrementalReplayMatchesFull(t *testing.T) {
 		arena.Append(all[:old])
 		var graph *vecstore.HNSW
 		if covered > 0 {
-			graph = vecstore.BuildGraph(arena, covered, vecstore.HNSWConfig{})
+			graph = vecstore.BuildGraph(arena.View(all[:covered]), vecstore.HNSWConfig{})
 		}
-		sharded := func(n int) vecstore.Searcher { return arena.View(n) }
+		sharded := func(n int) vecstore.Searcher { return arena.View(all[:n]) }
 		hybrid := func(n int) vecstore.Searcher {
-			return vecstore.NewHybrid(arena.View(n), graph, vecstore.HybridOptions{})
+			return vecstore.NewHybrid(arena.View(all[:n]), graph, vecstore.HybridOptions{})
 		}
 		// The later views: every batch of the rest appended, in random
 		// lengths.

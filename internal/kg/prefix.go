@@ -39,6 +39,15 @@ func (p *Prefix) All() []Triple {
 	return append(make([]Triple, 0, p.n), p.st.triples[:p.n]...)
 }
 
+// Triples returns the view's triples in insertion order without copying
+// them: the slice shares the store's storage, which appends never write
+// below n, so it never changes. Callers must not write to it.
+func (p *Prefix) Triples() []Triple {
+	p.st.mu.RLock()
+	defer p.st.mu.RUnlock()
+	return p.st.triples[:p.n:p.n]
+}
+
 // Contains reports whether the view holds a triple with t's surface form.
 func (p *Prefix) Contains(t Triple) bool {
 	p.st.mu.RLock()

@@ -122,8 +122,12 @@ func requests(w *world.World) []request {
 // compactions and prompt swaps — and every reply is identical: answer,
 // epoch, prompt versions and, where shown, the trace's graphs and hits.
 // The schedules must both revalidate entries and refuse some, and
-// revalidate both incrementally (an ingest after an entry's last replay)
-// and in full (a first replay, or one across a compaction or coalescing).
+// revalidate both incrementally (a run that searched the index: its fill
+// carries the searched view's token, so each replay searches only the
+// rows added since the view it last matched, across compactions too) and
+// in full (the first replay
+// of a run that made no search — cot, tog, or a pipeline run that planned
+// none).
 func TestRevalidationMatchesCacheOff(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {

@@ -226,14 +226,15 @@ func loadCheckpoint(path string, enc *embed.Encoder, shardSize int) (*loadedChec
 	if m.ANNNodes < 0 || m.ANNNodes > store.Len() {
 		return nil, fmt.Errorf("substrate: checkpoint graph covers %d of %d triples", m.ANNNodes, store.Len())
 	}
+	all := store.Prefix(store.Len()).Triples()
 	cp := &loadedCheckpoint{epoch: m.Epoch, store: store, arena: vecstore.NewArena(enc, shardSize)}
-	cp.arena.Append(store.All())
+	cp.arena.Append(all)
 	if m.ANNNodes > 0 {
 		gb, err := readHashed(filepath.Join(path, graphName), m.GraphSHA256)
 		if err != nil {
 			return nil, fmt.Errorf("substrate: checkpoint graph: %w", err)
 		}
-		if cp.ann, err = vecstore.ReadGraph(bytes.NewReader(gb), cp.arena); err != nil {
+		if cp.ann, err = vecstore.ReadGraph(bytes.NewReader(gb), cp.arena.View(all)); err != nil {
 			return nil, fmt.Errorf("substrate: checkpoint graph: %w", err)
 		}
 		if cp.ann.Len() != m.ANNNodes {

@@ -9,14 +9,15 @@
 //     first, then every ingest;
 //   - one append-only vector arena (vecstore.Arena) holding the store's
 //     triples as rows in the same order, row i being triple i, in chunks
-//     of the shard size;
+//     of the shard size; it keeps no triple of its own, and a view of it
+//     resolves row i to triple i of the store;
 //   - the current Snapshot: an immutable (epoch, *kg.Prefix,
 //     vecstore.Searcher) triple published with an atomic pointer swap. Its
 //     store is a view of the store's first n triples (kg.Store.Prefix)
-//     and its index a view of the arena's first n rows (Arena.View), which
-//     later appends change neither of, so a snapshot is a length: a
-//     publish copies no triple and no row, and costs the batch, not the
-//     store.
+//     and its index a view of the arena's first n rows over those triples
+//     (Arena.View of the Prefix's Triples), which later appends change
+//     neither of, so a snapshot is a length: a publish copies no triple
+//     and no row, and costs the batch, not the store.
 //
 // Readers resolve the current snapshot once per query and keep it for the
 // whole run, so a query served mid-ingest sees one consistent substrate
@@ -262,7 +263,7 @@ func (m *Manager) graphOver(rows int) *vecstore.HNSW {
 	if !m.cfg.ANN.Enabled {
 		return nil
 	}
-	return vecstore.BuildGraph(m.arena, rows, vecstore.HNSWConfig{})
+	return vecstore.BuildGraph(m.arena.View(m.store.Prefix(rows).Triples()), vecstore.HNSWConfig{})
 }
 
 // Current returns the live snapshot. The result is immutable; hold it for
@@ -436,9 +437,8 @@ func (m *Manager) planLocked(triples []kg.Triple) (fresh []kg.Triple, skipped in
 func (m *Manager) applyLocked(fresh []kg.Triple) {
 	batch := make([]kg.Triple, 0, len(fresh))
 	for _, t := range fresh {
-		if id, ok := m.store.Add(t); ok { // always, for planned triples
-			stored, _ := m.store.Get(id)
-			batch = append(batch, stored)
+		if _, ok := m.store.Add(t); ok { // always, for planned triples
+			batch = append(batch, t)
 		}
 	}
 	m.arena.Append(batch)
@@ -472,7 +472,8 @@ func (m *Manager) publishLocked() *Snapshot {
 // stay valid. Caller holds m.mu.
 func (m *Manager) republishLocked() *Snapshot {
 	n := m.store.Len()
-	view := m.arena.View(n)
+	prefix := m.store.Prefix(n)
+	view := m.arena.View(prefix.Triples())
 	var index vecstore.Searcher = view
 	if m.baseANN != nil {
 		// Approximate over the graph-covered rows, exact over the rows
@@ -485,7 +486,7 @@ func (m *Manager) republishLocked() *Snapshot {
 	}
 	snap := &Snapshot{
 		Epoch:        m.epoch,
-		Store:        m.store.Prefix(n),
+		Store:        prefix,
 		Index:        index,
 		BaseTriples:  m.baseRows,
 		DeltaTriples: n - m.baseRows,

@@ -15,7 +15,9 @@ import (
 // rows [c·size, (c+1)·size) — so an append writes only to the last chunk
 // and never regrows what a full chunk holds. The size is also the block
 // size of every view of the arena (the package comment's filter rule), so
-// a block of an exact view is one chunk.
+// a block of an exact view is one chunk. An arena keeps no triple: a view
+// is made with the triples its rows were appended from, and resolves a
+// hit's row through them.
 //
 // Views read an arena the way kg.Prefix reads a kg.Store: a view of the
 // first n rows (View) sees only those rows, however many are appended
@@ -35,8 +37,7 @@ type Arena struct {
 
 // chunk is up to size consecutive rows of an arena.
 type chunk struct {
-	triples []kg.Triple
-	rows    packedRows
+	rows packedRows
 	// inverted maps token -> posting list of the chunk's rows holding it,
 	// ascending, counted from the chunk's first row.
 	inverted map[string][]int32
@@ -110,12 +111,12 @@ func (a *Arena) appendBatch(triples []kg.Triple) {
 		}
 		c := a.chunks[len(a.chunks)-1]
 		e, lo := &parts[i/run], i%run
-		hi := min(len(e.toks), lo+a.size-len(c.triples))
+		at := c.rows.len()
+		hi := min(len(e.toks), lo+a.size-at)
 		c.rows.appendRows(&e.rows, lo, hi)
-		for j, t := range triples[i : i+hi-lo] {
-			r := int32(len(c.triples))
-			c.triples = append(c.triples, t)
-			for _, tok := range e.toks[lo+j] {
+		for j, toks := range e.toks[lo:hi] {
+			r := int32(at + j)
+			for _, tok := range toks {
 				post, ok := c.inverted[tok]
 				if !ok {
 					// The token may be a substring of the triple's text;
@@ -134,25 +135,28 @@ func (a *Arena) appendBatch(triples []kg.Triple) {
 // runs, so a chunk one append fills — every chunk of a boot — holds no
 // growth slack.
 func newChunk(parts []encoded, lo, hi int) *chunk {
-	entries := 0
+	entries, values := 0, 0
 	for i := lo; i < hi; {
 		e, j := &parts[i/run], i%run
 		k := min(len(e.toks), j+hi-i)
 		entries += int(e.rows.off[k] - e.rows.off[j])
+		values += int(e.rows.tab[k] - e.rows.tab[j])
 		i += k - j
 	}
 	return &chunk{
-		triples:  make([]kg.Triple, 0, hi-lo),
-		rows:     packedRows{off: make([]uint32, 1, hi-lo+1), idx: make([]uint8, 0, entries), val: make([]float32, 0, entries)},
+		rows: packedRows{
+			off: make([]uint32, 1, hi-lo+1), idx: make([]uint8, 0, entries), code: make([]uint8, 0, entries),
+			tab: make([]uint32, 1, hi-lo+1), vals: make([]float64, 0, values+tableSpan),
+		},
 		inverted: make(map[string][]int32),
 	}
 }
 
-// chunkView is a chunk as a view holds it: the headers of its triples and
-// packed rows, cut to the rows below the view's n, and its token index,
-// which is shared with the arena and read under mu when mu is set — when
-// the chunk was not full as the view was made, so appends may still
-// post to it.
+// chunkView is a chunk as a view holds it: the view's triples for its
+// rows and the headers of its packed rows, cut to the rows below the
+// view's n, and its token index, which is shared with the arena and read
+// under mu when mu is set — when the chunk was not full as the view was
+// made, so appends may still post to it.
 type chunkView struct {
 	triples  []kg.Triple
 	rows     packedRows
@@ -160,19 +164,21 @@ type chunkView struct {
 	mu       *sync.RWMutex
 }
 
-// cut returns views of the chunks holding rows [0, n), cut to n rows.
-func (a *Arena) cut(n int) []chunkView {
+// cut returns views of the chunks holding rows [0, n), n the number of
+// triples, cut to n rows, row i resolving to triples[i].
+func (a *Arena) cut(triples []kg.Triple) []chunkView {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	if n < 0 || n > a.rows {
+	n := len(triples)
+	if n > a.rows {
 		panic(fmt.Sprintf("vecstore: a view of %d rows of an arena holding %d", n, a.rows))
 	}
 	views := make([]chunkView, (n+a.size-1)/a.size)
 	for i := range views {
 		c := a.chunks[i]
-		rows := min(a.size, n-i*a.size)
-		views[i] = chunkView{triples: c.triples[:rows:rows], rows: c.rows.prefix(rows), inverted: c.inverted}
-		if len(c.triples) < a.size {
+		lo, hi := i*a.size, min(n, (i+1)*a.size)
+		views[i] = chunkView{triples: triples[lo:hi:hi], rows: c.rows.prefix(hi - lo), inverted: c.inverted}
+		if c.rows.len() < a.size {
 			views[i].mu = &a.mu
 		}
 	}
@@ -189,8 +195,13 @@ func (c *chunkView) posting(tok string) []int32 {
 	return c.inverted[tok]
 }
 
-// View returns the exact view of the arena's first n rows.
-func (a *Arena) View(n int) *Sharded {
-	chunks := a.cut(n)
+// View returns the exact view of the arena's first len(triples) rows, row
+// i resolving to triples[i]: the triples the rows were appended from, in
+// order. The view keeps the slice, not a copy, so its first len(triples)
+// elements must not change while the view is in use — a kg.Prefix's
+// Triples, which only the store's appends follow, are such a slice.
+func (a *Arena) View(triples []kg.Triple) *Sharded {
+	n := len(triples)
+	chunks := a.cut(triples)
 	return &Sharded{a: a, chunks: chunks, rows: n, blocks: cutBlocks(chunks, a.size, 0, 0, n)}
 }

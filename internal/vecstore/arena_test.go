@@ -13,6 +13,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/kg"
 	"repro/internal/racedetect"
+	"repro/internal/world"
 )
 
 // appendInBatches appends triples to a in batches of random lengths.
@@ -26,8 +27,9 @@ func appendInBatches(rng *rand.Rand, a *Arena, triples []kg.Triple) {
 
 // TestArenaAppendsEqualOneBuild: an arena appended to in batches holds,
 // chunk for chunk and field for field, what one append of the same
-// triples builds — triples, packed offsets, entries and values, token
-// lists — and every chunk but the last holds exactly the chunk size.
+// triples builds — packed offsets, entries and codes, table offsets and
+// values, token lists — and every chunk but the last holds exactly the
+// chunk size.
 func TestArenaAppendsEqualOneBuild(t *testing.T) {
 	enc := embed.NewEncoder()
 	rng := rand.New(rand.NewSource(4))
@@ -44,16 +46,20 @@ func TestArenaAppendsEqualOneBuild(t *testing.T) {
 			for c, gc := range got.chunks {
 				wc := want.chunks[c]
 				switch {
-				case c < len(got.chunks)-1 && len(gc.triples) != size:
-					t.Fatalf("%s chunk %d: %d rows, want %d", what, c, len(gc.triples), size)
-				case !slices.Equal(gc.triples, wc.triples):
-					t.Fatalf("%s chunk %d: triples differ", what, c)
+				case c < len(got.chunks)-1 && gc.rows.len() != size:
+					t.Fatalf("%s chunk %d: %d rows, want %d", what, c, gc.rows.len(), size)
 				case !slices.Equal(gc.rows.off, wc.rows.off):
 					t.Fatalf("%s chunk %d: row offsets differ", what, c)
 				case !slices.Equal(gc.rows.idx, wc.rows.idx):
 					t.Fatalf("%s chunk %d: entry dimensions differ", what, c)
-				case !slices.EqualFunc(gc.rows.val, wc.rows.val, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }):
-					t.Fatalf("%s chunk %d: entry values differ", what, c)
+				case !slices.Equal(gc.rows.code, wc.rows.code):
+					t.Fatalf("%s chunk %d: entry codes differ", what, c)
+				case !slices.Equal(gc.rows.tab, wc.rows.tab):
+					t.Fatalf("%s chunk %d: table offsets differ", what, c)
+				case !slices.EqualFunc(gc.rows.vals, wc.rows.vals, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }):
+					t.Fatalf("%s chunk %d: table values differ", what, c)
+				case cap(gc.rows.vals)-len(gc.rows.vals) < tableSpan:
+					t.Fatalf("%s chunk %d: %d values of spare capacity, want at least %d", what, c, cap(gc.rows.vals)-len(gc.rows.vals), tableSpan)
 				case !reflect.DeepEqual(gc.inverted, wc.inverted):
 					t.Fatalf("%s chunk %d: token lists differ", what, c)
 				}
@@ -103,16 +109,16 @@ func TestPrefixViewsMatchFreshBuilds(t *testing.T) {
 		appendInBatches(rng, a, triples[:300])
 		for _, n := range []int{0, 1, 63, 64, 65, 150, 300} {
 			what := fmt.Sprintf("size %d, view of %d", size, n)
-			got, want := a.View(n), fresh(n, size).View(n)
+			got, want := a.View(triples[:n]), fresh(n, size).View(triples[:n])
 			if got.Len() != want.Len() || got.Shards() != want.Shards() {
 				t.Fatalf("%s: %d rows in %d blocks, fresh %d in %d", what, got.Len(), got.Shards(), want.Len(), want.Shards())
 			}
 			requireSameAnswers(t, what, got, want, queries)
 		}
 		for _, m := range []int{1, 64, 150, 299} {
-			got := NewHybrid(a.View(300), BuildGraph(a, m, HNSWConfig{}), HybridOptions{})
+			got := NewHybrid(a.View(triples[:300]), BuildGraph(a.View(triples[:m]), HNSWConfig{}), HybridOptions{})
 			f := fresh(300, size)
-			want := NewHybrid(f.View(300), BuildGraph(f, m, HNSWConfig{}), HybridOptions{})
+			want := NewHybrid(f.View(triples[:300]), BuildGraph(f.View(triples[:m]), HNSWConfig{}), HybridOptions{})
 			requireSameAnswers(t, fmt.Sprintf("size %d, hybrid over %d of 300", size, m), got, want, queries)
 		}
 
@@ -132,7 +138,7 @@ func TestPrefixViewsMatchFreshBuilds(t *testing.T) {
 				defer wg.Done()
 				var views []held
 				for {
-					v := a.View(a.Len())
+					v := a.View(triples[:a.Len()])
 					views = append(views, held{v, viewAnswers(v, queries[:3])})
 					for _, h := range views {
 						if got := viewAnswers(h.view, queries[:3]); got != h.want {
@@ -160,7 +166,7 @@ func TestPrefixViewsMatchFreshBuilds(t *testing.T) {
 		for i, h := range seen {
 			if i%max(1, len(seen)/8) == 0 || i == len(seen)-1 {
 				n := h.view.Len()
-				if want := viewAnswers(fresh(n, size).View(n), queries[:3]); h.want != want {
+				if want := viewAnswers(fresh(n, size).View(triples[:n]), queries[:3]); h.want != want {
 					t.Fatalf("size %d: a view of %d rows read during appends differs from a fresh build", size, n)
 				}
 			}
@@ -203,4 +209,48 @@ func TestBatchSearchAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { view.BatchSearchWith(encode, queries, 10) }); got > searchAllocs {
 		t.Fatalf("one batch of three queries allocates %.0f times, want at most %d", got, searchAllocs)
 	}
+}
+
+// maxSeedArenaBytesPerRow bounds the live heap the two paper-scale seed
+// arenas hold per row, token index included: 470.8 B measured on
+// linux/amd64 with go1.24, plus 10 %. Entries that each held a float32
+// value, and chunks that kept their own copy of their triples (72 B a
+// row), cost 695.7 B.
+const maxSeedArenaBytesPerRow = 518
+
+// TestSeedArenaBytesPerRow pins what the seed arenas cost in memory:
+// every node keeps one per source for its lifetime. The stores stay alive
+// throughout, so only what the arenas add is counted.
+func TestSeedArenaBytesPerRow(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector's shadow memory inflates the heap")
+	}
+	cfg := world.DefaultConfig()
+	cfg.Seed = 42
+	w := world.MustGenerate(cfg)
+	stores := []*kg.Store{world.WikidataSchema().Render(w), world.FreebaseSchema().Render(w)}
+	enc := embed.NewEncoder()
+	before := liveHeap()
+	arenas := make([]*Arena, len(stores))
+	rows := 0
+	for i, st := range stores {
+		arenas[i] = arenaOf(enc, st.Prefix(st.Len()).Triples(), 0)
+		rows += arenas[i].Len()
+	}
+	after := liveHeap()
+	perRow := float64(after-before) / float64(rows)
+	t.Logf("%d rows, %.1f B per row", rows, perRow)
+	if perRow > maxSeedArenaBytesPerRow {
+		t.Errorf("the seed arenas hold %.1f B per row, want at most %d", perRow, maxSeedArenaBytesPerRow)
+	}
+	runtime.KeepAlive(stores)
+	runtime.KeepAlive(arenas)
+}
+
+// liveHeap returns the bytes of live heap objects after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

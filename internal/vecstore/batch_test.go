@@ -336,7 +336,7 @@ func TestScoreTiesKeepParentOrder(t *testing.T) {
 			a := NewArena(enc, size)
 			a.Append(triples[:cut])
 			a.Append(triples[cut:])
-			s := a.View(len(triples))
+			s := a.View(triples)
 			for k := 1; k <= len(triples)+1; k++ {
 				var want [][]Hit
 				for lo := 0; lo < len(triples); lo += size {
@@ -389,7 +389,7 @@ func TestHybridBatchMatchesPerQueryReference(t *testing.T) {
 	a := NewArena(enc, 256)
 	a.Append(triples)
 	const covered = 2*256 + 37 // the tail's blocks straddle chunks
-	graph := BuildGraph(a, covered, HNSWConfig{})
+	graph := BuildGraph(a.View(triples[:covered]), HNSWConfig{})
 	const k = 10
 
 	for _, tc := range []struct {
@@ -401,7 +401,7 @@ func TestHybridBatchMatchesPerQueryReference(t *testing.T) {
 		{"no graph", nil, 0},
 	} {
 		var counters ANNCounters
-		hy := NewHybrid(a.View(len(triples)), tc.ann, HybridOptions{Counters: &counters})
+		hy := NewHybrid(a.View(triples), tc.ann, HybridOptions{Counters: &counters})
 		tail := oneBlockViews(enc, triples[tc.split:], 256)
 		asked := 0
 		for _, size := range []int{1, 2, 3, 4, 13} {

@@ -64,13 +64,12 @@ func BenchmarkHNSWSearch(b *testing.B) {
 func BenchmarkHNSWBuild(b *testing.B) {
 	const rows = 2 * DefaultShardSize
 	enc := embed.NewEncoder()
-	a := NewArena(enc, 0)
-	a.Append(corpus(rows))
+	v := BuildSharded(enc, corpus(rows), 0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for b.Loop() {
-		BuildGraph(a, rows, HNSWConfig{})
+		BuildGraph(v, HNSWConfig{})
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)

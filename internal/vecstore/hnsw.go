@@ -69,12 +69,12 @@ func (c HNSWConfig) withDefaults() HNSWConfig {
 	return c
 }
 
-// HNSW is a hierarchical navigable small world graph over an arena's
+// HNSW is a hierarchical navigable small world graph over an exact view's
 // first rows: an approximate Searcher whose per-query cost is logarithmic
 // in the corpus instead of the exact scan's linear cost. The graph is
-// adjacency only: node i is arena row i, its vector is that row's packed
-// form, every comparison — build and search — is packedRows.dot against
-// it, and a hit's triple is the row's.
+// adjacency only: node i is the view's row i, its vector is that row's
+// packed form, every comparison — build and search — is packedRows.dot
+// against it, and a hit's triple is the one the view resolves the row to.
 // Construction is deterministic — node levels come from a seeded RNG and
 // every traversal breaks similarity ties by node id — so the same
 // triples and config always produce the same graph, the property the
@@ -82,8 +82,8 @@ func (c HNSWConfig) withDefaults() HNSWConfig {
 // concurrent searches.
 type HNSW struct {
 	cfg HNSWConfig
-	// a is the arena the graph covers the first rows of, and chunks those
-	// rows as the graph was built or bound over them.
+	// a is the arena the graph covers the first rows of, and chunks the
+	// view of those rows the graph was built or bound over.
 	a      *Arena
 	chunks []chunkView
 	// links[i][l] is node i's neighbor list on layer l; len(links[i])-1
@@ -101,17 +101,16 @@ var lastGraphID atomic.Uint64
 // BuildHNSW encodes the triples into a new arena of DefaultShardSize
 // chunks and builds the graph over all of them.
 func BuildHNSW(enc *embed.Encoder, triples []kg.Triple, cfg HNSWConfig) *HNSW {
-	a := NewArena(enc, 0)
-	a.Append(triples)
-	return BuildGraph(a, len(triples), cfg)
+	return BuildGraph(BuildSharded(enc, triples, 0), cfg)
 }
 
-// BuildGraph constructs the graph over the arena's first rows: node i is
+// BuildGraph constructs the graph over every row of the view: node i is
 // row i. Insertion order is row order and all randomness comes from the
 // seeded level RNG, so the build is a pure function of (triples, cfg).
-func BuildGraph(a *Arena, rows int, cfg HNSWConfig) *HNSW {
+func BuildGraph(v *Sharded, cfg HNSWConfig) *HNSW {
 	cfg = cfg.withDefaults()
-	h := &HNSW{cfg: cfg, a: a, chunks: a.cut(rows), entry: -1, id: lastGraphID.Add(1)}
+	rows := v.rows
+	h := &HNSW{cfg: cfg, a: v.a, chunks: v.chunks, entry: -1, id: lastGraphID.Add(1)}
 	h.links = make([][][]int32, rows)
 	// Draw every node level up front from the seeded RNG: the level
 	// sequence depends only on (seed, node count), never on timing.
@@ -435,7 +434,7 @@ var hnswMagic = [8]byte{'P', 'G', 'A', 'K', 'V', 'H', 'N', 1}
 // and adjacency lists, the one part of a vector substrate that is
 // expensive to rebuild. Triples and vectors are not written: node i is
 // triple i of the set the graph was built over, and ReadGraph rebinds it
-// to row i of an arena rebuilt from those triples.
+// to row i of a view of an arena rebuilt from those triples.
 func (h *HNSW) WriteGraph(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var buf [4 * 9]byte
@@ -464,20 +463,20 @@ func (h *HNSW) WriteGraph(w io.Writer) error {
 	return nil
 }
 
-// ReadGraph loads a WriteGraph stream and binds it to the arena's first
-// rows: node i takes the triple and vector of row i. The arena must hold,
+// ReadGraph loads a WriteGraph stream and binds it to the view's first
+// rows: node i takes the triple and vector of row i. The view must hold,
 // in order, the triples the graph was built over (the substrate rebuilds
-// it from the same checkpoint's triples.nt), and at least as many rows as
-// the graph has nodes.
-func ReadGraph(r io.Reader, a *Arena) (*HNSW, error) {
+// its arena from the same checkpoint's triples.nt), and at least as many
+// rows as the graph has nodes.
+func ReadGraph(r io.Reader, v *Sharded) (*HNSW, error) {
 	g, err := readGraphFrom(r)
 	if err != nil {
 		return nil, err
 	}
-	if rows := a.Len(); len(g.links) > rows {
-		return nil, fmt.Errorf("vecstore: hnsw graph covers %d triples but the arena holds %d", len(g.links), rows)
+	if len(g.links) > v.rows {
+		return nil, fmt.Errorf("vecstore: hnsw graph covers %d triples but the view holds %d", len(g.links), v.rows)
 	}
-	g.a, g.chunks = a, a.cut(len(g.links))
+	g.a, g.chunks = v.a, v.chunks[:(len(g.links)+v.a.size-1)/v.a.size]
 	return g, nil
 }
 

@@ -187,9 +187,9 @@ func TestGraphRoundTrip(t *testing.T) {
 	g := BuildHNSW(enc, corpus(200), HNSWConfig{})
 	// Four chunks hold the covered rows, then an uncovered tail the binder
 	// leaves alone.
-	a := arenaOf(enc, corpus(200), 64)
-	a.Append(corpus(30))
-	loaded, err := ReadGraph(bytes.NewReader(graphBytes(t, g)), a)
+	triples := append(corpus(200), corpus(30)...)
+	a := arenaOf(enc, triples, 64)
+	loaded, err := ReadGraph(bytes.NewReader(graphBytes(t, g)), a.View(triples))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestGraphRoundTrip(t *testing.T) {
 		t.Error("write → read → write changed the bytes")
 	}
 
-	built := BuildGraph(a, 200, HNSWConfig{})
+	built := BuildGraph(a.View(triples[:200]), HNSWConfig{})
 	for _, q := range queries {
 		requireSameHits(t, "graph built over the bound rows, "+q, search(built, q, 10), search(loaded, q, 10))
 	}
@@ -241,11 +241,11 @@ func TestBuildGraphGoldenAndRetention(t *testing.T) {
 		golden = "871fa17892411a5fedd996d647f1522df7fbef957e97ee5a6d56f72c8000d7ea"
 	)
 	enc := embed.NewEncoder()
-	a := arenaOf(enc, corpus(n), 512)
+	v := BuildSharded(enc, corpus(n), 512)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	g := BuildGraph(a, n, HNSWConfig{})
+	g := BuildGraph(v, HNSWConfig{})
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	if perRow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n; perRow >= 512 {
@@ -261,14 +261,14 @@ func TestBuildGraphGoldenAndRetention(t *testing.T) {
 // panic or load short.
 func TestReadGraphEveryPrefixFailsCleanly(t *testing.T) {
 	enc := embed.NewEncoder()
-	a := arenaOf(enc, corpus(12), 4)
+	v := BuildSharded(enc, corpus(12), 4)
 	full := graphBytes(t, BuildHNSW(enc, corpus(12), HNSWConfig{}))
 	for i := 0; i < len(full); i++ {
-		if _, err := ReadGraph(bytes.NewReader(full[:i]), a); err == nil {
+		if _, err := ReadGraph(bytes.NewReader(full[:i]), v); err == nil {
 			t.Fatalf("prefix of %d/%d bytes loaded without error", i, len(full))
 		}
 	}
-	if _, err := ReadGraph(bytes.NewReader(full), a); err != nil {
+	if _, err := ReadGraph(bytes.NewReader(full), v); err != nil {
 		t.Fatalf("full file failed to load: %v", err)
 	}
 }
@@ -278,7 +278,7 @@ func TestReadGraphEveryPrefixFailsCleanly(t *testing.T) {
 // reader must refuse anything that would send it out of range.
 func TestReadGraphRejectsBrokenStructure(t *testing.T) {
 	enc := embed.NewEncoder()
-	a := arenaOf(enc, corpus(12), 4)
+	v := BuildSharded(enc, corpus(12), 4)
 	g := BuildHNSW(enc, corpus(12), HNSWConfig{})
 	good := graphBytes(t, g)
 	// Header: magic[8] nodes[4] dim M efC efS entry maxLevel seed[8]; then per
@@ -309,23 +309,23 @@ func TestReadGraphRejectsBrokenStructure(t *testing.T) {
 	} {
 		bad := bytes.Clone(good)
 		doctor(bad)
-		if _, err := ReadGraph(bytes.NewReader(bad), a); err == nil {
+		if _, err := ReadGraph(bytes.NewReader(bad), v); err == nil {
 			t.Errorf("%s: doctored graph loaded", name)
 		}
 	}
 }
 
-// TestReadGraphRejectsMoreNodesThanRows: a graph binds to the arena's
+// TestReadGraphRejectsMoreNodesThanRows: a graph binds to the view's
 // first rows, wherever they end in a chunk, and a graph over more rows
-// than the arena holds is corrupt and must be rejected at load.
+// than the view holds is corrupt and must be rejected at load.
 func TestReadGraphRejectsMoreNodesThanRows(t *testing.T) {
 	enc := embed.NewEncoder()
 	file := graphBytes(t, BuildHNSW(enc, corpus(50), HNSWConfig{}))
-	g, err := ReadGraph(bytes.NewReader(file), arenaOf(enc, corpus(100), 32))
+	g, err := ReadGraph(bytes.NewReader(file), BuildSharded(enc, corpus(100), 32))
 	if err != nil || g.Len() != 50 {
 		t.Fatalf("a 50-node graph over a 100-row arena of 32-row chunks: %v", err)
 	}
-	if _, err := ReadGraph(bytes.NewReader(file), arenaOf(enc, corpus(32), 32)); err == nil {
+	if _, err := ReadGraph(bytes.NewReader(file), BuildSharded(enc, corpus(32), 32)); err == nil {
 		t.Fatal("graph larger than the arena accepted")
 	}
 }
@@ -337,14 +337,14 @@ func TestReadGraphRejectsMoreNodesThanRows(t *testing.T) {
 // -ann substrate manager wrote over twelve triples.
 func FuzzReadGraph(f *testing.F) {
 	enc := embed.NewEncoder()
-	a := arenaOf(enc, corpus(12), 4)
+	v := BuildSharded(enc, corpus(12), 4)
 	good := graphBytes(f, BuildHNSW(enc, corpus(12), HNSWConfig{}))
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add([]byte("garbage"))
 	qv := enc.Encode("Lake Superior 3 area")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadGraph(bytes.NewReader(data), a)
+		g, err := ReadGraph(bytes.NewReader(data), v)
 		if err != nil {
 			return
 		}
@@ -359,11 +359,12 @@ func FuzzReadGraph(f *testing.F) {
 // scan, covered prefix and uncovered tail alike.
 func TestHybridMatchesExact(t *testing.T) {
 	enc := embed.NewEncoder()
-	a := arenaOf(enc, corpus(300), 64)
+	c := corpus(300)
+	a := arenaOf(enc, c, 64)
 	// Graph over the first 250 rows; a tail of 50 straddling two chunks.
-	g := BuildGraph(a, 250, HNSWConfig{})
+	g := BuildGraph(a.View(c[:250]), HNSWConfig{})
 	var counters ANNCounters
-	exact := a.View(300)
+	exact := a.View(c)
 	hy := NewHybrid(exact, g, HybridOptions{EfSearch: 512, Counters: &counters})
 	for _, q := range []string{"Lake Superior 3 area", "Toronto 48 country", "Beijing 40 population"} {
 		want := exact.SearchExact(q, 10)
@@ -388,10 +389,11 @@ func TestHybridMatchesExact(t *testing.T) {
 // hybrid without a graph always answers exactly.
 func TestHybridExactFallback(t *testing.T) {
 	enc := embed.NewEncoder()
-	a := arenaOf(enc, corpus(200), 64)
-	g := BuildGraph(a, 192, HNSWConfig{})
+	c := corpus(200)
+	a := arenaOf(enc, c, 64)
+	g := BuildGraph(a.View(c[:192]), HNSWConfig{})
 	var counters ANNCounters
-	hy := NewHybrid(a.View(200), g, HybridOptions{EfSearch: 3, Counters: &counters})
+	hy := NewHybrid(a.View(c), g, HybridOptions{EfSearch: 3, Counters: &counters})
 	hits := search(hy, "Lake Superior 0 area", 10)
 	if len(hits) != 10 {
 		t.Fatalf("fallback returned %d hits, want 10", len(hits))
@@ -406,7 +408,7 @@ func TestHybridExactFallback(t *testing.T) {
 	}
 	// A hybrid without any graph always falls back.
 	var c2 ANNCounters
-	exactOnly := NewHybrid(a.View(200), nil, HybridOptions{Counters: &c2})
+	exactOnly := NewHybrid(a.View(c), nil, HybridOptions{Counters: &c2})
 	if hits := search(exactOnly, "Lake Superior 0 area", 5); len(hits) != 5 {
 		t.Fatalf("graph-less hybrid returned %d hits", len(hits))
 	}
@@ -421,13 +423,14 @@ func TestHybridExactFallback(t *testing.T) {
 // serve exact.
 func TestHybridMisalignedGraphDegrades(t *testing.T) {
 	enc := embed.NewEncoder()
-	a := arenaOf(enc, corpus(200), 64)
+	c := corpus(200)
+	a := arenaOf(enc, c, 64)
 	for name, g := range map[string]*HNSW{
 		"other arena":   BuildHNSW(enc, corpus(100), HNSWConfig{}),
-		"too many rows": BuildGraph(a, 200, HNSWConfig{}),
+		"too many rows": BuildGraph(a.View(c), HNSWConfig{}),
 	} {
 		var counters ANNCounters
-		hy := NewHybrid(a.View(150), g, HybridOptions{Counters: &counters})
+		hy := NewHybrid(a.View(c[:150]), g, HybridOptions{Counters: &counters})
 		hits := search(hy, "Lake Superior 0 area", 5)
 		if len(hits) != 5 {
 			t.Fatalf("%s: degraded hybrid returned %d hits", name, len(hits))

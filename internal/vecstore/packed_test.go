@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,9 +15,11 @@ import (
 	"repro/internal/world"
 )
 
-// checkPackedRow packs row and checks the three contracts of the packed
-// form against its dense source: the lane layout, pack→expand being the
-// identity on bit patterns, and the kernels' scores being bit-identical
+// checkPackedRow packs row and checks the four contracts of the packed
+// form against its dense source: the lane layout, the value table (codes
+// in range, one code per distinct bit pattern, padding decoding to +0.0
+// and +0.0 in the table only for padding), pack→expand being the identity
+// on bit patterns, and the kernels' scores being bit-identical
 // to embed.NormDot for the (finite) queries — dot for q, dot2 for q and q2
 // together, in either position — and, as the graph scores node with node,
 // dot for the row expanded and widened as the query of q's packed form,
@@ -25,8 +28,23 @@ func checkPackedRow(t testing.TB, q, q2, row *embed.Vector) {
 	t.Helper()
 	var p packedRows
 	p.appendRow(row)
-	if p.len() != 1 || p.off[0] != 0 || int(p.off[1]) != len(p.idx) || len(p.idx) != len(p.val) || len(p.idx)%4 != 0 {
-		t.Fatalf("row shape: off=%v len(idx)=%d len(val)=%d", p.off, len(p.idx), len(p.val))
+	if p.len() != 1 || p.off[0] != 0 || int(p.off[1]) != len(p.idx) || len(p.idx) != len(p.code) || len(p.idx)%4 != 0 {
+		t.Fatalf("row shape: off=%v len(idx)=%d len(code)=%d", p.off, len(p.idx), len(p.code))
+	}
+	if len(p.tab) != 2 || p.tab[0] != 0 || int(p.tab[1]) != len(p.vals) || len(p.vals) > tableSpan || cap(p.vals)-len(p.vals) < tableSpan {
+		t.Fatalf("table shape: tab=%v len(vals)=%d cap(vals)=%d", p.tab, len(p.vals), cap(p.vals))
+	}
+	for c, x := range p.vals {
+		for _, y := range p.vals[:c] {
+			if math.Float64bits(x) == math.Float64bits(y) {
+				t.Fatalf("table code %d repeats the bits %#016x", c, math.Float64bits(x))
+			}
+		}
+	}
+	for e, c := range p.code {
+		if int(c) >= len(p.vals) {
+			t.Fatalf("entry %d: code %d past a table of %d values", e, c, len(p.vals))
+		}
 	}
 	nonZero := 0
 	for _, x := range row {
@@ -39,7 +57,7 @@ func checkPackedRow(t testing.TB, q, q2, row *embed.Vector) {
 	padded := [4]bool{}
 	for e, d := range p.idx {
 		l := e & 3
-		if math.Float32bits(p.val[e]) == 0 {
+		if math.Float64bits(p.vals[p.code[e]]) == 0 {
 			if d != 0 {
 				t.Fatalf("entry %d: padding has dimension %d", e, d)
 			}
@@ -57,6 +75,13 @@ func checkPackedRow(t testing.TB, q, q2, row *embed.Vector) {
 	}
 	if stored != nonZero {
 		t.Fatalf("stored %d components, row has %d non-zero", stored, nonZero)
+	}
+	wantZero := -1 // +0.0 is code 0 of a row with padding, and no code of one without
+	if len(p.idx) > stored {
+		wantZero = 0
+	}
+	if zeroAt := slices.IndexFunc(p.vals, func(x float64) bool { return math.Float64bits(x) == 0 }); zeroAt != wantZero {
+		t.Fatalf("+0.0 is table code %d, want %d (%d entries, %d stored)", zeroAt, wantZero, len(p.idx), stored)
 	}
 
 	var back embed.Vector
@@ -258,6 +283,26 @@ func packedSeeds() map[string]embed.Vector {
 
 	v = embed.Vector{}
 	for d := range v {
+		if d != 200 { // lane 0 one entry short
+			v[d] = float32(d+1) / 256
+		}
+	}
+	seeds["every code"] = v // +0.0 for the padding and 255 distinct values
+
+	v = embed.Vector{}
+	for d := range v {
+		v[d] = -float32(d+1) / 300
+	}
+	seeds["all distinct"] = v // 256 distinct values, no padding
+
+	v = embed.Vector{}
+	for d := range v {
+		v[d] = negZero
+	}
+	seeds["all negative zeros"] = v // one value, no padding
+
+	v = embed.Vector{}
+	for d := range v {
 		v[d] = math.MaxFloat32
 		if d%2 == 1 {
 			v[d] = -math.MaxFloat32
@@ -271,6 +316,14 @@ func packedSeeds() map[string]embed.Vector {
 // queries.
 func TestPackedRowCornerCases(t *testing.T) {
 	seeds := packedSeeds()
+	for name, codes := range map[string]int{"every code": tableSpan, "all distinct": tableSpan, "all negative zeros": 1} {
+		var p packedRows
+		row := seeds[name]
+		p.appendRow(&row)
+		if len(p.vals) != codes {
+			t.Fatalf("seed %q packs a table of %d values, want %d", name, len(p.vals), codes)
+		}
+	}
 	for rn, row := range seeds {
 		for qn, q := range seeds {
 			t.Run(rn+"/"+qn, func(t *testing.T) {
@@ -299,7 +352,8 @@ func FuzzPackedRow(f *testing.F) {
 }
 
 // TestPackExpandKeepsNonFiniteBits: pack→expand is a bijection on every
-// bit pattern, NaN and Inf included.
+// bit pattern, quiet NaN and Inf included (widening quiets a signalling
+// NaN, which no encoder produces).
 func TestPackExpandKeepsNonFiniteBits(t *testing.T) {
 	var v embed.Vector
 	for d := range v {

@@ -73,24 +73,25 @@ type Token struct {
 	set   bool   // false only in the zero Token
 }
 
-// Build encodes every triple in the store into a one-block view.
+// Build encodes every triple the store holds into a one-block view,
+// which resolves hits through the store's own triples.
 func Build(enc *embed.Encoder, store *kg.Store) *Sharded {
-	return BuildTriples(enc, store.All())
+	return BuildTriples(enc, store.Prefix(store.Len()).Triples())
 }
 
 // BuildTriples encodes the triples into a view of one block: an arena
-// whose chunk size is the row count.
+// whose chunk size is the row count. The view keeps the slice (Arena.View).
 func BuildTriples(enc *embed.Encoder, triples []kg.Triple) *Sharded {
 	return BuildSharded(enc, triples, len(triples))
 }
 
 // BuildSharded encodes the triples into a new arena whose blocks are
 // shardSize rows (a non-positive shardSize uses DefaultShardSize) and
-// returns the view of all of them.
+// returns the view of all of them, which keeps the slice (Arena.View).
 func BuildSharded(enc *embed.Encoder, triples []kg.Triple, shardSize int) *Sharded {
 	a := NewArena(enc, shardSize)
 	a.Append(triples)
-	return a.View(len(triples))
+	return a.View(triples)
 }
 
 // Token names the view by its row count.

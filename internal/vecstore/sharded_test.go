@@ -113,9 +113,9 @@ func TestShardedEdgeCases(t *testing.T) {
 
 	// A view of an arena's first rows holds those rows in blocks of the
 	// arena's chunk size.
-	a := NewArena(enc, 4)
-	a.Append(corpus(10))
-	if v := a.View(5); v.Len() != 5 || v.Shards() != 2 || len(v.Search("Lake Superior 0 area", 10)) != 5 {
+	a, c := NewArena(enc, 4), corpus(10)
+	a.Append(c)
+	if v := a.View(c[:5]); v.Len() != 5 || v.Shards() != 2 || len(v.Search("Lake Superior 0 area", 10)) != 5 {
 		t.Errorf("view of 5 rows: len=%d shards=%d", v.Len(), v.Shards())
 	}
 }
@@ -158,10 +158,11 @@ func TestShardedStats(t *testing.T) {
 // rows, and Since then returns the rows from the watermark on.
 func TestSinceIsThePastWatermark(t *testing.T) {
 	enc := embed.NewEncoder()
-	a := NewArena(enc, 30)
-	a.Append(corpus(90))
-	g := BuildGraph(a, 30, HNSWConfig{})
-	hybrid := func(g *HNSW, n int) *Hybrid { return NewHybrid(a.View(n), g, HybridOptions{}) }
+	a, c := NewArena(enc, 30), corpus(90)
+	a.Append(c)
+	first := func(n int) *Sharded { return a.View(c[:n]) }
+	g := BuildGraph(first(30), HNSWConfig{})
+	hybrid := func(g *HNSW, n int) *Hybrid { return NewHybrid(first(n), g, HybridOptions{}) }
 	type view interface {
 		Token() Token
 		Since(Token) (*Suffix, bool)
@@ -172,16 +173,16 @@ func TestSinceIsThePastWatermark(t *testing.T) {
 		to    view
 		added int // rows past the watermark; -1: the view is not past the token
 	}{
-		{"appended", a.View(30), a.View(90), 60},
-		{"unchanged", a.View(60), a.View(60), 0},
-		{"inside a block", a.View(45), a.View(90), 45},
-		{"shorter", a.View(60), a.View(30), -1},
+		{"appended", first(30), first(90), 60},
+		{"unchanged", first(60), first(60), 0},
+		{"inside a block", first(45), first(90), 45},
+		{"shorter", first(60), first(30), -1},
 		{"graph kept", hybrid(g, 30), hybrid(g, 60), 30},
-		{"graph rebuilt", hybrid(g, 30), hybrid(BuildGraph(a, 30, HNSWConfig{}), 60), -1},
-		{"graph dropped", hybrid(g, 30), a.View(60), -1},
-		{"graph added", a.View(30), hybrid(g, 60), -1},
-		{"graph over appended", hybrid(nil, 30), hybrid(BuildGraph(a, 60, HNSWConfig{}), 60), -1},
-		{"no graph either way", hybrid(nil, 30), a.View(60), 30},
+		{"graph rebuilt", hybrid(g, 30), hybrid(BuildGraph(first(30), HNSWConfig{}), 60), -1},
+		{"graph dropped", hybrid(g, 30), first(60), -1},
+		{"graph added", first(30), hybrid(g, 60), -1},
+		{"graph over appended", hybrid(nil, 30), hybrid(BuildGraph(first(60), HNSWConfig{}), 60), -1},
+		{"no graph either way", hybrid(nil, 30), first(60), 30},
 	} {
 		suffix, ok := tc.to.Since(tc.from.Token())
 		switch {
@@ -191,7 +192,7 @@ func TestSinceIsThePastWatermark(t *testing.T) {
 			t.Errorf("%s: the suffix holds %d rows, want %d", tc.name, suffix.Len(), tc.added)
 		}
 	}
-	if _, ok := a.View(30).Since(Token{}); ok {
+	if _, ok := first(30).Since(Token{}); ok {
 		t.Error("a view is past the zero Token")
 	}
 }
