@@ -3,7 +3,6 @@ package main
 import (
 	"net/http"
 
-	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/repl"
 	"repro/internal/serve"
@@ -17,7 +16,6 @@ type metricsResponse struct {
 	Cache        serve.CacheStats           `json:"cache"`
 	CacheEnabled bool                       `json:"cache_enabled"`
 	Singleflight serve.GroupStats           `json:"singleflight"`
-	EmbedMemo    core.MemoStats             `json:"embed_memo"`
 	Substrates   map[string]substrate.Stats `json:"substrates"`
 	// Scheduler reports the shared LLM admission controller: lane depths,
 	// wait times, budget refusals (zeros when -llm-concurrency is 0).
@@ -88,7 +86,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Cache:            n.Cache.Stats(),
 		CacheEnabled:     n.Cache != nil,
 		Singleflight:     n.DedupStats(),
-		EmbedMemo:        n.MemoStats(),
 		Substrates:       n.SubstrateStats(),
 		Scheduler:        n.SchedulerStats(),
 		SchedulerEnabled: n.Scheduler != nil,

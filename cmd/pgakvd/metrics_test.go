@@ -148,9 +148,9 @@ func TestMetricsGlossaryMatchesMetrics(t *testing.T) {
 	}
 	doctored := regexp.MustCompile("(?m)^\\| `substrates.<src>.shards` \\|.*\n").ReplaceAllString(doc, "")
 	doctored = strings.Replace(doctored, "| `...durability.fsync` |", "| `...durability.segments` | gone |\n| `...durability.fsync` |", 1)
-	doctored = strings.Replace(doctored, "| `singleflight` |", "| `embed_memo` | twice |\n| `singleflight` |", 1)
+	doctored = strings.Replace(doctored, "| `singleflight` |", "| `singleflight` | twice |\n| `singleflight` |", 1)
 	want := []string{
-		"embed_memo: two rows",
+		"singleflight: two rows",
 		"substrates.<src>.durability.segments: row names no key",
 		"substrates.<src>.shards: no row",
 	}

@@ -303,33 +303,3 @@ func TestWithCoreConfigOption(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPipelineMemoPersistsAcrossQueries: pipeline-backed methods rebuild
-// core.Pipeline per query, so the embedding memo must live at the
-// answerer level to warm across questions.
-func TestPipelineMemoPersistsAcrossQueries(t *testing.T) {
-	deps, w := testDeps(t)
-	ans, err := New("ours", deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{Text: "What is the population of " + w.Entities[w.OfKind(world.KindCity)[0]].Name + "?"}
-	if _, err := ans.Answer(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	m := ans.(*method)
-	after1 := m.opts.Core.Memo.Stats()
-	if after1.Misses == 0 {
-		t.Fatal("first query should populate the answerer-level memo")
-	}
-	if _, err := ans.Answer(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	after2 := m.opts.Core.Memo.Stats()
-	if after2.Hits <= after1.Hits {
-		t.Fatalf("repeat query should hit the memo: hits %d -> %d", after1.Hits, after2.Hits)
-	}
-	if after2.Misses != after1.Misses {
-		t.Fatalf("repeat query re-encoded: misses %d -> %d", after1.Misses, after2.Misses)
-	}
-}

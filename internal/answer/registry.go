@@ -181,12 +181,6 @@ func New(name string, deps Deps, opts ...Option) (Answerer, error) {
 	if o.Model == "" {
 		o.Model = deps.Client.Name()
 	}
-	if o.Core.Memo == nil && deps.Index != nil {
-		// Pipeline-backed methods rebuild their core.Pipeline per query
-		// (the counting client differs each time); an answerer-level memo
-		// makes pseudo-triple embeddings persist across questions anyway.
-		o.Core.Memo = core.NewMemo(deps.Index.Encoder(), 0)
-	}
 	sub := deps.Substrate
 	if sub == nil {
 		sub = static{deps.Store, deps.Index}

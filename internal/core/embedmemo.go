@@ -1,88 +1,16 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
+import "repro/internal/embed"
 
-	"repro/internal/embed"
-)
-
-// Memo caches query-text embeddings across questions.
-// Pseudo-graphs repeat triples across questions (the LLM plans the same
-// anchor facts again and again) and every bench rerun re-encodes an
-// identical query set, so memoising the encoder removes the hashing pass
-// from the hot path after first sight.
+// Memo is ignored: the pipeline encodes every query with its index's
+// encoder and keeps no embedding between questions.
 //
-// The memo is bounded: when full, the whole map is reset rather than
-// tracking recency — encoding is cheap enough that an occasional cold
-// restart beats per-hit bookkeeping, and the reset keeps memory flat for
-// long-lived serving processes.
-type Memo struct {
-	enc *embed.Encoder
-	max int
+// Deprecated: Memo, NewMemo and Config.Memo remain only because the
+// benchmark rig's composition still sets them; they go with the rig's
+// next change.
+type Memo struct{}
 
-	mu sync.RWMutex
-	m  map[string]embed.Vector
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	resets atomic.Int64
-}
-
-// defaultEmbedMemoSize bounds the per-pipeline memo. At Dim float32s per
-// vector this is ~8 MB fully loaded.
-const defaultEmbedMemoSize = 8192
-
-// NewMemo wraps an encoder; max <= 0 uses the default bound. Pass the
-// result through Config.Memo to share one memo across pipelines built
-// over the same encoder (different KG sources included — the mapping is
-// text -> vector, independent of any store).
-func NewMemo(enc *embed.Encoder, max int) *Memo {
-	if max <= 0 {
-		max = defaultEmbedMemoSize
-	}
-	return &Memo{enc: enc, max: max, m: make(map[string]embed.Vector)}
-}
-
-// Encode returns the embedding of text, computing it at most once per
-// memo generation.
-func (em *Memo) Encode(text string) embed.Vector {
-	em.mu.RLock()
-	v, ok := em.m[text]
-	em.mu.RUnlock()
-	if ok {
-		em.hits.Add(1)
-		return v
-	}
-	em.misses.Add(1)
-	v = em.enc.Encode(text)
-	em.mu.Lock()
-	if len(em.m) >= em.max {
-		em.m = make(map[string]embed.Vector)
-		em.resets.Add(1)
-	}
-	em.m[text] = v
-	em.mu.Unlock()
-	return v
-}
-
-// MemoStats reports the embedding memo's effectiveness.
-type MemoStats struct {
-	Size   int   `json:"size"`
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Resets int64 `json:"resets"`
-}
-
-// Stats snapshots the counters.
-func (em *Memo) Stats() MemoStats {
-	em.mu.RLock()
-	size := len(em.m)
-	em.mu.RUnlock()
-	return MemoStats{
-		Size:   size,
-		Hits:   em.hits.Load(),
-		Misses: em.misses.Load(),
-		Resets: em.resets.Load(),
-	}
-}
+// NewMemo returns nil.
+//
+// Deprecated: see Memo.
+func NewMemo(*embed.Encoder, int) *Memo { return nil }

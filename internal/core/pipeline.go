@@ -92,10 +92,9 @@ type Config struct {
 	// MaxSubjects bounds the kept-subject count under PruneNone (and acts
 	// as a safety cap otherwise); 0 means 12.
 	MaxSubjects int
-	// Memo optionally shares an embedding memo across pipelines (see
-	// NewMemo). nil gives each pipeline its own. Callers that rebuild
-	// pipelines per request (the answer registry) must share one memo or
-	// nothing persists between questions.
+	// Memo is ignored: every query is encoded by the index's encoder.
+	//
+	// Deprecated: see Memo.
 	Memo *Memo
 	// StageTimeout bounds each pipeline stage individually (0 = only the
 	// caller's context applies). A stage that exceeds it fails with a
@@ -130,9 +129,6 @@ type Pipeline struct {
 	store  kg.Reader
 	index  vecstore.Searcher
 	cfg    Config
-	// memo caches pseudo-triple embeddings across questions so repeated
-	// surfaces (shared anchors, bench reruns) are encoded once per session.
-	memo *Memo
 }
 
 // New builds a pipeline. The index must have been built over the store
@@ -156,16 +152,11 @@ func New(client llm.Client, store kg.Reader, index vecstore.Searcher, cfg Config
 	if cfg.MaxSubjects <= 0 {
 		cfg.MaxSubjects = 12
 	}
-	memo := cfg.Memo
-	if memo == nil {
-		memo = NewMemo(index.Encoder(), 0)
-	}
 	return &Pipeline{
 		client: client,
 		store:  store,
 		index:  index,
 		cfg:    cfg,
-		memo:   memo,
 	}, nil
 }
 
@@ -298,14 +289,12 @@ func (p *Pipeline) QueryAndPrune(gp *kg.Graph, tr *Trace) *kg.Graph {
 		pseudo = pseudo[:p.cfg.MaxPseudoTriples]
 	}
 
-	// Step 2: semantic query — top-K per pseudo-triple forms Gt. Queries
-	// are encoded through the session memo so repeated pseudo-triples skip
-	// the hashing pass.
+	// Step 2: semantic query — top-K per pseudo-triple forms Gt.
 	queries := make([]string, len(pseudo))
 	for i, t := range pseudo {
 		queries[i] = t.Text()
 	}
-	perTriple := p.index.BatchSearchWith(p.memo.Encode, queries, p.cfg.TopK)
+	perTriple := p.index.BatchSearchWith(p.index.Encoder().Encode, queries, p.cfg.TopK)
 	var gt []vecstore.Hit
 	for _, hits := range perTriple {
 		gt = append(gt, hits...)

@@ -11,7 +11,11 @@
 // hallucinated object differs.
 //
 // The encoder is pure and deterministic: identical text always produces an
-// identical vector, across runs and platforms.
+// identical vector, across runs and platforms. It is also cheap enough
+// that nothing keeps its output: each feature is hashed from the text's
+// bytes as Encode reads them, no feature string is built, and a
+// triple-sized text encodes without allocating, so callers encode every
+// query afresh instead of memoising vectors.
 package embed
 
 import (
@@ -131,45 +135,104 @@ func (e *Encoder) weights() (w, b, c float64) {
 
 // Encode returns the L2-normalised embedding of text. Empty or
 // all-separator text yields the zero vector.
+//
+// Each feature is a string — "w:" plus a token, "c:" plus a trigram of
+// the token padded as "^token$", "b:" plus two tokens joined by a space —
+// hashed twice (see addFeature). Both hashes read the string's bytes in
+// order, so Encode never builds it: it starts from the hash state after
+// the feature's prefix and feeds the rest. The tokens are Tokenize's,
+// lowered and padded into one buffer on the stack, so a text of up to 64
+// tokens and 256 token bytes encodes without allocating.
 func (e *Encoder) Encode(text string) Vector {
 	var v Vector
 	ww, wb, wc := e.weights()
-	tokens := Tokenize(text)
-	if len(tokens) == 0 {
-		return v
-	}
-	for _, tok := range tokens {
-		addFeature(&v, "w:"+tok, ww)
-		if wc != 0 {
-			padded := "^" + tok + "$"
-			for i := 0; i+3 <= len(padded); i++ {
-				addFeature(&v, "c:"+padded[i:i+3], wc)
+	var bufArr [384]byte
+	var endsArr [65]int
+	// Token t (from 1), padded, is buf[ends[t-1]:ends[t]].
+	buf, ends := bufArr[:0], append(endsArr[:0], 0)
+	for i := 0; i < len(text); {
+		j, asIs, next := scanRun(text, i)
+		if j > i {
+			buf = append(buf, '^')
+			if asIs {
+				buf = append(buf, text[i:j]...)
+			} else {
+				buf = appendLower(buf, text[i:j])
+			}
+			buf = append(buf, '$')
+			padded := buf[ends[len(ends)-1]:]
+			ends = append(ends, len(buf))
+			addFeature(&v, wordPrefix.bytes(padded[1:len(padded)-1]), ww)
+			for k := 0; wc != 0 && k+3 <= len(padded); k++ {
+				addFeature(&v, charPrefix.byte(padded[k]).byte(padded[k+1]).byte(padded[k+2]), wc)
 			}
 		}
+		i = next
 	}
-	if wb != 0 {
-		for i := 0; i+1 < len(tokens); i++ {
-			addFeature(&v, "b:"+tokens[i]+" "+tokens[i+1], wb)
-		}
+	for t := 2; wb != 0 && t < len(ends); t++ {
+		h := bigramPrefix.bytes(buf[ends[t-2]+1 : ends[t-1]-1]).byte(' ')
+		addFeature(&v, h.bytes(buf[ends[t-1]+1:ends[t]-1]), wb)
 	}
 	normalize(&v)
 	return v
 }
 
-// addFeature hashes the feature into two buckets with signs derived from
-// the hash (the "hashing trick" with sign bit), spreading mass and making
-// accidental collisions cancel rather than compound.
-func addFeature(v *Vector, feat string, weight float64) {
-	h := fnv64(feat)
-	i1 := int(h % Dim)
+// appendLower appends tok lower-cased as strings.ToLower lowers it: rune
+// by rune, tok being a run of letters and digits and so valid UTF-8.
+func appendLower(buf []byte, tok string) []byte {
+	for _, r := range tok {
+		if r < utf8.RuneSelf {
+			if 'A' <= r && r <= 'Z' {
+				r += 'a' - 'A'
+			}
+			buf = append(buf, byte(r))
+		} else {
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+		}
+	}
+	return buf
+}
+
+// fnvPair is the state of a feature's two hashes: FNV-1 64-bit and FNV-1a
+// 64-bit (xor before multiply, an independent second hash for the
+// two-bucket trick), both over the bytes fed so far.
+type fnvPair struct{ h1, h2 uint64 }
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// The hash states after each feature kind's prefix.
+var (
+	wordPrefix   = fnvPair{fnvOffset, fnvOffset}.bytes([]byte("w:"))
+	charPrefix   = fnvPair{fnvOffset, fnvOffset}.bytes([]byte("c:"))
+	bigramPrefix = fnvPair{fnvOffset, fnvOffset}.bytes([]byte("b:"))
+)
+
+func (p fnvPair) byte(c byte) fnvPair {
+	return fnvPair{p.h1*fnvPrime ^ uint64(c), (p.h2 ^ uint64(c)) * fnvPrime}
+}
+
+func (p fnvPair) bytes(b []byte) fnvPair {
+	for _, c := range b {
+		p = p.byte(c)
+	}
+	return p
+}
+
+// addFeature adds the feature hashed to h into two buckets with signs
+// derived from the hashes (the "hashing trick" with sign bit), spreading
+// mass and making accidental collisions cancel rather than compound.
+func addFeature(v *Vector, h fnvPair, weight float64) {
+	i1 := int(h.h1 % Dim)
 	s1 := float32(1)
-	if h&(1<<40) != 0 {
+	if h.h1&(1<<40) != 0 {
 		s1 = -1
 	}
-	h2 := fnv64a(feat)
-	i2 := int(h2 % Dim)
+	i2 := int(h.h2 % Dim)
 	s2 := float32(1)
-	if h2&(1<<40) != 0 {
+	if h.h2&(1<<40) != 0 {
 		s2 = -1
 	}
 	v[i1] += s1 * float32(weight)
@@ -211,29 +274,7 @@ func Tokenize(text string) []string {
 	}
 	tokens := make([]string, 0, n)
 	for i := 0; i < len(text); {
-		// text[i:j] grows over one run of letters and digits; asIs says it
-		// is all lower-case ASCII so far.
-		j, asIs, sepWidth := i, true, 0
-		for j < len(text) && sepWidth == 0 {
-			switch byteClass[text[j]] {
-			case byteSep:
-				sepWidth = 1
-			case byteKeep:
-				j++
-			case byteUpper:
-				asIs = false
-				j++
-			default:
-				// Invalid UTF-8 decodes to U+FFFD, a separator one byte wide.
-				r, w := utf8.DecodeRuneInString(text[j:])
-				if unicode.IsLetter(r) || unicode.IsDigit(r) {
-					asIs = false
-					j += w
-				} else {
-					sepWidth = w
-				}
-			}
-		}
+		j, asIs, next := scanRun(text, i)
 		if j > i {
 			tok := text[i:j]
 			if !asIs {
@@ -241,12 +282,40 @@ func Tokenize(text string) []string {
 			}
 			tokens = append(tokens, tok)
 		}
-		i = j + sepWidth
+		i = next
 	}
 	if len(tokens) == 0 {
 		return nil
 	}
 	return tokens
+}
+
+// scanRun scans text from i over one run of letters and digits, which
+// ends at j (j == i when text[i:] starts with a separator), and the
+// separator after it: the scan resumes at next. asIs says the run is all
+// lower-case ASCII.
+func scanRun(text string, i int) (j int, asIs bool, next int) {
+	j, asIs = i, true
+	for j < len(text) {
+		switch byteClass[text[j]] {
+		case byteSep:
+			return j, asIs, j + 1
+		case byteKeep:
+			j++
+		case byteUpper:
+			asIs = false
+			j++
+		default:
+			// Invalid UTF-8 decodes to U+FFFD, a separator one byte wide.
+			r, w := utf8.DecodeRuneInString(text[j:])
+			if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+				return j, asIs, j + w
+			}
+			asIs = false
+			j += w
+		}
+	}
+	return j, asIs, j
 }
 
 // Byte classes of Tokenize's scan.
@@ -280,33 +349,4 @@ func (e *Encoder) Similarity(a, b string) float64 {
 		return 0
 	}
 	return va.Dot(vb)
-}
-
-// fnv64 is FNV-1 64-bit.
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h *= prime
-		h ^= uint64(s[i])
-	}
-	return h
-}
-
-// fnv64a is FNV-1a 64-bit (xor before multiply), giving an independent
-// second hash for the two-bucket trick.
-func fnv64a(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }

@@ -317,4 +317,25 @@ func BenchmarkTokenize(b *testing.B) {
 	sinkFloat = float64(n)
 }
 
+// BenchmarkEncode encodes the texts BenchmarkTokenize tokenises, plus a
+// pseudo-triple as the Cypher decoder phrases it.
+func BenchmarkEncode(b *testing.B) {
+	enc := NewEncoder()
+	texts := []string{
+		"Lake Stanairk number of population 11201949",
+		"lake stanairk geography/lake/surface_area 6731",
+		"Which university did the author of The Relgrerk Principle attend?",
+		"Lake Stanairk NUMBER_OF_POPULATION 11201949",
+	}
+	b.ReportAllocs()
+	var s float32
+	for b.Loop() {
+		for _, t := range texts {
+			v := enc.Encode(t)
+			s += v[0]
+		}
+	}
+	sinkFloat = float64(s)
+}
+
 var sinkFloat float64

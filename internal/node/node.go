@@ -1,11 +1,12 @@
 // Package node is the serving composition: one synthetic world rendered
 // into a seed store per KG source, each behind a live substrate manager;
-// the simulated models behind the shared LLM scheduler; one embedding
-// memo; the prompt registry; and the metrics → trace → cache →
-// singleflight stack around every registry method. A method runs on a
-// node only through Answerer. cmd/pgakvd serves a Node directly,
-// internal/replay re-runs suites on one, and bench.Env is a Node plus the
-// question datasets — nothing dataset-shaped lives here.
+// the simulated models behind the shared LLM scheduler; the prompt
+// registry; and the metrics → trace → cache → singleflight stack around
+// every registry method. Below the answer cache no embedding or score
+// outlives a request: every query is encoded and scored afresh. A method
+// runs on a node only through Answerer. cmd/pgakvd serves a Node
+// directly, internal/replay re-runs suites on one, and bench.Env is a
+// Node plus the question datasets — nothing dataset-shaped lives here.
 package node
 
 import (
@@ -83,8 +84,8 @@ func ConfigFor(quick bool) Config {
 
 // Node is one assembled serving node.
 type Node struct {
-	// Cfg is the config the node was built from, with the defaults New
-	// filled in (shared memo, prompt registry) made explicit.
+	// Cfg is the config the node was built from, with the default New
+	// filled in (the prompt registry) made explicit.
 	Cfg   Config
 	World *world.World
 	Enc   *embed.Encoder
@@ -156,12 +157,6 @@ func New(cfg Config) (*Node, error) {
 	n.Clients = make(map[string]llm.Client, len(n.Models))
 	for name, m := range n.Models {
 		n.Clients[name] = n.Scheduler.Wrap(m) // nil scheduler wraps to the model itself
-	}
-	if cfg.Core.Memo == nil {
-		// One embedding memo for the whole node: text -> vector is
-		// encoder-level, so every answerer across models and KG sources
-		// can share it.
-		cfg.Core.Memo = core.NewMemo(n.Enc, 0)
 	}
 	if cfg.Prompts == nil {
 		cfg.Prompts = prompts.NewRegistry()
@@ -263,6 +258,3 @@ func (n *Node) TraceStats() trace.StoreStats {
 	}
 	return n.Cfg.Trace.Stats()
 }
-
-// MemoStats reports the node-wide embedding memo counters.
-func (n *Node) MemoStats() core.MemoStats { return n.Cfg.Core.Memo.Stats() }

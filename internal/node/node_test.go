@@ -75,22 +75,15 @@ func TestTracelessEntriesRetainLittle(t *testing.T) {
 			}
 		}
 	}
-	heap := func() int64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
 
-	// The first pass warms everything else a run leaves behind (embedding
-	// memo, metrics slots, pipelines) with the cache out of the picture:
-	// full entries under keys the second pass never touches.
+	// The first pass warms everything else a run leaves behind (metrics
+	// slots, answerers) with the cache out of the picture: full entries
+	// under keys the second pass never touches.
 	fill(false)
 	full := n.Cache.Len()
-	before := heap()
+	before := liveHeap()
 	fill(true)
-	perEntry := (heap() - before) / entries
+	perEntry := (liveHeap() - before) / entries
 	if got := n.Cache.Len() - full; got != entries {
 		t.Fatalf("second pass added %d entries, want %d", got, entries)
 	}
@@ -98,6 +91,71 @@ func TestTracelessEntriesRetainLittle(t *testing.T) {
 		t.Fatalf("a trace-less entry retains %d bytes, want < 2048", perEntry)
 	}
 	t.Logf("trace-less entry: %d bytes retained", perEntry)
+}
+
+// perQueryStateBound bounds the live-heap growth over the questions of
+// TestAnswersLeaveNoPerQueryState, which measured −22 kB on linux/amd64
+// with go1.24; the bound is a margin for the runtime's own books. A
+// node-wide embedding memo, which kept the vector of every pseudo-triple
+// the node encoded, grew it by 1.49 MB.
+const perQueryStateBound = 256 << 10
+
+// TestAnswersLeaveNoPerQueryState: below the answer cache nothing a run
+// computes outlives it. A cache-off node answers a few hundred distinct
+// questions over both KGs after a warm-up over other questions; the live
+// heap after GC must not grow with them.
+func TestAnswersLeaveNoPerQueryState(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector's shadow memory inflates the heap")
+	}
+	cfg := ConfigFor(true)
+	cfg.Cache = serve.CacheConfig{Size: 0}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var questions []string
+	for _, id := range n.World.OfKind(world.KindPerson) {
+		name := n.World.Entities[id].Name
+		questions = append(questions, "Where was "+name+" born?", "What is the occupation of "+name+"?")
+	}
+	for _, id := range n.World.OfKind(world.KindCity) {
+		questions = append(questions, "What is the population of "+n.World.Entities[id].Name+"?")
+	}
+	const warm = 20
+	ask := func(qs []string) {
+		for _, model := range []string{ModelGPT35, ModelGPT4} {
+			for _, src := range Sources {
+				ans, err := n.Answerer("ours", model, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range qs {
+					if _, err := ans.Answer(context.Background(), answer.Query{Text: q}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	ask(questions[:warm])
+	before := liveHeap()
+	ask(questions[warm:])
+	growth := liveHeap() - before
+	t.Logf("%d questions, 2 models, %d sources: live heap grew %d bytes", len(questions)-warm, len(Sources), growth)
+	if growth > perQueryStateBound {
+		t.Fatalf("answering left %d bytes live, want at most %d", growth, perQueryStateBound)
+	}
+}
+
+// liveHeap is the heap in use after the collector has run to completion.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // story renders what a run answered and how it got there: the answer,
@@ -131,8 +189,9 @@ func story(res answer.Result, withTrace bool) string {
 
 // unknownEntityAllocs is what one "ours" answer about an entity the
 // quick world lacks allocates, cache off (measured). A subject lookup
-// that lower-cased every entity name would add thousands.
-const unknownEntityAllocs = 340
+// that lower-cased every entity name would add thousands; an Encode that
+// allocated its tokens, as Tokenize does, would add 28.
+const unknownEntityAllocs = 316
 
 // TestUnknownEntityAnswerAllocations pins the allocations of an answer
 // whose subject no entity is named, in any case: the simulated model

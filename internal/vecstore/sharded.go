@@ -183,8 +183,8 @@ func (s *Sharded) SearchVector(qv embed.Vector, k int) []Hit {
 
 // BatchSearchWith searches every query with the token-filtered path, with
 // caller-supplied embeddings: one batch scan per block, merged per query.
-// encode must be consistent with the arena's encoder; it is the hook for
-// callers that memoise embeddings (internal/core's session memo).
+// encode must be consistent with the arena's encoder: callers pass
+// Encoder().Encode, or a wrapper that times it.
 func (s *Sharded) BatchSearchWith(encode func(string) embed.Vector, queries []string, k int) [][]Hit {
 	return s.blocks.search(prepare(encode, queries), k, nil)
 }

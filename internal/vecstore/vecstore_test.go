@@ -212,7 +212,8 @@ func TestDeterministicTieBreak(t *testing.T) {
 }
 
 // TestSearchPreEncodedMatchesSearch: searching with a supplied embedding
-// (the core embedding memo's path) must return exactly what Search does.
+// (the path every method's search takes) must return exactly what Search
+// does.
 func TestSearchPreEncodedMatchesSearch(t *testing.T) {
 	idx := buildTestIndex(t)
 	for _, query := range []string{
