@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/csv"
 	"fmt"
+	"io"
 	"os"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -31,6 +33,18 @@ func TestOutOnlyWithRecall(t *testing.T) {
 			t.Errorf("checkOut(%q, %q) = %v, want ok=%v", tc.experiment, tc.out, err, tc.ok)
 		}
 	}
+}
+
+// quickEnv builds the environment `benchrun -quick` runs on.
+func quickEnv(t *testing.T) *bench.Env {
+	t.Helper()
+	cfg := bench.QuickEnvConfig()
+	cfg.WorldSeed = 42 // benchrun's -seed default
+	env, err := bench.NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
 }
 
 // table2Golden holds the cells `benchrun -experiment table2 -quick -csv`
@@ -84,12 +98,7 @@ func diffCells(got, want []string) string {
 // change in what the methods answer. The test then shows its comparison
 // can fail: the golden with one score nudged is reported.
 func TestTable2QuickMatchesGolden(t *testing.T) {
-	cfg := bench.QuickEnvConfig()
-	cfg.WorldSeed = 42 // benchrun's -seed default
-	env, err := bench.NewEnv(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := quickEnv(t)
 	report, err := collectTable2Report(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
@@ -121,5 +130,58 @@ func TestTable2QuickMatchesGolden(t *testing.T) {
 	nudged[len(nudged)/2] = strings.Join(f, ",")
 	if d := diffCells(got, nudged); d == "" {
 		t.Fatal("a nudged golden score went unreported")
+	}
+}
+
+// tablesGolden holds what the Fig. 2, Table III, Table IV and Table V
+// printers write for `benchrun -quick`, in that order, without
+// benchrun's environment header and timing lines. Regenerate it, when a
+// change means to move a figure, with
+//
+//	for e in fig2 table3 table4 table5; do go run ./cmd/benchrun -experiment $e -quick | sed "1,/^\$/d; /^\[$e done in/,\$d"; done > testdata/baselines/tables-quick.txt
+const tablesGolden = "../../testdata/baselines/tables-quick.txt"
+
+// TestTablesQuickMatchesGolden gates Fig. 2 and Tables III–V the way
+// TestTable2QuickMatchesGolden gates Table II: the printers' -quick output
+// equals the committed golden line for line. Fig. 2's Cypher row and the
+// tables' "w/ Gp" rows decode the model's Cypher, so a change to the
+// decode path that moves a pseudo-graph shows here. The test then shows
+// its comparison can fail: the golden with Fig. 2's Cypher validity
+// nudged is reported.
+func TestTablesQuickMatchesGolden(t *testing.T) {
+	env := quickEnv(t)
+	ctx := context.Background()
+	var buf bytes.Buffer
+	if _, err := bench.Fig2(ctx, env, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []func(context.Context, *bench.Env, io.Writer) error{bench.Table3, bench.Table4, bench.Table5} {
+		if err := table(ctx, env, &buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := strings.Split(buf.String(), "\n")
+	data, err := os.ReadFile(tablesGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(string(data), "\n")
+	if d := diffCells(got, want); d != "" {
+		t.Fatalf("Fig. 2 / Tables III–V (-quick) differ from %s: %s", tablesGolden, d)
+	}
+
+	nudged := slices.Clone(want)
+	i := slices.IndexFunc(nudged, func(l string) bool { return strings.HasPrefix(l, "Cypher-mediated generation:") })
+	if i < 0 {
+		t.Fatalf("%s has no Fig. 2 Cypher row", tablesGolden)
+	}
+	loc := regexp.MustCompile(`\d+\.\d`).FindStringIndex(nudged[i])
+	pct, err := strconv.ParseFloat(nudged[i][loc[0]:loc[1]], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nudged[i] = nudged[i][:loc[0]] + strconv.FormatFloat(pct+0.1, 'f', 1, 64) + nudged[i][loc[1]:]
+	if d := diffCells(got, nudged); d == "" {
+		t.Fatal("a nudged Fig. 2 validity went unreported")
 	}
 }
