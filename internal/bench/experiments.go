@@ -76,9 +76,9 @@ func Table2(ctx context.Context, e *Env, out io.Writer) error {
 }
 
 // Scenarios runs the scenario-pack experiment: parametric baselines vs the
-// graph methods over the four stress sets (temporal revisions, Cypher-backed
-// aggregation, false premises, noisy surface forms), GPT-3.5 grade. The
-// output is a per-scenario accuracy breakdown.
+// graph methods over the four stress sets (temporal revisions, aggregation
+// over retrieved triples, false premises, noisy surface forms), GPT-3.5
+// grade. The output is a per-scenario accuracy breakdown.
 func Scenarios(ctx context.Context, e *Env, out io.Writer) error {
 	methods := []string{MethodIO, MethodCoT, MethodRAG, MethodOurs}
 	dss := []*qa.Dataset{e.Suite.Temporal, e.Suite.Aggregation, e.Suite.Adversarial, e.Suite.Noisy}

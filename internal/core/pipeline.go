@@ -257,7 +257,8 @@ func decodeOrEmpty(code string, tr *Trace) (*kg.Graph, error) {
 }
 
 // ExtractCypher pulls the Cypher program out of a Fig. 3-style completion:
-// the fenced block if present, otherwise every CREATE/MERGE/MATCH line.
+// the fenced block if present, otherwise every CREATE/MERGE line. A fenced
+// block is taken whole, so a MATCH inside it fails to parse.
 func ExtractCypher(completion string) string {
 	if i := strings.Index(completion, "```"); i >= 0 {
 		rest := completion[i+3:]
@@ -270,7 +271,7 @@ func ExtractCypher(completion string) string {
 	for _, line := range strings.Split(completion, "\n") {
 		t := strings.TrimSpace(line)
 		upper := strings.ToUpper(t)
-		if strings.HasPrefix(upper, "CREATE") || strings.HasPrefix(upper, "MERGE") || strings.HasPrefix(upper, "MATCH") {
+		if strings.HasPrefix(upper, "CREATE") || strings.HasPrefix(upper, "MERGE") {
 			lines = append(lines, t)
 		}
 	}

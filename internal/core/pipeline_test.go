@@ -123,6 +123,12 @@ func TestExtractCypher(t *testing.T) {
 	if ExtractCypher("no code at all") != "" {
 		t.Error("extraction from prose should be empty")
 	}
+	// An unfenced query line is prose to the decode path: only the CREATE
+	// lines are kept.
+	withMatch := "CREATE (a:X {name:'a'})\nMATCH (a:X) RETURN a.name\nCREATE (b:Y {name:'b'})"
+	if got := ExtractCypher(withMatch); got != "CREATE (a:X {name:'a'})\nCREATE (b:Y {name:'b'})" {
+		t.Errorf("extraction kept a MATCH line: %q", got)
+	}
 }
 
 func TestGeneratePseudoGraphDecodes(t *testing.T) {

@@ -1,138 +1,14 @@
 package cypher
 
-import (
-	"fmt"
-	"strings"
-)
-
-// Script is a parsed Cypher program: a sequence of statements.
+// Script is a parsed Cypher program: a sequence of CREATE statements
+// (MERGE parses as CREATE).
 type Script struct {
-	Statements []Statement
-}
-
-// Statement is a top-level Cypher statement.
-type Statement interface {
-	stmt()
-	// Render produces canonical Cypher text (used by tests and tooling).
-	Render() string
+	Statements []*CreateStmt
 }
 
 // CreateStmt is CREATE pattern[, pattern...].
 type CreateStmt struct {
 	Patterns []Pattern
-}
-
-func (*CreateStmt) stmt() {}
-
-// Render implements Statement.
-func (s *CreateStmt) Render() string {
-	parts := make([]string, len(s.Patterns))
-	for i, p := range s.Patterns {
-		parts[i] = p.Render()
-	}
-	return "CREATE " + strings.Join(parts, ", ")
-}
-
-// MatchStmt is MATCH pattern [WHERE cond] RETURN items [ORDER BY item
-// [DESC]] [LIMIT n] — the query form used by tooling and the shell, not by
-// the generation pipeline.
-type MatchStmt struct {
-	Pattern Pattern
-	// Where is the conjunction of conditions (empty = no filter).
-	Where   []Condition
-	Returns []ReturnItem
-	// OrderBy is the sort key (zero Var = unsorted); OrderDesc flips it.
-	OrderBy   ReturnItem
-	OrderDesc bool
-	// Limit caps the row count; 0 = unlimited.
-	Limit int
-}
-
-func (*MatchStmt) stmt() {}
-
-// Render implements Statement.
-func (s *MatchStmt) Render() string {
-	items := make([]string, len(s.Returns))
-	for i, r := range s.Returns {
-		items[i] = r.Render()
-	}
-	out := "MATCH " + s.Pattern.Render()
-	if len(s.Where) > 0 {
-		conds := make([]string, len(s.Where))
-		for i, c := range s.Where {
-			conds[i] = c.Render()
-		}
-		out += " WHERE " + strings.Join(conds, " AND ")
-	}
-	out += " RETURN " + strings.Join(items, ", ")
-	if s.OrderBy.Var != "" {
-		out += " ORDER BY " + s.OrderBy.Render()
-		if s.OrderDesc {
-			out += " DESC"
-		}
-	}
-	if s.Limit > 0 {
-		out += fmt.Sprintf(" LIMIT %d", s.Limit)
-	}
-	return out
-}
-
-// CompareOp is a WHERE comparison operator.
-type CompareOp int
-
-const (
-	OpEq CompareOp = iota
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-)
-
-// Render produces the operator's surface form.
-func (o CompareOp) Render() string {
-	switch o {
-	case OpNe:
-		return "<>"
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	default:
-		return "="
-	}
-}
-
-// Condition is one WHERE comparison: var.prop OP literal.
-type Condition struct {
-	Var      string
-	Property string
-	Op       CompareOp
-	Value    Literal
-}
-
-// Render produces the condition's surface form.
-func (c Condition) Render() string {
-	return c.Var + "." + c.Property + " " + c.Op.Render() + " " + c.Value.Render()
-}
-
-// ReturnItem is one projection in a RETURN clause: a variable, optionally
-// with a property access (n.name).
-type ReturnItem struct {
-	Var      string
-	Property string // empty for whole-variable projection
-}
-
-// Render produces the canonical text of the item.
-func (r ReturnItem) Render() string {
-	if r.Property == "" {
-		return r.Var
-	}
-	return r.Var + "." + r.Property
 }
 
 // Pattern is a linear node-relationship chain:
@@ -142,47 +18,11 @@ type Pattern struct {
 	Rels  []RelPattern
 }
 
-// Render produces canonical pattern text.
-func (p Pattern) Render() string {
-	var b strings.Builder
-	for i, n := range p.Nodes {
-		if i > 0 {
-			r := p.Rels[i-1]
-			b.WriteString(r.Render())
-		}
-		b.WriteString(n.Render())
-	}
-	return b.String()
-}
-
 // NodePattern is (var:Label {props}). All parts optional per Cypher.
 type NodePattern struct {
 	Var    string
 	Labels []string
 	Props  []Property
-}
-
-// Render produces canonical node-pattern text.
-func (n NodePattern) Render() string {
-	var b strings.Builder
-	b.WriteByte('(')
-	b.WriteString(n.Var)
-	for _, l := range n.Labels {
-		b.WriteByte(':')
-		b.WriteString(l)
-	}
-	if len(n.Props) > 0 {
-		b.WriteString(" {")
-		for i, p := range n.Props {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(p.Render())
-		}
-		b.WriteByte('}')
-	}
-	b.WriteByte(')')
-	return b.String()
 }
 
 // RelDirection is the arrow orientation of a relationship pattern.
@@ -205,29 +45,6 @@ type RelPattern struct {
 	Dir   RelDirection
 }
 
-// Render produces canonical relationship-pattern text.
-func (r RelPattern) Render() string {
-	inner := r.Var
-	if r.Type != "" {
-		inner += ":" + r.Type
-	}
-	if len(r.Props) > 0 {
-		parts := make([]string, len(r.Props))
-		for i, p := range r.Props {
-			parts[i] = p.Render()
-		}
-		inner += " {" + strings.Join(parts, ", ") + "}"
-	}
-	switch r.Dir {
-	case DirLeft:
-		return "<-[" + inner + "]-"
-	case DirNone:
-		return "-[" + inner + "]-"
-	default:
-		return "-[" + inner + "]->"
-	}
-}
-
 // LiteralKind distinguishes property literal types.
 type LiteralKind int
 
@@ -247,39 +64,8 @@ type Literal struct {
 	Bool bool
 }
 
-// Render produces canonical literal text.
-func (l Literal) Render() string {
-	switch l.Kind {
-	case LitString:
-		return "'" + strings.ReplaceAll(l.Str, "'", `\'`) + "'"
-	case LitInt:
-		return fmt.Sprintf("%d", l.Int)
-	case LitFloat:
-		return fmt.Sprintf("%g", l.Flt)
-	case LitBool:
-		return fmt.Sprintf("%t", l.Bool)
-	default:
-		return ""
-	}
-}
-
 // Property is one key: value pair in a property map.
 type Property struct {
 	Key   string
 	Value Literal
-}
-
-// Render produces canonical property text.
-func (p Property) Render() string {
-	return p.Key + ": " + p.Value.Render()
-}
-
-// Render produces the canonical text of the whole script, one statement per
-// line.
-func (s *Script) Render() string {
-	lines := make([]string, len(s.Statements))
-	for i, st := range s.Statements {
-		lines[i] = st.Render()
-	}
-	return strings.Join(lines, "\n")
 }

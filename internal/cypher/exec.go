@@ -2,7 +2,6 @@ package cypher
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/propgraph"
 )
@@ -41,20 +40,11 @@ func NewExecutor() *Executor {
 // Graph returns the property graph built so far.
 func (e *Executor) Graph() *propgraph.Graph { return e.g }
 
-// Run executes every statement in the script. MATCH statements are executed
-// for their side-effect-free result, which Run discards; use Query for
-// projections.
+// Run executes every statement in the script.
 func (e *Executor) Run(s *Script) error {
 	for _, st := range s.Statements {
-		switch st := st.(type) {
-		case *CreateStmt:
-			if err := e.runCreate(st); err != nil {
-				return err
-			}
-		case *MatchStmt:
-			// No-op at build time.
-		default:
-			return &ExecError{Msg: fmt.Sprintf("unsupported statement %T", st)}
+		if err := e.runCreate(st); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -177,256 +167,4 @@ func literalValue(l Literal) propgraph.Value {
 	default:
 		return propgraph.StringValue(l.Str)
 	}
-}
-
-// QueryRow is one row of a MATCH ... RETURN projection.
-type QueryRow struct {
-	Values []string
-}
-
-// Query evaluates a MATCH statement against the executor's graph and
-// returns projected rows. The matcher supports single-node patterns and
-// single-hop relationship patterns with label/type filters, WHERE
-// conjunctions over bound variables' properties, ORDER BY one projection,
-// and LIMIT — enough for the interactive shell and tooling.
-func (e *Executor) Query(st *MatchStmt) ([]QueryRow, error) {
-	pat := st.Pattern
-	var rows []QueryRow
-	var err error
-	switch len(pat.Nodes) {
-	case 1:
-		rows, err = e.queryNodes(pat.Nodes[0], st)
-	case 2:
-		rows, err = e.queryHop(pat, st)
-	default:
-		return nil, &ExecError{Msg: "MATCH supports at most one relationship hop"}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if st.OrderBy.Var != "" {
-		if err := orderRows(rows, st); err != nil {
-			return nil, err
-		}
-	}
-	if st.Limit > 0 && len(rows) > st.Limit {
-		rows = rows[:st.Limit]
-	}
-	return rows, nil
-}
-
-// matchesWhere evaluates the WHERE conjunction against a binding.
-func matchesWhere(bind map[string]*propgraph.Node, conds []Condition) (bool, error) {
-	for _, c := range conds {
-		n, ok := bind[c.Var]
-		if !ok {
-			return false, &ExecError{Msg: fmt.Sprintf("WHERE references unbound variable %q", c.Var)}
-		}
-		v, ok := n.Props[c.Property]
-		if !ok {
-			return false, nil // missing property never matches
-		}
-		if !compareValues(v, c.Op, literalValue(c.Value)) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// compareValues applies an operator; numeric comparisons widen ints, and
-// numeric-looking strings (the world's literal facts) compare numerically
-// against numeric literals. Everything else compares as strings.
-func compareValues(a propgraph.Value, op CompareOp, b propgraph.Value) bool {
-	af, aNum := numericView(a)
-	bf, bNum := numericView(b)
-	if aNum && bNum {
-		switch op {
-		case OpEq:
-			return af == bf
-		case OpNe:
-			return af != bf
-		case OpLt:
-			return af < bf
-		case OpLe:
-			return af <= bf
-		case OpGt:
-			return af > bf
-		case OpGe:
-			return af >= bf
-		}
-	}
-	as, bs := a.String(), b.String()
-	switch op {
-	case OpEq:
-		return as == bs
-	case OpNe:
-		return as != bs
-	case OpLt:
-		return as < bs
-	case OpLe:
-		return as <= bs
-	case OpGt:
-		return as > bs
-	case OpGe:
-		return as >= bs
-	}
-	return false
-}
-
-// numericView widens a value to float64 when it is numeric or a
-// numeric-shaped string.
-func numericView(v propgraph.Value) (float64, bool) {
-	if f, ok := v.AsFloat(); ok {
-		return f, true
-	}
-	if s, ok := v.AsString(); ok {
-		var f float64
-		if _, err := fmt.Sscanf(s, "%g", &f); err == nil && fmt.Sprintf("%g", f) != "" {
-			// Require the whole string to be numeric.
-			var rest string
-			if n, _ := fmt.Sscanf(s, "%g%s", &f, &rest); n == 1 {
-				return f, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// orderRows sorts rows by the ORDER BY projection, which must be one of
-// the RETURN items; numeric-shaped cells compare numerically.
-func orderRows(rows []QueryRow, st *MatchStmt) error {
-	col := -1
-	for i, item := range st.Returns {
-		if item == st.OrderBy {
-			col = i
-			break
-		}
-	}
-	if col < 0 {
-		return &ExecError{Msg: fmt.Sprintf("ORDER BY %s must appear in RETURN", st.OrderBy.Render())}
-	}
-	less := func(a, b string) bool {
-		av, aNum := numericView(propgraph.StringValue(a))
-		bv, bNum := numericView(propgraph.StringValue(b))
-		if aNum && bNum {
-			return av < bv
-		}
-		return a < b
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i].Values[col], rows[j].Values[col]
-		if st.OrderDesc {
-			return less(b, a)
-		}
-		return less(a, b)
-	})
-	return nil
-}
-
-func nodeMatches(n *propgraph.Node, np NodePattern) bool {
-	for _, l := range np.Labels {
-		if !n.HasLabel(l) {
-			return false
-		}
-	}
-	for _, p := range np.Props {
-		v, ok := n.Props[p.Key]
-		if !ok || !v.Equal(literalValue(p.Value)) {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *Executor) project(bind map[string]*propgraph.Node, items []ReturnItem) (QueryRow, error) {
-	var row QueryRow
-	for _, it := range items {
-		if it.Var == "*" {
-			for _, n := range bind {
-				row.Values = append(row.Values, n.Name())
-			}
-			continue
-		}
-		n, ok := bind[it.Var]
-		if !ok {
-			return row, &ExecError{Msg: fmt.Sprintf("RETURN references unbound variable %q", it.Var)}
-		}
-		if it.Property == "" {
-			row.Values = append(row.Values, n.Name())
-			continue
-		}
-		v, ok := n.Props[it.Property]
-		if !ok {
-			row.Values = append(row.Values, "")
-			continue
-		}
-		row.Values = append(row.Values, v.String())
-	}
-	return row, nil
-}
-
-func (e *Executor) queryNodes(np NodePattern, st *MatchStmt) ([]QueryRow, error) {
-	var rows []QueryRow
-	for _, n := range e.g.Nodes() {
-		if !nodeMatches(n, np) {
-			continue
-		}
-		bind := map[string]*propgraph.Node{}
-		if np.Var != "" {
-			bind[np.Var] = n
-		}
-		ok, err := matchesWhere(bind, st.Where)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		row, err := e.project(bind, st.Returns)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func (e *Executor) queryHop(pat Pattern, st *MatchStmt) ([]QueryRow, error) {
-	rp := pat.Rels[0]
-	left, right := pat.Nodes[0], pat.Nodes[1]
-	var rows []QueryRow
-	for _, r := range e.g.Rels() {
-		if rp.Type != "" && r.Type != rp.Type {
-			continue
-		}
-		fromN, _ := e.g.Node(r.From)
-		toN, _ := e.g.Node(r.To)
-		a, b := fromN, toN
-		if rp.Dir == DirLeft {
-			a, b = toN, fromN
-		}
-		if !nodeMatches(a, left) || !nodeMatches(b, right) {
-			continue
-		}
-		bind := map[string]*propgraph.Node{}
-		if left.Var != "" {
-			bind[left.Var] = a
-		}
-		if right.Var != "" {
-			bind[right.Var] = b
-		}
-		ok, err := matchesWhere(bind, st.Where)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		row, err := e.project(bind, st.Returns)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

@@ -6,9 +6,10 @@ import (
 	"unicode/utf8"
 )
 
-// fuzzSeeds covers the grammar's surface: valid scripts, every statement
-// kind, plus the malformed shapes an LLM actually produces (truncation,
-// unbalanced delimiters, stray unicode, half-written properties).
+// fuzzSeeds covers the grammar's surface: valid scripts, both statement
+// keywords, plus the malformed shapes an LLM actually produces (truncation,
+// unbalanced delimiters, stray unicode, half-written properties). The
+// MATCH seeds are malformed input too: MATCH is not part of the grammar.
 var fuzzSeeds = []string{
 	"",
 	"CREATE (c:Country {name: 'China'})",
@@ -103,16 +104,21 @@ func FuzzDecode(f *testing.F) {
 }
 
 // TestFuzzSeedsMalformedError pins the corpus intent outside fuzz mode:
-// every malformed seed errors (or yields zero triples) rather than
-// producing a bogus graph.
+// every malformed seed, each MATCH seed among them, errors (or yields zero
+// triples) rather than producing a bogus graph.
 func TestFuzzSeedsMalformedError(t *testing.T) {
-	for _, src := range []string{
+	malformed := []string{
 		"CREATE (broken",
 		"CREATE (a:X {name: )",
 		"CREATE (a)-[:R]->",
 		"CREATE (a {name: 'unterminated)",
-		"MATCH (a WHERE",
-	} {
+	}
+	for _, src := range fuzzSeeds {
+		if strings.HasPrefix(src, "MATCH") {
+			malformed = append(malformed, src)
+		}
+	}
+	for _, src := range malformed {
 		if g, err := Decode(src); err == nil && g.Len() > 0 {
 			t.Errorf("Decode(%q) = %d triples, want error", src, g.Len())
 		}

@@ -2,8 +2,10 @@
 // in for Neo4j in the Pseudo-Graph Generation step. The subset covers what
 // the paper's prompts elicit from the LLM (Figs. 2–3): CREATE statements
 // over node patterns with labels and property maps, relationship patterns
-// with typed arrows, comma-separated pattern lists, line comments, plus a
-// small MATCH/RETURN form used by tooling.
+// with typed arrows, comma-separated pattern lists and line comments.
+// MERGE is read as CREATE; any other statement (MATCH included) is a
+// parse error. The paper never queries the pseudo-graph it builds, so
+// neither does this engine: a script's only output is its triples.
 //
 // The package is organised conventionally: lexer (this file) → parser
 // (parser.go, producing the AST in ast.go) → executor (exec.go, building a
@@ -32,18 +34,11 @@ const (
 	TokRBracket
 	TokColon
 	TokComma
-	TokDot
 	TokDash      // -
 	TokArrowTail // ->
 	TokArrowHead // <-
-	TokEquals
 	TokSemicolon
-	TokStar
-	TokLt // <
-	TokLe // <=
-	TokGt // >
-	TokGe // >=
-	TokNe // <>
+	TokIllegal // any character outside the grammar
 )
 
 // String names the token kind for error messages.
@@ -73,30 +68,16 @@ func (k TokenKind) String() string {
 		return "':'"
 	case TokComma:
 		return "','"
-	case TokDot:
-		return "'.'"
 	case TokDash:
 		return "'-'"
 	case TokArrowTail:
 		return "'->'"
 	case TokArrowHead:
 		return "'<-'"
-	case TokEquals:
-		return "'='"
 	case TokSemicolon:
 		return "';'"
-	case TokStar:
-		return "'*'"
-	case TokLt:
-		return "'<'"
-	case TokLe:
-		return "'<='"
-	case TokGt:
-		return "'>'"
-	case TokGe:
-		return "'>='"
-	case TokNe:
-		return "'<>'"
+	case TokIllegal:
+		return "illegal character"
 	default:
 		return "unknown token"
 	}
@@ -123,7 +104,9 @@ func (e *LexError) Error() string {
 
 // Lex tokenises src. Line comments (// ...) and whitespace are skipped.
 // Both single- and double-quoted strings are accepted (LLM output mixes
-// them); backslash escapes \" \' \\ \n \t are honoured.
+// them); backslash escapes \" \' \\ \n \t are honoured. Only an
+// unterminated string or backtick identifier is a lex error: any other
+// character outside the grammar becomes a TokIllegal token.
 func Lex(src string) ([]Token, error) {
 	var toks []Token
 	line, col := 1, 1
@@ -180,15 +163,6 @@ func Lex(src string) ([]Token, error) {
 		case c == ';':
 			emit(TokSemicolon, ";", startLine, startCol)
 			advance(1)
-		case c == '=':
-			emit(TokEquals, "=", startLine, startCol)
-			advance(1)
-		case c == '*':
-			emit(TokStar, "*", startLine, startCol)
-			advance(1)
-		case c == '.':
-			emit(TokDot, ".", startLine, startCol)
-			advance(1)
 		case c == '-':
 			if i+1 < n && src[i+1] == '>' {
 				emit(TokArrowTail, "->", startLine, startCol)
@@ -205,29 +179,9 @@ func Lex(src string) ([]Token, error) {
 				emit(TokDash, "-", startLine, startCol)
 				advance(1)
 			}
-		case c == '<':
-			switch {
-			case i+1 < n && src[i+1] == '-':
-				emit(TokArrowHead, "<-", startLine, startCol)
-				advance(2)
-			case i+1 < n && src[i+1] == '=':
-				emit(TokLe, "<=", startLine, startCol)
-				advance(2)
-			case i+1 < n && src[i+1] == '>':
-				emit(TokNe, "<>", startLine, startCol)
-				advance(2)
-			default:
-				emit(TokLt, "<", startLine, startCol)
-				advance(1)
-			}
-		case c == '>':
-			if i+1 < n && src[i+1] == '=' {
-				emit(TokGe, ">=", startLine, startCol)
-				advance(2)
-			} else {
-				emit(TokGt, ">", startLine, startCol)
-				advance(1)
-			}
+		case c == '<' && i+1 < n && src[i+1] == '-':
+			emit(TokArrowHead, "<-", startLine, startCol)
+			advance(2)
 		case c == '\'' || c == '"':
 			quote := c
 			var b strings.Builder
@@ -291,7 +245,11 @@ func Lex(src string) ([]Token, error) {
 			emit(TokIdent, src[i+1:j], startLine, startCol)
 			advance(j - i + 1)
 		default:
-			return nil, &LexError{startLine, startCol, fmt.Sprintf("unexpected character %q", c)}
+			// A character outside the grammar (a query's '.', '=', '*',
+			// '<' or '>', say) reaches the parser as an illegal token, so
+			// the error names the statement or pattern it broke.
+			emit(TokIllegal, src[i:i+1], startLine, startCol)
+			advance(1)
 		}
 	}
 	toks = append(toks, Token{Kind: TokEOF, Line: line, Col: col})

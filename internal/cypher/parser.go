@@ -18,8 +18,8 @@ func (e *ParseError) Error() string {
 }
 
 // Parse lexes and parses a Cypher script. It accepts the subset the
-// generation prompts elicit: CREATE statements (with comma-separated
-// pattern lists and multi-hop chains) and MATCH ... RETURN queries.
+// generation prompts elicit: CREATE statements with comma-separated
+// pattern lists and multi-hop chains, and MERGE read as CREATE.
 // Statements may be separated by semicolons or just newlines.
 func Parse(src string) (*Script, error) {
 	toks, err := Lex(src)
@@ -67,34 +67,18 @@ func (p *parser) parseScript() (*Script, error) {
 		if p.cur().Kind == TokEOF {
 			break
 		}
-		switch {
-		case p.keyword("CREATE"):
-			p.next()
-			st, err := p.parseCreate()
-			if err != nil {
-				return nil, err
-			}
-			s.Statements = append(s.Statements, st)
-		case p.keyword("MATCH"):
-			p.next()
-			st, err := p.parseMatch()
-			if err != nil {
-				return nil, err
-			}
-			s.Statements = append(s.Statements, st)
-		case p.keyword("MERGE"):
-			// MERGE appears occasionally in LLM output; treat as CREATE,
-			// which is semantically close enough for pseudo-graph building
-			// (the executor deduplicates nodes by name anyway).
-			p.next()
-			st, err := p.parseCreate()
-			if err != nil {
-				return nil, err
-			}
-			s.Statements = append(s.Statements, st)
-		default:
-			return nil, p.errf("expected CREATE, MERGE or MATCH, found %q", p.cur().Text)
+		// MERGE appears occasionally in LLM output; it parses as CREATE,
+		// which is semantically close enough for pseudo-graph building
+		// (the executor deduplicates nodes by name anyway).
+		if !p.keyword("CREATE") && !p.keyword("MERGE") {
+			return nil, p.errf("expected CREATE or MERGE, found %q", p.cur().Text)
 		}
+		p.next()
+		st, err := p.parseCreate()
+		if err != nil {
+			return nil, err
+		}
+		s.Statements = append(s.Statements, st)
 	}
 	if len(s.Statements) == 0 {
 		return nil, &ParseError{Line: 1, Col: 1, Msg: "empty script"}
@@ -116,137 +100,6 @@ func (p *parser) parseCreate() (*CreateStmt, error) {
 		p.next()
 	}
 	return st, nil
-}
-
-func (p *parser) parseMatch() (*MatchStmt, error) {
-	pat, err := p.parsePattern()
-	if err != nil {
-		return nil, err
-	}
-	st := &MatchStmt{Pattern: pat}
-	if p.keyword("WHERE") {
-		p.next()
-		for {
-			cond, err := p.parseCondition()
-			if err != nil {
-				return nil, err
-			}
-			st.Where = append(st.Where, cond)
-			if !p.keyword("AND") {
-				break
-			}
-			p.next()
-		}
-	}
-	if !p.keyword("RETURN") {
-		return nil, p.errf("expected RETURN after MATCH pattern, found %q", p.cur().Text)
-	}
-	p.next()
-	for {
-		if p.cur().Kind == TokStar {
-			p.next()
-			st.Returns = append(st.Returns, ReturnItem{Var: "*"})
-		} else {
-			v, err := p.expect(TokIdent)
-			if err != nil {
-				return nil, err
-			}
-			item := ReturnItem{Var: v.Text}
-			if p.cur().Kind == TokDot {
-				p.next()
-				prop, err := p.expect(TokIdent)
-				if err != nil {
-					return nil, err
-				}
-				item.Property = prop.Text
-			}
-			st.Returns = append(st.Returns, item)
-		}
-		if p.cur().Kind != TokComma {
-			break
-		}
-		p.next()
-	}
-	if p.keyword("ORDER") {
-		p.next()
-		if !p.keyword("BY") {
-			return nil, p.errf("expected BY after ORDER, found %q", p.cur().Text)
-		}
-		p.next()
-		v, err := p.expect(TokIdent)
-		if err != nil {
-			return nil, err
-		}
-		st.OrderBy = ReturnItem{Var: v.Text}
-		if p.cur().Kind == TokDot {
-			p.next()
-			prop, err := p.expect(TokIdent)
-			if err != nil {
-				return nil, err
-			}
-			st.OrderBy.Property = prop.Text
-		}
-		if p.keyword("DESC") {
-			p.next()
-			st.OrderDesc = true
-		} else if p.keyword("ASC") {
-			p.next()
-		}
-	}
-	if p.keyword("LIMIT") {
-		p.next()
-		num, err := p.expect(TokNumber)
-		if err != nil {
-			return nil, err
-		}
-		limit, err := strconv.Atoi(strings.ReplaceAll(num.Text, "_", ""))
-		if err != nil || limit < 0 {
-			return nil, p.errf("bad LIMIT %q", num.Text)
-		}
-		st.Limit = limit
-	}
-	return st, nil
-}
-
-// parseCondition parses var.prop OP literal.
-func (p *parser) parseCondition() (Condition, error) {
-	var c Condition
-	v, err := p.expect(TokIdent)
-	if err != nil {
-		return c, err
-	}
-	c.Var = v.Text
-	if _, err := p.expect(TokDot); err != nil {
-		return c, err
-	}
-	prop, err := p.expect(TokIdent)
-	if err != nil {
-		return c, err
-	}
-	c.Property = prop.Text
-	switch p.cur().Kind {
-	case TokEquals:
-		c.Op = OpEq
-	case TokNe:
-		c.Op = OpNe
-	case TokLt:
-		c.Op = OpLt
-	case TokLe:
-		c.Op = OpLe
-	case TokGt:
-		c.Op = OpGt
-	case TokGe:
-		c.Op = OpGe
-	default:
-		return c, p.errf("expected comparison operator, found %q", p.cur().Text)
-	}
-	p.next()
-	lit, err := p.parseLiteral()
-	if err != nil {
-		return c, err
-	}
-	c.Value = lit
-	return c, nil
 }
 
 // parsePattern parses (node)(rel(node))* chains.

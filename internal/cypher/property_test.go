@@ -10,7 +10,7 @@ import (
 
 // genScript builds a random valid Cypher script from a seed: nodes with
 // random labels/properties plus relationships among already-bound
-// variables. Used to property-test Parse/Render/Decode.
+// variables. Used to property-test Decode.
 func genScript(seed int64) (string, int) {
 	rng := rand.New(rand.NewSource(seed))
 	var b strings.Builder
@@ -28,32 +28,6 @@ func genScript(seed int64) (string, int) {
 		stmts++
 	}
 	return b.String(), stmts
-}
-
-// TestParseRenderStableProperty: for random valid scripts, Render is a
-// fixpoint of Parse∘Render.
-func TestParseRenderStableProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		src, stmts := genScript(seed)
-		s1, err := Parse(src)
-		if err != nil {
-			t.Logf("Parse failed on generated script:\n%s", src)
-			return false
-		}
-		if len(s1.Statements) != stmts {
-			return false
-		}
-		r1 := s1.Render()
-		s2, err := Parse(r1)
-		if err != nil {
-			t.Logf("re-Parse failed on rendered script:\n%s", r1)
-			return false
-		}
-		return s2.Render() == r1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestDecodeCountsProperty: decoding a generated script yields one property

@@ -11,7 +11,7 @@
 // Beyond the paper trio, the package builds four scenario packs that
 // stress specific failure modes: TemporalQuestions (previous/original
 // revisions of time-varying facts), AggregationQuestions (cardinalities
-// the graph methods compute by executing Cypher), AdversarialQuestions
+// the graph methods count over retrieved triples), AdversarialQuestions
 // (false premises whose gold answer is "unanswerable") and NoisyQuestions
 // (chatty, case-mangled surface forms).
 package datasets
@@ -41,7 +41,7 @@ type Config struct {
 	// or original revisions of time-varying facts).
 	TemporalN int
 	// AggregationN sizes the aggregation scenario pack (cardinality
-	// questions the graph methods answer by executing Cypher).
+	// questions the graph methods answer by counting retrieved triples).
 	AggregationN int
 	// AdversarialN sizes the adversarial scenario pack (false-premise
 	// questions whose gold answer is "unanswerable").
@@ -341,7 +341,7 @@ func buildTemporal(w *world.World, res *qa.Resolver, rng *rand.Rand, n int) (*qa
 
 // buildAggregation samples cardinality questions over multi-valued
 // relations. The gold is the true fact count; graph methods earn it by
-// aggregating retrieved triples through the Cypher engine.
+// counting the distinct objects of the retrieved triples.
 func buildAggregation(w *world.World, res *qa.Resolver, rng *rand.Rand, n int) (*qa.Dataset, error) {
 	d := &qa.Dataset{Name: "AggregationQuestions", Metric: "hit@1"}
 	seen := make(map[string]bool)

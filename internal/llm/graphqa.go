@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cypher"
 	"repro/internal/embed"
 	"repro/internal/kg"
 	"repro/internal/prompts"
@@ -170,66 +169,25 @@ func (s *SimLM) preciseFromGraph(problem string, intent qa.Intent, graph *kg.Gra
 	}
 }
 
-// countFromGraph answers a cardinality question by genuinely aggregating:
-// the model transliterates the retrieved graph into a Cypher script,
-// tagging edges that realise the counted relation from the question's
-// subject as :TARGET, executes the script through the Cypher engine, and
-// counts the distinct objects a MATCH projection returns. Counting happens
-// in the graph machinery, not in numeric recall — the point of the
-// aggregation pack.
+// countFromGraph answers a cardinality question by genuinely aggregating
+// over the retrieved graph: it tags the triples that realise the counted
+// relation from the question's subject and counts their distinct objects.
+// A mangled subject that still matches counts as the asked-about entity,
+// as the model reads it. Counting happens over the graph, not in numeric
+// recall — the point of the aggregation pack. When nothing is tagged
+// there is no distinct object, and the model falls back to memory.
 func (s *SimLM) countFromGraph(problem string, intent qa.Intent, graph *kg.Graph, req Request) string {
 	rel := intent.Chain[0]
-	var b strings.Builder
-	tagged := 0
-	for i, t := range graph.Triples {
-		subj := t.Subject
-		relType := "FACT"
+	objects := map[string]bool{}
+	for _, t := range graph.Triples {
 		if subjectMatches(t.Subject, intent.Subject) && relMatches(t.Relation, rel) {
-			// The model reads a mangled subject as the asked-about entity
-			// and canonicalises it while transliterating.
-			subj = intent.Subject
-			relType = "TARGET"
-			tagged++
-		}
-		fmt.Fprintf(&b, "CREATE (a%d:Entity {name: %s})-[:%s]->(b%d:Entity {name: %s})\n",
-			i, cypherString(subj), relType, i, cypherString(t.Object))
-	}
-	if tagged == 0 {
-		// The graph is silent on the counted relation: fall back to memory.
-		return s.countParametric(problem, intent, req)
-	}
-	script, err := cypher.Parse(b.String())
-	if err != nil {
-		return s.bestEffortFromGraph(problem, graph)
-	}
-	ex := cypher.NewExecutor()
-	if err := ex.Run(script); err != nil {
-		return s.bestEffortFromGraph(problem, graph)
-	}
-	q := fmt.Sprintf("MATCH (s:Entity {name: %s})-[:TARGET]->(o:Entity) RETURN o.name",
-		cypherString(intent.Subject))
-	qs, err := cypher.Parse(q)
-	if err != nil || len(qs.Statements) != 1 {
-		return s.bestEffortFromGraph(problem, graph)
-	}
-	match, ok := qs.Statements[0].(*cypher.MatchStmt)
-	if !ok {
-		return s.bestEffortFromGraph(problem, graph)
-	}
-	rows, err := ex.Query(match)
-	if err != nil {
-		return s.bestEffortFromGraph(problem, graph)
-	}
-	seen := map[string]bool{}
-	for _, r := range rows {
-		if len(r.Values) > 0 {
-			seen[r.Values[0]] = true
+			objects[t.Object] = true
 		}
 	}
-	if len(seen) == 0 {
+	if len(objects) == 0 {
 		return s.countParametric(problem, intent, req)
 	}
-	return fmt.Sprintf("Counting the matching triples in the [graph] above gives {%d}.", len(seen))
+	return fmt.Sprintf("Counting the matching triples in the [graph] above gives {%d}.", len(objects))
 }
 
 // comparisonGuess picks one of a comparison's two subjects when the graph

@@ -12,11 +12,11 @@ import (
 	"repro/internal/world"
 )
 
-// TestCountFromGraphExecutesCypher: the aggregation path must count by
-// building and executing a Cypher script, which means decoy subjects and
-// decoy relations in the retrieved graph must not inflate the count — the
-// MATCH property filter has to do real work.
-func TestCountFromGraphExecutesCypher(t *testing.T) {
+// TestCountFromGraphCountsDistinctObjects: the aggregation path counts the
+// distinct objects of the triples that realise the counted relation from
+// the question's subject, so decoy subjects, decoy relations and duplicate
+// triples in the retrieved graph must not inflate the count.
+func TestCountFromGraphCountsDistinctObjects(t *testing.T) {
 	s := newSim(t, GPT4Params())
 	graph := "<Xrange> <covers country> <Alandia>\n" +
 		"<Xrange> <covers country> <Borland>\n" +

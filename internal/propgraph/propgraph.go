@@ -7,7 +7,8 @@
 // map; relationships are directed, typed edges with optional properties.
 // Node identity during a Cypher script's execution is handled by the cypher
 // executor's variable bindings; this package only stores the materialised
-// graph.
+// graph. Nothing queries a Graph: one script builds it and DecodeTriples
+// flattens it.
 package propgraph
 
 import (
@@ -38,25 +39,6 @@ func FloatValue(f float64) Value { return Value{kind: 'f', f: f} }
 // BoolValue returns a boolean property value.
 func BoolValue(b bool) Value { return Value{kind: 'b', b: b} }
 
-// Kind returns one of "string", "int", "float", "bool" or "invalid".
-func (v Value) Kind() string {
-	switch v.kind {
-	case 's':
-		return "string"
-	case 'i':
-		return "int"
-	case 'f':
-		return "float"
-	case 'b':
-		return "bool"
-	default:
-		return "invalid"
-	}
-}
-
-// IsZero reports whether the value is the invalid zero Value.
-func (v Value) IsZero() bool { return v.kind == 0 }
-
 // String renders the value in a human-readable form (used when decoding
 // node properties into triple objects).
 func (v Value) String() string {
@@ -76,22 +58,6 @@ func (v Value) String() string {
 
 // AsString returns the string payload and whether the value is a string.
 func (v Value) AsString() (string, bool) { return v.s, v.kind == 's' }
-
-// AsFloat returns a numeric view of the value (ints widen) and whether the
-// value is numeric.
-func (v Value) AsFloat() (float64, bool) {
-	switch v.kind {
-	case 'f':
-		return v.f, true
-	case 'i':
-		return float64(v.i), true
-	default:
-		return 0, false
-	}
-}
-
-// Equal reports deep equality of two values.
-func (v Value) Equal(u Value) bool { return v == u }
 
 // Node is a labelled, property-carrying graph node.
 type Node struct {
@@ -152,13 +118,11 @@ type Rel struct {
 type Graph struct {
 	nodes []*Node
 	rels  []*Rel
-	// byLabel indexes node IDs by label for MATCH support.
-	byLabel map[string][]int
 }
 
 // New returns an empty property graph.
 func New() *Graph {
-	return &Graph{byLabel: make(map[string][]int)}
+	return &Graph{}
 }
 
 // CreateNode adds a node with the given labels and properties, returning it.
@@ -168,9 +132,6 @@ func (g *Graph) CreateNode(labels []string, props map[string]Value) *Node {
 	}
 	n := &Node{ID: len(g.nodes), Labels: append([]string(nil), labels...), Props: props}
 	g.nodes = append(g.nodes, n)
-	for _, l := range n.Labels {
-		g.byLabel[l] = append(g.byLabel[l], n.ID)
-	}
 	return n
 }
 
@@ -202,28 +163,6 @@ func (g *Graph) Node(id int) (*Node, bool) {
 	return g.nodes[id], true
 }
 
-// Nodes returns all nodes in creation order.
-func (g *Graph) Nodes() []*Node { return g.nodes }
-
-// Rels returns all relationships in creation order.
-func (g *Graph) Rels() []*Rel { return g.rels }
-
-// NodesByLabel returns the nodes carrying the given label, in creation order.
-func (g *Graph) NodesByLabel(label string) []*Node {
-	ids := g.byLabel[label]
-	out := make([]*Node, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, g.nodes[id])
-	}
-	return out
-}
-
-// NodeCount returns the number of nodes.
-func (g *Graph) NodeCount() int { return len(g.nodes) }
-
-// RelCount returns the number of relationships.
-func (g *Graph) RelCount() int { return len(g.rels) }
-
 // relationHumanize converts SHOUTY_SNAKE relationship types and snake_case
 // property keys to a lower-case spaced surface form: "COMES_WITH" -> "comes
 // with". The paper's pseudo-graphs use Cypher conventions while KG surfaces
@@ -233,17 +172,18 @@ func relationHumanize(relType string) string {
 	return strings.ToLower(strings.ReplaceAll(relType, "_", " "))
 }
 
-// DecodeTriples flattens the property graph into subject/relation/object
-// statements, the paper's step of "decoding the results into pseudo-graph
-// Gp". Two families are produced, in deterministic order:
-//
-//   - one triple per relationship: <fromName> <humanised type> <toName>;
-//   - one triple per non-name node property: <name> <humanised key> <value>.
+// Statement is one decoded subject/relation/object triple.
 type Statement struct {
 	Subject, Relation, Object string
 }
 
-// DecodeTriples returns the graph's statements.
+// DecodeTriples flattens the property graph into subject/relation/object
+// statements, the paper's step of "decoding the results into pseudo-graph
+// Gp". Two families are produced, in deterministic order:
+//
+//   - one triple per non-name node property, in node order:
+//     <name> <humanised key> <value>;
+//   - then one triple per relationship: <fromName> <humanised type> <toName>.
 func (g *Graph) DecodeTriples() []Statement {
 	var out []Statement
 	for _, n := range g.nodes {

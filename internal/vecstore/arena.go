@@ -95,9 +95,10 @@ func (a *Arena) appendBatch(triples []kg.Triple) {
 			e.rows.reserve(len(part))
 			e.toks = make([][]string, len(part))
 			for i, t := range part {
-				v := a.enc.Encode(t.Text())
+				text := t.Text()
+				v := a.enc.Encode(text)
 				e.rows.appendRow(&v)
-				e.toks[i] = distinctTokens(t.Text())
+				e.toks[i] = distinctTokens(text)
 			}
 		}()
 	}
