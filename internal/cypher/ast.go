@@ -1,71 +1,43 @@
 package cypher
 
-// Script is a parsed Cypher program: a sequence of CREATE statements
-// (MERGE parses as CREATE).
-type Script struct {
-	Statements []*CreateStmt
+// script is a parsed Cypher program: one entry per CREATE statement
+// (MERGE parses as CREATE), each its comma-separated patterns.
+type script [][]pattern
+
+// pattern is a linear node-relationship chain:
+// (a)-[:T1]->(b)<-[:T2]-(c) ... . nodes has len(rels)+1 entries.
+type pattern struct {
+	nodes []nodePattern
+	rels  []relPattern
 }
 
-// CreateStmt is CREATE pattern[, pattern...].
-type CreateStmt struct {
-	Patterns []Pattern
+// nodePattern is (var:Label {props}). All parts optional per Cypher.
+type nodePattern struct {
+	variable string
+	labels   []string
+	props    []property
 }
 
-// Pattern is a linear node-relationship chain:
-// (a)-[:T1]->(b)<-[:T2]-(c) ... . Nodes has len(Rels)+1 entries.
-type Pattern struct {
-	Nodes []NodePattern
-	Rels  []RelPattern
+// relPattern is -[var:TYPE {props}]-> in one of its three directions.
+// Only the type and whether the arrow points left reach the triples: the
+// variable and properties are parsed and dropped, and an undirected
+// -[:T]- reads as pointing right.
+type relPattern struct {
+	relType string
+	left    bool
 }
 
-// NodePattern is (var:Label {props}). All parts optional per Cypher.
-type NodePattern struct {
-	Var    string
-	Labels []string
-	Props  []Property
+// property is one key: value pair of a property map, its literal
+// rendered once as the text the triples carry.
+type property struct {
+	key string
+	value
 }
 
-// RelDirection is the arrow orientation of a relationship pattern.
-type RelDirection int
-
-const (
-	// DirRight is -[:T]-> .
-	DirRight RelDirection = iota
-	// DirLeft is <-[:T]- .
-	DirLeft
-	// DirNone is -[:T]- (undirected; executor treats as right).
-	DirNone
-)
-
-// RelPattern is -[var:TYPE {props}]-> with a direction.
-type RelPattern struct {
-	Var   string
-	Type  string
-	Props []Property
-	Dir   RelDirection
-}
-
-// LiteralKind distinguishes property literal types.
-type LiteralKind int
-
-const (
-	LitString LiteralKind = iota
-	LitInt
-	LitFloat
-	LitBool
-)
-
-// Literal is a property value literal.
-type Literal struct {
-	Kind LiteralKind
-	Str  string
-	Int  int64
-	Flt  float64
-	Bool bool
-}
-
-// Property is one key: value pair in a property map.
-type Property struct {
-	Key   string
-	Value Literal
+// value is a rendered property literal. str marks a string literal (a
+// quoted or bare word, or null as ""): only those can stand in for a
+// node's missing name.
+type value struct {
+	text string
+	str  bool
 }

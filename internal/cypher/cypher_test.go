@@ -2,23 +2,24 @@ package cypher
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestLexBasics(t *testing.T) {
-	toks, err := Lex("CREATE (a:Lake {name: 'Lake Superior', area: 82000})")
+	toks, err := lex("CREATE (a:Lake {name: 'Lake Superior', area: 82000})")
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := make([]TokenKind, len(toks))
+	kinds := make([]tokenKind, len(toks))
 	for i, tok := range toks {
-		kinds[i] = tok.Kind
+		kinds[i] = tok.kind
 	}
-	want := []TokenKind{
-		TokIdent, TokLParen, TokIdent, TokColon, TokIdent, TokLBrace,
-		TokIdent, TokColon, TokString, TokComma, TokIdent, TokColon,
-		TokNumber, TokRBrace, TokRParen, TokEOF,
+	want := []tokenKind{
+		tokIdent, tokLParen, tokIdent, tokColon, tokIdent, tokLBrace,
+		tokIdent, tokColon, tokString, tokComma, tokIdent, tokColon,
+		tokNumber, tokRBrace, tokRParen, tokEOF,
 	}
 	if len(kinds) != len(want) {
 		t.Fatalf("got %d tokens, want %d: %v", len(kinds), len(want), toks)
@@ -31,24 +32,24 @@ func TestLexBasics(t *testing.T) {
 }
 
 func TestLexComments(t *testing.T) {
-	toks, err := Lex("// a comment line\nCREATE (a:X)")
+	toks, err := lex("// a comment line\nCREATE (a:X)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Kind != TokIdent || toks[0].Text != "CREATE" {
+	if toks[0].kind != tokIdent || toks[0].text != "CREATE" {
 		t.Errorf("comment not skipped: %v", toks[0])
 	}
 }
 
 func TestLexStringEscapes(t *testing.T) {
-	toks, err := Lex(`CREATE (a {name: 'it\'s here', note: "say \"hi\""})`)
+	toks, err := lex(`CREATE (a {name: 'it\'s here', note: "say \"hi\""})`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var strs []string
 	for _, tok := range toks {
-		if tok.Kind == TokString {
-			strs = append(strs, tok.Text)
+		if tok.kind == tokString {
+			strs = append(strs, tok.text)
 		}
 	}
 	if len(strs) != 2 || strs[0] != "it's here" || strs[1] != `say "hi"` {
@@ -61,19 +62,19 @@ func TestLexErrors(t *testing.T) {
 		"CREATE (a {name: 'unterminated",
 		"CREATE (a:`backtick",
 	} {
-		if _, err := Lex(src); err == nil {
-			t.Errorf("Lex(%q) should fail", src)
+		if _, err := lex(src); err == nil {
+			t.Errorf("lex(%q) should fail", src)
 		}
 	}
 }
 
 func TestLexPositions(t *testing.T) {
-	toks, err := Lex("CREATE\n  (a)")
+	toks, err := lex("CREATE\n  (a)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[1].Line != 2 || toks[1].Col != 3 {
-		t.Errorf("position of '(' = %d:%d, want 2:3", toks[1].Line, toks[1].Col)
+	if toks[1].line != 2 || toks[1].col != 3 {
+		t.Errorf("position of '(' = %d:%d, want 2:3", toks[1].line, toks[1].col)
 	}
 }
 
@@ -84,23 +85,22 @@ CREATE (superior:Lake {name: 'Lake Superior', area: 82000})
 CREATE (michigan:Lake {name: 'Lake Michigan', area: 58000})
 CREATE (huron:Lake {name: 'Lake Huron', area: 23000})
 `
-	script, err := Parse(src)
+	s, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(script.Statements) != 3 {
-		t.Fatalf("got %d statements, want 3", len(script.Statements))
+	if len(s) != 3 {
+		t.Fatalf("got %d statements, want 3", len(s))
 	}
-	cs := script.Statements[0]
-	if len(cs.Patterns) != 1 {
-		t.Fatalf("statement 0: %#v", script.Statements[0])
+	if len(s[0]) != 1 {
+		t.Fatalf("statement 0: %#v", s[0])
 	}
-	n := cs.Patterns[0].Nodes[0]
-	if n.Var != "superior" || n.Labels[0] != "Lake" || len(n.Props) != 2 {
+	n := s[0][0].nodes[0]
+	if n.variable != "superior" || n.labels[0] != "Lake" || len(n.props) != 2 {
 		t.Errorf("node pattern wrong: %+v", n)
 	}
-	if n.Props[1].Key != "area" || n.Props[1].Value.Int != 82000 {
-		t.Errorf("area property wrong: %+v", n.Props[1])
+	if n.props[1] != (property{"area", value{"82000", false}}) {
+		t.Errorf("area property wrong: %+v", n.props[1])
 	}
 }
 
@@ -137,24 +137,23 @@ CREATE (himalayas)-[:KNOWN_FOR]->(climbing)
 }
 
 func TestParseMultiPatternCreate(t *testing.T) {
-	script, err := Parse("CREATE (a:X {name:'a'}), (b:Y {name:'b'}), (a)-[:R]->(b)")
+	s, err := parse("CREATE (a:X {name:'a'}), (b:Y {name:'b'}), (a)-[:R]->(b)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := script.Statements[0]
-	if len(cs.Patterns) != 3 {
-		t.Errorf("got %d patterns, want 3", len(cs.Patterns))
+	if len(s[0]) != 3 {
+		t.Errorf("got %d patterns, want 3", len(s[0]))
 	}
 }
 
 func TestParseMultiHopChain(t *testing.T) {
-	script, err := Parse("CREATE (a {name:'a'})-[:R1]->(b {name:'b'})-[:R2]->(c {name:'c'})")
+	s, err := parse("CREATE (a {name:'a'})-[:R1]->(b {name:'b'})-[:R2]->(c {name:'c'})")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat := script.Statements[0].Patterns[0]
-	if len(pat.Nodes) != 3 || len(pat.Rels) != 2 {
-		t.Errorf("chain shape: %d nodes %d rels", len(pat.Nodes), len(pat.Rels))
+	pat := s[0][0]
+	if len(pat.nodes) != 3 || len(pat.rels) != 2 {
+		t.Errorf("chain shape: %d nodes %d rels", len(pat.nodes), len(pat.rels))
 	}
 }
 
@@ -201,21 +200,20 @@ func TestParseErrors(t *testing.T) {
 		"MATCH (c:Country) WHERE c.name = 'China' RETURN c.name",
 		"CREATE (c:Country {name: 'China', population: 1400})\nMATCH (c) RETURN c.name",
 	} {
-		_, err := Parse(src)
+		_, err := parse(src)
 		var pe *ParseError
 		if !errors.As(err, &pe) {
-			t.Errorf("Parse(%q) error = %v, want a *ParseError", src, err)
+			t.Errorf("parse(%q) error = %v, want a *ParseError", src, err)
 		}
 	}
 }
 
 func TestExecutorUnboundVariable(t *testing.T) {
-	script, err := Parse("CREATE (a)-[:R]->(b)")
+	s, err := parse("CREATE (a)-[:R]->(b)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor()
-	if err := ex.Run(script); err == nil {
+	if err := newExecutor().run(s); err == nil {
 		t.Error("unbound endpoint variables should fail execution")
 	}
 }
@@ -237,11 +235,11 @@ CREATE (y:Person {name: 'Ada', born: 1815})
 }
 
 func TestExecutorRelWithoutType(t *testing.T) {
-	script, err := Parse("CREATE (a {name:'a'})-[r]->(b {name:'b'})")
+	s, err := parse("CREATE (a {name:'a'})-[r]->(b {name:'b'})")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := NewExecutor().Run(script); err == nil {
+	if err := newExecutor().run(s); err == nil {
 		t.Error("typeless relationship should fail execution")
 	}
 }
@@ -334,11 +332,97 @@ func TestFencedDecodeViaLines(t *testing.T) {
 }
 
 func TestErrorMessagesCarryPosition(t *testing.T) {
-	_, err := Parse("CREATE (a:X {name: 'a'})\nCREATE (b:")
+	_, err := parse("CREATE (a:X {name: 'a'})\nCREATE (b:")
 	if err == nil {
 		t.Fatal("expected parse error")
 	}
 	if !strings.Contains(err.Error(), "2:") {
 		t.Errorf("error lacks line info: %v", err)
+	}
+}
+
+// TestDecodeRules pins the executor's rules that the paper-scale pseudo-
+// graph golden never reaches (its completions hold no MERGE, no null and
+// no repeated key): each script decodes to exactly these triples, in this
+// order, or fails with exactly this error.
+func TestDecodeRules(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  string
+		want []string
+		err  string
+	}{
+		// Literals render once, with strconv's shortest forms.
+		{"literal_rendering", "CREATE (a {name: 'A', i: -42, f: 2.50, e: 1.0, big: 1_000, t: TRUE, s: bare, q: \"it's\"})",
+			[]string{"<A> <big> <1000>", "<A> <e> <1>", "<A> <f> <2.5>", "<A> <i> <-42>", "<A> <q> <it's>", "<A> <s> <bare>", "<A> <t> <true>"}, ""},
+
+		// The name rule: name of any kind, rendered...
+		{"name_of_any_kind", "CREATE (a:X {name: 5, v: 'w'}), (b:X {name: 2.50, v: 1}), (c {name: false, v: 0})",
+			[]string{"<5> <v> <w>", "<2.5> <v> <1>", "<false> <v> <0>"}, ""},
+		// ...else the string property with the smallest key...
+		{"name_falls_back_to_smallest_string_key", "CREATE (a:X {z: 'zz', a: 'aa', n: 1})",
+			[]string{"<aa> <a> <aa>", "<aa> <n> <1>", "<aa> <z> <zz>"}, ""},
+		{"name_fallback_skips_non_strings", "CREATE (a:X {b: 'bee', a: 1.5, c: true})",
+			[]string{"<bee> <a> <1.5>", "<bee> <b> <bee>", "<bee> <c> <true>"}, ""},
+		// ...where null is a string, so this node's name is "".
+		{"null_is_an_empty_string", "CREATE (a:X {age: null, title: 'X'})-[:R]->(b {name: 'B'})", nil, ""},
+		// ...else the first label, also one a later merge adds.
+		{"first_label_names_a_nameless_node", "CREATE (a:Lake:Water {area: 5})",
+			[]string{"<Lake> <area> <5>"}, ""},
+		{"label_added_by_merge", "CREATE (a {area: 5})\nCREATE (a:Lake:Water {depth: 3})",
+			[]string{"<Lake> <area> <5>", "<Lake> <depth> <3>"}, ""},
+		{"nameless_endpoint_skipped", "CREATE (a {n: 1})-[:R]->(b {name: 'B'})", nil, ""},
+
+		// Repeated keys: the last value wins within a created pattern; a
+		// merge never overwrites, and its first new value wins.
+		{"repeated_key_last_wins_on_create", "CREATE (a:X {name: 'A', v: 1, v: 2})",
+			[]string{"<A> <v> <2>"}, ""},
+		{"merge_by_variable_first_new_value_wins", "CREATE (a:X {name: 'A', v: 1})\nCREATE (a {v: 9, w: 2, w: 3})",
+			[]string{"<A> <v> <1>", "<A> <w> <2>"}, ""},
+		{"merge_by_name", "CREATE (c:City {name: 'Paris'})\nMERGE (d:Town {name: 'Paris', population: 2, population: 3})\nCREATE (d)-[:IN]->(f {name: 'France'})",
+			[]string{"<Paris> <population> <2>", "<Paris> <in> <France>"}, ""},
+
+		// byName holds the name a node had at its creation.
+		{"bare_label_binds_a_label_named_node", "CREATE (:Lake {area: 5})\nCREATE (Lake)-[:FEEDS]->(r:River {name: 'R'})",
+			[]string{"<Lake> <area> <5>", "<Lake> <feeds> <R>"}, ""},
+		{"byname_keeps_the_creation_name", "CREATE (a:Lake {area: 5})\nCREATE (a {name: 'Superior'})\nCREATE (Lake)-[:IN]->(c:Country {name: 'US'})",
+			[]string{"<Superior> <area> <5>", "<Superior> <in> <US>"}, ""},
+		{"byname_skips_a_node_named_later", "CREATE (a {area: 5})\nCREATE (a:Lake)\nCREATE (Lake)-[:IN]->(c {name: 'US'})",
+			nil, `cypher: exec error: unbound variable "Lake"`},
+
+		// Relationships: properties dropped, left arrows swapped,
+		// undirected read as right, a type required.
+		{"properties_then_relationships", "CREATE (w:Waterway {name: 'Keweenaw'})<-[:CONNECTS_WITH]-(l:Lake {name: 'Lake Superior', area: 82000})",
+			[]string{"<Lake Superior> <area> <82000>", "<Lake Superior> <connects with> <Keweenaw>"}, ""},
+		{"relationship_properties_ignored", "CREATE (a {name: 'A'})-[r:R {since: 1990, note: 'x'}]->(b {name: 'B'})",
+			[]string{"<A> <r> <B>"}, ""},
+		{"undirected_reads_right", "CREATE (a {name: 'A'})-[:R]-(b {name: 'B'})",
+			[]string{"<A> <r> <B>"}, ""},
+		{"typeless_relationship", "CREATE (a {name: 'a'})-[r]->(b {name: 'b'})",
+			nil, "cypher: exec error: relationship without a type"},
+		{"unbound_variable", "CREATE (a)-[:R]->(b)", nil, `cypher: exec error: unbound variable "a"`},
+		{"anonymous_empty_node", "CREATE ()", nil, "cypher: exec error: anonymous node pattern with no content"},
+		{"empty_property_key", "CREATE (a {name: 'A', '': 'x'})", nil, "cypher: parse error at 1:23: empty property key"},
+		{"empty_backtick_key", "CREATE (a {name: 'A', ``: 'x'})", nil, "cypher: parse error at 1:23: empty property key"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := Decode(tc.src)
+			if tc.err != "" {
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("Decode error = %v, want %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, tr := range g.Triples {
+				got = append(got, tr.String())
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("Decode =\n%q\nwant\n%q", got, tc.want)
+			}
+		})
 	}
 }

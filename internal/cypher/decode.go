@@ -4,25 +4,21 @@ import (
 	"repro/internal/kg"
 )
 
-// Decode parses and executes a Cypher script and flattens the resulting
-// property graph into a pseudo-graph of triples (Gp in the paper). It is
-// the complete "step 2 → decode" path of Pseudo-Graph Generation: any
-// lexical, syntactic or execution error is returned so callers can measure
-// structural validity (the 98 % figure in §III-A).
+// Decode parses and executes a Cypher script and returns the triples it
+// builds as a pseudo-graph (Gp in the paper). It is the complete "step 2 →
+// decode" path of Pseudo-Graph Generation. Any failure is returned, as a
+// *LexError, *ParseError or *ExecError, so callers can measure structural
+// validity (the 98 % figure in §III-A).
 func Decode(src string) (*kg.Graph, error) {
-	script, err := Parse(src)
+	s, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
-	ex := NewExecutor()
-	if err := ex.Run(script); err != nil {
+	ex := newExecutor()
+	if err := ex.run(s); err != nil {
 		return nil, err
 	}
-	g := &kg.Graph{}
-	for _, st := range ex.Graph().DecodeTriples() {
-		g.Add(kg.Triple{Subject: st.Subject, Relation: st.Relation, Object: st.Object})
-	}
-	return g, nil
+	return ex.triples(), nil
 }
 
 // Validate reports whether the script is structurally valid: it parses,

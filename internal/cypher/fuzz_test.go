@@ -50,9 +50,9 @@ func FuzzParse(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		script, err := Parse(src)
-		if err == nil && script == nil {
-			t.Fatalf("Parse(%q) returned nil script with nil error", src)
+		s, err := parse(src)
+		if err == nil && s == nil {
+			t.Fatalf("parse(%q) returned nil script with nil error", src)
 		}
 	})
 }
@@ -63,7 +63,7 @@ func FuzzLex(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		toks, err := Lex(src)
+		toks, err := lex(src)
 		if err != nil {
 			return
 		}
@@ -72,10 +72,10 @@ func FuzzLex(f *testing.F) {
 		// exceed the source length plus the escapes it may expand.
 		var total int
 		for _, tok := range toks {
-			total += len(tok.Text)
+			total += len(tok.text)
 		}
 		if utf8.ValidString(src) && total > 2*len(src)+2 {
-			t.Fatalf("Lex(%q) produced %d bytes of token text", src, total)
+			t.Fatalf("lex(%q) produced %d bytes of token text", src, total)
 		}
 	})
 }

@@ -1,15 +1,15 @@
-// Package cypher implements the Cypher-subset language engine that stands
-// in for Neo4j in the Pseudo-Graph Generation step. The subset covers what
-// the paper's prompts elicit from the LLM (Figs. 2–3): CREATE statements
-// over node patterns with labels and property maps, relationship patterns
-// with typed arrows, comma-separated pattern lists and line comments.
-// MERGE is read as CREATE; any other statement (MATCH included) is a
-// parse error. The paper never queries the pseudo-graph it builds, so
-// neither does this engine: a script's only output is its triples.
+// Package cypher is the Cypher-subset engine that stands in for Neo4j in
+// the Pseudo-Graph Generation step (§III-A). The subset covers what the
+// paper's prompts elicit from the LLM (Figs. 2–3): CREATE statements over
+// node patterns with labels and property maps, relationship patterns with
+// typed arrows, comma-separated pattern lists and line comments. MERGE is
+// read as CREATE; any other statement (MATCH included) is a parse error.
+// The paper never queries the pseudo-graph it builds, so neither does this
+// engine: a script's only output is its triples.
 //
-// The package is organised conventionally: lexer (this file) → parser
-// (parser.go, producing the AST in ast.go) → executor (exec.go, building a
-// propgraph.Graph) → decoder (decode.go, flattening to kg triples).
+// The path is lexer (lexer.go) → parser (parser.go, producing the AST in
+// ast.go) → executor (exec.go), which binds the script's nodes and emits
+// their triples. Decode and Validate are the package's whole surface.
 package cypher
 
 import (
@@ -18,77 +18,77 @@ import (
 	"unicode"
 )
 
-// TokenKind enumerates lexical token classes.
-type TokenKind int
+// tokenKind enumerates lexical token classes.
+type tokenKind int
 
 const (
-	TokEOF TokenKind = iota
-	TokIdent
-	TokString
-	TokNumber
-	TokLParen
-	TokRParen
-	TokLBrace
-	TokRBrace
-	TokLBracket
-	TokRBracket
-	TokColon
-	TokComma
-	TokDash      // -
-	TokArrowTail // ->
-	TokArrowHead // <-
-	TokSemicolon
-	TokIllegal // any character outside the grammar
+	tokEOF tokenKind = iota
+	tokIdent
+	tokString
+	tokNumber
+	tokLParen
+	tokRParen
+	tokLBrace
+	tokRBrace
+	tokLBracket
+	tokRBracket
+	tokColon
+	tokComma
+	tokDash      // -
+	tokArrowTail // ->
+	tokArrowHead // <-
+	tokSemicolon
+	tokIllegal // any character outside the grammar
 )
 
 // String names the token kind for error messages.
-func (k TokenKind) String() string {
+func (k tokenKind) String() string {
 	switch k {
-	case TokEOF:
+	case tokEOF:
 		return "end of input"
-	case TokIdent:
+	case tokIdent:
 		return "identifier"
-	case TokString:
+	case tokString:
 		return "string"
-	case TokNumber:
+	case tokNumber:
 		return "number"
-	case TokLParen:
+	case tokLParen:
 		return "'('"
-	case TokRParen:
+	case tokRParen:
 		return "')'"
-	case TokLBrace:
+	case tokLBrace:
 		return "'{'"
-	case TokRBrace:
+	case tokRBrace:
 		return "'}'"
-	case TokLBracket:
+	case tokLBracket:
 		return "'['"
-	case TokRBracket:
+	case tokRBracket:
 		return "']'"
-	case TokColon:
+	case tokColon:
 		return "':'"
-	case TokComma:
+	case tokComma:
 		return "','"
-	case TokDash:
+	case tokDash:
 		return "'-'"
-	case TokArrowTail:
+	case tokArrowTail:
 		return "'->'"
-	case TokArrowHead:
+	case tokArrowHead:
 		return "'<-'"
-	case TokSemicolon:
+	case tokSemicolon:
 		return "';'"
-	case TokIllegal:
+	case tokIllegal:
 		return "illegal character"
 	default:
 		return "unknown token"
 	}
 }
 
-// Token is one lexical unit with its source position (1-based line/column).
-type Token struct {
-	Kind TokenKind
-	Text string
-	Line int
-	Col  int
+// token is one lexical unit with its source position (1-based line/column).
+type token struct {
+	kind tokenKind
+	text string
+	line int
+	col  int
 }
 
 // LexError reports a lexical error with position.
@@ -102,13 +102,13 @@ func (e *LexError) Error() string {
 	return fmt.Sprintf("cypher: lex error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-// Lex tokenises src. Line comments (// ...) and whitespace are skipped.
+// lex tokenises src. Line comments (// ...) and whitespace are skipped.
 // Both single- and double-quoted strings are accepted (LLM output mixes
 // them); backslash escapes \" \' \\ \n \t are honoured. Only an
 // unterminated string or backtick identifier is a lex error: any other
-// character outside the grammar becomes a TokIllegal token.
-func Lex(src string) ([]Token, error) {
-	var toks []Token
+// character outside the grammar becomes a tokIllegal token.
+func lex(src string) ([]token, error) {
+	var toks []token
 	line, col := 1, 1
 	i := 0
 	n := len(src)
@@ -123,8 +123,8 @@ func Lex(src string) ([]Token, error) {
 		}
 		i += k
 	}
-	emit := func(kind TokenKind, text string, l, c int) {
-		toks = append(toks, Token{Kind: kind, Text: text, Line: l, Col: c})
+	emit := func(kind tokenKind, text string, l, c int) {
+		toks = append(toks, token{kind: kind, text: text, line: l, col: c})
 	}
 	for i < n {
 		c := src[i]
@@ -137,35 +137,35 @@ func Lex(src string) ([]Token, error) {
 				advance(1)
 			}
 		case c == '(':
-			emit(TokLParen, "(", startLine, startCol)
+			emit(tokLParen, "(", startLine, startCol)
 			advance(1)
 		case c == ')':
-			emit(TokRParen, ")", startLine, startCol)
+			emit(tokRParen, ")", startLine, startCol)
 			advance(1)
 		case c == '{':
-			emit(TokLBrace, "{", startLine, startCol)
+			emit(tokLBrace, "{", startLine, startCol)
 			advance(1)
 		case c == '}':
-			emit(TokRBrace, "}", startLine, startCol)
+			emit(tokRBrace, "}", startLine, startCol)
 			advance(1)
 		case c == '[':
-			emit(TokLBracket, "[", startLine, startCol)
+			emit(tokLBracket, "[", startLine, startCol)
 			advance(1)
 		case c == ']':
-			emit(TokRBracket, "]", startLine, startCol)
+			emit(tokRBracket, "]", startLine, startCol)
 			advance(1)
 		case c == ':':
-			emit(TokColon, ":", startLine, startCol)
+			emit(tokColon, ":", startLine, startCol)
 			advance(1)
 		case c == ',':
-			emit(TokComma, ",", startLine, startCol)
+			emit(tokComma, ",", startLine, startCol)
 			advance(1)
 		case c == ';':
-			emit(TokSemicolon, ";", startLine, startCol)
+			emit(tokSemicolon, ";", startLine, startCol)
 			advance(1)
 		case c == '-':
 			if i+1 < n && src[i+1] == '>' {
-				emit(TokArrowTail, "->", startLine, startCol)
+				emit(tokArrowTail, "->", startLine, startCol)
 				advance(2)
 			} else if i+1 < n && (src[i+1] >= '0' && src[i+1] <= '9') {
 				// Negative number literal.
@@ -173,14 +173,14 @@ func Lex(src string) ([]Token, error) {
 				for j < n && isNumChar(src[j]) {
 					j++
 				}
-				emit(TokNumber, src[i:j], startLine, startCol)
+				emit(tokNumber, src[i:j], startLine, startCol)
 				advance(j - i)
 			} else {
-				emit(TokDash, "-", startLine, startCol)
+				emit(tokDash, "-", startLine, startCol)
 				advance(1)
 			}
 		case c == '<' && i+1 < n && src[i+1] == '-':
-			emit(TokArrowHead, "<-", startLine, startCol)
+			emit(tokArrowHead, "<-", startLine, startCol)
 			advance(2)
 		case c == '\'' || c == '"':
 			quote := c
@@ -217,21 +217,21 @@ func Lex(src string) ([]Token, error) {
 			if !closed {
 				return nil, &LexError{startLine, startCol, "unterminated string literal"}
 			}
-			emit(TokString, b.String(), startLine, startCol)
+			emit(tokString, b.String(), startLine, startCol)
 			advance(consumed)
 		case c >= '0' && c <= '9':
 			j := i
 			for j < n && isNumChar(src[j]) {
 				j++
 			}
-			emit(TokNumber, src[i:j], startLine, startCol)
+			emit(tokNumber, src[i:j], startLine, startCol)
 			advance(j - i)
 		case isIdentStart(rune(c)):
 			j := i
 			for j < n && isIdentChar(rune(src[j])) {
 				j++
 			}
-			emit(TokIdent, src[i:j], startLine, startCol)
+			emit(tokIdent, src[i:j], startLine, startCol)
 			advance(j - i)
 		case c == '`':
 			// Backtick-quoted identifier (Neo4j escape form).
@@ -242,17 +242,17 @@ func Lex(src string) ([]Token, error) {
 			if j >= n {
 				return nil, &LexError{startLine, startCol, "unterminated backtick identifier"}
 			}
-			emit(TokIdent, src[i+1:j], startLine, startCol)
+			emit(tokIdent, src[i+1:j], startLine, startCol)
 			advance(j - i + 1)
 		default:
 			// A character outside the grammar (a query's '.', '=', '*',
 			// '<' or '>', say) reaches the parser as an illegal token, so
 			// the error names the statement or pattern it broke.
-			emit(TokIllegal, src[i:i+1], startLine, startCol)
+			emit(tokIllegal, src[i:i+1], startLine, startCol)
 			advance(1)
 		}
 	}
-	toks = append(toks, Token{Kind: TokEOF, Line: line, Col: col})
+	toks = append(toks, token{kind: tokEOF, line: line, col: col})
 	return toks, nil
 }
 

@@ -17,12 +17,12 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("cypher: parse error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-// Parse lexes and parses a Cypher script. It accepts the subset the
+// parse lexes and parses a Cypher script. It accepts the subset the
 // generation prompts elicit: CREATE statements with comma-separated
 // pattern lists and multi-hop chains, and MERGE read as CREATE.
 // Statements may be separated by semicolons or just newlines.
-func Parse(src string) (*Script, error) {
-	toks, err := Lex(src)
+func parse(src string) (script, error) {
+	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
@@ -31,21 +31,21 @@ func Parse(src string) (*Script, error) {
 }
 
 type parser struct {
-	toks []Token
+	toks []token
 	pos  int
 }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() token  { return p.toks[p.pos] }
+func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
 
 func (p *parser) errf(format string, args ...any) error {
 	t := p.cur()
-	return &ParseError{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
+	return &ParseError{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) expect(kind TokenKind) (Token, error) {
-	if p.cur().Kind != kind {
-		return Token{}, p.errf("expected %s, found %s %q", kind, p.cur().Kind, p.cur().Text)
+func (p *parser) expect(kind tokenKind) (token, error) {
+	if p.cur().kind != kind {
+		return token{}, p.errf("expected %s, found %s %q", kind, p.cur().kind, p.cur().text)
 	}
 	return p.next(), nil
 }
@@ -54,63 +54,63 @@ func (p *parser) expect(kind TokenKind) (Token, error) {
 // keyword identifier.
 func (p *parser) keyword(word string) bool {
 	t := p.cur()
-	return t.Kind == TokIdent && strings.EqualFold(t.Text, word)
+	return t.kind == tokIdent && strings.EqualFold(t.text, word)
 }
 
-func (p *parser) parseScript() (*Script, error) {
-	s := &Script{}
+func (p *parser) parseScript() (script, error) {
+	var s script
 	for {
 		// Skip statement separators.
-		for p.cur().Kind == TokSemicolon {
+		for p.cur().kind == tokSemicolon {
 			p.next()
 		}
-		if p.cur().Kind == TokEOF {
+		if p.cur().kind == tokEOF {
 			break
 		}
 		// MERGE appears occasionally in LLM output; it parses as CREATE,
 		// which is semantically close enough for pseudo-graph building
 		// (the executor deduplicates nodes by name anyway).
 		if !p.keyword("CREATE") && !p.keyword("MERGE") {
-			return nil, p.errf("expected CREATE or MERGE, found %q", p.cur().Text)
+			return nil, p.errf("expected CREATE or MERGE, found %q", p.cur().text)
 		}
 		p.next()
 		st, err := p.parseCreate()
 		if err != nil {
 			return nil, err
 		}
-		s.Statements = append(s.Statements, st)
+		s = append(s, st)
 	}
-	if len(s.Statements) == 0 {
+	if len(s) == 0 {
 		return nil, &ParseError{Line: 1, Col: 1, Msg: "empty script"}
 	}
 	return s, nil
 }
 
-func (p *parser) parseCreate() (*CreateStmt, error) {
-	st := &CreateStmt{}
+func (p *parser) parseCreate() ([]pattern, error) {
+	var pats []pattern
 	for {
 		pat, err := p.parsePattern()
 		if err != nil {
 			return nil, err
 		}
-		st.Patterns = append(st.Patterns, pat)
-		if p.cur().Kind != TokComma {
+		pats = append(pats, pat)
+		if p.cur().kind != tokComma {
 			break
 		}
 		p.next()
 	}
-	return st, nil
+	return pats, nil
 }
 
 // parsePattern parses (node)(rel(node))* chains.
-func (p *parser) parsePattern() (Pattern, error) {
-	var pat Pattern
+func (p *parser) parsePattern() (pattern, error) {
+	var pat pattern
 	n, err := p.parseNode()
 	if err != nil {
 		return pat, err
 	}
-	pat.Nodes = append(pat.Nodes, n)
-	for p.cur().Kind == TokDash || p.cur().Kind == TokArrowHead {
+	pat.nodes = append(pat.nodes, n)
+	for p.cur().kind == tokDash || p.cur().kind == tokArrowHead {
 		r, err := p.parseRel()
 		if err != nil {
 			return pat, err
@@ -119,171 +119,168 @@ func (p *parser) parsePattern() (Pattern, error) {
 		if err != nil {
 			return pat, err
 		}
-		pat.Rels = append(pat.Rels, r)
-		pat.Nodes = append(pat.Nodes, n)
+		pat.rels = append(pat.rels, r)
+		pat.nodes = append(pat.nodes, n)
 	}
 	return pat, nil
 }
 
 // parseNode parses (var:Label:Label2 {k: v, ...}) — every part optional.
-func (p *parser) parseNode() (NodePattern, error) {
-	var n NodePattern
-	if _, err := p.expect(TokLParen); err != nil {
+func (p *parser) parseNode() (nodePattern, error) {
+	var n nodePattern
+	if _, err := p.expect(tokLParen); err != nil {
 		return n, err
 	}
-	if p.cur().Kind == TokIdent {
-		n.Var = p.next().Text
+	if p.cur().kind == tokIdent {
+		n.variable = p.next().text
 	}
-	for p.cur().Kind == TokColon {
+	for p.cur().kind == tokColon {
 		p.next()
-		lbl, err := p.expect(TokIdent)
+		lbl, err := p.expect(tokIdent)
 		if err != nil {
 			return n, err
 		}
-		n.Labels = append(n.Labels, lbl.Text)
+		n.labels = append(n.labels, lbl.text)
 	}
-	if p.cur().Kind == TokLBrace {
+	if p.cur().kind == tokLBrace {
 		props, err := p.parseProps()
 		if err != nil {
 			return n, err
 		}
-		n.Props = props
+		n.props = props
 	}
-	if _, err := p.expect(TokRParen); err != nil {
+	if _, err := p.expect(tokRParen); err != nil {
 		return n, err
 	}
 	return n, nil
 }
 
-// parseRel parses -[var:TYPE {props}]-> in all three directions.
-func (p *parser) parseRel() (RelPattern, error) {
-	var r RelPattern
-	switch p.cur().Kind {
-	case TokArrowHead: // <-[...]-
+// parseRel parses -[var:TYPE {props}]-> in all three directions. The
+// variable and the properties are checked for syntax and dropped.
+func (p *parser) parseRel() (relPattern, error) {
+	var r relPattern
+	switch p.cur().kind {
+	case tokArrowHead: // <-[...]-
 		p.next()
-		r.Dir = DirLeft
-	case TokDash:
+		r.left = true
+	case tokDash:
 		p.next()
 	default:
-		return r, p.errf("expected relationship, found %q", p.cur().Text)
+		return r, p.errf("expected relationship, found %q", p.cur().text)
 	}
-	if p.cur().Kind == TokLBracket {
+	if p.cur().kind == tokLBracket {
 		p.next()
-		if p.cur().Kind == TokIdent {
-			r.Var = p.next().Text
-		}
-		if p.cur().Kind == TokColon {
+		if p.cur().kind == tokIdent {
 			p.next()
-			t, err := p.expect(TokIdent)
+		}
+		if p.cur().kind == tokColon {
+			p.next()
+			t, err := p.expect(tokIdent)
 			if err != nil {
 				return r, err
 			}
-			r.Type = t.Text
+			r.relType = t.text
 		}
-		if p.cur().Kind == TokLBrace {
-			props, err := p.parseProps()
-			if err != nil {
+		if p.cur().kind == tokLBrace {
+			if _, err := p.parseProps(); err != nil {
 				return r, err
 			}
-			r.Props = props
 		}
-		if _, err := p.expect(TokRBracket); err != nil {
+		if _, err := p.expect(tokRBracket); err != nil {
 			return r, err
 		}
 	}
 	// Closing side of the relationship.
 	switch {
-	case r.Dir == DirLeft:
-		if _, err := p.expect(TokDash); err != nil {
+	case r.left:
+		if _, err := p.expect(tokDash); err != nil {
 			return r, err
 		}
-	case p.cur().Kind == TokArrowTail:
+	case p.cur().kind == tokArrowTail, p.cur().kind == tokDash:
 		p.next()
-		r.Dir = DirRight
-	case p.cur().Kind == TokDash:
-		p.next()
-		r.Dir = DirNone
 	default:
-		return r, p.errf("expected '->' or '-' to close relationship, found %q", p.cur().Text)
+		return r, p.errf("expected '->' or '-' to close relationship, found %q", p.cur().text)
 	}
 	return r, nil
 }
 
 // parseProps parses {key: literal, ...}. Keys may be identifiers or quoted
-// strings (LLMs emit both).
-func (p *parser) parseProps() ([]Property, error) {
-	if _, err := p.expect(TokLBrace); err != nil {
+// strings (LLMs emit both); an empty key is an error, since it would
+// decode to a triple without a relation.
+func (p *parser) parseProps() ([]property, error) {
+	if _, err := p.expect(tokLBrace); err != nil {
 		return nil, err
 	}
-	var props []Property
+	var props []property
 	for {
-		if p.cur().Kind == TokRBrace {
+		if p.cur().kind == tokRBrace {
 			p.next()
 			return props, nil
 		}
 		var key string
-		switch p.cur().Kind {
-		case TokIdent, TokString:
-			key = p.next().Text
+		switch p.cur().kind {
+		case tokIdent, tokString:
+			if p.cur().text == "" {
+				return nil, p.errf("empty property key")
+			}
+			key = p.next().text
 		default:
-			return nil, p.errf("expected property key, found %q", p.cur().Text)
+			return nil, p.errf("expected property key, found %q", p.cur().text)
 		}
-		if _, err := p.expect(TokColon); err != nil {
+		if _, err := p.expect(tokColon); err != nil {
 			return nil, err
 		}
-		lit, err := p.parseLiteral()
+		v, err := p.parseLiteral()
 		if err != nil {
 			return nil, err
 		}
-		props = append(props, Property{Key: key, Value: lit})
-		if p.cur().Kind == TokComma {
+		props = append(props, property{key, v})
+		if p.cur().kind == tokComma {
 			p.next()
 			continue
 		}
-		if p.cur().Kind != TokRBrace {
-			return nil, p.errf("expected ',' or '}' in property map, found %q", p.cur().Text)
+		if p.cur().kind != tokRBrace {
+			return nil, p.errf("expected ',' or '}' in property map, found %q", p.cur().text)
 		}
 	}
 }
 
-func (p *parser) parseLiteral() (Literal, error) {
+// parseLiteral parses a property value and renders it as its triples will
+// carry it: a float with strconv's shortest 'g' form, an int in decimal, a
+// bool as true or false, and null as the empty string.
+func (p *parser) parseLiteral() (value, error) {
 	t := p.cur()
-	switch t.Kind {
-	case TokString:
+	switch t.kind {
+	case tokString:
 		p.next()
-		return Literal{Kind: LitString, Str: t.Text}, nil
-	case TokNumber:
+		return value{t.text, true}, nil
+	case tokNumber:
 		p.next()
-		text := strings.ReplaceAll(t.Text, "_", "")
+		text := strings.ReplaceAll(t.text, "_", "")
 		if strings.Contains(text, ".") {
 			f, err := strconv.ParseFloat(text, 64)
 			if err != nil {
-				return Literal{}, p.errf("bad float literal %q", t.Text)
+				return value{}, p.errf("bad float literal %q", t.text)
 			}
-			return Literal{Kind: LitFloat, Flt: f}, nil
+			return value{strconv.FormatFloat(f, 'g', -1, 64), false}, nil
 		}
 		i, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return Literal{}, p.errf("bad int literal %q", t.Text)
+			return value{}, p.errf("bad int literal %q", t.text)
 		}
-		return Literal{Kind: LitInt, Int: i}, nil
-	case TokIdent:
-		switch strings.ToLower(t.Text) {
-		case "true":
-			p.next()
-			return Literal{Kind: LitBool, Bool: true}, nil
-		case "false":
-			p.next()
-			return Literal{Kind: LitBool, Bool: false}, nil
+		return value{strconv.FormatInt(i, 10), false}, nil
+	case tokIdent:
+		p.next()
+		switch word := strings.ToLower(t.text); word {
+		case "true", "false":
+			return value{word, false}, nil
 		case "null":
-			p.next()
-			return Literal{Kind: LitString, Str: ""}, nil
+			return value{"", true}, nil
 		}
 		// Bare-word value (unquoted string) — technically invalid Cypher,
 		// but frequent in LLM output; accept a single identifier.
-		p.next()
-		return Literal{Kind: LitString, Str: t.Text}, nil
+		return value{t.text, true}, nil
 	default:
-		return Literal{}, p.errf("expected literal, found %s", t.Kind)
+		return value{}, p.errf("expected literal, found %s", t.kind)
 	}
 }

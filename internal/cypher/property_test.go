@@ -59,7 +59,7 @@ func TestLexNeverPanics(t *testing.T) {
 				t.Fatalf("Lex panicked on %q: %v", src, r)
 			}
 		}()
-		_, _ = Lex(src)
+		_, _ = lex(src)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -75,7 +75,7 @@ func TestParseNeverPanics(t *testing.T) {
 				t.Fatalf("Parse panicked on %q: %v", src, r)
 			}
 		}()
-		_, _ = Parse(src)
+		_, _ = parse(src)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
