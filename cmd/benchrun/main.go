@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/node"
 )
 
 func main() {
@@ -101,9 +102,11 @@ func run(ctx context.Context, experiment string, quick bool, seed int64, workers
 	if err != nil {
 		return err
 	}
-	fmt.Printf("environment ready in %v: %s\n", time.Since(start).Round(time.Millisecond), env.World.Stats())
-	for src, mgr := range env.Substrates {
-		fmt.Printf("  KG[%s]: %s\n", src, mgr.Stats())
+	// Timing goes to stderr, so stdout is the same at any -workers.
+	fmt.Fprintf(os.Stderr, "environment ready in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Println(env.World.Stats())
+	for _, src := range node.Sources {
+		fmt.Printf("  KG[%s]: %s\n", src, env.Substrates[src].Stats())
 	}
 	fmt.Print(env.Suite.Describe())
 	fmt.Println()
@@ -135,7 +138,8 @@ func run(ctx context.Context, experiment string, quick bool, seed int64, workers
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("[%s done in %v]\n\n", name, time.Since(t).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(t).Round(time.Millisecond))
+		fmt.Println()
 		return nil
 	}
 

@@ -135,10 +135,11 @@ func TestTable2QuickMatchesGolden(t *testing.T) {
 
 // tablesGolden holds what the Fig. 2, Table III, Table IV and Table V
 // printers write for `benchrun -quick`, in that order, without
-// benchrun's environment header and timing lines. Regenerate it, when a
-// change means to move a figure, with
+// benchrun's environment header and the blank line after each
+// experiment (timing lines go to stderr). Regenerate it, when a change
+// means to move a figure, with
 //
-//	for e in fig2 table3 table4 table5; do go run ./cmd/benchrun -experiment $e -quick | sed "1,/^\$/d; /^\[$e done in/,\$d"; done > testdata/baselines/tables-quick.txt
+//	for e in fig2 table3 table4 table5; do go run ./cmd/benchrun -experiment $e -quick 2>/dev/null | sed '1,/^$/d; $d'; done > testdata/baselines/tables-quick.txt
 const tablesGolden = "../../testdata/baselines/tables-quick.txt"
 
 // TestTablesQuickMatchesGolden gates Fig. 2 and Tables III–V the way

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/answer"
 	"repro/internal/bench"
+	"repro/internal/failure"
 	"repro/internal/kg"
 )
 
@@ -104,7 +105,7 @@ func run(question, method, kgSource, model, anchor string, list int, methods, qu
 	}
 	res, err := ans.Answer(ctx, q)
 	if err != nil {
-		return fmt.Errorf("%s (class %s)", err, answer.Classify(err))
+		return fmt.Errorf("%s (class %s)", err, failure.Of(err))
 	}
 	if asJSON {
 		return writeResultJSON(os.Stdout, question, modelName, src.String(), res)

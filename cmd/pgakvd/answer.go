@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/answer"
 	"repro/internal/core/exec"
+	"repro/internal/failure"
 	"repro/internal/kg"
 	"repro/internal/llm"
 	"repro/internal/serve"
@@ -95,14 +96,14 @@ type traceWire struct {
 
 // stageWire is one stage span in an answer trace.
 type stageWire struct {
-	Stage            string  `json:"stage"`
-	LatencyMS        float64 `json:"latency_ms"`
-	LLMCalls         int     `json:"llm_calls"`
-	PromptTokens     int     `json:"prompt_tokens,omitempty"`
-	CompletionTokens int     `json:"completion_tokens,omitempty"`
-	InputSize        int     `json:"input_size"`
-	OutputSize       int     `json:"output_size"`
-	Error            string  `json:"error,omitempty"`
+	Stage            string        `json:"stage"`
+	LatencyMS        float64       `json:"latency_ms"`
+	LLMCalls         int           `json:"llm_calls"`
+	PromptTokens     int           `json:"prompt_tokens,omitempty"`
+	CompletionTokens int           `json:"completion_tokens,omitempty"`
+	InputSize        int           `json:"input_size"`
+	OutputSize       int           `json:"output_size"`
+	Error            failure.Class `json:"error,omitempty"`
 }
 
 type batchRequest struct {
@@ -120,7 +121,7 @@ type batchItemResponse struct {
 	Index  int             `json:"index"`
 	Result *answerResponse `json:"result,omitempty"`
 	Error  string          `json:"error,omitempty"`
-	Class  string          `json:"class,omitempty"`
+	Class  failure.Class   `json:"class,omitempty"`
 }
 
 type batchResponse struct {
@@ -146,10 +147,10 @@ func (s *Server) deadline(timeoutMS int64) time.Duration {
 	return s.cfg.Timeout
 }
 
-// failure is the error body of a failed run; with a trace requested, the
-// partial spans name the failing stage and its error class.
-func failure(err error, res answer.Result, includeTrace bool) errorResponse {
-	resp := errorResponse{Error: err.Error(), Class: string(answer.Classify(err))}
+// failedRun is the error body of a failed run; with a trace requested,
+// the partial spans name the failing stage and its error class.
+func failedRun(err error, res answer.Result, includeTrace bool) errorResponse {
+	resp := errorResponse{Error: err.Error(), Class: failure.Of(err)}
 	if includeTrace && res.Trace != nil {
 		resp.Stages = stageWires(res.Trace.Stages)
 	}
@@ -159,7 +160,7 @@ func failure(err error, res answer.Result, includeTrace bool) errorResponse {
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, req answerRequest) {
 	ans, model, src, err := s.resolve(req.Method, req.Model, req.KG)
 	if err != nil {
-		writeError(w, err, answer.Classify(err))
+		writeError(w, failure.Of(err), err)
 		return
 	}
 
@@ -183,7 +184,8 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, req answer
 	ctx, info := attach(ctx, req.IncludeTrace)
 	res, err := ans.Answer(ctx, q)
 	if err != nil {
-		writeJSON(w, statusFor(answer.Classify(err)), failure(err, res, req.IncludeTrace))
+		resp := failedRun(err, res, req.IncludeTrace)
+		writeJSON(w, resp.Class.Status(), resp)
 		return
 	}
 	if info.CacheUsed {
@@ -244,7 +246,7 @@ func (s *sseWriter) event(name string, v any) {
 func (s *Server) streamAnswer(w http.ResponseWriter, ctx context.Context, ans answer.Answerer, q answer.Query, src kg.Source, includeTrace bool) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, errors.New("streaming is unsupported by this connection"), answer.ClassInvalidQuery)
+		writeError(w, failure.Unsupported, errors.New("streaming is unsupported by this connection"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -259,7 +261,7 @@ func (s *Server) streamAnswer(w http.ResponseWriter, ctx context.Context, ans an
 	ctx, info := attach(ctx, includeTrace)
 	res, err := ans.Answer(ctx, q)
 	if err != nil {
-		out.event("error", failure(err, res, includeTrace))
+		out.event("error", failedRun(err, res, includeTrace))
 		return
 	}
 	wire := toWire(res, src, includeTrace)
@@ -269,16 +271,16 @@ func (s *Server) streamAnswer(w http.ResponseWriter, ctx context.Context, ans an
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, req batchRequest) {
 	if len(req.Queries) == 0 {
-		writeError(w, errors.New("batch has no queries"), answer.ClassInvalidQuery)
+		writeError(w, failure.InvalidQuery, errors.New("batch has no queries"))
 		return
 	}
 	if len(req.Queries) > maxBatch {
-		writeError(w, fmt.Errorf("batch of %d exceeds the limit of %d", len(req.Queries), maxBatch), answer.ClassInvalidQuery)
+		writeError(w, failure.InvalidQuery, fmt.Errorf("batch of %d exceeds the limit of %d", len(req.Queries), maxBatch))
 		return
 	}
 	ans, model, src, err := s.resolve(req.Method, req.Model, req.KG)
 	if err != nil {
-		writeError(w, err, answer.Classify(err))
+		writeError(w, failure.Of(err), err)
 		return
 	}
 	workers := req.Concurrency
@@ -323,7 +325,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, req batchRe
 		if item.Err != nil {
 			resp.Failed++
 			wireItem.Error = item.Err.Error()
-			wireItem.Class = string(item.Class)
+			wireItem.Class = item.Class
 		} else {
 			wire := toWire(item.Result, src, false)
 			wireItem.Result = &wire

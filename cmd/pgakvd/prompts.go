@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/failure"
 	"repro/internal/prompts"
 )
 
@@ -32,10 +33,7 @@ func (s *Server) handlePrompts(w http.ResponseWriter, r *http.Request) {
 // actually changed.
 func (s *Server) handlePromptsReload(w http.ResponseWriter, r *http.Request) {
 	if err := s.node.Prompts.Reload(); err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
-			Error: fmt.Sprintf("prompt reload rejected, current set keeps serving: %v", err),
-			Class: "invalid-prompts",
-		})
+		writeError(w, failure.InvalidPrompts, fmt.Errorf("prompt reload rejected, current set keeps serving: %v", err))
 		return
 	}
 	writeJSON(w, http.StatusOK, s.promptsWire())

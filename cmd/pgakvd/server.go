@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/answer"
+	"repro/internal/failure"
 	"repro/internal/kg"
 	"repro/internal/node"
 	"repro/internal/repl"
@@ -116,18 +117,13 @@ func (s *Server) admitted(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
+		// A refusal advertises its backoff; any other error is the client
+		// going away while queued for a slot.
 		var ref *serve.Refusal
-		if !errors.As(err, &ref) {
-			// The client went away while queued for a slot.
-			writeError(w, err, answer.ClassCanceled)
-			return
+		if errors.As(err, &ref) {
+			w.Header().Set("Retry-After", strconv.Itoa(serve.RetryAfterSeconds(ref.RetryAfter)))
 		}
-		class := "shed"
-		if errors.Is(err, serve.ErrRateLimited) {
-			class = "rate-limited"
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(serve.RetryAfterSeconds(ref.RetryAfter)))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error(), Class: class})
+		writeError(w, failure.Of(err), err)
 	})
 }
 
@@ -159,13 +155,10 @@ func jsonBody[T any](s *Server, allowEmpty bool, next func(http.ResponseWriter, 
 		}
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
-				Error: fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit),
-				Class: "too-large",
-			})
+			writeError(w, failure.TooLarge, fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
 			return
 		}
-		writeError(w, fmt.Errorf("decoding request: %w", err), answer.ClassInvalidQuery)
+		writeError(w, failure.InvalidQuery, fmt.Errorf("decoding request: %w", err))
 	})
 }
 
@@ -255,36 +248,20 @@ func (s *Server) handleMethods(w http.ResponseWriter, r *http.Request) {
 
 // --- responses ---
 
+// errorResponse is every error body: the message, and the class whose
+// status the reply carries.
 type errorResponse struct {
-	Error string `json:"error"`
-	Class string `json:"class"`
+	Error string        `json:"error"`
+	Class failure.Class `json:"class"`
 	// Stages carries the failed run's partial stage spans (the last one
 	// names the failing stage and its error class) when the request asked
 	// for a trace.
 	Stages []stageWire `json:"stages,omitempty"`
 }
 
-// statusFor maps error classes onto HTTP statuses.
-func statusFor(class answer.ErrorClass) int {
-	switch class {
-	case answer.ClassUnknownMethod, answer.ClassInvalidQuery:
-		return http.StatusBadRequest
-	case answer.ClassBudget:
-		// The request's own token budget ran out mid-run.
-		return http.StatusTooManyRequests
-	case answer.ClassDeadline:
-		return http.StatusGatewayTimeout
-	case answer.ClassCanceled:
-		// 499: client closed request (nginx convention) — the client is
-		// usually gone, but batch-internal cancellations still surface it.
-		return 499
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-func writeError(w http.ResponseWriter, err error, class answer.ErrorClass) {
-	writeJSON(w, statusFor(class), errorResponse{Error: err.Error(), Class: string(class)})
+// writeError answers with err under class, at the class's status.
+func writeError(w http.ResponseWriter, class failure.Class, err error) {
+	writeJSON(w, class.Status(), errorResponse{Error: err.Error(), Class: class})
 }
 
 // writeJSON writes v as one compact line; `jq .` is the pretty-printer.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/failure"
 	"repro/internal/serve"
 	"repro/internal/substrate"
 )
@@ -109,13 +110,17 @@ func TestRecoveryEndToEnd(t *testing.T) {
 }
 
 // TestCheckpointEndpointRequiresDurability: a memory-only server says
-// so instead of 500ing.
+// so, as a server that cannot serve the request (501 "unsupported"),
+// neither a 500 nor a client error.
 func TestCheckpointEndpointRequiresDurability(t *testing.T) {
 	env := ingestEnv(t)
 	h := testServer(t, env, testConfig(30*time.Second)).Handler()
 	rec := postJSON(t, h, "/v1/snapshot/checkpoint", sourceRequest{KG: "wikidata"})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.String())
+	if rec.Code != http.StatusNotImplemented {
+		t.Fatalf("status %d, want 501: %s", rec.Code, rec.Body.String())
+	}
+	if resp := decode[errorResponse](t, rec); resp.Class != failure.Unsupported {
+		t.Fatalf("class %q, want %q", resp.Class, failure.Unsupported)
 	}
 	if !strings.Contains(rec.Body.String(), "-data-dir") {
 		t.Fatalf("error does not point at -data-dir: %s", rec.Body.String())
@@ -123,7 +128,7 @@ func TestCheckpointEndpointRequiresDurability(t *testing.T) {
 }
 
 // TestIngestServerFaultIs500: a WAL append that fails is the server's
-// fault, not the client's — 500 "upstream" (retryable), never the 400
+// fault, not the client's — 500 "storage" (retryable), never the 400
 // "invalid-query" a malformed triple gets.
 func TestIngestServerFaultIs500(t *testing.T) {
 	env := durableEnv(t, t.TempDir())
@@ -138,7 +143,7 @@ func TestIngestServerFaultIs500(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("ingest on a closed WAL: status %d, want 500: %s", rec.Code, rec.Body.String())
 	}
-	if resp := decode[errorResponse](t, rec); resp.Class != "upstream" {
-		t.Fatalf("class %q, want upstream", resp.Class)
+	if resp := decode[errorResponse](t, rec); resp.Class != failure.Storage {
+		t.Fatalf("class %q, want %q", resp.Class, failure.Storage)
 	}
 }

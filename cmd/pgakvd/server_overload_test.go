@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/failure"
 	"repro/internal/llm"
 	"repro/internal/metrics"
 	"repro/internal/racedetect"
@@ -280,7 +281,7 @@ func TestRateLimitedRequestsNeverReachTheLLM(t *testing.T) {
 		if rec.Header().Get("Retry-After") == "" {
 			t.Fatalf("request %d: 429 without Retry-After", i)
 		}
-		if got := decode[errorResponse](t, rec); got.Class != "rate-limited" {
+		if got := decode[errorResponse](t, rec); got.Class != failure.RateLimited {
 			t.Fatalf("request %d: class %q, want rate-limited", i, got.Class)
 		}
 	}
@@ -321,7 +322,7 @@ func TestAdmissionWrapsAnswerRoutesOnly(t *testing.T) {
 		if rec.Header().Get("Retry-After") == "" {
 			t.Errorf("%s: 429 without Retry-After", path)
 		}
-		if got := decode[errorResponse](t, rec); got.Class != "shed" {
+		if got := decode[errorResponse](t, rec); got.Class != failure.Shed {
 			t.Errorf("%s: class %q, want shed", path, got.Class)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/llm"
 	"repro/internal/serve"
 	"repro/internal/world"
@@ -226,7 +227,7 @@ func TestSSEDisconnectCancelsPipeline(t *testing.T) {
 	canceledCount := func() int64 {
 		var n int64
 		for _, m := range env.Metrics.Snapshot() {
-			n += m.ErrorsByClass["canceled"]
+			n += m.ErrorsByClass[failure.Canceled.String()]
 		}
 		return n
 	}

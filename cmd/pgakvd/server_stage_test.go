@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/failure"
 )
 
 // TestAnswerTraceIncludesStageSpans: the staged engine must surface one
@@ -38,7 +39,7 @@ func TestAnswerTraceIncludesStageSpans(t *testing.T) {
 	}
 	var llmCalls int
 	for _, sp := range stages {
-		if sp.Error != "" {
+		if sp.Error != failure.None {
 			t.Errorf("stage %s failed: %s", sp.Stage, sp.Error)
 		}
 		llmCalls += sp.LLMCalls
@@ -128,7 +129,7 @@ func TestOversizedBodyGets413(t *testing.T) {
 			t.Errorf("%s: status %d, want 413 (%s)", path, rec.Code, rec.Body.String())
 			continue
 		}
-		if resp := decode[errorResponse](t, rec); resp.Class != "too-large" {
+		if resp := decode[errorResponse](t, rec); resp.Class != failure.TooLarge {
 			t.Errorf("%s: class %q, want too-large", path, resp.Class)
 		}
 	}
@@ -195,7 +196,7 @@ func TestTokenBudgetRefusal(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (%s)", rec.Code, rec.Body.String())
 	}
-	if resp := decode[errorResponse](t, rec); resp.Class != "budget" {
+	if resp := decode[errorResponse](t, rec); resp.Class != failure.Budget {
 		t.Errorf("class %q, want budget", resp.Class)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/failure"
 	"repro/internal/world"
 )
 
@@ -176,7 +177,7 @@ func TestAnswerUnknownMethod(t *testing.T) {
 		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.String())
 	}
 	out := decode[errorResponse](t, rec)
-	if out.Class != "unknown-method" {
+	if out.Class != failure.UnknownMethod {
 		t.Errorf("class %q", out.Class)
 	}
 }
@@ -218,7 +219,7 @@ func TestAnswerDeadline(t *testing.T) {
 		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body.String())
 	}
 	out := decode[errorResponse](t, rec)
-	if out.Class != "deadline" {
+	if out.Class != failure.Deadline {
 		t.Errorf("class %q", out.Class)
 	}
 }
@@ -245,7 +246,7 @@ func TestBatchRoundTripWithPartialFailure(t *testing.T) {
 	}
 	for _, item := range out.Items {
 		if item.Index == 1 {
-			if item.Class != "invalid-query" || item.Error == "" {
+			if item.Class != failure.InvalidQuery || item.Error == "" {
 				t.Errorf("item 1 should fail invalid-query, got %+v", item)
 			}
 		} else if item.Result == nil || item.Result.Answer == "" {

@@ -6,7 +6,7 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/answer"
+	"repro/internal/failure"
 	"repro/internal/kg"
 	"repro/internal/substrate"
 )
@@ -63,24 +63,21 @@ type checkpointResponse struct {
 // primary.
 func (s *Server) redirectIngest(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Location", s.cfg.ReplicaOf+"/v1/ingest")
-	writeJSON(w, http.StatusTemporaryRedirect, errorResponse{
-		Error: "this node is a read replica; ingest on the primary at " + s.cfg.ReplicaOf,
-		Class: "replica",
-	})
+	writeError(w, failure.Replica, errors.New("this node is a read replica; ingest on the primary at "+s.cfg.ReplicaOf))
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, req ingestRequest) {
 	if len(req.Triples) == 0 {
-		writeError(w, errors.New("ingest has no triples"), answer.ClassInvalidQuery)
+		writeError(w, failure.InvalidQuery, errors.New("ingest has no triples"))
 		return
 	}
 	if len(req.Triples) > maxIngest {
-		writeError(w, fmt.Errorf("ingest of %d triples exceeds the limit of %d", len(req.Triples), maxIngest), answer.ClassInvalidQuery)
+		writeError(w, failure.InvalidQuery, fmt.Errorf("ingest of %d triples exceeds the limit of %d", len(req.Triples), maxIngest))
 		return
 	}
 	mgr, src, err := s.substrateFor(req.KG)
 	if err != nil {
-		writeError(w, err, answer.Classify(err))
+		writeError(w, failure.Of(err), err)
 		return
 	}
 	triples := make([]kg.Triple, len(req.Triples))
@@ -89,14 +86,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, req ingest
 	}
 	res, err := mgr.Ingest(triples)
 	if err != nil {
-		// Only a triple the substrate refused is the client's fault; a
-		// failed WAL append is ours, and the client may retry it.
-		class := answer.ClassUpstream
-		var invalid *substrate.InvalidTripleError
-		if errors.As(err, &invalid) {
-			class = answer.ClassInvalidQuery
-		}
-		writeError(w, err, class)
+		// A refused triple is the client's fault (invalid-query); a failed
+		// WAL append is ours (storage), and the client may retry it.
+		writeError(w, failure.Of(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ingestResponse{KG: src.String(), IngestResult: res})
@@ -105,17 +97,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, req ingest
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request, req sourceRequest) {
 	mgr, src, err := s.substrateFor(req.KG)
 	if err != nil {
-		writeError(w, err, answer.Classify(err))
+		writeError(w, failure.Of(err), err)
 		return
 	}
 	start := time.Now()
 	snap, err := mgr.Compact(r.Context())
-	if errors.Is(err, substrate.ErrCompacting) {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error(), Class: "conflict"})
-		return
-	}
 	if err != nil {
-		writeError(w, err, answer.Classify(err))
+		writeError(w, failure.Of(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, compactResponse{
@@ -130,20 +118,16 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request, req sourc
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, req sourceRequest) {
 	mgr, src, err := s.substrateFor(req.KG)
 	if err != nil {
-		writeError(w, err, answer.Classify(err))
+		writeError(w, failure.Of(err), err)
 		return
 	}
 	start := time.Now()
 	info, err := mgr.Checkpoint(r.Context())
-	switch {
-	case errors.Is(err, substrate.ErrNotDurable):
-		writeError(w, errors.New("server is not durable: start pgakvd with -data-dir to enable checkpoints"), answer.ClassInvalidQuery)
-		return
-	case errors.Is(err, substrate.ErrCheckpointing):
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error(), Class: "conflict"})
-		return
-	case err != nil:
-		writeError(w, err, answer.Classify(err))
+	if errors.Is(err, substrate.ErrNotDurable) {
+		err = failure.Wrap(failure.Unsupported, errors.New("server is not durable: start pgakvd with -data-dir to enable checkpoints"))
+	}
+	if err != nil {
+		writeError(w, failure.Of(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, checkpointResponse{KG: src.String(), CheckpointInfo: info, ElapsedMS: time.Since(start).Milliseconds()})

@@ -6,24 +6,24 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/answer"
+	"repro/internal/failure"
 	"repro/internal/trace"
 )
 
 // traceSummary is one /v1/traces list entry: enough to scan and pick a
 // record without shipping the full graphs.
 type traceSummary struct {
-	ID         string  `json:"id"`
-	Time       string  `json:"time,omitempty"`
-	Question   string  `json:"question"`
-	Method     string  `json:"method"`
-	Model      string  `json:"model,omitempty"`
-	KG         string  `json:"kg,omitempty"`
-	Epoch      uint64  `json:"epoch"`
-	CacheHit   bool    `json:"cache_hit"`
-	ErrorClass string  `json:"error_class,omitempty"`
-	ElapsedMS  float64 `json:"elapsed_ms"`
-	LLMCalls   int     `json:"llm_calls"`
+	ID         string        `json:"id"`
+	Time       string        `json:"time,omitempty"`
+	Question   string        `json:"question"`
+	Method     string        `json:"method"`
+	Model      string        `json:"model,omitempty"`
+	KG         string        `json:"kg,omitempty"`
+	Epoch      uint64        `json:"epoch"`
+	CacheHit   bool          `json:"cache_hit"`
+	ErrorClass failure.Class `json:"error_class,omitempty"`
+	ElapsedMS  float64       `json:"elapsed_ms"`
+	LLMCalls   int           `json:"llm_calls"`
 }
 
 type tracesResponse struct {
@@ -38,10 +38,7 @@ func (s *Server) traced(next http.HandlerFunc) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusNotFound, errorResponse{
-			Error: "tracing is disabled: start pgakvd with -trace-dir to record request traces",
-			Class: "not-found",
-		})
+		writeError(w, failure.NotFound, errors.New("tracing is disabled: start pgakvd with -trace-dir to record request traces"))
 	})
 }
 
@@ -50,7 +47,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			writeError(w, fmt.Errorf("invalid limit %q", v), answer.ClassInvalidQuery)
+			writeError(w, failure.InvalidQuery, fmt.Errorf("invalid limit %q", v))
 			return
 		}
 		limit = n
@@ -60,7 +57,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	recs, err := s.node.Cfg.Trace.List(trace.ListOptions{Limit: limit, Method: r.URL.Query().Get("method")})
 	if err != nil {
-		writeError(w, err, answer.ClassUpstream)
+		writeError(w, failure.Storage, err)
 		return
 	}
 	resp := tracesResponse{Traces: []traceSummary{}, Stats: s.node.TraceStats()}
@@ -85,11 +82,11 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	rec, err := s.node.Cfg.Trace.Get(r.PathValue("id"))
 	if errors.Is(err, trace.ErrNotFound) {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error(), Class: "not-found"})
+		writeError(w, failure.NotFound, err)
 		return
 	}
 	if err != nil {
-		writeError(w, err, answer.ClassUpstream)
+		writeError(w, failure.Storage, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)

@@ -11,8 +11,8 @@
 //	res, err := ans.Answer(ctx, answer.Query{Text: "Where was X born?"})
 //
 // All methods honour context cancellation and deadlines, report uniform
-// usage accounting (LLM calls, token estimates, wall time), and classify
-// failures into a small set of typed error classes for serving layers.
+// usage accounting (LLM calls, token estimates, wall time), and return
+// typed errors that carry their failure class (internal/failure).
 //
 // # The read-log contract
 //
@@ -62,12 +62,11 @@ package answer
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/llm"
+	"repro/internal/failure"
 )
 
 // Query is one question for an Answerer, with optional per-request
@@ -172,27 +171,6 @@ type Answerer interface {
 	Answer(ctx context.Context, q Query) (Result, error)
 }
 
-// ErrorClass buckets failures for serving layers (HTTP status mapping,
-// batch reports, retry policies).
-type ErrorClass string
-
-const (
-	// ClassNone means no error.
-	ClassNone ErrorClass = ""
-	// ClassCanceled: the caller cancelled the context.
-	ClassCanceled ErrorClass = "canceled"
-	// ClassDeadline: the context's deadline expired.
-	ClassDeadline ErrorClass = "deadline"
-	// ClassUnknownMethod: the registry has no such method.
-	ClassUnknownMethod ErrorClass = "unknown-method"
-	// ClassInvalidQuery: the query is malformed (e.g. empty text).
-	ClassInvalidQuery ErrorClass = "invalid-query"
-	// ClassUpstream: the LLM client or a pipeline stage failed.
-	ClassUpstream ErrorClass = "upstream"
-	// ClassBudget: the query's token budget was exhausted mid-run.
-	ClassBudget ErrorClass = "budget"
-)
-
 // UnknownMethodError reports a name the registry does not know.
 type UnknownMethodError struct {
 	Name string
@@ -201,6 +179,9 @@ type UnknownMethodError struct {
 func (e *UnknownMethodError) Error() string {
 	return fmt.Sprintf("answer: unknown method %q (known: %v)", e.Name, Names())
 }
+
+// Class implements failure.Classer.
+func (e *UnknownMethodError) Class() failure.Class { return failure.UnknownMethod }
 
 // InvalidQueryError reports a malformed query.
 type InvalidQueryError struct {
@@ -211,25 +192,5 @@ func (e *InvalidQueryError) Error() string {
 	return "answer: invalid query: " + e.Reason
 }
 
-// Classify maps an error from this package (or wrapping one) to its class.
-func Classify(err error) ErrorClass {
-	switch {
-	case err == nil:
-		return ClassNone
-	case errors.Is(err, context.Canceled):
-		return ClassCanceled
-	case errors.Is(err, context.DeadlineExceeded):
-		return ClassDeadline
-	case errors.Is(err, llm.ErrBudgetExhausted):
-		return ClassBudget
-	}
-	var unknown *UnknownMethodError
-	if errors.As(err, &unknown) {
-		return ClassUnknownMethod
-	}
-	var invalid *InvalidQueryError
-	if errors.As(err, &invalid) {
-		return ClassInvalidQuery
-	}
-	return ClassUpstream
-}
+// Class implements failure.Classer.
+func (e *InvalidQueryError) Class() failure.Class { return failure.InvalidQuery }

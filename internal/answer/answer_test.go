@@ -10,6 +10,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/embed"
+	"repro/internal/failure"
 	"repro/internal/kg"
 	"repro/internal/llm"
 	"repro/internal/prompts"
@@ -82,8 +83,8 @@ func TestNewUnknownMethod(t *testing.T) {
 	if !errors.As(err, &unknown) {
 		t.Fatalf("want *UnknownMethodError, got %v", err)
 	}
-	if Classify(err) != ClassUnknownMethod {
-		t.Errorf("Classify = %q, want %q", Classify(err), ClassUnknownMethod)
+	if failure.Of(err) != failure.UnknownMethod {
+		t.Errorf("Classify = %q, want %q", failure.Of(err), failure.UnknownMethod)
 	}
 }
 
@@ -177,7 +178,7 @@ func TestAllMethodsAnswer(t *testing.T) {
 		}
 		var spanCalls int
 		for _, sp := range res.Trace.Stages {
-			if sp.Err != "" {
+			if sp.Err != failure.None {
 				t.Errorf("%s: stage %s carries error class %q", name, sp.Stage, sp.Err)
 			}
 			spanCalls += sp.LLMCalls
@@ -203,8 +204,8 @@ func TestAnswerRejectsEmptyQuery(t *testing.T) {
 	if !errors.As(err, &invalid) {
 		t.Fatalf("want *InvalidQueryError, got %v", err)
 	}
-	if Classify(err) != ClassInvalidQuery {
-		t.Errorf("Classify = %q", Classify(err))
+	if failure.Of(err) != failure.InvalidQuery {
+		t.Errorf("Classify = %q", failure.Of(err))
 	}
 }
 
@@ -236,8 +237,8 @@ func TestCancellationMidPipeline(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if Classify(err) != ClassCanceled {
-		t.Errorf("Classify = %q, want %q", Classify(err), ClassCanceled)
+	if failure.Of(err) != failure.Canceled {
+		t.Errorf("Classify = %q, want %q", failure.Of(err), failure.Canceled)
 	}
 }
 
@@ -265,8 +266,8 @@ func TestDeadlineClassified(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), -1)
 	defer cancel()
 	_, err = ans.Answer(ctx, Query{Text: "q?"})
-	if Classify(err) != ClassDeadline {
-		t.Fatalf("Classify = %q (err %v), want %q", Classify(err), err, ClassDeadline)
+	if failure.Of(err) != failure.Deadline {
+		t.Fatalf("Classify = %q (err %v), want %q", failure.Of(err), err, failure.Deadline)
 	}
 }
 

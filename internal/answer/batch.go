@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // BatchItem is one query's outcome inside a batch. Failures are isolated
@@ -18,8 +20,8 @@ type BatchItem struct {
 	Result Result
 	// Err is this item's failure, if any.
 	Err error
-	// Class buckets Err (ClassNone when Err is nil).
-	Class ErrorClass
+	// Class is Err's failure class (failure.None when Err is nil).
+	Class failure.Class
 }
 
 // batchOptions configure Batch.
@@ -39,7 +41,7 @@ func Concurrency(n int) BatchOption {
 
 // ItemTimeout bounds each item's run individually: the item's clock
 // starts when its worker picks it up, so one slow item times out alone
-// (its entry reports ClassDeadline) instead of a shared batch deadline
+// (its entry reports failure.Deadline) instead of a shared batch deadline
 // expiring and failing every item still in flight behind it.
 func ItemTimeout(d time.Duration) BatchOption {
 	return func(o *batchOptions) { o.itemTimeout = d }
@@ -81,7 +83,7 @@ func Batch(ctx context.Context, ans Answerer, queries []Query, opts ...BatchOpti
 					item.Result, item.Err = ans.Answer(itemCtx, queries[i])
 					cancel()
 				}
-				item.Class = Classify(item.Err)
+				item.Class = failure.Of(item.Err)
 				items[i] = item
 			}
 		}()

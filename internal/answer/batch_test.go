@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // stubAnswerer fails queries whose text contains "fail", counts concurrent
@@ -58,8 +60,8 @@ func TestBatchPartialFailureIsolation(t *testing.T) {
 		if (item.Err != nil) != wantFail {
 			t.Errorf("item %d err = %v, want failure=%v", i, item.Err, wantFail)
 		}
-		if wantFail && item.Class != ClassUpstream {
-			t.Errorf("item %d class = %q, want %q", i, item.Class, ClassUpstream)
+		if wantFail && item.Class != failure.Upstream {
+			t.Errorf("item %d class = %q, want %q", i, item.Class, failure.Upstream)
 		}
 		if !wantFail && item.Result.Answer != "echo: "+queries[i].Text {
 			t.Errorf("item %d answer = %q", i, item.Result.Answer)
@@ -94,7 +96,7 @@ func TestBatchCancellationMarksRemaining(t *testing.T) {
 		if !errors.Is(item.Err, context.Canceled) {
 			t.Errorf("item %d err = %v, want context.Canceled", i, item.Err)
 		}
-		if item.Class != ClassCanceled {
+		if item.Class != failure.Canceled {
 			t.Errorf("item %d class = %q", i, item.Class)
 		}
 	}
@@ -151,7 +153,7 @@ func (s *slowOnceAnswerer) Answer(ctx context.Context, q Query) (Result, error) 
 }
 
 // TestBatchItemTimeoutIsolatesSlowItem is the deadline-starvation fix: a
-// per-item timeout makes only the slow item fail with ClassDeadline while
+// per-item timeout makes only the slow item fail with failure.Deadline while
 // every other item completes, where a shared batch deadline would have
 // failed everything queued behind the slow one.
 func TestBatchItemTimeoutIsolatesSlowItem(t *testing.T) {
@@ -167,7 +169,7 @@ func TestBatchItemTimeoutIsolatesSlowItem(t *testing.T) {
 	}
 	for i, item := range items {
 		if strings.Contains(item.Query.Text, "slow") {
-			if item.Class != ClassDeadline {
+			if item.Class != failure.Deadline {
 				t.Errorf("slow item class = %q, want deadline", item.Class)
 			}
 			continue

@@ -26,9 +26,10 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // Span is the trace record of one executed stage — the evidence-first
@@ -50,17 +51,9 @@ type Span struct {
 	// the unit that makes its work legible).
 	InputSize  int `json:"input_size"`
 	OutputSize int `json:"output_size"`
-	// Err is the stage's error class: "" (ok), "canceled", "deadline" or
-	// "upstream".
-	Err string `json:"err,omitempty"`
+	// Err is the stage's failure class (failure.None when it succeeded).
+	Err failure.Class `json:"err,omitempty"`
 }
-
-// Error classes a Span.Err can hold.
-const (
-	ErrClassCanceled = "canceled"
-	ErrClassDeadline = "deadline"
-	ErrClassUpstream = "upstream"
-)
 
 // Stage is one unit of a composition: a named piece of work over the
 // shared state S, with an optional per-stage deadline and size probes.
@@ -186,7 +179,7 @@ func Run[S any](ctx context.Context, state *S, o Options, stages ...Stage[S]) ([
 			span.OutputSize = st.OutputSize(state)
 		}
 		if err != nil {
-			span.Err = Classify(err)
+			span.Err = failure.Of(err)
 			spans = append(spans, span)
 			if observe != nil {
 				observe(span)
@@ -199,28 +192,4 @@ func Run[S any](ctx context.Context, state *S, o Options, stages ...Stage[S]) ([
 		}
 	}
 	return spans, nil
-}
-
-// Classer lets an error carry its own span class (e.g. the LLM
-// scheduler's budget refusals report "budget") without this package
-// knowing every producer.
-type Classer interface {
-	ErrClass() string
-}
-
-// Classify buckets a stage error into its span class.
-func Classify(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, context.DeadlineExceeded):
-		return ErrClassDeadline
-	case errors.Is(err, context.Canceled):
-		return ErrClassCanceled
-	}
-	var classed Classer
-	if errors.As(err, &classed) {
-		return classed.ErrClass()
-	}
-	return ErrClassUpstream
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/failure"
 )
 
 type state struct {
@@ -85,8 +87,8 @@ func TestRunStopsAtFailingStage(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2 (failing stage included)", len(spans))
 	}
-	if spans[1].Err != ErrClassUpstream {
-		t.Errorf("failing span class = %q, want %q", spans[1].Err, ErrClassUpstream)
+	if spans[1].Err != failure.Upstream {
+		t.Errorf("failing span class = %q, want %q", spans[1].Err, failure.Upstream)
 	}
 }
 
@@ -105,7 +107,7 @@ func TestRunStageTimeout(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline", err)
 	}
-	if spans[0].Err != ErrClassDeadline {
+	if spans[0].Err != failure.Deadline {
 		t.Errorf("span class = %q, want deadline", spans[0].Err)
 	}
 }
@@ -139,24 +141,30 @@ func TestRunCanceledContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
-	if spans[0].Err != ErrClassCanceled {
+	if spans[0].Err != failure.Canceled {
 		t.Errorf("span class = %q, want canceled", spans[0].Err)
 	}
 }
 
+// TestClassify: Run stamps a failing stage's span with failure.Of's
+// class of the stage's error, a Classer's own class included, and leaves
+// a stage that succeeded unclassed.
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		err  error
-		want string
+		want failure.Class
 	}{
-		{nil, ""},
-		{context.Canceled, ErrClassCanceled},
-		{context.DeadlineExceeded, ErrClassDeadline},
-		{errors.New("x"), ErrClassUpstream},
+		{nil, failure.None},
+		{context.Canceled, failure.Canceled},
+		{context.DeadlineExceeded, failure.Deadline},
+		{failure.Wrap(failure.Budget, errors.New("spent")), failure.Budget},
+		{errors.New("x"), failure.Upstream},
 	}
 	for _, c := range cases {
-		if got := Classify(c.err); got != c.want {
-			t.Errorf("Classify(%v) = %q, want %q", c.err, got, c.want)
+		spans, _ := Run(context.Background(), &state{}, Options{},
+			Stage[state]{Name: "s", Run: func(ctx context.Context, s *state) error { return c.err }})
+		if got := spans[0].Err; got != c.want {
+			t.Errorf("span class for %v = %q, want %q", c.err, got, c.want)
 		}
 	}
 }
@@ -178,7 +186,7 @@ func TestRunDeadlineBindsNonContextStage(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline", err)
 	}
-	if len(spans) != 1 || spans[0].Err != ErrClassDeadline {
+	if len(spans) != 1 || spans[0].Err != failure.Deadline {
 		t.Fatalf("spans = %+v, want one deadline-classed span", spans)
 	}
 }

@@ -404,6 +404,12 @@ func TestDecodeRules(t *testing.T) {
 		{"anonymous_empty_node", "CREATE ()", nil, "cypher: exec error: anonymous node pattern with no content"},
 		{"empty_property_key", "CREATE (a {name: 'A', '': 'x'})", nil, "cypher: parse error at 1:23: empty property key"},
 		{"empty_backtick_key", "CREATE (a {name: 'A', ``: 'x'})", nil, "cypher: parse error at 1:23: empty property key"},
+
+		// Identifiers are read by rune: a non-ASCII letter is a letter.
+		{"utf8_variable", "CREATE (josé:Person {name: 'José'})\nCREATE (josé)-[:LIVES_IN]->(c {name: 'Zürich'})",
+			[]string{"<José> <lives in> <Zürich>"}, ""},
+		{"utf8_label", "CREATE (a:Café {area: 5})", []string{"<Café> <area> <5>"}, ""},
+		{"utf8_bare_value", "CREATE (a {name: 'A', v: Zürich})", []string{"<A> <v> <Zürich>"}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := Decode(tc.src)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind enumerates lexical token classes.
@@ -226,10 +227,14 @@ func lex(src string) ([]token, error) {
 			}
 			emit(tokNumber, src[i:j], startLine, startCol)
 			advance(j - i)
-		case isIdentStart(rune(c)):
+		case isIdentStart(src[i:]):
 			j := i
-			for j < n && isIdentChar(rune(src[j])) {
-				j++
+			for j < n {
+				r, size := utf8.DecodeRuneInString(src[j:])
+				if !isIdentChar(r) {
+					break
+				}
+				j += size
 			}
 			emit(tokIdent, src[i:j], startLine, startCol)
 			advance(j - i)
@@ -260,7 +265,9 @@ func isNumChar(c byte) bool {
 	return (c >= '0' && c <= '9') || c == '.' || c == '_'
 }
 
-func isIdentStart(r rune) bool {
+// isIdentStart reports whether s opens with an identifier's first rune.
+func isIdentStart(s string) bool {
+	r, _ := utf8.DecodeRuneInString(s)
 	return unicode.IsLetter(r) || r == '_'
 }
 

@@ -35,9 +35,6 @@
 //     abort waiting in the scheduler queue, not just the call itself.
 //   - Priority is admission order only — once admitted, a batch call is
 //     never preempted mid-flight; saturation is where lanes matter.
-//   - A budget refusal is a typed error (answer.ClassBudget downstream)
-//     attributable to the requesting method and stage, never a silent
-//     truncation.
 package llm
 
 import (

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // Priority is the admission lane of a request. The LLM is the one truly
@@ -47,20 +49,9 @@ func PriorityFrom(ctx context.Context) Priority {
 }
 
 // ErrBudgetExhausted reports that a request's token budget could not cover
-// another completion call.
-var ErrBudgetExhausted = errors.New("llm: token budget exhausted")
-
-// budgetError wraps ErrBudgetExhausted and names its span class, so stage
-// spans report "budget" instead of a generic upstream failure.
-type budgetError struct{ err error }
-
-func (e *budgetError) Error() string { return e.err.Error() }
-
-// Unwrap exposes ErrBudgetExhausted for errors.Is.
-func (e *budgetError) Unwrap() error { return e.err }
-
-// ErrClass implements the exec engine's span classification hook.
-func (e *budgetError) ErrClass() string { return "budget" }
+// another completion call. It carries failure.Budget, so a stage span and
+// every reply report "budget", not a generic upstream failure.
+var ErrBudgetExhausted = failure.Wrap(failure.Budget, errors.New("llm: token budget exhausted"))
 
 // Budget is a per-request token allowance shared by every LLM call made on
 // behalf of one logical query. Attach with WithBudget; a scheduler-wrapped
@@ -115,7 +106,7 @@ func budgetFrom(ctx context.Context) *Budget {
 
 // Budgeted enforces the context's token budget around a client: a call
 // whose estimated prompt tokens the budget cannot cover is refused with
-// ErrBudgetExhausted (span/error class "budget"); completion tokens are
+// ErrBudgetExhausted (class failure.Budget); completion tokens are
 // debited after the call, so a budget overdraws by at most one completion.
 // Enforcement lives here — independent of the scheduler — so budgets hold
 // even when admission control is unbounded. Contexts without a budget
@@ -137,7 +128,7 @@ func (c *budgetedClient) Complete(ctx context.Context, req Request) (Response, e
 	}
 	if !b.take(estimateTokens(req.Prompt)) {
 		b.rejected.Add(1)
-		return Response{}, &budgetError{err: fmt.Errorf("llm: completion refused: %w", ErrBudgetExhausted)}
+		return Response{}, fmt.Errorf("llm: completion refused: %w", ErrBudgetExhausted)
 	}
 	resp, err := c.inner.Complete(ctx, req)
 	if err == nil {
@@ -296,7 +287,7 @@ type SchedulerStats struct {
 	AdmittedBatch       int64 `json:"admitted_batch"`
 	// Waited counts admissions that had to queue; MeanWaitMS / MaxWaitMS
 	// summarise their queue time. (Budget refusals appear per method as
-	// error class "budget" in the serving metrics, not here — budgets are
+	// failure.Budget in the serving metrics, not here — budgets are
 	// enforced by Budgeted, upstream of admission.)
 	Waited     int64   `json:"waited"`
 	MeanWaitMS float64 `json:"mean_wait_ms"`

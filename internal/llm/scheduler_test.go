@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // gateClient blocks every Complete until released, reporting starts on a
@@ -141,9 +143,8 @@ func TestBudgetedTokenBudget(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("second call err = %v, want ErrBudgetExhausted", err)
 	}
-	var classed interface{ ErrClass() string }
-	if !errors.As(err, &classed) || classed.ErrClass() != "budget" {
-		t.Errorf("budget refusal must carry span class budget, got %v", err)
+	if got := failure.Of(err); got != failure.Budget {
+		t.Errorf("budget refusal classes as %q, want %q", got, failure.Budget)
 	}
 	if budget.Rejected() != 1 {
 		t.Errorf("budget.Rejected() = %d, want 1", budget.Rejected())

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // RouterConfig configures the read load-balancer.
@@ -135,7 +137,7 @@ func newNode(base string) (*node, error) {
 		n.healthy = false
 		n.lastErr = err.Error()
 		n.mu.Unlock()
-		writeJSON(w, http.StatusBadGateway, replError{Error: fmt.Sprintf("node %s: %v", base, err)})
+		writeError(w, failure.Unreachable, fmt.Errorf("node %s: %v", base, err))
 	}
 	n.proxy = proxy
 	return n, nil
@@ -292,7 +294,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 	minEpoch, err := ParseMinEpoch(req.Header.Get("X-Min-Epoch"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, replError{Error: err.Error()})
+		writeError(w, failure.InvalidQuery, err)
 		return
 	}
 	if minEpoch > 0 {

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // Source serves a durable pgakvd's replication endpoints: metadata for
@@ -85,7 +87,7 @@ func (s *Source) manager(w http.ResponseWriter, r *http.Request) (Manager, bool)
 	name := r.URL.Query().Get("source")
 	mgr, ok := s.managers[name]
 	if !ok {
-		writeJSON(w, http.StatusNotFound, replError{Error: fmt.Sprintf("unknown source %q", name)})
+		writeError(w, failure.NotFound, fmt.Errorf("unknown source %q", name))
 		return nil, false
 	}
 	return mgr, true
@@ -104,7 +106,7 @@ func (s *Source) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 	}
 	path, epoch, ok := mgr.NewestCheckpoint()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, replError{Error: "no checkpoint exists yet; stream the wal from epoch 0 instead"})
+		writeError(w, failure.NotFound, errors.New("no checkpoint exists yet; stream the wal from epoch 0 instead"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-tar")
@@ -174,26 +176,24 @@ func (s *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, replError{Error: fmt.Sprintf("invalid from %q", v)})
+			writeError(w, failure.InvalidQuery, fmt.Errorf("invalid from %q", v))
 			return
 		}
 		from = n
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, replError{Error: "streaming unsupported by this connection"})
+		writeError(w, failure.Unsupported, errors.New("streaming is unsupported by this connection"))
 		return
 	}
 
 	sub, cancel := mgr.SubscribeWAL(1024)
 	defer cancel()
 	recs, err := mgr.RecordsSince(from)
-	if errors.Is(err, ErrTruncatedHistory) {
-		writeJSON(w, http.StatusGone, replError{Error: err.Error()})
-		return
-	}
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, replError{Error: err.Error()})
+		// substrate.ErrTruncatedHistory is truncated (410); a failed WAL
+		// read is storage (500).
+		writeError(w, failure.Of(err), err)
 		return
 	}
 
@@ -251,9 +251,16 @@ func (s *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// replError is the JSON error body of the replication endpoints.
+// replError is the JSON error body of the replication endpoints and the
+// router: the message, and the class whose status the reply carries.
 type replError struct {
-	Error string `json:"error"`
+	Error string        `json:"error"`
+	Class failure.Class `json:"class"`
+}
+
+// writeError answers with err under class, at the class's status.
+func writeError(w http.ResponseWriter, class failure.Class, err error) {
+	writeJSON(w, class.Status(), replError{Error: err.Error(), Class: class})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

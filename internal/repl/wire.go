@@ -35,10 +35,6 @@ type (
 	WALSub    = substrate.WALSub
 )
 
-// ErrTruncatedHistory mirrors substrate.ErrTruncatedHistory: the WAL no
-// longer reaches back to the requested epoch.
-var ErrTruncatedHistory = substrate.ErrTruncatedHistory
-
 // streamMagic opens every /v1/repl/stream body so a replica talking to
 // the wrong endpoint (a proxy error page, an old binary) fails fast
 // instead of mis-parsing frames.

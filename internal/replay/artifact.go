@@ -135,7 +135,7 @@ func (a *methodAgg) add(rec, cur trace.Record) {
 	a.n++
 	if cur.Error != "" {
 		a.errors++
-		a.errorsByClass[cur.ErrorClass]++
+		a.errorsByClass[cur.ErrorClass.String()]++
 	}
 	a.scoreSum += metrics.Score(cur.Answer, rec.Open, rec.Refs, rec.Golds)
 	if cur.Answer != rec.Answer {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/failure"
 )
 
 func mustRead(t *testing.T, path string) []byte {
@@ -118,7 +120,7 @@ func TestDiffTripsOnNewErrorsAndMissingMethod(t *testing.T) {
 	cur := baselineArtifact()
 	m := cur.Methods["CoT"]
 	m.Errors = 2
-	m.ErrorsByClass = map[string]int{"upstream": 2}
+	m.ErrorsByClass = map[string]int{failure.Upstream.String(): 2}
 	cur.Methods["CoT"] = m
 	rep := Diff(b, cur, DefaultThresholds())
 	if rep.OK() || !findKinds(rep)["CoT/new-errors"] {

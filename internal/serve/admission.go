@@ -5,14 +5,16 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // ErrShed reports that the admission queue was full and the request was
 // rejected before any work was admitted.
-var ErrShed = errors.New("serve: request shed: server over capacity")
+var ErrShed = failure.Wrap(failure.Shed, errors.New("serve: request shed: server over capacity"))
 
 // ErrRateLimited reports that the client's token bucket was empty.
-var ErrRateLimited = errors.New("serve: request rate-limited")
+var ErrRateLimited = failure.Wrap(failure.RateLimited, errors.New("serve: request rate-limited"))
 
 // AdmissionConfig sizes the admission controller.
 type AdmissionConfig struct {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/answer"
 	"repro/internal/core/exec"
+	"repro/internal/failure"
 )
 
 // latencyBucketsMS are the histogram upper bounds in milliseconds, a
@@ -18,17 +19,6 @@ import (
 // bounds are at most 2.5× apart: a reported quantile lies in the bucket
 // of the sample it stands for.
 var latencyBucketsMS = [...]float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
-
-// errorClasses is the fixed set of answer error classes tracked per slot;
-// anything new lands in the last, catch-all slot.
-var errorClasses = []answer.ErrorClass{
-	answer.ClassCanceled,
-	answer.ClassDeadline,
-	answer.ClassUnknownMethod,
-	answer.ClassInvalidQuery,
-	answer.ClassBudget,
-	answer.ClassUpstream,
-}
 
 // Collector aggregates per-method serving metrics. The hot path is
 // lock-cheap: one sync.Map lookup plus a handful of atomic adds; the
@@ -45,8 +35,7 @@ type Collector struct {
 // request, not per call.
 type methodStats struct {
 	count     atomic.Int64
-	classes   [6]atomic.Int64 // indexed parallel to errorClasses
-	other     atomic.Int64    // error classes outside the fixed set
+	classes   [failure.NumClasses]atomic.Int64 // indexed by failure class
 	cacheHits atomic.Int64
 	shared    atomic.Int64
 
@@ -64,8 +53,7 @@ type methodStats struct {
 // stageStats aggregates one stage's spans within a method.
 type stageStats struct {
 	count            int64
-	errors           int64
-	errorsByClass    map[string]int64
+	errorsByClass    [failure.NumClasses]int64
 	latencyNS        int64
 	llmCalls         int64
 	promptTokens     int64
@@ -102,19 +90,7 @@ func (c *Collector) Record(method string, elapsed time.Duration, err error, usag
 	s := c.stats(method)
 	s.count.Add(1)
 	if err != nil {
-		class := answer.Classify(err)
-		slot := -1
-		for i, known := range errorClasses {
-			if class == known {
-				slot = i
-				break
-			}
-		}
-		if slot >= 0 {
-			s.classes[slot].Add(1)
-		} else {
-			s.other.Add(1)
-		}
+		s.classes[failure.Of(err)].Add(1)
 	}
 	if info.CacheHit {
 		s.cacheHits.Add(1)
@@ -149,13 +125,7 @@ func (c *Collector) RecordStages(method string, spans []exec.Span) {
 			s.stages[sp.Stage] = st
 		}
 		st.count++
-		if sp.Err != "" {
-			st.errors++
-			if st.errorsByClass == nil {
-				st.errorsByClass = map[string]int64{}
-			}
-			st.errorsByClass[sp.Err]++
-		}
+		st.errorsByClass[sp.Err]++ // a success lands in the None slot, which countsByClass skips
 		st.latencyNS += int64(sp.Latency)
 		st.llmCalls += int64(sp.LLMCalls)
 		st.promptTokens += int64(sp.PromptTokens)
@@ -227,20 +197,7 @@ func (c *Collector) Snapshot() []MethodSnapshot {
 			PromptTokens:     s.promptTokens.Load(),
 			CompletionTokens: s.completionTokens.Load(),
 		}
-		byClass := map[string]int64{}
-		for i, class := range errorClasses {
-			if n := s.classes[i].Load(); n > 0 {
-				byClass[string(class)] = n
-				snap.Errors += n
-			}
-		}
-		if n := s.other.Load(); n > 0 {
-			byClass["other"] = n
-			snap.Errors += n
-		}
-		if len(byClass) > 0 {
-			snap.ErrorsByClass = byClass
-		}
+		snap.Errors, snap.ErrorsByClass = countsByClass(func(c failure.Class) int64 { return s.classes[c].Load() })
 		snap.Latency = latencySnapshot(s)
 		snap.Stages = stageSnapshots(s)
 		out = append(out, snap)
@@ -263,17 +220,11 @@ func stageSnapshots(s *methodStats) []StageSnapshot {
 		snap := StageSnapshot{
 			Stage:            name,
 			Count:            st.count,
-			Errors:           st.errors,
 			LLMCalls:         st.llmCalls,
 			PromptTokens:     st.promptTokens,
 			CompletionTokens: st.completionTokens,
 		}
-		if len(st.errorsByClass) > 0 {
-			snap.ErrorsByClass = make(map[string]int64, len(st.errorsByClass))
-			for k, v := range st.errorsByClass {
-				snap.ErrorsByClass[k] = v
-			}
-		}
+		snap.Errors, snap.ErrorsByClass = countsByClass(func(c failure.Class) int64 { return st.errorsByClass[c] })
 		if st.count > 0 {
 			snap.MeanLatencyMS = float64(st.latencyNS) / float64(st.count) / float64(time.Millisecond)
 		}
@@ -281,6 +232,21 @@ func stageSnapshots(s *methodStats) []StageSnapshot {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Stage < out[j].Stage })
 	return out
+}
+
+// countsByClass folds every class's count into their total and a map
+// keyed by wire name holding the nonzero ones (nil when there are none).
+func countsByClass(count func(failure.Class) int64) (total int64, byClass map[string]int64) {
+	for class := failure.None + 1; class < failure.NumClasses; class++ {
+		if n := count(class); n > 0 {
+			if byClass == nil {
+				byClass = map[string]int64{}
+			}
+			byClass[class.String()] = n
+			total += n
+		}
+	}
+	return total, byClass
 }
 
 // latencySnapshot folds a method's histogram into mean and estimated

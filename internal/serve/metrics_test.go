@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/answer"
 	"repro/internal/core/exec"
+	"repro/internal/failure"
 	"repro/internal/metrics"
 )
 
@@ -36,13 +37,13 @@ func TestCollectorRecordAndSnapshot(t *testing.T) {
 	if ours.Count != 4 || ours.Errors != 1 || ours.CacheHits != 1 {
 		t.Errorf("ours %+v", ours)
 	}
-	if ours.ErrorsByClass[string(answer.ClassCanceled)] != 1 {
+	if ours.ErrorsByClass[failure.Canceled.String()] != 1 {
 		t.Errorf("ours errors by class %v", ours.ErrorsByClass)
 	}
 	if ours.LLMCalls != 6 || ours.PromptTokens != 200 || ours.CompletionTokens != 20 {
 		t.Errorf("ours usage %+v", ours)
 	}
-	if cot.Count != 1 || cot.ErrorsByClass[string(answer.ClassInvalidQuery)] != 1 {
+	if cot.Count != 1 || cot.ErrorsByClass[failure.InvalidQuery.String()] != 1 {
 		t.Errorf("cot %+v", cot)
 	}
 	if ours.Latency.MeanMS <= 0 || ours.Latency.P50MS <= 0 || ours.Latency.P95MS < ours.Latency.P50MS {
@@ -170,7 +171,7 @@ func TestMetricsMiddlewareRecordsErrors(t *testing.T) {
 		t.Fatal("want error")
 	}
 	s := collector.Snapshot()[0]
-	if s.Errors != 1 || s.ErrorsByClass[string(answer.ClassUpstream)] != 1 {
+	if s.Errors != 1 || s.ErrorsByClass[failure.Upstream.String()] != 1 {
 		t.Fatalf("snapshot %+v", s)
 	}
 	if s.LLMCalls != 0 {
@@ -188,7 +189,7 @@ func TestCollectorStageAggregation(t *testing.T) {
 	})
 	c.RecordStages("ours", []exec.Span{
 		{Stage: "pseudo-graph", Latency: 2 * time.Millisecond, LLMCalls: 1},
-		{Stage: "answer", Err: exec.ErrClassDeadline, Latency: time.Millisecond},
+		{Stage: "answer", Err: failure.Deadline, Latency: time.Millisecond},
 	})
 
 	snaps := c.Snapshot()
@@ -210,7 +211,7 @@ func TestCollectorStageAggregation(t *testing.T) {
 	if pg.MeanLatencyMS != 3 {
 		t.Errorf("pseudo-graph mean latency = %v, want 3ms", pg.MeanLatencyMS)
 	}
-	if ans.Errors != 1 || ans.ErrorsByClass[exec.ErrClassDeadline] != 1 {
+	if ans.Errors != 1 || ans.ErrorsByClass[failure.Deadline.String()] != 1 {
 		t.Errorf("answer errors = %+v", ans)
 	}
 

@@ -2,13 +2,13 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/answer"
+	"repro/internal/failure"
 )
 
 // Group coalesces concurrent identical queries: the first caller (the
@@ -62,7 +62,7 @@ func (g *Group) Do(ctx context.Context, key string, fn func() (answer.Result, er
 				return answer.Result{}, false, ctx.Err()
 			case <-f.done:
 			}
-			if isContextErr(f.err) && ctx.Err() == nil {
+			if class := failure.Of(f.err); (class == failure.Canceled || class == failure.Deadline) && ctx.Err() == nil {
 				// The leader was cancelled but this caller wasn't:
 				// take another lap rather than surfacing its error.
 				continue
@@ -97,11 +97,6 @@ func (g *Group) Do(ctx context.Context, key string, fn func() (answer.Result, er
 		}
 		return f.res, false, f.err
 	}
-}
-
-// isContextErr reports whether err is (or wraps) a context outcome.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // WithSingleflight dedups concurrent identical queries onto one

@@ -8,6 +8,7 @@ import (
 	"repro/internal/answer"
 	"repro/internal/core"
 	"repro/internal/core/exec"
+	"repro/internal/failure"
 	"repro/internal/kg"
 	"repro/internal/trace"
 )
@@ -59,7 +60,7 @@ func TestWithTraceRecordsSuccess(t *testing.T) {
 func TestWithTraceRecordsFailure(t *testing.T) {
 	store := trace.NewMemStore()
 	stub := &tracedStub{
-		res: answer.Result{Method: "cot", Trace: &core.Trace{Stages: []exec.Span{{Stage: "sample", Err: exec.ErrClassUpstream}}}},
+		res: answer.Result{Method: "cot", Trace: &core.Trace{Stages: []exec.Span{{Stage: "sample", Err: failure.Upstream}}}},
 		err: errors.New("llm exploded"),
 	}
 	stack := Stack(stub, WithTrace(store, "freebase"))
@@ -70,7 +71,7 @@ func TestWithTraceRecordsFailure(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("failed runs must be recorded too, got %d", len(recs))
 	}
-	if recs[0].Error == "" || recs[0].ErrorClass != string(answer.ClassUpstream) {
+	if recs[0].Error == "" || recs[0].ErrorClass != failure.Upstream {
 		t.Fatalf("error not captured: %+v", recs[0])
 	}
 	if len(recs[0].Stages) != 1 {

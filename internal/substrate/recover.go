@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/embed"
+	"repro/internal/failure"
 	"repro/internal/kg"
 )
 
@@ -55,7 +56,7 @@ var (
 	// ErrNotDurable reports a Checkpoint call on a memory-only manager.
 	ErrNotDurable = errors.New("substrate: durability is not enabled")
 	// ErrCheckpointing reports that a checkpoint is already being written.
-	ErrCheckpointing = errors.New("substrate: checkpoint already in progress")
+	ErrCheckpointing = failure.Wrap(failure.Conflict, errors.New("substrate: checkpoint already in progress"))
 )
 
 // ChainGapError is Recover refusing to serve a directory whose WAL does
@@ -346,7 +347,7 @@ func (m *Manager) Checkpoint(ctx context.Context) (CheckpointInfo, error) {
 	}
 	path, err := writeCheckpoint(m.dir, snap.Epoch, snap.Store.Source(), snap.Store.All(), ann)
 	if err != nil {
-		return CheckpointInfo{}, err
+		return CheckpointInfo{}, failure.Wrap(failure.Storage, err)
 	}
 	m.checkpoints.Add(1)
 	m.lastCheckpointEpoch.Store(snap.Epoch)

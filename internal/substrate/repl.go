@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/failure"
 	"repro/internal/kg"
 )
 
@@ -30,7 +31,7 @@ func EncodeWALRecord(rec WALRecord) []byte {
 // ErrTruncatedHistory reports that the WAL no longer reaches back to the
 // requested epoch — a checkpoint folded that prefix away. The caller
 // must re-sync from a checkpoint instead of the log.
-var ErrTruncatedHistory = errors.New("substrate: wal history before the requested epoch was truncated by a checkpoint")
+var ErrTruncatedHistory = failure.Wrap(failure.Truncated, errors.New("substrate: wal history before the requested epoch was truncated by a checkpoint"))
 
 // ErrEpochGap reports an ApplyReplicated record that does not directly
 // extend the replica's applied chain.
@@ -49,7 +50,7 @@ func (m *Manager) RecordsSince(from uint64) ([]WALRecord, error) {
 	// subscriber feed (and the next RecordsSince) once fully written.
 	recs, _, _, err := replayWAL(filepath.Join(m.dir, walName))
 	if err != nil {
-		return nil, err
+		return nil, failure.Wrap(failure.Storage, err)
 	}
 	out := make([]WALRecord, 0, len(recs))
 	for _, rec := range recs {

@@ -84,6 +84,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/embed"
+	"repro/internal/failure"
 	"repro/internal/kg"
 	"repro/internal/vecstore"
 )
@@ -156,18 +157,15 @@ type Snapshot struct {
 }
 
 // ErrCompacting reports that a compaction is already running.
-var ErrCompacting = errors.New("substrate: compaction already in progress")
+var ErrCompacting = failure.Wrap(failure.Conflict, errors.New("substrate: compaction already in progress"))
 
-// InvalidTripleError is Ingest's refusal of a batch because of what the
+// invalidTriplef is Ingest's refusal of a batch because of what the
 // caller sent (a missing field, a reserved character, an oversized
-// triple). Every other Ingest error is about the manager, not the batch:
-// a WAL append that failed, a closed or replica-mode manager.
-type InvalidTripleError struct{ msg string }
-
-func (e *InvalidTripleError) Error() string { return e.msg }
-
+// triple): an invalid query. Every other Ingest error is about the
+// manager, not the batch: a WAL append that failed (storage), a closed
+// or replica-mode manager.
 func invalidTriplef(format string, args ...any) error {
-	return &InvalidTripleError{msg: fmt.Sprintf(format, args...)}
+	return failure.Wrap(failure.InvalidQuery, fmt.Errorf(format, args...))
 }
 
 // maxTripleBytes bounds one ingested triple's combined field length —
@@ -353,7 +351,7 @@ func (m *Manager) Ingest(triples []kg.Triple) (IngestResult, error) {
 			// Log-before-apply: the record carries the epoch the publish
 			// below will create.
 			if err := m.wal.append(m.epoch+1, fresh); err != nil {
-				return IngestResult{}, err
+				return IngestResult{}, failure.Wrap(failure.Storage, err)
 			}
 		}
 		m.applyLocked(fresh)
@@ -548,7 +546,7 @@ func (m *Manager) Compact(ctx context.Context) (*Snapshot, error) {
 		// the checkpoint below that would cover the hole may fail too.
 		if err := m.wal.append(m.epoch+1, nil); err != nil {
 			m.mu.Unlock()
-			return nil, fmt.Errorf("substrate: compaction epoch marker: %w", err)
+			return nil, failure.Wrap(failure.Storage, fmt.Errorf("substrate: compaction epoch marker: %w", err))
 		}
 	}
 	m.baseRows = n

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/failure"
 )
 
 // codecSeeds cover the JSONL record surface: real encoded records, the
@@ -20,7 +22,7 @@ func codecSeeds() [][]byte {
 		Gp: []string{"(China, capital, ?)"}, Kept: []KeptSubject{{Subject: "China", Confidence: 0.9, Triples: 4}},
 	})
 	minimal, _ := Encode(Record{Question: "q", Method: "io"})
-	erred, _ := Encode(Record{Question: "q", Method: "cot", Error: "boom", ErrorClass: "upstream"})
+	erred, _ := Encode(Record{Question: "q", Method: "cot", Error: "boom", ErrorClass: failure.Upstream})
 	return [][]byte{
 		full,
 		minimal,

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/answer"
 	"repro/internal/core/exec"
+	"repro/internal/failure"
 )
 
 // KeptSubject is one pruned-and-kept subject with its confidence, the
@@ -67,9 +68,9 @@ type Record struct {
 	Refs  []string `json:"refs,omitempty"`
 
 	// Answer is the final answer text; Error/ErrorClass the failure.
-	Answer     string `json:"answer,omitempty"`
-	Error      string `json:"error,omitempty"`
-	ErrorClass string `json:"error_class,omitempty"`
+	Answer     string        `json:"answer,omitempty"`
+	Error      string        `json:"error,omitempty"`
+	ErrorClass failure.Class `json:"error_class,omitempty"`
 
 	// Epoch is the substrate snapshot that served the request and CacheHit
 	// whether the answer came from the serving cache. Both serialize
@@ -156,7 +157,7 @@ func Build(q answer.Query, res answer.Result, err error, m Meta) Record {
 	}
 	if err != nil {
 		rec.Error = err.Error()
-		rec.ErrorClass = string(answer.Classify(err))
+		rec.ErrorClass = failure.Of(err)
 	}
 	if tr := res.Trace; tr != nil {
 		rec.Stages = append([]exec.Span(nil), tr.Stages...)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/answer"
 	"repro/internal/core"
 	"repro/internal/core/exec"
+	"repro/internal/failure"
 	"repro/internal/kg"
 )
 
@@ -68,19 +69,19 @@ func TestBuildCapturesEverything(t *testing.T) {
 	if len(rec.Golds) != 1 || rec.Golds[0] != "Beijing" {
 		t.Fatalf("golds wrong: %+v", rec.Golds)
 	}
-	if rec.Error != "" || rec.ErrorClass != "" {
+	if rec.Error != "" || rec.ErrorClass != failure.None {
 		t.Fatalf("unexpected error fields: %+v", rec)
 	}
 }
 
 func TestBuildError(t *testing.T) {
 	q := answer.Query{Text: "q?"}
-	res := answer.Result{Method: "cot", Trace: &core.Trace{Stages: []exec.Span{{Stage: "sample", Err: exec.ErrClassDeadline}}}}
+	res := answer.Result{Method: "cot", Trace: &core.Trace{Stages: []exec.Span{{Stage: "sample", Err: failure.Deadline}}}}
 	rec := Build(q, res, &answer.InvalidQueryError{Reason: "nope"}, Meta{})
-	if rec.Error == "" || rec.ErrorClass != string(answer.ClassInvalidQuery) {
+	if rec.Error == "" || rec.ErrorClass != failure.InvalidQuery {
 		t.Fatalf("error not classified: %+v", rec)
 	}
-	if len(rec.Stages) != 1 || rec.Stages[0].Err != exec.ErrClassDeadline {
+	if len(rec.Stages) != 1 || rec.Stages[0].Err != failure.Deadline {
 		t.Fatalf("partial spans lost: %+v", rec.Stages)
 	}
 }
