@@ -77,7 +77,9 @@ type answerResponse struct {
 	CompletionTokens int    `json:"completion_tokens"`
 	ElapsedMS        int64  `json:"elapsed_ms"`
 	// PromptVersions are the exact prompt versions this run rendered
-	// with — the observable half of a "prompt_versions" A/B override.
+	// with — the observable half of a "prompt_versions" A/B override. It
+	// is the result's map, immutable like every prompt view's
+	// (appendVersions reuses the encoding of the last one it saw).
 	PromptVersions map[string]string `json:"prompt_versions,omitempty"`
 	// Cached marks an SSE answer event served from the answer cache (the
 	// JSON path reports the same through the X-Cache header instead).
@@ -166,22 +168,22 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, req answer
 
 	// Interactive lane: a user is waiting on this response, so when the
 	// LLM scheduler saturates this request is admitted ahead of queued
-	// batch/bench work.
+	// batch/bench work. The request's deadline rides its Info, and the
+	// node's stack arms it below the cache: a hit arms no timer.
 	ctx := llm.WithPriority(r.Context(), llm.PriorityInteractive)
+	ctx, info := attach(ctx, req.IncludeTrace)
 	if timeout := s.deadline(req.TimeoutMS); timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+		info.Deadline = time.Now().Add(timeout)
 	}
 	q := req.query(ans.Name(), model)
 	if req.TokenBudget > 0 {
-		q.Overrides.TokenBudget = &req.TokenBudget
+		budget := req.TokenBudget // req itself stays off the heap
+		q.Overrides.TokenBudget = &budget
 	}
 	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.streamAnswer(w, ctx, ans, q, src, req.IncludeTrace)
+		s.streamAnswer(w, ctx, info, ans, q, src, req.IncludeTrace)
 		return
 	}
-	ctx, info := attach(ctx, req.IncludeTrace)
 	res, err := ans.Answer(ctx, q)
 	if err != nil {
 		resp := failedRun(err, res, req.IncludeTrace)
@@ -195,7 +197,8 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, req answer
 		}
 		w.Header().Set("X-Cache", state)
 	}
-	writeJSON(w, http.StatusOK, toWire(res, src, req.IncludeTrace))
+	wire := toWire(res, src, req.IncludeTrace)
+	writeAnswer(w, &wire)
 }
 
 // attach gives one request its serve.Info, declaring whether the reply
@@ -229,6 +232,19 @@ func (s *sseWriter) event(name string, v any) {
 	if err != nil {
 		return
 	}
+	s.write(name, data)
+}
+
+// answer writes the terminal "answer" event, encoded by appendAnswer.
+func (s *sseWriter) answer(v *answerResponse) {
+	data, err := appendAnswer(nil, v)
+	if err != nil {
+		return
+	}
+	s.write("answer", data)
+}
+
+func (s *sseWriter) write(name string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, data)
@@ -243,7 +259,7 @@ func (s *sseWriter) event(name string, v any) {
 // cancels ctx and with it the in-flight run; the terminal error event is
 // then written to a dead connection and dropped, but the run's "canceled"
 // class still lands in /v1/metrics through the serving stack.
-func (s *Server) streamAnswer(w http.ResponseWriter, ctx context.Context, ans answer.Answerer, q answer.Query, src kg.Source, includeTrace bool) {
+func (s *Server) streamAnswer(w http.ResponseWriter, ctx context.Context, info *serve.Info, ans answer.Answerer, q answer.Query, src kg.Source, includeTrace bool) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, failure.Unsupported, errors.New("streaming is unsupported by this connection"))
@@ -258,7 +274,6 @@ func (s *Server) streamAnswer(w http.ResponseWriter, ctx context.Context, ans an
 	ctx = exec.WithSpanObserver(ctx, func(sp exec.Span) {
 		out.event("stage", stageWires([]exec.Span{sp})[0])
 	})
-	ctx, info := attach(ctx, includeTrace)
 	res, err := ans.Answer(ctx, q)
 	if err != nil {
 		out.event("error", failedRun(err, res, includeTrace))
@@ -266,7 +281,7 @@ func (s *Server) streamAnswer(w http.ResponseWriter, ctx context.Context, ans an
 	}
 	wire := toWire(res, src, includeTrace)
 	wire.Cached = info.CacheHit
-	out.event("answer", wire)
+	out.answer(&wire)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, req batchRequest) {

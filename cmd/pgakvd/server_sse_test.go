@@ -257,3 +257,70 @@ func TestSSEDisconnectCancelsPipeline(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestSingleflightFollowerKeepsItsOwnDeadline: the request deadline is
+// armed below the cache, above singleflight, so a follower that joins a
+// leader's run with a shorter timeout_ms still gives up at its own
+// deadline — without starting a run, and without ending the leader's.
+func TestSingleflightFollowerKeepsItsOwnDeadline(t *testing.T) {
+	env := sseEnv(t)
+	h := testServer(t, env, testConfig(30*time.Second)).Handler()
+	req := answerRequest{queryItem: queryItem{Question: "Where was FollowerDeadline born?"}, Method: "ours", Model: "gpt4"}
+	before := env.Node.DedupStats()
+
+	// send serves one request on its own goroutine.
+	send := func(req answerRequest, ctx context.Context) <-chan *httptest.ResponseRecorder {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/answer", bytes.NewReader(raw)).WithContext(ctx))
+			done <- rec
+		}()
+		return done
+	}
+
+	// The leader stalls in its first LLM call until its client leaves.
+	leaderCtx, leave := context.WithCancel(context.Background())
+	defer leave()
+	leader := send(req, leaderCtx)
+	for deadline := time.Now().Add(5 * time.Second); env.Node.DedupStats().Runs == before.Runs; {
+		if time.Now().After(deadline) {
+			t.Fatal("the leader's run never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	follower := req
+	follower.TimeoutMS = 50
+	start := time.Now()
+	followed := send(follower, context.Background())
+	var rec *httptest.ResponseRecorder
+	select {
+	case rec = <-followed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the follower waited past its deadline")
+	}
+	if waited := time.Since(start); rec.Code != http.StatusGatewayTimeout || waited < 50*time.Millisecond {
+		t.Fatalf("follower: status %d after %v, want 504 after about 50ms: %s", rec.Code, waited, rec.Body.String())
+	}
+	if out := decode[errorResponse](t, rec); out.Class != failure.Deadline {
+		t.Fatalf("follower: class %q, want deadline", out.Class)
+	}
+	if got := env.Node.DedupStats().Runs - before.Runs; got != 1 {
+		t.Fatalf("%d runs started, want the leader's alone", got)
+	}
+	select {
+	case rec := <-leader:
+		t.Fatalf("the leader ended with the follower: status %d", rec.Code)
+	default:
+	}
+
+	leave()
+	if rec := <-leader; rec.Code != failure.Canceled.Status() {
+		t.Fatalf("leader: status %d after its client left, want %d", rec.Code, failure.Canceled.Status())
+	}
+}

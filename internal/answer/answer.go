@@ -131,7 +131,8 @@ type Result struct {
 	CompletionTokens int
 	// PromptVersions records the exact prompt versions the query rendered
 	// with (prompt name -> version string) — the provenance trace records
-	// pin and replay restores.
+	// pin and replay restores. It is the prompt view's own map
+	// (prompts.View.Versions): immutable, so copies of a Result share it.
 	PromptVersions map[string]string
 	// Trace carries the run's intermediate artefacts and per-stage spans.
 	// Pipeline-backed methods ("ours", "ours-gp") fill the full graph
@@ -148,15 +149,10 @@ type Result struct {
 // Clone returns a copy safe to hand to an independent caller: the trace —
 // the only mutable reference a Result carries — is deep-copied, so caches
 // and their clients can never corrupt each other through shared graphs.
+// PromptVersions and Reads are immutable and shared.
 func (r Result) Clone() Result {
 	out := r
 	out.Trace = r.Trace.Clone()
-	if r.PromptVersions != nil {
-		out.PromptVersions = make(map[string]string, len(r.PromptVersions))
-		for k, v := range r.PromptVersions {
-			out.PromptVersions[k] = v
-		}
-	}
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // QueryKey returns the canonical identity of a query for caching and
@@ -13,13 +14,21 @@ import (
 // but keeps every semantic knob (open flag, overrides) because those
 // change the produced answer.
 func QueryKey(method, model string, q Query) string {
+	return PrefixedQueryKey("", method, model, q)
+}
+
+// PrefixedQueryKey returns prefix followed by QueryKey(method, model, q),
+// built in one buffer: the serving layers' keys are a namespace plus the
+// query's identity.
+func PrefixedQueryKey(prefix, method, model string, q Query) string {
 	var b strings.Builder
-	b.Grow(len(method) + len(model) + len(q.Text) + 32)
-	b.WriteString(strings.ToLower(strings.TrimSpace(method)))
+	b.Grow(len(prefix) + len(method) + len(model) + len(q.Text) + 32)
+	b.WriteString(prefix)
+	writeLower(&b, strings.TrimSpace(method))
 	b.WriteByte(0)
-	b.WriteString(strings.ToLower(strings.TrimSpace(model)))
+	writeLower(&b, strings.TrimSpace(model))
 	b.WriteByte(0)
-	b.WriteString(normalizeText(q.Text))
+	writeNormalized(&b, q.Text)
 	b.WriteByte(0)
 	if q.Open {
 		b.WriteByte('o')
@@ -48,13 +57,67 @@ func QueryKey(method, model string, q Query) string {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			b.WriteString(normalizeText(name))
+			writeNormalized(&b, name)
 			b.WriteByte('@')
-			b.WriteString(normalizeText(q.PromptVersions[name]))
+			writeNormalized(&b, q.PromptVersions[name])
 			b.WriteByte(';')
 		}
 	}
 	return b.String()
+}
+
+// writeLower appends strings.ToLower(s) to b, ASCII text without an
+// intermediate string.
+func writeLower(b *strings.Builder, s string) {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			b.WriteString(strings.ToLower(s))
+			return
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
+}
+
+// writeNormalized appends normalizeText(s) to b. ASCII text is normalised
+// in one pass straight into b, with no intermediate strings: a run of
+// white space between two fields becomes one space, letters are lowered,
+// and other control characters are dropped, each still counting as part
+// of its field (so "a \x01 b" keeps both of its spaces, as
+// normalizeText's split-then-strip does). Other text goes through
+// normalizeText.
+func writeNormalized(b *strings.Builder, s string) {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			b.WriteString(normalizeText(s))
+			return
+		}
+	}
+	inField, space := false, false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == ' ' || '\t' <= c && c <= '\r' { // strings.Fields' ASCII space
+			space = inField
+			continue
+		}
+		if space {
+			b.WriteByte(' ')
+			space = false
+		}
+		inField = true
+		switch {
+		case c < 0x20 || c == 0x7f:
+		case 'A' <= c && c <= 'Z':
+			b.WriteByte(c + 'a' - 'A')
+		default:
+			b.WriteByte(c)
+		}
+	}
 }
 
 // normalizeText lower-cases, collapses all runs of whitespace to a

@@ -410,6 +410,12 @@ func TestDecodeRules(t *testing.T) {
 			[]string{"<José> <lives in> <Zürich>"}, ""},
 		{"utf8_label", "CREATE (a:Café {area: 5})", []string{"<Café> <area> <5>"}, ""},
 		{"utf8_bare_value", "CREATE (a {name: 'A', v: Zürich})", []string{"<A> <v> <Zürich>"}, ""},
+		// A character outside the grammar is quoted whole, a byte that
+		// starts no rune as that byte.
+		{"utf8_illegal_character", "CREATE (a {name: 'A'})→(b {name: 'B'})",
+			nil, `cypher: parse error at 1:23: expected CREATE or MERGE, found "→"`},
+		{"invalid_utf8_byte", "CREATE (a {name: 'A'})\xff(b {name: 'B'})",
+			nil, `cypher: parse error at 1:23: expected CREATE or MERGE, found "\xff"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := Decode(tc.src)

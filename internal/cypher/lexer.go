@@ -252,9 +252,12 @@ func lex(src string) ([]token, error) {
 		default:
 			// A character outside the grammar (a query's '.', '=', '*',
 			// '<' or '>', say) reaches the parser as an illegal token, so
-			// the error names the statement or pattern it broke.
-			emit(tokIllegal, src[i:i+1], startLine, startCol)
-			advance(1)
+			// the error names the statement or pattern it broke. The token
+			// is the whole rune, so the error quotes "→", not "\xe2"; a
+			// byte that starts no valid rune is a token of its own.
+			_, size := utf8.DecodeRuneInString(src[i:])
+			emit(tokIllegal, src[i:i+size], startLine, startCol)
+			advance(size)
 		}
 	}
 	toks = append(toks, token{kind: tokEOF, line: line, col: col})

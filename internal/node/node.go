@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/answer"
 	"repro/internal/core"
@@ -111,8 +112,15 @@ type Node struct {
 	Prompts *prompts.Registry
 
 	ansMu     sync.Mutex
-	answerers map[string]answer.Answerer
+	answerers map[answererKey]answer.Answerer
 	flights   *serve.Group
+}
+
+// answererKey names one bound answerer: the lowered method label, the
+// model and the KG source.
+type answererKey struct {
+	method, model string
+	src           kg.Source
 }
 
 // New builds the node deterministically.
@@ -128,7 +136,7 @@ func New(cfg Config) (*Node, error) {
 		Substrates: map[kg.Source]*substrate.Manager{},
 		Cache:      serve.NewCache(cfg.Cache), // nil when Size <= 0
 		Metrics:    serve.NewCollector(),
-		answerers:  map[string]answer.Answerer{},
+		answerers:  map[answererKey]answer.Answerer{},
 		flights:    serve.NewGroup(),
 	}
 	for _, src := range Sources {
@@ -169,9 +177,10 @@ func New(cfg Config) (*Node, error) {
 // Answerer returns (building and caching on demand) the registry method
 // bound to this node's substrates for a model and KG source, wrapped in
 // the serving middleware stack: metrics always, then the answer cache
-// and singleflight dedup when Config.Cache enables them.
+// and singleflight dedup when Config.Cache enables them, with the
+// request deadline's layer between them (innermost without a cache).
 func (n *Node) Answerer(method, model string, src kg.Source) (answer.Answerer, error) {
-	key := strings.ToLower(method) + "/" + model + "/" + src.String()
+	key := answererKey{strings.ToLower(method), model, src}
 	n.ansMu.Lock()
 	defer n.ansMu.Unlock()
 	if a, ok := n.answerers[key]; ok {
@@ -203,22 +212,47 @@ func (n *Node) Answerer(method, model string, src kg.Source) (answer.Answerer, e
 	// coalescing, and every hot swap — of the substrate or of the active
 	// prompt versions — moves it, so an entry filled before the swap is
 	// served only once its read log replays exactly.
-	prefix := model + "/" + src.String() + "@"
-	scope := func() string {
-		return prefix + strconv.FormatUint(mgr.Epoch(), 10) + "#" + n.Prompts.Fingerprint()
-	}
+	scope := n.scopeFunc(model+"/"+src.String()+"@", mgr)
 	mws := []serve.Middleware{serve.WithMetrics(n.Metrics)}
 	if n.Cfg.Trace != nil {
 		// Outside the cache and singleflight so each record captures what
 		// the stack did with the request (hit, shared) plus the epoch.
 		mws = append(mws, serve.WithTrace(n.Cfg.Trace, src.String()))
 	}
+	// A request's own deadline (serve.Info.Deadline) is armed below the
+	// cache, so a hit arms no timer; a run and a singleflight wait are
+	// bounded by it.
 	if n.Cache != nil {
-		mws = append(mws, serve.WithCache(n.Cache, scope), serve.WithSingleflight(n.flights, scope))
+		mws = append(mws, serve.WithCache(n.Cache, scope), serve.WithDeadline(), serve.WithSingleflight(n.flights, scope))
+	} else {
+		mws = append(mws, serve.WithDeadline())
 	}
 	a = serve.Stack(a, mws...)
 	n.answerers[key] = a
 	return a, nil
+}
+
+// scopeFunc returns the cache and singleflight scope of one binding:
+// prefix, the substrate's epoch and the active prompt fingerprint
+// ("GPT-4/wikidata@12#answer-graph@1,..."). The string is built only when
+// the epoch or the prompt view moves; between two moves every request
+// reads the one it last built.
+func (n *Node) scopeFunc(prefix string, mgr *substrate.Manager) serve.ScopeFunc {
+	type built struct {
+		epoch uint64
+		view  *prompts.View
+		scope string
+	}
+	var last atomic.Pointer[built]
+	return func() string {
+		epoch, view := mgr.Epoch(), n.Prompts.View()
+		if b := last.Load(); b != nil && b.epoch == epoch && b.view == view {
+			return b.scope
+		}
+		b := &built{epoch, view, prefix + strconv.FormatUint(epoch, 10) + "#" + view.Fingerprint()}
+		last.Store(b)
+		return b.scope
+	}
 }
 
 // Close shuts the node's substrate managers down: background

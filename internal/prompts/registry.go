@@ -408,21 +408,25 @@ func (r *Registry) List() []Info {
 type View struct {
 	prompts     map[string]*Prompt
 	fingerprint string
+	versions    map[string]string
 }
 
-// newView takes ownership of prompts and renders its fingerprint once;
-// nothing writes to either afterwards.
+// newView takes ownership of prompts and renders its fingerprint and its
+// version map once; nothing writes to any of them afterwards.
 func newView(prompts map[string]*Prompt) *View {
 	var b strings.Builder
+	versions := make(map[string]string, len(prompts))
 	for i, name := range sortedNames(prompts) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
+		v := strconv.Itoa(prompts[name].Version)
+		versions[name] = v
 		b.WriteString(name)
 		b.WriteByte('@')
-		b.WriteString(strconv.Itoa(prompts[name].Version))
+		b.WriteString(v)
 	}
-	return &View{prompts: prompts, fingerprint: b.String()}
+	return &View{prompts: prompts, fingerprint: b.String(), versions: versions}
 }
 
 // render renders a required slot; registry validation guarantees the slot
@@ -483,14 +487,10 @@ func (v *View) ScoreRelations(question string, relations []string) string {
 }
 
 // Versions returns the view's name -> version map in wire form — what
-// trace records and replay suite metas pin.
-func (v *View) Versions() map[string]string {
-	out := make(map[string]string, len(v.prompts))
-	for name, p := range v.prompts {
-		out[name] = strconv.Itoa(p.Version)
-	}
-	return out
-}
+// every Result, trace record and replay suite meta carries. The map is
+// built once with the view and shared by every caller: it is immutable,
+// and no caller may write to it.
+func (v *View) Versions() map[string]string { return v.versions }
 
 // Version returns one slot's active version (0 when absent).
 func (v *View) Version(name string) int {

@@ -230,11 +230,12 @@ func WithCache(c *Cache, scope ScopeFunc) Middleware {
 		if c == nil {
 			return inner
 		}
+		ns := strconv.FormatUint(c.namespaces.Add(1), 36)
 		return &cachedAnswerer{
 			named: named{inner},
 			cache: c,
 			scope: scopeOrEmpty(scope),
-			ns:    strconv.FormatUint(c.namespaces.Add(1), 36),
+			ns:    [2]string{ns + sepTrace, ns + sepOmitTrace},
 		}
 	}
 }
@@ -250,14 +251,20 @@ type cachedAnswerer struct {
 	named
 	cache *Cache
 	scope ScopeFunc
-	ns    string // this middleware's key namespace in the cache
+	// ns is this middleware's key namespace in the cache, with its
+	// separator: ns[0] for full entries, ns[1] for trace-less ones.
+	ns [2]string
 }
 
 func (a *cachedAnswerer) Answer(ctx context.Context, q answer.Query) (answer.Result, error) {
 	start := time.Now()
 	info := infoFrom(ctx)
 	omitTrace := info != nil && info.OmitTrace
-	k := key(a.ns, a.inner, q, omitTrace)
+	ns := a.ns[0]
+	if omitTrace {
+		ns = a.ns[1]
+	}
+	k := key(ns, a.inner, q)
 	scope := a.scope()
 	if info != nil {
 		info.CacheUsed = true

@@ -6,13 +6,16 @@
 //	stack := serve.Stack(ans,
 //	    serve.WithMetrics(collector),    // outermost: sees every request
 //	    serve.WithCache(cache),          // answers repeats from memory
+//	    serve.WithDeadline(),            // arms Info.Deadline on a miss
 //	    serve.WithSingleflight(group),   // N concurrent identical queries -> 1 run
 //	)
 //
-// The three middlewares are independent; any subset composes. Request
+// The middlewares are independent; any subset composes. Request
 // introspection (did the cache hit? was the run shared?) flows through an
 // Info attached to the context with Attach, so HTTP handlers can emit
 // X-Cache headers and metrics can attribute LLM cost to real runs only.
+// The same Info carries the request's deadline down to WithDeadline, so a
+// cache hit arms no timer: only a run or a singleflight wait needs one.
 //
 // # Invariants
 //
@@ -35,7 +38,10 @@
 //     instead of inheriting its failure.
 //   - Cached results are isolated: Put and Get deep-copy the Result's
 //     Trace (graphs and stage spans), so no caller can mutate an entry
-//     another caller will receive. A trace is copied only for a caller
+//     another caller will receive. Its PromptVersions map is not copied:
+//     it is the prompt view's own map, built once per view and immutable
+//     (prompts.View.Versions), so every hit shares it and nobody may
+//     write to it. A trace is copied only for a caller
 //     that will read it: a request whose Info says OmitTrace is stored
 //     and served without one, under a key that carries the bit, so it
 //     never meets — or fills — an entry a trace reader will be handed,
@@ -47,6 +53,7 @@ package serve
 
 import (
 	"context"
+	"time"
 
 	"repro/internal/answer"
 )
@@ -76,12 +83,17 @@ type Info struct {
 	// Shared is true when singleflight coalesced this request onto
 	// another in-flight identical run.
 	Shared bool
-	// OmitTrace is the one field the caller sets: true declares that
-	// Result.Trace will not be read, so a cache hit or a shared run need
-	// not produce one (a run that executes still returns its own). It is
-	// a property of the request — the front door derives it from
-	// include_trace — and the zero value keeps full results.
+	// OmitTrace is set by the caller: true declares that Result.Trace
+	// will not be read, so a cache hit or a shared run need not produce
+	// one (a run that executes still returns its own). It is a property
+	// of the request — the front door derives it from include_trace — and
+	// the zero value keeps full results.
 	OmitTrace bool
+	// Deadline is set by the caller: when non-zero, WithDeadline runs
+	// everything below it under this deadline. The front door stamps it
+	// when the request arrives, so the clock is the request's own
+	// wherever the timer is armed.
+	Deadline time.Time
 }
 
 type infoKey struct{}
@@ -127,19 +139,45 @@ func scopeOrEmpty(scope ScopeFunc) ScopeFunc {
 // key computes the cache/singleflight identity for a query against the
 // wrapped method, within a namespace: the cache middleware's own, or the
 // singleflight scope. The query's own labels win so per-request model
-// routing stays distinct; the bound method name is the fallback. omitTrace
-// moves the key into the namespace of trace-less cache entries (the
-// separator carries the bit; QueryKey strips control characters from
-// client text, so neither separator can be forged). Singleflight always
-// passes false: a run produces its trace whoever leads it.
-func key(ns string, ans answer.Answerer, q answer.Query, omitTrace bool) string {
+// routing stays distinct; the bound method name is the fallback. The
+// namespace ends in a separator: sepTrace, or sepOmitTrace for the
+// trace-less cache entries (the separator carries the bit; QueryKey
+// strips control characters from client text, so neither separator can
+// be forged). Singleflight always uses sepTrace: a run produces its trace
+// whoever leads it.
+func key(ns string, ans answer.Answerer, q answer.Query) string {
 	method := q.Method
 	if method == "" {
 		method = ans.Name()
 	}
-	sep := "\x02"
-	if omitTrace {
-		sep = "\x03"
+	return answer.PrefixedQueryKey(ns, method, q.Model, q)
+}
+
+// The namespace separators key documents.
+const (
+	sepTrace     = "\x02"
+	sepOmitTrace = "\x03"
+)
+
+// WithDeadline runs every request whose Info carries a Deadline under
+// that deadline; a request without one passes through untouched. Place it
+// right below the cache, or innermost without one: a hit then arms no
+// timer, while a run — and a singleflight follower's wait, which gives up
+// at the follower's own deadline — is bounded as if the front door had
+// armed it.
+func WithDeadline() Middleware {
+	return func(inner answer.Answerer) answer.Answerer {
+		return deadlineAnswerer{named{inner}}
 	}
-	return ns + sep + answer.QueryKey(method, q.Model, q)
+}
+
+type deadlineAnswerer struct{ named }
+
+func (a deadlineAnswerer) Answer(ctx context.Context, q answer.Query) (answer.Result, error) {
+	if info := infoFrom(ctx); info != nil && !info.Deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, info.Deadline)
+		defer cancel()
+	}
+	return a.inner.Answer(ctx, q)
 }

@@ -121,7 +121,7 @@ type dedupAnswerer struct {
 
 func (a *dedupAnswerer) Answer(ctx context.Context, q answer.Query) (answer.Result, error) {
 	start := time.Now()
-	res, shared, err := a.group.Do(ctx, key(a.scope(), a.inner, q, false), func() (answer.Result, error) {
+	res, shared, err := a.group.Do(ctx, key(a.scope()+sepTrace, a.inner, q), func() (answer.Result, error) {
 		return a.inner.Answer(ctx, q)
 	})
 	if shared {

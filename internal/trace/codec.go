@@ -39,5 +39,27 @@ func Decode(line []byte) (Record, error) {
 	if dec.More() {
 		return Record{}, fmt.Errorf("trace: decode record: trailing data after record")
 	}
+	r.dropEmpty()
 	return r, nil
+}
+
+// dropEmpty sets every omitempty list and map that decoded empty ("[]",
+// "{}") to nil: Encode omits an empty one, so a re-decoded record holds
+// nil there, and a decoded record must survive Encode then Decode as it
+// is.
+func (r *Record) dropEmpty() {
+	for _, list := range []*[]string{&r.Anchors, &r.Golds, &r.Refs, &r.Gp, &r.Gg, &r.Gf} {
+		if len(*list) == 0 {
+			*list = nil
+		}
+	}
+	if len(r.Stages) == 0 {
+		r.Stages = nil
+	}
+	if len(r.Kept) == 0 {
+		r.Kept = nil
+	}
+	if len(r.PromptVersions) == 0 {
+		r.PromptVersions = nil
+	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/failure"
@@ -93,5 +94,36 @@ func TestFuzzSeedsTornError(t *testing.T) {
 	// And the healthy seed keeps decoding.
 	if _, err := Decode(full); err != nil {
 		t.Errorf("Decode(full) = %v, want ok", err)
+	}
+}
+
+// TestDecodeDropsEveryEmptyList: each omitempty list or map of a Record
+// that a line spells empty decodes as nil, the value Encode's omission
+// re-decodes to. The fields come from the Record type itself, so a list
+// added to it later is held to the same rule.
+func TestDecodeDropsEveryEmptyList(t *testing.T) {
+	typ := reflect.TypeOf(Record{})
+	for i := 0; i < typ.NumField(); i++ {
+		field := typ.Field(i)
+		name, opts, _ := strings.Cut(field.Tag.Get("json"), ",")
+		kind := field.Type.Kind()
+		if kind != reflect.Slice && kind != reflect.Map {
+			continue
+		}
+		if !strings.Contains(opts, "omitempty") {
+			t.Fatalf("%s: a list without omitempty; this test assumes every list omits when empty", field.Name)
+		}
+		empty := "[]"
+		if kind == reflect.Map {
+			empty = "{}"
+		}
+		line := `{"` + name + `":` + empty + `}`
+		rec, err := Decode([]byte(line))
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if v := reflect.ValueOf(rec).Field(i); !v.IsNil() {
+			t.Errorf("%s decodes %s as an empty non-nil %s", line, field.Name, kind)
+		}
 	}
 }

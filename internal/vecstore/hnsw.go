@@ -234,10 +234,7 @@ func (h *HNSW) insert(i, level int32, sc *buildScratch) {
 // list with the diversity heuristic when it overflows the layer cap.
 func (h *HNSW) connect(n, i int32, lc int32, sc *buildScratch) {
 	l := append(h.links[n][lc], i)
-	mmax := h.cfg.M
-	if lc == 0 {
-		mmax = 2 * h.cfg.M
-	}
+	mmax := h.degreeBound(int(lc))
 	if len(l) <= mmax {
 		h.links[n][lc] = l
 		return
@@ -254,6 +251,15 @@ func (h *HNSW) connect(n, i int32, lc int32, sc *buildScratch) {
 		ids[k] = c.id
 	}
 	h.links[n][lc] = ids
+}
+
+// degreeBound is the most neighbors a node keeps on layer lc: M, and
+// 2·M on layer 0.
+func (h *HNSW) degreeBound(lc int) int {
+	if lc == 0 {
+		return 2 * h.cfg.M
+	}
+	return h.cfg.M
 }
 
 // selectNeighbors is the HNSW diversity heuristic (Malkov alg. 4): walk
@@ -469,21 +475,23 @@ func (h *HNSW) WriteGraph(w io.Writer) error {
 // its arena from the same checkpoint's triples.nt), and at least as many
 // rows as the graph has nodes.
 func ReadGraph(r io.Reader, v *Sharded) (*HNSW, error) {
-	g, err := readGraphFrom(r)
+	g, err := readGraphFrom(r, v.rows)
 	if err != nil {
 		return nil, err
-	}
-	if len(g.links) > v.rows {
-		return nil, fmt.Errorf("vecstore: hnsw graph covers %d triples but the view holds %d", len(g.links), v.rows)
 	}
 	g.a, g.chunks = v.a, v.chunks[:(len(g.links)+v.a.size-1)/v.a.size]
 	return g, nil
 }
 
-// readGraphFrom loads a WriteGraph stream. The returned graph has no
-// arena bound yet — ReadGraph points it at the rows it covers. Every structural field is validated so any
-// truncated or corrupted prefix fails cleanly.
-func readGraphFrom(r io.Reader) (*HNSW, error) {
+// readGraphFrom loads a WriteGraph stream of at most maxNodes nodes. The
+// returned graph has no arena bound yet — ReadGraph points it at the rows
+// it covers. Every structural field is validated so any truncated or
+// corrupted prefix fails cleanly, and no count is trusted past what the
+// build can produce: the node count is checked against maxNodes before
+// any node is read, and each neighbor list against its layer's degree
+// bound, so a corrupt header cannot make the reader allocate more than
+// its input backs.
+func readGraphFrom(r io.Reader, maxNodes int) (*HNSW, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -497,6 +505,9 @@ func readGraphFrom(r io.Reader) (*HNSW, error) {
 		return nil, fmt.Errorf("vecstore: read hnsw header: %w", err)
 	}
 	nodes := binary.LittleEndian.Uint32(head[0:])
+	if uint64(nodes) > uint64(maxNodes) {
+		return nil, fmt.Errorf("vecstore: hnsw graph covers %d triples but the view holds %d", nodes, maxNodes)
+	}
 	dim := binary.LittleEndian.Uint32(head[4:])
 	if dim != embed.Dim {
 		return nil, fmt.Errorf("vecstore: hnsw dimension mismatch: file has %d, build has %d", dim, embed.Dim)
@@ -555,7 +566,7 @@ func readGraphFrom(r io.Reader) (*HNSW, error) {
 			if err != nil {
 				return nil, fmt.Errorf("vecstore: hnsw node %d: %w", i, err)
 			}
-			if n > nodes {
+			if n > nodes || n > uint32(h.degreeBound(l)) {
 				return nil, fmt.Errorf("vecstore: hnsw node %d: neighbor count %d out of range", i, n)
 			}
 			ids := make([]int32, n)

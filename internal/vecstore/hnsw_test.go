@@ -290,8 +290,8 @@ func TestReadGraphRejectsBrokenStructure(t *testing.T) {
 		offMaxLevel = 32
 		offNode0    = 44
 	)
-	if len(g.links[0]) != 1 || len(g.links[0][0]) == 0 {
-		t.Fatalf("corpus drew node 0 above layer 0 or without neighbors: %v", g.links[0])
+	if len(g.links[0]) != 1 || len(g.links[0][0]) <= 4 {
+		t.Fatalf("corpus drew node 0 above layer 0 or with at most 4 neighbors: %v", g.links[0])
 	}
 	for name, doctor := range map[string]func(b []byte){
 		"magic":                  func(b []byte) { b[7] = 9 },
@@ -302,7 +302,9 @@ func TestReadGraphRejectsBrokenStructure(t *testing.T) {
 		"entry below max level":  func(b []byte) { binary.LittleEndian.PutUint32(b[offMaxLevel:], maxHNSWLevel) },
 		"node without layers":    func(b []byte) { binary.LittleEndian.PutUint32(b[offNode0:], 0) },
 		"neighbor count":         func(b []byte) { binary.LittleEndian.PutUint32(b[offNode0+4:], 13) },
-		"neighbor id":            func(b []byte) { binary.LittleEndian.PutUint32(b[offNode0+8:], 12) },
+		// Node 0's layer-0 list is longer than 2·M once M reads 2.
+		"neighbor count above the degree bound": func(b []byte) { binary.LittleEndian.PutUint32(b[offM:], 2) },
+		"neighbor id":                           func(b []byte) { binary.LittleEndian.PutUint32(b[offNode0+8:], 12) },
 		// Node 0 claims a second layer it has no list for: the stream
 		// shifts and some later field lands out of range or short.
 		"layer count": func(b []byte) { binary.LittleEndian.PutUint32(b[offNode0:], 2) },
@@ -331,10 +333,13 @@ func TestReadGraphRejectsMoreNodesThanRows(t *testing.T) {
 }
 
 // FuzzReadGraph: graph.bin is read from disk and from bootstrap tarballs.
-// Whatever the bytes, the reader must not panic, and a graph it accepts
-// must be safe to search. Seeds: the three below, and under
+// Whatever the bytes, the reader must not panic, must not allocate more
+// than its input backs (readAllocBound), and a graph it accepts must be
+// safe to search. Seeds: the three below, and under
 // testdata/fuzz/FuzzReadGraph the graph.bin of a checkpoint a durable
-// -ann substrate manager wrote over twelve triples.
+// -ann substrate manager wrote over twelve triples, and a header whose
+// node count reads 0x30303030 ("0000") over a first neighbor count as
+// large, which once made the reader ask for 3.2 GB.
 func FuzzReadGraph(f *testing.F) {
 	enc := embed.NewEncoder()
 	v := BuildSharded(enc, corpus(12), 4)
@@ -344,7 +349,13 @@ func FuzzReadGraph(f *testing.F) {
 	f.Add([]byte("garbage"))
 	qv := enc.Encode("Lake Superior 3 area")
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		g, err := ReadGraph(bytes.NewReader(data), v)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > readAllocBound(len(data)) {
+			t.Fatalf("reading %d bytes allocated %d", len(data), grew)
+		}
 		if err != nil {
 			return
 		}
@@ -353,6 +364,13 @@ func FuzzReadGraph(f *testing.F) {
 		}
 	})
 }
+
+// readAllocBound is the most a graph read may allocate from n bytes of
+// input: a fixed allowance (the reader's buffer, and one neighbor list of
+// the largest degree the header's M allows before a short read ends it)
+// plus a multiple of the input, since every node, layer and neighbor
+// costs the reader input bytes.
+func readAllocBound(n int) uint64 { return 2<<20 + 64*uint64(n) }
 
 // TestHybridMatchesExact: with a full-width beam the hybrid's
 // graph-over-base + exact-tail merge must reproduce the pure exact
