@@ -14,7 +14,6 @@ import (
 	"repro/internal/core/exec"
 	"repro/internal/failure"
 	"repro/internal/kg"
-	"repro/internal/llm"
 	"repro/internal/serve"
 )
 
@@ -22,10 +21,9 @@ import (
 // text/event-stream") and POST /v1/batch. Answers flow through the node's
 // serving stack (metrics, answer cache, singleflight), so repeated and
 // concurrent-identical questions are served without re-running the
-// pipeline. /v1/answer runs on the LLM scheduler's interactive lane,
-// /v1/batch on the batch lane. A reply shows a trace only when the request
-// said include_trace, and every route tells the stack so (attach): a hit
-// that will not show a trace neither holds nor copies one.
+// pipeline. A reply shows a trace only when the request said
+// include_trace, and every route tells the stack so (attach): a hit that
+// will not show a trace neither holds nor copies one.
 
 // --- wire types ---
 
@@ -61,8 +59,8 @@ type answerRequest struct {
 	KG           string `json:"kg,omitempty"`     // wikidata|freebase
 	IncludeTrace bool   `json:"include_trace,omitempty"`
 	TimeoutMS    int64  `json:"timeout_ms,omitempty"`
-	// TokenBudget caps the total LLM tokens this request may spend; the
-	// scheduler refuses calls past it (HTTP 429, class "budget").
+	// TokenBudget caps the total LLM tokens this request may spend;
+	// llm.Budgeted refuses calls past it (HTTP 429, class "budget").
 	TokenBudget int `json:"token_budget,omitempty"`
 }
 
@@ -166,12 +164,9 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, req answer
 		return
 	}
 
-	// Interactive lane: a user is waiting on this response, so when the
-	// LLM scheduler saturates this request is admitted ahead of queued
-	// batch/bench work. The request's deadline rides its Info, and the
-	// node's stack arms it below the cache: a hit arms no timer.
-	ctx := llm.WithPriority(r.Context(), llm.PriorityInteractive)
-	ctx, info := attach(ctx, req.IncludeTrace)
+	// The request's deadline rides its Info, and the node's stack arms it
+	// below the cache: a hit arms no timer.
+	ctx, info := attach(r.Context(), req.IncludeTrace)
 	if timeout := s.deadline(req.TimeoutMS); timeout > 0 {
 		info.Deadline = time.Now().Add(timeout)
 	}
@@ -306,9 +301,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, req batchRe
 		workers = maxConcurrency
 	}
 
-	// Batch lane: bulk work yields the LLM scheduler to interactive
-	// traffic when the concurrency limit saturates.
-	ctx := llm.WithPriority(r.Context(), llm.PriorityBatch)
 	// Per-item deadlines derive from the batch deadline: every item gets
 	// the deadline as its own clock, started when its worker picks it up —
 	// the same per-request semantics /v1/answer has. A single slow item
@@ -326,7 +318,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, req batchRe
 		queries[i] = q.query(ans.Name(), model)
 	}
 	start := time.Now()
-	items := answer.Batch(ctx, traceless{ans}, queries, opts...)
+	items := answer.Batch(r.Context(), traceless{ans}, queries, opts...)
 
 	resp := batchResponse{
 		Method:    ans.Name(),

@@ -63,7 +63,7 @@ func flags(c *Config) *flag.FlagSet {
 	fs.DurationVar(&c.Cache.TTL, "cache-ttl", 5*time.Minute, "answer cache entry lifetime (0 = no expiry)")
 	fs.IntVar(&c.Substrate.ShardSize, "shard-size", 0, "vector-index block size, and the chunk size of its arena (0 = vecstore default)")
 	fs.IntVar(&c.Substrate.CompactThreshold, "compact-threshold", 2048, "auto-compact when a delta reaches this many triples (0 = manual only); bounds the rows -ann scans exactly, and the WAL tail a durable restart replays")
-	fs.IntVar(&c.LLMConcurrency, "llm-concurrency", 32, "max in-flight LLM calls across all traffic; interactive /v1/answer requests preempt queued batch work when saturated (0 = unbounded)")
+	fs.IntVar(&c.LLMConcurrency, "llm-concurrency", 32, "max in-flight LLM calls across all traffic; calls past it wait first come, first served (0 = unbounded)")
 	fs.DurationVar(&c.StageTimeout, "stage-timeout", 0, "per-stage deadline inside every method run (0 = only the request timeout applies)")
 	fs.StringVar(&c.Substrate.Durability.Dir, "data-dir", "", "persist ingested triples under this directory (WAL + checkpoints, one subdirectory per KG source); empty = memory-only, a restart drops post-boot facts")
 	fs.StringVar(&c.TraceDir, "trace-dir", "", "record every answered request as a JSONL trace under this directory (serves GET /v1/traces); empty = tracing off")

@@ -35,10 +35,10 @@
 // answer traces and /v1/metrics expose per-stage latency, LLM usage and
 // error classes, and -stage-timeout bounds each stage individually. LLM
 // calls flow through the shared scheduler (-llm-concurrency): bounded
-// concurrency with interactive /v1/answer traffic admitted ahead of
-// queued batch work. Per-request token budgets ("token_budget") are
-// enforced by the answer registry independently of the scheduler, so
-// they hold even with -llm-concurrency 0.
+// concurrency, admitted first come, first served. Per-request token
+// budgets ("token_budget") are enforced by the answer registry
+// independently of the scheduler, so they hold even with
+// -llm-concurrency 0.
 //
 // Prompts: every template the methods render is a versioned .prompt file.
 // The embedded defaults always load; -prompt-dir overlays operator files

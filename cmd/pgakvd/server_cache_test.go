@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,28 +13,16 @@ import (
 	"repro/internal/world"
 )
 
-var (
-	cachedEnvOnce sync.Once
-	cachedEnvVal  *bench.Env
-	cachedEnvErr  error
-)
-
 // cachedEnv builds a small environment with the serving cache enabled —
 // the configuration pgakvd runs with by default.
 func cachedEnv(t testing.TB) *bench.Env {
 	t.Helper()
-	cachedEnvOnce.Do(func() {
-		cfg := bench.QuickEnvConfig()
-		cfg.Data.SimpleN = 10
-		cfg.Data.QALDN = 6
-		cfg.Data.NatureN = 4
-		cfg.Cache = serve.CacheConfig{Size: 256, TTL: time.Hour}
-		cachedEnvVal, cachedEnvErr = bench.NewEnv(cfg)
-	})
-	if cachedEnvErr != nil {
-		t.Fatal(cachedEnvErr)
-	}
-	return cachedEnvVal
+	cfg := bench.QuickEnvConfig()
+	cfg.Data.SimpleN = 10
+	cfg.Data.QALDN = 6
+	cfg.Data.NatureN = 4
+	cfg.Cache = serve.CacheConfig{Size: 256, TTL: time.Hour}
+	return newEnv(t, cfg)
 }
 
 // TestAnswerCacheHitHeaderAndLatency is the serving acceptance criterion:

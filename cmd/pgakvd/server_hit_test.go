@@ -146,13 +146,13 @@ func TestBatchAndSSEShareThePlainEntry(t *testing.T) {
 
 // hitAllocs is what one warm /v1/answer costs in heap allocations through
 // Server.Handler(), httptest's request and recorder included, measured
-// with trace-less entries. Most of the 37 are httptest's request and
+// with trace-less entries. Most of the 36 are httptest's request and
 // recorder and the request body's decode (encoding/json). The hit path
 // itself allocates the cache key, the
-// request's two context values and its Info, and the header values; the
+// request's context value and its Info, and the header values; the
 // prompt_versions map is shared with the cache entry, not copied, and the
 // reply is encoded into a pooled buffer without reflection.
-const hitAllocs = 37
+const hitAllocs = 36
 
 // TestAnswerHitAllocations pins the hit path's allocation count: a hit
 // that starts copying a trace again — or any other per-hit garbage —

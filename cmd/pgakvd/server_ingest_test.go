@@ -14,29 +14,17 @@ import (
 	"repro/internal/substrate"
 )
 
-var (
-	ingestEnvOnce sync.Once
-	ingestEnvVal  *bench.Env
-	ingestEnvErr  error
-)
-
 // ingestEnv builds a small cache-enabled environment with multi-shard
 // substrates — the configuration the hot-swap guarantees are about.
 func ingestEnv(t *testing.T) *bench.Env {
 	t.Helper()
-	ingestEnvOnce.Do(func() {
-		cfg := bench.QuickEnvConfig()
-		cfg.Data.SimpleN = 10
-		cfg.Data.QALDN = 6
-		cfg.Data.NatureN = 4
-		cfg.Cache = serve.CacheConfig{Size: 256, TTL: time.Hour}
-		cfg.Substrate = substrate.Config{ShardSize: 512}
-		ingestEnvVal, ingestEnvErr = bench.NewEnv(cfg)
-	})
-	if ingestEnvErr != nil {
-		t.Fatal(ingestEnvErr)
-	}
-	return ingestEnvVal
+	cfg := bench.QuickEnvConfig()
+	cfg.Data.SimpleN = 10
+	cfg.Data.QALDN = 6
+	cfg.Data.NatureN = 4
+	cfg.Cache = serve.CacheConfig{Size: 256, TTL: time.Hour}
+	cfg.Substrate = substrate.Config{ShardSize: 512}
+	return newEnv(t, cfg)
 }
 
 // TestIngestHotSwapEndToEnd is the live-ingest acceptance criterion:

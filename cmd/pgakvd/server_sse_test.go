@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,35 +20,22 @@ import (
 	"repro/internal/world"
 )
 
-var (
-	sseEnvOnce sync.Once
-	sseEnvVal  *bench.Env
-	sseEnvErr  error
-)
-
 // sseEnv builds a small cache-enabled environment for the streaming
 // tests. The GPT-4 client is wrapped to stall LLM calls until the
 // request context dies — the handle the disconnect test uses to catch a
 // run mid-flight. GPT-3.5 stays fast for the happy-path tests.
 func sseEnv(t *testing.T) *bench.Env {
 	t.Helper()
-	sseEnvOnce.Do(func() {
-		cfg := bench.QuickEnvConfig()
-		cfg.Data.SimpleN = 10
-		cfg.Data.QALDN = 6
-		cfg.Data.NatureN = 4
-		cfg.Cache = serve.CacheConfig{Size: 256, TTL: time.Hour}
-		sseEnvVal, sseEnvErr = bench.NewEnv(cfg)
-		if sseEnvErr == nil {
-			// Injected before any GPT-4 answerer is built, so every GPT-4
-			// pipeline routes its LLM calls through the stall.
-			sseEnvVal.Clients[bench.ModelGPT4] = stalledClient{inner: sseEnvVal.Clients[bench.ModelGPT4]}
-		}
-	})
-	if sseEnvErr != nil {
-		t.Fatal(sseEnvErr)
-	}
-	return sseEnvVal
+	cfg := bench.QuickEnvConfig()
+	cfg.Data.SimpleN = 10
+	cfg.Data.QALDN = 6
+	cfg.Data.NatureN = 4
+	cfg.Cache = serve.CacheConfig{Size: 256, TTL: time.Hour}
+	env := newEnv(t, cfg)
+	// Injected before any GPT-4 answerer is built, so every GPT-4
+	// pipeline routes its LLM calls through the stall.
+	env.Clients[bench.ModelGPT4] = stalledClient{inner: env.Clients[bench.ModelGPT4]}
+	return env
 }
 
 // stalledClient blocks every completion until the caller's context is

@@ -178,9 +178,8 @@ func TestSchedulerStatsOnMetrics(t *testing.T) {
 	if m.Scheduler.Concurrency != 2 {
 		t.Errorf("scheduler concurrency = %d, want 2", m.Scheduler.Concurrency)
 	}
-	// /v1/answer runs on the interactive lane.
-	if m.Scheduler.AdmittedInteractive < 1 {
-		t.Errorf("admitted interactive = %d, want >= 1", m.Scheduler.AdmittedInteractive)
+	if m.Scheduler.Admitted < 1 {
+		t.Errorf("admitted = %d, want >= 1", m.Scheduler.Admitted)
 	}
 }
 

@@ -37,6 +37,24 @@ func serverEnv(t *testing.T) *bench.Env {
 	return envVal
 }
 
+// newEnv builds an environment the calling test owns: its cache,
+// substrates and trace store start empty whatever ran before, so a test
+// that counts misses, hits, epochs or records passes under -count and
+// -shuffle. It is closed when the test ends.
+func newEnv(t testing.TB, cfg bench.EnvConfig) *bench.Env {
+	t.Helper()
+	env, err := bench.NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := env.Node.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return env
+}
+
 // testConfig is the default server config with the given request deadline.
 func testConfig(timeout time.Duration) Config {
 	cfg, _ := parseFlags(nil)

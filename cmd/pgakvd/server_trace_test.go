@@ -3,8 +3,6 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,42 +11,21 @@ import (
 	"repro/internal/trace"
 )
 
-var (
-	traceEnvOnce sync.Once
-	traceEnvVal  *bench.Env
-	traceEnvErr  error
-	traceEnvDir  string
-)
-
-// tracedEnv builds one small environment with a file-backed trace store,
-// shared by the trace-route tests (records accumulate; tests tolerate
-// pre-existing ones).
+// tracedEnv builds a small environment with its own file-backed trace
+// store.
 func tracedEnv(t *testing.T) *bench.Env {
 	t.Helper()
-	traceEnvOnce.Do(func() {
-		dir, err := filepath.Abs(t.TempDir())
-		if err != nil {
-			traceEnvErr = err
-			return
-		}
-		traceEnvDir = dir
-		store, err := trace.NewFileStore(dir)
-		if err != nil {
-			traceEnvErr = err
-			return
-		}
-		cfg := bench.QuickEnvConfig()
-		cfg.Data.SimpleN = 6
-		cfg.Data.QALDN = 4
-		cfg.Data.NatureN = 2
-		cfg.Cache = serve.CacheConfig{Size: 256, TTL: time.Hour}
-		cfg.Trace = store
-		traceEnvVal, traceEnvErr = bench.NewEnv(cfg)
-	})
-	if traceEnvErr != nil {
-		t.Fatal(traceEnvErr)
+	store, err := trace.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return traceEnvVal
+	cfg := bench.QuickEnvConfig()
+	cfg.Data.SimpleN = 6
+	cfg.Data.QALDN = 4
+	cfg.Data.NatureN = 2
+	cfg.Cache = serve.CacheConfig{Size: 256, TTL: time.Hour}
+	cfg.Trace = store
+	return newEnv(t, cfg)
 }
 
 func TestTraceRoutesEndToEnd(t *testing.T) {

@@ -107,8 +107,9 @@ type Overrides struct {
 	// Samples overrides the Self-Consistency sample count.
 	Samples *int
 	// TokenBudget caps the total tokens (prompt + completion) the query's
-	// LLM calls may spend; the shared scheduler refuses calls past it with
-	// a ClassBudget error. nil or <= 0 means unlimited.
+	// LLM calls may spend; llm.Budgeted refuses calls past it with a
+	// failure.Budget error, with or without a scheduler. nil or <= 0
+	// means unlimited.
 	TokenBudget *int
 }
 

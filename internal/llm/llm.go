@@ -25,16 +25,16 @@
 // # Serving primitives and invariants
 //
 // Beyond SimLM, the package provides the serving-side LLM plumbing:
-// Scheduler (process-wide bounded concurrency with
-// interactive-preempts-batch priority lanes), Budgeted (per-request
-// token budgets enforced independently of admission — they hold even
-// with an unbounded scheduler), and Counting (the usage hook the exec
-// engine diffs for per-stage attribution). Invariants:
+// Scheduler (process-wide bounded concurrency over one slots.Pool),
+// Budgeted (per-request token budgets enforced independently of
+// admission — they hold even with an unbounded scheduler), and Counting
+// (the usage hook the exec engine diffs for per-stage attribution).
+// Invariants:
 //
 //   - Every Complete honours its context: cancellation and deadlines
 //     abort waiting in the scheduler queue, not just the call itself.
-//   - Priority is admission order only — once admitted, a batch call is
-//     never preempted mid-flight; saturation is where lanes matter.
+//   - At saturation calls are admitted first come, first served, from
+//     every route alike; an admitted call is never preempted.
 package llm
 
 import (

@@ -4,49 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"math"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/failure"
+	"repro/internal/slots"
 )
-
-// Priority is the admission lane of a request. The LLM is the one truly
-// scarce resource of the system, so when the scheduler's concurrency limit
-// saturates, interactive traffic (a user waiting on /v1/answer) is admitted
-// ahead of queued batch work (benchmarks, /v1/batch sweeps) no matter how
-// long the batch queue is.
-type Priority int
-
-const (
-	// PriorityBatch is the default lane: bulk evaluation, batch endpoints,
-	// background work.
-	PriorityBatch Priority = iota
-	// PriorityInteractive is the preempting lane for latency-sensitive
-	// requests.
-	PriorityInteractive
-)
-
-// String names the lane.
-func (p Priority) String() string {
-	if p == PriorityInteractive {
-		return "interactive"
-	}
-	return "batch"
-}
-
-type priorityKey struct{}
-
-// WithPriority tags every LLM call made under ctx with an admission lane.
-func WithPriority(ctx context.Context, p Priority) context.Context {
-	return context.WithValue(ctx, priorityKey{}, p)
-}
-
-// PriorityFrom reads the lane from ctx; untagged contexts are batch.
-func PriorityFrom(ctx context.Context) Priority {
-	p, _ := ctx.Value(priorityKey{}).(Priority)
-	return p
-}
 
 // ErrBudgetExhausted reports that a request's token budget could not cover
 // another completion call. It carries failure.Budget, so a stage span and
@@ -54,8 +17,8 @@ func PriorityFrom(ctx context.Context) Priority {
 var ErrBudgetExhausted = failure.Wrap(failure.Budget, errors.New("llm: token budget exhausted"))
 
 // Budget is a per-request token allowance shared by every LLM call made on
-// behalf of one logical query. Attach with WithBudget; a scheduler-wrapped
-// client debits each call's prompt and completion tokens and refuses calls
+// behalf of one logical query. Attach with WithBudget; a Budgeted client
+// debits each call's prompt and completion tokens and refuses calls
 // once the allowance is spent, turning runaway multi-call methods into a
 // bounded, reportable failure instead of unbounded cost.
 type Budget struct {
@@ -93,7 +56,7 @@ func (b *Budget) spend(n int) { b.remaining.Add(-int64(n)) }
 
 type budgetKey struct{}
 
-// WithBudget attaches a token budget to every scheduled LLM call under ctx.
+// WithBudget attaches a token budget to every Budgeted LLM call under ctx.
 func WithBudget(ctx context.Context, b *Budget) context.Context {
 	return context.WithValue(ctx, budgetKey{}, b)
 }
@@ -144,26 +107,13 @@ type SchedulerConfig struct {
 	Concurrency int
 }
 
-// Scheduler is the shared admission controller for LLM calls: a bounded
-// concurrency slot pool with two priority lanes. One Scheduler is shared
-// across every model client (Wrap), so the limit covers the process, not
-// one backend. Safe for concurrent use.
+// Scheduler bounds in-flight LLM calls: a slot pool shared by every model
+// client it wraps (Wrap), so the limit covers the process, not one
+// backend. At saturation calls are admitted first come, first served,
+// and a call waits until a slot frees or its context ends. Safe for
+// concurrent use.
 type Scheduler struct {
-	mu          sync.Mutex
-	limit       int
-	inFlight    int
-	interactive []*waiter
-	batch       []*waiter
-
-	admitted  [2]atomic.Int64 // by Priority
-	queued    atomic.Int64    // admissions that had to wait
-	waitNS    atomic.Int64    // cumulative queue time
-	maxWaitNS atomic.Int64
-}
-
-// waiter is one queued admission.
-type waiter struct {
-	ready chan struct{}
+	slots *slots.Pool
 }
 
 // NewScheduler builds a scheduler.
@@ -171,124 +121,22 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 16
 	}
-	return &Scheduler{limit: cfg.Concurrency}
-}
-
-// Acquire blocks until a slot is free (interactive requests jump every
-// queued batch request) or ctx ends. Callers must Release exactly once per
-// successful Acquire.
-func (s *Scheduler) Acquire(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	pri := PriorityFrom(ctx)
-	s.mu.Lock()
-	if s.inFlight < s.limit {
-		s.inFlight++
-		s.admitted[lane(pri)].Add(1)
-		s.mu.Unlock()
-		return nil
-	}
-	w := &waiter{ready: make(chan struct{})}
-	if pri == PriorityInteractive {
-		s.interactive = append(s.interactive, w)
-	} else {
-		s.batch = append(s.batch, w)
-	}
-	s.mu.Unlock()
-	start := time.Now()
-	select {
-	case <-w.ready:
-		// Waited counts only granted admissions, at grant time — waiters
-		// that cancel before admission would otherwise deflate MeanWaitMS
-		// exactly when the operator is diagnosing queueing.
-		s.queued.Add(1)
-		wait := time.Since(start).Nanoseconds()
-		s.waitNS.Add(wait)
-		for {
-			max := s.maxWaitNS.Load()
-			if wait <= max || s.maxWaitNS.CompareAndSwap(max, wait) {
-				break
-			}
-		}
-		s.admitted[lane(pri)].Add(1)
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		removed := s.remove(w)
-		s.mu.Unlock()
-		if !removed {
-			// Release raced us and already granted the slot: hand it back so
-			// the pool never leaks capacity.
-			s.Release()
-		}
-		return ctx.Err()
-	}
-}
-
-// Release returns a slot, handing it directly to the longest-waiting
-// interactive request if any, else the longest-waiting batch request.
-func (s *Scheduler) Release() {
-	s.mu.Lock()
-	var w *waiter
-	if len(s.interactive) > 0 {
-		w = s.interactive[0]
-		s.interactive = s.interactive[1:]
-	} else if len(s.batch) > 0 {
-		w = s.batch[0]
-		s.batch = s.batch[1:]
-	}
-	if w != nil {
-		// The slot transfers without touching inFlight.
-		close(w.ready)
-		s.mu.Unlock()
-		return
-	}
-	s.inFlight--
-	s.mu.Unlock()
-}
-
-// remove drops w from whichever queue holds it; false means it was already
-// granted.
-func (s *Scheduler) remove(w *waiter) bool {
-	for i, q := range s.interactive {
-		if q == w {
-			s.interactive = append(s.interactive[:i], s.interactive[i+1:]...)
-			return true
-		}
-	}
-	for i, q := range s.batch {
-		if q == w {
-			s.batch = append(s.batch[:i], s.batch[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// lane maps a Priority onto its stats slot.
-func lane(p Priority) int {
-	if p == PriorityInteractive {
-		return 1
-	}
-	return 0
+	return &Scheduler{slots: slots.New(cfg.Concurrency, math.MaxInt)}
 }
 
 // SchedulerStats is a point-in-time scheduler snapshot.
 type SchedulerStats struct {
-	// Concurrency is the slot-pool size; InFlight the slots in use.
+	// Concurrency is the slot-pool size, InFlight the slots in use and
+	// Queued the calls waiting for one.
 	Concurrency int `json:"concurrency"`
 	InFlight    int `json:"in_flight"`
-	// QueuedInteractive / QueuedBatch are the current queue depths.
-	QueuedInteractive int `json:"queued_interactive"`
-	QueuedBatch       int `json:"queued_batch"`
-	// AdmittedInteractive / AdmittedBatch count admissions per lane.
-	AdmittedInteractive int64 `json:"admitted_interactive"`
-	AdmittedBatch       int64 `json:"admitted_batch"`
-	// Waited counts admissions that had to queue; MeanWaitMS / MaxWaitMS
-	// summarise their queue time. (Budget refusals appear per method as
-	// failure.Budget in the serving metrics, not here — budgets are
-	// enforced by Budgeted, upstream of admission.)
+	Queued      int `json:"queued"`
+	// Admitted counts admitted calls. Waited counts those that had to
+	// queue first; MeanWaitMS / MaxWaitMS summarise their queue time.
+	// (Budget refusals appear per method as failure.Budget in the serving
+	// metrics, not here — budgets are enforced by Budgeted, upstream of
+	// admission.)
+	Admitted   int64   `json:"admitted"`
 	Waited     int64   `json:"waited"`
 	MeanWaitMS float64 `json:"mean_wait_ms"`
 	MaxWaitMS  float64 `json:"max_wait_ms"`
@@ -299,21 +147,18 @@ func (s *Scheduler) Stats() SchedulerStats {
 	if s == nil {
 		return SchedulerStats{}
 	}
-	s.mu.Lock()
+	p := s.slots.Stats()
 	st := SchedulerStats{
-		Concurrency:       s.limit,
-		InFlight:          s.inFlight,
-		QueuedInteractive: len(s.interactive),
-		QueuedBatch:       len(s.batch),
+		Concurrency: p.Size,
+		InFlight:    p.InUse,
+		Queued:      p.Queued,
+		Admitted:    p.Admitted,
+		Waited:      p.Waited,
+		MaxWaitMS:   float64(p.MaxWait) / 1e6,
 	}
-	s.mu.Unlock()
-	st.AdmittedBatch = s.admitted[0].Load()
-	st.AdmittedInteractive = s.admitted[1].Load()
-	st.Waited = s.queued.Load()
-	if st.Waited > 0 {
-		st.MeanWaitMS = float64(s.waitNS.Load()) / float64(st.Waited) / 1e6
+	if p.Waited > 0 {
+		st.MeanWaitMS = float64(p.WaitTotal) / float64(p.Waited) / 1e6
 	}
-	st.MaxWaitMS = float64(s.maxWaitNS.Load()) / 1e6
 	return st
 }
 
@@ -323,24 +168,28 @@ func (s *Scheduler) Wrap(inner Client) Client {
 	if s == nil {
 		return inner
 	}
-	return &scheduledClient{inner: inner, sched: s}
+	return &scheduledClient{inner: inner, slots: s.slots}
 }
 
 // scheduledClient is one backend behind the shared scheduler.
 type scheduledClient struct {
 	inner Client
-	sched *Scheduler
+	slots *slots.Pool
 }
 
 // Name implements Client.
 func (c *scheduledClient) Name() string { return c.inner.Name() }
 
-// Complete implements Client: slot acquisition, then the inner call.
+// Complete implements Client: slot acquisition, then the inner call. A
+// context that has already ended takes no slot.
 func (c *scheduledClient) Complete(ctx context.Context, req Request) (Response, error) {
-	if err := c.sched.Acquire(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	defer c.sched.Release()
+	if err := c.slots.Acquire(ctx); err != nil {
+		return Response{}, err
+	}
+	defer c.slots.Release()
 	return c.inner.Complete(ctx, req)
 }
 

@@ -38,92 +38,57 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestSchedulerInteractivePreemptsBatch is the admission-control proof:
-// with the concurrency limit saturated and a batch request queued FIRST,
-// a later interactive request is still admitted ahead of it.
-func TestSchedulerInteractivePreemptsBatch(t *testing.T) {
+// TestSchedulerWrapSharesOnePool: the limit covers the process, not one
+// backend — two clients wrapped by one scheduler share its slot, calls
+// queue first come, first served, and the stats book them. The queue's
+// own mechanics are internal/slots' tests.
+func TestSchedulerWrapSharesOnePool(t *testing.T) {
 	inner := &gateClient{started: make(chan string), release: make(chan struct{})}
 	sched := NewScheduler(SchedulerConfig{Concurrency: 1})
-	client := sched.Wrap(inner)
+	a, b := sched.Wrap(inner), sched.Wrap(inner)
 
-	done := make(chan string, 3)
-	call := func(ctx context.Context, label string) {
-		if _, err := client.Complete(ctx, Request{Prompt: label}); err != nil {
-			t.Errorf("%s: %v", label, err)
-		}
-		done <- label
+	done := make(chan error, 3)
+	call := func(c Client, label string) {
+		_, err := c.Complete(context.Background(), Request{Prompt: label})
+		done <- err
 	}
-
-	// Saturate the single slot.
-	go call(context.Background(), "occupant")
-	if got := <-inner.started; got != "occupant" {
+	go call(a, "first")
+	if got := <-inner.started; got != "first" {
 		t.Fatalf("first admission = %q", got)
 	}
-
-	// Queue a batch request, then an interactive one behind it.
-	go call(WithPriority(context.Background(), PriorityBatch), "batch")
-	waitFor(t, "batch to queue", func() bool { return sched.Stats().QueuedBatch == 1 })
-	go call(WithPriority(context.Background(), PriorityInteractive), "interactive")
-	waitFor(t, "interactive to queue", func() bool { return sched.Stats().QueuedInteractive == 1 })
-
-	// Free the slot: the interactive request must be admitted first even
-	// though the batch request has waited longer.
-	inner.release <- struct{}{}
-	if got := <-inner.started; got != "interactive" {
-		t.Fatalf("post-release admission = %q, want interactive", got)
+	go call(b, "second")
+	waitFor(t, "second to queue", func() bool { return sched.Stats().Queued == 1 })
+	go call(a, "third")
+	waitFor(t, "third to queue", func() bool { return sched.Stats().Queued == 2 })
+	if st := sched.Stats(); st.Concurrency != 1 || st.InFlight != 1 {
+		t.Fatalf("saturated stats = %+v", st)
 	}
-	inner.release <- struct{}{}
-	if got := <-inner.started; got != "batch" {
-		t.Fatalf("final admission = %q, want batch", got)
+	for _, want := range []string{"second", "third"} {
+		inner.release <- struct{}{}
+		if got := <-inner.started; got != want {
+			t.Fatalf("next admission = %q, want %q", got, want)
+		}
 	}
 	inner.release <- struct{}{}
 	for i := 0; i < 3; i++ {
-		<-done
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	st := sched.Stats()
-	if st.AdmittedInteractive != 1 || st.AdmittedBatch != 2 {
-		t.Errorf("admissions = %d interactive / %d batch, want 1/2", st.AdmittedInteractive, st.AdmittedBatch)
-	}
-	if st.Waited != 2 {
-		t.Errorf("waited = %d, want 2", st.Waited)
-	}
-	if st.InFlight != 0 || st.QueuedInteractive != 0 || st.QueuedBatch != 0 {
-		t.Errorf("scheduler not drained: %+v", st)
-	}
-}
-
-// TestSchedulerCancelWhileQueued verifies a cancelled waiter leaves the
-// queue without leaking the slot.
-func TestSchedulerCancelWhileQueued(t *testing.T) {
-	inner := &gateClient{started: make(chan string), release: make(chan struct{})}
-	sched := NewScheduler(SchedulerConfig{Concurrency: 1})
-	client := sched.Wrap(inner)
-
-	go client.Complete(context.Background(), Request{Prompt: "occupant"}) //nolint:errcheck
-	<-inner.started
-
+	// A context that has already ended takes no slot.
 	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := client.Complete(ctx, Request{Prompt: "canceled"})
-		errCh <- err
-	}()
-	waitFor(t, "waiter to queue", func() bool { return sched.Stats().QueuedBatch == 1 })
 	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("queued call err = %v, want context.Canceled", err)
+	if _, err := a.Complete(ctx, Request{Prompt: "late"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("call on an ended context: %v, want context.Canceled", err)
 	}
-	waitFor(t, "queue to drain", func() bool { return sched.Stats().QueuedBatch == 0 })
-
-	// The slot must still cycle: release the occupant and admit a fresh call.
-	inner.release <- struct{}{}
-	go client.Complete(context.Background(), Request{Prompt: "fresh"}) //nolint:errcheck
-	if got := <-inner.started; got != "fresh" {
-		t.Fatalf("post-cancel admission = %q", got)
+	st := sched.Stats()
+	if st.Admitted != 3 || st.Waited != 2 || st.InFlight != 0 || st.Queued != 0 {
+		t.Errorf("stats = %+v, want 3 admitted, 2 waited, drained", st)
 	}
-	inner.release <- struct{}{}
-	waitFor(t, "in-flight to drain", func() bool { return sched.Stats().InFlight == 0 })
+	if st.MeanWaitMS <= 0 || st.MaxWaitMS < st.MeanWaitMS {
+		t.Errorf("wait stats mean %v max %v", st.MeanWaitMS, st.MaxWaitMS)
+	}
 }
 
 // TestBudgetedTokenBudget verifies the per-request budget: calls run

@@ -52,8 +52,8 @@ type Config struct {
 	// defaults with auto-compaction off.
 	Substrate substrate.Config
 	// LLMConcurrency bounds in-flight LLM calls across the whole node
-	// with the shared scheduler (interactive traffic preempts batch work
-	// when saturated); <= 0 leaves admission unbounded — bench cells then
+	// with the shared scheduler (first come, first served when
+	// saturated); <= 0 leaves admission unbounded — bench cells then
 	// measure raw method cost, not queueing.
 	LLMConcurrency int
 	// Trace, when set, records every request that flows through an

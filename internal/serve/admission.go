@@ -3,10 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"repro/internal/failure"
+	"repro/internal/slots"
 )
 
 // ErrShed reports that the admission queue was full and the request was
@@ -35,24 +35,19 @@ type AdmissionConfig struct {
 
 // Admission is the serving front door's admission controller: a
 // per-client token-bucket rate limiter (ratelimit.go) composed with a
-// queue-depth load shedder. Both run before any pipeline or LLM work is
-// admitted, so an overloaded server's refusals are fast 429s —
-// microseconds of handler time and zero upstream cost — instead of
-// requests timing out deep in the stack. Admit either returns a release
-// func (the request may run; call release exactly once when done) or a
-// typed refusal carrying the Retry-After to advertise. Safe for
-// concurrent use.
+// queue-depth load shedder, an in-flight slots.Pool. Both run before any
+// pipeline or LLM work is admitted, so an overloaded server's refusals
+// are fast 429s — microseconds of handler time and zero upstream cost —
+// instead of requests timing out deep in the stack. Admit either returns
+// a release func (the request may run; call release exactly once when
+// done) or a typed refusal carrying the Retry-After to advertise. Safe
+// for concurrent use.
 type Admission struct {
-	limiter    *Limiter
-	maxIn      int
-	maxQueue   int
-	retryHint  time.Duration
-	mu         sync.Mutex
-	inFlight   int
-	queue      []chan struct{}
-	admitted   int64
-	shed       int64
-	queuedEver int64
+	limiter   *Limiter
+	slots     *slots.Pool
+	release   func() // slots.Release bound once, so Admit allocates no closure
+	maxQueue  int
+	retryHint time.Duration
 }
 
 // NewAdmission builds the controller.
@@ -60,9 +55,11 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	if cfg.RetryAfterHint <= 0 {
 		cfg.RetryAfterHint = time.Second
 	}
+	pool := slots.New(cfg.MaxInFlight, cfg.MaxQueue)
 	return &Admission{
 		limiter:   NewLimiter(cfg.Limiter),
-		maxIn:     cfg.MaxInFlight,
+		slots:     pool,
+		release:   pool.Release,
 		maxQueue:  cfg.MaxQueue,
 		retryHint: cfg.RetryAfterHint,
 	}
@@ -94,77 +91,13 @@ func (a *Admission) Admit(ctx context.Context, client string) (release func(), e
 	if ok, retry := a.limiter.Allow(client); !ok {
 		return nil, &Refusal{Err: ErrRateLimited, RetryAfter: retry}
 	}
-	if a.maxIn <= 0 {
-		a.mu.Lock()
-		a.admitted++
-		a.mu.Unlock()
-		return func() {}, nil
-	}
-	a.mu.Lock()
-	if a.inFlight < a.maxIn {
-		a.inFlight++
-		a.admitted++
-		a.mu.Unlock()
-		return a.release, nil
-	}
-	if len(a.queue) >= a.maxQueue {
-		a.shed++
-		a.mu.Unlock()
+	switch err := a.slots.Acquire(ctx); {
+	case errors.Is(err, slots.ErrFull):
 		return nil, &Refusal{Err: ErrShed, RetryAfter: a.retryHint}
+	case err != nil:
+		return nil, err
 	}
-	ready := make(chan struct{})
-	a.queue = append(a.queue, ready)
-	a.mu.Unlock()
-
-	select {
-	case <-ready:
-		// The releasing request handed its slot over directly; inFlight
-		// was never decremented. Queued counts grants, not arrivals, so
-		// waiters that cancel never inflate it.
-		a.mu.Lock()
-		a.admitted++
-		a.queuedEver++
-		a.mu.Unlock()
-		return a.release, nil
-	case <-ctx.Done():
-		a.mu.Lock()
-		if !a.dequeue(ready) {
-			// release raced us and already granted the slot: hand it
-			// back so capacity never leaks.
-			a.mu.Unlock()
-			a.release()
-		} else {
-			a.mu.Unlock()
-		}
-		return nil, ctx.Err()
-	}
-}
-
-// release returns an in-flight slot, handing it to the longest-waiting
-// queued request if any.
-func (a *Admission) release() {
-	a.mu.Lock()
-	if len(a.queue) > 0 {
-		ready := a.queue[0]
-		a.queue = a.queue[1:]
-		close(ready)
-		a.mu.Unlock()
-		return
-	}
-	a.inFlight--
-	a.mu.Unlock()
-}
-
-// dequeue removes a waiter; false means it was already granted. Callers
-// hold a.mu.
-func (a *Admission) dequeue(ready chan struct{}) bool {
-	for i, q := range a.queue {
-		if q == ready {
-			a.queue = append(a.queue[:i], a.queue[i+1:]...)
-			return true
-		}
-	}
-	return false
+	return a.release, nil
 }
 
 // AdmissionStats is a point-in-time admission snapshot.
@@ -193,16 +126,15 @@ func (a *Admission) Stats() AdmissionStats {
 		return AdmissionStats{}
 	}
 	lim := a.limiter.Stats()
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	p := a.slots.Stats()
 	return AdmissionStats{
-		MaxInFlight: a.maxIn,
+		MaxInFlight: p.Size,
 		MaxQueue:    a.maxQueue,
-		InFlight:    a.inFlight,
-		QueueDepth:  len(a.queue),
-		Admitted:    a.admitted,
-		Shed:        a.shed,
-		Queued:      a.queuedEver,
+		InFlight:    p.InUse,
+		QueueDepth:  p.Queued,
+		Admitted:    p.Admitted,
+		Shed:        p.Shed,
+		Queued:      p.Waited,
 		Limited:     lim.Limited,
 		Limiter:     lim,
 	}

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/racedetect"
 )
 
 func TestAdmissionNilAdmitsEverything(t *testing.T) {
@@ -202,5 +204,30 @@ func TestAdmissionHammer(t *testing.T) {
 	if admitted.Load() == 0 || shed.Load() == 0 {
 		t.Errorf("hammer did not exercise both paths: admitted=%d shed=%d",
 			admitted.Load(), shed.Load())
+	}
+}
+
+// TestAdmitReleaseAllocations pins the free-slot path — limiter, in-flight
+// gate and release — at zero allocations: hot_zipf's front door runs it
+// on every request (benchmark/workloads.go's admissionConfig).
+func TestAdmitReleaseAllocations(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	a := NewAdmission(AdmissionConfig{
+		Limiter:     LimiterConfig{Rate: 1_000_000, Burst: 1024},
+		MaxInFlight: 8,
+		MaxQueue:    32,
+	})
+	ctx := context.Background()
+	got := testing.AllocsPerRun(1000, func() {
+		release, err := a.Admit(ctx, "client-0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+	})
+	if got != 0 {
+		t.Fatalf("Admit + release allocates %.0f times, want 0", got)
 	}
 }

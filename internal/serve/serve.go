@@ -3,11 +3,12 @@
 // (cmd/pgakvd) and the bench harness stack between callers and the
 // underlying method.
 //
+//	scope := serve.StaticScope("gpt4/wikidata") // or a ScopeFunc that reads the epoch
 //	stack := serve.Stack(ans,
-//	    serve.WithMetrics(collector),    // outermost: sees every request
-//	    serve.WithCache(cache),          // answers repeats from memory
-//	    serve.WithDeadline(),            // arms Info.Deadline on a miss
-//	    serve.WithSingleflight(group),   // N concurrent identical queries -> 1 run
+//	    serve.WithMetrics(collector),         // outermost: sees every request
+//	    serve.WithCache(cache, scope),        // answers repeats from memory
+//	    serve.WithDeadline(),                 // arms Info.Deadline on a miss
+//	    serve.WithSingleflight(group, scope), // N concurrent identical queries -> 1 run
 //	)
 //
 // The middlewares are independent; any subset composes. Request
