@@ -60,7 +60,8 @@ type answerRequest struct {
 	IncludeTrace bool   `json:"include_trace,omitempty"`
 	TimeoutMS    int64  `json:"timeout_ms,omitempty"`
 	// TokenBudget caps the total LLM tokens this request may spend;
-	// llm.Budgeted refuses calls past it (HTTP 429, class "budget").
+	// the query's llm.Counting refuses calls past it (HTTP 429, class
+	// "budget").
 	TokenBudget int `json:"token_budget,omitempty"`
 }
 

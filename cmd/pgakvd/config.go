@@ -114,7 +114,7 @@ func (c Config) Validate() error {
 }
 
 // node is the node these flags size. Call after Validate.
-func (c Config) node(reg *prompts.Registry, traces trace.Store) node.Config {
+func (c Config) node(reg *prompts.Registry, traces *trace.FileStore) node.Config {
 	cfg := node.ConfigFor(c.Quick)
 	cfg.WorldSeed = c.Seed
 	cfg.Core.StageTimeout = c.StageTimeout

@@ -36,7 +36,7 @@
 // error classes, and -stage-timeout bounds each stage individually. LLM
 // calls flow through the shared scheduler (-llm-concurrency): bounded
 // concurrency, admitted first come, first served. Per-request token
-// budgets ("token_budget") are enforced by the answer registry
+// budgets ("token_budget") are enforced by each query's llm.Counting
 // independently of the scheduler, so they hold even with
 // -llm-concurrency 0.
 //
@@ -142,15 +142,14 @@ func run(cfg Config) error {
 		}
 	}
 	fmt.Printf("prompts active: %s\n", reg.Fingerprint())
-	var traces trace.Store
+	var traces *trace.FileStore
 	if cfg.TraceDir != "" {
-		store, err := trace.NewFileStore(cfg.TraceDir)
-		if err != nil {
+		var err error
+		if traces, err = trace.NewFileStore(cfg.TraceDir); err != nil {
 			return fmt.Errorf("opening trace store: %w", err)
 		}
-		defer store.Close()
-		traces = store
-		stats := store.Stats()
+		defer traces.Close()
+		stats := traces.Stats()
 		fmt.Printf("tracing to %s (%d existing record(s), %d dropped on recovery)\n", stats.Path, stats.Records, stats.Dropped)
 	}
 

@@ -1,7 +1,7 @@
 // Package answer is the unified method surface of the repository: every
 // QA method — the paper's PG&AKV pipeline and the five baselines of
 // Table II — is exposed as the same context-aware Answerer contract, built
-// through a registry (Register/New) and runnable in bulk with Batch.
+// by name from one method table (New) and runnable in bulk with Batch.
 //
 // The package exists so that callers (the bench harness, the CLI tools,
 // the HTTP server, and any future scaling layer) speak one stable API
@@ -107,9 +107,9 @@ type Overrides struct {
 	// Samples overrides the Self-Consistency sample count.
 	Samples *int
 	// TokenBudget caps the total tokens (prompt + completion) the query's
-	// LLM calls may spend; llm.Budgeted refuses calls past it with a
-	// failure.Budget error, with or without a scheduler. nil or <= 0
-	// means unlimited.
+	// LLM calls may spend; the query's llm.Counting refuses calls past it
+	// with a failure.Budget error, with or without a scheduler. nil or
+	// <= 0 means unlimited.
 	TokenBudget *int
 }
 

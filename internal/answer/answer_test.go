@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,17 +44,12 @@ func testDeps(t testing.TB) (Deps, *world.World) {
 }
 
 func TestRegistryNamesAndDescribe(t *testing.T) {
+	// The table is in the paper's order.
 	names := Names()
-	for _, want := range []string{"ours", "ours-gp", "tog", "io", "cot", "sc", "rag"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("registry missing %q (have %v)", want, names)
-		}
+	if want := []string{"ours", "ours-gp", "tog", "io", "cot", "sc", "rag"}; !slices.Equal(names, want) {
+		t.Errorf("Names() = %v, want %v", names, want)
+	}
+	for _, want := range names {
 		desc, ok := Describe(want)
 		if !ok || desc == "" {
 			t.Errorf("no description for %q", want)
@@ -69,9 +65,22 @@ func TestRegistryNamesAndDescribe(t *testing.T) {
 	if _, ok := Describe("pgakv"); !ok {
 		t.Error("alias pgakv should resolve")
 	}
+	if _, ok := Describe("PG-AKV"); !ok {
+		t.Error("aliases should resolve case-insensitively")
+	}
 	for _, n := range names {
 		if n == "pgakv" {
 			t.Error("alias leaked into Names()")
+		}
+	}
+	// Names and aliases are lower-case and resolve to one method each.
+	seen := map[string]bool{}
+	for _, r := range registrations {
+		for _, k := range append([]string{r.Name}, r.Aliases...) {
+			if k != strings.ToLower(k) || seen[k] {
+				t.Errorf("name %q is not lower-case or names two methods", k)
+			}
+			seen[k] = true
 		}
 	}
 }

@@ -47,12 +47,14 @@ func runBaseline(build stageBuilder) RunFunc {
 	}
 }
 
-// The built-in registrations: the paper's method (plus its Gp-only
-// ablation) and the five Table II baselines, in the paper's table order.
-// Every method — pipeline and baseline alike — runs as a composition of
-// exec stages, so answer traces uniformly expose per-stage spans.
-func init() {
-	MustRegister(Registration{
+// registrations is the method table: the paper's method (plus its
+// Gp-only ablation) and the five Table II baselines, in the paper's table
+// order. Names are lower-case; names and aliases are unique and matched
+// case-insensitively. Every method — pipeline and baseline alike — runs
+// as a composition of exec stages, so answer traces uniformly expose
+// per-stage spans.
+var registrations = []Registration{
+	{
 		Name:        "ours",
 		Aliases:     []string{"pgakv", "pg-akv"},
 		Description: "PG&AKV: pseudo-graph generation + atomic knowledge verification (the paper's method)",
@@ -69,8 +71,8 @@ func init() {
 			}
 			return res.Answer, &res.Trace, nil
 		},
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:        "ours-gp",
 		Aliases:     []string{"pgakv-gp"},
 		Description: "PG&AKV ablation: answer from the raw pseudo-graph Gp, skipping verification",
@@ -87,8 +89,8 @@ func init() {
 			}
 			return res.Answer, &res.Trace, nil
 		},
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:        "tog",
 		Description: "Think-on-Graph: QID-anchored KG exploration with LLM relation pruning",
 		NeedsStore:  true,
@@ -100,22 +102,22 @@ func init() {
 				return baselines.ToGStages(client, d.Store, baselines.DefaultToGConfig())
 			})(ctx, d, o, q)
 		},
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:        "io",
 		Description: "standard input-output prompting, 6 in-context examples",
 		Run: runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
 			return baselines.IOStages(client)
 		}),
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:        "cot",
 		Description: "chain-of-thought prompting",
 		Run: runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
 			return baselines.CoTStages(client)
 		}),
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:        "sc",
 		Description: fmt.Sprintf("self-consistency: %d CoT samples at temperature %.1f, voted", baselines.DefaultSCConfig().Samples, baselines.DefaultSCConfig().Temperature),
 		Run: runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
@@ -128,8 +130,8 @@ func init() {
 			}
 			return baselines.SCStages(client, cfg)
 		}),
-	})
-	MustRegister(Registration{
+	},
+	{
 		Name:        "rag",
 		Description: "question-level retrieval over the semantic KG",
 		NeedsIndex:  true,
@@ -140,5 +142,5 @@ func init() {
 			}
 			return baselines.RAGStages(client, d.Index, cfg)
 		}),
-	})
+	},
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -77,7 +76,7 @@ func WithModelLabel(name string) Option { return func(o *Options) { o.Model = na
 // dependencies and options. The returned trace is optional.
 type RunFunc func(ctx context.Context, d Deps, o Options, q Query) (string, *core.Trace, error)
 
-// Registration declares one method for the registry.
+// Registration declares one method of the table (builtin.go).
 type Registration struct {
 	// Name is the canonical identifier (lower-case, e.g. "cot").
 	Name string
@@ -93,68 +92,39 @@ type Registration struct {
 	Run RunFunc
 }
 
-// registry is the process-global method table, guarded for concurrent
-// Register/New from servers and tests.
-var registry = struct {
-	sync.RWMutex
-	order  []string
-	byName map[string]*Registration
-}{byName: map[string]*Registration{}}
-
-// Register adds a method. Names and aliases are case-insensitive and must
-// be unique across the registry.
-func Register(r Registration) error {
-	if r.Name == "" || r.Run == nil {
-		return fmt.Errorf("answer: registration needs a name and a run function")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	keys := append([]string{r.Name}, r.Aliases...)
-	for _, k := range keys {
-		if _, dup := registry.byName[strings.ToLower(k)]; dup {
-			return fmt.Errorf("answer: method %q already registered", k)
-		}
-	}
-	reg := r
-	for _, k := range keys {
-		registry.byName[strings.ToLower(k)] = &reg
-	}
-	registry.order = append(registry.order, strings.ToLower(r.Name))
-	return nil
-}
-
-// MustRegister is Register for package init blocks.
-func MustRegister(r Registration) {
-	if err := Register(r); err != nil {
-		panic(err)
-	}
-}
-
-// Names returns the canonical method names in registration order.
+// Names returns the canonical method names in table order.
 func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	return append([]string(nil), registry.order...)
+	names := make([]string, len(registrations))
+	for i, r := range registrations {
+		names[i] = r.Name
+	}
+	return names
 }
 
 // Describe returns the one-line description of a method (or alias) and
-// whether it is registered.
+// whether it is known.
 func Describe(name string) (string, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	r, ok := registry.byName[strings.ToLower(name)]
+	r, ok := lookup(name)
 	if !ok {
 		return "", false
 	}
 	return r.Description, true
 }
 
-// lookup resolves a name or alias.
+// lookup resolves a name or alias, case-insensitively.
 func lookup(name string) (*Registration, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	r, ok := registry.byName[strings.ToLower(name)]
-	return r, ok
+	for i := range registrations {
+		r := &registrations[i]
+		if strings.EqualFold(r.Name, name) {
+			return r, true
+		}
+		for _, alias := range r.Aliases {
+			if strings.EqualFold(alias, name) {
+				return r, true
+			}
+		}
+	}
+	return nil, false
 }
 
 // New builds the named method over the given dependencies. The name is
@@ -214,9 +184,6 @@ func (m *method) Answer(ctx context.Context, q Query) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	if q.Overrides.TokenBudget != nil && *q.Overrides.TokenBudget > 0 {
-		ctx = llm.WithBudget(ctx, llm.NewBudget(*q.Overrides.TokenBudget))
-	}
 	// Resolve the prompt view once, strictly: a bad version override is an
 	// invalid query, and the pinned view keeps the whole run — across every
 	// stage — on one consistent prompt set even through a hot reload.
@@ -225,9 +192,13 @@ func (m *method) Answer(ctx context.Context, q Query) (Result, error) {
 		return Result{}, &InvalidQueryError{Reason: verr.Error()}
 	}
 	ctx = prompts.WithView(ctx, view)
-	// Budget enforcement sits inside the counter, so refused calls never
-	// count as usage — and holds whether or not a scheduler is configured.
-	counter := llm.NewCounting(llm.Budgeted(m.deps.Client))
+	// The counter enforces the query's token budget, so refused calls
+	// never count as usage.
+	budget := 0
+	if q.Overrides.TokenBudget != nil {
+		budget = *q.Overrides.TokenBudget
+	}
+	counter := llm.NewCounting(m.deps.Client, budget)
 	deps := m.deps
 	deps.Client = counter
 	// One resolve per query: the whole run — retrieval, pruning,

@@ -56,14 +56,10 @@ type Span struct {
 }
 
 // Stage is one unit of a composition: a named piece of work over the
-// shared state S, with an optional per-stage deadline and size probes.
+// shared state S, with optional size probes.
 type Stage[S any] struct {
 	// Name identifies the stage in spans and metrics.
 	Name string
-	// Timeout bounds this stage's execution; 0 falls back to the runner's
-	// DefaultTimeout, and 0 there means unbounded (the caller's context
-	// still applies throughout).
-	Timeout time.Duration
 	// Run does the work. The context carries the stage deadline.
 	Run func(ctx context.Context, s *S) error
 	// InputSize / OutputSize, when set, measure the state immediately
@@ -114,7 +110,8 @@ func ObserverFrom(ctx context.Context) SpanObserver {
 
 // Options configure one Run.
 type Options struct {
-	// DefaultTimeout applies to stages that set no Timeout of their own.
+	// DefaultTimeout bounds each stage's execution; 0 means unbounded
+	// (the caller's context still applies throughout).
 	DefaultTimeout time.Duration
 	// Usage, when set, attributes LLM usage to spans.
 	Usage UsageFunc
@@ -150,13 +147,9 @@ func Run[S any](ctx context.Context, state *S, o Options, stages ...Stage[S]) ([
 		if o.Usage != nil {
 			calls0, pt0, ct0 = o.Usage()
 		}
-		timeout := st.Timeout
-		if timeout == 0 {
-			timeout = o.DefaultTimeout
-		}
 		stageCtx, cancel := ctx, context.CancelFunc(func() {})
-		if timeout > 0 {
-			stageCtx, cancel = context.WithTimeout(ctx, timeout)
+		if o.DefaultTimeout > 0 {
+			stageCtx, cancel = context.WithTimeout(ctx, o.DefaultTimeout)
 		}
 		start := time.Now()
 		err := st.Run(stageCtx, state)

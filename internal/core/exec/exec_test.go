@@ -112,25 +112,6 @@ func TestRunStageTimeout(t *testing.T) {
 	}
 }
 
-// TestRunStageTimeoutOverride checks a stage's own timeout beats the
-// default in both directions.
-func TestRunStageTimeoutOverride(t *testing.T) {
-	st := &state{}
-	_, err := Run(context.Background(), st, Options{DefaultTimeout: time.Millisecond},
-		Stage[state]{Name: "roomy", Timeout: time.Second, Run: func(ctx context.Context, s *state) error {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(20 * time.Millisecond):
-				return nil
-			}
-		}},
-	)
-	if err != nil {
-		t.Fatalf("stage with its own roomier timeout failed: %v", err)
-	}
-}
-
 func TestRunCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

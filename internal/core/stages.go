@@ -120,7 +120,7 @@ func (p *Pipeline) run(ctx context.Context, question string, stages ...exec.Stag
 	// serves both the per-stage span diffs and the query totals.
 	counter, ok := p.client.(*llm.Counting)
 	if !ok {
-		counter = llm.NewCounting(p.client)
+		counter = llm.NewCounting(p.client, 0)
 	}
 	tr := Trace{Question: question}
 	st := runState{client: counter, tr: &tr, question: question}

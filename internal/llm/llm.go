@@ -25,10 +25,10 @@
 // # Serving primitives and invariants
 //
 // Beyond SimLM, the package provides the serving-side LLM plumbing:
-// Scheduler (process-wide bounded concurrency over one slots.Pool),
-// Budgeted (per-request token budgets enforced independently of
-// admission — they hold even with an unbounded scheduler), and Counting
-// (the usage hook the exec engine diffs for per-stage attribution).
+// Scheduler (process-wide bounded concurrency over one slots.Pool) and
+// Counting (the usage hook the exec engine diffs for per-stage
+// attribution, which also enforces a query's token budget independently
+// of admission — it holds even with an unbounded scheduler).
 // Invariants:
 //
 //   - Every Complete honours its context: cancellation and deadlines

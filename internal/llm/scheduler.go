@@ -16,90 +16,6 @@ import (
 // every reply report "budget", not a generic upstream failure.
 var ErrBudgetExhausted = failure.Wrap(failure.Budget, errors.New("llm: token budget exhausted"))
 
-// Budget is a per-request token allowance shared by every LLM call made on
-// behalf of one logical query. Attach with WithBudget; a Budgeted client
-// debits each call's prompt and completion tokens and refuses calls
-// once the allowance is spent, turning runaway multi-call methods into a
-// bounded, reportable failure instead of unbounded cost.
-type Budget struct {
-	remaining atomic.Int64
-	rejected  atomic.Int64
-}
-
-// NewBudget allows the given number of tokens (prompt + completion).
-func NewBudget(tokens int) *Budget {
-	b := &Budget{}
-	b.remaining.Store(int64(tokens))
-	return b
-}
-
-// Rejected reports how many calls this budget refused.
-func (b *Budget) Rejected() int { return int(b.rejected.Load()) }
-
-// take debits n tokens; it reports false — debiting nothing — when the
-// remaining allowance cannot cover them.
-func (b *Budget) take(n int) bool {
-	for {
-		cur := b.remaining.Load()
-		if cur < int64(n) {
-			return false
-		}
-		if b.remaining.CompareAndSwap(cur, cur-int64(n)) {
-			return true
-		}
-	}
-}
-
-// spend debits n tokens unconditionally (actual completion usage may
-// overdraw; the next take then refuses).
-func (b *Budget) spend(n int) { b.remaining.Add(-int64(n)) }
-
-type budgetKey struct{}
-
-// WithBudget attaches a token budget to every Budgeted LLM call under ctx.
-func WithBudget(ctx context.Context, b *Budget) context.Context {
-	return context.WithValue(ctx, budgetKey{}, b)
-}
-
-// budgetFrom reads the budget, nil when none is attached.
-func budgetFrom(ctx context.Context) *Budget {
-	b, _ := ctx.Value(budgetKey{}).(*Budget)
-	return b
-}
-
-// Budgeted enforces the context's token budget around a client: a call
-// whose estimated prompt tokens the budget cannot cover is refused with
-// ErrBudgetExhausted (class failure.Budget); completion tokens are
-// debited after the call, so a budget overdraws by at most one completion.
-// Enforcement lives here — independent of the scheduler — so budgets hold
-// even when admission control is unbounded. Contexts without a budget
-// pass straight through.
-func Budgeted(inner Client) Client { return &budgetedClient{inner: inner} }
-
-type budgetedClient struct {
-	inner Client
-}
-
-// Name implements Client.
-func (c *budgetedClient) Name() string { return c.inner.Name() }
-
-// Complete implements Client.
-func (c *budgetedClient) Complete(ctx context.Context, req Request) (Response, error) {
-	b := budgetFrom(ctx)
-	if b == nil {
-		return c.inner.Complete(ctx, req)
-	}
-	if !b.take(estimateTokens(req.Prompt)) {
-		b.rejected.Add(1)
-		return Response{}, fmt.Errorf("llm: completion refused: %w", ErrBudgetExhausted)
-	}
-	resp, err := c.inner.Complete(ctx, req)
-	if err == nil {
-		b.spend(resp.Usage.CompletionTokens)
-	}
-	return resp, err
-}
-
 // SchedulerConfig sizes the shared scheduler.
 type SchedulerConfig struct {
 	// Concurrency is the maximum number of in-flight Complete calls across
@@ -134,8 +50,8 @@ type SchedulerStats struct {
 	// Admitted counts admitted calls. Waited counts those that had to
 	// queue first; MeanWaitMS / MaxWaitMS summarise their queue time.
 	// (Budget refusals appear per method as failure.Budget in the serving
-	// metrics, not here — budgets are enforced by Budgeted, upstream of
-	// admission.)
+	// metrics, not here — a query's Counting enforces its budget, upstream
+	// of admission.)
 	Admitted   int64   `json:"admitted"`
 	Waited     int64   `json:"waited"`
 	MeanWaitMS float64 `json:"mean_wait_ms"`
@@ -194,30 +110,61 @@ func (c *scheduledClient) Complete(ctx context.Context, req Request) (Response, 
 }
 
 // Counting wraps a client and tallies usage of every successful call —
-// the exec engine's per-stage Usage hook. Safe for concurrent use.
+// the exec engine's per-stage Usage hook — and enforces an optional token
+// budget: one query's allowance of prompt plus completion tokens. A call
+// whose estimated prompt the remaining allowance cannot cover is refused
+// with ErrBudgetExhausted and not counted; completion tokens are debited
+// after the call, so a budget overdraws by at most one completion. The
+// budget holds whether or not a scheduler bounds admission. Safe for
+// concurrent use.
 type Counting struct {
 	Inner Client
 
 	calls            atomic.Int64
 	promptTokens     atomic.Int64
 	completionTokens atomic.Int64
+	budgeted         bool
+	remaining        atomic.Int64 // of the budget
 }
 
-// NewCounting wraps a client.
-func NewCounting(inner Client) *Counting { return &Counting{Inner: inner} }
+// NewCounting wraps a client under a token budget; budget <= 0 leaves
+// calls unlimited.
+func NewCounting(inner Client, budget int) *Counting {
+	c := &Counting{Inner: inner, budgeted: budget > 0}
+	c.remaining.Store(int64(budget))
+	return c
+}
 
 // Name implements Client.
 func (c *Counting) Name() string { return c.Inner.Name() }
 
 // Complete implements Client, counting successful calls.
 func (c *Counting) Complete(ctx context.Context, req Request) (Response, error) {
+	if c.budgeted && !c.take(int64(estimateTokens(req.Prompt))) {
+		return Response{}, fmt.Errorf("llm: completion refused: %w", ErrBudgetExhausted)
+	}
 	resp, err := c.Inner.Complete(ctx, req)
 	if err == nil {
 		c.calls.Add(1)
 		c.promptTokens.Add(int64(resp.Usage.PromptTokens))
 		c.completionTokens.Add(int64(resp.Usage.CompletionTokens))
+		c.remaining.Add(-int64(resp.Usage.CompletionTokens))
 	}
 	return resp, err
+}
+
+// take debits n tokens from the budget; it reports false — debiting
+// nothing — when the remaining allowance cannot cover them.
+func (c *Counting) take(n int64) bool {
+	for {
+		cur := c.remaining.Load()
+		if cur < n {
+			return false
+		}
+		if c.remaining.CompareAndSwap(cur, cur-n) {
+			return true
+		}
+	}
 }
 
 // Usage snapshots the counters (an exec.UsageFunc).

@@ -91,33 +91,44 @@ func TestSchedulerWrapSharesOnePool(t *testing.T) {
 	}
 }
 
-// TestBudgetedTokenBudget verifies the per-request budget: calls run
-// until the allowance is spent, then fail with ErrBudgetExhausted.
-// Enforcement is scheduler-independent — Budgeted wraps the client
-// directly here, exactly as the answer registry does.
+// TestBudgetedTokenBudget verifies the per-query budget a Counting
+// enforces, with no scheduler: calls run until the allowance is spent,
+// then fail with ErrBudgetExhausted (class budget), and a refused call is
+// not counted as usage.
 func TestBudgetedTokenBudget(t *testing.T) {
-	client := Budgeted(echoClient{})
+	client := NewCounting(echoClient{}, 50)
 
 	prompt := strings.Repeat("word ", 30) // ~40 estimated tokens
-	budget := NewBudget(50)
-	ctx := WithBudget(context.Background(), budget)
-	if _, err := client.Complete(ctx, Request{Prompt: prompt}); err != nil {
+	if _, err := client.Complete(context.Background(), Request{Prompt: prompt}); err != nil {
 		t.Fatalf("first call within budget: %v", err)
 	}
-	_, err := client.Complete(ctx, Request{Prompt: prompt})
+	_, err := client.Complete(context.Background(), Request{Prompt: prompt})
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("second call err = %v, want ErrBudgetExhausted", err)
 	}
 	if got := failure.Of(err); got != failure.Budget {
 		t.Errorf("budget refusal classes as %q, want %q", got, failure.Budget)
 	}
-	if budget.Rejected() != 1 {
-		t.Errorf("budget.Rejected() = %d, want 1", budget.Rejected())
+	if calls, pt, ct := client.Usage(); calls != 1 || pt != estimateTokens(prompt) || ct != 2 {
+		t.Errorf("usage = %d calls, %d+%d tokens; want the one admitted call", calls, pt, ct)
 	}
 
-	// A fresh context without a budget is unaffected.
-	if _, err := client.Complete(context.Background(), Request{Prompt: prompt}); err != nil {
-		t.Fatalf("unbudgeted call: %v", err)
+	// Completion tokens are debited after the call: a budget that covers
+	// the prompt alone admits one call, then refuses the next.
+	tight := NewCounting(echoClient{}, estimateTokens("a b c")+1)
+	if _, err := tight.Complete(context.Background(), Request{Prompt: "a b c"}); err != nil {
+		t.Fatalf("call the budget covers: %v", err)
+	}
+	if _, err := tight.Complete(context.Background(), Request{Prompt: "a"}); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("call after the completion overdrew: %v, want ErrBudgetExhausted", err)
+	}
+
+	// A counter without a budget is unlimited.
+	free := NewCounting(echoClient{}, 0)
+	for i := 0; i < 3; i++ {
+		if _, err := free.Complete(context.Background(), Request{Prompt: prompt}); err != nil {
+			t.Fatalf("unbudgeted call: %v", err)
+		}
 	}
 }
 
@@ -134,7 +145,7 @@ func (echoClient) Complete(ctx context.Context, req Request) (Response, error) {
 
 // TestCountingUsage verifies the exec Usage hook counter.
 func TestCountingUsage(t *testing.T) {
-	c := NewCounting(echoClient{})
+	c := NewCounting(echoClient{}, 0)
 	for i := 0; i < 3; i++ {
 		if _, err := c.Complete(context.Background(), Request{Prompt: "a b c d"}); err != nil {
 			t.Fatal(err)

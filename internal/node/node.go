@@ -60,7 +60,7 @@ type Config struct {
 	// Answerer — bench cells and serving traffic alike — into the store
 	// (question, answer, usage, stage spans, substrate epoch, cache-hit
 	// flag). nil leaves tracing off.
-	Trace trace.Store
+	Trace *trace.FileStore
 	// Prompts is the versioned prompt registry every answerer renders
 	// from; nil gives the node its own registry over the embedded
 	// defaults. The active version set's fingerprint joins the cache/
@@ -286,9 +286,4 @@ func (n *Node) SchedulerStats() llm.SchedulerStats { return n.Scheduler.Stats() 
 
 // TraceStats reports the configured trace store's counters (zeros when
 // tracing is off).
-func (n *Node) TraceStats() trace.StoreStats {
-	if n.Cfg.Trace == nil {
-		return trace.StoreStats{}
-	}
-	return n.Cfg.Trace.Stats()
-}
+func (n *Node) TraceStats() trace.StoreStats { return n.Cfg.Trace.Stats() }

@@ -91,7 +91,7 @@ func TestOmitTraceEntriesAreSeparateAndSlim(t *testing.T) {
 // so below WithTrace every request is a trace reader — hit records keep
 // Gp/Gf and stages even when the front door asked to omit the trace.
 func TestWithTraceClearsOmitTrace(t *testing.T) {
-	store := trace.NewMemStore()
+	store := newStore(t)
 	stub := answerFunc{name: "stub", fn: func(context.Context, answer.Query) (answer.Result, error) {
 		return fullTrace(), nil
 	}}

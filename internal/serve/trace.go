@@ -7,13 +7,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Recorder is the slice of the trace.Store contract the tracing
-// middleware needs: consume one finished request's record. Both
-// trace.FileStore and trace.MemStore satisfy it.
-type Recorder interface {
-	Append(trace.Record) (trace.Record, error)
-}
-
 // WithTrace records every request flowing through the stack — success or
 // failure — into a trace store. Place it outside the cache and
 // singleflight layers so the record captures what the serving stack
@@ -26,23 +19,23 @@ type Recorder interface {
 // and cache hits keep serving full entries.
 //
 // kgLabel names the KG source this answerer is bound to (the query itself
-// does not carry it). A nil recorder yields a no-op middleware. Append
+// does not carry it). A nil store yields a no-op middleware. Append
 // failures are deliberately swallowed: tracing is observability, and a
 // full disk must degrade recording, never answering (the store's Dropped
 // stat still counts the loss).
-func WithTrace(rec Recorder, kgLabel string) Middleware {
+func WithTrace(store *trace.FileStore, kgLabel string) Middleware {
 	return func(inner answer.Answerer) answer.Answerer {
-		if rec == nil {
+		if store == nil {
 			return inner
 		}
-		return &tracedAnswerer{named: named{inner}, rec: rec, kg: kgLabel}
+		return &tracedAnswerer{named: named{inner}, store: store, kg: kgLabel}
 	}
 }
 
 type tracedAnswerer struct {
 	named
-	rec Recorder
-	kg  string
+	store *trace.FileStore
+	kg    string
 }
 
 func (a *tracedAnswerer) Answer(ctx context.Context, q answer.Query) (answer.Result, error) {
@@ -56,7 +49,7 @@ func (a *tracedAnswerer) Answer(ctx context.Context, q answer.Query) (answer.Res
 	}
 	info.OmitTrace = false // the record below reads the trace
 	res, err := a.inner.Answer(ctx, q)
-	_, _ = a.rec.Append(trace.Build(q, res, err, trace.Meta{
+	_, _ = a.store.Append(trace.Build(q, res, err, trace.Meta{
 		KG:       a.kg,
 		CacheHit: info.CacheHit,
 		Shared:   info.Shared,

@@ -24,8 +24,19 @@ func (s *tracedStub) Answer(ctx context.Context, q answer.Query) (answer.Result,
 	return s.res, s.err
 }
 
+// newStore opens a trace store in the test's temporary directory.
+func newStore(t *testing.T) *trace.FileStore {
+	t.Helper()
+	store, err := trace.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
 func TestWithTraceRecordsSuccess(t *testing.T) {
-	store := trace.NewMemStore()
+	store := newStore(t)
 	stub := &tracedStub{res: answer.Result{
 		Answer: "Beijing", Method: "ours", Model: "GPT-4", Epoch: 5,
 		LLMCalls: 2, PromptTokens: 10, CompletionTokens: 4,
@@ -58,7 +69,7 @@ func TestWithTraceRecordsSuccess(t *testing.T) {
 }
 
 func TestWithTraceRecordsFailure(t *testing.T) {
-	store := trace.NewMemStore()
+	store := newStore(t)
 	stub := &tracedStub{
 		res: answer.Result{Method: "cot", Trace: &core.Trace{Stages: []exec.Span{{Stage: "sample", Err: failure.Upstream}}}},
 		err: errors.New("llm exploded"),
@@ -83,7 +94,7 @@ func TestWithTraceRecordsFailure(t *testing.T) {
 // so a hit's record must carry CacheHit=true — replay needs it to exclude
 // zero-usage hits from cost comparisons.
 func TestWithTraceCapturesCacheHit(t *testing.T) {
-	store := trace.NewMemStore()
+	store := newStore(t)
 	stub := &tracedStub{res: answer.Result{Answer: "a", Method: "ours", LLMCalls: 3}}
 	cache := NewCache(CacheConfig{Size: 8})
 	stack := Stack(stub, WithTrace(store, "wikidata"), WithCache(cache, nil))
@@ -112,21 +123,19 @@ func TestWithTraceNilRecorderIsNoop(t *testing.T) {
 	stub := &tracedStub{res: answer.Result{Answer: "a"}}
 	stack := Stack(stub, WithTrace(nil, "wikidata"))
 	if stack != stub {
-		t.Fatal("nil recorder should return the inner answerer unchanged")
+		t.Fatal("nil store should return the inner answerer unchanged")
 	}
 }
 
-// TestWithTraceSwallowsAppendFailure: a broken store must never fail the
-// request.
-type failingRecorder struct{}
-
-func (failingRecorder) Append(trace.Record) (trace.Record, error) {
-	return trace.Record{}, errors.New("disk full")
-}
-
+// TestWithTraceSwallowsAppendFailure: a broken store (here a closed one,
+// which refuses every append) must never fail the request.
 func TestWithTraceSwallowsAppendFailure(t *testing.T) {
+	store := newStore(t)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
 	stub := &tracedStub{res: answer.Result{Answer: "a"}}
-	stack := Stack(stub, WithTrace(failingRecorder{}, "wikidata"))
+	stack := Stack(stub, WithTrace(store, "wikidata"))
 	res, err := stack.Answer(context.Background(), answer.Query{Text: "q"})
 	if err != nil || res.Answer != "a" {
 		t.Fatalf("append failure leaked into the request: %v", err)

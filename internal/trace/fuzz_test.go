@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,4 +130,80 @@ func TestDecodeDropsEveryEmptyList(t *testing.T) {
 			t.Errorf("%s decodes %s as an empty non-nil %s", line, field.Name, kind)
 		}
 	}
+}
+
+// FuzzOpenFileStore: any bytes as a store file must open without a panic
+// and without allocating more than the file backs. Every line is either a
+// record or counted as dropped, List names each record once in descending
+// sequence order, every listed ID gets the same record, and an append
+// takes the next sequence number.
+func FuzzOpenFileStore(f *testing.F) {
+	one, _ := Encode(Record{ID: "t000001", Question: "q1", Method: "ours"})
+	nine, _ := Encode(Record{ID: "t000009", Question: "q9", Method: "ours"})
+	f.Add(append(one, `{"question":"torn`...))
+	f.Add(slices.Concat(one, []byte("CORRUPT LINE\n"), nine))
+	f.Add(slices.Concat(nine, one, one))
+	f.Add([]byte(`{"id":"t999999999"}` + "\n"))
+	f.Add([]byte(`{"id":"t9223372036854775807"}` + "\n"))
+	f.Add([]byte(`{"id":"t1"}` + "\n" + `{"id":"t01"}` + "\n" + `{"id":"x"}` + "\n"))
+	for _, seed := range codecSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, traceFileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := NewFileStore(dir)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20+64*uint64(len(data)) {
+			t.Fatalf("opening %d bytes allocated %d", len(data), grew)
+		}
+		lines := bytes.Count(data, []byte("\n"))
+		if len(data) > 0 && data[len(data)-1] != '\n' {
+			lines++ // the torn tail
+		}
+		st := s.Stats()
+		if st.Records+st.Dropped != lines {
+			t.Fatalf("%d records + %d dropped from %d lines", st.Records, st.Dropped, lines)
+		}
+		all, err := s.List(ListOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) != st.Records {
+			t.Fatalf("List returned %d records, Stats counts %d", len(all), st.Records)
+		}
+		newest, last := 0, 0
+		for i, rec := range all {
+			seq, ok := parseSeq(rec.ID)
+			if !ok || (i > 0 && seq >= last) {
+				t.Fatalf("record %d has ID %q after sequence %d", i, rec.ID, last)
+			}
+			if i == 0 {
+				newest = seq
+			}
+			last = seq
+			got, err := s.Get(rec.ID)
+			if err != nil || !reflect.DeepEqual(got, rec) {
+				t.Fatalf("Get(%q) = %+v (%v), List has %+v", rec.ID, got, err, rec)
+			}
+		}
+		next, err := s.Append(Record{Question: "next", Method: "ours"})
+		if err != nil {
+			return // the recovered sequence is at the top of the int range
+		}
+		if seq, _ := parseSeq(next.ID); seq != newest+1 {
+			t.Fatalf("appended %q after sequence %d", next.ID, newest)
+		}
+		if got, err := s.Get(next.ID); err != nil || got.Question != "next" {
+			t.Fatalf("Get(%q) after append: %+v (%v)", next.ID, got, err)
+		}
+	})
 }

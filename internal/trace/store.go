@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +17,9 @@ import (
 
 // ErrNotFound reports a record ID the store does not hold.
 var ErrNotFound = errors.New("trace: record not found")
+
+// errClosed refuses every call on a closed store.
+var errClosed = errors.New("trace: store is closed")
 
 // ListOptions filter a List call.
 type ListOptions struct {
@@ -29,50 +34,45 @@ type ListOptions struct {
 type StoreStats struct {
 	// Records is the number of live, decodable records.
 	Records int `json:"records"`
-	// Dropped counts undecodable lines found at open (torn tails, corrupt
-	// lines) plus records that failed to append.
+	// Dropped counts the lines skipped at open (torn tails, corrupt
+	// lines, IDs that are not "t<seq>", repeated sequence numbers) plus
+	// records that failed to append.
 	Dropped int `json:"dropped"`
-	// Bytes is the store's current on-disk size (0 for memory stores).
+	// Bytes is the store's current on-disk size.
 	Bytes int64 `json:"bytes"`
-	// Path locates the backing file ("" for memory stores).
+	// Path locates the backing file.
 	Path string `json:"path,omitempty"`
 }
-
-// Store persists request-trace records. Implementations are safe for
-// concurrent use. Append assigns the record's ID (and wall time) and
-// returns the stamped record; List returns newest-first.
-type Store interface {
-	Append(Record) (Record, error)
-	Get(id string) (Record, error)
-	List(ListOptions) ([]Record, error)
-	Stats() StoreStats
-	Close() error
-}
-
-// --- file store ---
 
 // traceFileName is the single JSONL file a FileStore appends to.
 const traceFileName = "traces.jsonl"
 
-// FileStore is the JSONL-backed Store: one append-only file, one record
-// per line. Opening an existing store recovers its index by scanning; a
-// torn final line (a crash mid-append) is physically truncated away and
-// counted, and corrupt interior lines are skipped and counted, so a
-// damaged store always reopens with every decodable record intact.
+// FileStore is the trace store: one append-only JSONL file, one record
+// per line, safe for concurrent use. Append assigns the record's ID
+// ("t%06d", the next sequence number) and wall time; List returns
+// newest-first. Opening an existing store recovers its index by
+// scanning; a torn final line (a crash mid-append) is physically
+// truncated away and counted, and corrupt interior lines are skipped and
+// counted, so a damaged store always reopens with every decodable record
+// intact.
+//
+// The index is one slice of line locations sorted by sequence number, so
+// an ID finds its line by binary search. Lines are append-only and a
+// located line never changes, so readers copy the slice header under the
+// lock and read the file outside it: a long List never holds up Append.
 type FileStore struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
-	end     int64 // append offset
-	index   map[string]span
-	order   []string // IDs in file order
-	seq     int      // last assigned sequence number
+	end     int64  // append offset
+	lines   []line // ascending seq, no duplicates
 	dropped int
 	now     func() time.Time // test hook
 }
 
-// span locates one record line inside the file.
-type span struct {
+// line locates one record line inside the file.
+type line struct {
+	seq int
 	off int64
 	len int
 }
@@ -90,12 +90,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: open store: %w", err)
 	}
-	s := &FileStore{
-		f:     f,
-		path:  path,
-		index: map[string]span{},
-		now:   time.Now,
-	}
+	s := &FileStore{f: f, path: path, now: time.Now}
 	if err := s.recover(); err != nil {
 		f.Close()
 		return nil, err
@@ -103,17 +98,19 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return s, nil
 }
 
-// recover scans the file, building the ID index and sequence counter,
-// skipping corrupt lines and truncating a torn (unterminated) tail.
+// recover scans the file, building the sequence index, skipping corrupt
+// lines and lines whose ID is not "t<seq>", and truncating a torn
+// (unterminated) tail. A file out of sequence order is sorted once; of two
+// lines with one sequence number the first in the file is kept.
 func (s *FileStore) recover() error {
 	r := bufio.NewReaderSize(s.f, 1<<16)
 	var off int64
 	for {
-		line, err := r.ReadBytes('\n')
+		buf, err := r.ReadBytes('\n')
 		if err != nil && !errors.Is(err, io.EOF) {
 			return fmt.Errorf("trace: scan store: %w", err)
 		}
-		if len(line) > 0 && line[len(line)-1] != '\n' {
+		if len(buf) > 0 && buf[len(buf)-1] != '\n' {
 			// Torn tail: a crash mid-append left an unterminated line.
 			// Truncate it away so the next append starts a clean line.
 			s.dropped++
@@ -122,23 +119,28 @@ func (s *FileStore) recover() error {
 			}
 			break
 		}
-		if len(line) > 0 {
-			rec, derr := Decode(line)
-			if derr != nil || rec.ID == "" {
+		if len(buf) > 0 {
+			rec, derr := Decode(buf)
+			seq, ok := parseSeq(rec.ID)
+			if derr != nil || !ok {
 				s.dropped++
 			} else {
-				s.index[rec.ID] = span{off: off, len: len(line)}
-				s.order = append(s.order, rec.ID)
-				if n, ok := parseSeq(rec.ID); ok && n > s.seq {
-					s.seq = n
-				}
+				s.lines = append(s.lines, line{seq: seq, off: off, len: len(buf)})
 			}
-			off += int64(len(line))
+			off += int64(len(buf))
 		}
 		if errors.Is(err, io.EOF) {
 			break
 		}
 	}
+	bySeq := func(a, b line) int { return cmp.Compare(a.seq, b.seq) }
+	if !slices.IsSortedFunc(s.lines, bySeq) {
+		slices.SortStableFunc(s.lines, bySeq)
+	}
+	n := len(s.lines)
+	// Clone drops the growth slack: a reopened index costs 24 B a record.
+	s.lines = slices.Clone(slices.CompactFunc(s.lines, func(a, b line) bool { return a.seq == b.seq }))
+	s.dropped += n - len(s.lines)
 	s.end = off
 	return nil
 }
@@ -155,63 +157,88 @@ func parseSeq(id string) (int, bool) {
 	return n, true
 }
 
-// Append implements Store: the record is stamped with the next sequence ID
-// and the current wall time, encoded, and written as one line.
+// Append stamps the record with the next sequence ID and the current
+// wall time, encodes it, and writes it as one line.
 func (s *FileStore) Append(rec Record) (Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return Record{}, fmt.Errorf("trace: store is closed")
+		return Record{}, errClosed
 	}
-	stamped := rec.Stamp(fmt.Sprintf("t%06d", s.seq+1), s.now())
-	line, err := Encode(stamped)
+	seq := 1
+	if n := len(s.lines); n > 0 {
+		seq = s.lines[n-1].seq + 1
+	}
+	if seq < 1 { // a recovered ID at the top of the int range
+		s.dropped++
+		return Record{}, errors.New("trace: sequence numbers exhausted")
+	}
+	stamped := rec.Stamp(fmt.Sprintf("t%06d", seq), s.now())
+	buf, err := Encode(stamped)
 	if err != nil {
 		s.dropped++
 		return Record{}, err
 	}
-	if _, err := s.f.WriteAt(line, s.end); err != nil {
+	if _, err := s.f.WriteAt(buf, s.end); err != nil {
 		s.dropped++
 		return Record{}, fmt.Errorf("trace: append record: %w", err)
 	}
-	s.seq++
-	s.index[stamped.ID] = span{off: s.end, len: len(line)}
-	s.order = append(s.order, stamped.ID)
-	s.end += int64(len(line))
+	s.lines = append(s.lines, line{seq: seq, off: s.end, len: len(buf)})
+	s.end += int64(len(buf))
 	return stamped, nil
 }
 
-// Get implements Store.
-func (s *FileStore) Get(id string) (Record, error) {
+// snapshot returns the file and the index as they stand. Entries below
+// the returned length never change, so the caller reads them unlocked.
+func (s *FileStore) snapshot() (*os.File, []line, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.getLocked(id)
+	if s.f == nil {
+		return nil, nil, errClosed
+	}
+	return s.f, s.lines, nil
 }
 
-func (s *FileStore) getLocked(id string) (Record, error) {
-	if s.f == nil {
-		return Record{}, fmt.Errorf("trace: store is closed")
-	}
-	sp, ok := s.index[id]
-	if !ok {
-		return Record{}, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	buf := make([]byte, sp.len)
-	if _, err := s.f.ReadAt(buf, sp.off); err != nil {
-		return Record{}, fmt.Errorf("trace: read record %s: %w", id, err)
+// readRecord decodes the record at one index entry.
+func readRecord(f *os.File, l line) (Record, error) {
+	buf := make([]byte, l.len)
+	if _, err := f.ReadAt(buf, l.off); err != nil {
+		return Record{}, fmt.Errorf("trace: read record t%06d: %w", l.seq, err)
 	}
 	return Decode(buf)
 }
 
-// List implements Store: newest-first, optionally filtered by method.
+// Get returns the record with the given ID.
+func (s *FileStore) Get(id string) (Record, error) {
+	f, lines, err := s.snapshot()
+	if err != nil {
+		return Record{}, err
+	}
+	seq, ok := parseSeq(id)
+	i, found := slices.BinarySearchFunc(lines, seq, func(l line, seq int) int { return cmp.Compare(l.seq, seq) })
+	if !ok || !found {
+		return Record{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+	}
+	rec, err := readRecord(f, lines[i])
+	if err == nil && rec.ID != id {
+		// Another spelling of the number ("t1" for "t000001").
+		return Record{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+	}
+	return rec, err
+}
+
+// List returns records newest-first, optionally filtered by method.
 func (s *FileStore) List(opts ListOptions) ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	f, lines, err := s.snapshot()
+	if err != nil {
+		return nil, err
+	}
 	var out []Record
-	for i := len(s.order) - 1; i >= 0; i-- {
+	for i := len(lines) - 1; i >= 0; i-- {
 		if opts.Limit > 0 && len(out) >= opts.Limit {
 			break
 		}
-		rec, err := s.getLocked(s.order[i])
+		rec, err := readRecord(f, lines[i])
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +250,7 @@ func (s *FileStore) List(opts ListOptions) ([]Record, error) {
 	return out, nil
 }
 
-// Stats implements Store. Safe on a nil store (all zeros).
+// Stats summarises the store. Safe on a nil store (all zeros).
 func (s *FileStore) Stats() StoreStats {
 	if s == nil {
 		return StoreStats{}
@@ -231,15 +258,15 @@ func (s *FileStore) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return StoreStats{
-		Records: len(s.order),
+		Records: len(s.lines),
 		Dropped: s.dropped,
 		Bytes:   s.end,
 		Path:    s.path,
 	}
 }
 
-// Close flushes and closes the backing file; the store refuses further
-// appends and reads afterwards.
+// Close closes the backing file; the store refuses further appends and
+// reads afterwards.
 func (s *FileStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -250,70 +277,3 @@ func (s *FileStore) Close() error {
 	s.f = nil
 	return err
 }
-
-// --- memory store ---
-
-// MemStore is the in-memory Store: the same contract as FileStore without
-// persistence, for tests and embedded recording.
-type MemStore struct {
-	mu      sync.Mutex
-	records []Record
-	index   map[string]int
-	seq     int
-	now     func() time.Time
-}
-
-// NewMemStore builds an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{index: map[string]int{}, now: time.Now}
-}
-
-// Append implements Store.
-func (s *MemStore) Append(rec Record) (Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	stamped := rec.Stamp(fmt.Sprintf("t%06d", s.seq+1), s.now())
-	s.seq++
-	s.index[stamped.ID] = len(s.records)
-	s.records = append(s.records, stamped)
-	return stamped, nil
-}
-
-// Get implements Store.
-func (s *MemStore) Get(id string) (Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i, ok := s.index[id]
-	if !ok {
-		return Record{}, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	return s.records[i], nil
-}
-
-// List implements Store: newest-first.
-func (s *MemStore) List(opts ListOptions) ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Record
-	for i := len(s.records) - 1; i >= 0; i-- {
-		if opts.Limit > 0 && len(out) >= opts.Limit {
-			break
-		}
-		rec := s.records[i]
-		if opts.Method != "" && !strings.EqualFold(opts.Method, rec.Method) {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// Stats implements Store.
-func (s *MemStore) Stats() StoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return StoreStats{Records: len(s.records)}
-}
-
-// Close implements Store (no-op).
-func (s *MemStore) Close() error { return nil }

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -203,20 +206,126 @@ func TestFileStoreConcurrentAppendAndRead(t *testing.T) {
 	}
 }
 
-func TestMemStoreContract(t *testing.T) {
-	s := NewMemStore()
+// writeStore writes raw lines as a store file in dir.
+func writeStore(t testing.TB, dir string, lines ...string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, traceFileName), []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// encodeLine encodes a record with the given ID and question.
+func encodeLine(t testing.TB, id, question string) string {
+	t.Helper()
+	b, err := Encode(Record{ID: id, Question: question, Method: "ours"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestFileStoreRecoveryIndexesBySequence: recovery keeps one record per
+// sequence number (the first in the file), drops lines whose ID is not
+// "t<seq>", and serves an out-of-order file in sequence order.
+func TestFileStoreRecoveryIndexesBySequence(t *testing.T) {
+	dir := t.TempDir()
+	writeStore(t, dir,
+		encodeLine(t, "t000003", "three"),
+		encodeLine(t, "t000001", "one"),
+		encodeLine(t, "t000003", "three again"),
+		encodeLine(t, "x7", "not a sequence"),
+		encodeLine(t, "", "no id"),
+		encodeLine(t, "t000002", "two"),
+	)
+	s := openTestStore(t, dir)
+	if st := s.Stats(); st.Records != 3 || st.Dropped != 3 {
+		t.Fatalf("stats %+v, want 3 records and 3 dropped", st)
+	}
+	all, err := s.List(ListOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, rec := range all {
+		got = append(got, rec.ID+"="+rec.Question)
+	}
+	if want := []string{"t000003=three", "t000002=two", "t000001=one"}; !slices.Equal(got, want) {
+		t.Fatalf("list %v, want %v", got, want)
+	}
+	if rec, err := s.Get("t000003"); err != nil || rec.Question != "three" {
+		t.Fatalf("get kept the wrong duplicate: %+v (%v)", rec, err)
+	}
+	for _, id := range []string{"x7", "t3", "t0000003", ""} {
+		if _, err := s.Get(id); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Get(%q) = %v, want ErrNotFound", id, err)
+		}
+	}
+	if next, err := s.Append(Record{Question: "four"}); err != nil || next.ID != "t000004" {
+		t.Fatalf("append after recovery: %q (%v)", next.ID, err)
+	}
+}
+
+// TestFileStoreListDoesNotBlockAppend: a List reads and decodes outside
+// the store's lock, so appends go on while a filter that matches nothing
+// scans the whole file.
+func TestFileStoreListDoesNotBlockAppend(t *testing.T) {
+	dir := t.TempDir()
+	pad := strings.Repeat("p", 512)
+	lines := make([]string, 10000)
+	for i := range lines {
+		lines[i] = encodeLine(t, fmt.Sprintf("t%06d", i+1), pad)
+	}
+	writeStore(t, dir, lines...)
+	s := openTestStore(t, dir)
+
+	started, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		close(started)
+		if recs, err := s.List(ListOptions{Method: "nope"}); err != nil || len(recs) != 0 {
+			t.Errorf("list: %d records (%v)", len(recs), err)
+		}
+	}()
+	<-started
+	appended := 0
+	for listing := true; listing; {
+		if _, err := s.Append(Record{Question: "during", Method: "ours"}); err != nil {
+			t.Error(err)
+			break
+		}
+		select {
+		case <-done:
+			listing = false
+		default:
+			appended++
+		}
+	}
+	<-done
+	// A store that holds its lock across the scan lets an append or two
+	// through before the List takes it, then none.
+	if appended < 10 {
+		t.Fatalf("%d appends completed while a List scanned %d records", appended, len(lines))
+	}
+}
+
+// TestFileStoreReadsAfterCloseFail: a closed store refuses reads with an
+// error, never a panic.
+func TestFileStoreReadsAfterCloseFail(t *testing.T) {
+	s := openTestStore(t, t.TempDir())
 	a, err := s.Append(Record{Question: "q1", Method: "ours"})
-	if err != nil || a.ID != "t000001" {
-		t.Fatalf("append: %+v (%v)", a, err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.Get("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	got, err := s.Get(a.ID)
-	if err != nil || got.Question != "q1" {
-		t.Fatalf("get: %+v (%v)", got, err)
+	if _, err := s.Get(a.ID); err == nil {
+		t.Error("Get after Close succeeded")
 	}
-	if st := s.Stats(); st.Records != 1 {
-		t.Fatalf("stats: %+v", st)
+	if _, err := s.List(ListOptions{}); err == nil {
+		t.Error("List after Close succeeded")
+	}
+	if _, err := s.Append(Record{Question: "q2"}); err == nil {
+		t.Error("Append after Close succeeded")
 	}
 }

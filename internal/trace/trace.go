@@ -3,8 +3,8 @@
 // usage, the pipeline's intermediate graphs, the substrate epoch) and this
 // package is where those artefacts stop evaporating. A Record is the
 // fully-serialized, self-contained form of one request — no pointers into
-// live result graphs — and a Store persists Records append-only as JSONL,
-// one record per line (the shape of Genkit's file trace store).
+// live result graphs — and a FileStore persists Records append-only as
+// JSONL, one record per line (the shape of Genkit's file trace store).
 //
 // Consumers:
 //
