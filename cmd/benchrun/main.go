@@ -8,6 +8,7 @@
 //	benchrun -experiment fig2 -quick    # fast, smaller environment
 //	benchrun -experiment table2 -csv cells.csv   # also write every cell as CSV
 //	benchrun -experiment recall -out BENCH_recall.json   # ANN recall gate + its record
+//	benchrun -experiment failures       # §IV-E: the stage that lost each wrong answer
 package main
 
 import (
@@ -24,7 +25,7 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"which experiment to run: table1|fig2|table2|table3|table4|table5|scenarios|sweeps|recall|all")
+		"which experiment to run: table1|fig2|table2|table3|table4|table5|scenarios|sweeps|failures|recall|all")
 	quick := flag.Bool("quick", false, "use the small test-scale environment")
 	seed := flag.Int64("seed", 42, "world/model seed")
 	workers := flag.Int("workers", 8, "evaluation parallelism")
@@ -132,6 +133,8 @@ func run(ctx context.Context, experiment string, quick bool, seed int64, workers
 			err = bench.Scenarios(ctx, env, out)
 		case "sweeps":
 			err = bench.Sweeps(ctx, env, out)
+		case "failures":
+			err = bench.Failures(ctx, env, out)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}

@@ -81,7 +81,7 @@ func cmdRecord(args []string) error {
 	out := fs.String("out", "", "suite file to write (required)")
 	seed := fs.Int64("seed", 42, "world/model seed to pin the suite to")
 	quick := fs.Bool("quick", false, "record against the small test-scale environment")
-	methods := fs.String("methods", "", "comma-separated registry methods (default: the full Table-II set)")
+	methods := fs.String("methods", "", "comma-separated registry methods (default: every registry method)")
 	model := fs.String("model", "", "model label (default GPT-3.5)")
 	perDataset := fs.Int("per-dataset", 0, "cap questions per dataset (0 = all)")
 	note := fs.String("note", "", "provenance note stored in the suite meta")

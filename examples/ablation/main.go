@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/answer"
 	"repro/internal/bench"
+	"repro/internal/datasets"
 	"repro/internal/metrics"
 	"repro/internal/qa"
 )
@@ -23,13 +24,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	src := bench.DefaultSource("QALD")
+	src := datasets.DefaultSource("QALD")
 	ask := func(method string, q qa.Question) answer.Result {
 		ans, err := env.Answerer(method, bench.ModelGPT4, src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := ans.Answer(context.Background(), bench.Query(method, bench.ModelGPT4, q))
+		res, err := ans.Answer(context.Background(), datasets.Query(method, bench.ModelGPT4, q))
 		if err != nil {
 			log.Fatal(err)
 		}

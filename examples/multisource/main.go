@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"repro/internal/bench"
+	"repro/internal/datasets"
 	"repro/internal/kg"
 	"repro/internal/metrics"
 )
@@ -44,7 +45,7 @@ func main() {
 		}
 		right := 0
 		for _, q := range questions {
-			res, err := ans.Answer(context.Background(), bench.Query(bench.MethodOurs, bench.ModelGPT35, q))
+			res, err := ans.Answer(context.Background(), datasets.Query(bench.MethodOurs, bench.ModelGPT35, q))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/answer"
 	"repro/internal/bench"
+	"repro/internal/datasets"
 	"repro/internal/metrics"
 	"repro/internal/qa"
 )
@@ -22,13 +23,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	src := bench.DefaultSource("NatureQuestions")
+	src := datasets.DefaultSource("NatureQuestions")
 	ask := func(method string, q qa.Question) answer.Result {
 		ans, err := env.Answerer(method, bench.ModelGPT35, src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := ans.Answer(context.Background(), bench.Query(method, bench.ModelGPT35, q))
+		res, err := ans.Answer(context.Background(), datasets.Query(method, bench.ModelGPT35, q))
 		if err != nil {
 			log.Fatal(err)
 		}

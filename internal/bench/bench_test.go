@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/kg"
 )
 
@@ -36,7 +37,7 @@ func TestNewEnv(t *testing.T) {
 func TestRunAllMethods(t *testing.T) {
 	env := tinyEnv(t)
 	ds := env.Suite.Simple
-	src := DefaultSource(ds.Name)
+	src := datasets.DefaultSource(ds.Name)
 	for _, method := range []string{MethodIO, MethodCoT, MethodSC, MethodRAG, MethodToG, MethodOurs, MethodOursGp} {
 		cell, err := env.Run(context.Background(), method, ModelGPT35, ds, src)
 		if err != nil {
@@ -57,28 +58,16 @@ func TestRunAllMethods(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	env := tinyEnv(t)
 	ds := env.Suite.QALD
-	a, err := env.Run(context.Background(), MethodOurs, ModelGPT4, ds, DefaultSource(ds.Name))
+	a, err := env.Run(context.Background(), MethodOurs, ModelGPT4, ds, datasets.DefaultSource(ds.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := env.Run(context.Background(), MethodOurs, ModelGPT4, ds, DefaultSource(ds.Name))
+	b, err := env.Run(context.Background(), MethodOurs, ModelGPT4, ds, datasets.DefaultSource(ds.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Score != b.Score {
 		t.Errorf("Run not deterministic: %v vs %v", a.Score, b.Score)
-	}
-}
-
-func TestDefaultSource(t *testing.T) {
-	if DefaultSource("SimpleQuestions") != kg.SourceFreebase {
-		t.Error("SimpleQuestions should default to Freebase")
-	}
-	if DefaultSource("QALD") != kg.SourceWikidata {
-		t.Error("QALD should default to Wikidata")
-	}
-	if DefaultSource("NatureQuestions") != kg.SourceWikidata {
-		t.Error("NatureQuestions should default to Wikidata")
 	}
 }
 
@@ -130,7 +119,7 @@ func TestHeadlineOrderings(t *testing.T) {
 		case "nature":
 			d = env.Suite.Nature
 		}
-		cell, err := env.Run(context.Background(), method, model, d, DefaultSource(d.Name))
+		cell, err := env.Run(context.Background(), method, model, d, datasets.DefaultSource(d.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +177,7 @@ func TestMultiSourceGains(t *testing.T) {
 		if ds == "nature" {
 			d = env.Suite.Nature
 		}
-		cot, err := env.Run(context.Background(), MethodCoT, ModelGPT35, d, DefaultSource(d.Name))
+		cot, err := env.Run(context.Background(), MethodCoT, ModelGPT35, d, datasets.DefaultSource(d.Name))
 		if err != nil {
 			t.Fatal(err)
 		}

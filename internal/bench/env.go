@@ -56,12 +56,7 @@ func DefaultEnvConfig() EnvConfig {
 
 // QuickEnvConfig returns a small environment for unit tests.
 func QuickEnvConfig() EnvConfig {
-	return EnvConfig{
-		Config: node.ConfigFor(true),
-		Data: datasets.Config{Seed: 7, SimpleN: 60, QALDN: 40, NatureN: 20,
-			TemporalN: 12, AggregationN: 12, AdversarialN: 8, NoisyN: 12},
-		Workers: 8,
-	}
+	return EnvConfig{Config: node.ConfigFor(true), Data: datasets.QuickConfig(), Workers: 8}
 }
 
 // Env is the assembled experiment environment: a serving node (world,
@@ -105,36 +100,13 @@ type Cell struct {
 	N     int
 }
 
-// Query maps a dataset question onto the unified request shape.
-func Query(method, model string, q qa.Question) answer.Query {
-	anchors := []string{q.Intent.Subject}
-	if q.Intent.Subject2 != "" {
-		anchors = append(anchors, q.Intent.Subject2)
-	}
-	return answer.Query{
-		Text:    q.Text,
-		Method:  method,
-		Model:   model,
-		Open:    q.Open(),
-		Anchors: anchors,
-	}
-}
-
 // Run evaluates a method×model over a dataset against the given KG source
 // and returns the aggregate cell. The context bounds the whole cell:
 // cancellation aborts in-flight questions and skips the rest.
 func (e *Env) Run(ctx context.Context, method, model string, ds *qa.Dataset, src kg.Source) (Cell, error) {
-	ans, err := e.Answerer(method, model, src)
+	items, err := e.answerAll(ctx, method, model, ds, src)
 	if err != nil {
 		return Cell{}, err
-	}
-	queries := make([]answer.Query, len(ds.Questions))
-	for i, q := range ds.Questions {
-		queries[i] = Query(method, model, q)
-	}
-	items := answer.Batch(ctx, ans, queries, answer.Concurrency(e.Cfg.Workers))
-	if err := answer.FirstError(items); err != nil {
-		return Cell{}, fmt.Errorf("bench: %s/%s on %s: %w", method, model, ds.Name, err)
 	}
 	scores := make([]float64, len(items))
 	for i, item := range items {
@@ -151,12 +123,21 @@ func (e *Env) Run(ctx context.Context, method, model string, ds *qa.Dataset, src
 	}, nil
 }
 
-// DefaultSource returns the KG source a dataset is evaluated against by
-// default: SimpleQuestions is Freebase-based in the paper, the others use
-// Wikidata.
-func DefaultSource(datasetName string) kg.Source {
-	if datasetName == "SimpleQuestions" {
-		return kg.SourceFreebase
+// answerAll answers every question of a dataset with one method×model
+// against src, at the harness's worker budget; items are in question
+// order. Any question's failure fails the whole cell.
+func (e *Env) answerAll(ctx context.Context, method, model string, ds *qa.Dataset, src kg.Source) ([]answer.BatchItem, error) {
+	ans, err := e.Answerer(method, model, src)
+	if err != nil {
+		return nil, err
 	}
-	return kg.SourceWikidata
+	queries := make([]answer.Query, len(ds.Questions))
+	for i, q := range ds.Questions {
+		queries[i] = datasets.Query(method, model, q)
+	}
+	items := answer.Batch(ctx, ans, queries, answer.Concurrency(e.Cfg.Workers))
+	if err := answer.FirstError(items); err != nil {
+		return nil, fmt.Errorf("bench: %s/%s on %s: %w", method, model, ds.Name, err)
+	}
+	return items, nil
 }

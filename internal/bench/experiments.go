@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cypher"
+	"repro/internal/datasets"
 	"repro/internal/kg"
 	"repro/internal/llm"
 	"repro/internal/prompts"
@@ -57,7 +58,7 @@ func Table2(ctx context.Context, e *Env, out io.Writer) error {
 					row = append(row, "-")
 					continue
 				}
-				cell, err := e.Run(ctx, method, model, ds, DefaultSource(ds.Name))
+				cell, err := e.Run(ctx, method, model, ds, datasets.DefaultSource(ds.Name))
 				if err != nil {
 					return err
 				}
@@ -89,7 +90,7 @@ func Scenarios(ctx context.Context, e *Env, out io.Writer) error {
 	for _, method := range methods {
 		row := make([]string, 0, len(dss))
 		for _, ds := range dss {
-			cell, err := e.Run(ctx, method, ModelGPT35, ds, DefaultSource(ds.Name))
+			cell, err := e.Run(ctx, method, ModelGPT35, ds, datasets.DefaultSource(ds.Name))
 			if err != nil {
 				return err
 			}
@@ -110,7 +111,7 @@ func Table3(ctx context.Context, e *Env, out io.Writer) error {
 	dsS, dsN := e.Suite.Simple, e.Suite.Nature
 	cot := map[string]float64{}
 	for _, ds := range []*qa.Dataset{dsS, dsN} {
-		cell, err := e.Run(ctx, MethodCoT, ModelGPT35, ds, DefaultSource(ds.Name))
+		cell, err := e.Run(ctx, MethodCoT, ModelGPT35, ds, datasets.DefaultSource(ds.Name))
 		if err != nil {
 			return err
 		}
@@ -152,7 +153,7 @@ func ablation(ctx context.Context, e *Env, out io.Writer, model, title, paperNot
 	for _, r := range rows {
 		scores := make([]float64, len(dss))
 		for i, ds := range dss {
-			cell, err := e.Run(ctx, r.method, model, ds, DefaultSource(ds.Name))
+			cell, err := e.Run(ctx, r.method, model, ds, datasets.DefaultSource(ds.Name))
 			if err != nil {
 				return err
 			}
@@ -292,7 +293,7 @@ func Sweeps(ctx context.Context, e *Env, out io.Writer) error {
 		return NewEnv(cfg)
 	}
 	run := func(env *Env, ds *qa.Dataset) (float64, error) {
-		cell, err := env.Run(ctx, MethodOurs, ModelGPT35, ds, DefaultSource(ds.Name))
+		cell, err := env.Run(ctx, MethodOurs, ModelGPT35, ds, datasets.DefaultSource(ds.Name))
 		if err != nil {
 			return 0, err
 		}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/datasets"
 	"repro/internal/kg"
 )
 
@@ -45,7 +46,7 @@ func (r *Report) Collect(ctx context.Context, e *Env, method, model string, dsNa
 	default:
 		return fmt.Errorf("bench: unknown dataset %q", dsName)
 	}
-	src := DefaultSource(ds.Name)
+	src := datasets.DefaultSource(ds.Name)
 	if len(srcOverride) > 0 {
 		parsed, err := kg.ParseSource(srcOverride[0])
 		if err != nil {

@@ -168,8 +168,8 @@ type SubjectConfidence struct {
 }
 
 // Trace records every intermediate artefact of one run. The answer
-// registry returns it as answer.Result.Trace, which is where debugging
-// tools (cmd/failures) and the example programs read it.
+// registry returns it as answer.Result.Trace, which is where trace.Build
+// and the example programs read it.
 type Trace struct {
 	Question   string
 	PseudoRaw  string    // the LLM's full Fig. 3 completion

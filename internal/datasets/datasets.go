@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/answer"
 	"repro/internal/kg"
 	"repro/internal/qa"
 	"repro/internal/world"
@@ -56,6 +57,37 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{Seed: 7, SimpleN: 400, QALDN: 200, NatureN: 50,
 		TemporalN: 60, AggregationN: 60, AdversarialN: 40, NoisyN: 60}
+}
+
+// QuickConfig returns small datasets for tests and the quick environment.
+func QuickConfig() Config {
+	return Config{Seed: 7, SimpleN: 60, QALDN: 40, NatureN: 20,
+		TemporalN: 12, AggregationN: 12, AdversarialN: 8, NoisyN: 12}
+}
+
+// DefaultSource returns the KG source a dataset is evaluated against by
+// default: SimpleQuestions is Freebase-based in the paper, the others use
+// Wikidata.
+func DefaultSource(datasetName string) kg.Source {
+	if datasetName == "SimpleQuestions" {
+		return kg.SourceFreebase
+	}
+	return kg.SourceWikidata
+}
+
+// Query maps a dataset question onto the unified request shape.
+func Query(method, model string, q qa.Question) answer.Query {
+	anchors := []string{q.Intent.Subject}
+	if q.Intent.Subject2 != "" {
+		anchors = append(anchors, q.Intent.Subject2)
+	}
+	return answer.Query{
+		Text:    q.Text,
+		Method:  method,
+		Model:   model,
+		Open:    q.Open(),
+		Anchors: anchors,
+	}
 }
 
 // Suite bundles the three paper datasets and the four scenario packs.

@@ -281,3 +281,15 @@ func TestBuildFailsOnImpossibleSizes(t *testing.T) {
 		t.Error("impossible dataset size accepted")
 	}
 }
+
+func TestDefaultSource(t *testing.T) {
+	if DefaultSource("SimpleQuestions") != kg.SourceFreebase {
+		t.Error("SimpleQuestions should default to Freebase")
+	}
+	if DefaultSource("QALD") != kg.SourceWikidata {
+		t.Error("QALD should default to Wikidata")
+	}
+	if DefaultSource("NatureQuestions") != kg.SourceWikidata {
+		t.Error("NatureQuestions should default to Wikidata")
+	}
+}

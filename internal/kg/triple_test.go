@@ -231,3 +231,18 @@ func TestGraphClone(t *testing.T) {
 		t.Error("Clone shares backing storage")
 	}
 }
+
+// TestGraphStringsJoinIsString holds the equality trace.Attribute relies
+// on: a record's rendered triples joined by newlines are the graph's
+// String, for an empty graph too.
+func TestGraphStringsJoinIsString(t *testing.T) {
+	for _, g := range []*Graph{
+		NewGraph(),
+		NewGraph(NewTriple("Lake Superior", "area", "82350")),
+		NewGraph(NewTriple("a", "r", "x"), NewTriple("a", "r2", "y"), NewTriple("b", "r", "x")),
+	} {
+		if got, want := strings.Join(g.Strings(), "\n"), g.String(); got != want {
+			t.Errorf("joined Strings() = %q, String() = %q", got, want)
+		}
+	}
+}

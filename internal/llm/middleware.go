@@ -17,8 +17,8 @@ type Exchange struct {
 }
 
 // Recorder wraps a Client and keeps a transcript of every call — the
-// debugging companion for pipeline runs (cmd/failures uses it to show what
-// the model actually saw and said).
+// debugging companion for pipeline runs (examples/customllm uses it to
+// show what the model actually saw and said).
 type Recorder struct {
 	Inner Client
 

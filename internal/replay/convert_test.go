@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
+	"repro/internal/node"
 	"repro/internal/trace"
 )
 
@@ -16,8 +16,8 @@ func liveRecord(id, question string, pv map[string]string) trace.Record {
 		ID:       id,
 		Time:     "2026-08-08T12:00:00.123456789Z",
 		Question: question,
-		Method:   bench.MethodIO,
-		Model:    bench.ModelGPT35,
+		Method:   "io",
+		Model:    node.ModelGPT35,
 		KG:       "wikidata",
 		Answer:   "The answer is {42}.",
 		Epoch:    3,
@@ -161,7 +161,7 @@ func TestConvertedSuiteReplays(t *testing.T) {
 	if art.Cells != 2 {
 		t.Fatalf("cells = %d, want 2", art.Cells)
 	}
-	r, ok := art.Methods[bench.MethodIO]
+	r, ok := art.Methods["io"]
 	if !ok || r.N != 2 {
 		t.Fatalf("IO method not aggregated: %+v", art.Methods)
 	}

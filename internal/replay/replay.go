@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/answer"
-	"repro/internal/bench"
+	"repro/internal/datasets"
 	"repro/internal/kg"
 	"repro/internal/node"
 	"repro/internal/trace"
@@ -18,25 +18,16 @@ type RecordOptions struct {
 	Seed int64
 	// Quick records against the small test-scale environment.
 	Quick bool
-	// Methods lists the registry methods to record; empty records the full
-	// Table-II method set.
+	// Methods lists the registry methods to record; empty records every
+	// method of the registry (answer.Names).
 	Methods []string
-	// Model is the model label (default bench.ModelGPT35).
+	// Model is the model label (default node.ModelGPT35).
 	Model string
 	// PerDataset caps how many questions of each dataset enter the suite
 	// (0 = all). The committed CI suite keeps this small.
 	PerDataset int
 	// Note is stored in the suite meta as provenance.
 	Note string
-}
-
-// DefaultMethods is the method set a suite records when none is given:
-// the paper's Table-II comparison plus the ablation.
-func DefaultMethods() []string {
-	return []string{
-		bench.MethodOurs, bench.MethodOursGp, bench.MethodToG,
-		bench.MethodIO, bench.MethodCoT, bench.MethodSC, bench.MethodRAG,
-	}
 }
 
 // RunOption adjusts the replay node without touching the suite pin
@@ -54,16 +45,18 @@ func WithANN(ef int) RunOption {
 	}
 }
 
-// pinnedConfig is the environment config for a (seed, quick) pin. The
-// answer cache stays off and no scheduler is configured: every replayed
-// request must re-run its method for real, under no admission queueing.
-func pinnedConfig(seed int64, quick bool) bench.EnvConfig {
-	cfg := bench.DefaultEnvConfig()
-	if quick {
-		cfg = bench.QuickEnvConfig()
-	}
+// pinnedConfig is the node and dataset config for a (seed, quick) pin.
+// The answer cache stays off and no scheduler is configured: every
+// replayed request must re-run its method for real, under no admission
+// queueing.
+func pinnedConfig(seed int64, quick bool) (node.Config, datasets.Config) {
+	cfg := node.ConfigFor(quick)
 	cfg.WorldSeed = seed
-	return cfg
+	data := datasets.DefaultConfig()
+	if quick {
+		data = datasets.QuickConfig()
+	}
+	return cfg, data
 }
 
 // RecordSuite answers every (dataset question, method) cell sequentially
@@ -73,16 +66,21 @@ func pinnedConfig(seed int64, quick bool) bench.EnvConfig {
 // never trusts them, it re-runs and re-scores.
 func RecordSuite(ctx context.Context, opts RecordOptions) (Suite, error) {
 	if opts.Model == "" {
-		opts.Model = bench.ModelGPT35
+		opts.Model = node.ModelGPT35
 	}
 	if len(opts.Methods) == 0 {
-		opts.Methods = DefaultMethods()
+		opts.Methods = answer.Names()
 	}
-	env, err := bench.NewEnv(pinnedConfig(opts.Seed, opts.Quick))
+	cfg, data := pinnedConfig(opts.Seed, opts.Quick)
+	env, err := node.New(cfg)
 	if err != nil {
 		return Suite{}, fmt.Errorf("replay: %w", err)
 	}
 	defer env.Close()
+	suite, err := datasets.Build(env.World, data)
+	if err != nil {
+		return Suite{}, fmt.Errorf("replay: %w", err)
+	}
 
 	s := Suite{Meta: SuiteMeta{
 		Version: SuiteVersion, Seed: opts.Seed, Quick: opts.Quick, Note: opts.Note,
@@ -90,15 +88,15 @@ func RecordSuite(ctx context.Context, opts RecordOptions) (Suite, error) {
 		// them even after prompt bumps land in the defaults.
 		PromptVersions: env.Prompts.View().Versions(),
 	}}
-	for _, ds := range env.Suite.Datasets() {
+	for _, ds := range suite.Datasets() {
 		questions := ds.Questions
 		if opts.PerDataset > 0 && len(questions) > opts.PerDataset {
 			questions = questions[:opts.PerDataset]
 		}
-		src := bench.DefaultSource(ds.Name)
+		src := datasets.DefaultSource(ds.Name)
 		for _, method := range opts.Methods {
 			for _, q := range questions {
-				rec, err := answerOne(ctx, env.Node, bench.Query(method, opts.Model, q), src, q.Golds, q.Refs)
+				rec, err := answerOne(ctx, env, datasets.Query(method, opts.Model, q), src, q.Golds, q.Refs)
 				if err != nil {
 					return Suite{}, fmt.Errorf("replay: %w", err)
 				}
@@ -136,7 +134,7 @@ func answerOne(ctx context.Context, n *node.Node, query answer.Query, src kg.Sou
 // returned artifact is deterministic — see the package comment for the
 // contract.
 func Run(ctx context.Context, s Suite, opts ...RunOption) (Artifact, error) {
-	cfg := pinnedConfig(s.Meta.Seed, s.Meta.Quick).Config
+	cfg, _ := pinnedConfig(s.Meta.Seed, s.Meta.Quick)
 	for _, opt := range opts {
 		opt(&cfg)
 	}

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"repro/internal/bench"
 )
 
 // Recording a suite is the expensive step (it answers every cell), so the
@@ -25,7 +23,7 @@ func testSuite(t *testing.T) Suite {
 		suiteVal, suiteErr = RecordSuite(context.Background(), RecordOptions{
 			Seed:       42,
 			Quick:      true,
-			Methods:    []string{bench.MethodOurs, bench.MethodIO, bench.MethodCoT},
+			Methods:    []string{"ours", "io", "cot"},
 			PerDataset: 2,
 			Note:       "test suite",
 		})

@@ -13,6 +13,9 @@
 //   - internal/replay records evaluation suites as Records-with-golds and
 //     re-runs them deterministically against the current binary.
 //   - GET /v1/traces[/{id}] exposes the store for inspection.
+//   - Attribute reads a record alone to say which pipeline stage lost its
+//     answer: the paper's §IV-E error analysis (benchrun -experiment
+//     failures).
 //
 // # Invariants
 //
