@@ -12,9 +12,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"slices"
 
-	"repro/internal/bench"
 	"repro/internal/datasets"
 	"repro/internal/kg"
 	"repro/internal/node"
@@ -36,7 +38,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "world seed")
 	flag.Parse()
 
-	if err := run(opts{*stats, *dump, *subject, *limit, *dataset, *export, *exportNT, *exportDS, *exportWorld, *quick, *seed}); err != nil {
+	if err := run(opts{*stats, *dump, *subject, *limit, *dataset, *export, *exportNT, *exportDS, *exportWorld, *quick, *seed}, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "kgtool:", err)
 		os.Exit(1)
 	}
@@ -56,15 +58,23 @@ type opts struct {
 	seed        int64
 }
 
-func run(o opts) error {
+// run writes what o asks for to out. It builds no node: the world from
+// the node config's seeded world section, its KG renderings, and the
+// datasets over it.
+func run(o opts, out io.Writer) error {
 	stats, dump, subject, limit, dataset, quick, seed :=
 		o.stats, o.dump, o.subject, o.limit, o.dataset, o.quick, o.seed
-	cfg := bench.DefaultEnvConfig()
-	if quick {
-		cfg = bench.QuickEnvConfig()
+	wcfg := node.ConfigFor(quick).World
+	wcfg.Seed = seed
+	w, err := world.Generate(wcfg)
+	if err != nil {
+		return err
 	}
-	cfg.WorldSeed = seed
-	env, err := bench.NewEnv(cfg)
+	dcfg := datasets.DefaultConfig()
+	if quick {
+		dcfg = datasets.QuickConfig()
+	}
+	suite, err := datasets.Build(w, dcfg)
 	if err != nil {
 		return err
 	}
@@ -76,19 +86,19 @@ func run(o opts) error {
 		if err != nil {
 			return err
 		}
-		stores[src] = schema.Render(env.World)
+		stores[src] = schema.Render(w)
 	}
 
 	did := false
 	if stats {
 		did = true
-		fmt.Println(env.World.Stats())
-		s := env.World.Stats()
-		for kind, n := range s.ByKind {
-			fmt.Printf("  %-16s %d\n", kind, n)
+		s := w.Stats()
+		fmt.Fprintln(out, s)
+		for _, kind := range slices.Sorted(maps.Keys(s.ByKind)) {
+			fmt.Fprintf(out, "  %-16s %d\n", kind, s.ByKind[kind])
 		}
-		for src, st := range stores {
-			fmt.Printf("KG[%s]: %s\n", src, st.Stats())
+		for _, src := range node.Sources {
+			fmt.Fprintf(out, "KG[%s]: %s\n", src, stores[src].Stats())
 		}
 	}
 	if dump != "" {
@@ -115,26 +125,26 @@ func run(o opts) error {
 			triples = triples[:limit]
 		}
 		for _, t := range triples {
-			fmt.Println(t)
+			fmt.Fprintln(out, t)
 		}
 	}
 	if dataset {
 		did = true
-		for _, ds := range env.Suite.Datasets() {
-			fmt.Printf("%s (%s, %d questions)\n", ds.Name, ds.Metric, len(ds.Questions))
+		for _, ds := range suite.Datasets() {
+			fmt.Fprintf(out, "%s (%s, %d questions)\n", ds.Name, ds.Metric, len(ds.Questions))
 			n := 3
 			if n > len(ds.Questions) {
 				n = len(ds.Questions)
 			}
 			for _, q := range ds.Questions[:n] {
-				fmt.Printf("  Q: %s\n", q.Text)
+				fmt.Fprintf(out, "  Q: %s\n", q.Text)
 				if q.Open() {
-					fmt.Printf("  ref[0]: %.120s...\n", q.Refs[0])
+					fmt.Fprintf(out, "  ref[0]: %.120s...\n", q.Refs[0])
 				} else {
-					fmt.Printf("  gold: %v\n", q.Golds)
+					fmt.Fprintf(out, "  gold: %v\n", q.Golds)
 				}
 			}
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
 	}
 	if o.export != "" {
@@ -143,7 +153,7 @@ func run(o opts) error {
 		if err != nil {
 			return err
 		}
-		if err := stores[src].WriteJSON(os.Stdout); err != nil {
+		if err := stores[src].WriteJSON(out); err != nil {
 			return err
 		}
 	}
@@ -153,7 +163,7 @@ func run(o opts) error {
 		if err != nil {
 			return err
 		}
-		if err := stores[src].WriteNT(os.Stdout); err != nil {
+		if err := stores[src].WriteNT(out); err != nil {
 			return err
 		}
 	}
@@ -162,21 +172,21 @@ func run(o opts) error {
 		var ds *qa.Dataset
 		switch o.exportDS {
 		case "simple":
-			ds = env.Suite.Simple
+			ds = suite.Simple
 		case "qald":
-			ds = env.Suite.QALD
+			ds = suite.QALD
 		case "nature":
-			ds = env.Suite.Nature
+			ds = suite.Nature
 		default:
 			return fmt.Errorf("unknown dataset %q (want simple|qald|nature)", o.exportDS)
 		}
-		if err := datasets.WriteJSON(os.Stdout, ds); err != nil {
+		if err := datasets.WriteJSON(out, ds); err != nil {
 			return err
 		}
 	}
 	if o.exportWorld {
 		did = true
-		if err := env.World.WriteJSON(os.Stdout); err != nil {
+		if err := w.WriteJSON(out); err != nil {
 			return err
 		}
 	}

@@ -7,23 +7,25 @@
 // Usage:
 //
 //	pgakv -q "Where was <person> born?" [-method ours|io|cot|sc|rag|tog] [-kg wikidata|freebase] [-model gpt4]
+//	pgakv -q "..." -json     # the run's trace record, as GET /v1/traces/<id> serves one
 //	pgakv -list 5            # print 5 sample questions to try
 //	pgakv -methods           # list the registered methods
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
 	"repro/internal/answer"
-	"repro/internal/bench"
+	"repro/internal/datasets"
 	"repro/internal/failure"
 	"repro/internal/kg"
+	"repro/internal/node"
+	"repro/internal/trace"
+	"repro/internal/world"
 )
 
 func main() {
@@ -35,7 +37,7 @@ func main() {
 	list := flag.Int("list", 0, "print N sample questions from each dataset and exit")
 	methods := flag.Bool("methods", false, "list registered methods and exit")
 	quick := flag.Bool("quick", true, "use the small environment (fast startup)")
-	asJSON := flag.Bool("json", false, "emit the result as JSON instead of text")
+	asJSON := flag.Bool("json", false, "print the run's trace record (one JSON line) instead of text")
 	timeout := flag.Duration("timeout", 0, "per-question deadline (0 = none)")
 	flag.Parse()
 
@@ -54,41 +56,27 @@ func run(question, method, kgSource, model, anchor string, list int, methods, qu
 		return nil
 	}
 
-	cfg := bench.DefaultEnvConfig()
-	if quick {
-		cfg = bench.QuickEnvConfig()
+	if question == "" && list <= 0 {
+		return fmt.Errorf("provide -q \"question\" (or -list N for samples, -methods for methods)")
 	}
-	env, err := bench.NewEnv(cfg)
+	n, err := node.New(node.ConfigFor(quick))
 	if err != nil {
 		return err
 	}
-
+	defer n.Close()
 	if list > 0 {
-		for _, ds := range env.Suite.Datasets() {
-			fmt.Printf("%s:\n", ds.Name)
-			n := list
-			if n > len(ds.Questions) {
-				n = len(ds.Questions)
-			}
-			for _, q := range ds.Questions[:n] {
-				fmt.Printf("  %s\n", q.Text)
-			}
-		}
-		return nil
-	}
-	if question == "" {
-		return fmt.Errorf("provide -q \"question\" (or -list N for samples, -methods for methods)")
+		return printSamples(n.World, list, quick)
 	}
 
 	src, err := kg.ParseSource(kgSource)
 	if err != nil {
 		return err
 	}
-	modelName := bench.ModelGPT35
+	modelName := node.ModelGPT35
 	if model == "gpt4" || model == "gpt-4" {
-		modelName = bench.ModelGPT4
+		modelName = node.ModelGPT4
 	}
-	ans, err := env.Answerer(method, modelName, src)
+	ans, err := n.Answerer(method, modelName, src)
 	if err != nil {
 		return err
 	}
@@ -108,7 +96,13 @@ func run(question, method, kgSource, model, anchor string, list int, methods, qu
 		return fmt.Errorf("%s (class %s)", err, failure.Of(err))
 	}
 	if asJSON {
-		return writeResultJSON(os.Stdout, question, modelName, src.String(), res)
+		// The run's trace record: the object GET /v1/traces/<id> serves.
+		line, err := trace.Encode(trace.Build(q, res, nil, trace.Meta{KG: src.String()}))
+		if err != nil {
+			return err
+		}
+		_, err = os.Stdout.Write(line)
+		return err
 	}
 
 	fmt.Printf("question: %s\nmethod: %s   model: %s   kg: %s\n\n", question, res.Method, modelName, src)
@@ -140,47 +134,22 @@ func run(question, method, kgSource, model, anchor string, list int, methods, qu
 	return nil
 }
 
-// resultJSON is the machine-readable form of one run.
-type resultJSON struct {
-	Question         string     `json:"question"`
-	Method           string     `json:"method"`
-	Model            string     `json:"model"`
-	KG               string     `json:"kg"`
-	Answer           string     `json:"answer"`
-	Gp               []string   `json:"gp,omitempty"`
-	Kept             []keptJSON `json:"kept_subjects,omitempty"`
-	Gg               []string   `json:"gg,omitempty"`
-	Gf               []string   `json:"gf,omitempty"`
-	LLMCalls         int        `json:"llm_calls"`
-	PromptTokens     int        `json:"prompt_tokens"`
-	CompletionTokens int        `json:"completion_tokens"`
-	ElapsedMS        int64      `json:"elapsed_ms"`
-	PseudoErr        string     `json:"pseudo_error,omitempty"`
-}
-
-type keptJSON struct {
-	Subject    string  `json:"subject"`
-	Confidence float64 `json:"confidence"`
-	Triples    int     `json:"triples"`
-}
-
-func writeResultJSON(w io.Writer, question, model, src string, res answer.Result) error {
-	doc := resultJSON{
-		Question: question, Method: res.Method, Model: model, KG: src,
-		Answer: res.Answer, LLMCalls: res.LLMCalls,
-		PromptTokens: res.PromptTokens, CompletionTokens: res.CompletionTokens,
-		ElapsedMS: res.Elapsed.Milliseconds(),
+// printSamples prints the first n questions of each dataset, built over
+// the node's world so that every one resolves against it.
+func printSamples(w *world.World, n int, quick bool) error {
+	cfg := datasets.DefaultConfig()
+	if quick {
+		cfg = datasets.QuickConfig()
 	}
-	if tr := res.Trace; tr != nil {
-		doc.Gp, doc.Gg, doc.Gf = tr.Gp.Strings(), tr.Gg.Strings(), tr.Gf.Strings()
-		for _, sc := range tr.Kept {
-			doc.Kept = append(doc.Kept, keptJSON{sc.Subject, sc.Confidence, sc.Triples})
-		}
-		if tr.PseudoErr != nil {
-			doc.PseudoErr = tr.PseudoErr.Error()
+	suite, err := datasets.Build(w, cfg)
+	if err != nil {
+		return err
+	}
+	for _, ds := range suite.Datasets() {
+		fmt.Printf("%s:\n", ds.Name)
+		for _, q := range ds.Questions[:min(n, len(ds.Questions))] {
+			fmt.Printf("  %s\n", q.Text)
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/kg"
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
 // The answer routes: POST /v1/answer (JSON, or SSE with "Accept:
@@ -82,29 +83,11 @@ type answerResponse struct {
 	PromptVersions map[string]string `json:"prompt_versions,omitempty"`
 	// Cached marks an SSE answer event served from the answer cache (the
 	// JSON path reports the same through the X-Cache header instead).
-	Cached bool       `json:"cached,omitempty"`
-	Trace  *traceWire `json:"trace,omitempty"`
-}
-
-type traceWire struct {
-	Gp           []string    `json:"gp,omitempty"`
-	Gg           []string    `json:"gg,omitempty"`
-	Gf           []string    `json:"gf,omitempty"`
-	KeptSubjects []string    `json:"kept_subjects,omitempty"`
-	PseudoError  string      `json:"pseudo_error,omitempty"`
-	Stages       []stageWire `json:"stages,omitempty"`
-}
-
-// stageWire is one stage span in an answer trace.
-type stageWire struct {
-	Stage            string        `json:"stage"`
-	LatencyMS        float64       `json:"latency_ms"`
-	LLMCalls         int           `json:"llm_calls"`
-	PromptTokens     int           `json:"prompt_tokens,omitempty"`
-	CompletionTokens int           `json:"completion_tokens,omitempty"`
-	InputSize        int           `json:"input_size"`
-	OutputSize       int           `json:"output_size"`
-	Error            failure.Class `json:"error,omitempty"`
+	Cached bool `json:"cached,omitempty"`
+	// Trace is the run's stage spans and pipeline artefacts, shown under
+	// include_trace: the fields of its trace record, named and encoded as
+	// GET /v1/traces/<id> serves them.
+	Trace *trace.Artefacts `json:"trace,omitempty"`
 }
 
 type batchRequest struct {
@@ -153,7 +136,7 @@ func (s *Server) deadline(timeoutMS int64) time.Duration {
 func failedRun(err error, res answer.Result, includeTrace bool) errorResponse {
 	resp := errorResponse{Error: err.Error(), Class: failure.Of(err)}
 	if includeTrace && res.Trace != nil {
-		resp.Stages = stageWires(res.Trace.Stages)
+		resp.Stages = res.Trace.Stages
 	}
 	return resp
 }
@@ -268,7 +251,7 @@ func (s *Server) streamAnswer(w http.ResponseWriter, ctx context.Context, info *
 	out := &sseWriter{w: w, f: flusher}
 
 	ctx = exec.WithSpanObserver(ctx, func(sp exec.Span) {
-		out.event("stage", stageWires([]exec.Span{sp})[0])
+		out.event("stage", sp)
 	})
 	res, err := ans.Answer(ctx, q)
 	if err != nil {
@@ -358,33 +341,8 @@ func toWire(res answer.Result, src kg.Source, includeTrace bool) answerResponse 
 		PromptVersions:   res.PromptVersions,
 	}
 	if includeTrace && res.Trace != nil {
-		tw := &traceWire{Gp: res.Trace.Gp.Strings(), Gg: res.Trace.Gg.Strings(), Gf: res.Trace.Gf.Strings()}
-		for _, sc := range res.Trace.Kept {
-			tw.KeptSubjects = append(tw.KeptSubjects, fmt.Sprintf("%s (%.3f)", sc.Subject, sc.Confidence))
-		}
-		if res.Trace.PseudoErr != nil {
-			tw.PseudoError = res.Trace.PseudoErr.Error()
-		}
-		tw.Stages = stageWires(res.Trace.Stages)
-		out.Trace = tw
-	}
-	return out
-}
-
-// stageWires converts exec spans to their wire form.
-func stageWires(spans []exec.Span) []stageWire {
-	out := make([]stageWire, 0, len(spans))
-	for _, sp := range spans {
-		out = append(out, stageWire{
-			Stage:            sp.Stage,
-			LatencyMS:        float64(sp.Latency) / float64(time.Millisecond),
-			LLMCalls:         sp.LLMCalls,
-			PromptTokens:     sp.PromptTokens,
-			CompletionTokens: sp.CompletionTokens,
-			InputSize:        sp.InputSize,
-			OutputSize:       sp.OutputSize,
-			Error:            sp.Err,
-		})
+		a := trace.ArtefactsOf(res.Trace)
+		out.Trace = &a
 	}
 	return out
 }

@@ -2,8 +2,7 @@ package main
 
 import (
 	"bytes"
-	"fmt"
-	"math"
+	"encoding/json"
 	"net/http"
 	"reflect"
 	"slices"
@@ -19,8 +18,9 @@ import (
 // MarshalJSON) — encodes it here, appending into a pooled buffer instead
 // of reflecting over the struct and its prompt_versions map. Its bytes are
 // encoding/json's for the same value: the field order and omitempty rules
-// of the struct tags, HTML-escaped strings, sorted map keys and
-// encoding/json's float format (FuzzAnswerEncoding holds it to that).
+// of the struct tags, HTML-escaped strings and sorted map keys
+// (FuzzAnswerEncoding holds it to that). The include_trace trace is
+// encoded by encoding/json itself, as trace.Encode encodes the record.
 
 // MarshalJSON encodes r with appendAnswer, so an answer nested in another
 // value (a /v1/batch item) is encoded by the same code.
@@ -52,7 +52,8 @@ func writeAnswer(w http.ResponseWriter, r *answerResponse) {
 }
 
 // appendAnswer appends r's JSON encoding, without a trailing newline, to
-// dst. Like encoding/json, it fails on a non-finite stage latency.
+// dst. Like encoding/json, it fails on a non-finite kept-subject
+// confidence in the trace.
 func appendAnswer(dst []byte, r *answerResponse) ([]byte, error) {
 	dst = append(dst, `{"answer":`...)
 	dst = appendString(dst, r.Answer)
@@ -81,94 +82,17 @@ func appendAnswer(dst []byte, r *answerResponse) ([]byte, error) {
 	if r.Cached {
 		dst = append(dst, `,"cached":true`...)
 	}
-	if t := r.Trace; t != nil {
-		dst = append(dst, `,"trace":`...)
-		var err error
-		if dst, err = appendTrace(dst, t); err != nil {
+	if r.Trace != nil {
+		// Only an include_trace reply gets here: its trace is encoded as
+		// the trace record's artefacts are, by encoding/json.
+		t, err := json.Marshal(r.Trace)
+		if err != nil {
 			return dst, err
 		}
+		dst = append(dst, `,"trace":`...)
+		dst = append(dst, t...)
 	}
 	return append(dst, '}'), nil
-}
-
-func appendTrace(dst []byte, t *traceWire) ([]byte, error) {
-	dst = append(dst, '{')
-	first := true
-	field := func(name string) {
-		if !first {
-			dst = append(dst, ',')
-		}
-		first = false
-		dst = append(dst, name...)
-	}
-	for _, list := range []struct {
-		name string
-		v    []string
-	}{{`"gp":`, t.Gp}, {`"gg":`, t.Gg}, {`"gf":`, t.Gf}, {`"kept_subjects":`, t.KeptSubjects}} {
-		if len(list.v) > 0 {
-			field(list.name)
-			dst = appendStrings(dst, list.v)
-		}
-	}
-	if t.PseudoError != "" {
-		field(`"pseudo_error":`)
-		dst = appendString(dst, t.PseudoError)
-	}
-	if len(t.Stages) > 0 {
-		field(`"stages":`)
-		dst = append(dst, '[')
-		for i := range t.Stages {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			var err error
-			if dst, err = appendStage(dst, &t.Stages[i]); err != nil {
-				return dst, err
-			}
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, '}'), nil
-}
-
-func appendStage(dst []byte, s *stageWire) ([]byte, error) {
-	dst = append(dst, `{"stage":`...)
-	dst = appendString(dst, s.Stage)
-	dst = append(dst, `,"latency_ms":`...)
-	var err error
-	if dst, err = appendFloat(dst, s.LatencyMS); err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"llm_calls":`...)
-	dst = strconv.AppendInt(dst, int64(s.LLMCalls), 10)
-	if s.PromptTokens != 0 {
-		dst = append(dst, `,"prompt_tokens":`...)
-		dst = strconv.AppendInt(dst, int64(s.PromptTokens), 10)
-	}
-	if s.CompletionTokens != 0 {
-		dst = append(dst, `,"completion_tokens":`...)
-		dst = strconv.AppendInt(dst, int64(s.CompletionTokens), 10)
-	}
-	dst = append(dst, `,"input_size":`...)
-	dst = strconv.AppendInt(dst, int64(s.InputSize), 10)
-	dst = append(dst, `,"output_size":`...)
-	dst = strconv.AppendInt(dst, int64(s.OutputSize), 10)
-	if s.Error != 0 {
-		dst = append(dst, `,"error":`...)
-		dst = appendString(dst, s.Error.String())
-	}
-	return append(dst, '}'), nil
-}
-
-func appendStrings(dst []byte, v []string) []byte {
-	dst = append(dst, '[')
-	for i, s := range v {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendString(dst, s)
-	}
-	return append(dst, ']')
 }
 
 // versionsMemo holds the last prompt_versions map encoded, with its
@@ -213,28 +137,6 @@ func appendStringMap(dst []byte, m map[string]string) []byte {
 		dst = appendString(dst, e.v)
 	}
 	return append(dst, '}')
-}
-
-// appendFloat formats f as encoding/json does: ES6 style, an exponent only
-// below 1e-6 or from 1e21, and without a leading zero in it.
-func appendFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 becomes e-9.
-		n := len(dst)
-		if n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, nil
 }
 
 const hexDigits = "0123456789abcdef"

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core/exec"
 	"repro/internal/failure"
+	"repro/internal/trace"
 	"repro/internal/world"
 )
 
@@ -74,48 +76,57 @@ func TestAnswerEncodingMatchesEncodingJSON(t *testing.T) {
 		"plain":   {Answer: "Paris", Method: "ours", Model: "GPT-4", KG: "wikidata", Epoch: 3, LLMCalls: 3, PromptTokens: 812, CompletionTokens: 95, ElapsedMS: 12, PromptVersions: map[string]string{"verify": "1", "answer-graph": "2", "io": "1"}},
 		"escapes": {Answer: "<a href=\"x\">&amp;</a>\\\n\t\r\b\f\x00\x1f\x7f", Method: "\u2028\u2029", Model: "bad \xff\xfe utf8 \xe2\x82", KG: "Zürich → 東京"},
 		"cached":  {Answer: "x", Cached: true, PromptVersions: map[string]string{}},
-		"trace": {Answer: "x", Trace: &traceWire{
-			Gp: []string{"(a, b, c)"}, Gf: []string{"<x>", "y & z"}, KeptSubjects: []string{"A (0.923)"},
-			PseudoError: "cypher: found \"→\"",
-			Stages: []stageWire{
-				{Stage: "pseudo_graph", LatencyMS: 0.0123, LLMCalls: 1, PromptTokens: 10, InputSize: 1, OutputSize: 4},
-				{Stage: "verify", LatencyMS: 1e-7, Error: failure.Deadline},
-				{Stage: "answer", LatencyMS: 1e21, CompletionTokens: 3},
-				{Stage: "big", LatencyMS: -123456789.125},
+		"trace": {Answer: "x", Trace: &trace.Artefacts{
+			Stages: []exec.Span{
+				{Stage: "pseudo_graph", Offset: 12, Latency: 12300, LLMCalls: 1, PromptTokens: 10, InputSize: 1, OutputSize: 4},
+				{Stage: "verify", Latency: -1, Err: failure.Deadline},
+				{Stage: "answer", Offset: math.MaxInt64, CompletionTokens: 3},
+			},
+			PseudoCode: "CREATE (a:X {name: 'a<b'})",
+			PseudoErr:  "cypher: found \"→\"",
+			Gp:         []string{"(a, b, c)"}, Gf: []string{"<x>", "y & z"},
+			Kept: []trace.KeptSubject{
+				{Subject: "A", Confidence: 0.923, Triples: 2},
+				{Subject: "tiny", Confidence: 1e-7},
+				{Subject: "huge", Confidence: 1e21},
+				{Subject: "big", Confidence: -123456789.125},
 			},
 		}},
-		"empty trace": {Trace: &traceWire{Gp: []string{}}},
+		"empty trace": {Trace: &trace.Artefacts{Gp: []string{}}},
 	} {
 		t.Run(name, func(t *testing.T) { checkEncoding(t, v) })
 	}
 }
 
-func TestAnswerEncodingRefusesNonFiniteLatency(t *testing.T) {
+// TestAnswerEncodingRefusesNonFiniteConfidence: a kept subject's
+// confidence is the one float in a reply, and encoding/json refuses a
+// non-finite one.
+func TestAnswerEncodingRefusesNonFiniteConfidence(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		v := answerResponse{Trace: &traceWire{Stages: []stageWire{{LatencyMS: f}}}}
+		v := answerResponse{Trace: &trace.Artefacts{Kept: []trace.KeptSubject{{Subject: "A", Confidence: f}}}}
 		if _, err := appendAnswer(nil, &v); err == nil {
-			t.Errorf("latency %v: no error", f)
+			t.Errorf("confidence %v: no error", f)
 		}
 		rec := httptest.NewRecorder()
 		writeAnswer(rec, &v)
 		if rec.Body.Len() != 0 {
-			t.Errorf("latency %v: wrote %q, encoding/json writes nothing", f, rec.Body.String())
+			t.Errorf("confidence %v: wrote %q, encoding/json writes nothing", f, rec.Body.String())
 		}
 	}
 }
 
 // FuzzAnswerEncoding holds the answer encoder to encoding/json on
-// arbitrary strings, counts, prompt versions, trace lists and stage
-// latencies:
+// arbitrary strings, counts, prompt versions, trace lists, stage spans
+// and kept-subject confidences:
 //
 //	go test -run='^$' -fuzz='^FuzzAnswerEncoding$' -fuzztime=30s ./cmd/pgakvd
 func FuzzAnswerEncoding(f *testing.F) {
 	f.Add("Paris", "answer-graph", "2", "(a, b, c)", uint64(3), 3, int64(12), 0.0123, uint8(0), true, false)
 	f.Add("<&>\"\\\n\x00\x7f", "\u2028", "\xff", "Zürich\u2029", uint64(0), -1, int64(-5), 1e-7, uint8(2), false, true)
 	f.Add("", "", "", "", uint64(math.MaxUint64), math.MinInt, int64(math.MaxInt64), 1e21, uint8(5), true, true)
-	f.Fuzz(func(t *testing.T, text, key, value, item string, epoch uint64, count int, elapsed int64, latency float64, class uint8, cached, withTrace bool) {
-		if math.IsInf(latency, 0) || math.IsNaN(latency) {
-			return // TestAnswerEncodingRefusesNonFiniteLatency
+	f.Fuzz(func(t *testing.T, text, key, value, item string, epoch uint64, count int, elapsed int64, confidence float64, class uint8, cached, withTrace bool) {
+		if math.IsInf(confidence, 0) || math.IsNaN(confidence) {
+			return // TestAnswerEncodingRefusesNonFiniteConfidence
 		}
 		v := answerResponse{
 			Answer: text, Method: key, Model: value, KG: item,
@@ -124,13 +135,14 @@ func FuzzAnswerEncoding(f *testing.F) {
 			Cached:         cached,
 		}
 		if withTrace {
-			v.Trace = &traceWire{
-				Gp: []string{text, item}, Gg: []string{key}, KeptSubjects: strings.Fields(text),
-				PseudoError: value,
-				Stages: []stageWire{
-					{Stage: item, LatencyMS: latency, LLMCalls: count, PromptTokens: count, InputSize: -count, OutputSize: count, Error: failure.Class(class % uint8(failure.NumClasses))},
-					{Stage: key, LatencyMS: latency / 3, CompletionTokens: count},
+			v.Trace = &trace.Artefacts{
+				Stages: []exec.Span{
+					{Stage: item, Offset: time.Duration(-elapsed), Latency: time.Duration(elapsed), LLMCalls: count, PromptTokens: count, InputSize: -count, OutputSize: count, Err: failure.Class(class % uint8(failure.NumClasses))},
+					{Stage: key, Latency: time.Duration(count), CompletionTokens: count},
 				},
+				PseudoCode: text, PseudoErr: value,
+				Gp: []string{text, item}, Gg: []string{key}, Gf: strings.Fields(text),
+				Kept: []trace.KeptSubject{{Subject: item, Confidence: confidence, Triples: count}, {Subject: key, Confidence: confidence / 3}},
 			}
 		}
 		checkEncoding(t, v)

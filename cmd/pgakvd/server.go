@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/answer"
+	"repro/internal/core/exec"
 	"repro/internal/failure"
 	"repro/internal/kg"
 	"repro/internal/node"
@@ -255,8 +256,8 @@ type errorResponse struct {
 	Class failure.Class `json:"class"`
 	// Stages carries the failed run's partial stage spans (the last one
 	// names the failing stage and its error class) when the request asked
-	// for a trace.
-	Stages []stageWire `json:"stages,omitempty"`
+	// for a trace, as its trace record stores them.
+	Stages []exec.Span `json:"stages,omitempty"`
 }
 
 // writeError answers with err under class, at the class's status.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core/exec"
 	"repro/internal/failure"
 	"repro/internal/llm"
 	"repro/internal/prompts"
@@ -259,7 +260,7 @@ func TestFailureClassAgreesAcrossSurfaces(t *testing.T) {
 			reply := decode[errorResponse](t, postJSON(t, h, "/v1/answer", tc.req))
 			say("reply", reply.Class)
 			for _, sp := range reply.Stages {
-				span("reply stage "+sp.Stage, sp.Error)
+				span("reply stage "+sp.Stage, sp.Err)
 			}
 
 			raw, err := json.Marshal(tc.req)
@@ -271,7 +272,7 @@ func TestFailureClassAgreesAcrossSurfaces(t *testing.T) {
 			for _, ev := range readSSE(t, serve1(h, req).Body, 0) {
 				switch ev.name {
 				case "stage":
-					span("SSE stage event", unmarshal[stageWire](t, ev.data).Error)
+					span("SSE stage event", unmarshal[exec.Span](t, ev.data).Err)
 				case "error":
 					say("SSE error event", unmarshal[errorResponse](t, ev.data).Class)
 				}

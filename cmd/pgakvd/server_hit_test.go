@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/racedetect"
+	"repro/internal/trace"
 	"repro/internal/world"
 )
 
@@ -53,7 +54,7 @@ func TestIncludeTraceFillsAndHitsItsOwnEntry(t *testing.T) {
 		t.Fatalf("uncached: status %d: %s", rec.Code, rec.Body.String())
 	}
 	want := decode[answerResponse](t, rec)
-	sameTrace := func(label string, got *traceWire) {
+	sameTrace := func(label string, got *trace.Artefacts) {
 		t.Helper()
 		if got == nil || want.Trace == nil {
 			t.Fatalf("%s: trace missing (got %v, uncached %v)", label, got, want.Trace)
@@ -62,7 +63,7 @@ func TestIncludeTraceFillsAndHitsItsOwnEntry(t *testing.T) {
 			t.Fatalf("%s: empty graphs: %+v", label, got)
 		}
 		if !reflect.DeepEqual(got.Gp, want.Trace.Gp) || !reflect.DeepEqual(got.Gg, want.Trace.Gg) ||
-			!reflect.DeepEqual(got.Gf, want.Trace.Gf) || !reflect.DeepEqual(got.KeptSubjects, want.Trace.KeptSubjects) {
+			!reflect.DeepEqual(got.Gf, want.Trace.Gf) || !reflect.DeepEqual(got.Kept, want.Trace.Kept) {
 			t.Fatalf("%s: trace differs from the uncached run's:\n got %+v\nwant %+v", label, got, want.Trace)
 		}
 		if len(got.Stages) != len(want.Trace.Stages) {

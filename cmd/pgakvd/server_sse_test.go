@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/core/exec"
 	"repro/internal/failure"
 	"repro/internal/llm"
 	"repro/internal/serve"
@@ -138,7 +139,7 @@ func TestSSEStreamsStagesInPipelineOrder(t *testing.T) {
 		if ev.name != "stage" {
 			t.Fatalf("non-stage event %q before the answer", ev.name)
 		}
-		var sw stageWire
+		var sw exec.Span
 		if err := json.Unmarshal(ev.data, &sw); err != nil {
 			t.Fatalf("stage event %q: %v", ev.data, err)
 		}

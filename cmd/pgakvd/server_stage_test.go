@@ -39,8 +39,8 @@ func TestAnswerTraceIncludesStageSpans(t *testing.T) {
 	}
 	var llmCalls int
 	for _, sp := range stages {
-		if sp.Error != failure.None {
-			t.Errorf("stage %s failed: %s", sp.Stage, sp.Error)
+		if sp.Err != failure.None {
+			t.Errorf("stage %s failed: %s", sp.Stage, sp.Err)
 		}
 		llmCalls += sp.LLMCalls
 	}

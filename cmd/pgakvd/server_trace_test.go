@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/serve"
 	"repro/internal/trace"
+	"repro/internal/world"
 )
 
 // tracedEnv builds a small environment with its own file-backed trace
@@ -104,6 +107,85 @@ func TestTraceRoutesEndToEnd(t *testing.T) {
 	}](t, rec)
 	if !metrics.TracesEnabled || metrics.Traces.Records < 2 {
 		t.Errorf("metrics trace stats wrong: %+v", metrics)
+	}
+}
+
+// TestOneTraceAcrossEverySurface: a run's trace has one shape. An
+// include_trace reply's trace is the artefacts of the record GET
+// /v1/traces/<id> serves for it, and an SSE request's stage events are its
+// record's stages, byte for byte.
+func TestOneTraceAcrossEverySurface(t *testing.T) {
+	env := tracedEnv(t)
+	srv := httptest.NewServer(testServer(t, env, testConfig(30*time.Second)).Handler())
+	defer srv.Close()
+	h := srv.Config.Handler
+	people := env.World.OfKind(world.KindPerson)
+
+	// record returns the body GET /v1/traces/<id> serves for the newest
+	// record of question.
+	record := func(question string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces?method=ours", nil))
+		list := decode[struct {
+			Traces []struct{ ID, Question string } `json:"traces"`
+		}](t, rec)
+		for _, s := range list.Traces {
+			if s.Question == question {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces/"+s.ID, nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("GET /v1/traces/%s: status %d", s.ID, rec.Code)
+				}
+				return rec.Body.Bytes()
+			}
+		}
+		t.Fatalf("no record of %q", question)
+		return nil
+	}
+
+	question := "Where was " + env.World.Entities[people[5]].Name + " born?"
+	rec := postJSON(t, h, "/v1/answer", answerRequest{queryItem: queryItem{Question: question}, Method: "ours", IncludeTrace: true})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	reply := decode[struct {
+		Trace json.RawMessage `json:"trace"`
+	}](t, rec)
+	var stored trace.Record
+	if err := json.Unmarshal(record(question), &stored); err != nil {
+		t.Fatal(err)
+	}
+	if len(stored.Stages) == 0 || len(stored.Gp) == 0 || len(stored.Kept) == 0 {
+		t.Fatalf("record without a trace: %+v", stored)
+	}
+	if want, _ := json.Marshal(stored.Artefacts); !bytes.Equal(reply.Trace, want) {
+		t.Fatalf("reply trace differs from its record's artefacts:\n got %s\nwant %s", reply.Trace, want)
+	}
+
+	question = "Where was " + env.World.Entities[people[6]].Name + " born?"
+	resp := postSSE(t, srv.URL, answerRequest{queryItem: queryItem{Question: question}, Method: "ours"})
+	events := readSSE(t, resp.Body, 0)
+	resp.Body.Close()
+	var spans []json.RawMessage
+	for _, ev := range events {
+		if ev.name == "stage" {
+			spans = append(spans, ev.data)
+		}
+	}
+	var fields struct {
+		Stages []json.RawMessage `json:"stages"`
+	}
+	if err := json.Unmarshal(record(question), &fields); err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) == 0 || len(spans) != len(fields.Stages) {
+		t.Fatalf("%d stage events, the record has %d stages", len(spans), len(fields.Stages))
+	}
+	for i := range spans {
+		if !bytes.Equal(spans[i], fields.Stages[i]) {
+			t.Fatalf("stage event %d differs from the record's span:\n got %s\nwant %s", i, spans[i], fields.Stages[i])
+		}
 	}
 }
 

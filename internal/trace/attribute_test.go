@@ -8,7 +8,7 @@ import (
 
 func TestAttribute(t *testing.T) {
 	closed := func(answer string, gp, gg, gf []string) Record {
-		return Record{Answer: answer, Golds: []string{"Beijing"}, Gp: gp, Gg: gg, Gf: gf}
+		return Record{Answer: answer, Golds: []string{"Beijing"}, Artefacts: Artefacts{Gp: gp, Gg: gg, Gf: gf}}
 	}
 	gp := []string{"<China> <capital> <?>"}
 	hit := []string{"<China> <capital> <Beijing>"}
@@ -20,7 +20,7 @@ func TestAttribute(t *testing.T) {
 	// F1 = 4/14 ≈ 0.29.
 	ref := "Lake Thortheark has an area of 40765. It is deep."
 	open := func(answer string, gg, gf []string) Record {
-		return Record{Answer: answer, Open: true, Refs: []string{ref, "another reference"}, Gp: gp, Gg: gg, Gf: gf}
+		return Record{Answer: answer, Open: true, Refs: []string{ref, "another reference"}, Artefacts: Artefacts{Gp: gp, Gg: gg, Gf: gf}}
 	}
 	above, below := "lake thortheark zz", "lake thortheark zz zz"
 	// The first sentence of the first reference, rendered as one triple.

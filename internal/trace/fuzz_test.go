@@ -24,7 +24,9 @@ func codecSeeds() [][]byte {
 		Anchors: []string{"China"}, Golds: []string{"Beijing"},
 		Answer: "Beijing", Epoch: 3, CacheHit: true,
 		LLMCalls: 3, PromptTokens: 120, CompletionTokens: 40,
-		Gp: []string{"(China, capital, ?)"}, Kept: []KeptSubject{{Subject: "China", Confidence: 0.9, Triples: 4}},
+		Artefacts: Artefacts{
+			Gp: []string{"(China, capital, ?)"}, Kept: []KeptSubject{{Subject: "China", Confidence: 0.9, Triples: 4}},
+		},
 	})
 	minimal, _ := Encode(Record{Question: "q", Method: "io"})
 	erred, _ := Encode(Record{Question: "q", Method: "cot", Error: "boom", ErrorClass: failure.Upstream})
@@ -103,12 +105,11 @@ func TestFuzzSeedsTornError(t *testing.T) {
 
 // TestDecodeDropsEveryEmptyList: each omitempty list or map of a Record
 // that a line spells empty decodes as nil, the value Encode's omission
-// re-decodes to. The fields come from the Record type itself, so a list
-// added to it later is held to the same rule.
+// re-decodes to. The fields come from the Record type itself, its
+// embedded Artefacts' included, so a list added to either later is held
+// to the same rule.
 func TestDecodeDropsEveryEmptyList(t *testing.T) {
-	typ := reflect.TypeOf(Record{})
-	for i := 0; i < typ.NumField(); i++ {
-		field := typ.Field(i)
+	for _, field := range reflect.VisibleFields(reflect.TypeOf(Record{})) {
 		name, opts, _ := strings.Cut(field.Tag.Get("json"), ",")
 		kind := field.Type.Kind()
 		if kind != reflect.Slice && kind != reflect.Map {
@@ -126,7 +127,7 @@ func TestDecodeDropsEveryEmptyList(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", line, err)
 		}
-		if v := reflect.ValueOf(rec).Field(i); !v.IsNil() {
+		if v := reflect.ValueOf(rec).FieldByIndex(field.Index); !v.IsNil() {
 			t.Errorf("%s decodes %s as an empty non-nil %s", line, field.Name, kind)
 		}
 	}

@@ -6,6 +6,10 @@
 // live result graphs — and a FileStore persists Records append-only as
 // JSONL, one record per line (the shape of Genkit's file trace store).
 //
+// A run's trace has one shape, Artefacts: its stage spans and pipeline
+// artefacts. A Record embeds it, and every surface that shows a trace
+// shows that type, with the record's names and units.
+//
 // Consumers:
 //
 //   - serve.WithTrace appends a Record for every request flowing through a
@@ -13,6 +17,9 @@
 //   - internal/replay records evaluation suites as Records-with-golds and
 //     re-runs them deterministically against the current binary.
 //   - GET /v1/traces[/{id}] exposes the store for inspection.
+//   - cmd/pgakvd shows ArtefactsOf a run as an include_trace reply's
+//     trace, its spans as SSE stage events and error-body stages; pgakv
+//     -json prints the Record that Build makes.
 //   - Attribute reads a record alone to say which pipeline stage lost its
 //     answer: the paper's §IV-E error analysis (benchrun -experiment
 //     failures).
@@ -34,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/answer"
+	"repro/internal/core"
 	"repro/internal/core/exec"
 	"repro/internal/failure"
 )
@@ -97,12 +105,21 @@ type Record struct {
 	// diffs can attribute a regression to a prompt change.
 	PromptVersions map[string]string `json:"prompt_versions,omitempty"`
 
+	// Artefacts are the run's anatomy, inlined: encoding/json writes an
+	// embedded struct's fields in its place, in their own order.
+	Artefacts
+}
+
+// Artefacts are what a run shows of its own anatomy: the per-stage spans
+// and, for pipeline-backed methods, the extracted Cypher, its decode
+// failure, the three graphs as rendered triples (Gp from Pseudo-Graph
+// Generation, Gg from atomic querying, Gf from Atomic Knowledge
+// Verification) and the kept subjects with confidences. A record embeds
+// them, and an include_trace reply shows them as they are.
+type Artefacts struct {
 	// Stages are the run's per-stage spans, in execution order.
 	Stages []exec.Span `json:"stages,omitempty"`
 
-	// Pipeline artefacts (pipeline-backed methods only): the extracted
-	// Cypher, the decode failure, the three graphs as rendered triples,
-	// and the kept subjects with confidences.
 	PseudoCode string        `json:"pseudo_code,omitempty"`
 	PseudoErr  string        `json:"pseudo_err,omitempty"`
 	Gp         []string      `json:"gp,omitempty"`
@@ -162,22 +179,34 @@ func Build(q answer.Query, res answer.Result, err error, m Meta) Record {
 		rec.Error = err.Error()
 		rec.ErrorClass = failure.Of(err)
 	}
-	if tr := res.Trace; tr != nil {
-		rec.Stages = append([]exec.Span(nil), tr.Stages...)
-		rec.PseudoCode = tr.PseudoCode
-		if tr.PseudoErr != nil {
-			rec.PseudoErr = tr.PseudoErr.Error()
-		}
-		rec.Gp = tr.Gp.Strings()
-		rec.Gg = tr.Gg.Strings()
-		rec.Gf = tr.Gf.Strings()
-		for _, sc := range tr.Kept {
-			rec.Kept = append(rec.Kept, KeptSubject{
-				Subject: sc.Subject, Confidence: sc.Confidence, Triples: sc.Triples,
-			})
-		}
-	}
+	rec.Artefacts = ArtefactsOf(res.Trace)
 	return rec
+}
+
+// ArtefactsOf renders a run's trace into Artefacts that alias nothing of
+// it: the spans are copied and the graphs rendered to fresh strings. A nil
+// trace (a method that keeps none, or a hit that did not ask for one) has
+// none.
+func ArtefactsOf(tr *core.Trace) Artefacts {
+	if tr == nil {
+		return Artefacts{}
+	}
+	a := Artefacts{
+		Stages:     append([]exec.Span(nil), tr.Stages...),
+		PseudoCode: tr.PseudoCode,
+		Gp:         tr.Gp.Strings(),
+		Gg:         tr.Gg.Strings(),
+		Gf:         tr.Gf.Strings(),
+	}
+	if tr.PseudoErr != nil {
+		a.PseudoErr = tr.PseudoErr.Error()
+	}
+	for _, sc := range tr.Kept {
+		a.Kept = append(a.Kept, KeptSubject{
+			Subject: sc.Subject, Confidence: sc.Confidence, Triples: sc.Triples,
+		})
+	}
+	return a
 }
 
 // Stamp returns a copy of the record with its identity assigned: the

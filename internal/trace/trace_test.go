@@ -1,8 +1,13 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,6 +180,73 @@ func TestDecodeRejectsTornAndGarbage(t *testing.T) {
 	} {
 		if _, err := Decode(input); err == nil {
 			t.Errorf("Decode(%s) = nil error, want failure", name)
+		}
+	}
+}
+
+// everyField is a record with every field set, as the encoder wrote it
+// before Artefacts was split out of Record.
+const everyField = `{"id":"t000007","time":"2026-08-08T00:00:00Z","question":"capital of China?","method":"ours","model":"GPT-4","kg":"wikidata","open":true,"anchors":["China"],"golds":["Beijing"],"refs":["Beijing is."],"answer":"Beijing","error":"stage verify: deadline","error_class":"deadline","epoch":3,"cache_hit":true,"shared":true,"elapsed_us":1500,"llm_calls":3,"prompt_tokens":120,"completion_tokens":40,"prompt_versions":{"answer-graph":"1","verify":"2"},"stages":[{"stage":"pseudo-graph","offset":5,"latency":2000000,"llm_calls":1,"prompt_tokens":80,"completion_tokens":30,"input_size":17,"output_size":2},{"stage":"verify","offset":2000005,"latency":7,"llm_calls":0,"prompt_tokens":0,"completion_tokens":0,"input_size":0,"output_size":0,"err":"deadline"}],"pseudo_code":"CREATE (c:Country {name: 'China'})","pseudo_err":"cypher: \u003cbad\u003e","gp":["\u003cChina\u003e \u003ccapital\u003e \u003c?\u003e"],"gg":["\u003cChina\u003e \u003ccapital\u003e \u003cBeijing\u003e"],"gf":["\u003cChina\u003e \u003ccapital\u003e \u003cBeijing\u003e"],"kept":[{"subject":"China","confidence":0.923,"triples":4}]}` + "\n"
+
+// TestReencodeIsByteIdentical holds the disk format still: every record
+// line of the committed replay suite, and everyField, decodes and
+// re-encodes to the same bytes, so no field moved, was renamed or changed
+// its encoding — the embedded Artefacts' fields included. The committed
+// FuzzDecode seeds are hand-made lines (a key in the wrong case, an empty
+// list); each one that decodes must re-encode to a line that re-encodes
+// to itself, and both decode to the zero record, whose line is pinned.
+func TestReencodeIsByteIdentical(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "baselines", "suite-quick.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))[1:] // the first is the suite's meta header
+	if len(lines) < 2 {
+		t.Fatal("the suite has no records")
+	}
+	for i, line := range append(lines, []byte(everyField)) {
+		if len(line) == 0 {
+			continue
+		}
+		rec, err := Decode(line)
+		if err != nil {
+			t.Fatalf("line %d: %v", i+2, err)
+		}
+		if out, err := Encode(rec); err != nil || !bytes.Equal(out, line) {
+			t.Fatalf("line %d re-encodes differently (%v):\n got %s\nwant %s", i+2, err, out, line)
+		}
+	}
+
+	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecode", "*"))
+	if err != nil || len(seeds) == 0 {
+		t.Fatalf("no committed FuzzDecode seeds (%v)", err)
+	}
+	const zero = `{"question":"","method":"","epoch":0,"cache_hit":false,"llm_calls":0,"prompt_tokens":0,"completion_tokens":0}` + "\n"
+	for _, path := range seeds {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A corpus file is a header line and one []byte("...") value.
+		_, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		line, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(value, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		rec, err := Decode([]byte(line))
+		if err != nil {
+			continue
+		}
+		once, _ := Encode(rec)
+		back, err := Decode(once)
+		if err != nil {
+			t.Fatalf("%s: the re-encoded line does not decode: %v", path, err)
+		}
+		if twice, _ := Encode(back); !bytes.Equal(twice, once) {
+			t.Fatalf("%s: re-encoding is not stable:\n got %s\nwant %s", path, twice, once)
+		}
+		if reflect.DeepEqual(rec, Record{}) && string(once) != zero {
+			t.Fatalf("%s: the zero record encodes as %s, want %s", path, once, zero)
 		}
 	}
 }
