@@ -59,6 +59,10 @@ func run(question, method, kgSource, model, anchor string, list int, methods, qu
 	if question == "" && list <= 0 {
 		return fmt.Errorf("provide -q \"question\" (or -list N for samples, -methods for methods)")
 	}
+	modelName, err := node.ResolveModel(model)
+	if err != nil {
+		return err
+	}
 	n, err := node.New(node.ConfigFor(quick))
 	if err != nil {
 		return err
@@ -71,10 +75,6 @@ func run(question, method, kgSource, model, anchor string, list int, methods, qu
 	src, err := kg.ParseSource(kgSource)
 	if err != nil {
 		return err
-	}
-	modelName := node.ModelGPT35
-	if model == "gpt4" || model == "gpt-4" {
-		modelName = node.ModelGPT4
 	}
 	ans, err := n.Answerer(method, modelName, src)
 	if err != nil {

@@ -188,7 +188,7 @@ func (s *Server) resolve(method, model, source string) (answer.Answerer, string,
 	if method == "" {
 		method = "ours"
 	}
-	modelName, err := resolveModel(model)
+	modelName, err := node.ResolveModel(model)
 	if err != nil {
 		return nil, "", 0, err
 	}
@@ -201,18 +201,6 @@ func (s *Server) resolve(method, model, source string) (answer.Answerer, string,
 		return nil, "", 0, err
 	}
 	return ans, modelName, src, nil
-}
-
-// resolveModel maps user-facing model labels onto the node's model table.
-func resolveModel(model string) (string, error) {
-	switch strings.ToLower(strings.TrimSpace(model)) {
-	case "", "gpt3.5", "gpt-3.5", "gpt35":
-		return node.ModelGPT35, nil
-	case "gpt4", "gpt-4":
-		return node.ModelGPT4, nil
-	default:
-		return "", &answer.InvalidQueryError{Reason: fmt.Sprintf("unknown model %q (want gpt3.5 or gpt4)", model)}
-	}
 }
 
 // sourceLabels spells node.Sources the way requests and responses do.

@@ -189,6 +189,56 @@ func TestOneTraceAcrossEverySurface(t *testing.T) {
 	}
 }
 
+// TestTraceListEntriesAreRecords: every /v1/traces list entry is the
+// record GET /v1/traces/<id> serves, byte for byte, with its artefacts
+// dropped; the elapsed time is the record's elapsed_us.
+func TestTraceListEntriesAreRecords(t *testing.T) {
+	env := tracedEnv(t)
+	h := testServer(t, env, testConfig(30*time.Second)).Handler()
+	people := env.World.OfKind(world.KindPerson)
+	for i, method := range []string{"ours", "io", "ours", "cot"} {
+		question := "Where was " + env.World.Entities[people[i]].Name + " born?"
+		if rec := postJSON(t, h, "/v1/answer", map[string]any{"question": question, "method": method}); rec.Code != http.StatusOK {
+			t.Fatalf("answer status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces", nil))
+	list := decode[struct {
+		Traces []json.RawMessage `json:"traces"`
+	}](t, rec)
+	if len(list.Traces) != 4 {
+		t.Fatalf("listed %d records, want 4", len(list.Traces))
+	}
+	withArtefacts := 0
+	for _, entry := range list.Traces {
+		var listed trace.Record
+		if err := json.Unmarshal(entry, &listed); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces/"+listed.ID, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/traces/%s: status %d", listed.ID, rec.Code)
+		}
+		full := decode[trace.Record](t, rec)
+		if len(full.Stages) > 0 {
+			withArtefacts++
+		}
+		if full.ElapsedUS <= 0 {
+			t.Errorf("record %s has no elapsed_us", full.ID)
+		}
+		full.Artefacts = trace.Artefacts{}
+		if want, _ := json.Marshal(full); !bytes.Equal(entry, want) {
+			t.Errorf("list entry differs from its record without artefacts:\n got %s\nwant %s", entry, want)
+		}
+	}
+	if withArtefacts == 0 {
+		t.Error("no listed record had artefacts to drop")
+	}
+}
+
 func TestTraceRoutesLimitValidation(t *testing.T) {
 	h := testServer(t, tracedEnv(t), testConfig(30*time.Second)).Handler()
 	rec := httptest.NewRecorder()

@@ -10,24 +10,11 @@ import (
 	"repro/internal/trace"
 )
 
-// traceSummary is one /v1/traces list entry: enough to scan and pick a
-// record without shipping the full graphs.
-type traceSummary struct {
-	ID         string        `json:"id"`
-	Time       string        `json:"time,omitempty"`
-	Question   string        `json:"question"`
-	Method     string        `json:"method"`
-	Model      string        `json:"model,omitempty"`
-	KG         string        `json:"kg,omitempty"`
-	Epoch      uint64        `json:"epoch"`
-	CacheHit   bool          `json:"cache_hit"`
-	ErrorClass failure.Class `json:"error_class,omitempty"`
-	ElapsedMS  float64       `json:"elapsed_ms"`
-	LLMCalls   int           `json:"llm_calls"`
-}
-
+// tracesResponse is the /v1/traces list: each entry is the stored record
+// without its artefacts, enough to scan and pick a record without
+// shipping the full graphs.
 type tracesResponse struct {
-	Traces []traceSummary   `json:"traces"`
+	Traces []trace.Record   `json:"traces"`
 	Stats  trace.StoreStats `json:"stats"`
 }
 
@@ -60,21 +47,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		writeError(w, failure.Storage, err)
 		return
 	}
-	resp := tracesResponse{Traces: []traceSummary{}, Stats: s.node.TraceStats()}
+	resp := tracesResponse{Traces: []trace.Record{}, Stats: s.node.TraceStats()}
 	for _, rec := range recs {
-		resp.Traces = append(resp.Traces, traceSummary{
-			ID:         rec.ID,
-			Time:       rec.Time,
-			Question:   rec.Question,
-			Method:     rec.Method,
-			Model:      rec.Model,
-			KG:         rec.KG,
-			Epoch:      rec.Epoch,
-			CacheHit:   rec.CacheHit,
-			ErrorClass: rec.ErrorClass,
-			ElapsedMS:  float64(rec.ElapsedUS) / 1000,
-			LLMCalls:   rec.LLMCalls,
-		})
+		rec.Artefacts = trace.Artefacts{}
+		resp.Traces = append(resp.Traces, rec)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

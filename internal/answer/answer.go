@@ -14,10 +14,20 @@
 // usage accounting (LLM calls, token estimates, wall time), and return
 // typed errors that carry their failure class (internal/failure).
 //
+// # One run per query
+//
+// Answer resolves, once per query, the counting client (usage and token
+// budget), one substrate snapshot and one prompt view (active versions
+// plus PromptVersions overrides), and hands them to the method as one
+// value that every stage reads: no LLM call of a run renders from another
+// prompt set, whatever reloads happen while it runs. The context carries
+// only what crosses the Answerer interface from outside: cancellation,
+// WithReadLog and exec.WithSpanObserver.
+//
 // # The read-log contract
 //
-// A method reads the knowledge substrate only through Deps.Store and
-// Deps.Index, and those are the one snapshot Answer resolved for the run.
+// A method reads the knowledge substrate only through its run's store and
+// index, and those are the one snapshot Answer resolved for the query.
 // The two interfaces hold only the reads methods make — kg.Reader's
 // Subject, SubjectRelation, HasSubject and FindSubjectFold, and
 // vecstore.Searcher's BatchSearchWith — and each read's result is a

@@ -8,38 +8,41 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/exec"
 	"repro/internal/llm"
+	"repro/internal/prompts"
 )
 
-// coreConfig applies per-request overrides to the configured pipeline
-// settings. Prompts come from the view Answer pins into the context.
-func coreConfig(o Options, q Query) core.Config {
-	cfg := o.Core
-	if q.Overrides.Temperature != nil {
-		cfg.Temperature = *q.Overrides.Temperature
+// runPipeline executes a PG&AKV composition — Pipeline.Answer or its
+// Gp-only ablation — over the run's snapshot, with the query's overrides
+// applied to the configured pipeline settings. The partial trace (spans
+// up to the failing stage) survives errors.
+func runPipeline(compose func(*core.Pipeline, context.Context, *llm.Counting, *prompts.View, string) (core.Result, error)) func(context.Context, *run) (string, *core.Trace, error) {
+	return func(ctx context.Context, r *run) (string, *core.Trace, error) {
+		cfg := r.opts.Core
+		if r.q.Overrides.Temperature != nil {
+			cfg.Temperature = *r.q.Overrides.Temperature
+		}
+		if r.q.Overrides.TopK != nil {
+			cfg.TopK = *r.q.Overrides.TopK
+		}
+		p, err := core.New(r.store, r.index, cfg)
+		if err != nil {
+			return "", nil, err
+		}
+		res, err := compose(p, ctx, r.client, r.view, r.q.Text)
+		return res.Answer, &res.Trace, err
 	}
-	if q.Overrides.TopK != nil {
-		cfg.TopK = *q.Overrides.TopK
-	}
-	return cfg
 }
-
-// stageBuilder constructs a baseline composition from the validated deps.
-type stageBuilder func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State]
 
 // runBaseline executes a baseline stage composition with per-stage usage
 // accounting: every method returns a trace carrying its stage spans —
 // the same observability surface the pipeline-backed methods have. The
 // partial trace (spans up to the failing stage) survives errors.
-func runBaseline(build stageBuilder) RunFunc {
-	return func(ctx context.Context, d Deps, o Options, q Query) (string, *core.Trace, error) {
-		// The registry hands every method a *llm.Counting client; one
-		// counting layer serves span diffs and query totals alike.
-		counter := d.Client.(*llm.Counting)
-		stages := build(d, q, counter)
-		st := baselines.State{Question: q.Text, Open: q.Open, Anchors: q.Anchors}
+func runBaseline(build func(r *run) []exec.Stage[baselines.State]) func(context.Context, *run) (string, *core.Trace, error) {
+	return func(ctx context.Context, r *run) (string, *core.Trace, error) {
+		st := baselines.State{Question: r.q.Text, Open: r.q.Open, Anchors: r.q.Anchors, View: r.view}
 		spans, err := exec.Run(ctx, &st,
-			exec.Options{DefaultTimeout: o.Core.StageTimeout, Usage: counter.Usage}, stages...)
-		tr := &core.Trace{Question: q.Text, Stages: spans}
+			exec.Options{DefaultTimeout: r.opts.Core.StageTimeout, Usage: r.client.Usage}, build(r)...)
+		tr := &core.Trace{Question: r.q.Text, Stages: spans}
 		if err != nil {
 			return "", tr, err
 		}
@@ -53,24 +56,14 @@ func runBaseline(build stageBuilder) RunFunc {
 // case-insensitively. Every method — pipeline and baseline alike — runs
 // as a composition of exec stages, so answer traces uniformly expose
 // per-stage spans.
-var registrations = []Registration{
+var registrations = []registration{
 	{
 		Name:        "ours",
 		Aliases:     []string{"pgakv", "pg-akv"},
 		Description: "PG&AKV: pseudo-graph generation + atomic knowledge verification (the paper's method)",
 		NeedsStore:  true,
 		NeedsIndex:  true,
-		Run: func(ctx context.Context, d Deps, o Options, q Query) (string, *core.Trace, error) {
-			p, err := core.New(d.Client, d.Store, d.Index, coreConfig(o, q))
-			if err != nil {
-				return "", nil, err
-			}
-			res, err := p.Answer(ctx, q.Text)
-			if err != nil {
-				return "", &res.Trace, err
-			}
-			return res.Answer, &res.Trace, nil
-		},
+		Run:         runPipeline((*core.Pipeline).Answer),
 	},
 	{
 		Name:        "ours-gp",
@@ -78,69 +71,59 @@ var registrations = []Registration{
 		Description: "PG&AKV ablation: answer from the raw pseudo-graph Gp, skipping verification",
 		NeedsStore:  true,
 		NeedsIndex:  true,
-		Run: func(ctx context.Context, d Deps, o Options, q Query) (string, *core.Trace, error) {
-			p, err := core.New(d.Client, d.Store, d.Index, coreConfig(o, q))
-			if err != nil {
-				return "", nil, err
-			}
-			res, err := p.AnswerPseudoOnly(ctx, q.Text)
-			if err != nil {
-				return "", &res.Trace, err
-			}
-			return res.Answer, &res.Trace, nil
-		},
+		Run:         runPipeline((*core.Pipeline).AnswerPseudoOnly),
 	},
 	{
 		Name:        "tog",
 		Description: "Think-on-Graph: QID-anchored KG exploration with LLM relation pruning",
 		NeedsStore:  true,
-		Run: func(ctx context.Context, d Deps, o Options, q Query) (string, *core.Trace, error) {
-			if len(q.Anchors) == 0 {
+		Run: func(ctx context.Context, r *run) (string, *core.Trace, error) {
+			if len(r.q.Anchors) == 0 {
 				return "", nil, &InvalidQueryError{Reason: "method tog needs anchor entities"}
 			}
-			return runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
-				return baselines.ToGStages(client, d.Store, baselines.DefaultToGConfig())
-			})(ctx, d, o, q)
+			return runBaseline(func(r *run) []exec.Stage[baselines.State] {
+				return baselines.ToGStages(r.client, r.store, baselines.DefaultToGConfig())
+			})(ctx, r)
 		},
 	},
 	{
 		Name:        "io",
 		Description: "standard input-output prompting, 6 in-context examples",
-		Run: runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
-			return baselines.IOStages(client)
+		Run: runBaseline(func(r *run) []exec.Stage[baselines.State] {
+			return baselines.IOStages(r.client)
 		}),
 	},
 	{
 		Name:        "cot",
 		Description: "chain-of-thought prompting",
-		Run: runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
-			return baselines.CoTStages(client)
+		Run: runBaseline(func(r *run) []exec.Stage[baselines.State] {
+			return baselines.CoTStages(r.client)
 		}),
 	},
 	{
 		Name:        "sc",
 		Description: fmt.Sprintf("self-consistency: %d CoT samples at temperature %.1f, voted", baselines.DefaultSCConfig().Samples, baselines.DefaultSCConfig().Temperature),
-		Run: runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
+		Run: runBaseline(func(r *run) []exec.Stage[baselines.State] {
 			cfg := baselines.DefaultSCConfig()
-			if q.Overrides.Samples != nil {
-				cfg.Samples = *q.Overrides.Samples
+			if r.q.Overrides.Samples != nil {
+				cfg.Samples = *r.q.Overrides.Samples
 			}
-			if q.Overrides.Temperature != nil {
-				cfg.Temperature = *q.Overrides.Temperature
+			if r.q.Overrides.Temperature != nil {
+				cfg.Temperature = *r.q.Overrides.Temperature
 			}
-			return baselines.SCStages(client, cfg)
+			return baselines.SCStages(r.client, cfg)
 		}),
 	},
 	{
 		Name:        "rag",
 		Description: "question-level retrieval over the semantic KG",
 		NeedsIndex:  true,
-		Run: runBaseline(func(d Deps, q Query, client llm.Client) []exec.Stage[baselines.State] {
+		Run: runBaseline(func(r *run) []exec.Stage[baselines.State] {
 			cfg := baselines.DefaultRAGConfig()
-			if q.Overrides.TopK != nil {
-				cfg.TopK = *q.Overrides.TopK
+			if r.q.Overrides.TopK != nil {
+				cfg.TopK = *r.q.Overrides.TopK
 			}
-			return baselines.RAGStages(client, d.Index, cfg)
+			return baselines.RAGStages(r.client, r.index, cfg)
 		}),
 	},
 }

@@ -33,10 +33,14 @@ func probeStore() *kg.Store {
 
 // probe is an Answerer whose run makes exactly the reads read makes and
 // answers with a constant: the log is then all that decides revalidation.
+// A nil reg renders from the shared defaults, as New picks them.
 func probe(mgr *substrate.Manager, reg *prompts.Registry, read func(d Deps)) Answerer {
+	if reg == nil {
+		reg = prompts.Default()
+	}
 	return &method{
-		reg: &Registration{Name: "read-probe", Run: func(ctx context.Context, d Deps, o Options, q Query) (string, *core.Trace, error) {
-			read(d)
+		reg: &registration{Name: "read-probe", Run: func(ctx context.Context, r *run) (string, *core.Trace, error) {
+			read(Deps{Store: r.store, Index: r.index})
 			return "ok", nil, nil
 		}},
 		deps: Deps{Client: llm.NewScripted(), Substrate: mgr, Prompts: reg},

@@ -24,7 +24,7 @@ type Substrate interface {
 }
 
 // Deps are the substrates a method may need. Every method needs a Client;
-// the registry validates the rest per method (see Registration).
+// the registry validates the rest per method (see registration).
 type Deps struct {
 	// Client is the LLM backend. Required by every method.
 	Client llm.Client
@@ -44,11 +44,11 @@ type Deps struct {
 	// a Substrate at construction time. It must keep triple IDs stable for
 	// its lifetime — a read log names triples by ID.
 	Substrate Substrate
-	// Prompts is the versioned prompt registry queries render from; nil
-	// uses the shared embedded defaults. Every Answer call resolves one
-	// immutable view (active versions plus the query's PromptVersions
-	// overrides) and pins it into the context, so a hot reload mid-query
-	// can never mix prompt versions within one run.
+	// Prompts is the versioned prompt registry queries render from; New
+	// picks the shared embedded defaults (prompts.Default) when it is nil.
+	// Every Answer call resolves one immutable view (active versions plus
+	// the query's PromptVersions overrides) and hands it to the run, so a
+	// hot reload mid-query can never mix prompt versions within one run.
 	Prompts *prompts.Registry
 }
 
@@ -72,12 +72,25 @@ func WithCoreConfig(cfg core.Config) Option { return func(o *Options) { o.Core =
 // WithModelLabel overrides the model name reported in results.
 func WithModelLabel(name string) Option { return func(o *Options) { o.Model = name } }
 
-// RunFunc is a method implementation: answer one query with the given
-// dependencies and options. The returned trace is optional.
-type RunFunc func(ctx context.Context, d Deps, o Options, q Query) (string, *core.Trace, error)
+// run is one query's resolved inputs, built once by Answer and handed to
+// the method: every stage of the run reads its client, substrate and
+// prompts from here and nowhere else.
+type run struct {
+	// client is the query's counting client: it meters every LLM call of
+	// the run and enforces its token budget.
+	client *llm.Counting
+	// store and index are the one snapshot the query resolved, behind the
+	// read recorders when a read log was asked for.
+	store kg.Reader
+	index vecstore.Searcher
+	// view is the prompt set every LLM call of the run renders from.
+	view *prompts.View
+	opts Options
+	q    Query
+}
 
-// Registration declares one method of the table (builtin.go).
-type Registration struct {
+// registration declares one method of the table (builtin.go).
+type registration struct {
 	// Name is the canonical identifier (lower-case, e.g. "cot").
 	Name string
 	// Aliases resolve to this method too (e.g. "pgakv" -> "ours").
@@ -88,8 +101,9 @@ type Registration struct {
 	// time so misconfiguration fails fast, not mid-query.
 	NeedsStore bool
 	NeedsIndex bool
-	// Run is the implementation.
-	Run RunFunc
+	// Run is the implementation: answer one query. The returned trace is
+	// optional.
+	Run func(ctx context.Context, r *run) (string, *core.Trace, error)
 }
 
 // Names returns the canonical method names in table order.
@@ -112,7 +126,7 @@ func Describe(name string) (string, bool) {
 }
 
 // lookup resolves a name or alias, case-insensitively.
-func lookup(name string) (*Registration, bool) {
+func lookup(name string) (*registration, bool) {
 	for i := range registrations {
 		r := &registrations[i]
 		if strings.EqualFold(r.Name, name) {
@@ -151,6 +165,9 @@ func New(name string, deps Deps, opts ...Option) (Answerer, error) {
 	if o.Model == "" {
 		o.Model = deps.Client.Name()
 	}
+	if deps.Prompts == nil {
+		deps.Prompts = prompts.Default()
+	}
 	sub := deps.Substrate
 	if sub == nil {
 		sub = static{deps.Store, deps.Index}
@@ -161,7 +178,7 @@ func New(name string, deps Deps, opts ...Option) (Answerer, error) {
 // method binds a registration to dependencies and options; it is the
 // concrete Answerer every registry method shares.
 type method struct {
-	reg  *Registration
+	reg  *registration
 	deps Deps
 	opts Options
 	// sub is what every run resolves its store and index from: the
@@ -185,41 +202,38 @@ func (m *method) Answer(ctx context.Context, q Query) (Result, error) {
 		return Result{}, err
 	}
 	// Resolve the prompt view once, strictly: a bad version override is an
-	// invalid query, and the pinned view keeps the whole run — across every
-	// stage — on one consistent prompt set even through a hot reload.
+	// invalid query, and handing the run this one view keeps every stage
+	// on one consistent prompt set even through a hot reload.
 	view, verr := m.deps.Prompts.Resolve(q.PromptVersions)
 	if verr != nil {
 		return Result{}, &InvalidQueryError{Reason: verr.Error()}
 	}
-	ctx = prompts.WithView(ctx, view)
 	// The counter enforces the query's token budget, so refused calls
 	// never count as usage.
 	budget := 0
 	if q.Overrides.TokenBudget != nil {
 		budget = *q.Overrides.TokenBudget
 	}
-	counter := llm.NewCounting(m.deps.Client, budget)
-	deps := m.deps
-	deps.Client = counter
+	r := &run{client: llm.NewCounting(m.deps.Client, budget), view: view, opts: m.opts, q: q}
 	// One resolve per query: the whole run — retrieval, pruning,
 	// verification — sees this snapshot, no matter how many swaps happen
 	// underneath it.
 	var epoch uint64
-	deps.Store, deps.Index, epoch = m.sub.Resolve()
+	r.store, r.index, epoch = m.sub.Resolve()
 	var rec *recorder
 	if wantsReadLog(ctx) {
 		rec = &recorder{}
-		if deps.Store != nil {
-			deps.Store = recordingReader{deps.Store, rec}
+		if r.store != nil {
+			r.store = recordingReader{r.store, rec}
 		}
-		if deps.Index != nil {
-			deps.Index = recordingSearcher{deps.Index, rec}
+		if r.index != nil {
+			r.index = recordingSearcher{r.index, rec}
 		}
 	}
 
 	start := time.Now()
-	text, trace, err := m.reg.Run(ctx, deps, m.opts, q)
-	calls, promptTokens, completionTokens := counter.Usage()
+	text, trace, err := m.reg.Run(ctx, r)
+	calls, promptTokens, completionTokens := r.client.Usage()
 	var reads *Reads
 	if rec != nil && err == nil {
 		reads = rec.reads(m.sub, m.deps.Prompts, view.Fingerprint())

@@ -44,6 +44,8 @@ type State struct {
 	Open bool
 	// Anchors are the gold topic entities anchor-based methods start from.
 	Anchors []string
+	// View is the prompt set every LLM call of the run renders from.
+	View *prompts.View
 
 	// Samples holds SC's drawn completions.
 	Samples []string
@@ -53,20 +55,12 @@ type State struct {
 	Answer string
 }
 
-// view resolves the prompt view for a request: the View pinned into the
-// context by the answer layer wins (carrying per-request A/B overrides
-// and hot-reload consistency); bare callers fall back to the shared
-// default registry's active set.
-func view(ctx context.Context) *prompts.View {
-	return prompts.Default().For(ctx)
-}
-
 // answerStage builds the terminal LLM stage from a prompt constructor.
-func answerStage(client llm.Client, build func(ctx context.Context, s *State) string, wrap string) exec.Stage[State] {
+func answerStage(client llm.Client, build func(s *State) string, wrap string) exec.Stage[State] {
 	return exec.Stage[State]{
 		Name: StageAnswer,
 		Run: func(ctx context.Context, s *State) error {
-			resp, err := client.Complete(ctx, llm.Request{Prompt: build(ctx, s)})
+			resp, err := client.Complete(ctx, llm.Request{Prompt: build(s)})
 			if err != nil {
 				return fmt.Errorf("baselines: %s: %w", wrap, err)
 			}
@@ -82,14 +76,14 @@ func answerStage(client llm.Client, build func(ctx context.Context, s *State) st
 // input-output prompt (6 in-context examples), no reasoning elicitation.
 func IOStages(client llm.Client) []exec.Stage[State] {
 	return []exec.Stage[State]{
-		answerStage(client, func(ctx context.Context, s *State) string { return view(ctx).IO(s.Question) }, "IO"),
+		answerStage(client, func(s *State) string { return s.View.IO(s.Question) }, "IO"),
 	}
 }
 
 // CoTStages is the Chain-of-Thought composition.
 func CoTStages(client llm.Client) []exec.Stage[State] {
 	return []exec.Stage[State]{
-		answerStage(client, func(ctx context.Context, s *State) string { return view(ctx).CoT(s.Question) }, "CoT"),
+		answerStage(client, func(s *State) string { return s.View.CoT(s.Question) }, "CoT"),
 	}
 }
 
@@ -118,7 +112,7 @@ func SCStages(client llm.Client, cfg SCConfig) []exec.Stage[State] {
 				s.Samples = s.Samples[:0]
 				for i := 0; i < cfg.Samples; i++ {
 					resp, err := client.Complete(ctx, llm.Request{
-						Prompt:      view(ctx).CoT(s.Question),
+						Prompt:      s.View.CoT(s.Question),
 						Temperature: cfg.Temperature,
 						Nonce:       i,
 					})
@@ -228,8 +222,8 @@ func RAGStages(client llm.Client, index vecstore.Searcher, cfg RAGConfig) []exec
 			InputSize:  func(s *State) int { return len(s.Question) },
 			OutputSize: func(s *State) int { return s.Graph.Len() },
 		},
-		answerStage(client, func(ctx context.Context, s *State) string {
-			return view(ctx).AnswerFromGraph(s.Question, s.Graph.String())
+		answerStage(client, func(s *State) string {
+			return s.View.AnswerFromGraph(s.Question, s.Graph.String())
 		}, "RAG"),
 	}
 }
@@ -262,7 +256,7 @@ func ToGStages(client llm.Client, store kg.Reader, cfg ToGConfig) []exec.Stage[S
 		{
 			Name: StageExplore,
 			Run: func(ctx context.Context, s *State) error {
-				explored, err := explore(ctx, client, store, s.Question, s.Anchors, cfg)
+				explored, err := explore(ctx, client, s.View, store, s.Question, s.Anchors, cfg)
 				if err != nil {
 					return err
 				}
@@ -272,15 +266,15 @@ func ToGStages(client llm.Client, store kg.Reader, cfg ToGConfig) []exec.Stage[S
 			InputSize:  func(s *State) int { return len(s.Anchors) },
 			OutputSize: func(s *State) int { return s.Graph.Len() },
 		},
-		answerStage(client, func(ctx context.Context, s *State) string {
-			return view(ctx).AnswerFromGraph(s.Question, s.Graph.String())
+		answerStage(client, func(s *State) string {
+			return s.View.AnswerFromGraph(s.Question, s.Graph.String())
 		}, "ToG"),
 	}
 }
 
 // explore walks the KG from the anchors, keeping the LLM-pruned relation
 // beam per entity per hop, and returns the deduplicated explored subgraph.
-func explore(ctx context.Context, client llm.Client, store kg.Reader, question string, anchors []string, cfg ToGConfig) (*kg.Graph, error) {
+func explore(ctx context.Context, client llm.Client, view *prompts.View, store kg.Reader, question string, anchors []string, cfg ToGConfig) (*kg.Graph, error) {
 	explored := &kg.Graph{}
 	frontier := make([]string, 0, len(anchors))
 	for _, a := range anchors {
@@ -308,7 +302,7 @@ func explore(ctx context.Context, client llm.Client, store kg.Reader, question s
 					candidates = append(candidates, t.Relation)
 				}
 			}
-			kept, err := pruneRelations(ctx, client, question, candidates, cfg.RelBeam)
+			kept, err := pruneRelations(ctx, client, view, question, candidates, cfg.RelBeam)
 			if err != nil {
 				return nil, fmt.Errorf("baselines: ToG: %w", err)
 			}
@@ -328,7 +322,7 @@ func explore(ctx context.Context, client llm.Client, store kg.Reader, question s
 
 // pruneRelations asks the LLM to score candidate relations against the
 // question and keeps the top beam.
-func pruneRelations(ctx context.Context, client llm.Client, question string, candidates []string, beam int) ([]string, error) {
+func pruneRelations(ctx context.Context, client llm.Client, view *prompts.View, question string, candidates []string, beam int) ([]string, error) {
 	if beam <= 0 {
 		beam = 2
 	}
@@ -336,7 +330,7 @@ func pruneRelations(ctx context.Context, client llm.Client, question string, can
 		return candidates, nil
 	}
 	resp, err := client.Complete(ctx, llm.Request{
-		Prompt: view(ctx).ScoreRelations(question, candidates),
+		Prompt: view.ScoreRelations(question, candidates),
 	})
 	if err != nil {
 		return nil, err

@@ -34,8 +34,12 @@ func testEnv(t testing.TB) (*world.World, *llm.SimLM, *kg.Store, *vecstore.Shard
 }
 
 // run executes a baseline composition over a fresh state, the way the
-// answer registry runs it.
+// answer registry runs it, rendering from the embedded defaults unless
+// the state names its own view.
 func run(st State, stages []exec.Stage[State]) (string, error) {
+	if st.View == nil {
+		st.View = prompts.Default().View()
+	}
 	if _, err := exec.Run(context.Background(), &st, exec.Options{}, stages...); err != nil {
 		return "", err
 	}
@@ -147,7 +151,7 @@ func TestToGUnknownAnchor(t *testing.T) {
 func TestPruneRelationsBeam(t *testing.T) {
 	_, m, _, _ := testEnv(t)
 	cands := []string{"r1", "r2"}
-	kept, err := pruneRelations(context.Background(), m, "question?", cands, 3)
+	kept, err := pruneRelations(context.Background(), m, prompts.Default().View(), "question?", cands, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestPruneRelationsBeam(t *testing.T) {
 		t.Errorf("small candidate set should pass through, got %v", kept)
 	}
 	many := []string{"place of birth", "profession", "award received", "nationality", "educated at"}
-	kept, err = pruneRelations(context.Background(), m, "Where was X born?", many, 2)
+	kept, err = pruneRelations(context.Background(), m, prompts.Default().View(), "Where was X born?", many, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

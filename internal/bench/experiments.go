@@ -11,7 +11,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/kg"
 	"repro/internal/llm"
-	"repro/internal/prompts"
 	"repro/internal/qa"
 )
 
@@ -204,16 +203,17 @@ func Fig2(ctx context.Context, e *Env, out io.Writer) (Fig2Result, error) {
 			questions = append(questions, q.Text)
 		}
 	}
+	view := e.Prompts.View()
 	cyOK, dirOK := 0, 0
 	for _, q := range questions {
-		resp, err := model.Complete(ctx, llm.Request{Prompt: prompts.PseudoGraph(q)})
+		resp, err := model.Complete(ctx, llm.Request{Prompt: view.PseudoGraph(q)})
 		if err != nil {
 			return Fig2Result{}, err
 		}
 		if validCypher(resp.Text) {
 			cyOK++
 		}
-		resp, err = model.Complete(ctx, llm.Request{Prompt: prompts.DirectTriples(q)})
+		resp, err = model.Complete(ctx, llm.Request{Prompt: view.DirectTriples(q)})
 		if err != nil {
 			return Fig2Result{}, err
 		}

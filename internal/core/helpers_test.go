@@ -1,12 +1,24 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"repro/internal/core/exec"
 	"repro/internal/kg"
+	"repro/internal/llm"
+	"repro/internal/prompts"
 )
+
+// defaultView is the embedded prompt set the tests render from.
+var defaultView = prompts.Default().View()
+
+// ask runs the full composition for one question through a fresh
+// counting client over client, rendering from defaultView.
+func ask(p *Pipeline, client llm.Client, question string) (Result, error) {
+	return p.Answer(context.Background(), llm.NewCounting(client, 0), defaultView, question)
+}
 
 // graphOf builds a pseudo-graph from (s, r, o) triput rows.
 func graphOf(rows ...[3]string) *kg.Graph {

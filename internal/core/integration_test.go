@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/embed"
@@ -15,7 +14,7 @@ import (
 // simPipeline wires the pipeline to the real simulated model over a small
 // world — the integration layer between the unit tests (fake client) and
 // the bench harness.
-func simPipeline(t *testing.T, params llm.GradeParams) (*Pipeline, *world.World) {
+func simPipeline(t *testing.T, params llm.GradeParams) (*Pipeline, llm.Client, *world.World) {
 	t.Helper()
 	cfg := world.DefaultConfig()
 	cfg.People = 100
@@ -30,12 +29,11 @@ func simPipeline(t *testing.T, params llm.GradeParams) (*Pipeline, *world.World)
 	w := world.MustGenerate(cfg)
 	store := world.WikidataSchema().Render(w)
 	idx := vecstore.Build(embed.NewEncoder(), store)
-	model := llm.NewSim(w, params, 42)
-	p, err := New(model, store, idx, DefaultConfig())
+	p, err := New(store, idx, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, w
+	return p, llm.NewSim(w, params, 42), w
 }
 
 // TestPipelineCorrectsHallucinations is the core end-to-end property: over
@@ -43,7 +41,7 @@ func simPipeline(t *testing.T, params llm.GradeParams) (*Pipeline, *world.World)
 // are often stale or corrupted), the full pipeline must answer correctly
 // far more often than it fails.
 func TestPipelineCorrectsHallucinations(t *testing.T) {
-	p, w := simPipeline(t, llm.GPT4Params())
+	p, model, w := simPipeline(t, llm.GPT4Params())
 	right, total := 0, 0
 	for _, cityID := range w.OfKind(world.KindCity)[:25] {
 		city := w.Entities[cityID]
@@ -52,7 +50,7 @@ func TestPipelineCorrectsHallucinations(t *testing.T) {
 			continue
 		}
 		total++
-		res, err := p.Answer(context.Background(), "What is the population of "+city.Name+"?")
+		res, err := ask(p, model, "What is the population of "+city.Name+"?")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,10 +66,10 @@ func TestPipelineCorrectsHallucinations(t *testing.T) {
 // TestPipelineTraceConsistency: the trace's artefacts must be internally
 // consistent on real runs.
 func TestPipelineTraceConsistency(t *testing.T) {
-	p, w := simPipeline(t, llm.GPT35Params())
+	p, model, w := simPipeline(t, llm.GPT35Params())
 	for _, personID := range w.OfKind(world.KindPerson)[:10] {
 		name := w.Entities[personID].Name
-		res, err := p.Answer(context.Background(), "Where was "+name+" born?")
+		res, err := ask(p, model, "Where was "+name+" born?")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +109,7 @@ func TestPipelineSchemaAgnostic(t *testing.T) {
 	store := world.FreebaseSchema().Render(w)
 	idx := vecstore.Build(embed.NewEncoder(), store)
 	model := llm.NewSim(w, llm.GPT4Params(), 42)
-	p, err := New(model, store, idx, DefaultConfig())
+	p, err := New(store, idx, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +121,7 @@ func TestPipelineSchemaAgnostic(t *testing.T) {
 			continue
 		}
 		total++
-		res, err := p.Answer(context.Background(), "What is the population of "+city.Name+"?")
+		res, err := ask(p, model, "What is the population of "+city.Name+"?")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,11 +100,11 @@ type Config struct {
 	// caller's context applies). A stage that exceeds it fails with a
 	// deadline error attributed to that stage in the trace spans.
 	StageTimeout time.Duration
-	// Prompts is the versioned prompt registry the pipeline renders from;
-	// nil uses the shared embedded defaults (prompts.Default). Each LLM
-	// call resolves its view per request, so hot reloads and per-request
-	// version overrides (pinned with prompts.WithView) take effect
-	// without rebuilding the pipeline.
+	// Prompts is ignored: every run renders from the prompt view its
+	// caller hands to Answer.
+	//
+	// Deprecated: it remains only because the benchmark rig's composition
+	// still sets it; it goes with the rig's next change.
 	Prompts *prompts.Registry
 }
 
@@ -118,25 +118,21 @@ func DefaultConfig() Config {
 	}
 }
 
-// Pipeline wires an LLM, a KG substrate view and its vector index into the
-// PG&AKV flow. Construct with New; safe for concurrent use. Store and
-// index are read through their interfaces, so a pipeline can run against a
-// plain frozen store or against one immutable snapshot of a live substrate
-// (internal/substrate) — either way every step of one run sees the same
-// consistent view.
+// Pipeline wires a KG substrate view and its vector index into the PG&AKV
+// flow; each run brings its own LLM client and prompt view. Construct with
+// New; safe for concurrent use. Store and index are read through their
+// interfaces, so a pipeline can run against a plain frozen store or
+// against one immutable snapshot of a live substrate (internal/substrate)
+// — either way every step of one run sees the same consistent view.
 type Pipeline struct {
-	client llm.Client
-	store  kg.Reader
-	index  vecstore.Searcher
-	cfg    Config
+	store kg.Reader
+	index vecstore.Searcher
+	cfg   Config
 }
 
 // New builds a pipeline. The index must have been built over the store
 // with the same encoder.
-func New(client llm.Client, store kg.Reader, index vecstore.Searcher, cfg Config) (*Pipeline, error) {
-	if client == nil {
-		return nil, fmt.Errorf("core: nil LLM client")
-	}
+func New(store kg.Reader, index vecstore.Searcher, cfg Config) (*Pipeline, error) {
 	if store == nil || index == nil {
 		return nil, fmt.Errorf("core: nil store or index")
 	}
@@ -152,12 +148,7 @@ func New(client llm.Client, store kg.Reader, index vecstore.Searcher, cfg Config
 	if cfg.MaxSubjects <= 0 {
 		cfg.MaxSubjects = 12
 	}
-	return &Pipeline{
-		client: client,
-		store:  store,
-		index:  index,
-		cfg:    cfg,
-	}, nil
+	return &Pipeline{store: store, index: index, cfg: cfg}, nil
 }
 
 // SubjectConfidence is one pruned-subject entry with its score.
@@ -221,12 +212,12 @@ type Result struct {
 	Trace  Trace
 }
 
-// generatePseudoGraph performs step 1 over the run's client: prompt,
-// execute Cypher, decode. Failures produce an empty graph, never an error
-// (LLM transport errors still propagate).
-func (p *Pipeline) generatePseudoGraph(ctx context.Context, client llm.Client, question string, tr *Trace) (*kg.Graph, error) {
+// generatePseudoGraph performs step 1 over the run's client and view:
+// prompt, execute Cypher, decode. Failures produce an empty graph, never
+// an error (LLM transport errors still propagate).
+func (p *Pipeline) generatePseudoGraph(ctx context.Context, client llm.Client, view *prompts.View, question string, tr *Trace) (*kg.Graph, error) {
 	resp, err := client.Complete(ctx, llm.Request{
-		Prompt:      p.cfg.Prompts.For(ctx).PseudoGraph(question),
+		Prompt:      view.PseudoGraph(question),
 		Temperature: p.cfg.Temperature,
 	})
 	if err != nil {
@@ -498,16 +489,16 @@ func tokenSet(s string) map[string]bool {
 	return out
 }
 
-// verify performs step 4 over the run's client: the LLM edits Gp against
-// Gg. With an empty Gg there is nothing to verify against and Gp passes
-// through unchanged.
-func (p *Pipeline) verify(ctx context.Context, client llm.Client, question string, gp, gg *kg.Graph, tr *Trace) (*kg.Graph, error) {
+// verify performs step 4 over the run's client and view: the LLM edits Gp
+// against Gg. With an empty Gg there is nothing to verify against and Gp
+// passes through unchanged.
+func (p *Pipeline) verify(ctx context.Context, client llm.Client, view *prompts.View, question string, gp, gg *kg.Graph, tr *Trace) (*kg.Graph, error) {
 	if gg.Len() == 0 {
 		return gp, nil
 	}
 	goldBlocks := gg.EntityBlocks(gg.Subjects())
 	resp, err := client.Complete(ctx, llm.Request{
-		Prompt:      p.cfg.Prompts.For(ctx).Verify(question, goldBlocks, gp.String()),
+		Prompt:      view.Verify(question, goldBlocks, gp.String()),
 		Temperature: p.cfg.Temperature,
 	})
 	if err != nil {
@@ -525,15 +516,16 @@ func (p *Pipeline) verify(ctx context.Context, client llm.Client, question strin
 	return gf, nil
 }
 
-// answerFromGraph performs step 5 over the run's client: answer from the
-// question and a reference graph (Gf, or Gp in the "w/ Gp" ablation).
-func (p *Pipeline) answerFromGraph(ctx context.Context, client llm.Client, question string, graph *kg.Graph, tr *Trace) (string, error) {
+// answerFromGraph performs step 5 over the run's client and view: answer
+// from the question and a reference graph (Gf, or Gp in the "w/ Gp"
+// ablation).
+func (p *Pipeline) answerFromGraph(ctx context.Context, client llm.Client, view *prompts.View, question string, graph *kg.Graph, tr *Trace) (string, error) {
 	text := ""
 	if graph != nil {
 		text = graph.String()
 	}
 	resp, err := client.Complete(ctx, llm.Request{
-		Prompt:      p.cfg.Prompts.For(ctx).AnswerFromGraph(question, text),
+		Prompt:      view.AnswerFromGraph(question, text),
 		Temperature: p.cfg.Temperature,
 	})
 	if err != nil {

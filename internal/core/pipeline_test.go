@@ -82,10 +82,10 @@ func answerEcho(p prompts.GraphQAParts) string {
 	return "graph had " + fmt.Sprint(strings.Count(p.Graph, "<")/3) + " triples {X}"
 }
 
-func newTestPipeline(t *testing.T, client llm.Client) *Pipeline {
+func newTestPipeline(t *testing.T) *Pipeline {
 	t.Helper()
 	st, idx := testStore(t)
-	p, err := New(client, st, idx, DefaultConfig())
+	p, err := New(st, idx, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +94,11 @@ func newTestPipeline(t *testing.T, client llm.Client) *Pipeline {
 
 func TestNewValidation(t *testing.T) {
 	st, idx := testStore(t)
-	if _, err := New(nil, st, idx, DefaultConfig()); err == nil {
-		t.Error("nil client accepted")
-	}
-	if _, err := New(&fakeClient{}, nil, idx, DefaultConfig()); err == nil {
+	if _, err := New(nil, idx, DefaultConfig()); err == nil {
 		t.Error("nil store accepted")
 	}
 	// Zero config gets defaults.
-	p, err := New(&fakeClient{}, st, idx, Config{})
+	p, err := New(st, idx, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +132,9 @@ func TestGeneratePseudoGraphDecodes(t *testing.T) {
 	client := &fakeClient{
 		pseudo: "```\nCREATE (c:Country {name: 'China'})-[:POPULATION]->(v:Value {name: '1400000000'})\n```",
 	}
-	p := newTestPipeline(t, client)
+	p := newTestPipeline(t)
 	var tr Trace
-	gp, err := p.generatePseudoGraph(context.Background(), p.client, "What is the population of China?", &tr)
+	gp, err := p.generatePseudoGraph(context.Background(), client, defaultView, "What is the population of China?", &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +148,9 @@ func TestGeneratePseudoGraphDecodes(t *testing.T) {
 
 func TestGeneratePseudoGraphMalformedIsEmptyNotError(t *testing.T) {
 	client := &fakeClient{pseudo: "```\nCREATE (broken\n```"}
-	p := newTestPipeline(t, client)
+	p := newTestPipeline(t)
 	var tr Trace
-	gp, err := p.generatePseudoGraph(context.Background(), p.client, "q?", &tr)
+	gp, err := p.generatePseudoGraph(context.Background(), client, defaultView, "q?", &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +163,7 @@ func TestGeneratePseudoGraphMalformedIsEmptyNotError(t *testing.T) {
 }
 
 func TestQueryAndPruneFindsSubjectBlock(t *testing.T) {
-	p := newTestPipeline(t, &fakeClient{})
+	p := newTestPipeline(t)
 	gp := kg.NewGraph(kg.NewTriple("China", "number of population", "1463725000"))
 	var tr Trace
 	gg := p.QueryAndPrune(gp, &tr)
@@ -192,7 +189,7 @@ func TestQueryAndPruneFindsSubjectBlock(t *testing.T) {
 }
 
 func TestQueryAndPruneEmptyGp(t *testing.T) {
-	p := newTestPipeline(t, &fakeClient{})
+	p := newTestPipeline(t)
 	if gg := p.QueryAndPrune(&kg.Graph{}, nil); gg.Len() != 0 {
 		t.Error("empty Gp should yield empty Gg")
 	}
@@ -202,7 +199,7 @@ func TestQueryAndPruneThresholdFiltersNoise(t *testing.T) {
 	st, idx := testStore(t)
 	cfg := DefaultConfig()
 	cfg.ConfidenceThreshold = 0.99 // only the best subject survives
-	p, err := New(&fakeClient{}, st, idx, cfg)
+	p, err := New(st, idx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +212,7 @@ func TestQueryAndPruneThresholdFiltersNoise(t *testing.T) {
 }
 
 func TestChainGatedExpansion(t *testing.T) {
-	p := newTestPipeline(t, &fakeClient{})
+	p := newTestPipeline(t)
 	// Chain pseudo-graph: Beijing's country is China (object China is also
 	// a pseudo subject via second triple) -> expansion should pull China's
 	// block when anchored at Beijing.
@@ -236,9 +233,10 @@ func TestChainGatedExpansion(t *testing.T) {
 }
 
 func TestVerifyEmptyGgPassesThrough(t *testing.T) {
-	p := newTestPipeline(t, &fakeClient{verify: passthroughVerify})
+	client := &fakeClient{verify: passthroughVerify}
+	p := newTestPipeline(t)
 	gp := kg.NewGraph(kg.NewTriple("a", "r", "x"))
-	gf, err := p.verify(context.Background(), p.client, "q?", gp, &kg.Graph{}, nil)
+	gf, err := p.verify(context.Background(), client, defaultView, "q?", gp, &kg.Graph{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +247,10 @@ func TestVerifyEmptyGgPassesThrough(t *testing.T) {
 
 func TestVerifyUnparsableFallsBackToGp(t *testing.T) {
 	client := &fakeClient{verify: func(prompts.VerifyParts) string { return "total garbage" }}
-	p := newTestPipeline(t, client)
+	p := newTestPipeline(t)
 	gp := kg.NewGraph(kg.NewTriple("a", "r", "x"))
 	gg := kg.NewGraph(kg.NewTriple("b", "r", "y"))
-	gf, err := p.verify(context.Background(), p.client, "q?", gp, gg, nil)
+	gf, err := p.verify(context.Background(), client, defaultView, "q?", gp, gg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +277,8 @@ func TestAnswerEndToEnd(t *testing.T) {
 			return "{missing}"
 		},
 	}
-	p := newTestPipeline(t, client)
-	res, err := p.Answer(context.Background(), "What is the population of China?")
+	p := newTestPipeline(t)
+	res, err := ask(p, client, "What is the population of China?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +308,8 @@ func TestAnswerRobustToGarbagePseudo(t *testing.T) {
 			return "{graph}"
 		},
 	}
-	p := newTestPipeline(t, client)
-	res, err := p.Answer(context.Background(), "q?")
+	p := newTestPipeline(t)
+	res, err := ask(p, client, "q?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,16 +319,16 @@ func TestAnswerRobustToGarbagePseudo(t *testing.T) {
 }
 
 func TestAnswerPropagatesTransportErrors(t *testing.T) {
-	p := newTestPipeline(t, &fakeClient{failAll: true})
-	if _, err := p.Answer(context.Background(), "q?"); err == nil {
+	p := newTestPipeline(t)
+	if _, err := ask(p, &fakeClient{failAll: true}, "q?"); err == nil {
 		t.Error("transport error swallowed")
 	}
 }
 
 func TestAnswerFromGraphNilGraph(t *testing.T) {
 	client := &fakeClient{answer: answerEcho}
-	p := newTestPipeline(t, client)
-	out, err := p.answerFromGraph(context.Background(), p.client, "q?", nil, nil)
+	p := newTestPipeline(t)
+	out, err := p.answerFromGraph(context.Background(), client, defaultView, "q?", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +341,7 @@ func TestMaxPseudoTriplesCap(t *testing.T) {
 	st, idx := testStore(t)
 	cfg := DefaultConfig()
 	cfg.MaxPseudoTriples = 2
-	p, err := New(&fakeClient{}, st, idx, cfg)
+	p, err := New(st, idx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +376,7 @@ func TestPruneStrategies(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Prune = strat
 		cfg.ConfidenceThreshold = threshold
-		p, err := New(&fakeClient{}, st, idx, cfg)
+		p, err := New(st, idx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func (s scriptedSearcher) BatchSearchWith(_ func(string) embed.Vector, queries [
 func scriptedPipeline(t *testing.T, st *kg.Store, hits []vecstore.Hit, cfg Config) *Pipeline {
 	t.Helper()
 	idx := scriptedSearcher{Sharded: vecstore.BuildTriples(embed.NewEncoder(), nil), hits: hits}
-	p, err := New(&fakeClient{}, st, idx, cfg)
+	p, err := New(st, idx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestQueryAndPruneAllBelowThreshold(t *testing.T) {
 	st, idx := testStore(t)
 	cfg := DefaultConfig()
 	cfg.ConfidenceThreshold = 1.01 // even the best subject calibrates to 1.0
-	p, err := New(&fakeClient{}, st, idx, cfg)
+	p, err := New(st, idx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

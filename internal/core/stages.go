@@ -6,6 +6,7 @@ import (
 	"repro/internal/core/exec"
 	"repro/internal/kg"
 	"repro/internal/llm"
+	"repro/internal/prompts"
 )
 
 // Stage names of the PG&AKV composition, as they appear in trace spans and
@@ -23,8 +24,10 @@ const (
 type runState struct {
 	// client is the per-run counting client every stage routes LLM calls
 	// through, so spans attribute usage stage by stage.
-	client llm.Client
-	tr     *Trace
+	client *llm.Counting
+	// view is the prompt set every LLM call of the run renders from.
+	view *prompts.View
+	tr   *Trace
 
 	question   string
 	gp, gg, gf *kg.Graph
@@ -36,7 +39,7 @@ func (p *Pipeline) stagePseudo() exec.Stage[runState] {
 	return exec.Stage[runState]{
 		Name: StagePseudo,
 		Run: func(ctx context.Context, s *runState) error {
-			gp, err := p.generatePseudoGraph(ctx, s.client, s.question, s.tr)
+			gp, err := p.generatePseudoGraph(ctx, s.client, s.view, s.question, s.tr)
 			if err != nil {
 				return err
 			}
@@ -69,7 +72,7 @@ func (p *Pipeline) stageVerify() exec.Stage[runState] {
 	return exec.Stage[runState]{
 		Name: StageVerify,
 		Run: func(ctx context.Context, s *runState) error {
-			gf, err := p.verify(ctx, s.client, s.question, s.gp, s.gg, s.tr)
+			gf, err := p.verify(ctx, s.client, s.view, s.question, s.gp, s.gg, s.tr)
 			if err != nil {
 				return err
 			}
@@ -93,7 +96,7 @@ func (p *Pipeline) stageAnswerFinal() exec.Stage[runState] {
 			if graph == nil {
 				graph = s.gp
 			}
-			text, err := p.answerFromGraph(ctx, s.client, s.question, graph, s.tr)
+			text, err := p.answerFromGraph(ctx, s.client, s.view, s.question, graph, s.tr)
 			if err != nil {
 				return err
 			}
@@ -110,21 +113,16 @@ func (p *Pipeline) stageAnswerFinal() exec.Stage[runState] {
 	}
 }
 
-// run executes a composition for one question, attaching the per-stage
-// spans to the returned trace. On error the partial trace (spans included,
-// the failing stage's span carrying its error class) still comes back with
+// run executes a composition for one question over the run's counting
+// client and prompt view, attaching the per-stage spans to the returned
+// trace. One counting layer serves both the per-stage span diffs and the
+// caller's query totals. On error the partial trace (spans included, the
+// failing stage's span carrying its error class) still comes back with
 // the Result so serving layers can observe exactly which stage failed.
-func (p *Pipeline) run(ctx context.Context, question string, stages ...exec.Stage[runState]) (Result, error) {
-	// Reuse the caller's counter when the client already is one (the
-	// answer registry wraps every per-query client): one counting layer
-	// serves both the per-stage span diffs and the query totals.
-	counter, ok := p.client.(*llm.Counting)
-	if !ok {
-		counter = llm.NewCounting(p.client, 0)
-	}
+func (p *Pipeline) run(ctx context.Context, client *llm.Counting, view *prompts.View, question string, stages ...exec.Stage[runState]) (Result, error) {
 	tr := Trace{Question: question}
-	st := runState{client: counter, tr: &tr, question: question}
-	spans, err := exec.Run(ctx, &st, exec.Options{DefaultTimeout: p.cfg.StageTimeout, Usage: counter.Usage}, stages...)
+	st := runState{client: client, view: view, tr: &tr, question: question}
+	spans, err := exec.Run(ctx, &st, exec.Options{DefaultTimeout: p.cfg.StageTimeout, Usage: client.Usage}, stages...)
 	tr.Stages = spans
 	if err != nil {
 		return Result{Trace: tr}, err
@@ -132,16 +130,17 @@ func (p *Pipeline) run(ctx context.Context, question string, stages ...exec.Stag
 	return Result{Answer: st.answer, Trace: tr}, nil
 }
 
-// Answer runs the full PG&AKV composition for a question. The context
-// bounds the whole run; Config.StageTimeout additionally bounds each stage.
-func (p *Pipeline) Answer(ctx context.Context, question string) (Result, error) {
-	return p.run(ctx, question,
+// Answer runs the full PG&AKV composition for a question, every LLM call
+// through client and rendered from view. The context bounds the whole
+// run; Config.StageTimeout additionally bounds each stage.
+func (p *Pipeline) Answer(ctx context.Context, client *llm.Counting, view *prompts.View, question string) (Result, error) {
+	return p.run(ctx, client, view, question,
 		p.stagePseudo(), p.stageRetrievePrune(), p.stageVerify(), p.stageAnswerFinal())
 }
 
 // AnswerPseudoOnly runs the Gp-only composition (the paper's "w/ Gp"
 // ablation, registry method "ours-gp"): pseudo-graph generation straight
 // into answer generation, skipping retrieval and verification.
-func (p *Pipeline) AnswerPseudoOnly(ctx context.Context, question string) (Result, error) {
-	return p.run(ctx, question, p.stagePseudo(), p.stageAnswerFinal())
+func (p *Pipeline) AnswerPseudoOnly(ctx context.Context, client *llm.Counting, view *prompts.View, question string) (Result, error) {
+	return p.run(ctx, client, view, question, p.stagePseudo(), p.stageAnswerFinal())
 }

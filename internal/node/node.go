@@ -34,6 +34,20 @@ const (
 	ModelGPT4  = "GPT-4"
 )
 
+// ResolveModel maps a user-facing model label (case-insensitive; empty
+// means GPT-3.5) onto a model identifier. Any other label is an invalid
+// query.
+func ResolveModel(label string) (string, error) {
+	switch strings.ToLower(strings.TrimSpace(label)) {
+	case "", "gpt3.5", "gpt-3.5", "gpt35":
+		return ModelGPT35, nil
+	case "gpt4", "gpt-4":
+		return ModelGPT4, nil
+	default:
+		return "", &answer.InvalidQueryError{Reason: fmt.Sprintf("unknown model %q (want gpt3.5 or gpt4)", label)}
+	}
+}
+
 // Sources lists the KG sources every node serves, in the one order boot
 // logs, recovery, replication and /v1/methods all use.
 var Sources = []kg.Source{kg.SourceWikidata, kg.SourceFreebase}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/answer"
+	"repro/internal/failure"
 	"repro/internal/kg"
 	"repro/internal/racedetect"
 	"repro/internal/serve"
@@ -43,6 +44,26 @@ func TestUnknownModelIsError(t *testing.T) {
 	env := quickNode(t)
 	if _, err := env.Answerer("ours", "no-such-model", kg.SourceWikidata); err == nil {
 		t.Error("Answerer accepted an unknown model")
+	}
+}
+
+// TestResolveModel: the one label table both binaries use folds case and
+// spelling, and refuses a label it does not know as an invalid query
+// instead of falling back to another model.
+func TestResolveModel(t *testing.T) {
+	for label, want := range map[string]string{
+		"": ModelGPT35, "gpt3.5": ModelGPT35, "GPT-3.5": ModelGPT35, " gpt35 ": ModelGPT35,
+		"gpt4": ModelGPT4, "GPT4": ModelGPT4, "Gpt-4": ModelGPT4,
+	} {
+		if got, err := ResolveModel(label); err != nil || got != want {
+			t.Errorf("ResolveModel(%q) = %q, %v; want %q", label, got, err, want)
+		}
+	}
+	for _, label := range []string{"gpt5", "gpt-4o", "llama", "gpt 4"} {
+		_, err := ResolveModel(label)
+		if failure.Of(err) != failure.InvalidQuery {
+			t.Errorf("ResolveModel(%q) = %v, want an invalid-query error", label, err)
+		}
 	}
 }
 

@@ -9,8 +9,8 @@
 // The templates themselves are not Go constants: they live in versioned
 // .prompt files (see file.go) under defaults/, loaded by the Registry
 // (registry.go). The package-level builders below render the shared
-// default registry's active versions; pipeline code that wants hot reload
-// and per-request A/B overrides threads an explicit *Registry instead.
+// default registry's active versions; a method run renders from the one
+// View its query resolved (internal/answer), overrides included.
 package prompts
 
 import (

@@ -1,7 +1,6 @@
 package prompts
 
 import (
-	"context"
 	"embed"
 	"fmt"
 	"io/fs"
@@ -300,9 +299,6 @@ func (r *Registry) rebuildViewLocked() {
 // pointer, so asking for it — or for its Fingerprint, as every cached
 // request's scope does — costs a load, not a rebuild.
 func (r *Registry) View() *View {
-	if r == nil {
-		return Default().View()
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.view
@@ -314,9 +310,6 @@ func (r *Registry) View() *View {
 // silently answering with a different prompt than its cache key claims.
 // Overrides land in a copy; the kept View is never written to.
 func (r *Registry) Resolve(overrides map[string]string) (*View, error) {
-	if r == nil {
-		return Default().Resolve(overrides)
-	}
 	if len(overrides) == 0 {
 		return r.View(), nil
 	}
@@ -348,20 +341,6 @@ func (r *Registry) Fingerprint() string {
 	return r.View().Fingerprint()
 }
 
-// For resolves the View a request should render with: a View pinned into
-// the context wins (the serving path resolves per-request version
-// overrides once with Resolve and pins the result, so every stage renders
-// from one snapshot), else the active set.
-func (r *Registry) For(ctx context.Context) *View {
-	if v, ok := ctx.Value(viewKey{}).(*View); ok && v != nil {
-		return v
-	}
-	if r == nil {
-		return Default().For(ctx)
-	}
-	return r.View()
-}
-
 // Info describes one loaded prompt version for listings (/v1/prompts).
 type Info struct {
 	Name        string `json:"name"`
@@ -376,9 +355,6 @@ type Info struct {
 // List returns every loaded prompt version, sorted by name then version,
 // with the active one per name flagged.
 func (r *Registry) List() []Info {
-	if r == nil {
-		return Default().List()
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []Info
@@ -503,17 +479,6 @@ func (v *View) Version(name string) int {
 // Fingerprint returns the view's version set as a stable string
 // ("answer-graph@1,cot@1,..."), rendered when the view was built.
 func (v *View) Fingerprint() string { return v.fingerprint }
-
-type viewKey struct{}
-
-// WithView pins an already-resolved View into the context so every stage
-// of a request renders from the same snapshot even across a hot reload.
-func WithView(ctx context.Context, v *View) context.Context {
-	if v == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, viewKey{}, v)
-}
 
 func sortInts(s []int) {
 	for i := 1; i < len(s); i++ {

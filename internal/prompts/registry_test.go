@@ -1,7 +1,6 @@
 package prompts
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -249,27 +248,6 @@ func TestResolveOverrides(t *testing.T) {
 	}
 	if _, err := r.Resolve(map[string]string{"io": "one"}); err == nil {
 		t.Fatal("Resolve accepted a non-numeric version")
-	}
-}
-
-func TestForAppliesContextOverridesAndPinnedView(t *testing.T) {
-	r := NewRegistry()
-	if got := r.For(context.Background()).Version("answer-graph"); got != 1 {
-		t.Fatalf("For without a pinned view: version %d, want the active 1", got)
-	}
-	// A pinned view wins over the active set.
-	pinned, err := r.Resolve(map[string]string{"answer-graph": "2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := WithView(context.Background(), pinned)
-	if got := r.For(ctx).Version("answer-graph"); got != 2 {
-		t.Fatalf("For with pinned view: version %d, want 2", got)
-	}
-	// Nil registry falls back to the shared default.
-	var nilReg *Registry
-	if got := nilReg.For(context.Background()).Version("io"); got != 1 {
-		t.Fatalf("nil registry For: io version %d, want 1", got)
 	}
 }
 

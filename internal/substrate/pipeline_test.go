@@ -6,16 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kg"
-	"repro/internal/llm"
 )
-
-// noopClient satisfies llm.Client for tests that never reach an LLM call.
-type noopClient struct{}
-
-func (noopClient) Name() string { return "noop" }
-func (noopClient) Complete(context.Context, llm.Request) (llm.Response, error) {
-	return llm.Response{Text: ""}, nil
-}
 
 // TestDeltaTriplesReachGoldGraph runs the pipeline's semantic query +
 // pruning steps against a live snapshot: a fact that was only ingested
@@ -30,7 +21,7 @@ func TestDeltaTriplesReachGoldGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := m.Current()
-	p, err := core.New(noopClient{}, snap.Store, snap.Index, core.DefaultConfig())
+	p, err := core.New(snap.Store, snap.Index, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +45,7 @@ func TestDeltaTriplesReachGoldGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap2 := m.Current()
-	p2, err := core.New(noopClient{}, snap2.Store, snap2.Index, core.DefaultConfig())
+	p2, err := core.New(snap2.Store, snap2.Index, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

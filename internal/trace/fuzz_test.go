@@ -147,6 +147,7 @@ func FuzzOpenFileStore(f *testing.F) {
 	f.Add([]byte(`{"id":"t999999999"}` + "\n"))
 	f.Add([]byte(`{"id":"t9223372036854775807"}` + "\n"))
 	f.Add([]byte(`{"id":"t1"}` + "\n" + `{"id":"t01"}` + "\n" + `{"id":"x"}` + "\n"))
+	f.Add([]byte(`{"id":"t1","question":"\"io\"","method":"\u212aEY"}` + "\n" + `{"id":"t2","prompt_versions":{"io":"1"},"method" : "ſc"}` + "\n"))
 	for _, seed := range codecSeeds() {
 		f.Add(seed)
 	}
@@ -194,6 +195,26 @@ func FuzzOpenFileStore(f *testing.F) {
 			got, err := s.Get(rec.ID)
 			if err != nil || !reflect.DeepEqual(got, rec) {
 				t.Fatalf("Get(%q) = %+v (%v), List has %+v", rec.ID, got, err, rec)
+			}
+		}
+		// A method filter keeps exactly the records whose method folds to
+		// it, however the lines spell them.
+		probes := []string{"ours", "IO", "k", "S", "ſ"}
+		for _, rec := range all {
+			if rec.Method != "" {
+				probes = append(probes, rec.Method, strings.ToUpper(rec.Method))
+			}
+		}
+		for _, method := range probes {
+			var want []Record
+			for _, rec := range all {
+				if strings.EqualFold(method, rec.Method) {
+					want = append(want, rec)
+				}
+			}
+			got, err := s.List(ListOptions{Method: method})
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("List(method %q) = %d records (%v), want %d", method, len(got), err, len(want))
 			}
 		}
 		next, err := s.Append(Record{Question: "next", Method: "ours"})

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -13,6 +14,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ErrNotFound reports a record ID the store does not hold.
@@ -199,13 +202,14 @@ func (s *FileStore) snapshot() (*os.File, []line, error) {
 	return s.f, s.lines, nil
 }
 
-// readRecord decodes the record at one index entry.
-func readRecord(f *os.File, l line) (Record, error) {
-	buf := make([]byte, l.len)
+// readLine reads the line at one index entry into buf, growing it as
+// needed.
+func readLine(f *os.File, l line, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], l.len)[:l.len]
 	if _, err := f.ReadAt(buf, l.off); err != nil {
-		return Record{}, fmt.Errorf("trace: read record t%06d: %w", l.seq, err)
+		return nil, fmt.Errorf("trace: read record t%06d: %w", l.seq, err)
 	}
-	return Decode(buf)
+	return buf, nil
 }
 
 // Get returns the record with the given ID.
@@ -219,7 +223,11 @@ func (s *FileStore) Get(id string) (Record, error) {
 	if !ok || !found {
 		return Record{}, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	rec, err := readRecord(f, lines[i])
+	buf, err := readLine(f, lines[i], nil)
+	if err != nil {
+		return Record{}, err
+	}
+	rec, err := Decode(buf)
 	if err == nil && rec.ID != id {
 		// Another spelling of the number ("t1" for "t000001").
 		return Record{}, fmt.Errorf("%w: %q", ErrNotFound, id)
@@ -227,18 +235,29 @@ func (s *FileStore) Get(id string) (Record, error) {
 	return rec, err
 }
 
-// List returns records newest-first, optionally filtered by method.
+// List returns records newest-first, optionally filtered by method. A
+// line whose bytes cannot hold the method is skipped undecoded.
 func (s *FileStore) List(opts ListOptions) ([]Record, error) {
 	f, lines, err := s.snapshot()
 	if err != nil {
 		return nil, err
 	}
+	// A name of ASCII letters, digits and hyphens (every method's) has no
+	// character that a JSON short escape such as \" or \n spells.
+	prefilter := opts.Method != "" && strings.Trim(opts.Method, "-0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ") == ""
 	var out []Record
+	var buf []byte
 	for i := len(lines) - 1; i >= 0; i-- {
 		if opts.Limit > 0 && len(out) >= opts.Limit {
 			break
 		}
-		rec, err := readRecord(f, lines[i])
+		if buf, err = readLine(f, lines[i], buf); err != nil {
+			return nil, err
+		}
+		if prefilter && !mayHoldFold(buf, opts.Method) {
+			continue
+		}
+		rec, err := Decode(buf)
 		if err != nil {
 			return nil, err
 		}
@@ -248,6 +267,44 @@ func (s *FileStore) List(opts ListOptions) ([]Record, error) {
 		out = append(out, rec)
 	}
 	return out, nil
+}
+
+// mayHoldFold reports whether line could hold a JSON string value that
+// strings.EqualFold matches with name, a string of ASCII letters, digits
+// and hyphens: a quote, then characters — bytes, \uXXXX escapes or UTF-8
+// runes — that fold one for one to name's bytes, then a quote that no
+// colon follows (a colon makes it an object key, such as a prompt name in
+// prompt_versions). Every rune EqualFold equates with such a byte c (the
+// Kelvin sign and the long s included) maps to c's lower case under
+// unicode.ToUpper then unicode.ToLower, so a line it rejects holds no
+// match, whatever its keys, escapes or question text.
+func mayHoldFold(line []byte, name string) bool {
+	for {
+		q := bytes.IndexByte(line, '"')
+		if q < 0 {
+			return false
+		}
+		line = line[q+1:]
+		rest, j := line, 0
+		for ; j < len(name) && len(rest) > 0; j++ {
+			r, n := rune(rest[0]), 1
+			if len(rest) >= 6 && rest[0] == '\\' && rest[1] == 'u' {
+				v, _ := strconv.ParseUint(string(rest[2:6]), 16, 16)
+				r, n = rune(v), 6
+			} else if r >= utf8.RuneSelf {
+				r, n = utf8.DecodeRune(rest)
+			}
+			if unicode.ToLower(unicode.ToUpper(r)) != rune(name[j]|0x20) {
+				break
+			}
+			rest = rest[n:]
+		}
+		if j == len(name) && len(rest) > 0 && rest[0] == '"' {
+			if after := bytes.TrimLeft(rest[1:], " \t\r\n"); len(after) == 0 || after[0] != ':' {
+				return true
+			}
+		}
+	}
 }
 
 // Stats summarises the store. Safe on a nil store (all zeros).

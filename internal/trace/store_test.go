@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core/exec"
 )
 
 // openTestStore builds a FileStore with a fixed clock.
@@ -224,6 +226,78 @@ func encodeLine(t testing.TB, id, question string) string {
 	return string(b)
 }
 
+// TestFileStoreListMethodFilter: the method filter folds case on both
+// sides, also where the stored method is spelled with JSON escapes or
+// with a rune that folds to an ASCII letter (the Kelvin sign, the long
+// s), and a question that quotes another method's JSON is no match.
+func TestFileStoreListMethodFilter(t *testing.T) {
+	dir := t.TempDir()
+	writeStore(t, dir,
+		`{"id":"t000001","question":"q1","method":"OURS","epoch":0,"cache_hit":false,"llm_calls":0,"prompt_tokens":0,"completion_tokens":0}`+"\n",
+		`{"id":"t000002","question":"what does \"method\":\"io\" mean?","method":"ours","epoch":0,"cache_hit":false,"llm_calls":0,"prompt_tokens":0,"completion_tokens":0}`+"\n",
+		`{"id":"t000003","question":"q3","method":"\u0049\u006f","epoch":0,"cache_hit":false,"llm_calls":0,"prompt_tokens":0,"completion_tokens":0}`+"\n",
+		`{"id":"t000004","question":"q4","method":"\u212aey","epoch":0,"cache_hit":false,"llm_calls":0,"prompt_tokens":0,"completion_tokens":0}`+"\n",
+		`{"id":"t000005","question":"q5","method":"ſc","epoch":0,"cache_hit":false,"llm_calls":0,"prompt_tokens":0,"completion_tokens":0}`+"\n",
+		`{"id":"t000006","question":"q6","method":"Ours","epoch":0,"cache_hit":false,"llm_calls":0,"prompt_tokens":0,"completion_tokens":0}`+"\n",
+	)
+	s := openTestStore(t, dir)
+	for _, tc := range []struct {
+		method string
+		want   []string
+	}{
+		{"ours", []string{"t000006", "t000002", "t000001"}},
+		{"oUrS", []string{"t000006", "t000002", "t000001"}},
+		{"io", []string{"t000003"}},
+		{"IO", []string{"t000003"}},
+		{"key", []string{"t000004"}},
+		{"SC", []string{"t000005"}},
+		{"ſC", []string{"t000005"}},
+		{"mean", nil},
+		{"method", nil},
+	} {
+		recs, err := s.List(ListOptions{Method: tc.method})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, rec := range recs {
+			got = append(got, rec.ID)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("List(method %q) = %v, want %v", tc.method, got, tc.want)
+		}
+	}
+}
+
+// TestMayHoldFold: the prefilter accepts every spelling of a method
+// value and rejects a line whose only occurrences are object keys, parts
+// of longer strings or quoted inside another string.
+func TestMayHoldFold(t *testing.T) {
+	for _, tc := range []struct {
+		line, name string
+		want       bool
+	}{
+		{`{"method":"io"}`, "io", true},
+		{`{"method":"IO"}`, "io", true},
+		{`{"method" : "io" }`, "IO", true},
+		{`{"method":"\u0069\u004F"}`, "io", true},
+		{`{"method":"\u212aey"}`, "key", true},
+		{`{"method":"ſc"}`, "SC", true},
+		{`{"method":"ours-gp"}`, "OURS-GP", true},
+		{`{"prompt_versions":{"io":"1","cot":"1"}}`, "io", false},
+		{`{"prompt_versions":{"cot" :"1"}}`, "cot", false},
+		{`{"question":"what does \"method\":\"io\" mean?"}`, "io", false},
+		{`{"completion_tokens":0,"method":"ours"}`, "io", false},
+		{`{"method":"iox"}`, "io", false},
+		{`{"method":"xio"}`, "io", false},
+		{`{"method":"i`, "io", false},
+	} {
+		if got := mayHoldFold([]byte(tc.line), tc.name); got != tc.want {
+			t.Errorf("mayHoldFold(%s, %q) = %v, want %v", tc.line, tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestFileStoreRecoveryIndexesBySequence: recovery keeps one record per
 // sequence number (the first in the file), drops lines whose ID is not
 // "t<seq>", and serves an out-of-order file in sequence order.
@@ -327,5 +401,48 @@ func TestFileStoreReadsAfterCloseFail(t *testing.T) {
 	}
 	if _, err := s.Append(Record{Question: "q2"}); err == nil {
 		t.Error("Append after Close succeeded")
+	}
+}
+
+// BenchmarkListNoMatch times a List whose method filter matches none of
+// 50 000 records shaped like a serving store's ("ours" runs with stages
+// and graphs, baseline runs without), about 33 MB on disk. The filter,
+// "io", is a prompt name every record's prompt_versions holds as a key.
+func BenchmarkListNoMatch(b *testing.B) {
+	s, err := NewFileStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 50000; i++ {
+		rec := Record{
+			Question:       fmt.Sprintf("Where was person number %d of the synthetic world born?", i),
+			Method:         []string{"ours", "cot", "rag", "sc"}[i%4],
+			Model:          "GPT-3.5",
+			KG:             "wikidata",
+			Answer:         fmt.Sprintf("The answer is {City %d}.", i%97),
+			Epoch:          1,
+			ElapsedUS:      int64(200 + i%50),
+			LLMCalls:       3,
+			PromptVersions: map[string]string{"answer-graph": "1", "cot": "1", "io": "1", "pseudo-graph": "1", "verify": "1"},
+		}
+		if rec.Method == "ours" {
+			rec.Stages = []exec.Span{{Stage: "pseudo-graph", LLMCalls: 1}, {Stage: "retrieve-prune"}, {Stage: "verify", LLMCalls: 1}, {Stage: "answer", LLMCalls: 1}}
+			rec.PseudoCode = fmt.Sprintf("CREATE (p:Person {name: 'Person %d'})-[:BORN_IN]->(c:City {name: 'City %d'})", i, i%97)
+			rec.Gp = []string{fmt.Sprintf("<Person %d> <born in> <City %d>", i, i%97)}
+			rec.Gg = []string{fmt.Sprintf("<Person %d> <place of birth> <City %d>", i, i%89), fmt.Sprintf("<Person %d> <occupation> <writer>", i)}
+			rec.Gf = rec.Gg[:1]
+			rec.Kept = []KeptSubject{{Subject: fmt.Sprintf("Person %d", i), Confidence: 1, Triples: 2}}
+		}
+		if _, err := s.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(s.Stats().Bytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if recs, err := s.List(ListOptions{Method: "io"}); err != nil || len(recs) != 0 {
+			b.Fatalf("list: %d records (%v)", len(recs), err)
+		}
 	}
 }
