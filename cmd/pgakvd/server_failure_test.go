@@ -146,7 +146,7 @@ func TestEveryClassReachesItsReply(t *testing.T) {
 			return serve1(plain, httptest.NewRequest(http.MethodGet, "/v1/traces", nil))
 		}},
 		{failure.InvalidPrompts, func(t *testing.T) *httptest.ResponseRecorder {
-			if err := os.WriteFile(filepath.Join(promptDir, "broken.v1.prompt"), []byte("no frontmatter"), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(promptDir, "io.v2.prompt"), []byte("no frontmatter"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			return serve1(broken, post("/v1/prompts/reload", ``))

@@ -1,108 +1,60 @@
-// Command promptlint validates committed .prompt files — the CI gate
-// that keeps the prompt registry's load-time guarantees ahead of runtime.
+// Command promptlint validates prompt directories — the CI gate that
+// keeps the prompt registry's load-time guarantees ahead of runtime.
 //
-//	promptlint [path ...]
+//	promptlint [dir ...]
 //
-// Each path is a .prompt file or a directory searched (non-recursively)
-// for *.prompt files; with no arguments it lints internal/prompts/defaults.
-// Every file must parse under the strict frontmatter grammar and pass the
-// full Prompt.Validate contract: declared vars matching the body's
-// placeholders, every canonical task marker present, the body classifying
-// as its declared task, and the extractor probe round-tripping. On top of
-// the parser's checks the linter enforces the repository conventions that
-// only matter for committed files: the filename must be
-// <name>.v<version>.prompt and no (name, version) pair may appear twice
-// across the linted set.
+// Each argument is a directory of *.prompt files (not searched
+// recursively); with no arguments it lints internal/prompts/defaults.
+// Each directory is loaded exactly as pgakvd's -prompt-dir overlay is,
+// by prompts.Registry.LoadDir over the embedded defaults, so the linter
+// refuses exactly what the server would refuse: a file name that is not
+// <name>.v<version>.prompt with a canonical version, a name with no
+// prompt slot, a frontmatter key other than description and candidate,
+// and a body whose placeholders, markers, task classification or
+// extractor probe do not fit its slot.
 //
-// Exit status 0 when every file is clean, 1 when anything fails — CI runs
+// Exit status 0 when every directory loads, 1 when any fails — CI runs
 // this over the committed defaults and also proves the failure path by
-// doctoring a copy and asserting a nonzero exit.
+// doctoring copies and asserting a nonzero exit.
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/prompts"
 )
 
 func main() {
-	paths := os.Args[1:]
-	if len(paths) == 0 {
-		paths = []string{filepath.Join("internal", "prompts", "defaults")}
-	}
-	files, err := collect(paths)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "promptlint:", err)
-		os.Exit(1)
-	}
-	if len(files) == 0 {
-		fmt.Fprintln(os.Stderr, "promptlint: no .prompt files found under", paths)
-		os.Exit(1)
-	}
-
-	failed := 0
-	seen := map[string]string{} // "name@version" -> first file
-	for _, path := range files {
-		p, err := lintFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "promptlint: %s: %v\n", path, err)
-			failed++
-			continue
-		}
-		key := fmt.Sprintf("%s@%d", p.Name, p.Version)
-		if first, dup := seen[key]; dup {
-			fmt.Fprintf(os.Stderr, "promptlint: %s: %s already defined by %s\n", path, key, first)
-			failed++
-			continue
-		}
-		seen[key] = path
-		fmt.Printf("ok %s (%s task=%s)\n", path, key, p.Task)
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "promptlint: %d of %d prompt files failed\n", failed, len(files))
-		os.Exit(1)
-	}
-	fmt.Printf("%d prompt files clean\n", len(files))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// collect expands the argument paths into a sorted list of .prompt files.
-func collect(paths []string) ([]string, error) {
-	var files []string
-	for _, path := range paths {
-		info, err := os.Stat(path)
-		if err != nil {
-			return nil, err
-		}
-		if !info.IsDir() {
-			files = append(files, path)
+// run lints each directory and returns the process exit status.
+func run(dirs []string, stdout, stderr io.Writer) int {
+	if len(dirs) == 0 {
+		dirs = []string{filepath.Join("internal", "prompts", "defaults")}
+	}
+	status := 0
+	for _, dir := range dirs {
+		reg := prompts.NewRegistry()
+		if err := reg.LoadDir(dir); err != nil {
+			fmt.Fprintln(stderr, "promptlint:", err)
+			status = 1
 			continue
 		}
-		matches, err := filepath.Glob(filepath.Join(path, "*.prompt"))
-		if err != nil {
-			return nil, err
+		n := 0
+		for _, in := range reg.List() {
+			if in.Source != "embedded" {
+				fmt.Fprintf(stdout, "ok %s (%s@%d task=%s)\n", in.Source, in.Name, in.Version, in.Task)
+				n++
+			}
 		}
-		files = append(files, matches...)
+		if n == 0 {
+			fmt.Fprintln(stderr, "promptlint: no .prompt files in", dir)
+			status = 1
+		}
 	}
-	sort.Strings(files)
-	return files, nil
-}
-
-// lintFile parses one .prompt file (ParsePrompt runs the full Validate
-// contract) and enforces the <name>.v<version>.prompt filename convention.
-func lintFile(path string) (*prompts.Prompt, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	p, err := prompts.ParsePrompt(data)
-	if err != nil {
-		return nil, err
-	}
-	if want := fmt.Sprintf("%s.v%d.prompt", p.Name, p.Version); filepath.Base(path) != want {
-		return nil, fmt.Errorf("filename should be %s for %s@%d", want, p.Name, p.Version)
-	}
-	return p, nil
+	return status
 }

@@ -35,7 +35,7 @@ func setBRegistry(t *testing.T) (*prompts.Registry, map[string]string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		text := strings.Replace(string(data), "\nversion: 1\n", "\nversion: 2\ncandidate: true\n", 1)
+		text := strings.Replace(string(data), "---\n", "---\ncandidate: true\n", 1)
 		end := strings.Index(text[4:], "\n---\n") + 4 + len("\n---\n")
 		text = text[:end] + setBTag + "\n" + text[end:]
 		name := strings.TrimSuffix(filepath.Base(path), ".v1.prompt")

@@ -2,29 +2,25 @@ package prompts
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// The .prompt file format, modelled on the dotprompt idiom: a YAML-ish
-// frontmatter block between two "---" lines, then the template body
-// verbatim. The frontmatter is deliberately a tiny, strict subset — no
-// nesting, no flow collections, no implicit typing — so a torn or doctored
-// file fails to parse instead of silently loading with the wrong meaning:
+// The .prompt file format, modelled on the dotprompt idiom: a frontmatter
+// block between two "---" lines, then the template body verbatim. A
+// file's identity is its name, <name>.v<version>.prompt, and its contract
+// — the task the body must classify as, the {{var}} placeholders it takes
+// and the markers it must keep — is its slot's, from requiredPrompts and
+// taskMarkers below; the file states neither. The frontmatter holds the
+// two things only a file can say, both optional, in a tiny strict subset
+// of YAML (no nesting, no lists, no implicit typing), so a torn or
+// doctored file fails to parse instead of loading with the wrong meaning:
 //
 //	---
-//	name: answer-graph
-//	version: 1
 //	description: Fig. 5 answer-from-graph prompt
-//	task: graph-qa
-//	temperature: 0.7
-//	markers:
-//	  - "[problem]:"
-//	  - "[graph]:"
-//	vars:
-//	  - problem
-//	  - graph
+//	candidate: true
 //	---
 //	[Task description]:
 //	...body with {{problem}} and {{graph}} placeholders...
@@ -34,62 +30,97 @@ import (
 // newline. Rendering substitutes {{var}} placeholders and nothing else,
 // so the rendered prompt is exactly the body with values spliced in.
 
-// Prompt is one parsed .prompt file: a named, versioned template plus the
-// metadata the registry validates at load time.
+// Prompt is one parsed .prompt file: a named, versioned template for one
+// of the pipeline's slots.
 type Prompt struct {
-	// Name identifies the prompt slot ("pseudo-graph", "io", ...); versions
-	// of the same name are alternatives for the same pipeline step.
+	// Name is the slot ("pseudo-graph", "io", ...) the file name gives;
+	// versions of the same name are alternatives for the same step.
 	Name string
 	// Version orders alternatives; the registry activates the highest
 	// non-candidate version by default.
 	Version int
 	// Description is free-form provenance shown by GET /v1/prompts.
 	Description string
-	// Task is the TaskKind the rendered prompt must classify as — the
-	// contract the simulated LLM's marker dispatch depends on.
-	Task TaskKind
-	// Candidate versions load and are selectable (SetActive or a
-	// per-request override) but never become active by default — the A/B
-	// safety latch.
+	// Candidate is the A/B latch: a candidate version loads and can be
+	// selected (SetActive or a per-request override) but never becomes
+	// active by default.
 	Candidate bool
-	// Temperature is an optional model parameter carried for callers.
-	Temperature float64
-	// HasTemperature reports whether the file set Temperature.
-	HasTemperature bool
-	// Markers are the substrings the file declares the body must contain.
-	// Validation additionally requires the task's canonical marker set.
-	Markers []string
-	// Vars are the declared {{placeholder}} names, in declaration order.
-	Vars []string
 	// Body is the template text, verbatim.
 	Body string
 	// Source records where the loader read this prompt from ("embedded"
 	// or a file path). It is loader metadata, not frontmatter: ParsePrompt
-	// leaves it empty and Format does not emit it.
+	// leaves it empty.
 	Source string
 }
 
-// frontmatterKeys is the full legal key set; anything else is an error so
-// a typo ("marker:") cannot silently drop an invariant.
-var frontmatterKeys = map[string]bool{
-	"name": true, "version": true, "description": true, "task": true,
-	"candidate": true, "temperature": true, "markers": true, "vars": true,
+// requiredPrompts is the pipeline's prompt contract, one slot per name:
+// the task a body must classify as and exactly the vars its View
+// accessor renders with. Every registry holds at least one version of
+// each slot, so the typed View accessors are total, and a file whose
+// name has no slot is refused.
+var requiredPrompts = map[string]struct {
+	task TaskKind
+	vars []string
+}{
+	"pseudo-graph":    {TaskPseudoGraph, []string{"question"}},
+	"direct-triples":  {TaskDirectTriples, []string{"question"}},
+	"verify":          {TaskVerify, []string{"problem", "gold_graph", "graph_to_fix"}},
+	"answer-graph":    {TaskGraphQA, []string{"problem", "graph"}},
+	"io":              {TaskIO, []string{"question"}},
+	"cot":             {TaskCoT, []string{"question"}},
+	"score-relations": {TaskScoreRels, []string{"question", "relations"}},
 }
 
-// ParsePrompt parses one .prompt file. It is strict: missing or duplicate
-// keys, unknown keys, an unterminated frontmatter block, and malformed
-// values are all errors — ParsePrompt either returns a Prompt that
-// round-trips through Format, or a clean error, never a partial result.
-func ParsePrompt(data []byte) (*Prompt, error) {
-	src := string(data)
+// taskMarkers is the canonical marker invariant per task: the substrings
+// the simulated LLM's Classify dispatch and extractors require. Every
+// version of a prompt must keep its task's markers, or a hot-reloaded
+// file would silently break the model's task recognition.
+var taskMarkers = map[TaskKind][]string{
+	TaskPseudoGraph:   {MarkerCypher, MarkerQuestion},
+	TaskDirectTriples: {MarkerDirect, MarkerQuestion},
+	TaskVerify:        {MarkerProblem, MarkerGold, MarkerToFix, MarkerFixed},
+	TaskGraphQA:       {MarkerProblem, MarkerGraphQA, MarkerAnswer},
+	TaskCoT:           {MarkerCoT, MarkerProblem, MarkerAnswer},
+	TaskIO:            {MarkerProblem, MarkerAnswer},
+	TaskScoreRels:     {MarkerProblem, MarkerScoreRels},
+}
+
+// removedKeys are the frontmatter keys earlier versions of the format
+// carried, with what states each now, so an old file is refused with
+// its fix in the message.
+var removedKeys = map[string]string{
+	"name":        "the file name <name>.v<version>.prompt states it",
+	"version":     "the file name <name>.v<version>.prompt states it",
+	"task":        "the slot of the file's name states it",
+	"vars":        "the slot of the file's name states them",
+	"markers":     "the slot's task states them",
+	"temperature": "nothing reads it; delete the line",
+}
+
+// ParsePrompt parses one .prompt file, given its base name and contents.
+// It is strict: a name that is not <name>.v<version>.prompt with a
+// canonical version, missing fences, unknown, removed or duplicate keys
+// and malformed values are all errors, and the result must pass
+// Validate — ParsePrompt returns a valid Prompt or a clean error, never
+// a partial result.
+func ParsePrompt(file string, data []byte) (*Prompt, error) {
+	stem, ok := strings.CutSuffix(file, ".prompt")
+	i := strings.LastIndex(stem, ".v")
+	if !ok || i < 0 {
+		return nil, fmt.Errorf("prompts: file name %q is not <name>.v<version>.prompt", file)
+	}
+	p := &Prompt{Name: stem[:i]}
+	vs := stem[i+2:]
+	p.Version, _ = strconv.Atoi(vs) // a failed parse leaves 0, refused below
+	if p.Version < 1 || strconv.Itoa(p.Version) != vs {
+		return nil, fmt.Errorf("prompts: version %q in file name %q is not a canonical positive integer", vs, file)
+	}
 	const fence = "---"
-	rest, ok := strings.CutPrefix(src, fence+"\n")
+	rest, ok := strings.CutPrefix(string(data), fence+"\n")
 	if !ok {
 		return nil, fmt.Errorf("prompts: file must start with %q frontmatter fence", fence)
 	}
-	p := &Prompt{Version: -1}
 	seen := map[string]bool{}
-	var listKey string // key whose list items we are collecting, if any
 	for {
 		line, tail, found := strings.Cut(rest, "\n")
 		if !found {
@@ -99,75 +130,28 @@ func ParsePrompt(data []byte) (*Prompt, error) {
 		if line == fence {
 			break
 		}
-		if item, ok := strings.CutPrefix(line, "  - "); ok {
-			if listKey == "" {
-				return nil, fmt.Errorf("prompts: list item %q outside a list key", line)
-			}
-			val, err := parseValue(item)
-			if err != nil {
-				return nil, fmt.Errorf("prompts: %s item: %w", listKey, err)
-			}
-			switch listKey {
-			case "markers":
-				p.Markers = append(p.Markers, val)
-			case "vars":
-				p.Vars = append(p.Vars, val)
-			}
-			continue
-		}
 		key, raw, found := strings.Cut(line, ":")
 		if !found || key == "" || strings.TrimSpace(key) != key {
 			return nil, fmt.Errorf("prompts: malformed frontmatter line %q", line)
 		}
-		if !frontmatterKeys[key] {
+		if why, ok := removedKeys[key]; ok {
+			return nil, fmt.Errorf("prompts: frontmatter key %q was removed: %s", key, why)
+		}
+		if key != "description" && key != "candidate" {
 			return nil, fmt.Errorf("prompts: unknown frontmatter key %q", key)
 		}
 		if seen[key] {
 			return nil, fmt.Errorf("prompts: duplicate frontmatter key %q", key)
 		}
 		seen[key] = true
-		listKey = ""
-		if key == "markers" || key == "vars" {
-			if strings.TrimSpace(raw) != "" {
-				return nil, fmt.Errorf("prompts: %s must be a list (use %q items)", key, "  - ")
-			}
-			listKey = key
-			continue
-		}
 		val, err := parseValue(strings.TrimPrefix(raw, " "))
 		if err != nil {
 			return nil, fmt.Errorf("prompts: %s: %w", key, err)
 		}
-		switch key {
-		case "name":
-			p.Name = val
-		case "description":
+		if key == "description" {
 			p.Description = val
-		case "version":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("prompts: version %q is not an integer", val)
-			}
-			p.Version = v
-		case "task":
-			t, err := ParseTaskKind(val)
-			if err != nil {
-				return nil, err
-			}
-			p.Task = t
-		case "candidate":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return nil, fmt.Errorf("prompts: candidate %q is not a bool", val)
-			}
-			p.Candidate = b
-		case "temperature":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("prompts: temperature %q is not a number", val)
-			}
-			p.Temperature = f
-			p.HasTemperature = true
+		} else if p.Candidate, err = strconv.ParseBool(val); err != nil {
+			return nil, fmt.Errorf("prompts: candidate %q is not a bool", val)
 		}
 	}
 	p.Body = rest
@@ -194,131 +178,42 @@ func parseValue(s string) (string, error) {
 	return s, nil
 }
 
-// formatValue renders a scalar for Format, quoting when verbatim form
-// would not survive a reparse.
-func formatValue(s string) string {
-	if s == "" || s != strings.TrimSpace(s) || strings.HasPrefix(s, `"`) {
-		return strconv.Quote(s)
-	}
-	return s
-}
-
-// Format renders the prompt back into .prompt file bytes. Format(Parse(x))
-// is semantically lossless: reparsing yields an equal Prompt (the fuzz
-// test holds this round-trip invariant).
-func (p *Prompt) Format() []byte {
-	var b strings.Builder
-	b.WriteString("---\n")
-	fmt.Fprintf(&b, "name: %s\n", formatValue(p.Name))
-	fmt.Fprintf(&b, "version: %d\n", p.Version)
-	if p.Description != "" {
-		fmt.Fprintf(&b, "description: %s\n", formatValue(p.Description))
-	}
-	fmt.Fprintf(&b, "task: %s\n", p.Task)
-	if p.Candidate {
-		b.WriteString("candidate: true\n")
-	}
-	if p.HasTemperature {
-		fmt.Fprintf(&b, "temperature: %s\n", strconv.FormatFloat(p.Temperature, 'g', -1, 64))
-	}
-	if len(p.Markers) > 0 {
-		b.WriteString("markers:\n")
-		for _, m := range p.Markers {
-			fmt.Fprintf(&b, "  - %s\n", formatValue(m))
-		}
-	}
-	if len(p.Vars) > 0 {
-		b.WriteString("vars:\n")
-		for _, v := range p.Vars {
-			fmt.Fprintf(&b, "  - %s\n", formatValue(v))
-		}
-	}
-	b.WriteString("---\n")
-	b.WriteString(p.Body)
-	return []byte(b.String())
-}
-
-// taskMarkers is the canonical marker invariant per task: the substrings
-// the simulated LLM's Classify dispatch and extractors require. Every
-// version of a prompt must keep its task's markers, or a hot-reloaded
-// file would silently break the model's task recognition.
-var taskMarkers = map[TaskKind][]string{
-	TaskPseudoGraph:   {MarkerCypher, MarkerQuestion},
-	TaskDirectTriples: {MarkerDirect, MarkerQuestion},
-	TaskVerify:        {MarkerProblem, MarkerGold, MarkerToFix, MarkerFixed},
-	TaskGraphQA:       {MarkerProblem, MarkerGraphQA, MarkerAnswer},
-	TaskCoT:           {MarkerCoT, MarkerProblem, MarkerAnswer},
-	TaskIO:            {MarkerProblem, MarkerAnswer},
-	TaskScoreRels:     {MarkerProblem, MarkerScoreRels},
-}
-
-// Validate checks the prompt's internal contract: well-formed metadata,
-// declared vars exactly matching the body's placeholders, every declared
-// and canonical marker present, the body classifying as the declared
-// task, and the extractor round trip succeeding on a probe render.
+// Validate checks the body against the slot of the prompt's name: its
+// placeholders exactly the slot's vars, the task's canonical markers
+// present, the body classifying as the slot's task, and the extractor
+// round trip succeeding on a probe render.
 func (p *Prompt) Validate() error {
-	if !validName(p.Name) {
-		return fmt.Errorf("prompts: bad or missing name %q (want lowercase-kebab)", p.Name)
-	}
-	if p.Version < 1 {
-		return fmt.Errorf("prompts: %s: version must be >= 1 (got %d)", p.Name, p.Version)
+	slot, ok := requiredPrompts[p.Name]
+	if !ok {
+		return fmt.Errorf("prompts: %s@%d: no prompt slot is named %q", p.Name, p.Version, p.Name)
 	}
 	placeholders, err := scanPlaceholders(p.Body)
 	if err != nil {
 		return fmt.Errorf("prompts: %s@%d: %w", p.Name, p.Version, err)
 	}
-	declared := map[string]bool{}
-	for _, v := range p.Vars {
-		if !validVar(v) {
-			return fmt.Errorf("prompts: %s@%d: bad var name %q", p.Name, p.Version, v)
-		}
-		if declared[v] {
-			return fmt.Errorf("prompts: %s@%d: duplicate var %q", p.Name, p.Version, v)
-		}
-		declared[v] = true
-		if !placeholders[v] {
-			return fmt.Errorf("prompts: %s@%d: declared var %q never used in body", p.Name, p.Version, v)
-		}
+	if len(placeholders) != len(slot.vars) || slices.ContainsFunc(slot.vars, func(v string) bool { return !placeholders[v] }) {
+		return fmt.Errorf("prompts: %s@%d: body uses %v, slot %q takes exactly %v",
+			p.Name, p.Version, slices.Sorted(maps.Keys(placeholders)), p.Name, slot.vars)
 	}
-	for ph := range placeholders {
-		if !declared[ph] {
-			return fmt.Errorf("prompts: %s@%d: body uses {{%s}} but vars does not declare it", p.Name, p.Version, ph)
-		}
-	}
-	for _, m := range p.Markers {
-		if m == "" {
-			return fmt.Errorf("prompts: %s@%d: empty marker", p.Name, p.Version)
-		}
+	for _, m := range taskMarkers[slot.task] {
 		if !strings.Contains(p.Body, m) {
-			return fmt.Errorf("prompts: %s@%d: declared marker %q missing from body", p.Name, p.Version, m)
+			return fmt.Errorf("prompts: %s@%d: task %s requires marker %q in the body", p.Name, p.Version, slot.task, m)
 		}
 	}
-	need, ok := taskMarkers[p.Task]
-	if !ok {
-		return fmt.Errorf("prompts: %s@%d: unknown task %d", p.Name, p.Version, p.Task)
+	if got := Classify(p.Body); got != slot.task {
+		return fmt.Errorf("prompts: %s@%d: body classifies as %s, slot %q requires %s", p.Name, p.Version, got, p.Name, slot.task)
 	}
-	for _, m := range need {
-		if !strings.Contains(p.Body, m) {
-			return fmt.Errorf("prompts: %s@%d: task %s requires marker %q in the body", p.Name, p.Version, p.Task, m)
-		}
-		if !containsString(p.Markers, m) {
-			return fmt.Errorf("prompts: %s@%d: task %s requires %q in the markers list", p.Name, p.Version, p.Task, m)
-		}
-	}
-	if got := Classify(p.Body); got != p.Task {
-		return fmt.Errorf("prompts: %s@%d: body classifies as %s, frontmatter declares %s", p.Name, p.Version, got, p.Task)
-	}
-	return p.probeExtractors()
+	return p.probeExtractors(slot.task, slot.vars)
 }
 
 // probeExtractors renders the prompt with sentinel values and asserts the
 // package extractors recover them — the load-time proof that a prompt
 // edit cannot strand the simulated LLM's prompt parsing.
-func (p *Prompt) probeExtractors() error {
+func (p *Prompt) probeExtractors(task TaskKind, vars []string) error {
 	const probe = "__prompt_probe_question__?"
 	fill := func(graph string) map[string]string {
 		vals := map[string]string{}
-		for _, v := range p.Vars {
+		for _, v := range vars {
 			switch v {
 			case "question", "problem":
 				vals[v] = probe
@@ -337,7 +232,7 @@ func (p *Prompt) probeExtractors() error {
 	fail := func(what string, err error) error {
 		return fmt.Errorf("prompts: %s@%d: %s extraction failed on probe render: %w", p.Name, p.Version, what, err)
 	}
-	switch p.Task {
+	switch task {
 	case TaskPseudoGraph, TaskDirectTriples:
 		q, err := ExtractTaskQuestion(rendered)
 		if err != nil {
@@ -435,66 +330,7 @@ func scanPlaceholders(body string) (map[string]bool, error) {
 		if j < 0 {
 			return nil, fmt.Errorf("unclosed {{ placeholder")
 		}
-		name := body[i+2 : i+j]
-		if !validVar(name) {
-			return nil, fmt.Errorf("bad placeholder {{%s}}", name)
-		}
-		out[name] = true
+		out[body[i+2:i+j]] = true
 		body = body[i+j+2:]
 	}
-}
-
-func validName(s string) bool {
-	if s == "" || s[0] < 'a' || s[0] > 'z' {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '-' {
-			return false
-		}
-	}
-	return true
-}
-
-func validVar(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < 'a' || c > 'z') && c != '_' {
-			return false
-		}
-	}
-	return true
-}
-
-func containsString(list []string, want string) bool {
-	for _, s := range list {
-		if s == want {
-			return true
-		}
-	}
-	return false
-}
-
-// ParseTaskKind maps a task name back to its TaskKind.
-func ParseTaskKind(s string) (TaskKind, error) {
-	for _, k := range []TaskKind{TaskIO, TaskCoT, TaskPseudoGraph, TaskDirectTriples, TaskVerify, TaskGraphQA, TaskScoreRels} {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("prompts: unknown task %q", s)
-}
-
-// sortedNames returns map keys in sorted order (stable listings).
-func sortedNames[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

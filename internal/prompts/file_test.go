@@ -1,7 +1,6 @@
 package prompts
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -10,32 +9,50 @@ import (
 // the corpus of doctored files the prompt-lint CI job guards against.
 func TestParsePromptErrors(t *testing.T) {
 	valid := string(mustEmbedded(t, "defaults/io.v1.prompt"))
+	withKey := func(line string) string { return strings.Replace(valid, "---\n", "---\n"+line+"\n", 1) }
 	cases := []struct {
 		name string
+		file string
 		data string
 		want string // substring of the error
 	}{
-		{"empty", "", "frontmatter fence"},
-		{"no-fence", "name: io\n", "frontmatter fence"},
-		{"torn", "---\nname: io\nversion: 1\n", "unterminated"},
-		{"duplicate-key", strings.Replace(valid, "version: 1\n", "version: 1\nversion: 2\n", 1), "duplicate"},
-		{"unknown-key", strings.Replace(valid, "version: 1\n", "version: 1\nmodel: gpt\n", 1), "unknown frontmatter key"},
-		{"list-outside", "---\n  - stray\n---\nbody", "outside a list"},
-		{"scalar-list", strings.Replace(valid, "markers:\n", "markers: inline\n", 1), "must be a list"},
-		{"bad-version", strings.Replace(valid, "version: 1\n", "version: one\n", 1), "not an integer"},
-		{"bad-task", strings.Replace(valid, "task: io\n", "task: what\n", 1), "unknown task"},
-		{"bad-name", strings.Replace(valid, "name: io\n", "name: IO!\n", 1), "bad or missing name"},
-		{"missing-marker", strings.Replace(valid, "[answer]:", "(answer)", -1), "marker"},
-		{"undeclared-var", strings.Replace(valid, "{{question}}", "{{question}} {{extra}}", 1), "does not declare"},
-		{"unused-var", strings.Replace(valid, "vars:\n", "vars:\n  - spare\n", 1), "never used"},
-		{"unclosed-placeholder", strings.Replace(valid, "{{question}}", "{{question", 1), "unclosed"},
-		{"task-mismatch", strings.Replace(valid, "task: io\n", "task: cot\n", 1), "requires marker"},
+		{"empty", "io.v1.prompt", "", "frontmatter fence"},
+		{"no-fence", "io.v1.prompt", "description: io\n", "frontmatter fence"},
+		{"torn", "io.v1.prompt", "---\ndescription: io\n", "unterminated"},
+		{"duplicate-key", "io.v1.prompt", withKey("candidate: true\ncandidate: false"), "duplicate"},
+		{"unknown-key", "io.v1.prompt", withKey("model: gpt"), "unknown frontmatter key"},
+		{"list-outside", "io.v1.prompt", "---\n  - stray\n---\nbody", "malformed frontmatter line"},
+		{"scalar-list", "io.v1.prompt", withKey("markers: inline"), `"markers" was removed: the slot`},
+		{"bad-candidate", "io.v1.prompt", withKey("candidate: maybe"), "not a bool"},
+		{"bad-task", "io.v1.prompt", withKey("task: what"), `"task" was removed: the slot`},
+		{"removed-name", "io.v1.prompt", withKey("name: io"), `"name" was removed: the file name`},
+		{"removed-version", "io.v1.prompt", withKey("version: 1"), `"version" was removed: the file name`},
+		{"removed-vars", "io.v1.prompt", withKey("vars:\n  - question"), `"vars" was removed: the slot`},
+		{"removed-temperature", "io.v1.prompt", withKey("temperature: 0"), `"temperature" was removed: nothing reads it`},
+		{"no-version", "io.prompt", valid, "not <name>.v<version>.prompt"},
+		{"not-a-prompt", "io.v1.txt", valid, "not <name>.v<version>.prompt"},
+		{"bad-version", "io.vone.prompt", valid, "not a canonical"},
+		{"leading-zero", "io.v01.prompt", valid, "not a canonical"},
+		{"signed-version", "io.v+1.prompt", valid, "not a canonical"},
+		{"zero-version", "io.v0.prompt", valid, "not a canonical"},
+		{"bad-name", "IO!.v1.prompt", valid, `no prompt slot is named "IO!"`},
+		{"no-slot", "chat.v1.prompt", valid, `no prompt slot is named "chat"`},
+		{"other-slot", "answer-graph.v3.prompt", valid, `slot "answer-graph" takes exactly [problem graph]`},
+		{"task-mismatch", "cot.v3.prompt", valid, "task cot requires marker"},
+		{"missing-marker", "io.v1.prompt", strings.ReplaceAll(valid, "[answer]:", "(answer)"), "marker"},
+		{"undeclared-var", "io.v1.prompt", strings.Replace(valid, "{{question}}", "{{question}} {{extra}}", 1), "takes exactly [question]"},
+		{"unused-var", "io.v1.prompt", strings.Replace(valid, "{{question}}", "question", 1), "takes exactly [question]"},
+		{"unclosed-placeholder", "io.v1.prompt", strings.Replace(valid, "{{question}}", "{{question", 1), "unclosed"},
+		{"classifies-as-other-task", "io.v1.prompt", valid + "Let's think step by step.", "body classifies as cot"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParsePrompt([]byte(c.data))
+			p, err := ParsePrompt(c.file, []byte(c.data))
 			if err == nil {
 				t.Fatalf("ParsePrompt accepted a %s file", c.name)
+			}
+			if p != nil {
+				t.Fatal("ParsePrompt returned both a prompt and an error")
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
@@ -44,26 +61,21 @@ func TestParsePromptErrors(t *testing.T) {
 	}
 }
 
-// TestFormatRoundTrip: every embedded default reparses from its own
-// Format output to an equal prompt, and Format is a fixed point.
-func TestFormatRoundTrip(t *testing.T) {
-	for _, in := range Default().List() {
-		p := mustGet(t, in.Name, in.Version)
-		out := p.Format()
-		p2, err := ParsePrompt(out)
-		if err != nil {
-			t.Fatalf("%s@%d: reparse of Format output: %v", in.Name, in.Version, err)
-		}
-		if !promptsEqual(p, p2) {
-			t.Fatalf("%s@%d: Format/Parse round trip changed the prompt", in.Name, in.Version)
-		}
-		if !bytes.Equal(out, p2.Format()) {
-			t.Fatalf("%s@%d: Format is not a fixed point", in.Name, in.Version)
-		}
+// TestParsePromptIdentity: a file's name and version are its file name's,
+// its description and candidate latch its frontmatter's.
+func TestParsePromptIdentity(t *testing.T) {
+	data := mustEmbedded(t, "defaults/answer-graph.v2.prompt")
+	p, err := ParsePrompt("answer-graph.v12.prompt", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Name != "answer-graph" || p.Version != 12 || !p.Candidate ||
+		!strings.HasPrefix(p.Description, "Candidate rewording") || !strings.HasPrefix(p.Body, "[Task description]:\n") {
+		t.Fatalf("parsed %+v", p)
 	}
 }
 
-func mustEmbedded(t *testing.T, path string) []byte {
+func mustEmbedded(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := defaultsFS.ReadFile(path)
 	if err != nil {
@@ -72,81 +84,52 @@ func mustEmbedded(t *testing.T, path string) []byte {
 	return data
 }
 
-func mustGet(t *testing.T, name string, version int) *Prompt {
-	t.Helper()
-	r := NewRegistry()
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	p := r.versions[name][version]
-	if p == nil {
-		t.Fatalf("no prompt %s@%d", name, version)
-	}
-	return p
-}
-
-func promptsEqual(a, b *Prompt) bool {
-	if a.Name != b.Name || a.Version != b.Version || a.Description != b.Description ||
-		a.Task != b.Task || a.Candidate != b.Candidate ||
-		a.Temperature != b.Temperature || a.HasTemperature != b.HasTemperature ||
-		a.Body != b.Body || len(a.Markers) != len(b.Markers) || len(a.Vars) != len(b.Vars) {
-		return false
-	}
-	for i := range a.Markers {
-		if a.Markers[i] != b.Markers[i] {
-			return false
-		}
-	}
-	for i := range a.Vars {
-		if a.Vars[i] != b.Vars[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// FuzzParsePrompt holds the parser's core contract under arbitrary input:
-// it either returns a clean error or a Prompt whose Format output
-// reparses to an equal Prompt with a fixed-point Format — never a panic,
-// never a partial result.
+// FuzzParsePrompt holds the parser's contract under arbitrary file names
+// and contents: it never panics, and it returns either an error with a
+// nil prompt or a prompt that renders with its slot's vars and
+// classifies as its slot's task.
 func FuzzParsePrompt(f *testing.F) {
-	// Seed with every embedded default plus the doctored shapes the
-	// error-table test enumerates.
-	for _, name := range []string{
-		"defaults/pseudo-graph.v1.prompt", "defaults/direct-triples.v1.prompt",
-		"defaults/verify.v1.prompt", "defaults/answer-graph.v1.prompt",
-		"defaults/answer-graph.v2.prompt", "defaults/io.v1.prompt",
-		"defaults/cot.v1.prompt", "defaults/score-relations.v1.prompt",
-	} {
-		data, err := defaultsFS.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	// Seed with every embedded default plus one file each with a removed
+	// key (a scalar and a list), a torn fence, a non-canonical version and
+	// a name with no slot.
+	files, err := defaultsFS.ReadDir("defaults")
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Add([]byte("---\nname: io\nversion: 1\n"))                      // torn frontmatter
-	f.Add([]byte("---\nname: io\nname: io\nversion: 1\n---\nbody"))   // duplicate key
-	f.Add([]byte("---\nname: x\nversion: 1\ntask: io\n---\nno task")) // missing markers
-	f.Add([]byte("---\n  - stray\n---\n"))                            // list item outside a list
-	f.Add([]byte("---\nmarkers: inline\n---\n"))                      // scalar where a list must be
+	for _, e := range files {
+		f.Add(e.Name(), mustEmbedded(f, "defaults/"+e.Name()))
+	}
+	io := mustEmbedded(f, "defaults/io.v1.prompt")
+	f.Add("io.v1.prompt", []byte(strings.Replace(string(io), "---\n", "---\ntemperature: 0\n", 1)))
+	f.Add("io.v1.prompt", []byte(strings.Replace(string(io), "---\n", "---\nmarkers:\n  - \"[answer]:\"\n", 1)))
+	f.Add("io.v1.prompt", io[:len("---\ndescription: ")])
+	f.Add("io.v01.prompt", io)
+	f.Add("chat.v1.prompt", io)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ParsePrompt(data)
+	f.Fuzz(func(t *testing.T, file string, data []byte) {
+		p, err := ParsePrompt(file, data)
 		if err != nil {
 			if p != nil {
 				t.Fatal("ParsePrompt returned both a prompt and an error")
 			}
 			return
 		}
-		out := p.Format()
-		p2, err := ParsePrompt(out)
+		slot, ok := requiredPrompts[p.Name]
+		if !ok {
+			t.Fatalf("parsed a prompt named %q, which has no slot", p.Name)
+		}
+		// A NUL value cannot complete or split a marker, so the render
+		// classifies as the body does.
+		vals := map[string]string{}
+		for _, v := range slot.vars {
+			vals[v] = "\x00"
+		}
+		rendered, err := p.Render(vals)
 		if err != nil {
-			t.Fatalf("Format output failed to reparse: %v\n%s", err, out)
+			t.Fatalf("%s@%d does not render with its slot's vars %v: %v", p.Name, p.Version, slot.vars, err)
 		}
-		if !promptsEqual(p, p2) {
-			t.Fatalf("round trip changed the prompt:\n%+v\n%+v", p, p2)
-		}
-		if !bytes.Equal(out, p2.Format()) {
-			t.Fatal("Format is not a fixed point after one round trip")
+		if got := Classify(rendered); got != slot.task {
+			t.Fatalf("%s@%d renders as %s, its slot's task is %s", p.Name, p.Version, got, slot.task)
 		}
 	})
 }

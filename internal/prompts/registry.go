@@ -4,8 +4,10 @@ import (
 	"embed"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,22 +26,6 @@ import (
 
 //go:embed defaults/*.prompt
 var defaultsFS embed.FS
-
-// requiredPrompts is the pipeline's prompt contract: every registry must
-// hold at least one version of each name, declaring exactly these vars,
-// for the typed View accessors to be total.
-var requiredPrompts = map[string]struct {
-	task TaskKind
-	vars []string
-}{
-	"pseudo-graph":    {TaskPseudoGraph, []string{"question"}},
-	"direct-triples":  {TaskDirectTriples, []string{"question"}},
-	"verify":          {TaskVerify, []string{"problem", "gold_graph", "graph_to_fix"}},
-	"answer-graph":    {TaskGraphQA, []string{"problem", "graph"}},
-	"io":              {TaskIO, []string{"question"}},
-	"cot":             {TaskCoT, []string{"question"}},
-	"score-relations": {TaskScoreRels, []string{"question", "relations"}},
-}
 
 // Registry holds every loaded prompt version and the active selection.
 type Registry struct {
@@ -79,100 +65,61 @@ func Default() *Registry { return defaultRegistry() }
 
 // loadAll builds the name -> version -> prompt map from the embedded
 // defaults plus an optional overlay dir. Overlay files may add new
-// versions or replace an embedded (name, version) outright.
+// versions or replace an embedded (name, version) outright; a file's
+// name is its identity, so no two files of one source can share one.
 func loadAll(dir string) (map[string]map[int]*Prompt, error) {
 	versions := map[string]map[int]*Prompt{}
-	add := func(p *Prompt) error {
-		if versions[p.Name] == nil {
-			versions[p.Name] = map[int]*Prompt{}
-		}
-		if prev := versions[p.Name][p.Version]; prev != nil && prev.Source == p.Source {
-			return fmt.Errorf("prompts: %s@%d defined twice (%s)", p.Name, p.Version, p.Source)
-		}
-		versions[p.Name][p.Version] = p
-		return nil
-	}
-	entries, err := fs.Glob(defaultsFS, "defaults/*.prompt")
-	if err != nil {
-		return nil, fmt.Errorf("prompts: %w", err)
-	}
-	for _, name := range entries {
-		data, err := defaultsFS.ReadFile(name)
+	// load reads dir's *.prompt files through fsys; embedded ones record
+	// "embedded" as their source, overlay ones their path.
+	load := func(fsys fs.FS, dir string, embedded bool) error {
+		files, err := fs.Glob(fsys, "*.prompt")
 		if err != nil {
-			return nil, fmt.Errorf("prompts: %w", err)
+			return fmt.Errorf("prompts: %w", err)
 		}
-		p, err := ParsePrompt(data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		p.Source = "embedded"
-		if err := add(p); err != nil {
-			return nil, err
-		}
-	}
-	if dir != "" {
-		files, err := filepath.Glob(filepath.Join(dir, "*.prompt"))
-		if err != nil {
-			return nil, fmt.Errorf("prompts: %w", err)
-		}
-		if _, err := os.Stat(dir); err != nil {
-			return nil, fmt.Errorf("prompts: %w", err)
-		}
-		for _, path := range files {
-			data, err := os.ReadFile(path)
+		for _, file := range files {
+			data, err := fs.ReadFile(fsys, file)
 			if err != nil {
-				return nil, fmt.Errorf("prompts: %w", err)
+				return fmt.Errorf("prompts: %w", err)
 			}
-			p, err := ParsePrompt(data)
+			path := filepath.Join(dir, file)
+			p, err := ParsePrompt(file, data)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
+				return fmt.Errorf("%s: %w", path, err)
 			}
 			p.Source = path
+			if embedded {
+				p.Source = "embedded"
+			}
 			if versions[p.Name] == nil {
 				versions[p.Name] = map[int]*Prompt{}
 			}
-			// Overlay replaces an embedded version of the same number.
 			versions[p.Name][p.Version] = p
 		}
+		return nil
 	}
-	return versions, validateSet(versions)
-}
-
-// validateSet checks the registry-level contract over a loaded map: every
-// required prompt name present, with the exact var set its View accessor
-// renders with, and the required task kind.
-func validateSet(versions map[string]map[int]*Prompt) error {
-	for name, req := range requiredPrompts {
-		vs := versions[name]
-		if len(vs) == 0 {
-			return fmt.Errorf("prompts: required prompt %q is missing", name)
+	embedded, err := fs.Sub(defaultsFS, "defaults")
+	if err != nil {
+		return nil, fmt.Errorf("prompts: %w", err)
+	}
+	if err := load(embedded, "defaults", true); err != nil {
+		return nil, err
+	}
+	if dir != "" {
+		if info, err := os.Stat(dir); err != nil {
+			return nil, fmt.Errorf("prompts: %w", err)
+		} else if !info.IsDir() {
+			return nil, fmt.Errorf("prompts: %s is not a directory", dir)
 		}
-		for _, p := range vs {
-			if p.Task != req.task {
-				return fmt.Errorf("prompts: %s@%d: task is %s, slot %q requires %s", name, p.Version, p.Task, name, req.task)
-			}
-			if !sameVarSet(p.Vars, req.vars) {
-				return fmt.Errorf("prompts: %s@%d: vars %v, slot %q requires exactly %v", name, p.Version, p.Vars, name, req.vars)
-			}
+		if err := load(os.DirFS(dir), dir, false); err != nil {
+			return nil, err
 		}
 	}
-	return nil
-}
-
-func sameVarSet(got, want []string) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	set := make(map[string]bool, len(got))
-	for _, v := range got {
-		set[v] = true
-	}
-	for _, v := range want {
-		if !set[v] {
-			return false
+	for name := range requiredPrompts {
+		if len(versions[name]) == 0 {
+			return nil, fmt.Errorf("prompts: required prompt %q is missing", name)
 		}
 	}
-	return true
+	return versions, nil
 }
 
 // LoadDir overlays a prompt directory and remembers it for Reload. The
@@ -358,18 +305,13 @@ func (r *Registry) List() []Info {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []Info
-	for _, name := range sortedNames(r.versions) {
+	for _, name := range slices.Sorted(maps.Keys(r.versions)) {
 		active := r.activeLocked(name)
 		vs := r.versions[name]
-		nums := make([]int, 0, len(vs))
-		for n := range vs {
-			nums = append(nums, n)
-		}
-		sortInts(nums)
-		for _, n := range nums {
+		for _, n := range slices.Sorted(maps.Keys(vs)) {
 			p := vs[n]
 			out = append(out, Info{
-				Name: p.Name, Version: p.Version, Task: p.Task.String(),
+				Name: p.Name, Version: p.Version, Task: requiredPrompts[name].task.String(),
 				Description: p.Description, Candidate: p.Candidate,
 				Active: active != nil && active.Version == p.Version,
 				Source: p.Source,
@@ -392,7 +334,7 @@ type View struct {
 func newView(prompts map[string]*Prompt) *View {
 	var b strings.Builder
 	versions := make(map[string]string, len(prompts))
-	for i, name := range sortedNames(prompts) {
+	for i, name := range slices.Sorted(maps.Keys(prompts)) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -479,11 +421,3 @@ func (v *View) Version(name string) int {
 // Fingerprint returns the view's version set as a stable string
 // ("answer-graph@1,cot@1,..."), rendered when the view was built.
 func (v *View) Fingerprint() string { return v.fingerprint }
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}

@@ -272,7 +272,7 @@ func TestFingerprintTracksActiveSet(t *testing.T) {
 func TestLoadDirOverlayAndReload(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "io.v3.prompt")
-	if err := os.WriteFile(path, ioOverlay("3"), 0o644); err != nil {
+	if err := os.WriteFile(path, ioOverlay, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r := NewRegistry()
@@ -288,7 +288,7 @@ func TestLoadDirOverlayAndReload(t *testing.T) {
 
 	// A broken overlay file must reject the reload atomically: the
 	// registry keeps serving the pre-reload set.
-	if err := os.WriteFile(path, []byte("---\nname: io\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("---\ndescription: torn\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Reload(); err == nil {
@@ -313,20 +313,12 @@ func TestLoadDirOverlayAndReload(t *testing.T) {
 func TestLoadDirRejectsMissingRequiredSlot(t *testing.T) {
 	dir := t.TempDir()
 	// An overlay that redefines a required slot with the wrong vars must
-	// fail the registry-level contract.
+	// fail the slot's contract.
 	bad := []byte(`---
-name: io
-version: 9
-task: io
-markers:
-  - "[problem]:"
-  - "[answer]:"
-vars:
-  - query
 ---
 [problem]: "{{query}}"
 [answer]: `)
-	if err := os.WriteFile(filepath.Join(dir, "bad.prompt"), bad, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "io.v9.prompt"), bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r := NewRegistry()
@@ -335,6 +327,65 @@ vars:
 	}
 	if got := r.View().Version("io"); got != 1 {
 		t.Fatalf("failed LoadDir changed the active set: io@%d", got)
+	}
+}
+
+// TestOverlayOneIdentityPerVersion: a prompt's (name, version) is its
+// file name, so an overlay holding both io.v9.prompt and io.v09.prompt is
+// refused by LoadDir and by Reload, and the registry keeps serving its
+// current set.
+func TestOverlayOneIdentityPerVersion(t *testing.T) {
+	dir := t.TempDir()
+	write := func(file string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, file), ioOverlay, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("io.v9.prompt")
+	r := NewRegistry()
+	if err := r.LoadDir(dir); err != nil {
+		t.Fatalf("LoadDir of one io@9 file: %v", err)
+	}
+	before := r.View()
+	if before.Version("io") != 9 {
+		t.Fatalf("io active version = %d, want 9", before.Version("io"))
+	}
+
+	write("io.v09.prompt")
+	if err := r.Reload(); err == nil {
+		t.Fatal("Reload accepted io.v9.prompt beside io.v09.prompt")
+	}
+	if r.View() != before {
+		t.Fatalf("a refused Reload changed the active set to %q", r.Fingerprint())
+	}
+	fresh := NewRegistry()
+	if err := fresh.LoadDir(dir); err == nil {
+		t.Fatal("LoadDir accepted io.v9.prompt beside io.v09.prompt")
+	}
+	if fresh.Dir() != "" || fresh.View().Version("io") != 1 {
+		t.Fatalf("a refused LoadDir changed the registry: dir %q, io@%d", fresh.Dir(), fresh.View().Version("io"))
+	}
+}
+
+// TestLoadDirNamesRemovedKeys: an overlay file in the old format, which
+// stated its name, version, task, markers and vars, is refused with the
+// first removed key and what states it now.
+func TestLoadDirNamesRemovedKeys(t *testing.T) {
+	dir := t.TempDir()
+	old := []byte(`---
+name: io
+version: 9
+task: io
+---
+[problem]: "{{question}}"
+[answer]: `)
+	if err := os.WriteFile(filepath.Join(dir, "io.v9.prompt"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := NewRegistry().LoadDir(dir)
+	if err == nil || !strings.Contains(err.Error(), `frontmatter key "name" was removed: the file name <name>.v<version>.prompt states it`) {
+		t.Fatalf("LoadDir of an old-format file: %v", err)
 	}
 }
 

@@ -9,26 +9,16 @@ import (
 	"testing"
 )
 
-// ioOverlay is a valid io prompt file at the given version, for overlay
-// directories.
-func ioOverlay(version string) []byte {
-	return []byte(`---
-name: io
-version: ` + version + `
+// ioOverlay is a valid io prompt file, for overlay directories; its
+// version is its file name's.
+var ioOverlay = []byte(`---
 description: overlay test version
-task: io
-markers:
-  - "[problem]:"
-  - "[answer]:"
-vars:
-  - question
 ---
 [Task description]:
 Answer the [problem] in one word. Mark your answer with "{ }".
 [Task]:
 [problem]: "{{question}}"
 [answer]: `)
-}
 
 // TestRegistryKeepsOneView: between two changes of the active set the
 // registry hands out one View — same pointer, fingerprint rendered with
@@ -66,7 +56,7 @@ func TestRegistryKeepsOneView(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "io.v3.prompt")
-	if err := os.WriteFile(path, ioOverlay("3"), 0o644); err != nil {
+	if err := os.WriteFile(path, ioOverlay, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.LoadDir(dir); err != nil {
@@ -81,7 +71,7 @@ func TestRegistryKeepsOneView(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "io.v4.prompt"), ioOverlay("4"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "io.v4.prompt"), ioOverlay, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Reload(); err != nil {
@@ -93,7 +83,7 @@ func TestRegistryKeepsOneView(t *testing.T) {
 	}
 
 	// A rejected reload changes nothing, the kept view included.
-	if err := os.WriteFile(filepath.Join(dir, "io.v5.prompt"), []byte("---\nname: io\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "io.v5.prompt"), []byte("---\ndescription: torn\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Reload(); err == nil {
@@ -136,7 +126,7 @@ func TestResolveOverridesLeaveKeptViewUntouched(t *testing.T) {
 // consistent: its fingerprint names the versions it renders.
 func TestRegistryViewConcurrentWithChanges(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "io.v3.prompt"), ioOverlay("3"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "io.v3.prompt"), ioOverlay, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r := NewRegistry()

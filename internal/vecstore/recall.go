@@ -1,10 +1,11 @@
 package vecstore
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/embed"
+	"repro/internal/metrics"
 )
 
 // Recall evaluation: measure an HNSW graph's answer quality and speed
@@ -86,14 +87,10 @@ func EvalRecall(g *HNSW, exact *Sharded, queries []string, k, ef int) RecallResu
 	return res
 }
 
-// durationP50 returns the median of the sample (lower-median for even
-// sizes, zero for empty).
+// durationP50 returns the sample's nearest-rank median, which for every
+// size is the lower median (zero for empty).
 func durationP50(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(ds))
-	copy(s, ds)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[(len(s)-1)/2]
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return metrics.Percentile(s, 50)
 }
